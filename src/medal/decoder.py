@@ -62,11 +62,23 @@ class DecodeConfig:
             raise ConfigError("subtasks must be >= 1")
         if self.aux_length < 1:
             raise ConfigError("aux_length must be >= 1")
-        need = math.ceil((self.length - self.search.init_length) / self.tokens_per_step)
+        # the first descent spends at most k2 simulations on each level above
+        # the pool depth, so a budget above `reach` always pools a candidate
+        reach = (self.search.init_length - 1) * self.search.k2
+        if self.search.init_length > 0 and self.search.budget <= reach:
+            raise ConfigError(
+                f"simulation budget {self.search.budget} may not reach init_length"
+                f" {self.search.init_length} at up to k2 per level (need > {reach})"
+            )
+        # a finish step commits one token per distinct position it picks from
+        # the pooled top-k2, and at most k1 pooled actions share a position
+        per_step = min(self.tokens_per_step, math.ceil(self.search.k2 / self.search.k1))
+        need = math.ceil((self.length - self.search.init_length) / per_step)
         if self.steps < need:
             raise ConfigError(
                 f"total_steps {self.steps} cannot finish {self.length - self.search.init_length}"
-                f" masks at {self.tokens_per_step} per step (need {need})"
+                f" masks at {per_step} per step, min(tokens_per_step, ceil(k2/k1))"
+                f" (need {need})"
             )
 
     def to_json(self) -> dict:
@@ -177,13 +189,17 @@ def finish_decode(
     state: SeqState,
     cfg: DecodeConfig,
     rng: np.random.Generator | None = None,
+    *,
+    output=None,
 ) -> DecodeResult:
     """Commit remaining masks step by step under confidence scoring.
 
     Each step rebuilds the pooled top-k2 actions and commits
     tokens_per_step of them: the top of the pool under argmax, or draws
     from softmax(score / temperature) without position repeats. Runs at
-    most cfg.steps steps and stops when nothing is masked.
+    most cfg.steps steps and stops when nothing is masked. `output`, when
+    given, is the model's prediction at `state` and replaces the first
+    step's model call.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.search.seed)
@@ -194,7 +210,8 @@ def finish_decode(
     for t in range(cfg.steps):
         if cur.is_complete:
             break
-        output = model.predict(cur)
+        if t > 0 or output is None:
+            output = model.predict(cur)
         cands = build_candidates(
             cur,
             output,
@@ -267,7 +284,7 @@ def decode(
         )
     pool = run_cgmcts(model, root, cfg.search, rng=rng)
     entry = select_candidate(pool)
-    fin = finish_decode(model, entry.state, cfg, rng)
+    fin = finish_decode(model, entry.state, cfg, rng, output=entry.output)
     return DecodeResult(
         final=fin.final,
         chosen_candidate=entry.order,

@@ -23,13 +23,21 @@ import json
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpus, NoMaskedPositions, NonFiniteLogits, ZeroMassContext
+from .errors import (
+    ConfigError,
+    EmptyCorpus,
+    LogitWidthMismatch,
+    MissingPosition,
+    NoMaskedPositions,
+    NonFiniteLogits,
+    ZeroMassContext,
+)
 from .seqcore import (
     SeqState,
     Vocab,
@@ -38,43 +46,115 @@ from .seqcore import (
     state_to_json,
 )
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 # floor added before log so tabular/factorized logits stay finite at p=0
 LOGIT_FLOOR = 1e-12
 
 
-@dataclass
 class DenoiserOutput:
-    """Logit vectors keyed by absolute masked position.
+    """Logits of one prediction as a (positions, matrix) pair.
 
-    Each vector has length vocab.size (content tokens only; the mask token
-    gets no logit). Treat instances as immutable.
+    positions() lists the absolute masked positions in ascending order;
+    row i of matrix() is the logit vector of the i-th position over the
+    content tokens (the mask token gets no logit), so the matrix has shape
+    (P, V). Build it from a {position: vector} mapping or with
+    from_matrix(positions, matrix). Either way the whole matrix is
+    validated once, here: 2-d with one width, and every entry finite.
+    The stored arrays are read-only; matrix() without arguments returns
+    them without copying, which is what scoring and entropy code use.
     """
 
-    logits: dict[int, np.ndarray]
+    __slots__ = ("_positions", "_matrix")
 
-    def __post_init__(self) -> None:
-        clean: dict[int, np.ndarray] = {}
-        width = None
-        for pos, vec in self.logits.items():
+    def __init__(self, logits: Mapping[int, ArrayLike]):
+        items = sorted(((int(p), v) for p, v in logits.items()), key=lambda kv: kv[0])
+        rows = []
+        for pos, vec in items:
             arr = np.asarray(vec, dtype=np.float64)
             if arr.ndim != 1:
                 raise ConfigError(f"logits for position {pos} must be 1-d")
-            if width is None:
-                width = arr.shape[0]
-            elif arr.shape[0] != width:
+            if rows and arr.shape[0] != rows[0].shape[0]:
                 raise ConfigError("logit vectors must share one width")
-            if not np.isfinite(arr).all():
-                raise NonFiniteLogits(f"non-finite logits at position {pos}")
-            clean[int(pos)] = arr
-        self.logits = clean
+            rows.append(arr)
+        matrix = np.stack(rows) if rows else np.empty((0, 0))
+        self._set(np.asarray([p for p, _ in items], dtype=np.int64), matrix)
+
+    @classmethod
+    def from_matrix(cls, positions: Sequence[int], matrix: ArrayLike) -> "DenoiserOutput":
+        """Output whose row i holds the logits of positions[i]; positions
+        must be strictly ascending."""
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.ndim != 1 or (pos[1:] <= pos[:-1]).any():
+            raise ConfigError("positions must be a strictly ascending 1-d sequence")
+        out = cls.__new__(cls)
+        out._set(pos, matrix)
+        return out
+
+    def _set(self, positions: np.ndarray, matrix: ArrayLike) -> None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != positions.shape[0]:
+            raise ConfigError(
+                f"logit matrix of shape {matrix.shape} does not give one row to each"
+                f" of {positions.shape[0]} positions"
+            )
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            raise NonFiniteLogits(f"non-finite logits at position {positions[row]}")
+        positions = positions.view()
+        positions.flags.writeable = False
+        matrix = matrix.view()
+        matrix.flags.writeable = False
+        self._positions = positions
+        self._matrix = matrix
+
+    @property
+    def logits(self) -> Mapping[int, np.ndarray]:
+        """Read-only {position: logit vector} view of the rows."""
+        return _LogitRows(self)
 
     def positions(self) -> list[int]:
-        return sorted(self.logits)
+        return self._positions.tolist()
 
     def matrix(self, positions: Sequence[int] | None = None) -> np.ndarray:
+        """Rows for `positions` (default: all, as stored, without a copy).
+
+        Raises MissingPosition when a requested position has no row.
+        """
         if positions is None:
-            positions = self.positions()
-        return np.stack([self.logits[p] for p in positions])
+            return self._matrix
+        want = np.asarray(positions, dtype=np.int64)
+        if np.array_equal(want, self._positions):
+            return self._matrix
+        idx = np.searchsorted(self._positions, want)
+        found = idx < self._positions.shape[0]
+        found[found] = self._positions[idx[found]] == want[found]
+        if not found.all():
+            raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
+        return self._matrix[idx]
+
+
+class _LogitRows(Mapping):
+    """The {position: row} mapping behind DenoiserOutput.logits."""
+
+    __slots__ = ("_out",)
+
+    def __init__(self, out: DenoiserOutput):
+        self._out = out
+
+    def __getitem__(self, pos: int) -> np.ndarray:
+        try:
+            return self._out.matrix([pos])[0]
+        except MissingPosition:
+            raise KeyError(pos) from None
+
+    def __iter__(self):
+        return iter(self._out.positions())
+
+    def __len__(self) -> int:
+        return len(self._out._positions)
 
 
 class Denoiser:
@@ -164,15 +244,12 @@ class TabularModel(Denoiser):
         pos, sub = self._context_slice(state)
         mass = sub.sum()
         v = self.vocab.size
-        out: dict[int, np.ndarray] = {}
-        for axis, p in enumerate(pos):
-            if mass <= 0.0:
-                probs = np.full(v, 1.0 / v)
-            else:
+        probs = np.full((len(pos), v), 1.0 / v)
+        if mass > 0.0:
+            for axis in range(len(pos)):
                 other = tuple(a for a in range(sub.ndim) if a != axis)
-                probs = sub.sum(axis=other) / mass
-            out[p] = np.log(probs + LOGIT_FLOOR)
-        return DenoiserOutput(out)
+                probs[axis] = sub.sum(axis=other) / mass
+        return DenoiserOutput.from_matrix(pos, np.log(probs + LOGIT_FLOOR))
 
     def joint_logprob(self, gen_tokens: Sequence[int]) -> float:
         """ln q(x) of a full generation-region assignment (-inf at zero mass)."""
@@ -239,10 +316,8 @@ class FactorizedModel(Denoiser):
             raise ConfigError(
                 f"state generation length {state.gen_length} != model length {self.length}"
             )
-        out = {}
-        for p in pos:
-            out[p] = np.log(self.rows[p - state.prompt_len] + LOGIT_FLOOR)
-        return DenoiserOutput(out)
+        rows = self.rows[np.asarray(pos) - state.prompt_len]
+        return DenoiserOutput.from_matrix(pos, np.log(rows + LOGIT_FLOOR))
 
     def as_tabular(self) -> TabularModel:
         """Product joint; intended for small instances only."""
@@ -315,10 +390,8 @@ class NGramMaskedModel(Denoiser):
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         pos = self._check_state(state)
-        out = {}
-        for p in pos:
-            out[p] = self._logits_for(self.context_for(state, p))
-        return DenoiserOutput(out)
+        rows = [self._logits_for(self.context_for(state, p)) for p in pos]
+        return DenoiserOutput.from_matrix(pos, np.stack(rows))
 
 
 def fit_ngram(
@@ -437,8 +510,13 @@ class RemoteDenoiser(Denoiser):
         obj = json.loads(line)
         if "error" in obj:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
-        logits = {int(p): np.asarray(v, dtype=np.float64) for p, v in obj["logits"].items()}
-        return DenoiserOutput(logits)
+        out = DenoiserOutput(obj["logits"])
+        width = out.matrix().shape[1]
+        if width != self.vocab.size:
+            raise LogitWidthMismatch(
+                f"remote denoiser sent logits of width {width} for vocab size {self.vocab.size}"
+            )
+        return out
 
     def close(self) -> None:
         with self._lock:
@@ -466,9 +544,8 @@ class _DenoiserHandler(socketserver.StreamRequestHandler):
             try:
                 state = state_from_json(json.loads(raw), model.vocab)
                 out = model.predict(state)
-                reply = {
-                    "logits": {str(p): out.logits[p].tolist() for p in out.positions()}
-                }
+                rows = out.matrix().tolist()
+                reply = {"logits": dict(zip(map(str, out.positions()), rows))}
             except Exception as exc:  # report, keep serving
                 reply = {"error": f"{type(exc).__name__}: {exc}"}
             self.wfile.write((json.dumps(reply, separators=(",", ":")) + "\n").encode())

@@ -35,6 +35,10 @@ class MissingPosition(MedalError):
     """Denoiser output does not cover exactly the masked positions."""
 
 
+class LogitWidthMismatch(MedalError):
+    """Denoiser logits do not hold one entry per content token of the vocab."""
+
+
 class ZeroBaselineEntropy(MedalError):
     """Information-gain baseline entropy is negative or non-finite."""
 

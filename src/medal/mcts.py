@@ -238,11 +238,13 @@ def simulate(
     *,
     mode: str = "sample",
     before: EntropyProfile | None = None,
+    after_output=None,
 ) -> tuple[RewardRecord, SeqState]:
     """Reward the action and roll the resulting state out to completion.
 
     Costs one model call for the post-action state (none when the action
-    completes the sequence); the rollout reuses that same prediction.
+    completes the sequence, or when the caller passes that prediction as
+    after_output); the rollout reuses that same prediction.
     """
     if before is None:
         before = entropy_profile(model, state)
@@ -250,7 +252,8 @@ def simulate(
     if next_state.is_complete:
         record = info_gain(model, state, action, before=before)
         return record, next_state
-    after_output = model.predict(next_state)
+    if after_output is None:
+        after_output = model.predict(next_state)
     record = info_gain(model, state, action, before=before, after_output=after_output)
     completion = _fill_remaining(next_state, after_output, mode, rng)
     return record, completion
@@ -266,6 +269,9 @@ class CandidateEntry:
     reward: float  # r_ig at creation
     score: float  # cumulative gain from the root
     completion: SeqState
+    # the model's prediction at `state`, made by the simulation that created
+    # the entry (None when none was made); finishing starts from it
+    output: Any = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -360,15 +366,23 @@ def run_cgmcts(
             rewards.append(node.terminal_reward)
             sims += 1
         else:
-            # descend: expand level by level toward the pool depth
+            # descend: expand level by level toward the pool depth. The
+            # prediction and profile of each new child come out of its
+            # simulation; the step into the chosen child reuses them
+            # (predictions are pure, so this only saves model calls).
+            fresh: dict[SearchNode, tuple] = {root: (root_output, root_profile)}
             while not node.terminal and not pool.full and sims < cfg.budget:
-                if node is root:
-                    output, before = root_output, root_profile
+                if node in fresh:
+                    output, before = fresh[node]
                 else:
                     output = model.predict(node.state)
                     before = entropy_profile(model, node.state, output=output)
+                fresh = {}
                 prefix = tuple(c.action for _, c in path)
                 for child in expand(node, model, cfg, output=output):
+                    after_output = None
+                    if not child.state.is_complete:
+                        after_output = model.predict(child.state)
                     record, completion = simulate(
                         model,
                         node.state,
@@ -376,7 +390,9 @@ def run_cgmcts(
                         rng,
                         mode=cfg.rollout_mode,
                         before=before,
+                        after_output=after_output,
                     )
+                    fresh[child] = (after_output, record.after)
                     sims += 1
                     backpropagate(path + [(node, child)], record.r_ig)
                     expanded_actions.append(
@@ -401,6 +417,7 @@ def run_cgmcts(
                                 reward=record.r_ig,
                                 score=gain,
                                 completion=completion,
+                                output=after_output,
                             )
                         )
                         if pool.full:

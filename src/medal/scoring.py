@@ -9,14 +9,14 @@ Candidates are filtered per position (top-k1) and then pooled globally
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import MissingPosition, NonFiniteLogits
+from .denoisers import DenoiserOutput
+from .errors import LogitWidthMismatch, MissingPosition, NonFiniteLogits
 from .seqcore import SeqState, UnmaskAction, masked_positions
 
 DEFAULT_GAMMA = 5.0
@@ -59,17 +59,30 @@ class PositionScore:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionCandidates:
     """Output of the two-stage filter.
 
-    per_position maps each masked position to its top-k1 (action, score)
-    pairs, score-descending. pooled is the global top-k2 across the union,
-    ordered by (score desc, position asc, token asc).
+    Row i of tokens and scores is positions[i]'s top-k1, score descending
+    (ties: token ascending). pooled is the global top-k2 across the union,
+    ordered by (score desc, position asc, token asc). per_position is the
+    same per-position ranking as {position: ((action, score), ...)}, built
+    on first access.
     """
 
-    per_position: dict[int, tuple[tuple[UnmaskAction, float], ...]]
+    positions: np.ndarray  # (P,)
+    tokens: np.ndarray  # (P, min(k1, V))
+    scores: np.ndarray  # (P, min(k1, V))
     pooled: tuple[tuple[UnmaskAction, float], ...]
+
+    @cached_property
+    def per_position(self) -> dict[int, tuple[tuple[UnmaskAction, float], ...]]:
+        return {
+            pos: tuple((UnmaskAction(pos, tok), sc) for tok, sc in zip(toks, scs))
+            for pos, toks, scs in zip(
+                self.positions.tolist(), self.tokens.tolist(), self.scores.tolist()
+            )
+        }
 
     def pooled_actions(self) -> list[UnmaskAction]:
         return [a for a, _ in self.pooled]
@@ -117,22 +130,25 @@ def score_state(
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Batch-score all masked positions.
 
-    `output` may be a DenoiserOutput or a plain {position: logits} mapping
-    covering exactly the masked positions. Returns (positions ascending,
-    probs matrix, scores matrix).
+    `output` may be a DenoiserOutput or a plain {position: logits} mapping;
+    it must cover exactly the masked positions, with one logit per content
+    token. Returns (positions ascending, probs matrix, scores matrix).
     """
-    logits_map: Mapping[int, np.ndarray] = getattr(output, "logits", output)
+    if not isinstance(output, DenoiserOutput):
+        output = DenoiserOutput(output)
     positions = masked_positions(state)
-    have = set(logits_map)
-    want = set(positions)
-    if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
+    have = output.positions()
+    if have != positions:
+        missing = sorted(set(positions) - set(have))
+        extra = sorted(set(have) - set(positions))
         raise MissingPosition(
             f"denoiser output mismatch: missing positions {missing}, extra {extra}"
         )
-    matrix = np.stack([np.asarray(logits_map[p], dtype=np.float64) for p in positions])
-    _validate_logits(matrix)
+    matrix = output.matrix()
+    if matrix.shape[1] != state.vocab.size:
+        raise LogitWidthMismatch(
+            f"logits have width {matrix.shape[1]} for vocab size {state.vocab.size}"
+        )
     probs, _, _, _, _, scores = kernels.score_rows(
         matrix, gamma, epsilon, use_entropy_penalty
     )
@@ -155,23 +171,18 @@ def build_candidates(
     positions, _, scores = score_state(
         state, output, gamma, epsilon, use_entropy_penalty=use_entropy_penalty
     )
-    width = scores.shape[1]
-    take = min(k1, width)
-
-    per_position: dict[int, tuple[tuple[UnmaskAction, float], ...]] = {}
-    union: list[tuple[float, int, int]] = []
-    for row, pos in enumerate(positions):
-        srow = scores[row]
-        # stable order: score desc, token asc
-        order = np.lexsort((np.arange(width), -srow))[:take]
-        kept = tuple(
-            (UnmaskAction(pos, int(tok)), float(srow[tok])) for tok in order
-        )
-        per_position[pos] = kept
-        union.extend((float(srow[tok]), pos, int(tok)) for tok in order)
-
-    union.sort(key=lambda item: (-item[0], item[1], item[2]))
+    rows = np.asarray(positions, dtype=np.int64)
+    take = min(k1, scores.shape[1])
+    # stage 1: per row, score desc; the stable sort keeps ties token-ascending
+    tokens = np.argsort(-scores, axis=1, kind="stable")[:, :take]
+    kept = np.take_along_axis(scores, tokens, axis=1)
+    # stage 2: the union ranked by (score desc, position asc, token asc)
+    pos = np.repeat(rows, take)
+    tok = tokens.ravel()
+    sc = kept.ravel()
+    order = np.lexsort((tok, pos, -sc))[:k2]
     pooled = tuple(
-        (UnmaskAction(pos, tok), s) for s, pos, tok in union[: min(k2, len(union))]
+        (UnmaskAction(p, t), s)
+        for p, t, s in zip(pos[order].tolist(), tok[order].tolist(), sc[order].tolist())
     )
-    return ActionCandidates(per_position=per_position, pooled=pooled)
+    return ActionCandidates(positions=rows, tokens=tokens, scores=kept, pooled=pooled)

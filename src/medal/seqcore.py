@@ -4,7 +4,9 @@ A state is an immutable snapshot of a partially revealed token sequence:
 a read-only prompt prefix followed by a generation region whose positions
 are either revealed or masked. All engine layers operate on these values;
 mutation always goes through apply_action / apply_many, which return new
-states.
+states. Constructing a SeqState (directly, via fully_masked or from JSON)
+validates the whole sequence; apply_many checks only its actions, since a
+valid state stays valid under checked reveals.
 """
 
 from __future__ import annotations
@@ -96,6 +98,26 @@ class SeqState:
     def apply(self, action: UnmaskAction) -> "SeqState":
         return apply_action(self, action)
 
+    @classmethod
+    def _unchecked(
+        cls,
+        vocab: Vocab,
+        prompt_len: int,
+        tokens: tuple[int, ...],
+        masked: tuple[bool, ...],
+        step: int,
+    ) -> "SeqState":
+        """Build a state the caller has already proven valid, skipping
+        __post_init__. Only apply_many uses it: a valid state plus checked
+        actions is valid by construction."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vocab", vocab)
+        object.__setattr__(obj, "prompt_len", prompt_len)
+        object.__setattr__(obj, "tokens", tokens)
+        object.__setattr__(obj, "masked", masked)
+        object.__setattr__(obj, "step", step)
+        return obj
+
 
 def masked_positions(state: SeqState) -> list[int]:
     """Ascending absolute indices of masked positions."""
@@ -122,7 +144,7 @@ def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
         tokens[act.position] = act.token
         masked[act.position] = False
         n += 1
-    return SeqState(
+    return SeqState._unchecked(
         state.vocab, state.prompt_len, tuple(tokens), tuple(masked), state.step + n
     )
 

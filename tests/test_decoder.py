@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from medal.decoder import (
     DecodeConfig,
@@ -18,6 +20,7 @@ from medal.decoder import (
     select_candidate,
 )
 from medal.denoisers import CountingDenoiser, TabularModel, fit_ngram
+from medal.families import random_calibrated_model
 from medal.errors import ConfigError, EmptyPool
 from medal.mcts import CandidatePool, CandidateEntry, SearchConfig
 from medal.seqcore import SeqState, UnmaskAction, Vocab
@@ -55,6 +58,18 @@ def test_config_validation_rules():
         # 4 - 2 = 2 masks at 1 per step needs 2 steps
         small_cfg(total_steps=1).validate()
     small_cfg(total_steps=2).validate()
+    # a step commits at most ceil(k2/k1) = 2 distinct positions here, so
+    # 6 masks need 3 steps whatever tokens_per_step says
+    wide = DecodeConfig(length=6, total_steps=1, tokens_per_step=6,
+                        search=SearchConfig(init_length=0, k2=5))
+    with pytest.raises(ConfigError, match="need 3"):
+        wide.validate()
+    replace(wide, total_steps=3).validate()
+    # a descent spends up to k2 = 5 simulations per level before the last,
+    # so reaching depth 3 with certainty takes more than 10
+    with pytest.raises(ConfigError, match="budget"):
+        small_cfg(length=4, init_length=3, max_simulations=10).validate()
+    small_cfg(length=4, init_length=3, max_simulations=11).validate()
     with pytest.raises(ConfigError):
         replace(small_cfg(), subtasks=0).validate()
     with pytest.raises(ConfigError):
@@ -229,3 +244,45 @@ def test_decode_on_ngram_model():
     res = decode(model, (0,), cfg)
     assert res.final.is_complete
     assert len(res.final.gen_tokens()) == 6
+
+
+@st.composite
+def decode_case(draw):
+    length = draw(st.integers(min_value=1, max_value=5))
+    candidate_count = draw(st.integers(min_value=1, max_value=3))
+    search = SearchConfig(
+        k1=draw(st.integers(min_value=1, max_value=4)),
+        k2=draw(st.integers(min_value=1, max_value=8)),
+        init_length=draw(st.integers(min_value=0, max_value=length - 1)),
+        candidate_count=candidate_count,
+        max_simulations=draw(st.integers(min_value=candidate_count, max_value=30)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    cfg = DecodeConfig(
+        length=length,
+        total_steps=draw(st.none() | st.integers(min_value=1, max_value=length)),
+        tokens_per_step=draw(st.integers(min_value=1, max_value=length)),
+        remaining_mode=draw(st.sampled_from(["sample", "argmax"])),
+        augmenter=draw(st.sampled_from(["identity", "template"])),
+        search=search,
+    )
+    vocab = draw(st.integers(min_value=2, max_value=3))
+    prompt = tuple(draw(st.lists(st.integers(0, vocab - 1), max_size=2)))
+    return cfg, vocab, prompt, draw(st.integers(min_value=0, max_value=2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(decode_case())
+def test_property_validated_configs_decode_to_completion(case):
+    cfg, vocab, prompt, model_seed = case
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    model = random_calibrated_model(np.random.default_rng(model_seed), cfg.length, vocab)
+    res = decode(model, prompt, cfg)
+    root = SeqState.fully_masked(model.vocab, augment_prompt(model, prompt, cfg), cfg.length)
+    assert res.final.is_complete
+    assert replay_reveals(root, res.reveal_order) == res.final
+    gen = range(root.prompt_len, root.prompt_len + cfg.length)
+    assert sorted(a.position for a in res.reveal_order) == list(gen)

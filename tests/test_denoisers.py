@@ -12,6 +12,7 @@ import pytest
 import oracles
 from medal.denoisers import (
     CountingDenoiser,
+    Denoiser,
     DenoiserOutput,
     FactorizedModel,
     NGramMaskedModel,
@@ -24,6 +25,8 @@ from medal.denoisers import (
 from medal.errors import (
     ConfigError,
     EmptyCorpus,
+    LogitWidthMismatch,
+    MissingPosition,
     NoMaskedPositions,
     NonFiniteLogits,
     ZeroMassContext,
@@ -52,6 +55,24 @@ def test_output_validation():
     out = DenoiserOutput({2: [0.0, 1.0], 0: [1.0, 0.0]})
     assert out.positions() == [0, 2]
     assert out.matrix().shape == (2, 2)
+    assert len(out.logits) == 2 and list(out.logits) == [0, 2]
+    assert out.logits[2].tolist() == [0.0, 1.0] and 1 not in out.logits
+    assert out.matrix([2]).tolist() == [[0.0, 1.0]]
+    with pytest.raises(MissingPosition):
+        out.matrix([0, 1])
+    with pytest.raises(ValueError):
+        out.matrix()[0, 0] = 5.0  # stored once, read-only
+    # the matrix form validates the same things
+    same = DenoiserOutput.from_matrix([0, 2], [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(same.matrix(), out.matrix())
+    with pytest.raises(ConfigError):
+        DenoiserOutput.from_matrix([2, 0], np.zeros((2, 2)))  # not ascending
+    with pytest.raises(ConfigError):
+        DenoiserOutput.from_matrix([0, 1], np.zeros((3, 2)))  # one row each
+    with pytest.raises(ConfigError):
+        DenoiserOutput.from_matrix([0, 1], np.zeros(2))
+    with pytest.raises(NonFiniteLogits, match="position 4"):
+        DenoiserOutput.from_matrix([1, 4], [[0.0, 0.0], [np.inf, 0.0]])
 
 
 def test_tabular_validation():
@@ -268,6 +289,32 @@ def test_remote_round_trip_and_error_frames(rng):
             # connection still usable afterwards
             again = remote.predict(state)
             assert np.max(np.abs(again.matrix() - local.matrix())) < 1e-12
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _WideModel(Denoiser):
+    """Faulty model: one logit more than its vocab has content tokens."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def predict(self, state):
+        pos = self._check_state(state)
+        return DenoiserOutput.from_matrix(pos, np.zeros((len(pos), self.vocab.size + 1)))
+
+
+def test_remote_rejects_wrong_logit_width():
+    vocab = Vocab(3)
+    server = serve_denoiser(_WideModel(vocab), port=0)
+    server.serve_in_thread()
+    host, port = server.server_address
+    try:
+        with RemoteDenoiser(f"{host}:{port}", vocab=vocab) as remote:
+            state = SeqState.fully_masked(vocab, (1,), 2)
+            with pytest.raises(LogitWidthMismatch, match="width 4"):
+                remote.predict(state)
     finally:
         server.shutdown()
         server.server_close()

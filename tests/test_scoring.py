@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from medal.errors import MissingPosition, NonFiniteLogits
+from medal.errors import LogitWidthMismatch, MissingPosition, NonFiniteLogits
 from medal.scoring import build_candidates, score_position, score_state
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 
@@ -84,6 +84,9 @@ def test_score_state_requires_exact_position_cover(rng):
     bad[1] = good[0]
     with pytest.raises(MissingPosition):
         score_state(state, bad)
+    wide = {p: rng.normal(size=4) for p in (0, 2, 3)}
+    with pytest.raises(LogitWidthMismatch):
+        score_state(state, wide)
 
 
 def test_build_candidates_shapes_and_order(rng):

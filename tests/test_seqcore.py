@@ -14,7 +14,9 @@ from medal.seqcore import (
     apply_action,
     apply_many,
     masked_positions,
+    state_from_json,
     state_from_line,
+    state_to_json,
     state_to_line,
     vocab_from_json,
     vocab_to_json,
@@ -147,3 +149,33 @@ def test_property_apply_many_matches_sequential_apply(case):
     for act in actions:
         assert bulk.tokens[act.position] == act.token
         assert not bulk.masked[act.position]
+
+
+@settings(max_examples=80, deadline=None)
+@given(state_and_actions(), st.data())
+def test_property_checked_reveals_give_valid_states(case, data):
+    # apply_many skips the whole-sequence validation; what it builds must
+    # equal the fully validated state with the same fields
+    state, actions = case
+    cur, done = state, 0
+    while done < len(actions):
+        n = data.draw(st.integers(min_value=1, max_value=len(actions) - done))
+        cur = apply_many(cur, actions[done : done + n])
+        done += n
+        full = SeqState(cur.vocab, cur.prompt_len, cur.tokens, cur.masked, cur.step)
+        assert cur == full and hash(cur) == hash(full)
+        assert state_from_json(state_to_json(cur), cur.vocab) == cur
+    vocab = cur.vocab
+    for act in actions:
+        with pytest.raises(PositionNotMasked):
+            apply_many(cur, [act])  # already revealed
+    for pos in (-1, len(cur.tokens)) + tuple(range(cur.prompt_len)):
+        with pytest.raises(PositionNotMasked):
+            apply_many(cur, [UnmaskAction(pos, 0)])
+    left = masked_positions(cur)
+    if left:
+        with pytest.raises(PositionNotMasked):
+            apply_many(cur, [UnmaskAction(left[0], 0), UnmaskAction(left[0], 1)])
+        for tok in (vocab.mask_id, -1, vocab.size + 1):
+            with pytest.raises(TokenIsMask):
+                apply_many(cur, [UnmaskAction(left[0], tok)])
