@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .denoisers import Denoiser
 from .errors import ConfigError, EmptyPool
 from .mcts import CandidateEntry, CandidatePool, SearchConfig, run_cgmcts
@@ -229,13 +230,9 @@ def finish_decode(
             if cfg.remaining_mode == "argmax":
                 pick = 0
             else:
-                weights = np.array([sc for _, sc in available])
-                weights = np.exp(
-                    (weights - weights.max()) / cfg.sample_temperature
-                )
-                weights /= weights.sum()
-                draw = float(rng.random())
-                pick = min(int((weights.cumsum() < draw).sum()), len(available) - 1)
+                weights = np.array([[sc for _, sc in available]])
+                probs = kernels.softmax_rows((weights - weights.max()) / cfg.sample_temperature)
+                pick = int(kernels.pick_tokens(probs, "sample", rng)[0])
             action, score = available[pick]
             chosen.append((action, score))
             available = [

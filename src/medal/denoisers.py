@@ -19,6 +19,7 @@ over the same wire format.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import socketserver
@@ -36,6 +37,7 @@ from .errors import (
     MissingPosition,
     NoMaskedPositions,
     NonFiniteLogits,
+    RemoteError,
     ZeroMassContext,
 )
 from .seqcore import (
@@ -497,20 +499,49 @@ class RemoteDenoiser(Denoiser):
             self._sock = socket.create_connection(self.address, timeout=self.timeout)
             self._fh = self._sock.makefile("rwb")
 
+    def _drop(self) -> None:
+        """Close the stream and socket (caller holds the lock); the next call reconnects."""
+        if self._fh is not None:
+            with contextlib.suppress(OSError):  # flushing a dead stream fails again
+                self._fh.close()
+            self._fh = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
     def predict(self, state: SeqState) -> DenoiserOutput:
+        """One request/reply exchange.
+
+        Socket errors, timeouts, a closed connection and replies that are
+        not a JSON object with a {position: numbers} "logits" mapping raise
+        RemoteError and drop the connection; a server error frame raises
+        ConfigError and keeps it.
+        """
         self._check_state(state)
         payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
         with self._lock:
-            self._connect()
-            self._fh.write(payload)
-            self._fh.flush()
-            line = self._fh.readline()
-        if not line:
-            raise ConfigError("remote denoiser closed the connection")
-        obj = json.loads(line)
+            try:
+                self._connect()
+                self._fh.write(payload)
+                self._fh.flush()
+                line = self._fh.readline()
+                if not line:
+                    raise EOFError("connection closed without a reply")
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("reply is not a JSON object")
+                if "error" not in obj:
+                    if not isinstance(obj.get("logits"), dict):
+                        raise ValueError("reply has no 'logits' mapping")
+                    out = DenoiserOutput(obj["logits"])
+            except (OSError, EOFError, ValueError, TypeError) as exc:
+                self._drop()
+                host, port = self.address
+                raise RemoteError(
+                    f"remote denoiser {host}:{port}: {type(exc).__name__}: {exc}"
+                ) from exc
         if "error" in obj:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
-        out = DenoiserOutput(obj["logits"])
         width = out.matrix().shape[1]
         if width != self.vocab.size:
             raise LogitWidthMismatch(
@@ -520,12 +551,7 @@ class RemoteDenoiser(Denoiser):
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None
+            self._drop()
 
     def __enter__(self) -> "RemoteDenoiser":
         return self

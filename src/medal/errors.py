@@ -39,6 +39,10 @@ class LogitWidthMismatch(MedalError):
     """Denoiser logits do not hold one entry per content token of the vocab."""
 
 
+class RemoteError(MedalError):
+    """A remote denoiser could not be reached or sent an unreadable reply."""
+
+
 class ZeroBaselineEntropy(MedalError):
     """Information-gain baseline entropy is negative or non-finite."""
 

@@ -28,6 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import AlreadyExpanded, ConfigError, NoChildren
 from .reward import EntropyProfile, RewardRecord, cumulative_gain, entropy_profile, info_gain
 from .scoring import build_candidates
@@ -214,18 +215,8 @@ def _fill_remaining(state: SeqState, output, mode: str, rng: np.random.Generator
     positions = masked_positions(state)
     if not positions:
         return state
-    matrix = output.matrix(positions)
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    if mode == "argmax":
-        tokens = probs.argmax(axis=1)
-    else:
-        cum = probs.cumsum(axis=1)
-        draws = rng.random(len(positions))
-        tokens = np.minimum(
-            (cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1
-        )
+    probs = kernels.softmax_rows(output.matrix(positions))
+    tokens = kernels.pick_tokens(probs, mode, rng)
     acts = [UnmaskAction(p, int(t)) for p, t in zip(positions, tokens)]
     return apply_many(state, acts)
 

@@ -27,12 +27,6 @@ from .seqcore import SeqState, UnmaskAction, apply_action, masked_positions
 ZERO_TOTAL = 1e-12
 
 
-def _softmax(matrix: np.ndarray) -> np.ndarray:
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """Per-position entropies (nats) over the masked set of one state."""
@@ -56,7 +50,7 @@ def entropy_profile(model, state: SeqState, *, output=None) -> EntropyProfile:
         return EntropyProfile.empty()
     if output is None:
         output = model.predict(state)
-    probs = _softmax(output.matrix(positions))
+    probs = kernels.softmax_rows(output.matrix(positions))
     values = kernels.entropy_rows(probs)
     return EntropyProfile(
         positions=tuple(positions),

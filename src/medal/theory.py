@@ -36,7 +36,6 @@ from .errors import (
     SubsetNotMasked,
 )
 from .mcts import SearchNode, backpropagate, ucb_select
-from .reward import _softmax
 from .seqcore import SeqState, UnmaskAction, apply_many, masked_positions
 
 PROXIES = ("entropy", "one_minus_maxprob", "top2_margin")
@@ -121,7 +120,7 @@ def position_entropies(model, state: SeqState, positions: Sequence[int], *, outp
     subset = _subset_check(state, positions)
     if output is None:
         output = model.predict(state)
-    probs = _softmax(output.matrix(subset))
+    probs = kernels.softmax_rows(output.matrix(subset))
     return kernels.entropy_rows(probs)
 
 
@@ -166,16 +165,7 @@ def _commit_step(
     policy: str,
     rng: np.random.Generator | None,
 ) -> list[UnmaskAction]:
-    if policy == "argmax":
-        tokens = probs.argmax(axis=1)
-    elif policy == "sample":
-        if rng is None:
-            raise ConfigError("sample rollout policy needs an rng")
-        cum = probs.cumsum(axis=1)
-        draws = rng.random(len(subset))
-        tokens = np.minimum((cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1)
-    else:
-        raise ConfigError(f"unknown rollout policy {policy!r}")
+    tokens = kernels.pick_tokens(probs, policy, rng)
     return [UnmaskAction(p, int(t)) for p, t in zip(subset, tokens)]
 
 
@@ -209,7 +199,7 @@ def schedule_cost(
     for step in schedule.steps:
         subset = _subset_check(cur, step)
         output = model.predict(cur)
-        probs = _softmax(output.matrix(subset))
+        probs = kernels.softmax_rows(output.matrix(subset))
         ent = kernels.entropy_rows(probs)
         gaps.append(float(ent.sum() - ent.max()))
         if with_dependence:
@@ -360,7 +350,7 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
             gap = entropy_gap(model, cur, step, output=output)
             if best_gap is None or gap < best_gap - 1e-15:
                 best_step, best_gap = step, gap
-        probs = _softmax(output.matrix(list(best_step)))
+        probs = kernels.softmax_rows(output.matrix(list(best_step)))
         cur = apply_many(cur, _commit_step(probs, list(best_step), "argmax", None))
         steps.append(best_step)
     return schedule_cost(model, root, Schedule(tuple(steps)), with_dependence=False)
@@ -378,7 +368,7 @@ def random_schedule(
         choices = _next_step_choices(remaining, k - depth, sizes, depth)
         step = choices[int(rng.integers(len(choices)))]
         output = model.predict(cur)
-        probs = _softmax(output.matrix(list(step)))
+        probs = kernels.softmax_rows(output.matrix(list(step)))
         cur = apply_many(cur, _commit_step(probs, list(step), "argmax", None))
         steps.append(step)
     return schedule_cost(model, root, Schedule(tuple(steps)), with_dependence=False)
@@ -437,7 +427,7 @@ def search_schedules(
             choices = _next_step_choices(remaining, k - len(steps), sizes, len(steps))
             step = choices[int(rng.integers(len(choices)))]
             output = model.predict(cur)
-            probs = _softmax(output.matrix(list(step)))
+            probs = kernels.softmax_rows(output.matrix(list(step)))
             ent = kernels.entropy_rows(probs)
             gaps.append(float(ent.sum() - ent.max()))
             cur = apply_many(cur, _commit_step(probs, list(step), "argmax", None))
@@ -464,7 +454,7 @@ def search_schedules(
             remaining = tuple(masked_positions(ws.seq))
             output = model.predict(ws.seq)
             for step in _next_step_choices(remaining, k - len(ws.steps), sizes, len(ws.steps)):
-                probs = _softmax(output.matrix(list(step)))
+                probs = kernels.softmax_rows(output.matrix(list(step)))
                 ent = kernels.entropy_rows(probs)
                 gap = float(ent.sum() - ent.max())
                 seq = apply_many(ws.seq, _commit_step(probs, list(step), "argmax", None))

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import socket
+import socketserver
+import threading
+import time
 from itertools import product
 
 import numpy as np
@@ -29,9 +34,10 @@ from medal.errors import (
     MissingPosition,
     NoMaskedPositions,
     NonFiniteLogits,
+    RemoteError,
     ZeroMassContext,
 )
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_from_json
 
 
 def softmax(vec):
@@ -318,6 +324,94 @@ def test_remote_rejects_wrong_logit_width():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for raw in self.rfile:
+            n = self.server.requests
+            self.server.requests += 1
+            reply = self.server.reply(n, raw)
+            if reply is None:
+                return  # close without answering
+            with contextlib.suppress(OSError):  # the client may have given up
+                self.wfile.write(reply)
+                self.wfile.flush()
+
+
+class _ScriptedServer(socketserver.ThreadingTCPServer):
+    """Loopback server whose n-th request (over all connections) gets reply(n, line)."""
+
+    daemon_threads = True
+
+    def __init__(self, reply):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.reply = reply
+        self.requests = 0
+
+
+@contextlib.contextmanager
+def _scripted(reply):
+    server = _ScriptedServer(reply)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _logits_line(model, raw):
+    out = model.predict(state_from_json(json.loads(raw), model.vocab))
+    logits = dict(zip(map(str, out.positions()), out.matrix().tolist()))
+    return (json.dumps({"logits": logits}) + "\n").encode()
+
+
+def test_remote_timeout_drops_the_connection_and_recovers(rng):
+    model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+
+    def reply(n, raw):
+        if n == 0:
+            time.sleep(2.0)  # past the client's timeout
+        return _logits_line(model, raw)
+
+    with _scripted(reply) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=1.0) as remote:
+            with pytest.raises(RemoteError, match="timed out"):
+                remote.predict(state)
+            again = remote.predict(state)  # reconnects
+            assert np.max(np.abs(again.matrix() - model.predict(state).matrix())) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (b"not json\n", "JSONDecodeError"),
+        (b'{"rows": []}\n', "logits"),
+        (b'{"logits": [[0.0, 1.0, 2.0]]}\n', "logits"),
+        (b'{"logits": {"0": ["x", 1.0, 2.0]}}\n', "could not convert"),
+        (None, "closed"),
+    ],
+    ids=["non_json", "no_logits", "logits_not_mapping", "logits_not_numbers", "closed"],
+)
+def test_remote_bad_replies_raise_remote_error(line, match):
+    vocab = Vocab(3)
+    state = SeqState.fully_masked(vocab, (1,), 2)
+    with _scripted(lambda n, raw: line) as address:
+        with RemoteDenoiser(address, vocab=vocab, timeout=5.0) as remote:
+            with pytest.raises(RemoteError, match=match):
+                remote.predict(state)
+            assert remote._sock is None  # dropped; the next call reconnects
+
+
+def test_remote_refused_connection_raises_remote_error():
+    with socket.socket() as probe:  # a port that was free a moment ago
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with RemoteDenoiser(("127.0.0.1", port), vocab=Vocab(2), timeout=5.0) as remote:
+        with pytest.raises(RemoteError, match="ConnectionRefusedError"):
+            remote.predict(SeqState.fully_masked(Vocab(2), (), 2))
 
 
 def test_remote_address_parsing():

@@ -1,4 +1,4 @@
-"""Backend selection and numerical parity between kernel implementations."""
+"""Row kernels against arbitrary-precision and hand-written oracles."""
 
 from __future__ import annotations
 
@@ -7,44 +7,57 @@ import math
 import numpy as np
 import pytest
 
-from medal import kernels
-from medal._scorekern_py import entropy_rows, score_rows
 from medal.errors import ConfigError
+from medal.kernels import entropy_rows, pick_tokens, score_rows, softmax_rows
 
 import oracles
 
 
-def test_python_backend_always_available():
-    assert "py" in kernels.available_backends()
-    assert kernels.get_backend("py").BACKEND == "python"
+def _inverse_cdf(row, u):
+    """First column whose running total reaches u; the last column if none does."""
+    total = 0.0
+    for j, p in enumerate(row):
+        total += p
+        if total >= u:
+            return j
+    return len(row) - 1
 
 
-def test_auto_prefers_compiled_when_present():
-    impl = kernels.get_backend("auto")
-    if "c" in kernels.available_backends():
-        assert impl.BACKEND == "c"
-    else:
-        assert impl.BACKEND == "python"
+def test_softmax_rows_matches_mpmath(rng):
+    logits = np.vstack([rng.normal(scale=6.0, size=(5, 8)), np.full((1, 8), 700.0)])
+    probs = softmax_rows(logits)
+    for r in range(logits.shape[0]):
+        ref = oracles.mp_softmax(logits[r])
+        for v in range(logits.shape[1]):
+            assert oracles.mp_close(probs[r, v], ref[v], 1e-12)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ConfigError):
-        kernels.get_backend("fortran")
+def test_pick_tokens_sample_matches_inverse_cdf(rng):
+    probs = softmax_rows(rng.normal(scale=2.0, size=(40, 6)))
+    # a row whose float cumsum ends below 1, and one that sums to 0.3, so
+    # the draw lands past the last column and the V-1 clamp decides
+    tenths = np.full((1, 10), 0.1)
+    short = np.array([[0.1, 0.1, 0.1]])
+    assert tenths.cumsum()[-1] < 1.0
+    assert np.random.default_rng(9).random() > 0.3
+    for rows in (probs, tenths, short):
+        draws = np.random.default_rng(9).random(rows.shape[0])
+        got = pick_tokens(rows, "sample", np.random.default_rng(9))
+        assert got.tolist() == [_inverse_cdf(r, u) for r, u in zip(rows.tolist(), draws)]
+    assert pick_tokens(short, "sample", np.random.default_rng(9)).tolist() == [2]
 
 
-def test_backends_agree_bitwise_tight(rng):
-    if "c" not in kernels.available_backends():
-        pytest.skip("compiled kernel not built")
-    cmod = kernels.get_backend("c")
-    for shape in [(1, 2), (3, 7), (16, 33), (40, 129)]:
-        logits = rng.normal(scale=4.0, size=shape)
-        for flag in (True, False):
-            got_c = cmod.score_rows(logits, 5.0, 1e-8, flag)
-            got_py = score_rows(logits, 5.0, 1e-8, flag)
-            for a, b in zip(got_c, got_py):
-                assert np.max(np.abs(a - b)) < 1e-12
-        probs = got_py[0]
-        assert np.max(np.abs(cmod.entropy_rows(probs) - entropy_rows(probs))) < 1e-12
+def test_pick_tokens_argmax_takes_first_maximum():
+    probs = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [1.0, 0.0, 0.0]])
+    assert pick_tokens(probs, "argmax").tolist() == [1, 0, 0]
+
+
+def test_pick_tokens_rejects_bad_modes():
+    probs = np.full((2, 3), 1 / 3)
+    with pytest.raises(ConfigError, match="unknown"):
+        pick_tokens(probs, "beam", np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="rng"):
+        pick_tokens(probs, "sample")
 
 
 def test_score_rows_fields_match_mpmath(rng):
