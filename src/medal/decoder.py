@@ -5,8 +5,9 @@ with a decomposition scaffold, the search proposes candidate_count
 initializations of depth init_length, the best one by cumulative gain is
 kept, and the remaining masks are committed step by step under the same
 confidence scoring (argmax, or a temperature softmax over the pooled
-actions). init_length == 0 with the identity augmenter reduces exactly to
-greedy confidence decoding.
+actions). init_length == 0 is finish_decode from the fully masked root; with
+the identity augmenter and argmax finishing that is exactly greedy
+confidence decoding.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import kernels
 from .denoisers import Denoiser
 from .errors import ConfigError, EmptyPool
-from .mcts import CandidateEntry, CandidatePool, SearchConfig, run_cgmcts
+from .mcts import CandidateEntry, CandidatePool, SearchConfig, check_json_fields, run_cgmcts
 from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
@@ -100,16 +101,13 @@ class DecodeConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecodeConfig":
+        check_json_fields(cls, obj, "decode config")
         obj = dict(obj)
         search = SearchConfig.from_json(obj.pop("search", {}))
         template = obj.pop("template_tokens", None)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ConfigError(f"unknown decode config keys {sorted(bad)}")
         cfg = cls(
             search=search,
-            template_tokens=tuple(int(t) for t in template) if template is not None else None,
+            template_tokens=tuple(template) if template is not None else None,
             **obj,
         )
         cfg.validate()
@@ -272,13 +270,7 @@ def decode(
     augmented = augment_prompt(model, prompt, cfg, rng)
     root = SeqState.fully_masked(model.vocab, augmented, cfg.length)
     if cfg.search.init_length == 0:
-        fin = finish_decode(model, root, cfg, rng)
-        return DecodeResult(
-            final=fin.final,
-            chosen_candidate=-1,
-            reveal_order=fin.reveal_order,
-            per_step_scores=fin.per_step_scores,
-        )
+        return finish_decode(model, root, cfg, rng)
     pool = run_cgmcts(model, root, cfg.search, rng=rng)
     entry = select_candidate(pool)
     fin = finish_decode(model, entry.state, cfg, rng, output=entry.output)

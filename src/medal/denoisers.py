@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     ConfigError,
     EmptyCorpus,
@@ -65,10 +66,12 @@ class DenoiserOutput:
     from_matrix(positions, matrix). Either way the whole matrix is
     validated once, here: 2-d with one width, and every entry finite.
     The stored arrays are read-only; matrix() without arguments returns
-    them without copying, which is what scoring and entropy code use.
+    them without copying. probs() is the row softmax of the matrix,
+    computed on its first call and kept, so scoring, entropies and
+    rollouts over one prediction share one softmax.
     """
 
-    __slots__ = ("_positions", "_matrix")
+    __slots__ = ("_positions", "_matrix", "_probs")
 
     def __init__(self, logits: Mapping[int, ArrayLike]):
         items = sorted(((int(p), v) for p, v in logits.items()), key=lambda kv: kv[0])
@@ -111,6 +114,7 @@ class DenoiserOutput:
         matrix.flags.writeable = False
         self._positions = positions
         self._matrix = matrix
+        self._probs = None
 
     @property
     def logits(self) -> Mapping[int, np.ndarray]:
@@ -125,17 +129,48 @@ class DenoiserOutput:
 
         Raises MissingPosition when a requested position has no row.
         """
+        return self._rows(self._matrix, positions)
+
+    def probs(self, positions: Sequence[int] | None = None) -> np.ndarray:
+        """Row softmax of the logits, rows selected as by matrix(positions).
+
+        The full (P, V) result is computed on the first call and stored
+        read-only; a row subset is bit-identical to the softmax of just
+        those rows.
+        """
+        if self._probs is None:
+            probs = kernels.softmax_rows(self._matrix)
+            probs.flags.writeable = False
+            self._probs = probs
+        return self._rows(self._probs, positions)
+
+    def check_cover(self, positions: Sequence[int], vocab_size: int) -> None:
+        """Raise MissingPosition unless the rows are exactly `positions`
+        (ascending), and LogitWidthMismatch unless every row holds one logit
+        per content token."""
+        have = self.positions()
+        if have != list(positions):
+            missing = sorted(set(positions) - set(have))
+            extra = sorted(set(have) - set(positions))
+            raise MissingPosition(
+                f"denoiser output mismatch: missing positions {missing}, extra {extra}"
+            )
+        width = self._matrix.shape[1]
+        if width != vocab_size:
+            raise LogitWidthMismatch(f"logits have width {width} for vocab size {vocab_size}")
+
+    def _rows(self, array: np.ndarray, positions: Sequence[int] | None) -> np.ndarray:
         if positions is None:
-            return self._matrix
+            return array
         want = np.asarray(positions, dtype=np.int64)
         if np.array_equal(want, self._positions):
-            return self._matrix
+            return array
         idx = np.searchsorted(self._positions, want)
         found = idx < self._positions.shape[0]
         found[found] = self._positions[idx[found]] == want[found]
         if not found.all():
             raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
-        return self._matrix[idx]
+        return array[idx]
 
 
 class _LogitRows(Mapping):
@@ -515,9 +550,10 @@ class RemoteDenoiser(Denoiser):
         Socket errors, timeouts, a closed connection and replies that are
         not a JSON object with a {position: numbers} "logits" mapping raise
         RemoteError and drop the connection; a server error frame raises
-        ConfigError and keeps it.
+        ConfigError and keeps it. A reply must cover exactly the state's
+        masked positions with vocab-wide rows (check_cover).
         """
-        self._check_state(state)
+        masked = self._check_state(state)
         payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
         with self._lock:
             try:
@@ -542,11 +578,7 @@ class RemoteDenoiser(Denoiser):
                 ) from exc
         if "error" in obj:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
-        width = out.matrix().shape[1]
-        if width != self.vocab.size:
-            raise LogitWidthMismatch(
-                f"remote denoiser sent logits of width {width} for vocab size {self.vocab.size}"
-            )
+        out.check_cover(masked, self.vocab.size)
         return out
 
     def close(self) -> None:

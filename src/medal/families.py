@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .denoisers import TabularModel
+from .errors import ConfigError
 from .seqcore import Vocab
 
 
@@ -81,7 +82,7 @@ def trap_instance(
     relabeled per instance.
     """
     if vocab_size < 3 or length < 3:
-        raise ValueError("trap construction needs vocab_size >= 3 and length >= 3")
+        raise ConfigError("trap construction needs vocab_size >= 3 and length >= 3")
     v, L = vocab_size, length
     g = rng.integers(0, v, size=L)
     b0 = int((g[0] + 1 + rng.integers(0, v - 1)) % v)

@@ -22,26 +22,25 @@ def softmax_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def score_rows(
-    logits: np.ndarray,
+    probs: np.ndarray,
     gamma: float,
     epsilon: float,
     use_entropy_penalty: bool = True,
 ):
     """Confidence-adjusted scores for a batch of positions.
 
-    For each row: softmax probabilities, entropy -sum p*log(p+epsilon)
-    clamped to [0, ln V], entropy penalty exp(-H), top-2 margin and its
-    sigmoid factor 1/(1+exp(-gamma*margin)), and per-token scores
-    p * penalty * margin_factor.
+    `probs` holds one softmax row per position. For each row: entropy
+    -sum p*log(p+epsilon) clamped to [0, ln V], entropy penalty exp(-H),
+    top-2 margin and its sigmoid factor 1/(1+exp(-gamma*margin)), and
+    per-token scores p * penalty * margin_factor.
 
-    Returns (probs, entropy, ent_penalty, margin, margin_factor, scores),
-    shapes (P, V), (P,), (P,), (P,), (P,), (P, V).
+    Returns (entropy, ent_penalty, margin, margin_factor, scores), shapes
+    (P,), (P,), (P,), (P,), (P, V).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError("logits must be 2-d (positions x vocab)")
-    n_rows, width = logits.shape
-    probs = softmax_rows(logits)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ValueError("probs must be 2-d (positions x vocab)")
+    n_rows, width = probs.shape
 
     ln_v = math.log(width)
     entropy = -(probs * np.log(probs + epsilon)).sum(axis=1)
@@ -60,7 +59,7 @@ def score_rows(
     margin_factor = 1.0 / (1.0 + np.exp(-gamma * margin))
 
     scores = probs * (ent_penalty * margin_factor)[:, None]
-    return probs, entropy, ent_penalty, margin, margin_factor, scores
+    return entropy, ent_penalty, margin, margin_factor, scores
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:

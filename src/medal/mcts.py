@@ -2,18 +2,20 @@
 
 One search iteration walks the tree from the root by UCB through already
 expanded nodes, then drives a descent: expand the frontier node into its
-pooled top-k2 scored actions, simulate every new child once (apply the
-action, then complete the sequence from a single model prediction),
-backpropagate each child's information-gain reward along the shared path,
-and step to the best child, repeating until the descent reaches init_length
-revealed tokens. Nodes at that depth enter the candidate pool; they stay
-selectable but are never expanded, and re-selecting one backpropagates its
-stored creation reward. The per-iteration descent is what lets a budget of
-64 * candidate_count simulations reach pool depth: one descent costs about
-init_length * k2 simulations and its final expansion delivers up to k2
-candidates at once. The search stops when the pool holds candidate_count
-entries or the simulation budget runs out (the pool is then returned
-short, flagged exhausted).
+pooled top-k2 scored actions, simulate every new child once, backpropagate
+each child's information-gain reward along the shared path, and step to
+the best child, repeating until the descent reaches init_length revealed
+tokens. Expansion builds each child state once, and each child gets one
+model prediction, softmaxed once: its reward, its rollout (the sequence
+completed from that prediction) and, when the descent steps into it, its
+own expansion all read it. Nodes at that depth enter the candidate pool;
+they stay selectable but are never expanded, and re-selecting one
+backpropagates its stored creation reward. The per-iteration descent is
+what lets a budget of 64 * candidate_count simulations reach pool depth:
+one descent costs about init_length * k2 simulations and its final
+expansion delivers up to k2 candidates at once. The search stops when the
+pool holds candidate_count entries or the simulation budget runs out (the
+pool is then returned short, flagged exhausted).
 
 SearchNode, ucb_select and backpropagate are deliberately generic over the
 state/action payload: the schedule-space search in the theory module reuses
@@ -23,16 +25,43 @@ them with set-valued actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import dataclass, field, is_dataclass, replace
+from types import UnionType
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import kernels
 from .errors import AlreadyExpanded, ConfigError, NoChildren
-from .reward import EntropyProfile, RewardRecord, cumulative_gain, entropy_profile, info_gain
+from .reward import EntropyProfile, RewardRecord, entropy_gain
 from .scoring import build_candidates
-from .seqcore import SeqState, UnmaskAction, apply_action, apply_many, masked_positions
+from .seqcore import SeqState, UnmaskAction, apply_action, apply_many
+
+
+def _fits(kind, value) -> bool:
+    """Whether a JSON value fits a config field type: the exact scalar type
+    (an int also fits a float), null for None, a list for tuple[X, ...]."""
+    if get_origin(kind) is tuple:
+        return type(value) is list and all(_fits(get_args(kind)[0], v) for v in value)
+    return type(value) is kind or kind is float and type(value) is int
+
+
+def check_json_fields(cls, obj, what: str) -> None:
+    """Raise ConfigError unless `obj` is a JSON object whose keys are fields
+    of dataclass `cls` and whose values fit the field types. Nested config
+    fields are left to their own from_json."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    hints = get_type_hints(cls)
+    bad = set(obj) - set(hints)
+    if bad:
+        raise ConfigError(f"unknown {what} keys {sorted(bad)}")
+    for key, value in obj.items():
+        hint = hints[key]
+        kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        if not is_dataclass(hint) and not any(_fits(k, value) for k in kinds):
+            want = getattr(hint, "__name__", hint)
+            raise ConfigError(f"{what} key {key!r} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +119,7 @@ class SearchConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ConfigError(f"unknown search config keys {sorted(bad)}")
+        check_json_fields(cls, obj, "search config")
         cfg = cls(**obj)
         cfg.validate()
         return cfg
@@ -181,14 +207,13 @@ def check_node_invariant(node: SearchNode) -> bool:
     return node.visit_count == sum(ch.edge_visits for ch in node.children) + 1
 
 
-def expand(node: SearchNode, model, cfg: SearchConfig, *, output=None) -> list[SearchNode]:
-    """Create children for the pooled top-k2 actions of node.state."""
+def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
+    """Create children for the pooled top-k2 actions of node.state, scored
+    from `output`, the model's prediction at node.state."""
     if node.expanded:
         raise AlreadyExpanded("node already expanded")
     if node.terminal:
         raise AlreadyExpanded("pool nodes are frozen; they cannot expand")
-    if output is None:
-        output = model.predict(node.state)
     cands = build_candidates(
         node.state,
         output,
@@ -210,44 +235,28 @@ def expand(node: SearchNode, model, cfg: SearchConfig, *, output=None) -> list[S
     return list(node.children)
 
 
-def _fill_remaining(state: SeqState, output, mode: str, rng: np.random.Generator) -> SeqState:
-    """Complete every masked position from one prediction (no further calls)."""
-    positions = masked_positions(state)
-    if not positions:
-        return state
-    probs = kernels.softmax_rows(output.matrix(positions))
-    tokens = kernels.pick_tokens(probs, mode, rng)
-    acts = [UnmaskAction(p, int(t)) for p, t in zip(positions, tokens)]
-    return apply_many(state, acts)
-
-
 def simulate(
-    model,
-    state: SeqState,
-    action: UnmaskAction,
+    before: EntropyProfile,
+    child: SearchNode,
+    output,
     rng: np.random.Generator,
     *,
     mode: str = "sample",
-    before: EntropyProfile | None = None,
-    after_output=None,
 ) -> tuple[RewardRecord, SeqState]:
-    """Reward the action and roll the resulting state out to completion.
+    """Reward child.action and roll child.state out to completion.
 
-    Costs one model call for the post-action state (none when the action
-    completes the sequence, or when the caller passes that prediction as
-    after_output); the rollout reuses that same prediction.
+    `before` is the entropy profile of the parent state and `output` the
+    model's prediction at child.state (None when the action completed the
+    sequence). The reward and the rollout both read that one prediction,
+    so a simulation makes no model call.
     """
-    if before is None:
-        before = entropy_profile(model, state)
-    next_state = apply_action(state, action)
-    if next_state.is_complete:
-        record = info_gain(model, state, action, before=before)
-        return record, next_state
-    if after_output is None:
-        after_output = model.predict(next_state)
-    record = info_gain(model, state, action, before=before, after_output=after_output)
-    completion = _fill_remaining(next_state, after_output, mode, rng)
-    return record, completion
+    record = RewardRecord.of(child.action, before, EntropyProfile.of(child.state, output))
+    positions = record.after.positions
+    if not positions:
+        return record, child.state
+    tokens = kernels.pick_tokens(output.probs(positions), mode, rng)
+    acts = [UnmaskAction(p, int(t)) for p, t in zip(positions, tokens)]
+    return record, apply_many(child.state, acts)
 
 
 @dataclass(frozen=True)
@@ -260,8 +269,8 @@ class CandidateEntry:
     reward: float  # r_ig at creation
     score: float  # cumulative gain from the root
     completion: SeqState
-    # the model's prediction at `state`, made by the simulation that created
-    # the entry (None when none was made); finishing starts from it
+    # the model's prediction at `state`, made for the simulation that
+    # created the entry (None when none was made); finishing starts from it
     output: Any = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -335,7 +344,7 @@ def run_cgmcts(
 
     root = SearchNode(root_state)
     root_output = model.predict(root_state)
-    root_profile = entropy_profile(model, root_state, output=root_output)
+    root_profile = EntropyProfile.of(root_state, root_output)
 
     sims = 0
     it = 0
@@ -357,33 +366,28 @@ def run_cgmcts(
             rewards.append(node.terminal_reward)
             sims += 1
         else:
-            # descend: expand level by level toward the pool depth. The
-            # prediction and profile of each new child come out of its
-            # simulation; the step into the chosen child reuses them
-            # (predictions are pure, so this only saves model calls).
+            # descend: expand level by level toward the pool depth. Each new
+            # child's prediction and profile, made for its simulation, are
+            # handed to the next level, so stepping into the chosen child
+            # costs no model call (predictions are pure, so outputs do not
+            # change).
             fresh: dict[SearchNode, tuple] = {root: (root_output, root_profile)}
             while not node.terminal and not pool.full and sims < cfg.budget:
                 if node in fresh:
                     output, before = fresh[node]
                 else:
                     output = model.predict(node.state)
-                    before = entropy_profile(model, node.state, output=output)
+                    before = EntropyProfile.of(node.state, output)
                 fresh = {}
                 prefix = tuple(c.action for _, c in path)
-                for child in expand(node, model, cfg, output=output):
-                    after_output = None
+                for child in expand(node, output, cfg):
+                    child_output = None
                     if not child.state.is_complete:
-                        after_output = model.predict(child.state)
+                        child_output = model.predict(child.state)
                     record, completion = simulate(
-                        model,
-                        node.state,
-                        child.action,
-                        rng,
-                        mode=cfg.rollout_mode,
-                        before=before,
-                        after_output=after_output,
+                        before, child, child_output, rng, mode=cfg.rollout_mode
                     )
-                    fresh[child] = (after_output, record.after)
+                    fresh[child] = (child_output, record.after)
                     sims += 1
                     backpropagate(path + [(node, child)], record.r_ig)
                     expanded_actions.append(
@@ -393,22 +397,15 @@ def run_cgmcts(
                     if child.state.reveal_count() >= cfg.init_length:
                         child.terminal = True
                         child.terminal_reward = record.r_ig
-                        gain = cumulative_gain(
-                            model,
-                            root_state,
-                            child.state,
-                            root_profile=root_profile,
-                            state_profile=record.after,
-                        )
                         pool.add(
                             CandidateEntry(
                                 order=len(pool.entries),
                                 state=child.state,
                                 path=prefix + (child.action,),
                                 reward=record.r_ig,
-                                score=gain,
+                                score=entropy_gain(root_profile.total, record.after.total),
                                 completion=completion,
-                                output=after_output,
+                                output=child_output,
                             )
                         )
                         if pool.full:

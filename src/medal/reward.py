@@ -39,24 +39,38 @@ class EntropyProfile:
     def empty(cls) -> "EntropyProfile":
         return cls(positions=(), values=(), total=0.0)
 
+    @classmethod
+    def of(cls, state: SeqState, output) -> "EntropyProfile":
+        """Profile of `state` from `output`, the model's prediction there
+        (unused, and may be None, when the state is complete)."""
+        positions = masked_positions(state)
+        if not positions:
+            return cls.empty()
+        values = kernels.entropy_rows(output.probs(positions))
+        return cls(
+            positions=tuple(positions), values=tuple(values.tolist()), total=float(values.sum())
+        )
+
     def as_dict(self) -> dict[int, float]:
         return dict(zip(self.positions, self.values))
 
 
-def entropy_profile(model, state: SeqState, *, output=None) -> EntropyProfile:
-    """Profile of `state` under `model`; a complete state has an empty profile."""
-    positions = masked_positions(state)
-    if not positions:
+def entropy_profile(model, state: SeqState) -> EntropyProfile:
+    """Profile of `state` under `model`; a complete state has an empty
+    profile and costs no model call."""
+    if state.is_complete:
         return EntropyProfile.empty()
-    if output is None:
-        output = model.predict(state)
-    probs = kernels.softmax_rows(output.matrix(positions))
-    values = kernels.entropy_rows(probs)
-    return EntropyProfile(
-        positions=tuple(positions),
-        values=tuple(float(v) for v in values),
-        total=float(values.sum()),
-    )
+    return EntropyProfile.of(state, model.predict(state))
+
+
+def entropy_gain(before_total: float, after_total: float) -> float:
+    """The gain rule: normalized drop from a baseline total entropy."""
+    if not np.isfinite(before_total) or before_total < 0.0:
+        raise ZeroBaselineEntropy(f"invalid baseline entropy {before_total}")
+    if before_total <= ZERO_TOTAL:
+        # nothing left to resolve; any action trivially completes the job
+        return 1.0
+    return (before_total - after_total) / before_total
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,15 @@ class RewardRecord:
     r_ig: float
     before: EntropyProfile
     after: EntropyProfile
+
+    @classmethod
+    def of(
+        cls, action: UnmaskAction, before: EntropyProfile, after: EntropyProfile
+    ) -> "RewardRecord":
+        """Record of `action` from the profiles before and right after it."""
+        return cls(
+            action=action, r_ig=entropy_gain(before.total, after.total), before=before, after=after
+        )
 
     def to_json(self) -> dict:
         return {
@@ -75,55 +98,12 @@ class RewardRecord:
         }
 
 
-def _gain(before_total: float, after_total: float) -> float:
-    if not np.isfinite(before_total) or before_total < 0.0:
-        raise ZeroBaselineEntropy(f"invalid baseline entropy {before_total}")
-    if before_total <= ZERO_TOTAL:
-        # nothing left to resolve; any action trivially completes the job
-        return 1.0
-    return (before_total - after_total) / before_total
+def info_gain(model, state: SeqState, action: UnmaskAction) -> RewardRecord:
+    """Reward of one unmask action at `state`."""
+    before = entropy_profile(model, state)
+    return RewardRecord.of(action, before, entropy_profile(model, apply_action(state, action)))
 
 
-def info_gain(
-    model,
-    state: SeqState,
-    action: UnmaskAction,
-    *,
-    before: EntropyProfile | None = None,
-    after_output=None,
-) -> RewardRecord:
-    """Reward of one unmask action at `state`.
-
-    `before` and `after_output` let callers reuse predictions they already
-    made; semantics are unchanged.
-    """
-    if before is None:
-        before = entropy_profile(model, state)
-    next_state = apply_action(state, action)
-    if next_state.is_complete:
-        after = EntropyProfile.empty()
-    else:
-        after = entropy_profile(model, next_state, output=after_output)
-    return RewardRecord(
-        action=action, r_ig=_gain(before.total, after.total), before=before, after=after
-    )
-
-
-def cumulative_gain(
-    model,
-    root: SeqState,
-    state: SeqState,
-    *,
-    root_profile: EntropyProfile | None = None,
-    state_profile: EntropyProfile | None = None,
-) -> float:
+def cumulative_gain(model, root: SeqState, state: SeqState) -> float:
     """Normalized entropy resolved between the root and a descendant state."""
-    if root_profile is None:
-        root_profile = entropy_profile(model, root)
-    if state_profile is None:
-        state_profile = (
-            EntropyProfile.empty()
-            if state.is_complete
-            else entropy_profile(model, state)
-        )
-    return _gain(root_profile.total, state_profile.total)
+    return entropy_gain(entropy_profile(model, root).total, entropy_profile(model, state).total)

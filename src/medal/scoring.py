@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .denoisers import DenoiserOutput
-from .errors import LogitWidthMismatch, MissingPosition, NonFiniteLogits
+from .errors import NonFiniteLogits
 from .seqcore import SeqState, UnmaskAction, masked_positions
 
 DEFAULT_GAMMA = 5.0
@@ -84,9 +84,6 @@ class ActionCandidates:
             )
         }
 
-    def pooled_actions(self) -> list[UnmaskAction]:
-        return [a for a, _ in self.pooled]
-
 
 def _validate_logits(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
@@ -106,9 +103,8 @@ def score_position(
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ValueError("logits must be a 1-d vector over at least two tokens")
     _validate_logits(arr)
-    probs, ent, pen, margin, mf, scores = kernels.score_rows(
-        arr[None, :], gamma, epsilon, use_entropy_penalty
-    )
+    probs = kernels.softmax_rows(arr[None, :])
+    ent, pen, margin, mf, scores = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)
     return PositionScore(
         position=position,
         probs=tuple(probs[0]),
@@ -137,21 +133,9 @@ def score_state(
     if not isinstance(output, DenoiserOutput):
         output = DenoiserOutput(output)
     positions = masked_positions(state)
-    have = output.positions()
-    if have != positions:
-        missing = sorted(set(positions) - set(have))
-        extra = sorted(set(have) - set(positions))
-        raise MissingPosition(
-            f"denoiser output mismatch: missing positions {missing}, extra {extra}"
-        )
-    matrix = output.matrix()
-    if matrix.shape[1] != state.vocab.size:
-        raise LogitWidthMismatch(
-            f"logits have width {matrix.shape[1]} for vocab size {state.vocab.size}"
-        )
-    probs, _, _, _, _, scores = kernels.score_rows(
-        matrix, gamma, epsilon, use_entropy_penalty
-    )
+    output.check_cover(positions, state.vocab.size)
+    probs = output.probs()
+    scores = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)[-1]
     return positions, probs, scores
 
 

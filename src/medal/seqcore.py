@@ -12,7 +12,8 @@ valid state stays valid under checked reveals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, PositionNotMasked, TokenIsMask
@@ -54,6 +55,9 @@ class SeqState:
     tokens: tuple[int, ...]
     masked: tuple[bool, ...]
     step: int = 0
+    # ascending absolute indices of masked positions, derived from `masked`
+    # once, when the state is built
+    masked_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.masked):
@@ -69,6 +73,7 @@ class SeqState:
                 raise ConfigError(f"mask flag and token disagree at position {i}")
             if not m and not self.vocab.is_content(tok):
                 raise ConfigError(f"revealed token {tok} at {i} outside vocab")
+        object.__setattr__(self, "masked_index", _masked_index(self.masked))
 
     @classmethod
     def fully_masked(
@@ -86,14 +91,15 @@ class SeqState:
 
     @property
     def is_complete(self) -> bool:
-        return not any(self.masked)
+        return not self.masked_index
 
     def gen_tokens(self) -> tuple[int, ...]:
         return self.tokens[self.prompt_len :]
 
     def reveal_count(self) -> int:
-        """Revealed positions inside the generation region."""
-        return sum(1 for m in self.masked[self.prompt_len :] if not m)
+        """Revealed positions inside the generation region (prompt positions
+        are never masked)."""
+        return self.gen_length - len(self.masked_index)
 
     def apply(self, action: UnmaskAction) -> "SeqState":
         return apply_action(self, action)
@@ -116,12 +122,17 @@ class SeqState:
         object.__setattr__(obj, "tokens", tokens)
         object.__setattr__(obj, "masked", masked)
         object.__setattr__(obj, "step", step)
+        object.__setattr__(obj, "masked_index", _masked_index(masked))
         return obj
+
+
+def _masked_index(masked: tuple[bool, ...]) -> tuple[int, ...]:
+    return tuple(compress(range(len(masked)), masked))
 
 
 def masked_positions(state: SeqState) -> list[int]:
     """Ascending absolute indices of masked positions."""
-    return [i for i, m in enumerate(state.masked) if m]
+    return list(state.masked_index)
 
 
 def apply_action(state: SeqState, action: UnmaskAction) -> SeqState:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,18 +115,18 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
     return subset
 
 
-def position_entropies(model, state: SeqState, positions: Sequence[int], *, output=None) -> np.ndarray:
+def position_entropies(model, state: SeqState, positions: Sequence[int]) -> np.ndarray:
     """Exact predictive entropies (nats) at the given masked positions."""
     subset = _subset_check(state, positions)
-    if output is None:
-        output = model.predict(state)
-    probs = kernels.softmax_rows(output.matrix(subset))
-    return kernels.entropy_rows(probs)
+    return kernels.entropy_rows(model.predict(state).probs(subset))
 
 
-def entropy_gap(model, state: SeqState, positions: Sequence[int], *, output=None) -> float:
+def entropy_gap(model, state: SeqState, positions: Sequence[int]) -> float:
     """B(positions | state) = sum of entropies minus their max; >= 0."""
-    ent = position_entropies(model, state, positions, output=output)
+    return _gap(position_entropies(model, state, positions))
+
+
+def _gap(ent: np.ndarray) -> float:
     return float(ent.sum() - ent.max())
 
 
@@ -159,14 +159,14 @@ def dependence_error(model, state: SeqState, positions: Sequence[int]) -> float:
     return max(kl, 0.0)
 
 
-def _commit_step(
-    probs: np.ndarray,
-    subset: list[int],
-    policy: str,
-    rng: np.random.Generator | None,
-) -> list[UnmaskAction]:
+def _step(cur: SeqState, subset: Sequence[int], probs: np.ndarray, policy="argmax", rng=None):
+    """One schedule step at context `cur` from the step's probabilities
+    (one row per subset position): the entropies, the gap, the committed
+    actions (argmax or sampled) and the next context."""
+    ent = kernels.entropy_rows(probs)
     tokens = kernels.pick_tokens(probs, policy, rng)
-    return [UnmaskAction(p, int(t)) for p, t in zip(subset, tokens)]
+    acts = [UnmaskAction(p, int(t)) for p, t in zip(subset, tokens)]
+    return ent, _gap(ent), acts, apply_many(cur, acts)
 
 
 def schedule_cost(
@@ -198,10 +198,9 @@ def schedule_cost(
     cur = root
     for step in schedule.steps:
         subset = _subset_check(cur, step)
-        output = model.predict(cur)
-        probs = kernels.softmax_rows(output.matrix(subset))
-        ent = kernels.entropy_rows(probs)
-        gaps.append(float(ent.sum() - ent.max()))
+        probs = model.predict(cur).probs(subset)
+        ent, gap, acts, nxt = _step(cur, subset, probs, rollout_policy, rng)
+        gaps.append(gap)
         if with_dependence:
             deps.append(dependence_error(model, cur, subset))
         if proxy == "entropy":
@@ -211,9 +210,8 @@ def schedule_cost(
         elif proxy == "top2_margin":
             part = np.partition(probs, probs.shape[1] - 2, axis=1)
             proxies.append(float((part[:, -1] - part[:, -2]).sum()))
-        acts = _commit_step(probs, subset, rollout_policy, rng)
         committed.extend((a.position, a.token) for a in acts)
-        cur = apply_many(cur, acts)
+        cur = nxt
     return ScheduleCost(
         schedule=schedule,
         per_step_gap=tuple(gaps),
@@ -336,24 +334,45 @@ def oracle_min_schedule(
     return best
 
 
+def _walk(model, cur: SeqState, k: int, sizes, choose: Callable, steps=(), gaps=()) -> ScheduleCost:
+    """Extend a schedule prefix (its steps and gaps) from context `cur` to k
+    steps with argmax commits. At each context, choose(output, choices)
+    picks the next step among the feasible ones, given the model's
+    prediction there. The cost has no dependence or proxy terms; its
+    committed tokens cover the extension only."""
+    steps, gaps, committed = list(steps), list(gaps), []
+    while len(steps) < k:
+        remaining = tuple(masked_positions(cur))
+        choices = _next_step_choices(remaining, k - len(steps), sizes, len(steps))
+        output = model.predict(cur)
+        step = choose(output, choices)
+        _, gap, acts, cur = _step(cur, step, output.probs(step))
+        steps.append(step)
+        gaps.append(gap)
+        committed.extend((a.position, a.token) for a in acts)
+    return ScheduleCost(
+        Schedule(tuple(steps)), tuple(gaps), per_step_dep=None, per_step_proxy=None,
+        committed=tuple(committed),
+    )
+
+
 def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
     """Baseline: pick the feasible next step of minimal gap at each context."""
-    sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
-    cur = root
-    steps: list[tuple[int, ...]] = []
-    for depth in range(k):
-        remaining = tuple(masked_positions(cur))
-        choices = _next_step_choices(remaining, k - depth, sizes, depth)
-        output = model.predict(cur)
+
+    def least_gap(output, choices):
         best_step, best_gap = None, None
         for step in choices:
-            gap = entropy_gap(model, cur, step, output=output)
+            gap = _gap(kernels.entropy_rows(output.probs(step)))
             if best_gap is None or gap < best_gap - 1e-15:
                 best_step, best_gap = step, gap
-        probs = kernels.softmax_rows(output.matrix(list(best_step)))
-        cur = apply_many(cur, _commit_step(probs, list(best_step), "argmax", None))
-        steps.append(best_step)
-    return schedule_cost(model, root, Schedule(tuple(steps)), with_dependence=False)
+        return best_step
+
+    sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
+    return _walk(model, root, k, sizes, least_gap)
+
+
+def _uniform_choice(rng: np.random.Generator) -> Callable:
+    return lambda output, choices: choices[int(rng.integers(len(choices)))]
 
 
 def random_schedule(
@@ -361,17 +380,7 @@ def random_schedule(
 ) -> ScheduleCost:
     """Baseline: uniform feasible step at each context, argmax commits."""
     sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
-    cur = root
-    steps: list[tuple[int, ...]] = []
-    for depth in range(k):
-        remaining = tuple(masked_positions(cur))
-        choices = _next_step_choices(remaining, k - depth, sizes, depth)
-        step = choices[int(rng.integers(len(choices)))]
-        output = model.predict(cur)
-        probs = kernels.softmax_rows(output.matrix(list(step)))
-        cur = apply_many(cur, _commit_step(probs, list(step), "argmax", None))
-        steps.append(step)
-    return schedule_cost(model, root, Schedule(tuple(steps)), with_dependence=False)
+    return _walk(model, root, k, sizes, _uniform_choice(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +428,13 @@ def search_schedules(
         if best_j is None or j < best_j - 1e-15:
             best_j, best_steps = j, steps
 
+    uniform = _uniform_choice(rng)
+
     def rollout(ws: _WalkState) -> float:
         """Finish the prefix with uniform random feasible steps; returns J."""
-        cur, steps, gaps = ws.seq, list(ws.steps), list(ws.gaps)
-        while len(steps) < k:
-            remaining = tuple(masked_positions(cur))
-            choices = _next_step_choices(remaining, k - len(steps), sizes, len(steps))
-            step = choices[int(rng.integers(len(choices)))]
-            output = model.predict(cur)
-            probs = kernels.softmax_rows(output.matrix(list(step)))
-            ent = kernels.entropy_rows(probs)
-            gaps.append(float(ent.sum() - ent.max()))
-            cur = apply_many(cur, _commit_step(probs, list(step), "argmax", None))
-            steps.append(step)
-        j = float(sum(gaps))
-        consider(tuple(steps), j)
-        return j
+        cost = _walk(model, ws.seq, k, sizes, uniform, ws.steps, ws.gaps)
+        consider(cost.schedule.steps, cost.j)
+        return cost.j
 
     root_node = SearchNode(_WalkState(root, (), ()))
 
@@ -454,10 +454,7 @@ def search_schedules(
             remaining = tuple(masked_positions(ws.seq))
             output = model.predict(ws.seq)
             for step in _next_step_choices(remaining, k - len(ws.steps), sizes, len(ws.steps)):
-                probs = kernels.softmax_rows(output.matrix(list(step)))
-                ent = kernels.entropy_rows(probs)
-                gap = float(ent.sum() - ent.max())
-                seq = apply_many(ws.seq, _commit_step(probs, list(step), "argmax", None))
+                _, gap, _, seq = _step(ws.seq, step, output.probs(step))
                 child = SearchNode(
                     state=_WalkState(seq, ws.steps + (step,), ws.gaps + (gap,)),
                     action=step,

@@ -209,3 +209,55 @@ def test_log_level_validation(monkeypatch):
     monkeypatch.setenv("MEDAL_LOG_LEVEL", "verbose")
     with pytest.raises(ConfigError):
         main(["decode", "--model", "x.json"])
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"length": "abc"}, "length"),
+        ({"length": True}, "length"),
+        ({"length": 4.0}, "length"),
+        ({"sample_temperature": "1"}, "sample_temperature"),
+        ({"total_steps": [4]}, "total_steps"),
+        ({"template_tokens": 5}, "template_tokens"),
+        ({"template_tokens": [1, "2"]}, "template_tokens"),
+        ({"search": None}, "search config"),
+        ({"search": {"k1": "3"}}, "k1"),
+        ({"search": {"max_simulations": 2.5}}, "max_simulations"),
+        ({"search": {"use_entropy_penalty": 1}}, "use_entropy_penalty"),
+        ([4], "decode config"),
+    ],
+    ids=[
+        "length_str", "length_bool", "length_float", "temperature_str", "steps_list",
+        "template_int", "template_str_item", "search_null", "k1_str",
+        "simulations_float", "penalty_int", "not_an_object",
+    ],
+)
+def test_ill_typed_config_is_a_config_error(tmp_path, trap_file, capsys, cfg, key):
+    with pytest.raises(ConfigError, match=key):
+        DecodeConfig.from_json(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["decode", "--model", str(trap_file), "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_accepts_ints_for_floats():
+    cfg = DecodeConfig.from_json({
+        "length": 8, "sample_temperature": 2,
+        "search": {"init_length": 2, "gamma": 5, "c_explore": 1},
+    })
+    assert cfg.sample_temperature == 2 and cfg.search.gamma == 5
+    assert DecodeConfig.from_json({"total_steps": None, "search": {"max_simulations": None}})
+
+
+def test_bench_spec_with_infeasible_family_is_a_config_error(tmp_path, small_cfg_file, capsys):
+    spec = {
+        "instances": {"kind": "trap_family", "count": 1, "seed": 0, "vocab_size": 2},
+        "methods": [{"id": "greedy", "kind": "greedy",
+                     "config": json.loads(small_cfg_file.read_text())}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", "--config", str(spec_path)]) == 2
+    assert "vocab_size >= 3" in capsys.readouterr().err

@@ -37,6 +37,8 @@ from medal.errors import (
     RemoteError,
     ZeroMassContext,
 )
+from medal.families import trap_family
+from medal.kernels import softmax_rows
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_from_json
 
 
@@ -79,6 +81,25 @@ def test_output_validation():
         DenoiserOutput.from_matrix([0, 1], np.zeros(2))
     with pytest.raises(NonFiniteLogits, match="position 4"):
         DenoiserOutput.from_matrix([1, 4], [[0.0, 0.0], [np.inf, 0.0]])
+
+
+def test_output_probs_are_one_cached_softmax(rng):
+    positions = [1, 3, 4, 8]
+    out = DenoiserOutput.from_matrix(positions, rng.normal(scale=4.0, size=(4, 6)))
+    probs = out.probs()
+    assert out.probs() is probs  # computed once
+    with pytest.raises(ValueError):
+        probs[0, 0] = 0.5  # stored read-only
+    for i in range(4):
+        assert np.max(np.abs(probs[i] - softmax(out.matrix()[i]))) < 1e-15
+    # rows are selected as by matrix(), and a row subset is bit-identical
+    # to the softmax of just those rows
+    for subset in ([3], [1, 8], [3, 4, 8], positions):
+        want = softmax_rows(out.matrix(subset))
+        assert np.array_equal(out.probs(subset), want)
+    assert out.probs(positions) is probs
+    with pytest.raises(MissingPosition):
+        out.probs([1, 2])
 
 
 def test_tabular_validation():
@@ -403,6 +424,37 @@ def test_remote_bad_replies_raise_remote_error(line, match):
             with pytest.raises(RemoteError, match=match):
                 remote.predict(state)
             assert remote._sock is None  # dropped; the next call reconnects
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda rows: {**rows, "0": [0.0] * 3}, r"missing positions \[\], extra \[0\]"),
+        (
+            lambda rows: {p: v for p, v in rows.items() if p != "3"},
+            r"missing positions \[3\], extra \[\]",
+        ),
+    ],
+    ids=["extra_revealed_row", "missing_row"],
+)
+def test_remote_reply_must_cover_exactly_the_masked_positions(edit, match):
+    model = trap_family(1, seed=0)[0]
+    state = apply_many(SeqState.fully_masked(model.vocab, (), 4), [UnmaskAction(0, 1)])
+
+    def reply(n, raw):
+        line = _logits_line(model, raw)
+        if n != 1:
+            return line
+        # the second request gets a well-formed reply over the wrong rows
+        return (json.dumps({"logits": edit(json.loads(line)["logits"])}) + "\n").encode()
+
+    with _scripted(reply) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+            assert remote.predict(state).positions() == [1, 2, 3]
+            with pytest.raises(MissingPosition, match=match):
+                remote.predict(state)
+            # the reply was read whole, so the connection stays usable
+            assert remote.predict(state).positions() == [1, 2, 3]
 
 
 def test_remote_refused_connection_raises_remote_error():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from medal.denoisers import TabularModel
+from medal.errors import ConfigError
 from medal.families import (
     anti_pair_model,
     negative_gain_model,
@@ -66,9 +67,9 @@ def test_trap_instance_mass_layout():
     trap_level = top[1]
     assert np.isclose(top[1:10], trap_level, rtol=1e-6).all()
     assert top[10] < trap_level / 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         trap_instance(rng, length=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         trap_instance(rng, vocab_size=2)
 
 

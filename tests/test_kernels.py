@@ -62,7 +62,8 @@ def test_pick_tokens_rejects_bad_modes():
 
 def test_score_rows_fields_match_mpmath(rng):
     logits = rng.normal(scale=3.0, size=(6, 9))
-    probs, ent, pen, margin, mf, scores = score_rows(logits, 5.0, 1e-8, True)
+    probs = softmax_rows(logits)
+    ent, pen, margin, mf, scores = score_rows(probs, 5.0, 1e-8, True)
     for r in range(logits.shape[0]):
         ref = oracles.mp_score_row(logits[r], 5.0, 1e-8)
         for v in range(logits.shape[1]):
@@ -90,9 +91,8 @@ def test_entropy_rows_is_exact_and_clamped():
 
 
 def test_penalty_disabled_reports_ones(rng):
-    logits = rng.normal(size=(4, 5))
-    _, ent, pen, _, mf, scores = score_rows(logits, 5.0, 1e-8, False)
-    probs = score_rows(logits, 5.0, 1e-8, True)[0]
+    probs = softmax_rows(rng.normal(size=(4, 5)))
+    ent, pen, _, mf, scores = score_rows(probs, 5.0, 1e-8, False)
     assert np.all(pen == 1.0)
     assert np.max(np.abs(scores - probs * mf[:, None])) < 1e-15
     # entropy is still reported even though it no longer enters the score

@@ -23,9 +23,9 @@ from medal.mcts import (
     simulate,
     ucb_select,
 )
-from medal.reward import cumulative_gain, info_gain
+from medal.reward import cumulative_gain, entropy_profile, info_gain
 from medal.families import xor_pair_model
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
 
 def small_model(rng, length=3, vocab=3, conc=0.5):
@@ -139,7 +139,8 @@ def test_expand_orders_children_by_pooled_rank(rng):
     state = SeqState.fully_masked(model.vocab, (), 3)
     node = SearchNode(state)
     cfg = replace(SearchConfig(), k1=2, k2=4, init_length=2)
-    kids = expand(node, model, cfg)
+    output = model.predict(state)
+    kids = expand(node, output, cfg)
     assert len(kids) == 4
     priors = [k.prior for k in kids]
     assert priors == sorted(priors, reverse=True)
@@ -148,28 +149,39 @@ def test_expand_orders_children_by_pooled_rank(rng):
         assert k.state.reveal_count() == 1
         assert k.state.tokens[k.action.position] == k.action.token
     with pytest.raises(AlreadyExpanded):
-        expand(node, model, cfg)
+        expand(node, output, cfg)
     frozen = SearchNode(state)
     frozen.terminal = True
     with pytest.raises(AlreadyExpanded):
-        expand(frozen, model, cfg)
+        expand(frozen, output, cfg)
 
 
 # ---------------------------------------------------------------------------
 # simulation
 
 
+def simulate_action(model, state, action, rng, **kw):
+    """Simulate `action` at `state` the way the search does: the parent's
+    profile, the child built once, one prediction at the child."""
+    child = SearchNode(apply_action(state, action), action)
+    output = None if child.state.is_complete else model.predict(child.state)
+    return simulate(entropy_profile(model, state), child, output, rng, **kw)
+
+
 def test_simulate_costs_one_call_and_completes(rng):
     model = CountingDenoiser(small_model(rng))
     state = SeqState.fully_masked(model.vocab, (), 3)
-    before_calls = model.calls
-    gen = np.random.default_rng(0)
-    record, completion = simulate(model, state, UnmaskAction(1, 0), gen, mode="sample")
-    # one call for the pre-action profile plus one for the post-action state
-    assert model.calls - before_calls == 2
+    action = UnmaskAction(1, 0)
+    before = entropy_profile(model, state)
+    child = SearchNode(apply_action(state, action), action)
+    output = model.predict(child.state)
+    calls = model.calls
+    record, completion = simulate(before, child, output, np.random.default_rng(0), mode="sample")
+    # the one prediction at the child serves both the reward and the rollout
+    assert model.calls == calls == 2
     assert completion.is_complete
     assert completion.tokens[1] == 0
-    assert record.action == UnmaskAction(1, 0)
+    assert record.action == action
 
 
 def test_simulate_completing_action_needs_no_second_call(rng):
@@ -178,7 +190,7 @@ def test_simulate_completing_action_needs_no_second_call(rng):
         SeqState.fully_masked(model.vocab, (), 2), [UnmaskAction(0, 1)]
     )
     gen = np.random.default_rng(0)
-    record, completion = simulate(model, state, UnmaskAction(1, 1), gen)
+    record, completion = simulate_action(model, state, UnmaskAction(1, 1), gen)
     assert model.calls == 1  # only the before-profile
     assert completion.is_complete
     assert record.r_ig == pytest.approx(1.0, abs=1e-9)
@@ -188,7 +200,7 @@ def test_simulate_argmax_matches_marginal_argmax(rng):
     model = small_model(rng, length=3, vocab=3)
     state = SeqState.fully_masked(model.vocab, (), 3)
     gen = np.random.default_rng(3)
-    record, completion = simulate(model, state, UnmaskAction(0, 1), gen, mode="argmax")
+    record, completion = simulate_action(model, state, UnmaskAction(0, 1), gen, mode="argmax")
     nxt = state.apply(UnmaskAction(0, 1))
     out = model.predict(nxt)
     for p in (1, 2):
@@ -202,8 +214,8 @@ def test_simulate_argmax_matches_marginal_argmax(rng):
 def test_simulate_sample_mode_is_seed_deterministic(rng):
     model = small_model(rng, length=4, vocab=3)
     state = SeqState.fully_masked(model.vocab, (), 4)
-    one = simulate(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
-    two = simulate(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
+    one = simulate_action(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
+    two = simulate_action(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
     assert one == two
 
 

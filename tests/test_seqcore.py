@@ -152,6 +152,22 @@ def test_property_apply_many_matches_sequential_apply(case):
 
 
 @settings(max_examples=80, deadline=None)
+@given(state_and_actions())
+def test_property_masked_index_matches_mask_flags(case):
+    # the index is derived once when a state is built, by validation or by
+    # apply_many; both must agree with a scan of the flags
+    state, actions = case
+    for s in (state, apply_many(state, actions)):
+        want = [i for i, m in enumerate(s.masked) if m]
+        assert s.masked_index == tuple(want)
+        assert s.is_complete == (not want)
+        got = masked_positions(s)
+        assert got == want
+        got.append(-1)  # each caller gets its own list
+        assert masked_positions(s) == want
+
+
+@settings(max_examples=80, deadline=None)
 @given(state_and_actions(), st.data())
 def test_property_checked_reveals_give_valid_states(case, data):
     # apply_many skips the whole-sequence validation; what it builds must

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from medal.denoisers import FactorizedModel, TabularModel
+from medal.denoisers import CountingDenoiser, FactorizedModel, TabularModel
 from medal.errors import (
     ConfigError,
     InstanceTooLarge,
@@ -299,6 +299,21 @@ def test_greedy_and_random_are_valid_schedules(rng):
     again = random_schedule(model, root, 2, np.random.default_rng(0))
     assert rnd.schedule == again.schedule
     assert rnd.j >= oracle_min_schedule(model, root, 2).j - 1e-12
+
+
+def test_baselines_walk_once_and_cost_their_own_schedule(rng):
+    # each baseline makes one model call per step and returns the cost
+    # schedule_cost gives its schedule, without walking it a second time
+    for k, step_size in ((3, None), (2, 1), (2, [2, 1])):
+        model = CountingDenoiser(rand_model(rng, length=4))
+        root = root_of(model, 4)
+        greedy = greedy_schedule(model, root, k, step_size)
+        assert model.calls == k
+        model.reset()
+        rnd = random_schedule(model, root, k, np.random.default_rng(k), step_size)
+        assert model.calls == k
+        for cost in (greedy, rnd):
+            assert cost == schedule_cost(model, root, cost.schedule, with_dependence=False)
 
 
 def test_search_reaches_oracle_on_small_instance(rng):
