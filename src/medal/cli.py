@@ -42,6 +42,7 @@ from .harness import (
     build_instances,
     run_experiment,
     scaling_sweep,
+    spec_value,
 )
 from .mcts import run_cgmcts
 from .seqcore import SeqState, Vocab
@@ -180,61 +181,60 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_experiment(path: str) -> tuple[dict, list]:
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _print_summary(out: str | None, summary: dict) -> int:
+    if out is None:
+        sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
+    return 0
+
+
+def _load_experiment(path: str) -> tuple[dict, list, list[int], tuple[int, ...]]:
+    """An experiment spec file: the object, its instances, seeds and prompt."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    instances = build_instances(obj["instances"])
-    return obj, instances
+    instances = build_instances(spec_value(obj, "instances"))
+    seeds = spec_value(obj, "seeds", _ints, [1])
+    prompt = tuple(spec_value(obj, "prompt", _ints, []))
+    return obj, instances, seeds, prompt
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    obj, instances = _load_experiment(args.config)
-    methods = []
-    for m in obj["methods"]:
-        methods.append(
-            MethodSpec(
-                id=m["id"],
-                kind=m.get("kind", "medal"),
-                config=DecodeConfig.from_json(m.get("config", {})),
-                n=int(m.get("n", 5)),
-            )
+    obj, instances, seeds, prompt = _load_experiment(args.config)
+    methods = [
+        MethodSpec(
+            id=spec_value(m, "id"),
+            kind=spec_value(m, "kind", default="medal"),
+            config=DecodeConfig.from_json(spec_value(m, "config", default={})),
+            n=spec_value(m, "n", int, 5),
         )
+        for m in spec_value(obj, "methods", list)
+    ]
     spec = ExperimentSpec(
-        instances=tuple(instances),
-        methods=tuple(methods),
-        seeds=tuple(int(s) for s in obj.get("seeds", [1])),
-        prompt=tuple(int(t) for t in obj.get("prompt", [])),
+        instances=tuple(instances), methods=tuple(methods), seeds=tuple(seeds), prompt=prompt
     )
     _, summary = run_experiment(spec, args.out)
     log.info("bench summary: %s", json.dumps(summary))
-    if args.out is None:
-        sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
-    return 0
+    return _print_summary(args.out, summary)
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    obj, instances = _load_experiment(args.config)
-    base_cfg = DecodeConfig.from_json(obj.get("config", {}))
-    seeds = [int(s) for s in obj.get("seeds", [1])]
-    prompt = tuple(int(t) for t in obj.get("prompt", []))
+    obj, instances, seeds, prompt = _load_experiment(args.config)
+    base_cfg = DecodeConfig.from_json(spec_value(obj, "config", default={}))
     _, summary = ablation_matrix(instances, base_cfg, seeds, args.out, prompt)
-    if args.out is None:
-        sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
-    return 0
+    return _print_summary(args.out, summary)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    obj, instances = _load_experiment(args.config)
-    base_cfg = DecodeConfig.from_json(obj.get("config", {}))
-    seeds = [int(s) for s in obj.get("seeds", [1])]
-    prompt = tuple(int(t) for t in obj.get("prompt", []))
+    obj, instances, seeds, prompt = _load_experiment(args.config)
+    base_cfg = DecodeConfig.from_json(spec_value(obj, "config", default={}))
     lc_values = (
-        list(_parse_ints(args.lc)) if args.lc else [int(v) for v in obj.get("lc_values", [0, 1, 2])]
+        list(_parse_ints(args.lc)) if args.lc else spec_value(obj, "lc_values", _ints, [0, 1, 2])
     )
     _, summary = scaling_sweep(instances, base_cfg, seeds, lc_values, args.out, prompt)
-    if args.out is None:
-        sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
-    return 0
+    return _print_summary(args.out, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

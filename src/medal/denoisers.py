@@ -195,14 +195,8 @@ class _LogitRows(Mapping):
 
 
 class Denoiser:
-    """Base interface. Subclasses set vocab and implement predict.
+    """Base interface. Subclasses set vocab and implement predict."""
 
-    concurrent_safe is an advisory capability flag: drivers that want to
-    issue predict calls from several threads must check it and serialize
-    calls when it is False. The engine in this package is strictly serial.
-    """
-
-    concurrent_safe: bool = True
     vocab: Vocab
 
     def predict(self, state: SeqState) -> DenoiserOutput:
@@ -490,7 +484,6 @@ class CountingDenoiser(Denoiser):
     def __init__(self, inner: Denoiser):
         self.inner = inner
         self.vocab = inner.vocab
-        self.concurrent_safe = inner.concurrent_safe
         self.calls = 0
 
     def predict(self, state: SeqState) -> DenoiserOutput:
@@ -511,10 +504,8 @@ class RemoteDenoiser(Denoiser):
     """Client for a denoiser served over a byte stream.
 
     The wire format carries no vocab descriptor, so the caller supplies the
-    vocab. One in-flight request at a time (concurrent_safe = False).
+    vocab. One in-flight request at a time.
     """
-
-    concurrent_safe = False
 
     def __init__(self, address: str | tuple[str, int], vocab: Vocab, timeout: float = 30.0):
         if isinstance(address, str):

@@ -67,6 +67,25 @@ class ExperimentSpec:
             m.validate()
 
 
+_REQUIRED = object()
+
+
+def spec_value(obj, key: str, convert=None, default=_REQUIRED):
+    """obj[key] of an experiment spec, through `convert` when given. Raises
+    ConfigError naming the key when obj is not a JSON object, the key is
+    missing without a default, or convert rejects the value."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"spec entry holding {key!r} must be a JSON object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"spec entry is missing key {key!r}")
+        return default
+    try:
+        return obj[key] if convert is None else convert(obj[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"spec key {key!r} has an ill-typed value {obj[key]!r}") from None
+
+
 def build_instances(obj) -> list[tuple[str, Denoiser]]:
     """Instance list from a JSON description (single object or list)."""
     if isinstance(obj, list):
@@ -74,26 +93,26 @@ def build_instances(obj) -> list[tuple[str, Denoiser]]:
         for item in obj:
             out.extend(build_instances(item))
         return out
-    kind = obj.get("kind")
+    kind = spec_value(obj, "kind", default=None)
     if kind == "trap_family":
+        seed = spec_value(obj, "seed", int, 0)
         fam = trap_family(
-            count=int(obj.get("count", 20)),
-            seed=int(obj.get("seed", 0)),
-            length=int(obj.get("length", 4)),
-            vocab_size=int(obj.get("vocab_size", 3)),
+            count=spec_value(obj, "count", int, 20),
+            seed=seed,
+            length=spec_value(obj, "length", int, 4),
+            vocab_size=spec_value(obj, "vocab_size", int, 3),
         )
-        seed = int(obj.get("seed", 0))
         return [(f"trap-{seed}-{i}", m) for i, m in enumerate(fam)]
     if kind == "tabular":
-        path = Path(obj["path"])
+        path = spec_value(obj, "path", Path)
         return [(path.stem, TabularModel.from_file(path))]
     if kind == "ngram":
-        path = Path(obj["path"])
+        path = spec_value(obj, "path", Path)
         model = fit_ngram(
             load_corpus(path),
-            n=int(obj.get("n", 3)),
-            alpha=float(obj.get("alpha", 0.5)),
-            vocab_size=obj.get("vocab_size"),
+            n=spec_value(obj, "n", int, 3),
+            alpha=spec_value(obj, "alpha", float, 0.5),
+            vocab_size=spec_value(obj, "vocab_size", default=None),
         )
         return [(f"ngram-{path.stem}", model)]
     raise ConfigError(f"unknown instance kind {kind!r}")

@@ -17,9 +17,9 @@ expansion delivers up to k2 candidates at once. The search stops when the
 pool holds candidate_count entries or the simulation budget runs out (the
 pool is then returned short, flagged exhausted).
 
-SearchNode, ucb_select and backpropagate are deliberately generic over the
-state/action payload: the schedule-space search in the theory module reuses
-them with set-valued actions.
+SearchNode, ucb_select, select_leaf and backpropagate are deliberately
+generic over the state/action payload: the schedule-space search in the
+theory module reuses them with set-valued actions.
 """
 
 from __future__ import annotations
@@ -195,6 +195,17 @@ def ucb_select(node: SearchNode, c_explore: float):
     return max(node.children, key=key).action
 
 
+def select_leaf(root: SearchNode, c_explore: float) -> tuple[SearchNode, list]:
+    """Descend by ucb_select through expanded, non-terminal nodes; returns
+    the node reached and the (parent, child) edges taken, root first."""
+    node, path = root, []
+    while node.expanded and node.children and not node.terminal:
+        child = node.child(ucb_select(node, c_explore))
+        path.append((node, child))
+        node = child
+    return node, path
+
+
 def backpropagate(path: list[tuple[SearchNode, SearchNode]], reward: float) -> None:
     """Add one visit and `reward` along (parent, child) edges, root first."""
     for parent, child in path:
@@ -349,14 +360,7 @@ def run_cgmcts(
     sims = 0
     it = 0
     while sims < cfg.budget and not pool.full:
-        node = root
-        path: list[tuple[SearchNode, SearchNode]] = []
-        while node.expanded and node.children and not node.terminal:
-            chosen = ucb_select(node, cfg.c_explore)
-            child = node.child(chosen)
-            path.append((node, child))
-            node = child
-
+        node, path = select_leaf(root, cfg.c_explore)
         selected = [[c.action.position, c.action.token] for _, c in path]
         expanded_actions: list[list[int]] = []
         rewards: list[float] = []

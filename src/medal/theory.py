@@ -35,7 +35,7 @@ from .errors import (
     InstanceTooLarge,
     SubsetNotMasked,
 )
-from .mcts import SearchNode, backpropagate, ucb_select
+from .mcts import SearchNode, backpropagate, select_leaf
 from .seqcore import SeqState, UnmaskAction, apply_many, masked_positions
 
 PROXIES = ("entropy", "one_minus_maxprob", "top2_margin")
@@ -138,9 +138,19 @@ def dependence_error(model, state: SeqState, positions: Sequence[int]) -> float:
     outside the masked set.
     """
     subset = _subset_check(state, positions)
+    _require_conditionals(model)
+    return _dependence(model.masked_conditional(state), subset)
+
+
+def _require_conditionals(model) -> None:
     if not hasattr(model, "masked_conditional"):
         raise ConfigError("dependence_error requires a model with exact conditionals")
-    mpos, cond = model.masked_conditional(state)
+
+
+def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]) -> float:
+    """dependence_error's KL from the context's (masked positions, exact
+    conditional) pair, for a sorted subset of those positions."""
+    mpos, cond = conditional
     axes = tuple(mpos.index(p) for p in subset)
     other = tuple(a for a in range(cond.ndim) if a not in axes)
     joint = cond.sum(axis=other) if other else cond
@@ -245,7 +255,7 @@ def _resolve_sizes(m: int, k: int, step_size) -> list[int] | None:
 
 
 def count_schedules(m: int, k: int, step_size=None) -> int:
-    """Number of schedules enumerate_schedules would yield."""
+    """Number of k-step schedules of m positions (see schedule_costs)."""
     sizes = _resolve_sizes(m, k, step_size)
     if sizes is not None:
         total = 1
@@ -266,72 +276,67 @@ def count_schedules(m: int, k: int, step_size=None) -> int:
     return free(m, k)
 
 
-def _next_step_choices(remaining: tuple[int, ...], k_left: int, sizes: list[int] | None, depth: int) -> list[tuple[int, ...]]:
+def _next_step_choices(
+    remaining: tuple[int, ...], k_left: int, sizes: list[int] | None, depth: int
+) -> list[tuple[int, ...]]:
     """Feasible next steps in lexicographic order."""
-    m = len(remaining)
     if sizes is not None:
-        return [tuple(c) for c in combinations(remaining, sizes[depth])]
+        return list(combinations(remaining, sizes[depth]))
     if k_left == 1:
         return [remaining]
-    out: list[tuple[int, ...]] = []
-    for s in range(1, m - k_left + 2):
-        out.extend(tuple(c) for c in combinations(remaining, s))
-    return out
+    return [c for s in range(1, len(remaining) - k_left + 2) for c in combinations(remaining, s)]
 
 
-def enumerate_schedules(
-    positions: Sequence[int],
-    k: int,
-    step_size=None,
-    *,
+def schedule_costs(
+    model, root: SeqState, k: int, step_size=None, *, with_dependence: bool,
     cap: int = ENUMERATION_CAP,
-) -> Iterator[Schedule]:
-    """All K-step schedules in lexicographic order.
+) -> Iterator[ScheduleCost]:
+    """Cost of every k-step schedule of root's masked positions, in
+    lexicographic order, from one depth-first walk of the schedule prefix tree.
 
-    step_size None: every ordered partition of `positions` into k non-empty
-    steps (full cover). int or list: fixed per-step sizes drawn from the
-    positions, cover not required. Raises InstanceTooLarge past `cap`.
+    step_size None: every ordered partition of the masked positions into k
+    non-empty steps (full cover). int or list: fixed per-step sizes, cover
+    not required. Each realized context is predicted (and, with dependence,
+    conditioned) once for all schedules through it, and each cost equals
+    schedule_cost's argmax walk. Raises InstanceTooLarge past `cap`.
     """
-    pos = tuple(sorted(int(p) for p in positions))
-    if len(set(pos)) != len(pos):
-        raise ConfigError("positions must be distinct")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    total = count_schedules(len(pos), k, step_size)
+    m = len(masked_positions(root))
+    total = count_schedules(m, k, step_size)
     if total > cap:
         raise InstanceTooLarge(f"{total} schedules exceeds cap {cap}")
-    sizes = _resolve_sizes(len(pos), k, step_size)
+    sizes = _resolve_sizes(m, k, step_size)
+    if with_dependence:
+        _require_conditionals(model)
 
-    def rec(remaining: tuple[int, ...], depth: int, acc: list[tuple[int, ...]]) -> Iterator[Schedule]:
-        if depth == k:
-            yield Schedule(tuple(acc))
+    def walk(cur: SeqState, steps, gaps, deps, committed) -> Iterator[ScheduleCost]:
+        if len(steps) == k:
+            yield ScheduleCost(
+                Schedule(steps), gaps, deps if with_dependence else None,
+                per_step_proxy=None, committed=committed,
+            )
             return
-        for step in _next_step_choices(remaining, k - depth, sizes, depth):
-            left = tuple(p for p in remaining if p not in set(step))
-            acc.append(step)
-            yield from rec(left, depth + 1, acc)
-            acc.pop()
+        output = model.predict(cur)
+        conditional = model.masked_conditional(cur) if with_dependence else None
+        remaining = tuple(masked_positions(cur))
+        for step in _next_step_choices(remaining, k - len(steps), sizes, len(steps)):
+            _, gap, acts, nxt = _step(cur, step, output.probs(step))
+            dep = (_dependence(conditional, step),) if with_dependence else ()
+            yield from walk(
+                nxt, steps + (step,), gaps + (gap,), deps + dep,
+                committed + tuple((a.position, a.token) for a in acts),
+            )
 
-    return rec(pos, 0, [])
+    return walk(root, (), (), (), ())
 
 
 def oracle_min_schedule(
-    model,
-    root: SeqState,
-    k: int,
-    step_size=None,
-    *,
-    cap: int = ENUMERATION_CAP,
+    model, root: SeqState, k: int, step_size=None, *, cap: int = ENUMERATION_CAP
 ) -> ScheduleCost:
     """Exhaustive minimum-J schedule (ties: first in lexicographic order)."""
-    best: ScheduleCost | None = None
-    for sched in enumerate_schedules(masked_positions(root), k, step_size, cap=cap):
-        cost = schedule_cost(model, root, sched, with_dependence=False)
-        if best is None or cost.j < best.j:
-            best = cost
-    if best is None:
-        raise ConfigError("no feasible schedule")
-    return best
+    costs = schedule_costs(model, root, k, step_size, with_dependence=False, cap=cap)
+    return min(costs, key=lambda c: c.j)
 
 
 def _walk(model, cur: SeqState, k: int, sizes, choose: Callable, steps=(), gaps=()) -> ScheduleCost:
@@ -439,14 +444,7 @@ def search_schedules(
     root_node = SearchNode(_WalkState(root, (), ()))
 
     for it in range(budget):
-        node = root_node
-        path: list[tuple[SearchNode, SearchNode]] = []
-        while node.expanded and node.children and not node.terminal:
-            action = ucb_select(node, c_explore)
-            child = node.child(action)
-            path.append((node, child))
-            node = child
-
+        node, path = select_leaf(root_node, c_explore)
         if node.terminal:
             backpropagate(path, node.terminal_reward)
         else:
@@ -486,45 +484,31 @@ def search_schedules(
 # verifiers
 
 
-def verify_lemma1(
-    model,
-    root: SeqState,
-    *,
-    schedules: Sequence[Schedule] | None = None,
-    tol: float = 1e-9,
-    cap: int = ENUMERATION_CAP,
-) -> dict:
-    """Check sum(DepErr) <= sum(B) + tol for every given schedule.
+def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMERATION_CAP) -> dict:
+    """Check sum(DepErr) <= sum(B) + tol on every full-cover schedule of
+    every step count.
 
-    Defaults to every full-cover schedule of every step count. Returns a
-    report with the tightest approach to equality; raises BoundViolated
-    with the offending schedule otherwise.
+    Returns a report with the tightest approach to equality; raises
+    BoundViolated with the offending schedule otherwise.
     """
-    if schedules is None:
-        positions = masked_positions(root)
-        schedules = [
-            s
-            for k in range(1, len(positions) + 1)
-            for s in enumerate_schedules(positions, k, cap=cap)
-        ]
     checked = 0
     max_excess = float("-inf")
     min_slack = float("inf")
     tightest: Schedule | None = None
-    for sched in schedules:
-        cost = schedule_cost(model, root, sched, with_dependence=True)
-        dep, gap = cost.dep_total, cost.j
-        excess = dep - gap
-        if excess > tol:
-            raise BoundViolated(
-                f"dependence {dep} exceeds gap {gap} on schedule {sched.to_json()}"
-            )
-        if excess > max_excess:
-            max_excess = excess
-        if gap - dep < min_slack:
-            min_slack = gap - dep
-            tightest = sched
-        checked += 1
+    for k in range(1, len(masked_positions(root)) + 1):
+        for cost in schedule_costs(model, root, k, with_dependence=True, cap=cap):
+            dep, gap = cost.dep_total, cost.j
+            excess = dep - gap
+            if excess > tol:
+                raise BoundViolated(
+                    f"dependence {dep} exceeds gap {gap} on schedule {cost.schedule.to_json()}"
+                )
+            if excess > max_excess:
+                max_excess = excess
+            if gap - dep < min_slack:
+                min_slack = gap - dep
+                tightest = cost.schedule
+            checked += 1
     return {
         "schedules_checked": checked,
         "max_excess": max_excess,

@@ -261,3 +261,30 @@ def test_bench_spec_with_infeasible_family_is_a_config_error(tmp_path, small_cfg
     spec_path.write_text(json.dumps(spec))
     assert main(["bench", "--config", str(spec_path)]) == 2
     assert "vocab_size >= 3" in capsys.readouterr().err
+
+
+TRAPS = {"kind": "trap_family", "count": 1, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "command,spec,key",
+    [
+        ("bench", {"methods": [{"id": "greedy", "kind": "greedy"}]}, "instances"),
+        ("bench", {"instances": TRAPS, "methods": [{"kind": "greedy"}]}, "id"),
+        ("bench", {"instances": {**TRAPS, "count": "x"}, "methods": [{"id": "g"}]}, "count"),
+        ("bench", [TRAPS], "instances"),
+        ("bench", {"instances": TRAPS, "methods": 3}, "methods"),
+        ("bench", {"instances": {"kind": "tabular"}, "methods": [{"id": "g"}]}, "path"),
+        ("ablate", {"instances": TRAPS, "seeds": 5}, "seeds"),
+        ("sweep", {"instances": TRAPS, "lc_values": ["a"]}, "lc_values"),
+        ("sweep", {"instances": [TRAPS, 7]}, "kind"),
+    ],
+    ids=["no_instances", "method_without_id", "count_str", "top_level_list", "methods_int",
+         "tabular_without_path", "seeds_int", "lc_values_str", "instance_not_object"],
+)
+def test_ill_formed_experiment_spec_is_a_config_error(tmp_path, capsys, command, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err

@@ -16,19 +16,19 @@ from medal.errors import (
     ZeroMassContext,
 )
 from medal.families import random_calibrated_model, xor_pair_model
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, masked_positions
 from medal.theory import (
     Schedule,
     count_schedules,
     dependence_error,
     entropy_gap,
-    enumerate_schedules,
     greedy_schedule,
     j_lambda,
     oracle_min_schedule,
     position_entropies,
     random_schedule,
     schedule_cost,
+    schedule_costs,
     search_schedules,
     verify_lemma1,
     verify_theorem1,
@@ -213,7 +213,7 @@ def test_j_lambda_weighting(rng):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# enumeration: one walk over the schedule prefix tree
 
 
 def test_count_schedules_known_values():
@@ -227,17 +227,21 @@ def test_count_schedules_known_values():
     assert count_schedules(4, 2, 2) == 6
 
 
-def test_enumeration_matches_reference_partitions():
+def test_enumeration_matches_reference_partitions(rng):
     for m, k in [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]:
-        got = [s.steps for s in enumerate_schedules(range(m), k)]
+        model = rand_model(rng, length=m, vocab=2)
+        costs = schedule_costs(model, root_of(model), k, with_dependence=False)
+        got = [c.schedule.steps for c in costs]
         want = list(oracles.enumerate_partitions(range(m), k))
         assert got == want
         assert len(got) == count_schedules(m, k)
         assert len(set(got)) == len(got)
 
 
-def test_enumeration_fixed_sizes():
-    scheds = list(enumerate_schedules([0, 1, 2, 3], 2, [2, 1]))
+def test_enumeration_fixed_sizes(rng):
+    model = rand_model(rng, length=4, vocab=2)
+    costs = schedule_costs(model, root_of(model), 2, [2, 1], with_dependence=False)
+    scheds = [c.schedule for c in costs]
     assert len(scheds) == 12
     for s in scheds:
         assert len(s.steps[0]) == 2 and len(s.steps[1]) == 1
@@ -246,17 +250,107 @@ def test_enumeration_fixed_sizes():
     assert scheds[0].steps == ((0, 1), (2,))
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(rng):
+    model = rand_model(rng, length=3, vocab=2)
+    wide = SeqState.fully_masked(model.vocab, (), 12)  # the guards fire before any model call
     with pytest.raises(InstanceTooLarge):
-        list(enumerate_schedules(range(12), 6, cap=1000))
+        list(schedule_costs(model, wide, 6, with_dependence=False, cap=1000))
+    two = root_of(model, 2)
     with pytest.raises(ConfigError):
-        list(enumerate_schedules([0, 0, 1], 2))
+        list(schedule_costs(model, two, 3, with_dependence=False))  # k > m full cover
     with pytest.raises(ConfigError):
-        list(enumerate_schedules([0, 1], 3))  # k > m full cover
+        list(schedule_costs(model, root_of(model), 0, with_dependence=False))
     with pytest.raises(ConfigError):
-        list(enumerate_schedules([0, 1, 2], 0))
+        list(schedule_costs(model, two, 2, [2, 2], with_dependence=False))  # consumes too many
+    fact = FactorizedModel(Vocab(2), rng.dirichlet(np.ones(2), size=3))
     with pytest.raises(ConfigError):
-        list(enumerate_schedules([0, 1], 2, [2, 2]))  # consumes too many
+        list(schedule_costs(fact, root_of(fact, 3), 2, with_dependence=True))
+    assert len(list(schedule_costs(fact, root_of(fact, 3), 2, with_dependence=False))) == 6
+
+
+def _walk_cases():
+    """(model, root) pairs: fully masked and with one position revealed."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        model = random_calibrated_model(rng, length=4, vocab_size=2 + seed % 2)
+        root = root_of(model, 4)
+        yield model, root
+        yield model, apply_many(root, [UnmaskAction(1, seed % 2)])
+
+
+SIZE_CASES = [(1, None), (2, None), (3, None), (2, 1), (3, 1), (2, [2, 1]), (2, [1, 2])]
+
+
+def test_schedule_costs_equal_the_reference_walk():
+    # every yielded cost is what schedule_cost's argmax walk of its
+    # schedule gives, in the reference partition order for full cover
+    for model, root in _walk_cases():
+        positions = masked_positions(root)
+        for k, step_size in SIZE_CASES + [(len(positions), None)]:
+            for with_dependence in (True, False):
+                costs = list(schedule_costs(
+                    model, root, k, step_size, with_dependence=with_dependence
+                ))
+                assert len(costs) == count_schedules(len(positions), k, step_size)
+                for cost in costs:
+                    assert cost == schedule_cost(
+                        model, root, cost.schedule, with_dependence=with_dependence
+                    )
+                if step_size is None:
+                    got = [c.schedule.steps for c in costs]
+                    assert got == list(oracles.enumerate_partitions(positions, k))
+
+
+class CountingConditionals(CountingDenoiser):
+    """CountingDenoiser that also counts exact-conditional calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.conditionals = 0
+
+    def masked_conditional(self, state):
+        self.conditionals += 1
+        return self.inner.masked_conditional(state)
+
+
+def test_schedule_costs_predict_each_context_once():
+    # one prediction (and, with dependence, one conditional) per distinct
+    # proper schedule prefix, i.e. per realized context the walk passes
+    for model, root in _walk_cases():
+        for k, step_size in SIZE_CASES:
+            for with_dependence in (True, False):
+                counted = CountingConditionals(model)
+                costs = list(schedule_costs(
+                    counted, root, k, step_size, with_dependence=with_dependence
+                ))
+                prefixes = {c.schedule.steps[:d] for c in costs for d in range(k)}
+                assert counted.calls == len(prefixes)
+                assert counted.conditionals == (len(prefixes) if with_dependence else 0)
+
+
+def _reference_lemma1(model, root, tol=1e-9):
+    positions = masked_positions(root)
+    costs = [
+        schedule_cost(model, root, Schedule(steps), with_dependence=True)
+        for k in range(1, len(positions) + 1)
+        for steps in oracles.enumerate_partitions(positions, k)
+    ]
+    slack = [c.j - c.dep_total for c in costs]
+    tightest = min(range(len(costs)), key=slack.__getitem__)  # first of tied minima
+    return {
+        "schedules_checked": len(costs),
+        "max_excess": max(c.dep_total - c.j for c in costs),
+        "min_slack": slack[tightest],
+        "tightest_schedule": costs[tightest].schedule.to_json(),
+        "tol": tol,
+    }
+
+
+def test_verify_lemma1_report_matches_reference(rng):
+    cases = list(_walk_cases()) + [(xor_pair_model(), root_of(xor_pair_model()))]
+    cases += [(m, root_of(m)) for m in (rand_model(rng), rand_model(rng, length=4, vocab=2))]
+    for model, root in cases:
+        assert verify_lemma1(model, root) == _reference_lemma1(model, root)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +375,8 @@ def test_oracle_matches_manual_minimum(rng):
     root = root_of(model)
     best = oracle_min_schedule(model, root, k=2)
     js = [
-        schedule_cost(model, root, s, with_dependence=False).j
-        for s in enumerate_schedules([0, 1, 2], 2)
+        schedule_cost(model, root, Schedule(steps), with_dependence=False).j
+        for steps in oracles.enumerate_partitions([0, 1, 2], 2)
     ]
     assert best.j == pytest.approx(min(js), abs=1e-12)
 
