@@ -27,19 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import DecodeConfig, decode, decode_greedy_baseline
-from .denoisers import (
-    FactorizedModel,
-    RemoteDenoiser,
-    TabularModel,
-    fit_ngram,
-    load_corpus,
-)
+from .denoisers import RemoteDenoiser, TabularModel, fit_ngram, load_corpus
 from .errors import ConfigError, MedalError
 from .harness import (
     ExperimentSpec,
     MethodSpec,
     ablation_matrix,
     build_instances,
+    load_model_file,
+    read_json,
     run_experiment,
     scaling_sweep,
     spec_value,
@@ -74,8 +70,7 @@ def default_config() -> DecodeConfig:
 def load_config(path: str | None) -> DecodeConfig:
     if path is None:
         return default_config()
-    with open(path, encoding="utf-8") as fh:
-        return DecodeConfig.from_json(json.load(fh))
+    return DecodeConfig.from_json(read_json(path, "config file"))
 
 
 def load_model(spec: str, vocab_size: int | None = None, mask_id: int | None = None):
@@ -88,26 +83,30 @@ def load_model(spec: str, vocab_size: int | None = None, mask_id: int | None = N
     if spec.startswith("ngram:"):
         rest = spec[len("ngram:") :]
         path, _, query = rest.partition("?")
-        params = dict(kv.split("=", 1) for kv in query.split("&") if kv)
-        return fit_ngram(
-            load_corpus(path),
-            n=int(params.get("n", 3)),
-            alpha=float(params.get("alpha", 0.5)),
-            vocab_size=int(params["vocab_size"]) if "vocab_size" in params else vocab_size,
-        )
-    with open(spec, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "probs" in obj:
-        return TabularModel.from_dict(obj)
-    if "rows" in obj:
-        return FactorizedModel.from_dict(obj)
-    raise ConfigError(f"cannot tell the model type of {spec}")
+        try:
+            params = dict(kv.split("=", 1) for kv in query.split("&") if kv)
+            unknown = sorted(set(params) - {"n", "alpha", "vocab_size"})
+            if unknown:
+                raise ValueError(f"unknown parameters {unknown}")
+            n = int(params.get("n", 3))
+            alpha = float(params.get("alpha", 0.5))
+            if "vocab_size" in params:
+                vocab_size = int(params["vocab_size"])
+        except ValueError as exc:
+            raise ConfigError(f"model spec {spec!r} has a malformed parameter: {exc}") from None
+        return fit_ngram(load_corpus(path), n=n, alpha=alpha, vocab_size=vocab_size)
+    return load_model_file(spec)
 
 
-def _parse_ints(text: str | None) -> tuple[int, ...]:
+def _parse_ints(text: str | None, what: str = "integer list") -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(
+            f"{what} must be integers separated by commas or spaces, got {text!r}"
+        ) from None
 
 
 def _write_lines(path: str | None, lines: list[dict]) -> None:
@@ -127,7 +126,7 @@ def _apply_seed(cfg: DecodeConfig, seed: int | None) -> DecodeConfig:
 def _cmd_decode(args: argparse.Namespace) -> int:
     model = load_model(args.model, args.vocab_size, args.mask_id)
     cfg = _apply_seed(load_config(args.config), args.seed)
-    prompt = _parse_ints(args.prompt)
+    prompt = _parse_ints(args.prompt, "--prompt")
     if args.baseline:
         result = decode_greedy_baseline(model, prompt, cfg)
     else:
@@ -141,7 +140,7 @@ def _cmd_mcts_init(args: argparse.Namespace) -> int:
     model = load_model(args.model, args.vocab_size, args.mask_id)
     cfg = _apply_seed(load_config(args.config), args.seed)
     cfg.validate()
-    prompt = _parse_ints(args.prompt)
+    prompt = _parse_ints(args.prompt, "--prompt")
     root = SeqState.fully_masked(model.vocab, prompt, cfg.length)
     lines: list[dict] = []
 
@@ -168,7 +167,7 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
     if args.mode == "lemma1":
         report = verify_lemma1(model, root)
     else:
-        budgets = list(_parse_ints(args.budgets)) or [1, 2, 4, 8]
+        budgets = list(_parse_ints(args.budgets, "--budgets")) or [1, 2, 4, 8]
         step_size = args.step_size if args.step_size else None
         report = verify_theorem1(
             model, root, args.k, budgets, step_size=step_size, seed=args.seed or 0
@@ -193,8 +192,7 @@ def _print_summary(out: str | None, summary: dict) -> int:
 
 def _load_experiment(path: str) -> tuple[dict, list, list[int], tuple[int, ...]]:
     """An experiment spec file: the object, its instances, seeds and prompt."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path, "experiment spec")
     instances = build_instances(spec_value(obj, "instances"))
     seeds = spec_value(obj, "seeds", _ints, [1])
     prompt = tuple(spec_value(obj, "prompt", _ints, []))
@@ -231,7 +229,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     obj, instances, seeds, prompt = _load_experiment(args.config)
     base_cfg = DecodeConfig.from_json(spec_value(obj, "config", default={}))
     lc_values = (
-        list(_parse_ints(args.lc)) if args.lc else spec_value(obj, "lc_values", _ints, [0, 1, 2])
+        list(_parse_ints(args.lc, "--lc"))
+        if args.lc
+        else spec_value(obj, "lc_values", _ints, [0, 1, 2])
     )
     _, summary = scaling_sweep(instances, base_cfg, seeds, lc_values, args.out, prompt)
     return _print_summary(args.out, summary)

@@ -193,7 +193,8 @@ def finish_decode(
 ) -> DecodeResult:
     """Commit remaining masks step by step under confidence scoring.
 
-    Each step rebuilds the pooled top-k2 actions and commits
+    Each step rebuilds the pooled top-k2 actions, re-scoring only the rows
+    whose logits differ from the previous step's, and commits
     tokens_per_step of them: the top of the pool under argmax, or draws
     from softmax(score / temperature) without position repeats. Runs at
     most cfg.steps steps and stops when nothing is masked. `output`, when
@@ -206,6 +207,7 @@ def finish_decode(
     cur = state
     order: list[UnmaskAction] = []
     steps_trace: list[dict] = []
+    cands = None
     for t in range(cfg.steps):
         if cur.is_complete:
             break
@@ -219,6 +221,7 @@ def finish_decode(
             s.gamma,
             s.epsilon,
             use_entropy_penalty=s.use_entropy_penalty,
+            prev=cands,
         )
         available = list(cands.pooled)
         chosen: list[tuple[UnmaskAction, float]] = []

@@ -420,9 +420,25 @@ class NGramMaskedModel(Denoiser):
         return state.tokens[lo:position]
 
     def predict(self, state: SeqState) -> DenoiserOutput:
+        """Row i is _logits_for(context_for(state, pos[i])), computed with
+        n-1 array passes for the context lengths; only positions with a
+        non-empty context look their row up one by one."""
         pos = self._check_state(state)
-        rows = [self._logits_for(self.context_for(state, p)) for p in pos]
-        return DenoiserOutput.from_matrix(pos, np.stack(rows))
+        at = np.asarray(pos)
+        # positions before the sequence start count as masked, so a run
+        # never reaches past index 0
+        revealed = ~np.asarray((True,) * (self.n - 1) + state.masked)
+        ctx_len = np.zeros(len(pos), dtype=np.intp)
+        run = np.ones(len(pos), dtype=bool)
+        for k in range(1, self.n):
+            run &= revealed[at + (self.n - 1 - k)]
+            ctx_len += run
+        matrix = np.empty((len(pos), self.vocab.size))
+        matrix[:] = self._logits_for(())
+        for i in np.flatnonzero(ctx_len).tolist():
+            p = pos[i]
+            matrix[i] = self._logits_for(state.tokens[p - int(ctx_len[i]) : p])
+        return DenoiserOutput.from_matrix(at, matrix)
 
 
 def fit_ngram(
@@ -466,13 +482,26 @@ def fit_ngram(
 
 
 def load_corpus(path: str | Path) -> list[tuple[int, ...]]:
-    """One whitespace-separated integer sequence per line; blanks skipped."""
+    """One whitespace-separated integer sequence per line; blanks skipped.
+
+    Raises ConfigError naming the file when it cannot be read or a token is
+    not an integer, and EmptyCorpus when it holds no sequence.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read corpus {path}: {exc}") from None
     seqs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if parts:
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if parts:
+            try:
                 seqs.append(tuple(int(p) for p in parts))
+            except ValueError:
+                raise ConfigError(
+                    f"corpus {path} line {lineno}: tokens must be integers"
+                ) from None
     if not seqs:
         raise EmptyCorpus(f"no sequences in {path}")
     return seqs
@@ -510,7 +539,7 @@ class RemoteDenoiser(Denoiser):
     def __init__(self, address: str | tuple[str, int], vocab: Vocab, timeout: float = 30.0):
         if isinstance(address, str):
             host, _, port = address.rpartition(":")
-            if not host:
+            if not host or not port.isdigit():
                 raise ConfigError(f"remote address {address!r} must be host:port")
             address = (host, int(port))
         self.address = address

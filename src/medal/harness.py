@@ -25,6 +25,7 @@ from .decoder import DecodeConfig, DecodeResult, decode, decode_greedy_baseline
 from .denoisers import (
     CountingDenoiser,
     Denoiser,
+    FactorizedModel,
     TabularModel,
     fit_ngram,
     load_corpus,
@@ -86,6 +87,35 @@ def spec_value(obj, key: str, convert=None, default=_REQUIRED):
         raise ConfigError(f"spec key {key!r} has an ill-typed value {obj[key]!r}") from None
 
 
+def read_json(path, what: str):
+    """The JSON value in file `path`. Raises ConfigError naming `what` and
+    the path when the file cannot be read or does not hold JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_model_file(path, what: str = "model file") -> Denoiser:
+    """A tabular ("probs") or factorized ("rows") model from a JSON file.
+    Raises ConfigError naming the file when it cannot be read, is not JSON,
+    is of neither kind, or lacks or mistypes a field."""
+    obj = read_json(path, what)
+    if not isinstance(obj, dict) or ("probs" not in obj and "rows" not in obj):
+        raise ConfigError(f"cannot tell the model type of {what} {path}")
+    try:
+        if "probs" in obj:
+            return TabularModel.from_dict(obj)
+        return FactorizedModel.from_dict(obj)
+    except KeyError as exc:
+        raise ConfigError(f"{what} {path} is missing key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{what} {path} is malformed: {exc}") from None
+
+
 def build_instances(obj) -> list[tuple[str, Denoiser]]:
     """Instance list from a JSON description (single object or list)."""
     if isinstance(obj, list):
@@ -105,15 +135,16 @@ def build_instances(obj) -> list[tuple[str, Denoiser]]:
         return [(f"trap-{seed}-{i}", m) for i, m in enumerate(fam)]
     if kind == "tabular":
         path = spec_value(obj, "path", Path)
-        return [(path.stem, TabularModel.from_file(path))]
+        model = load_model_file(path, "tabular instance")
+        if not isinstance(model, TabularModel):
+            raise ConfigError(f"tabular instance {path} holds no joint table")
+        return [(path.stem, model)]
     if kind == "ngram":
         path = spec_value(obj, "path", Path)
-        model = fit_ngram(
-            load_corpus(path),
-            n=spec_value(obj, "n", int, 3),
-            alpha=spec_value(obj, "alpha", float, 0.5),
-            vocab_size=spec_value(obj, "vocab_size", default=None),
-        )
+        n = spec_value(obj, "n", int, 3)
+        alpha = spec_value(obj, "alpha", float, 0.5)
+        vocab_size = spec_value(obj, "vocab_size", lambda v: v if v is None else int(v), None)
+        model = fit_ngram(load_corpus(path), n=n, alpha=alpha, vocab_size=vocab_size)
         return [(f"ngram-{path.stem}", model)]
     raise ConfigError(f"unknown instance kind {kind!r}")
 

@@ -4,12 +4,14 @@ Each masked position gets softmax probabilities p, an entropy penalty
 exp(-H) with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
 sigmoid(gamma * (p_(1) - p_(2))). Token scores are the product of the three.
 Candidates are filtered per position (top-k1) and then pooled globally
-(top-k2); ties break toward lower position, then lower token.
+(top-k2); ties break toward lower position, then lower token. A finish
+step passes the previous step's candidates back in, so only the rows whose
+logits changed are scored again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import kernels
 from .denoisers import DenoiserOutput
 from .errors import NonFiniteLogits
-from .seqcore import SeqState, UnmaskAction, masked_positions
+from .seqcore import SeqState, UnmaskAction
 
 DEFAULT_GAMMA = 5.0
 DEFAULT_EPSILON = 1e-8
@@ -67,13 +69,16 @@ class ActionCandidates:
     (ties: token ascending). pooled is the global top-k2 across the union,
     ordered by (score desc, position asc, token asc). per_position is the
     same per-position ranking as {position: ((action, score), ...)}, built
-    on first access.
+    on first access. logits is the read-only (P, V) matrix the rows were
+    scored from, kept so that the next finish step can tell which rows are
+    unchanged.
     """
 
     positions: np.ndarray  # (P,)
     tokens: np.ndarray  # (P, min(k1, V))
     scores: np.ndarray  # (P, min(k1, V))
     pooled: tuple[tuple[UnmaskAction, float], ...]
+    logits: np.ndarray = field(repr=False)  # (P, V)
 
     @cached_property
     def per_position(self) -> dict[int, tuple[tuple[UnmaskAction, float], ...]]:
@@ -116,27 +121,14 @@ def score_position(
     )
 
 
-def score_state(
-    state: SeqState,
-    output,
-    gamma: float = DEFAULT_GAMMA,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    use_entropy_penalty: bool = True,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Batch-score all masked positions.
-
-    `output` may be a DenoiserOutput or a plain {position: logits} mapping;
-    it must cover exactly the masked positions, with one logit per content
-    token. Returns (positions ascending, probs matrix, scores matrix).
-    """
-    if not isinstance(output, DenoiserOutput):
-        output = DenoiserOutput(output)
-    positions = masked_positions(state)
-    output.check_cover(positions, state.vocab.size)
-    probs = output.probs()
+def _top_k1(
+    probs: np.ndarray, take: int, gamma: float, epsilon: float, use_entropy_penalty: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1: each row's top-`take` tokens and scores, score desc; the
+    stable sort keeps ties token-ascending."""
     scores = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)[-1]
-    return positions, probs, scores
+    tokens = (-scores).argsort(axis=1, kind="stable")[:, :take]
+    return tokens, scores[np.arange(scores.shape[0])[:, None], tokens]
 
 
 def build_candidates(
@@ -148,25 +140,51 @@ def build_candidates(
     epsilon: float = DEFAULT_EPSILON,
     *,
     use_entropy_penalty: bool = True,
+    prev: ActionCandidates | None = None,
 ) -> ActionCandidates:
-    """Two-stage action filter over all masked positions of `state`."""
+    """Two-stage action filter over all masked positions of `state`.
+
+    `output` may be a DenoiserOutput or a plain {position: logits} mapping;
+    it must cover exactly the masked positions, with one logit per content
+    token. `prev`, when given, is the result of an earlier call with the
+    same k1, gamma, epsilon and penalty setting: a row whose position and
+    logits are bit-equal to a row of prev takes prev's top-k1 as is, and
+    only the other rows are softmaxed and scored. Without prev every row
+    is scored from output.probs().
+    """
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
-    positions, _, scores = score_state(
-        state, output, gamma, epsilon, use_entropy_penalty=use_entropy_penalty
-    )
-    rows = np.asarray(positions, dtype=np.int64)
-    take = min(k1, scores.shape[1])
-    # stage 1: per row, score desc; the stable sort keeps ties token-ascending
-    tokens = np.argsort(-scores, axis=1, kind="stable")[:, :take]
-    kept = np.take_along_axis(scores, tokens, axis=1)
-    # stage 2: the union ranked by (score desc, position asc, token asc)
-    pos = np.repeat(rows, take)
-    tok = tokens.ravel()
+    if not isinstance(output, DenoiserOutput):
+        output = DenoiserOutput(output)
+    output.check_cover(state.masked_index, state.vocab.size)
+    rows = np.asarray(state.masked_index, dtype=np.int64)
+    logits = output.matrix()
+    take = min(k1, logits.shape[1])
+    if prev is None or not prev.positions.shape[0]:
+        tokens, kept = _top_k1(output.probs(), take, gamma, epsilon, use_entropy_penalty)
+    else:
+        if prev.tokens.shape[1] != take or prev.logits.shape[1] != logits.shape[1]:
+            raise ValueError("prev was built with another k1 or vocab width")
+        at = np.minimum(prev.positions.searchsorted(rows), prev.positions.shape[0] - 1)
+        fresh = np.flatnonzero(
+            (prev.positions[at] != rows) | (prev.logits[at] != logits).any(axis=1)
+        )
+        tokens = prev.tokens[at]
+        kept = prev.scores[at]
+        if fresh.shape[0]:
+            probs = kernels.softmax_rows(logits[fresh])
+            tokens[fresh], kept[fresh] = _top_k1(probs, take, gamma, epsilon, use_entropy_penalty)
+    # stage 2: the union ranked by (score desc, position asc, token asc).
+    # Rows ascend by position and each row lists tied tokens in ascending
+    # order, so a stable sort of the flattened scores breaks ties that way.
     sc = kept.ravel()
-    order = np.lexsort((tok, pos, -sc))[:k2]
+    flat = (-sc).argsort(kind="stable")[:k2]
     pooled = tuple(
         (UnmaskAction(p, t), s)
-        for p, t, s in zip(pos[order].tolist(), tok[order].tolist(), sc[order].tolist())
+        for p, t, s in zip(
+            rows[flat // take].tolist(), tokens.ravel()[flat].tolist(), sc[flat].tolist()
+        )
     )
-    return ActionCandidates(positions=rows, tokens=tokens, scores=kept, pooled=pooled)
+    return ActionCandidates(
+        positions=rows, tokens=tokens, scores=kept, pooled=pooled, logits=logits
+    )

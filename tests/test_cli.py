@@ -278,9 +278,12 @@ TRAPS = {"kind": "trap_family", "count": 1, "seed": 0}
         ("ablate", {"instances": TRAPS, "seeds": 5}, "seeds"),
         ("sweep", {"instances": TRAPS, "lc_values": ["a"]}, "lc_values"),
         ("sweep", {"instances": [TRAPS, 7]}, "kind"),
+        ("bench", {"instances": {"kind": "ngram", "path": "c.txt", "vocab_size": "x"},
+                   "methods": [{"id": "g"}]}, "vocab_size"),
     ],
     ids=["no_instances", "method_without_id", "count_str", "top_level_list", "methods_int",
-         "tabular_without_path", "seeds_int", "lc_values_str", "instance_not_object"],
+         "tabular_without_path", "seeds_int", "lc_values_str", "instance_not_object",
+         "ngram_vocab_size_str"],
 )
 def test_ill_formed_experiment_spec_is_a_config_error(tmp_path, capsys, command, spec, key):
     path = tmp_path / "spec.json"
@@ -288,3 +291,53 @@ def test_ill_formed_experiment_spec_is_a_config_error(tmp_path, capsys, command,
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.fixture
+def input_dir(tmp_path, trap_file):
+    (tmp_path / "not_json.json").write_text("{not json")
+    (tmp_path / "no_vocab.json").write_text(json.dumps({"length": 1, "probs": []}))
+    (tmp_path / "corpus.txt").write_text("0 1 2\n2 1 0\n")
+    (tmp_path / "bad_corpus.txt").write_text("0 1 2\n2 x 0\n")
+    methods = [{"id": "g", "kind": "greedy"}]
+    for name, instance in [
+        ("spec_absent_tabular", {"kind": "tabular", "path": str(tmp_path / "absent.json")}),
+        ("spec_bad_tabular", {"kind": "tabular", "path": str(tmp_path / "not_json.json")}),
+        ("spec_absent_corpus", {"kind": "ngram", "path": str(tmp_path / "absent.txt")}),
+    ]:
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"instances": instance, "methods": methods})
+        )
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["decode", "--model", "{d}/absent.json"], "absent.json"),
+        (["decode", "--model", "{d}/trap.json", "--config", "{d}/absent.json"], "absent.json"),
+        (["bench", "--config", "{d}/absent.json"], "absent.json"),
+        (["bench", "--config", "{d}/spec_absent_tabular.json"], "absent.json"),
+        (["decode", "--model", "ngram:{d}/absent.txt"], "absent.txt"),
+        (["bench", "--config", "{d}/spec_absent_corpus.json"], "absent.txt"),
+        (["decode", "--model", "{d}/not_json.json"], "not_json.json"),
+        (["decode", "--model", "{d}/trap.json", "--config", "{d}/not_json.json"], "not_json.json"),
+        (["sweep", "--config", "{d}/not_json.json"], "not_json.json"),
+        (["bench", "--config", "{d}/spec_bad_tabular.json"], "not_json.json"),
+        (["decode", "--model", "{d}/no_vocab.json"], "vocab_size"),
+        (["decode", "--model", "ngram:{d}/bad_corpus.txt"], "line 2"),
+        (["decode", "--model", "ngram:{d}/corpus.txt?n=x"], "n=x"),
+        (["decode", "--model", "ngram:{d}/corpus.txt?alpah=0.1"], "alpah"),
+        (["decode", "--model", "{d}/trap.json", "--prompt", "0,a"], "--prompt"),
+    ],
+    ids=[
+        "model_absent", "config_absent", "spec_absent", "tabular_absent", "corpus_absent",
+        "spec_corpus_absent", "model_not_json", "config_not_json", "spec_not_json",
+        "tabular_not_json", "model_without_vocab_size", "corpus_token_not_int",
+        "ngram_n_not_int", "ngram_unknown_parameter", "prompt_not_int",
+    ],
+)
+def test_unreadable_input_is_a_config_error(input_dir, capsys, argv, named):
+    assert main([arg.format(d=input_dir) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

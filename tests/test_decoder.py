@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from medal import kernels
 from medal.decoder import (
     DecodeConfig,
     augment_prompt,
@@ -19,7 +21,7 @@ from medal.decoder import (
     replay_reveals,
     select_candidate,
 )
-from medal.denoisers import CountingDenoiser, TabularModel, fit_ngram
+from medal.denoisers import CountingDenoiser, TabularModel, fit_ngram, load_corpus
 from medal.families import random_calibrated_model
 from medal.errors import ConfigError, EmptyPool
 from medal.mcts import CandidatePool, CandidateEntry, SearchConfig
@@ -244,6 +246,40 @@ def test_decode_on_ngram_model():
     res = decode(model, (0,), cfg)
     assert res.final.is_complete
     assert len(res.final.gen_tokens()) == 6
+
+
+def test_finish_rescores_only_rows_whose_logits_changed(monkeypatch):
+    corpus = resources.files("medal.data").joinpath("toy_corpus.txt")
+    model = fit_ngram(load_corpus(corpus), n=3, alpha=0.5)
+    outputs = []
+    predict = model.predict
+
+    def recording_predict(state):
+        outputs.append(predict(state))
+        return outputs[-1]
+
+    scored = []
+    score_rows = kernels.score_rows
+
+    def counting_score_rows(probs, *args, **kwargs):
+        scored.append(probs.shape[0])
+        return score_rows(probs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "predict", recording_predict)
+    monkeypatch.setattr(kernels, "score_rows", counting_score_rows)
+    cfg = small_cfg(length=64, init_length=0, remaining_mode="argmax")
+    cfg.validate()
+    root = SeqState.fully_masked(model.vocab, (0, 1), 64)
+    assert finish_decode(model, root, cfg).final.is_complete
+    assert len(outputs) == 64 and scored[0] == 64
+    changed = []
+    for before, after in zip(outputs, outputs[1:]):
+        pos = after.positions()
+        changed.append(int((after.matrix() != before.matrix(pos)).any(axis=1).sum()))
+    # each later step scores exactly the changed rows, and skips scoring
+    # when no row changed; most rows do not change, so this is not vacuous
+    assert scored[1:] == [c for c in changed if c]
+    assert sum(changed) < 64 * 63 // 2 // 4
 
 
 @st.composite

@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from medal.denoisers import (
@@ -244,6 +246,33 @@ def test_ngram_context_windowing():
     assert model.context_for(s, 4) == ()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    prompt_len=st.integers(min_value=0, max_value=4),
+    length=st.integers(min_value=1, max_value=12),
+    masked_share=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_ngram_predict_matches_context_loop(n, prompt_len, length, masked_share, seed):
+    # row i of predict is the cached row of position i's context_for
+    gen = np.random.default_rng(seed)
+    vocab = int(gen.integers(2, 5))
+    corpus = [gen.integers(0, vocab, size=int(gen.integers(1, 10))).tolist() for _ in range(5)]
+    model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    masked = gen.random(length) < masked_share
+    masked[gen.integers(length)] = True
+    tokens = gen.integers(0, vocab, size=prompt_len + length)
+    flags = (False,) * prompt_len + tuple(masked.tolist())
+    tokens = tuple(model.vocab.mask_id if m else int(t) for t, m in zip(tokens, flags))
+    state = SeqState(model.vocab, prompt_len, tokens, flags)
+    out = model.predict(state)
+    assert out.positions() == list(state.masked_index)
+    for pos, row in zip(out.positions(), out.matrix()):
+        want = model._logits_for(model.context_for(state, pos))
+        assert row.tobytes() == want.tobytes()
+
+
 def test_ngram_unseen_context_uniform():
     model = fit_ngram([(0, 1)], n=2, alpha=2.0, vocab_size=4)
     s = SeqState.fully_masked(model.vocab, (3,), 1)
@@ -469,3 +498,5 @@ def test_remote_refused_connection_raises_remote_error():
 def test_remote_address_parsing():
     with pytest.raises(ConfigError):
         RemoteDenoiser("9999", vocab=Vocab(2))
+    with pytest.raises(ConfigError):
+        RemoteDenoiser("localhost:http", vocab=Vocab(2))

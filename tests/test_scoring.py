@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from medal.denoisers import DenoiserOutput, FactorizedModel, fit_ngram
 from medal.errors import LogitWidthMismatch, MissingPosition, NonFiniteLogits
-from medal.scoring import build_candidates, score_position, score_state
+from medal.families import random_calibrated_model
+from medal.scoring import build_candidates, score_position
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 
 
@@ -72,21 +74,23 @@ def test_row_argmax_is_probability_argmax(rng):
         assert np.argmax(ps.scores) == np.argmax(ps.probs)
 
 
-def test_score_state_requires_exact_position_cover(rng):
+def test_build_candidates_requires_exact_position_cover(rng):
     state = make_state(3, 4, revealed=[(1, 0)])
     good = {p: rng.normal(size=3) for p in (0, 2, 3)}
-    positions, probs, scores = score_state(state, good)
-    assert positions == [0, 2, 3]
-    assert probs.shape == scores.shape == (3, 3)
+    cands = build_candidates(state, good, k1=3, k2=9)
+    assert cands.positions.tolist() == [0, 2, 3]
+    assert cands.tokens.shape == cands.scores.shape == cands.logits.shape == (3, 3)
     with pytest.raises(MissingPosition):
-        score_state(state, {0: good[0], 2: good[2]})
+        build_candidates(state, {0: good[0], 2: good[2]}, k1=3, k2=9)
     bad = dict(good)
     bad[1] = good[0]
     with pytest.raises(MissingPosition):
-        score_state(state, bad)
+        build_candidates(state, bad, k1=3, k2=9)
+    with pytest.raises(MissingPosition):
+        build_candidates(state, bad, k1=3, k2=9, prev=cands)
     wide = {p: rng.normal(size=4) for p in (0, 2, 3)}
     with pytest.raises(LogitWidthMismatch):
-        score_state(state, wide)
+        build_candidates(state, wide, k1=3, k2=9)
 
 
 def test_build_candidates_shapes_and_order(rng):
@@ -150,3 +154,58 @@ def test_property_filter_matches_brute_force(length, vocab, k1, k2, seed):
     for (gp, gt, gs), (ep, et, es) in zip(got, expected):
         assert (gp, gt) == (ep, et)
         assert gs == pytest.approx(es, abs=1e-12)
+
+
+def _random_model(kind, gen, vocab):
+    if kind == "tabular":
+        return random_calibrated_model(gen, int(gen.integers(1, 6)), vocab)
+    if kind == "factorized":
+        length = int(gen.integers(1, 10))
+        return FactorizedModel(Vocab(vocab), gen.dirichlet(np.ones(vocab), size=length))
+    corpus = [gen.integers(0, vocab, size=int(gen.integers(1, 15))).tolist() for _ in range(6)]
+    return fit_ngram(corpus, n=int(gen.integers(1, 5)), alpha=0.5, vocab_size=vocab)
+
+
+def _same_candidates(a, b):
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.tokens, b.tokens)
+    assert a.scores.tobytes() == b.scores.tobytes()
+    assert a.pooled == b.pooled
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["tabular", "factorized", "ngram"]),
+    vocab=st.integers(min_value=2, max_value=4),
+    k1=st.integers(min_value=1, max_value=5),
+    k2=st.integers(min_value=1, max_value=8),
+    max_step=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_reuse_equals_fresh_build(kind, vocab, k1, k2, max_step, seed):
+    # along a random walk of reveals, building from the previous step's
+    # candidates gives bit-for-bit the candidates of a build from scratch
+    gen = np.random.default_rng(seed)
+    model = _random_model(kind, gen, vocab)
+    length = getattr(model, "length", int(gen.integers(1, 12)))
+    prompt = tuple(gen.integers(0, vocab, size=int(gen.integers(0, 3))).tolist())
+    state = SeqState.fully_masked(model.vocab, prompt, length)
+    prev = None
+    while not state.is_complete:
+        out = model.predict(state)
+        fresh = build_candidates(state, out, k1, k2)
+        reused = build_candidates(state, out, k1, k2, prev=prev)
+        _same_candidates(reused, fresh)
+        # a prev from unrelated logits over the same positions shares no row
+        noise = DenoiserOutput.from_matrix(
+            out.positions(), gen.normal(size=out.matrix().shape)
+        )
+        unrelated = build_candidates(state, noise, k1, k2)
+        _same_candidates(build_candidates(state, out, k1, k2, prev=unrelated), fresh)
+        prev = reused
+        masked = state.masked_index
+        count = min(len(masked), int(gen.integers(1, max_step + 1)))
+        picks = gen.choice(masked, size=count, replace=False).tolist()
+        state = apply_many(
+            state, [UnmaskAction(p, int(gen.integers(0, vocab))) for p in picks]
+        )
