@@ -20,26 +20,24 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .decoder import DecodeConfig, decode, decode_greedy_baseline
-from .denoisers import RemoteDenoiser, TabularModel, fit_ngram, load_corpus
+from .denoisers import RemoteDenoiser, TabularModel
 from .errors import ConfigError, MedalError
 from .harness import (
     ExperimentSpec,
     MethodSpec,
+    NgramInstance,
     ablation_matrix,
     build_instances,
     load_model_file,
-    read_json,
     run_experiment,
     scaling_sweep,
-    spec_value,
 )
+from .jsonspec import from_json, read_json
 from .mcts import run_cgmcts
 from .seqcore import SeqState, Vocab
 from .theory import verify_lemma1, verify_theorem1
@@ -74,27 +72,31 @@ def load_config(path: str | None) -> DecodeConfig:
 
 
 def load_model(spec: str, vocab_size: int | None = None, mask_id: int | None = None):
-    """Model spec: a JSON file, ngram:<corpus>[?n=..&alpha=..], or remote:host:port."""
+    """Model spec: a JSON file, remote:host:port, or ngram:<corpus>[?key=value&...]
+    whose keys are those of an ngram instance and whose values are JSON.
+    --vocab-size is the vocab of a remote model and the default vocab_size
+    of an ngram one; --mask-id applies to remote models only."""
     if spec.startswith("remote:"):
         if vocab_size is None:
             raise ConfigError("remote models need --vocab-size")
         vocab = Vocab(vocab_size, mask_id if mask_id is not None else -1)
         return RemoteDenoiser(spec[len("remote:") :], vocab)
+    if mask_id is not None:
+        raise ConfigError("--mask-id applies only to remote: models")
     if spec.startswith("ngram:"):
-        rest = spec[len("ngram:") :]
-        path, _, query = rest.partition("?")
-        try:
-            params = dict(kv.split("=", 1) for kv in query.split("&") if kv)
-            unknown = sorted(set(params) - {"n", "alpha", "vocab_size"})
-            if unknown:
-                raise ValueError(f"unknown parameters {unknown}")
-            n = int(params.get("n", 3))
-            alpha = float(params.get("alpha", 0.5))
-            if "vocab_size" in params:
-                vocab_size = int(params["vocab_size"])
-        except ValueError as exc:
-            raise ConfigError(f"model spec {spec!r} has a malformed parameter: {exc}") from None
-        return fit_ngram(load_corpus(path), n=n, alpha=alpha, vocab_size=vocab_size)
+        path, _, query = spec[len("ngram:") :].partition("?")
+        obj = {"path": path, "vocab_size": vocab_size}
+        for kv in filter(None, query.split("&")):
+            key, _, value = kv.partition("=")
+            try:
+                obj[key] = json.loads(value)
+            except ValueError:
+                raise ConfigError(
+                    f"model spec {spec!r} has a parameter {kv!r} whose value is not JSON"
+                ) from None
+        return from_json(NgramInstance, obj).build()[0][1]
+    if vocab_size is not None:
+        raise ConfigError("--vocab-size applies only to remote: and ngram: models")
     return load_model_file(spec)
 
 
@@ -168,9 +170,8 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
         report = verify_lemma1(model, root)
     else:
         budgets = list(_parse_ints(args.budgets, "--budgets")) or [1, 2, 4, 8]
-        step_size = args.step_size if args.step_size else None
         report = verify_theorem1(
-            model, root, args.k, budgets, step_size=step_size, seed=args.seed or 0
+            model, root, args.k, budgets, step_size=args.step_size, seed=args.seed or 0
         )
     payload = json.dumps({"mode": args.mode, **report}, indent=2) + "\n"
     if args.out is None:
@@ -180,60 +181,67 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ints(values) -> list[int]:
-    return [int(v) for v in values]
-
-
 def _print_summary(out: str | None, summary: dict) -> int:
     if out is None:
         sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
     return 0
 
 
-def _load_experiment(path: str) -> tuple[dict, list, list[int], tuple[int, ...]]:
-    """An experiment spec file: the object, its instances, seeds and prompt."""
-    obj = read_json(path, "experiment spec")
-    instances = build_instances(spec_value(obj, "instances"))
-    seeds = spec_value(obj, "seeds", _ints, [1])
-    prompt = tuple(spec_value(obj, "prompt", _ints, []))
-    return obj, instances, seeds, prompt
+@dataclass(frozen=True)
+class BenchSpec:
+    """The experiment spec file of `bench`."""
+
+    instances: dict | list
+    methods: tuple[MethodSpec, ...]
+    seeds: tuple[int, ...] = (1,)
+    prompt: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class AblateSpec:
+    """The experiment spec file of `ablate`; `config` is the base config."""
+
+    instances: dict | list
+    config: DecodeConfig = field(default_factory=DecodeConfig)
+    seeds: tuple[int, ...] = (1,)
+    prompt: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class SweepSpec(AblateSpec):
+    """The experiment spec file of `sweep`."""
+
+    lc_values: tuple[int, ...] = (0, 1, 2)
+
+
+def _load_experiment(cls, path: str):
+    """An experiment spec file read into `cls`, and its built instances."""
+    spec = from_json(cls, read_json(path, "experiment spec"))
+    return spec, build_instances(spec.instances)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    obj, instances, seeds, prompt = _load_experiment(args.config)
-    methods = [
-        MethodSpec(
-            id=spec_value(m, "id"),
-            kind=spec_value(m, "kind", default="medal"),
-            config=DecodeConfig.from_json(spec_value(m, "config", default={})),
-            n=spec_value(m, "n", int, 5),
-        )
-        for m in spec_value(obj, "methods", list)
-    ]
-    spec = ExperimentSpec(
-        instances=tuple(instances), methods=tuple(methods), seeds=tuple(seeds), prompt=prompt
+    spec, instances = _load_experiment(BenchSpec, args.config)
+    experiment = ExperimentSpec(
+        instances=tuple(instances), methods=spec.methods, seeds=spec.seeds, prompt=spec.prompt
     )
-    _, summary = run_experiment(spec, args.out)
+    _, summary = run_experiment(experiment, args.out)
     log.info("bench summary: %s", json.dumps(summary))
     return _print_summary(args.out, summary)
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    obj, instances, seeds, prompt = _load_experiment(args.config)
-    base_cfg = DecodeConfig.from_json(spec_value(obj, "config", default={}))
-    _, summary = ablation_matrix(instances, base_cfg, seeds, args.out, prompt)
+    spec, instances = _load_experiment(AblateSpec, args.config)
+    _, summary = ablation_matrix(instances, spec.config, spec.seeds, args.out, spec.prompt)
     return _print_summary(args.out, summary)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    obj, instances, seeds, prompt = _load_experiment(args.config)
-    base_cfg = DecodeConfig.from_json(spec_value(obj, "config", default={}))
-    lc_values = (
-        list(_parse_ints(args.lc, "--lc"))
-        if args.lc
-        else spec_value(obj, "lc_values", _ints, [0, 1, 2])
+    spec, instances = _load_experiment(SweepSpec, args.config)
+    lc_values = _parse_ints(args.lc, "--lc") or spec.lc_values
+    _, summary = scaling_sweep(
+        instances, spec.config, spec.seeds, lc_values, args.out, spec.prompt
     )
-    _, summary = scaling_sweep(instances, base_cfg, seeds, lc_values, args.out, prompt)
     return _print_summary(args.out, summary)
 
 

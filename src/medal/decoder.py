@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
+from . import jsonspec, kernels
 from .denoisers import Denoiser
 from .errors import ConfigError, EmptyPool
-from .mcts import CandidateEntry, CandidatePool, SearchConfig, check_json_fields, run_cgmcts
+from .mcts import CandidateEntry, CandidatePool, SearchConfig, run_cgmcts
 from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
@@ -83,35 +83,8 @@ class DecodeConfig:
                 f" (need {need})"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "total_steps": self.total_steps,
-            "sample_temperature": self.sample_temperature,
-            "remaining_mode": self.remaining_mode,
-            "tokens_per_step": self.tokens_per_step,
-            "augmenter": self.augmenter,
-            "subtasks": self.subtasks,
-            "aux_length": self.aux_length,
-            "template_tokens": list(self.template_tokens)
-            if self.template_tokens is not None
-            else None,
-            "search": self.search.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecodeConfig":
-        check_json_fields(cls, obj, "decode config")
-        obj = dict(obj)
-        search = SearchConfig.from_json(obj.pop("search", {}))
-        template = obj.pop("template_tokens", None)
-        cfg = cls(
-            search=search,
-            template_tokens=tuple(template) if template is not None else None,
-            **obj,
-        )
-        cfg.validate()
-        return cfg
+    to_json = jsonspec.to_json
+    from_json = classmethod(jsonspec.from_json)
 
 
 @dataclass(frozen=True)

@@ -315,11 +315,6 @@ class TabularModel(Denoiser):
             "probs": entries,
         }
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TabularModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_file(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh)

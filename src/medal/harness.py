@@ -32,6 +32,7 @@ from .denoisers import (
 )
 from .errors import ConfigError, MedalError
 from .families import trap_family
+from .jsonspec import from_json, read_json
 
 METHOD_KINDS = ("medal", "greedy", "best_of_n")
 
@@ -39,8 +40,8 @@ METHOD_KINDS = ("medal", "greedy", "best_of_n")
 @dataclass(frozen=True)
 class MethodSpec:
     id: str
-    kind: str
-    config: DecodeConfig
+    kind: str = "medal"
+    config: DecodeConfig = field(default_factory=DecodeConfig)
     n: int = 5  # best_of_n only
 
     def validate(self) -> None:
@@ -68,37 +69,6 @@ class ExperimentSpec:
             m.validate()
 
 
-_REQUIRED = object()
-
-
-def spec_value(obj, key: str, convert=None, default=_REQUIRED):
-    """obj[key] of an experiment spec, through `convert` when given. Raises
-    ConfigError naming the key when obj is not a JSON object, the key is
-    missing without a default, or convert rejects the value."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"spec entry holding {key!r} must be a JSON object")
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"spec entry is missing key {key!r}")
-        return default
-    try:
-        return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"spec key {key!r} has an ill-typed value {obj[key]!r}") from None
-
-
-def read_json(path, what: str):
-    """The JSON value in file `path`. Raises ConfigError naming `what` and
-    the path when the file cannot be read or does not hold JSON."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
 def load_model_file(path, what: str = "model file") -> Denoiser:
     """A tabular ("probs") or factorized ("rows") model from a JSON file.
     Raises ConfigError naming the file when it cannot be read, is not JSON,
@@ -116,37 +86,64 @@ def load_model_file(path, what: str = "model file") -> Denoiser:
         raise ConfigError(f"{what} {path} is malformed: {exc}") from None
 
 
-def build_instances(obj) -> list[tuple[str, Denoiser]]:
-    """Instance list from a JSON description (single object or list)."""
-    if isinstance(obj, list):
-        out: list[tuple[str, Denoiser]] = []
-        for item in obj:
-            out.extend(build_instances(item))
-        return out
-    kind = spec_value(obj, "kind", default=None)
-    if kind == "trap_family":
-        seed = spec_value(obj, "seed", int, 0)
-        fam = trap_family(
-            count=spec_value(obj, "count", int, 20),
-            seed=seed,
-            length=spec_value(obj, "length", int, 4),
-            vocab_size=spec_value(obj, "vocab_size", int, 3),
-        )
-        return [(f"trap-{seed}-{i}", m) for i, m in enumerate(fam)]
-    if kind == "tabular":
-        path = spec_value(obj, "path", Path)
-        model = load_model_file(path, "tabular instance")
+@dataclass(frozen=True)
+class TrapFamilyInstance:
+    count: int = 20
+    seed: int = 0
+    length: int = 4
+    vocab_size: int = 3
+
+    def build(self) -> list[tuple[str, Denoiser]]:
+        fam = trap_family(self.count, self.seed, self.length, self.vocab_size)
+        return [(f"trap-{self.seed}-{i}", m) for i, m in enumerate(fam)]
+
+
+@dataclass(frozen=True)
+class TabularInstance:
+    path: str
+
+    def build(self) -> list[tuple[str, Denoiser]]:
+        model = load_model_file(self.path, "tabular instance")
         if not isinstance(model, TabularModel):
-            raise ConfigError(f"tabular instance {path} holds no joint table")
-        return [(path.stem, model)]
-    if kind == "ngram":
-        path = spec_value(obj, "path", Path)
-        n = spec_value(obj, "n", int, 3)
-        alpha = spec_value(obj, "alpha", float, 0.5)
-        vocab_size = spec_value(obj, "vocab_size", lambda v: v if v is None else int(v), None)
-        model = fit_ngram(load_corpus(path), n=n, alpha=alpha, vocab_size=vocab_size)
-        return [(f"ngram-{path.stem}", model)]
-    raise ConfigError(f"unknown instance kind {kind!r}")
+            raise ConfigError(f"tabular instance {self.path} holds no joint table")
+        return [(Path(self.path).stem, model)]
+
+
+@dataclass(frozen=True)
+class NgramInstance:
+    path: str
+    n: int = 3
+    alpha: float = 0.5
+    vocab_size: int | None = None  # None -> max corpus token + 1
+
+    def build(self) -> list[tuple[str, Denoiser]]:
+        model = fit_ngram(load_corpus(self.path), self.n, self.alpha, self.vocab_size)
+        return [(f"ngram-{Path(self.path).stem}", model)]
+
+
+INSTANCE_KINDS = {
+    "trap_family": TrapFamilyInstance,
+    "tabular": TabularInstance,
+    "ngram": NgramInstance,
+}
+
+
+def _read_instance(obj):
+    """An instance object read into the dataclass its "kind" names."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"an instance must be a JSON object with key 'kind', got {obj!r}")
+    rest = dict(obj)
+    kind = rest.pop("kind", None)
+    if not isinstance(kind, str) or kind not in INSTANCE_KINDS:
+        raise ConfigError(f"unknown instance kind {kind!r}")
+    return from_json(INSTANCE_KINDS[kind], rest)
+
+
+def build_instances(obj) -> list[tuple[str, Denoiser]]:
+    """Instance list from a JSON description (one object or a list); every
+    object is read before any instance is built."""
+    specs = [_read_instance(item) for item in (obj if isinstance(obj, list) else [obj])]
+    return [inst for spec in specs for inst in spec.build()]
 
 
 def best_of_n_decode(

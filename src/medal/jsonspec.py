@@ -1,0 +1,80 @@
+"""The JSON input format: one checked reader (and its writer) for configs,
+experiment specs and ``ngram:`` model parameters, each a dataclass."""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import MISSING, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError
+
+
+def read_json(path, what: str):
+    """The JSON value in file `path`. Raises ConfigError naming `what` and
+    the path when the file cannot be read or does not hold JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def from_json(cls, obj):
+    """An instance of dataclass `cls` read from the JSON object `obj`.
+
+    Unknown keys, missing required keys and values that do not fit the field
+    type raise ConfigError naming the key. An int fits a float field, a bool
+    never fits an int field, null fits an optional field, a list becomes a
+    tuple field, and a nested dataclass field is read the same way. The
+    result is validated when `cls` has a validate() method.
+    """
+    what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "search config"
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    if not isinstance(obj, dict):
+        keys = f" with keys {required}" if required else ""
+        raise ConfigError(f"{what} must be a JSON object{keys}, got {type(obj).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    out = cls(**{key: _read(hints[key], value, what, key) for key, value in obj.items()})
+    if hasattr(out, "validate"):
+        out.validate()
+    return out
+
+
+def _read(hint, value, what: str, key: str):
+    """`value` as a field of type `hint`, or ConfigError naming `key`."""
+    for kind in get_args(hint) if isinstance(hint, UnionType) else (hint,):
+        if is_dataclass(kind):
+            return from_json(kind, value)
+        if get_origin(kind) is tuple:
+            if type(value) is list:
+                return tuple(_read(get_args(kind)[0], v, what, key) for v in value)
+        elif type(value) is kind or kind is float and type(value) is int:
+            return value
+    want = getattr(hint, "__name__", hint)
+    raise ConfigError(f"{what} key {key!r} must be {want}, got {value!r}")
+
+
+def to_json(obj) -> dict:
+    """The JSON object of a dataclass instance that `from_json` reads back."""
+    return {f.name: _write(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _write(value):
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    return value

@@ -25,43 +25,16 @@ theory module reuses them with set-valued actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
-from types import UnionType
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from . import kernels
+from . import jsonspec, kernels
 from .errors import AlreadyExpanded, ConfigError, NoChildren
 from .reward import EntropyProfile, RewardRecord, entropy_gain
 from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, apply_action, apply_many
-
-
-def _fits(kind, value) -> bool:
-    """Whether a JSON value fits a config field type: the exact scalar type
-    (an int also fits a float), null for None, a list for tuple[X, ...]."""
-    if get_origin(kind) is tuple:
-        return type(value) is list and all(_fits(get_args(kind)[0], v) for v in value)
-    return type(value) is kind or kind is float and type(value) is int
-
-
-def check_json_fields(cls, obj, what: str) -> None:
-    """Raise ConfigError unless `obj` is a JSON object whose keys are fields
-    of dataclass `cls` and whose values fit the field types. Nested config
-    fields are left to their own from_json."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    hints = get_type_hints(cls)
-    bad = set(obj) - set(hints)
-    if bad:
-        raise ConfigError(f"unknown {what} keys {sorted(bad)}")
-    for key, value in obj.items():
-        hint = hints[key]
-        kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-        if not is_dataclass(hint) and not any(_fits(k, value) for k in kinds):
-            want = getattr(hint, "__name__", hint)
-            raise ConfigError(f"{what} key {key!r} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,27 +75,8 @@ class SearchConfig:
         if self.rollout_mode not in ("sample", "argmax"):
             raise ConfigError(f"unknown rollout_mode {self.rollout_mode!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "c_explore": self.c_explore,
-            "candidate_count": self.candidate_count,
-            "init_length": self.init_length,
-            "max_simulations": self.max_simulations,
-            "seed": self.seed,
-            "rollout_mode": self.rollout_mode,
-            "use_entropy_penalty": self.use_entropy_penalty,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SearchConfig":
-        check_json_fields(cls, obj, "search config")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
+    to_json = jsonspec.to_json
+    from_json = classmethod(jsonspec.from_json)
 
 
 class SearchNode:

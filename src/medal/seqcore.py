@@ -11,7 +11,6 @@ valid state stays valid under checked reveals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Sequence
@@ -163,16 +162,8 @@ def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# State objects and the vocab serialize separately: states embed no vocab
-# descriptor so the wire format stays minimal.
-
-
-def vocab_to_json(vocab: Vocab) -> dict:
-    return {"size": vocab.size, "mask_id": vocab.mask_id}
-
-
-def vocab_from_json(obj: dict) -> Vocab:
-    return Vocab(size=int(obj["size"]), mask_id=int(obj["mask_id"]))
+# States embed no vocab descriptor so the wire format stays minimal; both
+# ends of the wire already know the vocab.
 
 
 def state_to_json(state: SeqState) -> dict:
@@ -193,10 +184,3 @@ def state_from_json(obj: dict, vocab: Vocab) -> SeqState:
         step=int(obj.get("step", 0)),
     )
 
-
-def state_to_line(state: SeqState) -> str:
-    return json.dumps(state_to_json(state), separators=(",", ":"))
-
-
-def state_from_line(line: str, vocab: Vocab) -> SeqState:
-    return state_from_json(json.loads(line), vocab)

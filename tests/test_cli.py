@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -226,11 +227,12 @@ def test_log_level_validation(monkeypatch):
         ({"search": {"max_simulations": 2.5}}, "max_simulations"),
         ({"search": {"use_entropy_penalty": 1}}, "use_entropy_penalty"),
         ([4], "decode config"),
+        ({"search": {"seed": True}}, "seed"),
     ],
     ids=[
         "length_str", "length_bool", "length_float", "temperature_str", "steps_list",
         "template_int", "template_str_item", "search_null", "k1_str",
-        "simulations_float", "penalty_int", "not_an_object",
+        "simulations_float", "penalty_int", "not_an_object", "seed_bool",
     ],
 )
 def test_ill_typed_config_is_a_config_error(tmp_path, trap_file, capsys, cfg, key):
@@ -240,6 +242,19 @@ def test_ill_typed_config_is_a_config_error(tmp_path, trap_file, capsys, cfg, ke
     path.write_text(json.dumps(cfg))
     assert main(["decode", "--model", str(trap_file), "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_packaged_default_config_round_trips_key_for_key():
+    text = resources.files("medal.data").joinpath("default_config.json").read_text()
+    obj = json.loads(text)
+    assert json.dumps(DecodeConfig.from_json(obj).to_json()) == json.dumps(obj)
+
+
+def test_config_list_field_reads_as_tuple_and_writes_as_list():
+    cfg = DecodeConfig.from_json({"template_tokens": [1, 2]})
+    assert cfg.template_tokens == (1, 2)
+    assert cfg.to_json()["template_tokens"] == [1, 2]
+    assert DecodeConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_accepts_ints_for_floats():
@@ -280,10 +295,25 @@ TRAPS = {"kind": "trap_family", "count": 1, "seed": 0}
         ("sweep", {"instances": [TRAPS, 7]}, "kind"),
         ("bench", {"instances": {"kind": "ngram", "path": "c.txt", "vocab_size": "x"},
                    "methods": [{"id": "g"}]}, "vocab_size"),
+        ("bench", {"instances": TRAPS, "methods": [{"id": "g"}], "seedz": [1]}, "seedz"),
+        ("bench", {"instances": {**TRAPS, "lenght": 4}, "methods": [{"id": "g"}]}, "lenght"),
+        ("bench", {"instances": {"kind": "tabular", "path": "t.json", "paht": "t.json"},
+                   "methods": [{"id": "g"}]}, "paht"),
+        ("bench", {"instances": {"kind": "ngram", "path": "c.txt", "alpah": 0.1},
+                   "methods": [{"id": "g"}]}, "alpah"),
+        ("bench", {"instances": TRAPS, "methods": [{"id": "g", "nn": 3}]}, "nn"),
+        ("bench", {"instances": {**TRAPS, "count": 2.9}, "methods": [{"id": "g"}]}, "count"),
+        ("ablate", {"instances": TRAPS, "seeds": [1.7]}, "seeds"),
+        ("bench", {"instances": TRAPS,
+                   "methods": [{"id": "b", "kind": "best_of_n", "n": 2.5}]}, "n"),
+        ("bench", {"instances": {"kind": "ngram", "path": "c.txt", "vocab_size": "12"},
+                   "methods": [{"id": "g"}]}, "vocab_size"),
     ],
     ids=["no_instances", "method_without_id", "count_str", "top_level_list", "methods_int",
          "tabular_without_path", "seeds_int", "lc_values_str", "instance_not_object",
-         "ngram_vocab_size_str"],
+         "ngram_vocab_size_str", "unknown_top_level_key", "unknown_trap_family_key",
+         "unknown_tabular_key", "unknown_ngram_key", "unknown_method_key", "count_float",
+         "seeds_float", "method_n_float", "ngram_vocab_size_int_str"],
 )
 def test_ill_formed_experiment_spec_is_a_config_error(tmp_path, capsys, command, spec, key):
     path = tmp_path / "spec.json"
@@ -329,12 +359,18 @@ def input_dir(tmp_path, trap_file):
         (["decode", "--model", "ngram:{d}/corpus.txt?n=x"], "n=x"),
         (["decode", "--model", "ngram:{d}/corpus.txt?alpah=0.1"], "alpah"),
         (["decode", "--model", "{d}/trap.json", "--prompt", "0,a"], "--prompt"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--step-size", "0"],
+         "step sizes"),
+        (["decode", "--model", "{d}/trap.json", "--vocab-size", "9"], "--vocab-size"),
+        (["decode", "--model", "{d}/trap.json", "--mask-id", "1"], "--mask-id"),
+        (["decode", "--model", "ngram:{d}/corpus.txt", "--mask-id", "1"], "--mask-id"),
     ],
     ids=[
         "model_absent", "config_absent", "spec_absent", "tabular_absent", "corpus_absent",
         "spec_corpus_absent", "model_not_json", "config_not_json", "spec_not_json",
         "tabular_not_json", "model_without_vocab_size", "corpus_token_not_int",
-        "ngram_n_not_int", "ngram_unknown_parameter", "prompt_not_int",
+        "ngram_n_not_int", "ngram_unknown_parameter", "prompt_not_int", "step_size_zero",
+        "model_file_vocab_size", "model_file_mask_id", "ngram_mask_id",
     ],
 )
 def test_unreadable_input_is_a_config_error(input_dir, capsys, argv, named):

@@ -40,6 +40,7 @@ from medal.errors import (
     ZeroMassContext,
 )
 from medal.families import trap_family
+from medal.harness import load_model_file
 from medal.kernels import softmax_rows
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_from_json
 
@@ -194,7 +195,7 @@ def test_tabular_file_round_trip(tmp_path, rng):
     model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
     path = tmp_path / "joint.json"
     model.to_file(path)
-    back = TabularModel.from_file(path)
+    back = load_model_file(path)
     assert back.vocab.size == 3 and back.length == 2
     assert np.max(np.abs(back.joint - model.joint)) < 1e-15
     obj = json.loads(path.read_text())

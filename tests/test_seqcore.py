@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +17,7 @@ from medal.seqcore import (
     apply_many,
     masked_positions,
     state_from_json,
-    state_from_line,
     state_to_json,
-    state_to_line,
-    vocab_from_json,
-    vocab_to_json,
 )
 
 
@@ -106,13 +104,12 @@ def test_apply_many_counts_every_reveal():
 
 def test_serialization_round_trip():
     v = Vocab(size=6, mask_id=9)
-    assert vocab_from_json(vocab_to_json(v)) == v
     s = SeqState.fully_masked(v, (0, 5), length=3, step=0)
     s = apply_many(s, [UnmaskAction(2, 4), UnmaskAction(4, 1)])
-    line = state_to_line(s)
-    back = state_from_line(line, v)
+    line = json.dumps(state_to_json(s), separators=(",", ":"))
+    back = state_from_json(json.loads(line), v)
     assert back == s
-    assert state_to_line(back) == line
+    assert json.dumps(state_to_json(back), separators=(",", ":")) == line
 
 
 @st.composite
