@@ -266,19 +266,16 @@ def decode_greedy_baseline(
     *,
     rng: np.random.Generator | None = None,
 ) -> DecodeResult:
-    """No search, no augmentation, argmax commits, identical scoring."""
-    base = replace(
+    """decode() with no search, no augmentation and argmax commits, under
+    identical scoring."""
+    greedy = replace(
         cfg,
         augmenter="identity",
         remaining_mode="argmax",
         total_steps=None,
         search=replace(cfg.search, init_length=0),
     )
-    base.validate()
-    if rng is None:
-        rng = np.random.default_rng(base.search.seed)
-    root = SeqState.fully_masked(model.vocab, tuple(int(t) for t in prompt), base.length)
-    return finish_decode(model, root, base, rng)
+    return decode(model, prompt, greedy, rng=rng)
 
 
 def replay_reveals(root: SeqState, reveal_order: Sequence[UnmaskAction]) -> SeqState:

@@ -25,12 +25,14 @@ import socket
 import socketserver
 import threading
 from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import jsonspec, kernels
 from .errors import (
     ConfigError,
     EmptyCorpus,
@@ -230,7 +232,7 @@ class TabularModel(Denoiser):
             raise ConfigError("joint must have at least one axis")
         if any(dim != vocab.size for dim in joint.shape):
             raise ConfigError("every joint axis must have length vocab.size")
-        if (joint < 0).any():
+        if not (joint >= 0).all():  # NaN too
             raise ConfigError("joint probabilities must be non-negative")
         total = joint.sum()
         if abs(total - 1.0) > 1e-9:
@@ -289,35 +291,9 @@ class TabularModel(Denoiser):
         p = float(self.joint[tuple(int(t) for t in gen_tokens)])
         return float(np.log(p)) if p > 0.0 else float("-inf")
 
-    # -- file format: sparse list of (assignment, mass); omitted cells are 0
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TabularModel":
-        v = int(obj["vocab_size"])
-        length = int(obj["length"])
-        joint = np.zeros((v,) * length)
-        for entry in obj["probs"]:
-            toks = tuple(int(t) for t in entry["tokens"])
-            if len(toks) != length:
-                raise ConfigError(f"assignment {toks} has wrong length")
-            joint[toks] += float(entry["p"])
-        return cls(Vocab(v), joint)
-
-    def to_dict(self) -> dict:
-        entries = []
-        for toks in np.ndindex(*self.joint.shape):
-            p = float(self.joint[toks])
-            if p > 0.0:
-                entries.append({"tokens": list(toks), "p": p})
-        return {
-            "vocab_size": self.vocab.size,
-            "length": self.length,
-            "probs": entries,
-        }
-
     def to_file(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(jsonspec.to_json(TabularFile.of(self)), fh)
 
 
 class FactorizedModel(Denoiser):
@@ -327,7 +303,7 @@ class FactorizedModel(Denoiser):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != vocab.size:
             raise ConfigError("rows must be (length, vocab.size)")
-        if (rows < 0).any():
+        if not (rows >= 0).all():  # NaN too
             raise ConfigError("probabilities must be non-negative")
         sums = rows.sum(axis=1)
         if np.abs(sums - 1.0).max() > 1e-9:
@@ -352,16 +328,96 @@ class FactorizedModel(Denoiser):
             joint = np.multiply.outer(joint, row)
         return TabularModel(self.vocab, joint)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FactorizedModel":
-        return cls(Vocab(int(obj["vocab_size"])), np.asarray(obj["rows"], dtype=np.float64))
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab.size,
-            "length": self.length,
-            "rows": self.rows.tolist(),
-        }
+# ---------------------------------------------------------------------------
+# model files, read with jsonspec.from_json and written with jsonspec.to_json
+
+# the most joint cells a tabular file may describe (128 MB of float64)
+MAX_JOINT_CELLS = 2**24
+
+
+@dataclass(frozen=True)
+class TabularEntry:
+    """One assignment of the generation region and its probability mass."""
+
+    tokens: tuple[int, ...]
+    p: float
+
+    def validate(self) -> None:
+        if not self.p >= 0:
+            raise ConfigError(f"tabular entry key 'p' must be >= 0, got {self.p}")
+
+
+@dataclass(frozen=True)
+class TabularFile:
+    """A joint table as a sparse list of assignments; omitted cells are 0
+    and repeated assignments add up."""
+
+    vocab_size: int
+    length: int
+    probs: tuple[TabularEntry, ...]
+
+    def validate(self) -> None:
+        if self.vocab_size < 2:
+            raise ConfigError(f"tabular file key 'vocab_size' must be >= 2, got {self.vocab_size}")
+        if self.length < 1:
+            raise ConfigError(f"tabular file key 'length' must be >= 1, got {self.length}")
+        # with vocab_size >= 2, a length past the cap's bit length is too big
+        # already; testing it first keeps the power small
+        if self.length > MAX_JOINT_CELLS.bit_length() or (
+            self.vocab_size ** self.length > MAX_JOINT_CELLS
+        ):
+            raise ConfigError(
+                f"tabular file keys 'vocab_size' and 'length' give a joint of"
+                f" {self.vocab_size}**{self.length} cells, more than {MAX_JOINT_CELLS}"
+            )
+        for entry in self.probs:
+            toks = entry.tokens
+            if len(toks) != self.length or not all(0 <= t < self.vocab_size for t in toks):
+                raise ConfigError(
+                    f"tabular entry key 'tokens' must be {self.length} tokens in"
+                    f" 0..{self.vocab_size - 1}, got {list(toks)}"
+                )
+
+    @classmethod
+    def of(cls, model: TabularModel) -> "TabularFile":
+        cells = zip(np.ndindex(*model.joint.shape), model.joint.ravel().tolist())
+        entries = tuple(TabularEntry(toks, p) for toks, p in cells if p > 0.0)
+        return cls(model.vocab.size, model.length, entries)
+
+    def build(self) -> TabularModel:
+        joint = np.zeros((self.vocab_size,) * self.length)
+        for entry in self.probs:
+            joint[entry.tokens] += entry.p
+        return TabularModel(Vocab(self.vocab_size), joint)
+
+
+@dataclass(frozen=True)
+class FactorizedFile:
+    """One probability row per generation position; `length`, when given,
+    must equal the number of rows."""
+
+    vocab_size: int
+    rows: tuple[tuple[float, ...], ...]
+    length: int | None = None
+
+    def validate(self) -> None:
+        if self.length is not None and self.length != len(self.rows):
+            raise ConfigError(
+                f"factorized file key 'length' is {self.length} but 'rows' has"
+                f" {len(self.rows)} rows"
+            )
+        if not self.rows or any(len(row) != self.vocab_size for row in self.rows):
+            raise ConfigError(
+                f"factorized file key 'rows' must hold rows of {self.vocab_size} entries"
+            )
+
+    @classmethod
+    def of(cls, model: FactorizedModel) -> "FactorizedFile":
+        return cls(model.vocab.size, tuple(map(tuple, model.rows.tolist())), model.length)
+
+    def build(self) -> FactorizedModel:
+        return FactorizedModel(Vocab(self.vocab_size), self.rows)
 
 
 class NGramMaskedModel(Denoiser):
@@ -534,9 +590,12 @@ class RemoteDenoiser(Denoiser):
     def __init__(self, address: str | tuple[str, int], vocab: Vocab, timeout: float = 30.0):
         if isinstance(address, str):
             host, _, port = address.rpartition(":")
-            if not host or not port.isdigit():
+            if not host or not port.isdecimal():
                 raise ConfigError(f"remote address {address!r} must be host:port")
             address = (host, int(port))
+        host, port = address
+        if type(port) is not int or not 1 <= port <= 65535:
+            raise ConfigError(f"remote port {port!r} must be an integer in 1..65535")
         self.address = address
         self.vocab = vocab
         self.timeout = timeout
@@ -563,10 +622,11 @@ class RemoteDenoiser(Denoiser):
         """One request/reply exchange.
 
         Socket errors, timeouts, a closed connection and replies that are
-        not a JSON object with a {position: numbers} "logits" mapping raise
-        RemoteError and drop the connection; a server error frame raises
-        ConfigError and keeps it. A reply must cover exactly the state's
-        masked positions with vocab-wide rows (check_cover).
+        not a JSON object with a "logits" mapping from positions to lists
+        of JSON numbers raise RemoteError and drop the connection; a server
+        error frame raises ConfigError and keeps it. A reply must cover
+        exactly the state's masked positions with vocab-wide rows
+        (check_cover).
         """
         masked = self._check_state(state)
         payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
@@ -582,9 +642,7 @@ class RemoteDenoiser(Denoiser):
                 if not isinstance(obj, dict):
                     raise ValueError("reply is not a JSON object")
                 if "error" not in obj:
-                    if not isinstance(obj.get("logits"), dict):
-                        raise ValueError("reply has no 'logits' mapping")
-                    out = DenoiserOutput(obj["logits"])
+                    out = _read_logits(obj.get("logits"))
             except (OSError, EOFError, ValueError, TypeError) as exc:
                 self._drop()
                 host, port = self.address
@@ -605,6 +663,26 @@ class RemoteDenoiser(Denoiser):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _read_logits(logits) -> DenoiserOutput:
+    """The output a reply's "logits" mapping holds; ValueError unless every
+    key is a position in decimal digits and every row is a list of JSON
+    numbers (a bool or a numeric string is not one)."""
+    if not isinstance(logits, dict):
+        raise ValueError("reply has no 'logits' mapping")
+    if not all(map(str.isdecimal, logits)):
+        raise ValueError(f"reply logits keys must be positions in decimal digits, got {list(logits)}")
+    rows = logits.values()
+    if not set(map(type, rows)) <= {list} or not (
+        set(map(type, chain.from_iterable(rows))) <= {int, float}
+    ):
+        pos, row = next(
+            (p, r) for p, r in logits.items()
+            if type(r) is not list or not set(map(type, r)) <= {int, float}
+        )
+        raise ValueError(f"logits row of position {pos} is not a list of JSON numbers: {row!r}")
+    return DenoiserOutput(logits)
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):

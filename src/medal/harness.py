@@ -25,7 +25,8 @@ from .decoder import DecodeConfig, DecodeResult, decode, decode_greedy_baseline
 from .denoisers import (
     CountingDenoiser,
     Denoiser,
-    FactorizedModel,
+    FactorizedFile,
+    TabularFile,
     TabularModel,
     fit_ngram,
     load_corpus,
@@ -70,20 +71,17 @@ class ExperimentSpec:
 
 
 def load_model_file(path, what: str = "model file") -> Denoiser:
-    """A tabular ("probs") or factorized ("rows") model from a JSON file.
-    Raises ConfigError naming the file when it cannot be read, is not JSON,
-    is of neither kind, or lacks or mistypes a field."""
+    """A tabular ("probs", a TabularFile) or factorized ("rows", a
+    FactorizedFile) model from a JSON file. Raises ConfigError naming the
+    file when it cannot be read, is not JSON, is of neither kind, or does
+    not follow its format (the error names the key)."""
     obj = read_json(path, what)
     if not isinstance(obj, dict) or ("probs" not in obj and "rows" not in obj):
         raise ConfigError(f"cannot tell the model type of {what} {path}")
     try:
-        if "probs" in obj:
-            return TabularModel.from_dict(obj)
-        return FactorizedModel.from_dict(obj)
-    except KeyError as exc:
-        raise ConfigError(f"{what} {path} is missing key {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{what} {path} is malformed: {exc}") from None
+        return from_json(TabularFile if "probs" in obj else FactorizedFile, obj).build()
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

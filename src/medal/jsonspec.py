@@ -1,11 +1,13 @@
 """The JSON input format: one checked reader (and its writer) for configs,
-experiment specs and ``ngram:`` model parameters, each a dataclass."""
+experiment specs, ``ngram:`` model parameters, model files and remote
+requests, each a dataclass."""
 
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,24 +35,35 @@ def from_json(cls, obj):
     tuple field, and a nested dataclass field is read the same way. The
     result is validated when `cls` has a validate() method.
     """
-    what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()  # "search config"
-    required = [
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    ]
+    what, hints, required = _layout(cls)
     if not isinstance(obj, dict):
         keys = f" with keys {required}" if required else ""
         raise ConfigError(f"{what} must be a JSON object{keys}, got {type(obj).__name__}")
-    hints = get_type_hints(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {what} keys {unknown}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    if not hints.keys() >= obj.keys():
+        raise ConfigError(f"unknown {what} keys {sorted(obj.keys() - hints.keys())}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{what} is missing key {key!r}")
     out = cls(**{key: _read(hints[key], value, what, key) for key, value in obj.items()})
     if hasattr(out, "validate"):
         out.validate()
     return out
+
+
+@cache
+def _layout(cls) -> tuple[str, dict, list[str]]:
+    """The name `from_json` gives `cls` in messages ("search config"), its
+    field types by name, and its required fields; looked up once per class."""
+    what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+    hints = get_type_hints(cls)
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return what, {f.name: hints[f.name] for f in fields(cls)}, required
+
+
+# the JSON value types each scalar field type admits
+_SCALAR_TYPES = {int: {int}, float: {int, float}, bool: {bool}, str: {str}}
 
 
 def _read(hint, value, what: str, key: str):
@@ -60,7 +73,11 @@ def _read(hint, value, what: str, key: str):
             return from_json(kind, value)
         if get_origin(kind) is tuple:
             if type(value) is list:
-                return tuple(_read(get_args(kind)[0], v, what, key) for v in value)
+                item = get_args(kind)[0]
+                # a list of fitting scalars is read in one pass
+                if set(map(type, value)) <= _SCALAR_TYPES.get(item, set()):
+                    return tuple(value)
+                return tuple(_read(item, v, what, key) for v in value)
         elif type(value) is kind or kind is float and type(value) is int:
             return value
     want = getattr(hint, "__name__", hint)

@@ -16,6 +16,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, PositionNotMasked, TokenIsMask
+from .jsonspec import from_json
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,21 @@ def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
 # ends of the wire already know the vocab.
 
 
+@dataclass(frozen=True)
+class WireState:
+    """A state as the remote protocol sends it: tokens with the mask id at
+    masked positions, one bool per position, and the step count."""
+
+    prompt_len: int
+    tokens: tuple[int, ...]
+    masked: tuple[bool, ...]
+    step: int = 0
+
+    def validate(self) -> None:
+        if self.step < 0:
+            raise ConfigError(f"wire state key 'step' must be >= 0, got {self.step}")
+
+
 def state_to_json(state: SeqState) -> dict:
     return {
         "prompt_len": state.prompt_len,
@@ -175,12 +191,8 @@ def state_to_json(state: SeqState) -> dict:
     }
 
 
-def state_from_json(obj: dict, vocab: Vocab) -> SeqState:
-    return SeqState(
-        vocab=vocab,
-        prompt_len=int(obj["prompt_len"]),
-        tokens=tuple(int(t) for t in obj["tokens"]),
-        masked=tuple(bool(m) for m in obj["masked"]),
-        step=int(obj.get("step", 0)),
-    )
-
+def state_from_json(obj, vocab: Vocab) -> SeqState:
+    """The state a WireState object describes over `vocab`; ConfigError
+    names the key of an ill-typed value and the position of a bad token."""
+    wire = from_json(WireState, obj)
+    return SeqState(vocab, wire.prompt_len, wire.tokens, wire.masked, wire.step)

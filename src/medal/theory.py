@@ -236,7 +236,10 @@ def schedule_cost(
 
 
 def _resolve_sizes(m: int, k: int, step_size) -> list[int] | None:
-    """None stays None (free sizes, full cover); int/list become per-step sizes."""
+    """None stays None (free sizes, full cover); int/list become per-step sizes.
+    Every theory entry point calls it, so it holds the k >= 1 check."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if step_size is None:
         if k > m:
             raise ConfigError(f"cannot split {m} positions into {k} non-empty steps")
@@ -300,8 +303,6 @@ def schedule_costs(
     conditioned) once for all schedules through it, and each cost equals
     schedule_cost's argmax walk. Raises InstanceTooLarge past `cap`.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
     m = len(masked_positions(root))
     total = count_schedules(m, k, step_size)
     if total > cap:

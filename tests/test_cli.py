@@ -327,6 +327,27 @@ def test_ill_formed_experiment_spec_is_a_config_error(tmp_path, capsys, command,
 def input_dir(tmp_path, trap_file):
     (tmp_path / "not_json.json").write_text("{not json")
     (tmp_path / "no_vocab.json").write_text(json.dumps({"length": 1, "probs": []}))
+    for name, entry, extra in [
+        ("tab_float_token", {"tokens": [0.9, 1.7], "p": 0.5}, {}),
+        ("tab_bool_token", {"tokens": [True, 0], "p": 0.5}, {}),
+        ("tab_string_p", {"tokens": [0, 1], "p": "0.5"}, {}),
+        ("tab_negative_token", {"tokens": [-1, 0], "p": 0.5}, {}),
+        ("tab_token_is_vocab_size", {"tokens": [0, 2], "p": 0.5}, {}),
+        ("tab_wrong_length", {"tokens": [0], "p": 0.5}, {}),
+        ("tab_unknown_key", {"tokens": [0, 1], "p": 0.5}, {"temperature": 1.0}),
+    ]:
+        probs = [entry, {"tokens": [1, 1], "p": 0.5}]
+        obj = {"vocab_size": 2, "length": 2, "probs": probs, **extra}
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    (tmp_path / "tab_too_large.json").write_text(
+        json.dumps({"vocab_size": 3, "length": 40, "probs": []})
+    )
+    (tmp_path / "fact_length.json").write_text(
+        json.dumps({"vocab_size": 2, "length": 3, "rows": [[0.5, 0.5], [0.9, 0.1]]})
+    )
+    (tmp_path / "fact_string_entry.json").write_text(
+        json.dumps({"vocab_size": 2, "rows": [[0.5, "0.5"], [0.9, 0.1]]})
+    )
     (tmp_path / "corpus.txt").write_text("0 1 2\n2 1 0\n")
     (tmp_path / "bad_corpus.txt").write_text("0 1 2\n2 x 0\n")
     methods = [{"id": "g", "kind": "greedy"}]
@@ -364,13 +385,37 @@ def input_dir(tmp_path, trap_file):
         (["decode", "--model", "{d}/trap.json", "--vocab-size", "9"], "--vocab-size"),
         (["decode", "--model", "{d}/trap.json", "--mask-id", "1"], "--mask-id"),
         (["decode", "--model", "ngram:{d}/corpus.txt", "--mask-id", "1"], "--mask-id"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--k", "0"],
+         "k must be >= 1"),
+        (["decode", "--model", "{d}/tab_float_token.json"],
+         "tab_float_token.json: tabular entry key 'tokens'"),
+        (["decode", "--model", "{d}/tab_bool_token.json"],
+         "tab_bool_token.json: tabular entry key 'tokens'"),
+        (["decode", "--model", "{d}/tab_string_p.json"], "tab_string_p.json: tabular entry key 'p'"),
+        (["decode", "--model", "{d}/tab_negative_token.json"],
+         "tab_negative_token.json: tabular entry key 'tokens'"),
+        (["decode", "--model", "{d}/tab_token_is_vocab_size.json"],
+         "tab_token_is_vocab_size.json: tabular entry key 'tokens'"),
+        (["decode", "--model", "{d}/tab_wrong_length.json"],
+         "tab_wrong_length.json: tabular entry key 'tokens'"),
+        (["decode", "--model", "{d}/tab_unknown_key.json"],
+         "tab_unknown_key.json: unknown tabular file keys ['temperature']"),
+        (["decode", "--model", "{d}/tab_too_large.json"],
+         "tab_too_large.json: tabular file keys 'vocab_size' and 'length'"),
+        (["theory-check", "--model", "{d}/fact_length.json"],
+         "fact_length.json: factorized file key 'length'"),
+        (["decode", "--model", "{d}/fact_string_entry.json"],
+         "fact_string_entry.json: factorized file key 'rows'"),
     ],
     ids=[
         "model_absent", "config_absent", "spec_absent", "tabular_absent", "corpus_absent",
         "spec_corpus_absent", "model_not_json", "config_not_json", "spec_not_json",
         "tabular_not_json", "model_without_vocab_size", "corpus_token_not_int",
         "ngram_n_not_int", "ngram_unknown_parameter", "prompt_not_int", "step_size_zero",
-        "model_file_vocab_size", "model_file_mask_id", "ngram_mask_id",
+        "model_file_vocab_size", "model_file_mask_id", "ngram_mask_id", "k_zero",
+        "tabular_float_token", "tabular_bool_token", "tabular_string_p",
+        "tabular_negative_token", "tabular_token_is_vocab_size", "tabular_wrong_length",
+        "tabular_unknown_key", "tabular_joint_too_large", "factorized_length_mismatch", "factorized_string_entry",
     ],
 )
 def test_unreadable_input_is_a_config_error(input_dir, capsys, argv, named):

@@ -21,6 +21,7 @@ from medal.denoisers import (
     CountingDenoiser,
     Denoiser,
     DenoiserOutput,
+    FactorizedFile,
     FactorizedModel,
     NGramMaskedModel,
     RemoteDenoiser,
@@ -41,8 +42,16 @@ from medal.errors import (
 )
 from medal.families import trap_family
 from medal.harness import load_model_file
+from medal.jsonspec import from_json, to_json
 from medal.kernels import softmax_rows
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_from_json
+from medal.seqcore import (
+    SeqState,
+    UnmaskAction,
+    Vocab,
+    apply_many,
+    state_from_json,
+    state_to_json,
+)
 
 
 def softmax(vec):
@@ -113,6 +122,10 @@ def test_tabular_validation():
         TabularModel(v, np.array([[0.8, 0.3], [0.0, -0.1]]))  # negative
     with pytest.raises(ConfigError):
         TabularModel(v, np.ones((2, 3)) / 6)  # ragged axis
+    with pytest.raises(ConfigError, match="non-negative"):
+        TabularModel(v, np.array([[np.nan, 0.5], [0.25, 0.25]]))  # NaN mass
+    with pytest.raises(ConfigError, match="non-negative"):
+        FactorizedModel(v, np.array([[np.nan, 1.0]]))
 
 
 def test_tabular_predict_matches_enumeration(rng):
@@ -215,7 +228,7 @@ def test_factorized_matches_tabular(rng):
     assert np.allclose(
         softmax(fact.predict(s1).logits[1]), softmax(tab.predict(s1).logits[1])
     )
-    round_trip = FactorizedModel.from_dict(fact.to_dict())
+    round_trip = from_json(FactorizedFile, to_json(FactorizedFile.of(fact))).build()
     assert np.allclose(round_trip.rows, fact.rows)
 
 
@@ -346,6 +359,19 @@ def test_remote_round_trip_and_error_frames(rng):
             # connection still usable afterwards
             again = remote.predict(state)
             assert np.max(np.abs(again.matrix() - local.matrix())) < 1e-12
+        # an ill-typed request is answered with an error frame, not read as
+        # another state, and the same connection then serves a valid one
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            bad = {"prompt_len": 0.9, "tokens": [1.7, "2", True], "masked": [0, "", 0], "step": "4"}
+            for request in (bad, state_to_json(state)):
+                stream.write((json.dumps(request) + "\n").encode())
+                stream.flush()
+            error = json.loads(stream.readline())
+            assert error == {"error": "ConfigError: wire state key 'prompt_len' must be int, got 0.9"}
+            reply = json.loads(stream.readline())
+            assert list(reply["logits"]) == ["1", "2"]
+            assert np.array_equal(list(reply["logits"].values()), local.matrix())
     finally:
         server.shutdown()
         server.server_close()
@@ -441,10 +467,18 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
         (b"not json\n", "JSONDecodeError"),
         (b'{"rows": []}\n', "logits"),
         (b'{"logits": [[0.0, 1.0, 2.0]]}\n', "logits"),
-        (b'{"logits": {"0": ["x", 1.0, 2.0]}}\n', "could not convert"),
+        (b'{"logits": {"0": ["x", 1.0, 2.0]}}\n', "not a list of JSON numbers"),
+        (b'{"logits": {"2": ["0.5", 1.0, 1.0]}}\n', "position 2 is not a list of JSON numbers"),
+        (b'{"logits": {"2": [0.5, true, 1]}}\n', "position 2 is not a list of JSON numbers"),
+        (b'{"logits": {"2": 0.5}}\n', "position 2 is not a list of JSON numbers"),
+        (b'{"logits": {"1_0": [0.0, 1.0, 2.0]}}\n', "decimal digits"),
         (None, "closed"),
     ],
-    ids=["non_json", "no_logits", "logits_not_mapping", "logits_not_numbers", "closed"],
+    ids=[
+        "non_json", "no_logits", "logits_not_mapping", "logits_not_numbers",
+        "logits_numeric_string", "logits_bool", "logits_row_not_list",
+        "logits_key_not_decimal", "closed",
+    ],
 )
 def test_remote_bad_replies_raise_remote_error(line, match):
     vocab = Vocab(3)
@@ -501,3 +535,9 @@ def test_remote_address_parsing():
         RemoteDenoiser("9999", vocab=Vocab(2))
     with pytest.raises(ConfigError):
         RemoteDenoiser("localhost:http", vocab=Vocab(2))
+    # a port outside 1..65535 is refused, not wrapped onto another port
+    for address in ("127.0.0.1:0", "127.0.0.1:65536", ("127.0.0.1", 0), ("127.0.0.1", 70000),
+                    ("127.0.0.1", "80"), ("127.0.0.1", True)):
+        with pytest.raises(ConfigError, match="1..65535"):
+            RemoteDenoiser(address, vocab=Vocab(2))
+    assert RemoteDenoiser("127.0.0.1:65535", vocab=Vocab(2)).address == ("127.0.0.1", 65535)

@@ -260,6 +260,16 @@ def test_enumeration_guards(rng):
         list(schedule_costs(model, two, 3, with_dependence=False))  # k > m full cover
     with pytest.raises(ConfigError):
         list(schedule_costs(model, root_of(model), 0, with_dependence=False))
+    # k < 1 is refused by every entry point, not read as an empty schedule
+    for k_zero in (
+        lambda: count_schedules(3, 0),
+        lambda: greedy_schedule(model, root_of(model), 0),
+        lambda: random_schedule(model, root_of(model), 0, np.random.default_rng(0)),
+        lambda: search_schedules(model, root_of(model), 0, 4),
+        lambda: verify_theorem1(model, root_of(model), 0, [1, 2]),
+    ):
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            k_zero()
     with pytest.raises(ConfigError):
         list(schedule_costs(model, two, 2, [2, 2], with_dependence=False))  # consumes too many
     fact = FactorizedModel(Vocab(2), rng.dirichlet(np.ones(2), size=3))
