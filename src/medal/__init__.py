@@ -30,7 +30,7 @@ from .errors import MedalError
 from .mcts import CandidatePool, SearchConfig, run_cgmcts
 from .reward import EntropyProfile, RewardRecord, cumulative_gain, entropy_profile, info_gain
 from .scoring import ActionCandidates, PositionScore, build_candidates, score_position
-from .seqcore import SeqState, UnmaskAction, Vocab, apply_action, masked_positions
+from .seqcore import SeqState, UnmaskAction, Vocab, apply_action
 from .theory import (
     Schedule,
     ScheduleCost,
@@ -78,7 +78,6 @@ __all__ = [
     "fit_ngram",
     "info_gain",
     "load_corpus",
-    "masked_positions",
     "oracle_min_schedule",
     "replay_reveals",
     "run_cgmcts",

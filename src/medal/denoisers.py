@@ -43,13 +43,7 @@ from .errors import (
     RemoteError,
     ZeroMassContext,
 )
-from .seqcore import (
-    SeqState,
-    Vocab,
-    masked_positions,
-    state_from_json,
-    state_to_json,
-)
+from .seqcore import SeqState, Vocab, state_from_json, state_to_json
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -204,15 +198,14 @@ class Denoiser:
     def predict(self, state: SeqState) -> DenoiserOutput:
         raise NotImplementedError
 
-    def _check_state(self, state: SeqState) -> list[int]:
+    def _check_state(self, state: SeqState) -> tuple[int, ...]:
         if state.vocab.size != self.vocab.size:
             raise ConfigError(
                 f"state vocab size {state.vocab.size} != model vocab {self.vocab.size}"
             )
-        pos = masked_positions(state)
-        if not pos:
+        if state.is_complete:
             raise NoMaskedPositions("state is fully revealed")
-        return pos
+        return state.masked_index
 
 
 class TabularModel(Denoiser):
@@ -246,15 +239,12 @@ class TabularModel(Denoiser):
             raise ConfigError(
                 f"state generation length {state.gen_length} != model length {self.length}"
             )
-        idx = []
-        for off in range(self.length):
-            p = state.prompt_len + off
-            idx.append(slice(None) if state.masked[p] else state.tokens[p])
-        return tuple(idx)
+        mask_id = state.vocab.mask_id
+        return tuple([slice(None) if tok == mask_id else tok for tok in state.gen_tokens()])
 
     def _context_slice(self, state: SeqState) -> tuple[list[int], np.ndarray]:
         """Positions still masked and the unnormalized joint over them."""
-        pos = self._check_state(state)
+        pos = list(self._check_state(state))
         sub = self.joint[self._gen_index(state)]
         return pos, np.asarray(sub)
 
@@ -466,7 +456,8 @@ class NGramMaskedModel(Denoiser):
     def context_for(self, state: SeqState, position: int) -> tuple[int, ...]:
         """Revealed suffix feeding position's conditional (may be empty)."""
         lo = position
-        while lo > 0 and not state.masked[lo - 1] and position - lo < self.n - 1:
+        mask_id = state.vocab.mask_id
+        while lo > 0 and state.tokens[lo - 1] != mask_id and position - lo < self.n - 1:
             lo -= 1
         return state.tokens[lo:position]
 
@@ -478,7 +469,9 @@ class NGramMaskedModel(Denoiser):
         at = np.asarray(pos)
         # positions before the sequence start count as masked, so a run
         # never reaches past index 0
-        revealed = ~np.asarray((True,) * (self.n - 1) + state.masked)
+        revealed = np.ones(len(state.tokens) + self.n - 1, dtype=bool)
+        revealed[: self.n - 1] = False
+        revealed[at + (self.n - 1)] = False
         ctx_len = np.zeros(len(pos), dtype=np.intp)
         run = np.ones(len(pos), dtype=bool)
         for k in range(1, self.n):
@@ -622,11 +615,11 @@ class RemoteDenoiser(Denoiser):
         """One request/reply exchange.
 
         Socket errors, timeouts, a closed connection and replies that are
-        not a JSON object with a "logits" mapping from positions to lists
-        of JSON numbers raise RemoteError and drop the connection; a server
-        error frame raises ConfigError and keeps it. A reply must cover
-        exactly the state's masked positions with vocab-wide rows
-        (check_cover).
+        not a JSON object with a "logits" mapping from positions (canonical
+        ASCII decimal keys) to equal-width lists of JSON numbers raise
+        RemoteError and drop the connection; a server error frame raises
+        ConfigError and keeps it. A reply must cover exactly the state's
+        masked positions with vocab-wide rows (check_cover).
         """
         masked = self._check_state(state)
         payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
@@ -666,13 +659,17 @@ class RemoteDenoiser(Denoiser):
 
 
 def _read_logits(logits) -> DenoiserOutput:
-    """The output a reply's "logits" mapping holds; ValueError unless every
-    key is a position in decimal digits and every row is a list of JSON
-    numbers (a bool or a numeric string is not one)."""
+    """The output a reply's "logits" mapping holds, in any key order;
+    ValueError unless every key is a position in canonical ASCII decimal
+    ("7", not "07" or an Arabic-Indic 7), every row is a list of JSON
+    numbers (a bool or a numeric string is not one) and the rows share one
+    width."""
     if not isinstance(logits, dict):
         raise ValueError("reply has no 'logits' mapping")
-    if not all(map(str.isdecimal, logits)):
-        raise ValueError(f"reply logits keys must be positions in decimal digits, got {list(logits)}")
+    if not all(k.isascii() and k.isdecimal() and str(int(k)) == k for k in logits):
+        raise ValueError(
+            f"reply logits keys must be positions in canonical decimal digits, got {list(logits)}"
+        )
     rows = logits.values()
     if not set(map(type, rows)) <= {list} or not (
         set(map(type, chain.from_iterable(rows))) <= {int, float}
@@ -682,7 +679,11 @@ def _read_logits(logits) -> DenoiserOutput:
             if type(r) is not list or not set(map(type, r)) <= {int, float}
         )
         raise ValueError(f"logits row of position {pos} is not a list of JSON numbers: {row!r}")
-    return DenoiserOutput(logits)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("logits rows must share one width")
+    pairs = sorted(zip(map(int, logits), rows), key=lambda pair: pair[0])
+    matrix = np.array([row for _, row in pairs], dtype=np.float64) if pairs else np.empty((0, 0))
+    return DenoiserOutput.from_matrix([pos for pos, _ in pairs], matrix)
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):

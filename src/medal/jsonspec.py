@@ -38,7 +38,8 @@ def from_json(cls, obj):
     what, hints, required = _layout(cls)
     if not isinstance(obj, dict):
         keys = f" with keys {required}" if required else ""
-        raise ConfigError(f"{what} must be a JSON object{keys}, got {type(obj).__name__}")
+        got = json.dumps(obj, default=repr)
+        raise ConfigError(f"{what} must be a JSON object{keys}, got {got}")
     if not hints.keys() >= obj.keys():
         raise ConfigError(f"unknown {what} keys {sorted(obj.keys() - hints.keys())}")
     for key in required:
@@ -80,8 +81,23 @@ def _read(hint, value, what: str, key: str):
                 return tuple(_read(item, v, what, key) for v in value)
         elif type(value) is kind or kind is float and type(value) is int:
             return value
-    want = getattr(hint, "__name__", hint)
-    raise ConfigError(f"{what} key {key!r} must be {want}, got {value!r}")
+    raise ConfigError(
+        f"{what} key {key!r} must be {_json_name(hint)}, got {json.dumps(value, default=repr)}"
+    )
+
+
+def _json_name(hint) -> str:
+    """A field type as JSON readers know it: "int", "list of float",
+    "list of int or null", "list of tabular entry"."""
+    if isinstance(hint, UnionType):
+        return " or ".join(map(_json_name, get_args(hint)))
+    if get_origin(hint) is tuple:
+        return f"list of {_json_name(get_args(hint)[0])}"
+    if hint is type(None):
+        return "null"
+    if is_dataclass(hint):
+        return _layout(hint)[0]
+    return hint.__name__
 
 
 def to_json(obj) -> dict:

@@ -25,7 +25,7 @@ theory module reuses them with set-valued actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -390,8 +390,3 @@ def run_cgmcts(
     if not pool.full:
         pool.exhausted = True
     return pool
-
-
-def config_with_depth(cfg: SearchConfig, init_length: int) -> SearchConfig:
-    """Copy of cfg at a different init depth (sweeps use this)."""
-    return replace(cfg, init_length=init_length)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ZeroBaselineEntropy
-from .seqcore import SeqState, UnmaskAction, apply_action, masked_positions
+from .seqcore import SeqState, UnmaskAction, apply_action
 
 # baseline totals at or below this are treated as an already-resolved state
 ZERO_TOTAL = 1e-12
@@ -43,13 +43,11 @@ class EntropyProfile:
     def of(cls, state: SeqState, output) -> "EntropyProfile":
         """Profile of `state` from `output`, the model's prediction there
         (unused, and may be None, when the state is complete)."""
-        positions = masked_positions(state)
+        positions = state.masked_index
         if not positions:
             return cls.empty()
         values = kernels.entropy_rows(output.probs(positions))
-        return cls(
-            positions=tuple(positions), values=tuple(values.tolist()), total=float(values.sum())
-        )
+        return cls(positions=positions, values=tuple(values.tolist()), total=float(values.sum()))
 
     def as_dict(self) -> dict[int, float]:
         return dict(zip(self.positions, self.values))

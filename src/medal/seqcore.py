@@ -11,8 +11,8 @@ valid state stays valid under checked reveals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, PositionNotMasked, TokenIsMask
@@ -50,30 +50,30 @@ class UnmaskAction:
 
 @dataclass(frozen=True)
 class SeqState:
+    """`tokens` is the only record of the mask: a position is masked exactly
+    when its token is vocab.mask_id. `masked_index` (ascending masked
+    positions) is derived from it once, when the state is built."""
+
     vocab: Vocab
     prompt_len: int
     tokens: tuple[int, ...]
-    masked: tuple[bool, ...]
     step: int = 0
-    # ascending absolute indices of masked positions, derived from `masked`
-    # once, when the state is built
     masked_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.masked):
-            raise ConfigError("tokens and masked must have equal length")
         if not 0 <= self.prompt_len <= len(self.tokens):
             raise ConfigError(f"prompt_len {self.prompt_len} out of range")
         if self.gen_length < 1:
             raise ConfigError("generation region must be non-empty")
-        for i, (tok, m) in enumerate(zip(self.tokens, self.masked)):
-            if m and i < self.prompt_len:
-                raise ConfigError(f"prompt position {i} cannot be masked")
-            if m != (tok == self.vocab.mask_id):
-                raise ConfigError(f"mask flag and token disagree at position {i}")
-            if not m and not self.vocab.is_content(tok):
+        mask_id = self.vocab.mask_id
+        for i, tok in enumerate(self.tokens):
+            if tok == mask_id:
+                if i < self.prompt_len:
+                    raise ConfigError(f"prompt position {i} cannot be masked")
+            elif not self.vocab.is_content(tok):
                 raise ConfigError(f"revealed token {tok} at {i} outside vocab")
-        object.__setattr__(self, "masked_index", _masked_index(self.masked))
+        index = tuple(i for i, tok in enumerate(self.tokens) if tok == mask_id)
+        object.__setattr__(self, "masked_index", index)
 
     @classmethod
     def fully_masked(
@@ -81,9 +81,13 @@ class SeqState:
     ) -> "SeqState":
         """Fresh decode root: prompt revealed, `length` masked slots after it."""
         prompt = tuple(prompt)
-        tokens = prompt + (vocab.mask_id,) * length
-        masked = (False,) * len(prompt) + (True,) * length
-        return cls(vocab, len(prompt), tokens, masked, step)
+        return cls(vocab, len(prompt), prompt + (vocab.mask_id,) * length, step)
+
+    @property
+    def masked(self) -> tuple[bool, ...]:
+        """One flag per position, True where the token is the mask id."""
+        mask_id = self.vocab.mask_id
+        return tuple([tok == mask_id for tok in self.tokens])
 
     @property
     def gen_length(self) -> int:
@@ -101,39 +105,6 @@ class SeqState:
         are never masked)."""
         return self.gen_length - len(self.masked_index)
 
-    def apply(self, action: UnmaskAction) -> "SeqState":
-        return apply_action(self, action)
-
-    @classmethod
-    def _unchecked(
-        cls,
-        vocab: Vocab,
-        prompt_len: int,
-        tokens: tuple[int, ...],
-        masked: tuple[bool, ...],
-        step: int,
-    ) -> "SeqState":
-        """Build a state the caller has already proven valid, skipping
-        __post_init__. Only apply_many uses it: a valid state plus checked
-        actions is valid by construction."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "vocab", vocab)
-        object.__setattr__(obj, "prompt_len", prompt_len)
-        object.__setattr__(obj, "tokens", tokens)
-        object.__setattr__(obj, "masked", masked)
-        object.__setattr__(obj, "step", step)
-        object.__setattr__(obj, "masked_index", _masked_index(masked))
-        return obj
-
-
-def _masked_index(masked: tuple[bool, ...]) -> tuple[int, ...]:
-    return tuple(compress(range(len(masked)), masked))
-
-
-def masked_positions(state: SeqState) -> list[int]:
-    """Ascending absolute indices of masked positions."""
-    return list(state.masked_index)
-
 
 def apply_action(state: SeqState, action: UnmaskAction) -> SeqState:
     """Reveal one position; returns a new state with step advanced by 1."""
@@ -141,23 +112,32 @@ def apply_action(state: SeqState, action: UnmaskAction) -> SeqState:
 
 
 def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
-    """Reveal several distinct positions at once; step advances by the count."""
+    """Reveal several distinct positions at once; step advances by the count.
+
+    The child is built without re-running SeqState's checks: a valid state
+    plus checked reveals is valid, and its masked index is the parent's
+    minus the revealed positions.
+    """
+    vocab = state.vocab
     tokens = list(state.tokens)
-    masked = list(state.masked)
-    n = 0
+    index = list(state.masked_index)
     for act in actions:
-        if not 0 <= act.position < len(tokens) or not masked[act.position]:
+        i = bisect_left(index, act.position)
+        if i == len(index) or index[i] != act.position:
             raise PositionNotMasked(f"position {act.position} is not masked")
-        if act.token == state.vocab.mask_id:
+        if act.token == vocab.mask_id:
             raise TokenIsMask("cannot reveal the mask token")
-        if not state.vocab.is_content(act.token):
+        if not vocab.is_content(act.token):
             raise TokenIsMask(f"token {act.token} outside vocab")
         tokens[act.position] = act.token
-        masked[act.position] = False
-        n += 1
-    return SeqState._unchecked(
-        state.vocab, state.prompt_len, tuple(tokens), tuple(masked), state.step + n
-    )
+        del index[i]
+    child = object.__new__(SeqState)
+    object.__setattr__(child, "vocab", vocab)
+    object.__setattr__(child, "prompt_len", state.prompt_len)
+    object.__setattr__(child, "tokens", tuple(tokens))
+    object.__setattr__(child, "step", state.step + len(state.masked_index) - len(index))
+    object.__setattr__(child, "masked_index", tuple(index))
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +166,20 @@ def state_to_json(state: SeqState) -> dict:
     return {
         "prompt_len": state.prompt_len,
         "tokens": list(state.tokens),
-        "masked": [bool(m) for m in state.masked],
+        "masked": list(state.masked),
         "step": state.step,
     }
 
 
 def state_from_json(obj, vocab: Vocab) -> SeqState:
     """The state a WireState object describes over `vocab`; ConfigError
-    names the key of an ill-typed value and the position of a bad token."""
+    names the key of an ill-typed value and the position of a bad token.
+    The wire's mask flags must agree with its tokens: the state keeps only
+    the tokens."""
     wire = from_json(WireState, obj)
-    return SeqState(vocab, wire.prompt_len, wire.tokens, wire.masked, wire.step)
+    if len(wire.tokens) != len(wire.masked):
+        raise ConfigError("tokens and masked must have equal length")
+    for i, (tok, flag) in enumerate(zip(wire.tokens, wire.masked)):
+        if flag != (tok == vocab.mask_id):
+            raise ConfigError(f"mask flag and token disagree at position {i}")
+    return SeqState(vocab, wire.prompt_len, wire.tokens, wire.step)

@@ -36,7 +36,7 @@ from .errors import (
     SubsetNotMasked,
 )
 from .mcts import SearchNode, backpropagate, select_leaf
-from .seqcore import SeqState, UnmaskAction, apply_many, masked_positions
+from .seqcore import SeqState, UnmaskAction, apply_many
 
 PROXIES = ("entropy", "one_minus_maxprob", "top2_margin")
 ENUMERATION_CAP = 1_000_000
@@ -108,7 +108,7 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
     subset = sorted(int(p) for p in positions)
     if not subset:
         raise SubsetNotMasked("subset must be non-empty")
-    masked = set(masked_positions(state))
+    masked = set(state.masked_index)
     bad = [p for p in subset if p not in masked]
     if bad:
         raise SubsetNotMasked(f"positions {bad} are not masked")
@@ -303,7 +303,7 @@ def schedule_costs(
     conditioned) once for all schedules through it, and each cost equals
     schedule_cost's argmax walk. Raises InstanceTooLarge past `cap`.
     """
-    m = len(masked_positions(root))
+    m = len(root.masked_index)
     total = count_schedules(m, k, step_size)
     if total > cap:
         raise InstanceTooLarge(f"{total} schedules exceeds cap {cap}")
@@ -320,7 +320,7 @@ def schedule_costs(
             return
         output = model.predict(cur)
         conditional = model.masked_conditional(cur) if with_dependence else None
-        remaining = tuple(masked_positions(cur))
+        remaining = cur.masked_index
         for step in _next_step_choices(remaining, k - len(steps), sizes, len(steps)):
             _, gap, acts, nxt = _step(cur, step, output.probs(step))
             dep = (_dependence(conditional, step),) if with_dependence else ()
@@ -348,7 +348,7 @@ def _walk(model, cur: SeqState, k: int, sizes, choose: Callable, steps=(), gaps=
     committed tokens cover the extension only."""
     steps, gaps, committed = list(steps), list(gaps), []
     while len(steps) < k:
-        remaining = tuple(masked_positions(cur))
+        remaining = cur.masked_index
         choices = _next_step_choices(remaining, k - len(steps), sizes, len(steps))
         output = model.predict(cur)
         step = choose(output, choices)
@@ -373,7 +373,7 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
                 best_step, best_gap = step, gap
         return best_step
 
-    sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
+    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
     return _walk(model, root, k, sizes, least_gap)
 
 
@@ -385,7 +385,7 @@ def random_schedule(
     model, root: SeqState, k: int, rng: np.random.Generator, step_size=None
 ) -> ScheduleCost:
     """Baseline: uniform feasible step at each context, argmax commits."""
-    sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
+    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
     return _walk(model, root, k, sizes, _uniform_choice(rng))
 
 
@@ -421,7 +421,7 @@ def search_schedules(
     given, the best J after each listed iteration count (best-so-far, so
     snapshot values are non-increasing).
     """
-    sizes = _resolve_sizes(len(masked_positions(root)), k, step_size)
+    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
     rng = np.random.default_rng(seed)
     marks = sorted(set(snapshots)) if snapshots else []
     snap: dict[int, float] = {}
@@ -450,7 +450,7 @@ def search_schedules(
             backpropagate(path, node.terminal_reward)
         else:
             ws: _WalkState = node.state
-            remaining = tuple(masked_positions(ws.seq))
+            remaining = ws.seq.masked_index
             output = model.predict(ws.seq)
             for step in _next_step_choices(remaining, k - len(ws.steps), sizes, len(ws.steps)):
                 _, gap, _, seq = _step(ws.seq, step, output.probs(step))
@@ -496,7 +496,7 @@ def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMER
     max_excess = float("-inf")
     min_slack = float("inf")
     tightest: Schedule | None = None
-    for k in range(1, len(masked_positions(root)) + 1):
+    for k in range(1, len(root.masked_index) + 1):
         for cost in schedule_costs(model, root, k, with_dependence=True, cap=cap):
             dep, gap = cost.dep_total, cost.j
             excess = dep - gap

@@ -222,7 +222,7 @@ def test_log_level_validation(monkeypatch):
         ({"total_steps": [4]}, "total_steps"),
         ({"template_tokens": 5}, "template_tokens"),
         ({"template_tokens": [1, "2"]}, "template_tokens"),
-        ({"search": None}, "search config"),
+        ({"search": None}, "search config must be a JSON object, got null"),
         ({"search": {"k1": "3"}}, "k1"),
         ({"search": {"max_simulations": 2.5}}, "max_simulations"),
         ({"search": {"use_entropy_penalty": 1}}, "use_entropy_penalty"),
@@ -339,6 +339,9 @@ def input_dir(tmp_path, trap_file):
         probs = [entry, {"tokens": [1, 1], "p": 0.5}]
         obj = {"vocab_size": 2, "length": 2, "probs": probs, **extra}
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    (tmp_path / "tab_probs_mapping.json").write_text(
+        json.dumps({"vocab_size": 2, "length": 2, "probs": {"a": 1}})
+    )
     (tmp_path / "tab_too_large.json").write_text(
         json.dumps({"vocab_size": 3, "length": 40, "probs": []})
     )
@@ -400,6 +403,9 @@ def input_dir(tmp_path, trap_file):
          "tab_wrong_length.json: tabular entry key 'tokens'"),
         (["decode", "--model", "{d}/tab_unknown_key.json"],
          "tab_unknown_key.json: unknown tabular file keys ['temperature']"),
+        (["decode", "--model", "{d}/tab_probs_mapping.json"],
+         "tab_probs_mapping.json: tabular file key 'probs' must be list of tabular entry,"
+         ' got {"a": 1}'),
         (["decode", "--model", "{d}/tab_too_large.json"],
          "tab_too_large.json: tabular file keys 'vocab_size' and 'length'"),
         (["theory-check", "--model", "{d}/fact_length.json"],
@@ -415,7 +421,8 @@ def input_dir(tmp_path, trap_file):
         "model_file_vocab_size", "model_file_mask_id", "ngram_mask_id", "k_zero",
         "tabular_float_token", "tabular_bool_token", "tabular_string_p",
         "tabular_negative_token", "tabular_token_is_vocab_size", "tabular_wrong_length",
-        "tabular_unknown_key", "tabular_joint_too_large", "factorized_length_mismatch", "factorized_string_entry",
+        "tabular_unknown_key", "tabular_probs_not_list", "tabular_joint_too_large",
+        "factorized_length_mismatch", "factorized_string_entry",
     ],
 )
 def test_unreadable_input_is_a_config_error(input_dir, capsys, argv, named):

@@ -279,7 +279,7 @@ def test_property_ngram_predict_matches_context_loop(n, prompt_len, length, mask
     tokens = gen.integers(0, vocab, size=prompt_len + length)
     flags = (False,) * prompt_len + tuple(masked.tolist())
     tokens = tuple(model.vocab.mask_id if m else int(t) for t, m in zip(tokens, flags))
-    state = SeqState(model.vocab, prompt_len, tokens, flags)
+    state = SeqState(model.vocab, prompt_len, tokens)
     out = model.predict(state)
     assert out.positions() == list(state.masked_index)
     for pos, row in zip(out.positions(), out.matrix()):
@@ -359,16 +359,20 @@ def test_remote_round_trip_and_error_frames(rng):
             # connection still usable afterwards
             again = remote.predict(state)
             assert np.max(np.abs(again.matrix() - local.matrix())) < 1e-12
-        # an ill-typed request is answered with an error frame, not read as
-        # another state, and the same connection then serves a valid one
+        # an ill-typed request, and one whose mask flag is set on a content
+        # token, are each answered with an error frame, not read as another
+        # state, and the same connection then serves a valid one
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
             bad = {"prompt_len": 0.9, "tokens": [1.7, "2", True], "masked": [0, "", 0], "step": "4"}
-            for request in (bad, state_to_json(state)):
+            flagged = {**state_to_json(state), "masked": [True, True, True]}
+            for request in (bad, flagged, state_to_json(state)):
                 stream.write((json.dumps(request) + "\n").encode())
                 stream.flush()
             error = json.loads(stream.readline())
             assert error == {"error": "ConfigError: wire state key 'prompt_len' must be int, got 0.9"}
+            error = json.loads(stream.readline())
+            assert error == {"error": "ConfigError: mask flag and token disagree at position 0"}
             reply = json.loads(stream.readline())
             assert list(reply["logits"]) == ["1", "2"]
             assert np.array_equal(list(reply["logits"].values()), local.matrix())
@@ -472,12 +476,16 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
         (b'{"logits": {"2": [0.5, true, 1]}}\n', "position 2 is not a list of JSON numbers"),
         (b'{"logits": {"2": 0.5}}\n', "position 2 is not a list of JSON numbers"),
         (b'{"logits": {"1_0": [0.0, 1.0, 2.0]}}\n', "decimal digits"),
+        (b'{"logits": {"1": [0.0, 1.0, 2.0], "01": [2.0, 1.0, 0.0]}}\n', "decimal digits"),
+        (b'{"logits": {"\\u0661": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "decimal digits"),
+        (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0]}}\n', "one width"),
         (None, "closed"),
     ],
     ids=[
         "non_json", "no_logits", "logits_not_mapping", "logits_not_numbers",
         "logits_numeric_string", "logits_bool", "logits_row_not_list",
-        "logits_key_not_decimal", "closed",
+        "logits_key_not_decimal", "logits_key_duplicate", "logits_key_non_ascii",
+        "logits_ragged_rows", "closed",
     ],
 )
 def test_remote_bad_replies_raise_remote_error(line, match):
@@ -488,6 +496,23 @@ def test_remote_bad_replies_raise_remote_error(line, match):
             with pytest.raises(RemoteError, match=match):
                 remote.predict(state)
             assert remote._sock is None  # dropped; the next call reconnects
+
+
+def test_remote_reply_keys_in_any_order_match_their_rows(rng):
+    model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 3)
+
+    def reply(n, raw):
+        logits = json.loads(_logits_line(model, raw))["logits"]
+        return (json.dumps({"logits": dict(reversed(logits.items()))}) + "\n").encode()
+
+    with _scripted(reply) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+            got = remote.predict(state)
+    local = model.predict(state)
+    assert got.positions() == local.positions() == [1, 2, 3]
+    for pos in local.positions():
+        assert np.array_equal(got.logits[pos], local.logits[pos])
 
 
 @pytest.mark.parametrize(

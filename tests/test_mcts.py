@@ -17,7 +17,6 @@ from medal.mcts import (
     SearchNode,
     backpropagate,
     check_node_invariant,
-    config_with_depth,
     expand,
     run_cgmcts,
     simulate,
@@ -68,7 +67,6 @@ def test_config_json_round_trip():
     assert back == cfg
     with pytest.raises(ConfigError):
         SearchConfig.from_json({"k1": 2, "beam_width": 3})
-    assert config_with_depth(cfg, 4).init_length == 4
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_simulate_argmax_matches_marginal_argmax(rng):
     state = SeqState.fully_masked(model.vocab, (), 3)
     gen = np.random.default_rng(3)
     record, completion = simulate_action(model, state, UnmaskAction(0, 1), gen, mode="argmax")
-    nxt = state.apply(UnmaskAction(0, 1))
+    nxt = apply_action(state, UnmaskAction(0, 1))
     out = model.predict(nxt)
     for p in (1, 2):
         probs = np.exp(out.logits[p])

@@ -15,7 +15,6 @@ from medal.seqcore import (
     Vocab,
     apply_action,
     apply_many,
-    masked_positions,
     state_from_json,
     state_to_json,
 )
@@ -44,23 +43,24 @@ def test_fully_masked_layout():
     assert s.gen_length == 3
     assert s.reveal_count() == 0
     assert not s.is_complete
-    assert masked_positions(s) == [2, 3, 4]
+    assert s.masked_index == (2, 3, 4)
 
 
 def test_state_validation_errors():
     v = Vocab(size=3)
     with pytest.raises(ConfigError):
-        SeqState(v, 0, (0, 1), (False,))  # length mismatch
+        SeqState(v, 3, (0, 1, 2))  # empty gen region
     with pytest.raises(ConfigError):
-        SeqState(v, 3, (0, 1, 2), (False, False, False))  # empty gen region
+        SeqState(v, 1, (3, 0))  # masked prompt slot
     with pytest.raises(ConfigError):
-        SeqState(v, 1, (3, 0), (True, False))  # masked prompt slot
-    with pytest.raises(ConfigError):
-        SeqState(v, 0, (3, 0), (False, False))  # mask token not flagged
-    with pytest.raises(ConfigError):
-        SeqState(v, 0, (0, 1), (True, False))  # flag without mask token
-    with pytest.raises(ConfigError):
-        SeqState(v, 0, (9, 3), (False, True))  # revealed token outside vocab
+        SeqState(v, 0, (9, 3))  # revealed token outside vocab
+    # the wire's mask flags are a second record of the mask, checked on reading
+    with pytest.raises(ConfigError, match="equal length"):
+        state_from_json({"prompt_len": 0, "tokens": [0, 1], "masked": [False]}, v)
+    with pytest.raises(ConfigError, match="disagree at position 0"):  # mask token not flagged
+        state_from_json({"prompt_len": 0, "tokens": [3, 0], "masked": [False, False]}, v)
+    with pytest.raises(ConfigError, match="disagree at position 0"):  # flag without mask token
+        state_from_json({"prompt_len": 0, "tokens": [0, 1], "masked": [True, False]}, v)
 
 
 def test_apply_action_reveals_and_advances_step():
@@ -72,7 +72,7 @@ def test_apply_action_reveals_and_advances_step():
     assert s2.step == 1
     # original untouched
     assert s.tokens[1] == 4 and s.step == 0
-    s3 = s2.apply(UnmaskAction(2, 0))
+    s3 = apply_action(s2, UnmaskAction(2, 0))
     assert s3.is_complete and s3.step == 2
     assert s3.gen_tokens() == (3, 0)
 
@@ -99,7 +99,7 @@ def test_apply_many_counts_every_reveal():
     s2 = apply_many(s, [UnmaskAction(0, 1), UnmaskAction(3, 2)])
     assert s2.step == 2
     assert s2.tokens == (1, 4, 4, 2)
-    assert masked_positions(s2) == [1, 2]
+    assert s2.masked_index == (1, 2)
 
 
 def test_serialization_round_trip():
@@ -142,7 +142,7 @@ def test_property_apply_many_matches_sequential_apply(case):
     assert bulk == seq
     assert bulk.step == state.step + len(actions)
     assert bulk.reveal_count() == len(actions)
-    assert len(masked_positions(bulk)) == state.gen_length - len(actions)
+    assert len(bulk.masked_index) == state.gen_length - len(actions)
     for act in actions:
         assert bulk.tokens[act.position] == act.token
         assert not bulk.masked[act.position]
@@ -152,16 +152,14 @@ def test_property_apply_many_matches_sequential_apply(case):
 @given(state_and_actions())
 def test_property_masked_index_matches_mask_flags(case):
     # the index is derived once when a state is built, by validation or by
-    # apply_many; both must agree with a scan of the flags
+    # apply_many; both must agree with a scan of the flags, and the flags
+    # with the tokens
     state, actions = case
     for s in (state, apply_many(state, actions)):
+        assert s.masked == tuple(tok == s.vocab.mask_id for tok in s.tokens)
         want = [i for i, m in enumerate(s.masked) if m]
         assert s.masked_index == tuple(want)
         assert s.is_complete == (not want)
-        got = masked_positions(s)
-        assert got == want
-        got.append(-1)  # each caller gets its own list
-        assert masked_positions(s) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -175,9 +173,17 @@ def test_property_checked_reveals_give_valid_states(case, data):
         n = data.draw(st.integers(min_value=1, max_value=len(actions) - done))
         cur = apply_many(cur, actions[done : done + n])
         done += n
-        full = SeqState(cur.vocab, cur.prompt_len, cur.tokens, cur.masked, cur.step)
+        full = SeqState(cur.vocab, cur.prompt_len, cur.tokens, cur.step)
         assert cur == full and hash(cur) == hash(full)
-        assert state_from_json(state_to_json(cur), cur.vocab) == cur
+        mask_id = cur.vocab.mask_id
+        assert cur.masked_index == tuple(i for i, t in enumerate(cur.tokens) if t == mask_id)
+        back = state_from_json(state_to_json(cur), cur.vocab)
+        assert back == cur and back.masked_index == cur.masked_index
+        for i in range(len(cur.tokens)):
+            wire = state_to_json(cur)
+            wire["masked"][i] = not wire["masked"][i]
+            with pytest.raises(ConfigError, match=f"disagree at position {i}$"):
+                state_from_json(wire, cur.vocab)
     vocab = cur.vocab
     for act in actions:
         with pytest.raises(PositionNotMasked):
@@ -185,7 +191,7 @@ def test_property_checked_reveals_give_valid_states(case, data):
     for pos in (-1, len(cur.tokens)) + tuple(range(cur.prompt_len)):
         with pytest.raises(PositionNotMasked):
             apply_many(cur, [UnmaskAction(pos, 0)])
-    left = masked_positions(cur)
+    left = cur.masked_index
     if left:
         with pytest.raises(PositionNotMasked):
             apply_many(cur, [UnmaskAction(left[0], 0), UnmaskAction(left[0], 1)])

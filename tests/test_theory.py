@@ -16,7 +16,7 @@ from medal.errors import (
     ZeroMassContext,
 )
 from medal.families import random_calibrated_model, xor_pair_model
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, masked_positions
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import (
     Schedule,
     count_schedules,
@@ -295,7 +295,7 @@ def test_schedule_costs_equal_the_reference_walk():
     # every yielded cost is what schedule_cost's argmax walk of its
     # schedule gives, in the reference partition order for full cover
     for model, root in _walk_cases():
-        positions = masked_positions(root)
+        positions = root.masked_index
         for k, step_size in SIZE_CASES + [(len(positions), None)]:
             for with_dependence in (True, False):
                 costs = list(schedule_costs(
@@ -339,7 +339,7 @@ def test_schedule_costs_predict_each_context_once():
 
 
 def _reference_lemma1(model, root, tol=1e-9):
-    positions = masked_positions(root)
+    positions = root.masked_index
     costs = [
         schedule_cost(model, root, Schedule(steps), with_dependence=True)
         for k in range(1, len(positions) + 1)
