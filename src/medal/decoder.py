@@ -26,7 +26,6 @@ from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
 AUGMENTERS = ("identity", "template", "self_generate")
-REMAINING_MODES = ("argmax", "sample")
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class DecodeConfig:
             raise ConfigError("sample_temperature must be > 0")
         if self.tokens_per_step < 1:
             raise ConfigError("tokens_per_step must be >= 1")
-        if self.remaining_mode not in REMAINING_MODES:
+        if self.remaining_mode not in kernels.PICK_MODES:
             raise ConfigError(f"unknown remaining_mode {self.remaining_mode!r}")
         if self.augmenter not in AUGMENTERS:
             raise ConfigError(f"unknown augmenter {self.augmenter!r}")

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# the token-pick modes of pick_tokens
+PICK_MODES = ("argmax", "sample")
+
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's max before exponentiating."""
@@ -85,7 +88,7 @@ def pick_tokens(
     """
     if mode == "argmax":
         return probs.argmax(axis=1)
-    if mode != "sample":
+    if mode not in PICK_MODES:
         raise ConfigError(f"unknown token pick mode {mode!r}; choose argmax or sample")
     if rng is None:
         raise ConfigError("sample mode needs an rng")

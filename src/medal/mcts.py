@@ -5,10 +5,12 @@ expanded nodes, then drives a descent: expand the frontier node into its
 pooled top-k2 scored actions, simulate every new child once, backpropagate
 each child's information-gain reward along the shared path, and step to
 the best child, repeating until the descent reaches init_length revealed
-tokens. Expansion builds each child state once, and each child gets one
-model prediction, softmaxed once: its reward, its rollout (the sequence
-completed from that prediction) and, when the descent steps into it, its
-own expansion all read it. Nodes at that depth enter the candidate pool;
+tokens. Expansion builds each child state once. Each node keeps the one
+model prediction made for it, softmaxed once: the root's when the search
+starts, a child's when it is simulated. Its reward, its rollout (the
+sequence completed from that prediction), its pool entry and its own
+expansion, in any later iteration, all read it, so no node is predicted
+twice. Nodes at that depth enter the candidate pool;
 they stay selectable but are never expanded, and re-selecting one
 backpropagates its stored creation reward. The per-iteration descent is
 what lets a budget of 64 * candidate_count simulations reach pool depth:
@@ -33,7 +35,7 @@ import numpy as np
 from . import jsonspec, kernels
 from .errors import AlreadyExpanded, ConfigError, NoChildren
 from .reward import EntropyProfile, RewardRecord, entropy_gain
-from .scoring import build_candidates
+from .scoring import DEFAULT_EPSILON, DEFAULT_GAMMA, build_candidates
 from .seqcore import SeqState, UnmaskAction, apply_action, apply_many
 
 
@@ -41,8 +43,8 @@ from .seqcore import SeqState, UnmaskAction, apply_action, apply_many
 class SearchConfig:
     k1: int = 3
     k2: int = 5
-    gamma: float = 5.0
-    epsilon: float = 1e-8
+    gamma: float = DEFAULT_GAMMA
+    epsilon: float = DEFAULT_EPSILON
     c_explore: float = math.sqrt(2.0)
     candidate_count: int = 3
     init_length: int = 20
@@ -72,7 +74,7 @@ class SearchConfig:
             raise ConfigError("init_length must be >= 0")
         if self.budget < self.candidate_count:
             raise ConfigError("simulation budget below candidate_count")
-        if self.rollout_mode not in ("sample", "argmax"):
+        if self.rollout_mode not in kernels.PICK_MODES:
             raise ConfigError(f"unknown rollout_mode {self.rollout_mode!r}")
 
     to_json = jsonspec.to_json
@@ -84,6 +86,9 @@ class SearchNode:
 
     visit_count follows N(x) = sum_a N(x, a) + 1: a node is born visited
     once, and grows by one each time a reward passes through it as a parent.
+    output and profile hold the model's prediction at the node's state and
+    the entropy profile read from it; the search sets them once (None when
+    the state is complete or the node was never simulated).
     """
 
     __slots__ = (
@@ -92,13 +97,13 @@ class SearchNode:
         "prior",
         "index",
         "children",
-        "_by_action",
-        "expanded",
         "terminal",
         "terminal_reward",
         "visit_count",
         "edge_visits",
         "edge_value",
+        "output",
+        "profile",
     )
 
     def __init__(self, state: Any, action: Any = None, prior: float = 0.0, index: int = 0):
@@ -107,28 +112,21 @@ class SearchNode:
         self.prior = prior
         self.index = index
         self.children: list[SearchNode] = []
-        self._by_action: dict[Any, SearchNode] = {}
-        self.expanded = False
         self.terminal = False
         self.terminal_reward = 0.0
         self.visit_count = 1
         self.edge_visits = 0
         self.edge_value = 0.0
+        self.output = None
+        self.profile: EntropyProfile | None = None
 
     @property
     def q(self) -> float:
         return self.edge_value / self.edge_visits if self.edge_visits else 0.0
 
-    def child(self, action: Any) -> "SearchNode":
-        return self._by_action[action]
 
-    def add_child(self, node: "SearchNode") -> None:
-        self.children.append(node)
-        self._by_action[node.action] = node
-
-
-def ucb_select(node: SearchNode, c_explore: float):
-    """Action of the child maximizing Q + c * sqrt(ln N(x) / N(x, a)).
+def ucb_select(node: SearchNode, c_explore: float) -> SearchNode:
+    """The child maximizing Q + c * sqrt(ln N(x) / N(x, a)).
 
     Unvisited children are taken first, highest prior score leading. All
     ties resolve by creation order, which expansion builds as (score desc,
@@ -138,23 +136,22 @@ def ucb_select(node: SearchNode, c_explore: float):
         raise NoChildren("cannot select from a node with no children")
     unvisited = [ch for ch in node.children if ch.edge_visits == 0]
     if unvisited:
-        best = max(unvisited, key=lambda ch: (ch.prior, -ch.index))
-        return best.action
+        return max(unvisited, key=lambda ch: (ch.prior, -ch.index))
     log_n = math.log(node.visit_count)
 
     def key(ch: SearchNode):
         bonus = c_explore * math.sqrt(log_n / ch.edge_visits)
         return (ch.q + bonus, ch.prior, -ch.index)
 
-    return max(node.children, key=key).action
+    return max(node.children, key=key)
 
 
 def select_leaf(root: SearchNode, c_explore: float) -> tuple[SearchNode, list]:
     """Descend by ucb_select through expanded, non-terminal nodes; returns
     the node reached and the (parent, child) edges taken, root first."""
     node, path = root, []
-    while node.expanded and node.children and not node.terminal:
-        child = node.child(ucb_select(node, c_explore))
+    while node.children and not node.terminal:
+        child = ucb_select(node, c_explore)
         path.append((node, child))
         node = child
     return node, path
@@ -172,31 +169,26 @@ def check_node_invariant(node: SearchNode) -> bool:
     return node.visit_count == sum(ch.edge_visits for ch in node.children) + 1
 
 
-def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
+def expand(node: SearchNode, cfg: SearchConfig) -> list[SearchNode]:
     """Create children for the pooled top-k2 actions of node.state, scored
-    from `output`, the model's prediction at node.state."""
-    if node.expanded:
+    from node.output, the model's prediction there."""
+    if node.children:
         raise AlreadyExpanded("node already expanded")
     if node.terminal:
         raise AlreadyExpanded("pool nodes are frozen; they cannot expand")
     cands = build_candidates(
         node.state,
-        output,
+        node.output,
         cfg.k1,
         cfg.k2,
         cfg.gamma,
         cfg.epsilon,
         use_entropy_penalty=cfg.use_entropy_penalty,
     )
-    for action, score in cands.pooled:
-        child = SearchNode(
-            state=apply_action(node.state, action),
-            action=action,
-            prior=score,
-            index=len(node.children),
-        )
-        node.add_child(child)
-    node.expanded = True
+    node.children = [
+        SearchNode(apply_action(node.state, action), action, prior=score, index=i)
+        for i, (action, score) in enumerate(cands.pooled)
+    ]
     return list(node.children)
 
 
@@ -284,7 +276,8 @@ def run_cgmcts(
     final expansion of a descent may overshoot by at most k2 - 1 so that
     sibling candidates are never half-created. init_length == 0
     short-circuits to a pool holding only the root (no search, no model
-    calls), which keeps the no-search decode path exact.
+    calls); decode skips the search itself at that depth, so only callers
+    of the search stage alone (mcts-init) reach it.
     """
     cfg.validate()
     if root_state.reveal_count() != 0:
@@ -308,8 +301,8 @@ def run_cgmcts(
         rng = np.random.default_rng(cfg.seed)
 
     root = SearchNode(root_state)
-    root_output = model.predict(root_state)
-    root_profile = EntropyProfile.of(root_state, root_output)
+    root.output = model.predict(root_state)
+    root.profile = EntropyProfile.of(root_state, root.output)
 
     sims = 0
     it = 0
@@ -324,28 +317,17 @@ def run_cgmcts(
             rewards.append(node.terminal_reward)
             sims += 1
         else:
-            # descend: expand level by level toward the pool depth. Each new
-            # child's prediction and profile, made for its simulation, are
-            # handed to the next level, so stepping into the chosen child
-            # costs no model call (predictions are pure, so outputs do not
-            # change).
-            fresh: dict[SearchNode, tuple] = {root: (root_output, root_profile)}
+            # descend: expand level by level toward the pool depth; every
+            # node reached here was simulated, so it holds its prediction
             while not node.terminal and not pool.full and sims < cfg.budget:
-                if node in fresh:
-                    output, before = fresh[node]
-                else:
-                    output = model.predict(node.state)
-                    before = EntropyProfile.of(node.state, output)
-                fresh = {}
                 prefix = tuple(c.action for _, c in path)
-                for child in expand(node, output, cfg):
-                    child_output = None
+                for child in expand(node, cfg):
                     if not child.state.is_complete:
-                        child_output = model.predict(child.state)
+                        child.output = model.predict(child.state)
                     record, completion = simulate(
-                        before, child, child_output, rng, mode=cfg.rollout_mode
+                        node.profile, child, child.output, rng, mode=cfg.rollout_mode
                     )
-                    fresh[child] = (child_output, record.after)
+                    child.profile = record.after
                     sims += 1
                     backpropagate(path + [(node, child)], record.r_ig)
                     expanded_actions.append(
@@ -361,17 +343,16 @@ def run_cgmcts(
                                 state=child.state,
                                 path=prefix + (child.action,),
                                 reward=record.r_ig,
-                                score=entropy_gain(root_profile.total, record.after.total),
+                                score=entropy_gain(root.profile.total, record.after.total),
                                 completion=completion,
-                                output=child_output,
+                                output=child.output,
                             )
                         )
                         if pool.full:
                             break
                 if pool.full or not node.children:
                     break
-                chosen = ucb_select(node, cfg.c_explore)
-                child = node.child(chosen)
+                child = ucb_select(node, cfg.c_explore)
                 path.append((node, child))
                 node = child
 

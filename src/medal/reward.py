@@ -42,10 +42,13 @@ class EntropyProfile:
     @classmethod
     def of(cls, state: SeqState, output) -> "EntropyProfile":
         """Profile of `state` from `output`, the model's prediction there
-        (unused, and may be None, when the state is complete)."""
+        (unused, and may be None, when the state is complete). Raises
+        MissingPosition or LogitWidthMismatch unless `output` covers
+        exactly the masked positions with vocab-wide rows."""
         positions = state.masked_index
         if not positions:
             return cls.empty()
+        output.check_cover(positions, state.vocab.size)
         values = kernels.entropy_rows(output.probs(positions))
         return cls(positions=positions, values=tuple(values.tolist()), total=float(values.sum()))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,10 +115,19 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
     return subset
 
 
+def _predict(model, state: SeqState):
+    """The model's prediction at `state`, checked to cover exactly its
+    masked positions with vocab-wide rows (MissingPosition or
+    LogitWidthMismatch otherwise)."""
+    output = model.predict(state)
+    output.check_cover(state.masked_index, state.vocab.size)
+    return output
+
+
 def position_entropies(model, state: SeqState, positions: Sequence[int]) -> np.ndarray:
     """Exact predictive entropies (nats) at the given masked positions."""
     subset = _subset_check(state, positions)
-    return kernels.entropy_rows(model.predict(state).probs(subset))
+    return kernels.entropy_rows(_predict(model, state).probs(subset))
 
 
 def entropy_gap(model, state: SeqState, positions: Sequence[int]) -> float:
@@ -179,6 +188,25 @@ def _step(cur: SeqState, subset: Sequence[int], probs: np.ndarray, policy="argma
     return ent, _gap(ent), acts, apply_many(cur, acts)
 
 
+class _WalkState(NamedTuple):
+    """A schedule prefix walked with argmax commits: the context it reached,
+    its steps, their gaps and the tokens it committed."""
+
+    seq: SeqState
+    steps: tuple[tuple[int, ...], ...] = ()
+    gaps: tuple[float, ...] = ()
+    committed: tuple[tuple[int, int], ...] = ()
+
+    def extend(self, step: tuple[int, ...], probs: np.ndarray) -> "_WalkState":
+        """The prefix one step longer, from the step's probabilities at seq."""
+        _, gap, acts, seq = _step(self.seq, step, probs)
+        committed = self.committed + tuple((a.position, a.token) for a in acts)
+        return _WalkState(seq, self.steps + (step,), self.gaps + (gap,), committed)
+
+    def cost(self, per_step_dep: tuple[float, ...] | None = None) -> ScheduleCost:
+        return ScheduleCost(Schedule(self.steps), self.gaps, per_step_dep, None, self.committed)
+
+
 def schedule_cost(
     model,
     root: SeqState,
@@ -208,7 +236,7 @@ def schedule_cost(
     cur = root
     for step in schedule.steps:
         subset = _subset_check(cur, step)
-        probs = model.predict(cur).probs(subset)
+        probs = _predict(model, cur).probs(subset)
         ent, gap, acts, nxt = _step(cur, subset, probs, rollout_policy, rng)
         gaps.append(gap)
         if with_dependence:
@@ -311,25 +339,18 @@ def schedule_costs(
     if with_dependence:
         _require_conditionals(model)
 
-    def walk(cur: SeqState, steps, gaps, deps, committed) -> Iterator[ScheduleCost]:
-        if len(steps) == k:
-            yield ScheduleCost(
-                Schedule(steps), gaps, deps if with_dependence else None,
-                per_step_proxy=None, committed=committed,
-            )
+    def walk(ws: _WalkState, deps) -> Iterator[ScheduleCost]:
+        depth = len(ws.steps)
+        if depth == k:
+            yield ws.cost(deps if with_dependence else None)
             return
-        output = model.predict(cur)
-        conditional = model.masked_conditional(cur) if with_dependence else None
-        remaining = cur.masked_index
-        for step in _next_step_choices(remaining, k - len(steps), sizes, len(steps)):
-            _, gap, acts, nxt = _step(cur, step, output.probs(step))
+        output = _predict(model, ws.seq)
+        conditional = model.masked_conditional(ws.seq) if with_dependence else None
+        for step in _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth):
             dep = (_dependence(conditional, step),) if with_dependence else ()
-            yield from walk(
-                nxt, steps + (step,), gaps + (gap,), deps + dep,
-                committed + tuple((a.position, a.token) for a in acts),
-            )
+            yield from walk(ws.extend(step, output.probs(step)), deps + dep)
 
-    return walk(root, (), (), (), ())
+    return walk(_WalkState(root), ())
 
 
 def oracle_min_schedule(
@@ -340,26 +361,20 @@ def oracle_min_schedule(
     return min(costs, key=lambda c: c.j)
 
 
-def _walk(model, cur: SeqState, k: int, sizes, choose: Callable, steps=(), gaps=()) -> ScheduleCost:
-    """Extend a schedule prefix (its steps and gaps) from context `cur` to k
-    steps with argmax commits. At each context, choose(output, choices)
-    picks the next step among the feasible ones, given the model's
-    prediction there. The cost has no dependence or proxy terms; its
-    committed tokens cover the extension only."""
-    steps, gaps, committed = list(steps), list(gaps), []
-    while len(steps) < k:
-        remaining = cur.masked_index
-        choices = _next_step_choices(remaining, k - len(steps), sizes, len(steps))
-        output = model.predict(cur)
+def _walk(model, ws: _WalkState, k: int, sizes, choose: Callable, output=None) -> ScheduleCost:
+    """Extend a schedule prefix to k steps with argmax commits. At each
+    context, choose(output, choices) picks the next step among the feasible
+    ones, given the model's prediction there; `output`, when given, is that
+    prediction at the prefix's context. The cost has no dependence or
+    proxy terms."""
+    while len(ws.steps) < k:
+        depth = len(ws.steps)
+        choices = _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth)
+        if output is None:
+            output = _predict(model, ws.seq)
         step = choose(output, choices)
-        _, gap, acts, cur = _step(cur, step, output.probs(step))
-        steps.append(step)
-        gaps.append(gap)
-        committed.extend((a.position, a.token) for a in acts)
-    return ScheduleCost(
-        Schedule(tuple(steps)), tuple(gaps), per_step_dep=None, per_step_proxy=None,
-        committed=tuple(committed),
-    )
+        ws, output = ws.extend(step, output.probs(step)), None
+    return ws.cost()
 
 
 def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
@@ -374,7 +389,7 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
         return best_step
 
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(model, root, k, sizes, least_gap)
+    return _walk(model, _WalkState(root), k, sizes, least_gap)
 
 
 def _uniform_choice(rng: np.random.Generator) -> Callable:
@@ -386,22 +401,11 @@ def random_schedule(
 ) -> ScheduleCost:
     """Baseline: uniform feasible step at each context, argmax commits."""
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(model, root, k, sizes, _uniform_choice(rng))
+    return _walk(model, _WalkState(root), k, sizes, _uniform_choice(rng))
 
 
 # ---------------------------------------------------------------------------
 # UCT over schedule space (reuses the generic tree pieces from mcts)
-
-
-class _WalkState:
-    """Search-node payload: realized context plus the schedule prefix."""
-
-    __slots__ = ("seq", "steps", "gaps")
-
-    def __init__(self, seq: SeqState, steps: tuple[tuple[int, ...], ...], gaps: tuple[float, ...]):
-        self.seq = seq
-        self.steps = steps
-        self.gaps = gaps
 
 
 def search_schedules(
@@ -417,32 +421,29 @@ def search_schedules(
 ) -> tuple[ScheduleCost, dict[int, float]]:
     """UCT over schedule prefixes minimizing J (reward is -J of completions).
 
-    Returns the best complete schedule found and, when `snapshots` is
-    given, the best J after each listed iteration count (best-so-far, so
-    snapshot values are non-increasing).
+    Returns the cost of the best complete schedule found, as walked by the
+    search (it equals schedule_cost's argmax walk without dependence), and,
+    when `snapshots` is given, the best J after each listed iteration count
+    (best-so-far, so snapshot values are non-increasing). The root and each
+    non-terminal child are predicted once, when created; the child's
+    rollout and its later expansion both read that prediction.
     """
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
     rng = np.random.default_rng(seed)
     marks = sorted(set(snapshots)) if snapshots else []
     snap: dict[int, float] = {}
 
-    best_j: float | None = None
-    best_steps: tuple[tuple[int, ...], ...] | None = None
+    best: ScheduleCost | None = None
 
-    def consider(steps: tuple[tuple[int, ...], ...], j: float) -> None:
-        nonlocal best_j, best_steps
-        if best_j is None or j < best_j - 1e-15:
-            best_j, best_steps = j, steps
-
-    uniform = _uniform_choice(rng)
-
-    def rollout(ws: _WalkState) -> float:
-        """Finish the prefix with uniform random feasible steps; returns J."""
-        cost = _walk(model, ws.seq, k, sizes, uniform, ws.steps, ws.gaps)
-        consider(cost.schedule.steps, cost.j)
+    def consider(cost: ScheduleCost) -> float:
+        nonlocal best
+        if best is None or cost.j < best.j - 1e-15:
+            best = cost
         return cost.j
 
-    root_node = SearchNode(_WalkState(root, (), ()))
+    uniform = _uniform_choice(rng)
+    root_node = SearchNode(_WalkState(root))
+    root_node.output = _predict(model, root)
 
     for it in range(budget):
         node, path = select_leaf(root_node, c_explore)
@@ -450,35 +451,28 @@ def search_schedules(
             backpropagate(path, node.terminal_reward)
         else:
             ws: _WalkState = node.state
-            remaining = ws.seq.masked_index
-            output = model.predict(ws.seq)
-            for step in _next_step_choices(remaining, k - len(ws.steps), sizes, len(ws.steps)):
-                _, gap, _, seq = _step(ws.seq, step, output.probs(step))
+            depth = len(ws.steps)
+            for step in _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth):
+                prefix = ws.extend(step, node.output.probs(step))
                 child = SearchNode(
-                    state=_WalkState(seq, ws.steps + (step,), ws.gaps + (gap,)),
-                    action=step,
-                    prior=-gap,
-                    index=len(node.children),
+                    prefix, action=step, prior=-prefix.gaps[-1], index=len(node.children)
                 )
-                node.add_child(child)
-                if len(child.state.steps) == k:
-                    j = float(sum(child.state.gaps))
-                    consider(child.state.steps, j)
+                node.children.append(child)
+                if depth + 1 == k:
                     child.terminal = True
-                    child.terminal_reward = -j
-                    reward = -j
+                    child.terminal_reward = reward = -consider(prefix.cost())
                 else:
-                    reward = -rollout(child.state)
+                    # rollout: finish the prefix with uniform random steps
+                    child.output = _predict(model, prefix.seq)
+                    reward = -consider(_walk(model, prefix, k, sizes, uniform, child.output))
                 backpropagate(path + [(node, child)], reward)
-            node.expanded = True
 
         if it + 1 in marks:
-            snap[it + 1] = best_j if best_j is not None else float("inf")
+            snap[it + 1] = best.j if best is not None else float("inf")
 
-    if best_steps is None:
+    if best is None:
         raise ConfigError("schedule search found no complete schedule")
-    cost = schedule_cost(model, root, Schedule(best_steps), with_dependence=False)
-    return cost, snap
+    return best, snap
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from medal.mcts import (
     ucb_select,
 )
 from medal.reward import cumulative_gain, entropy_profile, info_gain
-from medal.families import xor_pair_model
+from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
 
@@ -80,7 +80,7 @@ def build_parent(stats):
         child = SearchNode(state=f"s{i}", action=f"a{i}", prior=prior, index=i)
         child.edge_visits = visits
         child.edge_value = value
-        parent.add_child(child)
+        parent.children.append(child)
         parent.visit_count += visits
     return parent
 
@@ -95,22 +95,21 @@ def test_ucb_frozen_hand_example():
     a.edge_visits, a.edge_value = 5, 3.0
     b = SearchNode(state="B", action="B", prior=0.0, index=1)
     b.edge_visits, b.edge_value = 8, 6.4
-    parent.add_child(a)
-    parent.add_child(b)
+    parent.children.extend([a, b])
     parent.visit_count = 10
     ucb_a = a.q + math.sqrt(2) * math.sqrt(math.log(10) / 5)
     ucb_b = b.q + math.sqrt(2) * math.sqrt(math.log(10) / 8)
     assert ucb_a == pytest.approx(1.5597052, abs=1e-6)
     assert ucb_b == pytest.approx(1.5587136, abs=1e-6)
-    assert ucb_select(parent, math.sqrt(2)) == "A"
+    assert ucb_select(parent, math.sqrt(2)) is a
     # with exploration off the high-Q child wins instead
-    assert ucb_select(parent, 0.0) == "B"
+    assert ucb_select(parent, 0.0) is b
 
 
 def test_ucb_prefers_unvisited_by_prior_then_creation_order():
     parent = build_parent([(0.3, 2, 1.0), (0.5, 0, 0.0), (0.5, 0, 0.0), (0.9, 1, 0.9)])
     # two unvisited children tie on prior 0.5; earlier creation index wins
-    assert ucb_select(parent, 1.0) == "a1"
+    assert ucb_select(parent, 1.0) is parent.children[1]
     with pytest.raises(NoChildren):
         ucb_select(SearchNode(state="leaf"), 1.0)
 
@@ -119,8 +118,8 @@ def test_backpropagate_and_invariant():
     root = SearchNode(state="r")
     mid = SearchNode(state="m", action="m")
     leaf = SearchNode(state="l", action="l")
-    root.add_child(mid)
-    mid.add_child(leaf)
+    root.children.append(mid)
+    mid.children.append(leaf)
     path = [(root, mid), (mid, leaf)]
     backpropagate(path, 0.5)
     backpropagate(path, 0.1)
@@ -137,8 +136,8 @@ def test_expand_orders_children_by_pooled_rank(rng):
     state = SeqState.fully_masked(model.vocab, (), 3)
     node = SearchNode(state)
     cfg = replace(SearchConfig(), k1=2, k2=4, init_length=2)
-    output = model.predict(state)
-    kids = expand(node, output, cfg)
+    node.output = model.predict(state)
+    kids = expand(node, cfg)
     assert len(kids) == 4
     priors = [k.prior for k in kids]
     assert priors == sorted(priors, reverse=True)
@@ -147,11 +146,12 @@ def test_expand_orders_children_by_pooled_rank(rng):
         assert k.state.reveal_count() == 1
         assert k.state.tokens[k.action.position] == k.action.token
     with pytest.raises(AlreadyExpanded):
-        expand(node, output, cfg)
+        expand(node, cfg)
     frozen = SearchNode(state)
+    frozen.output = node.output
     frozen.terminal = True
     with pytest.raises(AlreadyExpanded):
-        expand(frozen, output, cfg)
+        expand(frozen, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +334,15 @@ def test_search_trace_schema_and_budget_accounting(rng):
     # the final expansion sweep may overshoot by at most k2 - 1
     assert total_sims <= cfg.budget + cfg.k2 - 1
     assert events[-1]["pool_size"] == 3
+
+
+def test_search_predicts_each_node_once():
+    # the root is predicted when the search starts and each child when it
+    # is simulated; later iterations expand nodes from the kept prediction
+    model = CountingDenoiser(random_calibrated_model(np.random.default_rng(0), 6, 3))
+    root = SeqState.fully_masked(model.vocab, (), 6)
+    cfg = SearchConfig(init_length=4, candidate_count=20, max_simulations=512, k2=3)
+    trace = []
+    run_cgmcts(model, root, cfg, trace=trace.append)
+    assert len(trace) == 10
+    assert model.calls == 1 + sum(len(ev["expanded_actions"]) for ev in trace)

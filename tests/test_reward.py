@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from medal.denoisers import FactorizedModel, TabularModel
-from medal.errors import ZeroBaselineEntropy
-from medal.families import negative_gain_model, xor_pair_model
+from medal.denoisers import Denoiser, DenoiserOutput, FactorizedModel, TabularModel
+from medal.errors import LogitWidthMismatch, MissingPosition, ZeroBaselineEntropy
+from medal.families import negative_gain_model, random_calibrated_model, xor_pair_model
+from medal.mcts import SearchConfig, run_cgmcts
 from medal.reward import EntropyProfile, cumulative_gain, entropy_gain, entropy_profile, info_gain
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
+from medal.theory import entropy_gap, oracle_min_schedule, schedule_costs
 
 
 def test_profile_of_complete_state_is_empty(rng):
@@ -119,3 +121,65 @@ def test_record_serialization():
     obj = rec.to_json()
     assert obj["action"] == [1, 0]
     assert set(obj) == {"action", "r_ig", "before_total", "after_total"}
+
+
+
+class MalformedModel(Denoiser):
+    """Wraps a model; once a state has `from_reveals` revealed tokens, each
+    prediction is one logit column too wide ("wide") or carries a row for a
+    position past the sequence ("extra_row")."""
+
+    def __init__(self, inner, fault, from_reveals=0):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.fault = fault
+        self.from_reveals = from_reveals
+
+    def predict(self, state):
+        out = self.inner.predict(state)
+        if state.reveal_count() < self.from_reveals:
+            return out
+        positions, matrix = out.positions(), out.matrix()
+        if self.fault == "wide":
+            return DenoiserOutput.from_matrix(
+                positions, np.hstack([matrix, np.zeros((len(positions), 1))])
+            )
+        return DenoiserOutput.from_matrix(
+            positions + [len(state.tokens)], np.vstack([matrix, matrix[:1]])
+        )
+
+
+def _search_child_rewards(inner, fault, root):
+    # the root prediction is well formed; children pool at depth 1, so
+    # the reward reads their predictions and no expansion ever does
+    model = MalformedModel(inner, fault, from_reveals=1)
+    cfg = SearchConfig(init_length=1, candidate_count=2, max_simulations=8)
+    return run_cgmcts(model, root, cfg)
+
+
+READERS = {
+    "entropy_profile": lambda inner, fault, root: entropy_profile(
+        MalformedModel(inner, fault), root
+    ),
+    "search_child_rewards": _search_child_rewards,
+    "entropy_gap": lambda inner, fault, root: entropy_gap(
+        MalformedModel(inner, fault), root, [0, 1]
+    ),
+    "schedule_costs": lambda inner, fault, root: list(
+        schedule_costs(MalformedModel(inner, fault), root, 2, with_dependence=False)
+    ),
+    "oracle_min_schedule": lambda inner, fault, root: oracle_min_schedule(
+        MalformedModel(inner, fault), root, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize(
+    "fault, error", [("wide", LogitWidthMismatch), ("extra_row", MissingPosition)]
+)
+def test_malformed_predictions_raise_where_first_read(rng, reader, fault, error):
+    inner = random_calibrated_model(rng, 3, 3)
+    root = SeqState.fully_masked(inner.vocab, (), 3)
+    with pytest.raises(error):
+        READERS[reader](inner, fault, root)

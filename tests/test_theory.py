@@ -407,7 +407,8 @@ def test_greedy_and_random_are_valid_schedules(rng):
 
 def test_baselines_walk_once_and_cost_their_own_schedule(rng):
     # each baseline makes one model call per step and returns the cost
-    # schedule_cost gives its schedule, without walking it a second time
+    # schedule_cost gives its schedule, without walking it a second time;
+    # the search returns the cost it walked for its best schedule
     for k, step_size in ((3, None), (2, 1), (2, [2, 1])):
         model = CountingDenoiser(rand_model(rng, length=4))
         root = root_of(model, 4)
@@ -416,8 +417,21 @@ def test_baselines_walk_once_and_cost_their_own_schedule(rng):
         model.reset()
         rnd = random_schedule(model, root, k, np.random.default_rng(k), step_size)
         assert model.calls == k
-        for cost in (greedy, rnd):
+        searched, _ = search_schedules(model, root, k, 16, step_size=step_size, seed=k)
+        for cost in (greedy, rnd, searched):
             assert cost == schedule_cost(model, root, cost.schedule, with_dependence=False)
+
+
+def test_search_predicts_each_node_once(rng):
+    # k=2 over 4 positions: the root and its 14 one-step children are
+    # predicted once each, when created; every two-step child is terminal,
+    # so later iterations expand from kept predictions and predict nothing
+    model = rand_model(rng, length=4, vocab=2)
+    root = root_of(model, 4)
+    for budget in (1, 8, 64):
+        counted = CountingDenoiser(model)
+        search_schedules(counted, root, k=2, budget=budget)
+        assert counted.calls == 15
 
 
 def test_search_reaches_oracle_on_small_instance(rng):
