@@ -51,8 +51,10 @@ class DecodeConfig:
             raise ConfigError("length must be >= 1")
         if self.search.init_length >= self.length:
             raise ConfigError("init_length must be < length")
-        if self.sample_temperature <= 0:
-            raise ConfigError("sample_temperature must be > 0")
+        if not 0 < self.sample_temperature < math.inf:  # False for NaN and +-inf too
+            raise ConfigError(
+                f"sample_temperature must be finite and > 0, got {self.sample_temperature}"
+            )
         if self.tokens_per_step < 1:
             raise ConfigError("tokens_per_step must be >= 1")
         if self.remaining_mode not in kernels.PICK_MODES:

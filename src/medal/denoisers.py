@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -429,8 +430,8 @@ class NGramMaskedModel(Denoiser):
     ):
         if n < 1:
             raise ConfigError("n must be >= 1")
-        if alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        if not 0 < alpha < math.inf:  # False for NaN and +-inf too
+            raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
         if len(counts) != n:
             raise ConfigError("need one count table per order 0..n-1")
         self.vocab = vocab
@@ -498,8 +499,8 @@ def fit_ngram(
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if alpha <= 0:
-        raise ConfigError("alpha must be > 0")
+    if not 0 < alpha < math.inf:  # False for NaN and +-inf too
+        raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     seqs = [tuple(int(t) for t in seq) for seq in corpus]
     seqs = [s for s in seqs if s]
     if not seqs:

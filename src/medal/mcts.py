@@ -5,12 +5,11 @@ expanded nodes, then drives a descent: expand the frontier node into its
 pooled top-k2 scored actions, simulate every new child once, backpropagate
 each child's information-gain reward along the shared path, and step to
 the best child, repeating until the descent reaches init_length revealed
-tokens. Expansion builds each child state once. Each node keeps the one
-model prediction made for it, softmaxed once: the root's when the search
-starts, a child's when it is simulated. Its reward, its rollout (the
-sequence completed from that prediction), its pool entry and its own
-expansion, in any later iteration, all read it, so no node is predicted
-twice. Nodes at that depth enter the candidate pool;
+tokens. Expansion builds each child state once. A search predicts each
+state once: its StateTable keeps the prediction and the entropy profile
+read from it, which the state's rewards, rollout, pool entry and
+expansion read, whichever reveal order reached it. Nodes at init_length
+revealed tokens enter the candidate pool;
 they stay selectable but are never expanded, and re-selecting one
 backpropagates its stored creation reward. The per-iteration descent is
 what lets a budget of 64 * candidate_count simulations reach pool depth:
@@ -19,7 +18,7 @@ expansion delivers up to k2 candidates at once. The search stops when the
 pool holds candidate_count entries or the simulation budget runs out (the
 pool is then returned short, flagged exhausted).
 
-SearchNode, ucb_select, select_leaf and backpropagate are deliberately
+SearchNode, ucb_select, select_leaf, backpropagate and StateTable are
 generic over the state/action payload: the schedule-space search in the
 theory module reuses them with set-valued actions.
 """
@@ -62,12 +61,12 @@ class SearchConfig:
     def validate(self) -> None:
         if self.k1 < 1 or self.k2 < 1:
             raise ConfigError("k1 and k2 must be >= 1")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be > 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
-        if self.c_explore < 0:
-            raise ConfigError("c_explore must be >= 0")
+        if not 0 < self.gamma < math.inf:  # False for NaN and +-inf too
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0 <= self.c_explore < math.inf:
+            raise ConfigError(f"c_explore must be finite and >= 0, got {self.c_explore}")
         if self.candidate_count < 1:
             raise ConfigError("candidate_count must be >= 1")
         if self.init_length < 0:
@@ -86,9 +85,7 @@ class SearchNode:
 
     visit_count follows N(x) = sum_a N(x, a) + 1: a node is born visited
     once, and grows by one each time a reward passes through it as a parent.
-    output and profile hold the model's prediction at the node's state and
-    the entropy profile read from it; the search sets them once (None when
-    the state is complete or the node was never simulated).
+    Predictions at the node's state live in the search's StateTable.
     """
 
     __slots__ = (
@@ -102,8 +99,6 @@ class SearchNode:
         "visit_count",
         "edge_visits",
         "edge_value",
-        "output",
-        "profile",
     )
 
     def __init__(self, state: Any, action: Any = None, prior: float = 0.0, index: int = 0):
@@ -117,8 +112,6 @@ class SearchNode:
         self.visit_count = 1
         self.edge_visits = 0
         self.edge_value = 0.0
-        self.output = None
-        self.profile: EntropyProfile | None = None
 
     @property
     def q(self) -> float:
@@ -169,16 +162,32 @@ def check_node_invariant(node: SearchNode) -> bool:
     return node.visit_count == sum(ch.edge_visits for ch in node.children) + 1
 
 
-def expand(node: SearchNode, cfg: SearchConfig) -> list[SearchNode]:
+class StateTable(dict):
+    """One search or verifier call's rows, keyed by state.tokens: make(state)
+    builds a state's row when the state is first reached. Predictions are
+    pure functions of the state, so every path to a state shares its row."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __call__(self, state):
+        row = self.get(state.tokens)
+        if row is None:
+            row = self[state.tokens] = self.make(state)
+        return row
+
+
+def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
     """Create children for the pooled top-k2 actions of node.state, scored
-    from node.output, the model's prediction there."""
+    from `output`, the model's prediction there."""
     if node.children:
         raise AlreadyExpanded("node already expanded")
     if node.terminal:
         raise AlreadyExpanded("pool nodes are frozen; they cannot expand")
     cands = build_candidates(
         node.state,
-        node.output,
+        output,
         cfg.k1,
         cfg.k2,
         cfg.gamma,
@@ -196,24 +205,32 @@ def simulate(
     before: EntropyProfile,
     child: SearchNode,
     output,
+    after: EntropyProfile,
     rng: np.random.Generator,
     *,
     mode: str = "sample",
 ) -> tuple[RewardRecord, SeqState]:
     """Reward child.action and roll child.state out to completion.
 
-    `before` is the entropy profile of the parent state and `output` the
-    model's prediction at child.state (None when the action completed the
-    sequence). The reward and the rollout both read that one prediction,
+    `before` is the parent's entropy profile; `output` and `after` are the
+    search table's row at child.state (output None when the action completed
+    the sequence). The reward and the rollout both read that one prediction,
     so a simulation makes no model call.
     """
-    record = RewardRecord.of(child.action, before, EntropyProfile.of(child.state, output))
-    positions = record.after.positions
+    record = RewardRecord.of(child.action, before, after)
+    positions = after.positions
     if not positions:
         return record, child.state
     tokens = kernels.pick_tokens(output.probs(positions), mode, rng)
     acts = [UnmaskAction(p, int(t)) for p, t in zip(positions, tokens)]
     return record, apply_many(child.state, acts)
+
+
+def _profiled(model, state: SeqState) -> tuple[Any, EntropyProfile]:
+    """A search's table row: the prediction at `state` (None when complete)
+    and the entropy profile read from it, which checks it."""
+    output = None if state.is_complete else model.predict(state)
+    return output, EntropyProfile.of(state, output)
 
 
 @dataclass(frozen=True)
@@ -300,9 +317,8 @@ def run_cgmcts(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
+    table = StateTable(lambda state: _profiled(model, state))
     root = SearchNode(root_state)
-    root.output = model.predict(root_state)
-    root.profile = EntropyProfile.of(root_state, root.output)
 
     sims = 0
     it = 0
@@ -317,17 +333,15 @@ def run_cgmcts(
             rewards.append(node.terminal_reward)
             sims += 1
         else:
-            # descend: expand level by level toward the pool depth; every
-            # node reached here was simulated, so it holds its prediction
+            # descend: expand level by level toward the pool depth
             while not node.terminal and not pool.full and sims < cfg.budget:
                 prefix = tuple(c.action for _, c in path)
-                for child in expand(node, cfg):
-                    if not child.state.is_complete:
-                        child.output = model.predict(child.state)
+                output, before = table(node.state)
+                for child in expand(node, output, cfg):
+                    child_output, after = table(child.state)
                     record, completion = simulate(
-                        node.profile, child, child.output, rng, mode=cfg.rollout_mode
+                        before, child, child_output, after, rng, mode=cfg.rollout_mode
                     )
-                    child.profile = record.after
                     sims += 1
                     backpropagate(path + [(node, child)], record.r_ig)
                     expanded_actions.append(
@@ -343,9 +357,9 @@ def run_cgmcts(
                                 state=child.state,
                                 path=prefix + (child.action,),
                                 reward=record.r_ig,
-                                score=entropy_gain(root.profile.total, record.after.total),
+                                score=entropy_gain(table(root_state)[1].total, after.total),
                                 completion=completion,
-                                output=child.output,
+                                output=child_output,
                             )
                         )
                         if pool.full:

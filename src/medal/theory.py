@@ -17,6 +17,10 @@ exhaustively; verify_theorem1 runs a UCT search over schedule space and
 checks it converges on minimal-J schedules, beating greedy and random
 baselines. The weighted objective j_lambda(cost) = lam_dep * B +
 lam_mod * sum(prox) generalizes J with a per-position uncertainty proxy.
+
+Every walk steps through _WalkState.extend and reads contexts from one
+per-call table (mcts.StateTable), which each verifier shares across all its
+walks, so no call predicts a context twice.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     InstanceTooLarge,
     SubsetNotMasked,
 )
-from .mcts import SearchNode, backpropagate, select_leaf
+from .mcts import SearchNode, StateTable, backpropagate, select_leaf
 from .seqcore import SeqState, UnmaskAction, apply_many
 
 PROXIES = ("entropy", "one_minus_maxprob", "top2_margin")
@@ -115,19 +119,10 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
     return subset
 
 
-def _predict(model, state: SeqState):
-    """The model's prediction at `state`, checked to cover exactly its
-    masked positions with vocab-wide rows (MissingPosition or
-    LogitWidthMismatch otherwise)."""
-    output = model.predict(state)
-    output.check_cover(state.masked_index, state.vocab.size)
-    return output
-
-
 def position_entropies(model, state: SeqState, positions: Sequence[int]) -> np.ndarray:
     """Exact predictive entropies (nats) at the given masked positions."""
     subset = _subset_check(state, positions)
-    return kernels.entropy_rows(_predict(model, state).probs(subset))
+    return kernels.entropy_rows(_contexts(model)(state)[0].probs(subset))
 
 
 def entropy_gap(model, state: SeqState, positions: Sequence[int]) -> float:
@@ -178,33 +173,51 @@ def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]
     return max(kl, 0.0)
 
 
-def _step(cur: SeqState, subset: Sequence[int], probs: np.ndarray, policy="argmax", rng=None):
-    """One schedule step at context `cur` from the step's probabilities
-    (one row per subset position): the entropies, the gap, the committed
-    actions (argmax or sampled) and the next context."""
-    ent = kernels.entropy_rows(probs)
-    tokens = kernels.pick_tokens(probs, policy, rng)
-    acts = [UnmaskAction(p, int(t)) for p, t in zip(subset, tokens)]
-    return ent, _gap(ent), acts, apply_many(cur, acts)
+def _contexts(model, with_dependence: bool = False) -> StateTable:
+    """The table a theory call reads contexts through: per context, the model's
+    prediction, checked to cover exactly the masked positions with vocab-wide
+    rows, and the exact conditional (None without dependence). A verifier
+    passes its own table as `model` to share it; it is returned as it is."""
+    if isinstance(model, StateTable):
+        return model
+    if with_dependence:
+        _require_conditionals(model)
+
+    def row(state: SeqState):
+        output = model.predict(state)
+        output.check_cover(state.masked_index, state.vocab.size)
+        return output, model.masked_conditional(state) if with_dependence else None
+
+    return StateTable(row)
 
 
 class _WalkState(NamedTuple):
-    """A schedule prefix walked with argmax commits: the context it reached,
-    its steps, their gaps and the tokens it committed."""
+    """A schedule prefix walked from a root: the context it reached, its
+    steps, their gaps, their dependence errors (None when not measured) and
+    the tokens it committed."""
 
     seq: SeqState
     steps: tuple[tuple[int, ...], ...] = ()
     gaps: tuple[float, ...] = ()
+    deps: tuple[float, ...] | None = None
     committed: tuple[tuple[int, int], ...] = ()
 
-    def extend(self, step: tuple[int, ...], probs: np.ndarray) -> "_WalkState":
-        """The prefix one step longer, from the step's probabilities at seq."""
-        _, gap, acts, seq = _step(self.seq, step, probs)
+    def extend(self, table: StateTable, step, policy="argmax", rng=None) -> "_WalkState":
+        """The prefix one step longer: at seq, read from the table's row, the
+        step's gap and dependence error, and its tokens committed by the
+        policy (argmax or sampled)."""
+        output, conditional = table(self.seq)
+        probs = output.probs(step)
+        tokens = kernels.pick_tokens(probs, policy, rng)
+        acts = [UnmaskAction(p, int(t)) for p, t in zip(step, tokens)]
+        deps = None if self.deps is None else self.deps + (_dependence(conditional, step),)
+        gaps = self.gaps + (_gap(kernels.entropy_rows(probs)),)
         committed = self.committed + tuple((a.position, a.token) for a in acts)
-        return _WalkState(seq, self.steps + (step,), self.gaps + (gap,), committed)
+        seq = apply_many(self.seq, acts)
+        return _WalkState(seq, self.steps + (tuple(step),), gaps, deps, committed)
 
-    def cost(self, per_step_dep: tuple[float, ...] | None = None) -> ScheduleCost:
-        return ScheduleCost(Schedule(self.steps), self.gaps, per_step_dep, None, self.committed)
+    def cost(self) -> ScheduleCost:
+        return ScheduleCost(Schedule(self.steps), self.gaps, self.deps, None, self.committed)
 
 
 def schedule_cost(
@@ -229,34 +242,22 @@ def schedule_cost(
         raise ConfigError(f"unknown proxy {proxy!r}; choose from {PROXIES}")
     if with_dependence is None:
         with_dependence = hasattr(model, "masked_conditional")
-    gaps: list[float] = []
-    deps: list[float] = []
+    table = _contexts(model, with_dependence)
+    ws = _WalkState(root, deps=() if with_dependence else None)
     proxies: list[float] = []
-    committed: list[tuple[int, int]] = []
-    cur = root
     for step in schedule.steps:
-        subset = _subset_check(cur, step)
-        probs = _predict(model, cur).probs(subset)
-        ent, gap, acts, nxt = _step(cur, subset, probs, rollout_policy, rng)
-        gaps.append(gap)
-        if with_dependence:
-            deps.append(dependence_error(model, cur, subset))
+        subset = _subset_check(ws.seq, step)
+        probs = table(ws.seq)[0].probs(subset) if proxy else None
         if proxy == "entropy":
-            proxies.append(float(ent.sum()))
+            proxies.append(float(kernels.entropy_rows(probs).sum()))
         elif proxy == "one_minus_maxprob":
             proxies.append(float((1.0 - probs.max(axis=1)).sum()))
         elif proxy == "top2_margin":
             part = np.partition(probs, probs.shape[1] - 2, axis=1)
             proxies.append(float((part[:, -1] - part[:, -2]).sum()))
-        committed.extend((a.position, a.token) for a in acts)
-        cur = nxt
-    return ScheduleCost(
-        schedule=schedule,
-        per_step_gap=tuple(gaps),
-        per_step_dep=tuple(deps) if with_dependence else None,
-        per_step_proxy=tuple(proxies) if proxy is not None else None,
-        committed=tuple(committed),
-    )
+        ws = ws.extend(table, subset, rollout_policy, rng)
+    per_step_proxy = tuple(proxies) if proxy is not None else None
+    return ScheduleCost(schedule, ws.gaps, ws.deps, per_step_proxy, ws.committed)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +308,25 @@ def count_schedules(m: int, k: int, step_size=None) -> int:
     return free(m, k)
 
 
-def _next_step_choices(
-    remaining: tuple[int, ...], k_left: int, sizes: list[int] | None, depth: int
-) -> list[tuple[int, ...]]:
-    """Feasible next steps in lexicographic order."""
+def _next_step_choices(remaining: tuple[int, ...], k_left: int, sizes) -> list[tuple[int, ...]]:
+    """Feasible next steps in lexicographic order (with fixed sizes, the
+    last k_left sizes are the steps still to take)."""
     if sizes is not None:
-        return list(combinations(remaining, sizes[depth]))
+        return list(combinations(remaining, sizes[-k_left]))
     if k_left == 1:
         return [remaining]
     return [c for s in range(1, len(remaining) - k_left + 2) for c in combinations(remaining, s)]
+
+
+def _schedules(remaining: tuple[int, ...], k_left: int, sizes) -> Iterator[tuple]:
+    """Every schedule of k_left steps over `remaining`, in lexicographic order."""
+    if k_left == 0:
+        yield ()
+        return
+    for step in _next_step_choices(remaining, k_left, sizes):
+        rest = tuple(p for p in remaining if p not in step)
+        for tail in _schedules(rest, k_left - 1, sizes):
+            yield (step,) + tail
 
 
 def schedule_costs(
@@ -323,34 +334,23 @@ def schedule_costs(
     cap: int = ENUMERATION_CAP,
 ) -> Iterator[ScheduleCost]:
     """Cost of every k-step schedule of root's masked positions, in
-    lexicographic order, from one depth-first walk of the schedule prefix tree.
+    lexicographic order, each as schedule_cost's argmax walk gives it.
 
     step_size None: every ordered partition of the masked positions into k
     non-empty steps (full cover). int or list: fixed per-step sizes, cover
-    not required. Each realized context is predicted (and, with dependence,
-    conditioned) once for all schedules through it, and each cost equals
-    schedule_cost's argmax walk. Raises InstanceTooLarge past `cap`.
+    not required. Raises InstanceTooLarge past `cap`, and ConfigError for
+    bad sizes, before any model call.
     """
     m = len(root.masked_index)
     total = count_schedules(m, k, step_size)
     if total > cap:
         raise InstanceTooLarge(f"{total} schedules exceeds cap {cap}")
     sizes = _resolve_sizes(m, k, step_size)
-    if with_dependence:
-        _require_conditionals(model)
-
-    def walk(ws: _WalkState, deps) -> Iterator[ScheduleCost]:
-        depth = len(ws.steps)
-        if depth == k:
-            yield ws.cost(deps if with_dependence else None)
-            return
-        output = _predict(model, ws.seq)
-        conditional = model.masked_conditional(ws.seq) if with_dependence else None
-        for step in _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth):
-            dep = (_dependence(conditional, step),) if with_dependence else ()
-            yield from walk(ws.extend(step, output.probs(step)), deps + dep)
-
-    return walk(_WalkState(root), ())
+    table = _contexts(model, with_dependence)
+    return (
+        schedule_cost(table, root, Schedule(steps), with_dependence=with_dependence)
+        for steps in _schedules(root.masked_index, k, sizes)
+    )
 
 
 def oracle_min_schedule(
@@ -361,19 +361,14 @@ def oracle_min_schedule(
     return min(costs, key=lambda c: c.j)
 
 
-def _walk(model, ws: _WalkState, k: int, sizes, choose: Callable, output=None) -> ScheduleCost:
+def _walk(table: StateTable, ws: _WalkState, k: int, sizes, choose: Callable) -> ScheduleCost:
     """Extend a schedule prefix to k steps with argmax commits. At each
     context, choose(output, choices) picks the next step among the feasible
-    ones, given the model's prediction there; `output`, when given, is that
-    prediction at the prefix's context. The cost has no dependence or
+    ones, given the model's prediction there. The cost has no dependence or
     proxy terms."""
     while len(ws.steps) < k:
-        depth = len(ws.steps)
-        choices = _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth)
-        if output is None:
-            output = _predict(model, ws.seq)
-        step = choose(output, choices)
-        ws, output = ws.extend(step, output.probs(step)), None
+        choices = _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes)
+        ws = ws.extend(table, choose(table(ws.seq)[0], choices))
     return ws.cost()
 
 
@@ -389,7 +384,7 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
         return best_step
 
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(model, _WalkState(root), k, sizes, least_gap)
+    return _walk(_contexts(model), _WalkState(root), k, sizes, least_gap)
 
 
 def _uniform_choice(rng: np.random.Generator) -> Callable:
@@ -401,7 +396,7 @@ def random_schedule(
 ) -> ScheduleCost:
     """Baseline: uniform feasible step at each context, argmax commits."""
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(model, _WalkState(root), k, sizes, _uniform_choice(rng))
+    return _walk(_contexts(model), _WalkState(root), k, sizes, _uniform_choice(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +419,10 @@ def search_schedules(
     Returns the cost of the best complete schedule found, as walked by the
     search (it equals schedule_cost's argmax walk without dependence), and,
     when `snapshots` is given, the best J after each listed iteration count
-    (best-so-far, so snapshot values are non-increasing). The root and each
-    non-terminal child are predicted once, when created; the child's
-    rollout and its later expansion both read that prediction.
+    (best-so-far, so snapshot values are non-increasing).
     """
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
+    table = _contexts(model)
     rng = np.random.default_rng(seed)
     marks = sorted(set(snapshots)) if snapshots else []
     snap: dict[int, float] = {}
@@ -443,7 +437,6 @@ def search_schedules(
 
     uniform = _uniform_choice(rng)
     root_node = SearchNode(_WalkState(root))
-    root_node.output = _predict(model, root)
 
     for it in range(budget):
         node, path = select_leaf(root_node, c_explore)
@@ -451,20 +444,18 @@ def search_schedules(
             backpropagate(path, node.terminal_reward)
         else:
             ws: _WalkState = node.state
-            depth = len(ws.steps)
-            for step in _next_step_choices(ws.seq.masked_index, k - depth, sizes, depth):
-                prefix = ws.extend(step, node.output.probs(step))
+            for step in _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes):
+                prefix = ws.extend(table, step)
                 child = SearchNode(
                     prefix, action=step, prior=-prefix.gaps[-1], index=len(node.children)
                 )
                 node.children.append(child)
-                if depth + 1 == k:
+                if len(prefix.steps) == k:
                     child.terminal = True
                     child.terminal_reward = reward = -consider(prefix.cost())
                 else:
                     # rollout: finish the prefix with uniform random steps
-                    child.output = _predict(model, prefix.seq)
-                    reward = -consider(_walk(model, prefix, k, sizes, uniform, child.output))
+                    reward = -consider(_walk(table, prefix, k, sizes, uniform))
                 backpropagate(path + [(node, child)], reward)
 
         if it + 1 in marks:
@@ -490,8 +481,9 @@ def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMER
     max_excess = float("-inf")
     min_slack = float("inf")
     tightest: Schedule | None = None
+    table = _contexts(model, with_dependence=True)  # shared by every step count
     for k in range(1, len(root.masked_index) + 1):
-        for cost in schedule_costs(model, root, k, with_dependence=True, cap=cap):
+        for cost in schedule_costs(table, root, k, with_dependence=True, cap=cap):
             dep, gap = cost.dep_total, cost.j
             excess = dep - gap
             if excess > tol:
@@ -536,8 +528,9 @@ def verify_theorem1(
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets or budgets[0] < 1:
         raise ConfigError("budgets must be positive")
+    table = _contexts(model)  # shared by the search, the oracle and the baselines
     best, snaps = search_schedules(
-        model,
+        table,
         root,
         k,
         budgets[-1],
@@ -552,11 +545,11 @@ def verify_theorem1(
             raise BoundViolated(
                 f"best J regressed with budget: {j_by_budget} at budgets {budgets}"
             )
-    oracle = oracle_min_schedule(model, root, k, step_size, cap=cap)
-    greedy = greedy_schedule(model, root, k, step_size)
+    oracle = oracle_min_schedule(table, root, k, step_size, cap=cap)
+    greedy = greedy_schedule(table, root, k, step_size)
     rng = np.random.default_rng(seed + 1)
     randoms = [
-        random_schedule(model, root, k, rng, step_size).j
+        random_schedule(table, root, k, rng, step_size).j
         for _ in range(random_baselines)
     ]
     final_j = j_by_budget[-1]

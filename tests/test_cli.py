@@ -244,6 +244,43 @@ def test_ill_typed_config_is_a_config_error(tmp_path, trap_file, capsys, cfg, ke
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"search": {"gamma": NaN}}', "gamma"),
+        ('{"search": {"gamma": Infinity}}', "gamma"),
+        ('{"search": {"epsilon": NaN}}', "epsilon"),
+        ('{"search": {"epsilon": Infinity}}', "epsilon"),
+        ('{"search": {"c_explore": NaN}}', "c_explore"),
+        ('{"search": {"c_explore": Infinity}}', "c_explore"),
+        ('{"sample_temperature": NaN}', "sample_temperature"),
+        ('{"sample_temperature": Infinity}', "sample_temperature"),
+        ('{"sample_temperature": -Infinity}', "sample_temperature"),
+    ],
+)
+def test_non_finite_config_float_is_a_config_error(tmp_path, trap_file, capsys, text, key):
+    # Python's json reads the NaN and Infinity literals as floats
+    with pytest.raises(ConfigError, match=key):
+        DecodeConfig.from_json(json.loads(text))
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["decode", "--model", str(trap_file), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+
+
+@pytest.mark.parametrize("alpha", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_ngram_alpha_is_a_config_error(tmp_path, capsys, alpha):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("0 1 2 1 0\n")
+    with pytest.raises(ConfigError, match="alpha"):
+        load_model(f"ngram:{corpus}?alpha={alpha}")
+    with pytest.raises(ConfigError, match="alpha"):
+        NGramMaskedModel(Vocab(3), 1, float(alpha), [{}])
+    assert main(["decode", "--model", f"ngram:{corpus}?alpha={alpha}"]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_packaged_default_config_round_trips_key_for_key():
     text = resources.files("medal.data").joinpath("default_config.json").read_text()
     obj = json.loads(text)

@@ -22,7 +22,8 @@ from medal.mcts import (
     simulate,
     ucb_select,
 )
-from medal.reward import cumulative_gain, entropy_profile, info_gain
+from medal import mcts
+from medal.reward import EntropyProfile, cumulative_gain, entropy_profile, info_gain
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
@@ -136,8 +137,8 @@ def test_expand_orders_children_by_pooled_rank(rng):
     state = SeqState.fully_masked(model.vocab, (), 3)
     node = SearchNode(state)
     cfg = replace(SearchConfig(), k1=2, k2=4, init_length=2)
-    node.output = model.predict(state)
-    kids = expand(node, cfg)
+    output = model.predict(state)
+    kids = expand(node, output, cfg)
     assert len(kids) == 4
     priors = [k.prior for k in kids]
     assert priors == sorted(priors, reverse=True)
@@ -146,12 +147,11 @@ def test_expand_orders_children_by_pooled_rank(rng):
         assert k.state.reveal_count() == 1
         assert k.state.tokens[k.action.position] == k.action.token
     with pytest.raises(AlreadyExpanded):
-        expand(node, cfg)
+        expand(node, output, cfg)
     frozen = SearchNode(state)
-    frozen.output = node.output
     frozen.terminal = True
     with pytest.raises(AlreadyExpanded):
-        expand(frozen, cfg)
+        expand(frozen, output, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +160,12 @@ def test_expand_orders_children_by_pooled_rank(rng):
 
 def simulate_action(model, state, action, rng, **kw):
     """Simulate `action` at `state` the way the search does: the parent's
-    profile, the child built once, one prediction at the child."""
+    profile, the child built once, one prediction at the child and the
+    profile read from it."""
     child = SearchNode(apply_action(state, action), action)
     output = None if child.state.is_complete else model.predict(child.state)
-    return simulate(entropy_profile(model, state), child, output, rng, **kw)
+    after = EntropyProfile.of(child.state, output)
+    return simulate(entropy_profile(model, state), child, output, after, rng, **kw)
 
 
 def test_simulate_costs_one_call_and_completes(rng):
@@ -173,8 +175,11 @@ def test_simulate_costs_one_call_and_completes(rng):
     before = entropy_profile(model, state)
     child = SearchNode(apply_action(state, action), action)
     output = model.predict(child.state)
+    after = EntropyProfile.of(child.state, output)
     calls = model.calls
-    record, completion = simulate(before, child, output, np.random.default_rng(0), mode="sample")
+    record, completion = simulate(
+        before, child, output, after, np.random.default_rng(0), mode="sample"
+    )
     # the one prediction at the child serves both the reward and the rollout
     assert model.calls == calls == 2
     assert completion.is_complete
@@ -336,13 +341,34 @@ def test_search_trace_schema_and_budget_accounting(rng):
     assert events[-1]["pool_size"] == 3
 
 
-def test_search_predicts_each_node_once():
-    # the root is predicted when the search starts and each child when it
-    # is simulated; later iterations expand nodes from the kept prediction
-    model = CountingDenoiser(random_calibrated_model(np.random.default_rng(0), 6, 3))
+class RecordingDenoiser(CountingDenoiser):
+    """CountingDenoiser that also records the tokens of every state it
+    predicts, in call order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.states = []
+
+    def predict(self, state):
+        self.states.append(state.tokens)
+        return super().predict(state)
+
+
+def test_search_predicts_each_node_once(monkeypatch):
+    # every state among the root and the children the search creates is
+    # predicted exactly once, however many reveal orders reach it; on this
+    # instance 70 nodes hold 49 distinct states
+    model = RecordingDenoiser(random_calibrated_model(np.random.default_rng(0), 6, 3))
     root = SeqState.fully_masked(model.vocab, (), 6)
     cfg = SearchConfig(init_length=4, candidate_count=20, max_simulations=512, k2=3)
-    trace = []
-    run_cgmcts(model, root, cfg, trace=trace.append)
-    assert len(trace) == 10
-    assert model.calls == 1 + sum(len(ev["expanded_actions"]) for ev in trace)
+    created = [root.tokens]
+
+    def recording_expand(node, output, cfg):
+        children = expand(node, output, cfg)
+        created.extend(ch.state.tokens for ch in children)
+        return children
+
+    monkeypatch.setattr(mcts, "expand", recording_expand)
+    run_cgmcts(model, root, cfg)
+    assert len(created) > len(set(created))  # the instance has transpositions
+    assert model.calls == len(set(model.states)) == len(set(created))

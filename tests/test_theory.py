@@ -311,31 +311,87 @@ def test_schedule_costs_equal_the_reference_walk():
                     assert got == list(oracles.enumerate_partitions(positions, k))
 
 
-class CountingConditionals(CountingDenoiser):
-    """CountingDenoiser that also counts exact-conditional calls."""
+class RecordingConditionals(CountingDenoiser):
+    """CountingDenoiser that also records the tokens of every state it
+    predicts and of every state whose exact conditional it is asked for."""
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.conditionals = 0
+        self.states = []
+        self.conditionals = []
+
+    def predict(self, state):
+        self.states.append(state.tokens)
+        return super().predict(state)
 
     def masked_conditional(self, state):
-        self.conditionals += 1
+        self.conditionals.append(state.tokens)
         return self.inner.masked_conditional(state)
+
+
+def _contexts_reached(root, costs):
+    """Tokens of every context a walk of the costs' schedules steps from:
+    the root with each cost's commits replayed up to each of its steps."""
+    reached = set()
+    for cost in costs:
+        seq, done = root, 0
+        for step in cost.schedule.steps:
+            reached.add(seq.tokens)
+            acts = [UnmaskAction(p, t) for p, t in cost.committed[done : done + len(step)]]
+            seq, done = apply_many(seq, acts), done + len(step)
+    return reached
 
 
 def test_schedule_costs_predict_each_context_once():
     # one prediction (and, with dependence, one conditional) per distinct
-    # proper schedule prefix, i.e. per realized context the walk passes
+    # context the walks reach, however many schedules pass through it
     for model, root in _walk_cases():
         for k, step_size in SIZE_CASES:
             for with_dependence in (True, False):
-                counted = CountingConditionals(model)
+                rec = RecordingConditionals(model)
                 costs = list(schedule_costs(
-                    counted, root, k, step_size, with_dependence=with_dependence
+                    rec, root, k, step_size, with_dependence=with_dependence
                 ))
-                prefixes = {c.schedule.steps[:d] for c in costs for d in range(k)}
-                assert counted.calls == len(prefixes)
-                assert counted.conditionals == (len(prefixes) if with_dependence else 0)
+                reached = _contexts_reached(root, costs)
+                assert rec.calls == len(set(rec.states)) == len(reached)
+                assert set(rec.states) == reached
+                assert rec.conditionals == (rec.states if with_dependence else [])
+
+
+def test_schedule_costs_match_brute_force_per_step():
+    # each step's gap and dependence error equal the brute-force values at
+    # the context reached by replaying the cost's commits
+    for model, root in _walk_cases():
+        cells = oracles.cells_from_joint(model.joint)
+        length, vocab = model.length, model.vocab.size
+        for k, step_size in SIZE_CASES:
+            for cost in schedule_costs(model, root, k, step_size, with_dependence=True):
+                revealed = {p: t for p, t in enumerate(root.tokens) if p not in root.masked_index}
+                done = 0
+                for step, gap, dep in zip(cost.schedule.steps, cost.per_step_gap,
+                                          cost.per_step_dep):
+                    want_gap = oracles.oracle_entropy_gap(cells, length, vocab, revealed, step)
+                    want_dep = oracles.oracle_dependence_error(cells, length, vocab, revealed, step)
+                    assert gap == pytest.approx(want_gap, abs=1e-10)
+                    assert dep == pytest.approx(want_dep, abs=1e-10)
+                    revealed.update(cost.committed[done : done + len(step)])
+                    done += len(step)
+
+
+def test_verifiers_predict_each_state_once():
+    # verify_lemma1 shares one table across every step count, and
+    # verify_theorem1 one across its search, oracle and baselines
+    for vocab in (2, 3):
+        model = random_calibrated_model(np.random.default_rng(5), 4, vocab)
+        root = root_of(model, 4)
+        rec = RecordingConditionals(model)
+        verify_lemma1(rec, root)
+        assert rec.calls == len(set(rec.states))
+        assert rec.conditionals == rec.states
+        rec = RecordingConditionals(model)
+        verify_theorem1(rec, root, k=3, budgets=[16, 64, 256])
+        assert rec.calls == len(set(rec.states))
+        assert rec.conditionals == []
 
 
 def _reference_lemma1(model, root, tol=1e-9):
