@@ -20,7 +20,11 @@ lam_mod * sum(prox) generalizes J with a per-position uncertainty proxy.
 
 Every walk steps through _WalkState.extend and reads contexts from one
 per-call table (mcts.StateTable), which each verifier shares across all its
-walks, so no call predicts a context twice.
+walks. A table row keeps its context's checked prediction, its exact
+conditional, and per step taken there the step's probabilities, gap,
+dependence error and argmax child. So no call predicts a context twice, and
+no call costs a (context, step) pair twice however many schedules, rollouts
+and expansions pass through it.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
+from .denoisers import DenoiserOutput
 from .errors import (
     BoundViolated,
     ConfigError,
     InstanceTooLarge,
+    NoMaskedPositions,
     SubsetNotMasked,
 )
 from .mcts import SearchNode, StateTable, backpropagate, select_leaf
@@ -91,8 +97,8 @@ class ScheduleCost:
         return {
             "schedule": self.schedule.to_json(),
             "per_step_gap": list(self.per_step_gap),
-            "per_step_dep": list(self.per_step_dep) if self.per_step_dep else None,
-            "per_step_proxy": list(self.per_step_proxy) if self.per_step_proxy else None,
+            "per_step_dep": None if self.per_step_dep is None else list(self.per_step_dep),
+            "per_step_proxy": None if self.per_step_proxy is None else list(self.per_step_proxy),
             "j": self.j,
             "dep_total": self.dep_total,
         }
@@ -108,8 +114,8 @@ def j_lambda(cost: ScheduleCost, lam_dep: float = 1.0, lam_mod: float = 0.0) -> 
     return float(total)
 
 
-def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
-    subset = sorted(int(p) for p in positions)
+def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
+    subset = tuple(sorted(int(p) for p in positions))
     if not subset:
         raise SubsetNotMasked("subset must be non-empty")
     masked = set(state.masked_index)
@@ -122,7 +128,7 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> list[int]:
 def position_entropies(model, state: SeqState, positions: Sequence[int]) -> np.ndarray:
     """Exact predictive entropies (nats) at the given masked positions."""
     subset = _subset_check(state, positions)
-    return kernels.entropy_rows(_contexts(model)(state)[0].probs(subset))
+    return kernels.entropy_rows(_contexts(model)(state).output.probs(subset))
 
 
 def entropy_gap(model, state: SeqState, positions: Sequence[int]) -> float:
@@ -173,20 +179,59 @@ def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]
     return max(kl, 0.0)
 
 
+class _Step(NamedTuple):
+    """One step's outcome at one context: the step's probability rows, its
+    gap, its dependence error (None without a conditional), and the argmax
+    child with the tokens it committed."""
+
+    probs: np.ndarray
+    gap: float
+    dep: float | None
+    child: SeqState
+    committed: tuple[tuple[int, int], ...]
+
+
+class _Context(NamedTuple):
+    """A theory table row: a context, its checked prediction, its exact
+    conditional (None without dependence) and, keyed by step, the outcome of
+    each step taken there."""
+
+    seq: SeqState
+    output: DenoiserOutput
+    conditional: tuple[list[int], np.ndarray] | None
+    steps: dict[tuple[int, ...], _Step]
+
+    def step(self, positions: tuple[int, ...]) -> _Step:
+        """The outcome of a step (sorted masked positions), worked out the
+        first time the step is taken at this context."""
+        memo = self.steps.get(positions)
+        if memo is None:
+            probs = self.output.probs(positions)
+            dep = None if self.conditional is None else _dependence(self.conditional, positions)
+            committed = tuple(zip(positions, kernels.pick_tokens(probs, "argmax").tolist()))
+            child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
+            memo = self.steps[positions] = _Step(
+                probs, _gap(kernels.entropy_rows(probs)), dep, child, committed
+            )
+        return memo
+
+
 def _contexts(model, with_dependence: bool = False) -> StateTable:
-    """The table a theory call reads contexts through: per context, the model's
-    prediction, checked to cover exactly the masked positions with vocab-wide
-    rows, and the exact conditional (None without dependence). A verifier
-    passes its own table as `model` to share it; it is returned as it is."""
+    """The table a theory call reads contexts through, one _Context per
+    context: the model's prediction, checked to cover exactly the masked
+    positions with vocab-wide rows, and the exact conditional (None without
+    dependence). A verifier passes its own table as `model` to share it; it
+    is returned as it is."""
     if isinstance(model, StateTable):
         return model
     if with_dependence:
         _require_conditionals(model)
 
-    def row(state: SeqState):
+    def row(state: SeqState) -> _Context:
         output = model.predict(state)
         output.check_cover(state.masked_index, state.vocab.size)
-        return output, model.masked_conditional(state) if with_dependence else None
+        conditional = model.masked_conditional(state) if with_dependence else None
+        return _Context(state, output, conditional, {})
 
     return StateTable(row)
 
@@ -202,19 +247,24 @@ class _WalkState(NamedTuple):
     deps: tuple[float, ...] | None = None
     committed: tuple[tuple[int, int], ...] = ()
 
-    def extend(self, table: StateTable, step, policy="argmax", rng=None) -> "_WalkState":
-        """The prefix one step longer: at seq, read from the table's row, the
-        step's gap and dependence error, and its tokens committed by the
-        policy (argmax or sampled)."""
-        output, conditional = table(self.seq)
-        probs = output.probs(step)
-        tokens = kernels.pick_tokens(probs, policy, rng)
-        acts = [UnmaskAction(p, int(t)) for p, t in zip(step, tokens)]
-        deps = None if self.deps is None else self.deps + (_dependence(conditional, step),)
-        gaps = self.gaps + (_gap(kernels.entropy_rows(probs)),)
-        committed = self.committed + tuple((a.position, a.token) for a in acts)
-        seq = apply_many(self.seq, acts)
-        return _WalkState(seq, self.steps + (tuple(step),), gaps, deps, committed)
+    def extend(
+        self, table: StateTable, step: tuple[int, ...], policy="argmax", rng=None
+    ) -> "_WalkState":
+        """The prefix one step longer: the step's gap and dependence error
+        read from the table's row at seq, and its tokens committed by the
+        policy (the row's argmax child, or sampled from the row's
+        probabilities)."""
+        out = table(self.seq).step(step)
+        if policy == "argmax":
+            seq, committed = out.child, out.committed
+        else:
+            tokens = kernels.pick_tokens(out.probs, policy, rng)
+            committed = tuple(zip(step, tokens.tolist()))
+            seq = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
+        deps = None if self.deps is None else self.deps + (out.dep,)
+        return _WalkState(
+            seq, self.steps + (step,), self.gaps + (out.gap,), deps, self.committed + committed
+        )
 
     def cost(self) -> ScheduleCost:
         return ScheduleCost(Schedule(self.steps), self.gaps, self.deps, None, self.committed)
@@ -247,7 +297,7 @@ def schedule_cost(
     proxies: list[float] = []
     for step in schedule.steps:
         subset = _subset_check(ws.seq, step)
-        probs = table(ws.seq)[0].probs(subset) if proxy else None
+        probs = table(ws.seq).step(subset).probs if proxy else None
         if proxy == "entropy":
             proxies.append(float(kernels.entropy_rows(probs).sum()))
         elif proxy == "one_minus_maxprob":
@@ -363,22 +413,22 @@ def oracle_min_schedule(
 
 def _walk(table: StateTable, ws: _WalkState, k: int, sizes, choose: Callable) -> ScheduleCost:
     """Extend a schedule prefix to k steps with argmax commits. At each
-    context, choose(output, choices) picks the next step among the feasible
-    ones, given the model's prediction there. The cost has no dependence or
+    context, choose(row, choices) picks the next step among the feasible
+    ones, given the table's row there. The cost has no dependence or
     proxy terms."""
     while len(ws.steps) < k:
         choices = _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes)
-        ws = ws.extend(table, choose(table(ws.seq)[0], choices))
+        ws = ws.extend(table, choose(table(ws.seq), choices))
     return ws.cost()
 
 
 def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
     """Baseline: pick the feasible next step of minimal gap at each context."""
 
-    def least_gap(output, choices):
+    def least_gap(row: _Context, choices):
         best_step, best_gap = None, None
         for step in choices:
-            gap = _gap(kernels.entropy_rows(output.probs(step)))
+            gap = row.step(step).gap
             if best_gap is None or gap < best_gap - 1e-15:
                 best_step, best_gap = step, gap
         return best_step
@@ -388,7 +438,7 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
 
 
 def _uniform_choice(rng: np.random.Generator) -> Callable:
-    return lambda output, choices: choices[int(rng.integers(len(choices)))]
+    return lambda row, choices: choices[int(rng.integers(len(choices)))]
 
 
 def random_schedule(
@@ -475,8 +525,11 @@ def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMER
     every step count.
 
     Returns a report with the tightest approach to equality; raises
-    BoundViolated with the offending schedule otherwise.
+    BoundViolated with the offending schedule otherwise, and
+    NoMaskedPositions for a root with nothing to schedule.
     """
+    if not root.masked_index:
+        raise NoMaskedPositions("verify_lemma1 needs a root with masked positions")
     checked = 0
     max_excess = float("-inf")
     min_slack = float("inf")

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from medal import kernels, theory
 from medal.denoisers import CountingDenoiser, FactorizedModel, TabularModel
 from medal.errors import (
     ConfigError,
     InstanceTooLarge,
+    NoMaskedPositions,
     SubsetNotMasked,
     ZeroMassContext,
 )
@@ -181,6 +183,22 @@ def test_schedule_cost_options(rng):
     assert seeded.committed == again.committed
 
 
+def test_cost_json_keeps_measured_empty_terms(rng):
+    # an empty schedule with measured terms writes [] for them, in step with
+    # dep_total = 0.0; unmeasured terms stay null
+    model = rand_model(rng)
+    root = root_of(model)
+    empty = Schedule.of([])
+    measured = schedule_cost(model, root, empty, proxy="entropy", with_dependence=True)
+    assert measured.to_json() == {
+        "schedule": [], "per_step_gap": [], "per_step_dep": [], "per_step_proxy": [],
+        "j": 0.0, "dep_total": 0.0,
+    }
+    plain = schedule_cost(model, root, empty, with_dependence=False).to_json()
+    assert plain["per_step_dep"] is None and plain["per_step_proxy"] is None
+    assert plain["dep_total"] is None
+
+
 def test_proxies_have_expected_form(rng):
     model = rand_model(rng, length=2)
     root = root_of(model)
@@ -329,17 +347,22 @@ class RecordingConditionals(CountingDenoiser):
         return self.inner.masked_conditional(state)
 
 
-def _contexts_reached(root, costs):
-    """Tokens of every context a walk of the costs' schedules steps from:
-    the root with each cost's commits replayed up to each of its steps."""
+def _steps_reached(root, costs):
+    """(context tokens, step) of every step a walk of the costs' schedules
+    takes: the root with each cost's commits replayed up to each step."""
     reached = set()
     for cost in costs:
         seq, done = root, 0
         for step in cost.schedule.steps:
-            reached.add(seq.tokens)
+            reached.add((seq.tokens, step))
             acts = [UnmaskAction(p, t) for p, t in cost.committed[done : done + len(step)]]
             seq, done = apply_many(seq, acts), done + len(step)
     return reached
+
+
+def _contexts_reached(root, costs):
+    """Tokens of every context a walk of the costs' schedules steps from."""
+    return {tokens for tokens, _ in _steps_reached(root, costs)}
 
 
 def test_schedule_costs_predict_each_context_once():
@@ -394,13 +417,103 @@ def test_verifiers_predict_each_state_once():
         assert rec.conditionals == []
 
 
-def _reference_lemma1(model, root, tol=1e-9):
+def _reference_lemma1_costs(model, root):
+    """Every full-cover schedule's cost, each walked through a fresh table."""
     positions = root.masked_index
-    costs = [
+    return [
         schedule_cost(model, root, Schedule(steps), with_dependence=True)
         for k in range(1, len(positions) + 1)
         for steps in oracles.enumerate_partitions(positions, k)
     ]
+
+
+def _record_step_work(monkeypatch):
+    """Record every dependence error and entropy row block theory computes,
+    and every (context tokens, step) outcome a walk asks its table for."""
+    work = {"dep": [], "entropy": [], "asked": []}
+    dependence, entropy_rows, step = theory._dependence, kernels.entropy_rows, theory._Context.step
+
+    def counted_dependence(conditional, subset):
+        work["dep"].append(tuple(subset))
+        return dependence(conditional, subset)
+
+    def counted_entropy_rows(probs):
+        work["entropy"].append(len(probs))
+        return entropy_rows(probs)
+
+    def asked_step(row, positions):
+        work["asked"].append((row.seq.tokens, positions))
+        return step(row, positions)
+
+    monkeypatch.setattr(theory, "_dependence", counted_dependence)
+    monkeypatch.setattr(kernels, "entropy_rows", counted_entropy_rows)
+    monkeypatch.setattr(theory._Context, "step", asked_step)
+    return work
+
+
+def test_verifiers_cost_each_context_step_once(monkeypatch):
+    # a verifier's table works out each (context, step) pair's gap and
+    # dependence error once, however many schedules, rollouts, expansions
+    # and greedy choices reach it
+    for vocab in (2, 3):
+        model = random_calibrated_model(np.random.default_rng(5), 4, vocab)
+        root = root_of(model, 4)
+        reached = _steps_reached(root, _reference_lemma1_costs(model, root))
+        work = _record_step_work(monkeypatch)
+        verify_lemma1(model, root)
+        assert set(work["asked"]) == reached
+        assert len(work["dep"]) == len(work["entropy"]) == len(reached)
+        assert len(work["asked"]) > len(reached)
+        work = _record_step_work(monkeypatch)
+        verify_theorem1(model, root, k=3, budgets=[16, 64, 256])
+        assert work["dep"] == []
+        assert len(work["entropy"]) == len(set(work["asked"]))
+        assert len(work["asked"]) > len(set(work["asked"]))
+
+
+def _reference_sampled_commits(model, root, schedule, rng):
+    """A sampled walk without a table: predict, draw, reveal, step by step."""
+    seq, committed = root, ()
+    for step in schedule.steps:
+        tokens = kernels.pick_tokens(model.predict(seq).probs(step), "sample", rng)
+        acts = [UnmaskAction(p, int(t)) for p, t in zip(step, tokens)]
+        seq, committed = apply_many(seq, acts), committed + tuple(zip(step, tokens.tolist()))
+    return committed
+
+
+def test_sampled_walks_are_unchanged_by_the_table():
+    # sampled walks through one shared table, through a fresh table per
+    # call and through no table at all draw the same tokens from the same
+    # rng stream; the shared table already holds each step's argmax child,
+    # which a sampled walk must not take in place of its own draw
+    model = random_calibrated_model(np.random.default_rng(5), 4, 3)
+    root = root_of(model, 4)
+    schedules = [
+        Schedule(steps)
+        for k in range(1, 5)
+        for steps in oracles.enumerate_partitions(root.masked_index, k)
+    ]
+    shared = theory._contexts(model, with_dependence=True)
+    argmax = [schedule_cost(shared, root, s, with_dependence=True) for s in schedules]
+    rngs = [np.random.default_rng(9) for _ in range(3)]
+    differs = 0
+    for _ in range(3):
+        for schedule, walked in zip(schedules, argmax):
+            a = schedule_cost(
+                shared, root, schedule, rollout_policy="sample", rng=rngs[0], with_dependence=True
+            )
+            b = schedule_cost(
+                model, root, schedule, rollout_policy="sample", rng=rngs[1], with_dependence=True
+            )
+            assert a == b
+            assert a.committed == _reference_sampled_commits(model, root, schedule, rngs[2])
+            differs += a.committed != walked.committed
+    assert differs > 0
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def _reference_lemma1(model, root, tol=1e-9):
+    costs = _reference_lemma1_costs(model, root)
     slack = [c.j - c.dep_total for c in costs]
     tightest = min(range(len(costs)), key=slack.__getitem__)  # first of tied minima
     return {
@@ -512,6 +625,14 @@ def test_verify_lemma1_xor_equality():
     # the joint step is exactly tight: dep == gap
     assert abs(report["min_slack"]) <= 1e-6
     assert report["tightest_schedule"] == [[0, 1]]
+
+
+def test_verify_lemma1_needs_masked_positions():
+    # a fully revealed root has no schedule to check; the report must not
+    # pass vacuously with non-JSON infinities
+    model = xor_pair_model()
+    with pytest.raises(NoMaskedPositions, match="masked positions"):
+        verify_lemma1(model, SeqState(model.vocab, 0, (0, 1)))
 
 
 def test_verify_lemma1_random_instances():
