@@ -451,7 +451,7 @@ def _record_step_work(monkeypatch):
     return work
 
 
-def test_verifiers_cost_each_context_step_once(monkeypatch):
+def test_verifiers_cost_each_context_step_once():
     # a verifier's table works out each (context, step) pair's gap and
     # dependence error once, however many schedules, rollouts, expansions
     # and greedy choices reach it
@@ -459,13 +459,15 @@ def test_verifiers_cost_each_context_step_once(monkeypatch):
         model = random_calibrated_model(np.random.default_rng(5), 4, vocab)
         root = root_of(model, 4)
         reached = _steps_reached(root, _reference_lemma1_costs(model, root))
-        work = _record_step_work(monkeypatch)
-        verify_lemma1(model, root)
+        with pytest.MonkeyPatch.context() as mp:
+            work = _record_step_work(mp)
+            verify_lemma1(model, root)
         assert set(work["asked"]) == reached
         assert len(work["dep"]) == len(work["entropy"]) == len(reached)
         assert len(work["asked"]) > len(reached)
-        work = _record_step_work(monkeypatch)
-        verify_theorem1(model, root, k=3, budgets=[16, 64, 256])
+        with pytest.MonkeyPatch.context() as mp:
+            work = _record_step_work(mp)
+            verify_theorem1(model, root, k=3, budgets=[16, 64, 256])
         assert work["dep"] == []
         assert len(work["entropy"]) == len(set(work["asked"]))
         assert len(work["asked"]) > len(set(work["asked"]))
