@@ -248,7 +248,7 @@ def decode(
     root = SeqState.fully_masked(model.vocab, augmented, cfg.length)
     if cfg.search.init_length == 0:
         return finish_decode(model, root, cfg, rng)
-    pool = run_cgmcts(model, root, cfg.search, rng=rng)
+    pool = run_cgmcts(model, root, cfg.search)
     entry = select_candidate(pool)
     fin = finish_decode(model, entry.state, cfg, rng, output=entry.output)
     return DecodeResult(

@@ -64,8 +64,8 @@ class DenoiserOutput:
     validated once, here: 2-d with one width, and every entry finite.
     The stored arrays are read-only; matrix() without arguments returns
     them without copying. probs() is the row softmax of the matrix,
-    computed on its first call and kept, so scoring, entropies and
-    rollouts over one prediction share one softmax.
+    computed on its first call and kept, so scoring and entropies over
+    one prediction share one softmax.
     """
 
     __slots__ = ("_positions", "_matrix", "_probs")

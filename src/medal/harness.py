@@ -63,6 +63,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not self.instances or not self.methods or not self.seeds:
             raise ConfigError("instances, methods and seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         ids = [m.id for m in self.methods]
         if len(set(ids)) != len(ids):
             raise ConfigError("method ids must be unique")

@@ -2,13 +2,14 @@
 
 One search iteration walks the tree from the root by UCB through already
 expanded nodes, then drives a descent: expand the frontier node into its
-pooled top-k2 scored actions, simulate every new child once, backpropagate
-each child's information-gain reward along the shared path, and step to
-the best child, repeating until the descent reaches init_length revealed
-tokens. Expansion builds each child state once. A search predicts each
-state once: its StateTable keeps the prediction and the entropy profile
-read from it, which the state's rewards, rollout, pool entry and
-expansion read, whichever reveal order reached it. Nodes at init_length
+pooled top-k2 scored actions, simulate every new child once (its
+information-gain reward, read right after the action), backpropagate
+each reward along the shared path, and step to the best child, repeating
+until the descent reaches init_length revealed tokens. Expansion builds
+each child state once. A search predicts each state once: its StateTable
+keeps the prediction and the entropy profile read from it, which the
+state's rewards, pool entry and expansion read, whichever reveal order
+reached it. The search draws no random numbers. Nodes at init_length
 revealed tokens enter the candidate pool;
 they stay selectable but are never expanded, and re-selecting one
 backpropagates its stored creation reward. The per-iteration descent is
@@ -29,13 +30,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
-from . import jsonspec, kernels
+from . import jsonspec
 from .errors import AlreadyExpanded, ConfigError, NoChildren
-from .reward import EntropyProfile, RewardRecord, entropy_gain
+from .reward import EntropyProfile, entropy_gain
 from .scoring import DEFAULT_EPSILON, DEFAULT_GAMMA, build_candidates
-from .seqcore import SeqState, UnmaskAction, apply_action, apply_many
+from .seqcore import SeqState, UnmaskAction, apply_action
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class SearchConfig:
     init_length: int = 20
     max_simulations: int | None = None  # None -> 64 * candidate_count
     seed: int = 1
-    rollout_mode: str = "sample"
     use_entropy_penalty: bool = True
 
     @property
@@ -73,8 +71,8 @@ class SearchConfig:
             raise ConfigError("init_length must be >= 0")
         if self.budget < self.candidate_count:
             raise ConfigError("simulation budget below candidate_count")
-        if self.rollout_mode not in kernels.PICK_MODES:
-            raise ConfigError(f"unknown rollout_mode {self.rollout_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     to_json = jsonspec.to_json
     from_json = classmethod(jsonspec.from_json)
@@ -201,29 +199,11 @@ def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
     return list(node.children)
 
 
-def simulate(
-    before: EntropyProfile,
-    child: SearchNode,
-    output,
-    after: EntropyProfile,
-    rng: np.random.Generator,
-    *,
-    mode: str = "sample",
-) -> tuple[RewardRecord, SeqState]:
-    """Reward child.action and roll child.state out to completion.
-
-    `before` is the parent's entropy profile; `output` and `after` are the
-    search table's row at child.state (output None when the action completed
-    the sequence). The reward and the rollout both read that one prediction,
-    so a simulation makes no model call.
-    """
-    record = RewardRecord.of(child.action, before, after)
-    positions = after.positions
-    if not positions:
-        return record, child.state
-    tokens = kernels.pick_tokens(output.probs(positions), mode, rng)
-    acts = [UnmaskAction(p, int(t)) for p, t in zip(positions, tokens)]
-    return record, apply_many(child.state, acts)
+def simulate(before: EntropyProfile, after: EntropyProfile) -> float:
+    """The simulation step: the reward of an action, from the parent's
+    entropy profile `before` and the child's `after` (both rows of the
+    search's table, so a simulation makes no model call)."""
+    return entropy_gain(before.total, after.total)
 
 
 def _profiled(model, state: SeqState) -> tuple[Any, EntropyProfile]:
@@ -242,9 +222,8 @@ class CandidateEntry:
     path: tuple[UnmaskAction, ...]
     reward: float  # r_ig at creation
     score: float  # cumulative gain from the root
-    completion: SeqState
-    # the model's prediction at `state`, made for the simulation that
-    # created the entry (None when none was made); finishing starts from it
+    # the search table's prediction at `state` (None when the state is
+    # complete); finishing starts from it
     output: Any = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -283,7 +262,6 @@ def run_cgmcts(
     root_state: SeqState,
     cfg: SearchConfig,
     *,
-    rng: np.random.Generator | None = None,
     trace: Callable[[dict], None] | None = None,
 ) -> CandidatePool:
     """Search for candidate_count high-value prefixes of depth init_length.
@@ -310,12 +288,9 @@ def run_cgmcts(
                 path=(),
                 reward=0.0,
                 score=0.0,
-                completion=root_state,
             )
         )
         return pool
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     table = StateTable(lambda state: _profiled(model, state))
     root = SearchNode(root_state)
@@ -339,32 +314,29 @@ def run_cgmcts(
                 output, before = table(node.state)
                 for child in expand(node, output, cfg):
                     child_output, after = table(child.state)
-                    record, completion = simulate(
-                        before, child, child_output, after, rng, mode=cfg.rollout_mode
-                    )
+                    reward = simulate(before, after)
                     sims += 1
-                    backpropagate(path + [(node, child)], record.r_ig)
+                    backpropagate(path + [(node, child)], reward)
                     expanded_actions.append(
                         [child.action.position, child.action.token]
                     )
-                    rewards.append(record.r_ig)
+                    rewards.append(reward)
                     if child.state.reveal_count() >= cfg.init_length:
                         child.terminal = True
-                        child.terminal_reward = record.r_ig
+                        child.terminal_reward = reward
                         pool.add(
                             CandidateEntry(
                                 order=len(pool.entries),
                                 state=child.state,
                                 path=prefix + (child.action,),
-                                reward=record.r_ig,
+                                reward=reward,
                                 score=entropy_gain(table(root_state)[1].total, after.total),
-                                completion=completion,
                                 output=child_output,
                             )
                         )
                         if pool.full:
                             break
-                if pool.full or not node.children:
+                if pool.full:
                     break
                 child = ucb_select(node, cfg.c_explore)
                 path.append((node, child))

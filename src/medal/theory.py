@@ -471,6 +471,8 @@ def search_schedules(
     when `snapshots` is given, the best J after each listed iteration count
     (best-so-far, so snapshot values are non-increasing).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
     table = _contexts(model)
     rng = np.random.default_rng(seed)

@@ -315,6 +315,28 @@ def test_bench_spec_with_infeasible_family_is_a_config_error(tmp_path, small_cfg
     assert "vocab_size >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["decode", "--model", "{d}/trap.json", "--seed", "-1"], {}),
+        (["decode", "--model", "{d}/trap.json", "--config", "{d}/spec.json"],
+         {"search": {"seed": -5}}),
+        (["bench", "--config", "{d}/spec.json"],
+         {"instances": {"kind": "trap_family", "count": 1, "seed": 0},
+          "methods": [{"id": "g", "kind": "greedy"}], "seeds": [-1, 1]}),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--seed", "-3"],
+         {}),
+    ],
+    ids=["decode_flag", "config_search_seed", "bench_seeds", "theorem1_flag"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, trap_file, capsys, argv, files):
+    # numpy refuses negative seeds; each entry point must refuse them first
+    (tmp_path / "spec.json").write_text(json.dumps(files))
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
 TRAPS = {"kind": "trap_family", "count": 1, "seed": 0}
 
 

@@ -130,9 +130,9 @@ def test_augment_self_generate_appends_aux_tokens():
 def test_select_candidate_prefers_score_then_order():
     s = SeqState.fully_masked(Vocab(2), (), 2)
     entries = [
-        CandidateEntry(0, s, (), 0.1, 0.5, s),
-        CandidateEntry(1, s, (), 0.1, 0.9, s),
-        CandidateEntry(2, s, (), 0.1, 0.9, s),
+        CandidateEntry(0, s, (), 0.1, 0.5),
+        CandidateEntry(1, s, (), 0.1, 0.9),
+        CandidateEntry(2, s, (), 0.1, 0.9),
     ]
     pool = CandidatePool(capacity=3, entries=entries)
     assert select_candidate(pool).order == 1
@@ -222,6 +222,20 @@ def test_decode_without_search_equals_finish_from_root(rng):
     assert res.final == ref.final
     assert res.reveal_order == ref.reveal_order
     assert res.pool is None and res.chosen_candidate == -1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_decode_finishes_on_the_stream_the_search_left_untouched(rng, seed):
+    # the search draws no random numbers, so sampled finishing starts from
+    # a fresh seeded stream at the selected entry
+    model = toy_model(rng, length=8, vocab=3)
+    cfg = small_cfg(length=8, init_length=2, remaining_mode="sample", seed=seed)
+    res = decode(model, (), cfg)
+    entry = select_candidate(res.pool)
+    ref = finish_decode(model, entry.state, cfg, np.random.default_rng(seed), output=entry.output)
+    assert res.final == ref.final
+    assert res.reveal_order == entry.path + ref.reveal_order
+    assert res.per_step_scores == ref.per_step_scores
 
 
 def test_greedy_baseline_strips_search_and_augmentation(rng):

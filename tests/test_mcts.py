@@ -23,7 +23,7 @@ from medal.mcts import (
     ucb_select,
 )
 from medal import mcts
-from medal.reward import EntropyProfile, cumulative_gain, entropy_profile, info_gain
+from medal.reward import cumulative_gain, entropy_gain, entropy_profile, info_gain
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
@@ -56,14 +56,14 @@ def test_config_validation():
         {"candidate_count": 0},
         {"init_length": -1},
         {"max_simulations": 2, "candidate_count": 3},
-        {"rollout_mode": "beam"},
+        {"seed": -1},
     ]:
         with pytest.raises(ConfigError):
             replace(SearchConfig(), **bad).validate()
 
 
 def test_config_json_round_trip():
-    cfg = replace(SearchConfig(), k2=7, rollout_mode="argmax", max_simulations=50)
+    cfg = replace(SearchConfig(), k2=7, seed=4, max_simulations=50)
     back = SearchConfig.from_json(cfg.to_json())
     assert back == cfg
     with pytest.raises(ConfigError):
@@ -158,33 +158,22 @@ def test_expand_orders_children_by_pooled_rank(rng):
 # simulation
 
 
-def simulate_action(model, state, action, rng, **kw):
-    """Simulate `action` at `state` the way the search does: the parent's
-    profile, the child built once, one prediction at the child and the
-    profile read from it."""
-    child = SearchNode(apply_action(state, action), action)
-    output = None if child.state.is_complete else model.predict(child.state)
-    after = EntropyProfile.of(child.state, output)
-    return simulate(entropy_profile(model, state), child, output, after, rng, **kw)
+def simulate_action(model, state, action):
+    """Simulate `action` at `state` from the parent's and the child's profiles."""
+    after = entropy_profile(model, apply_action(state, action))
+    return simulate(entropy_profile(model, state), after)
 
 
-def test_simulate_costs_one_call_and_completes(rng):
+def test_simulate_makes_no_model_call(rng):
     model = CountingDenoiser(small_model(rng))
     state = SeqState.fully_masked(model.vocab, (), 3)
-    action = UnmaskAction(1, 0)
     before = entropy_profile(model, state)
-    child = SearchNode(apply_action(state, action), action)
-    output = model.predict(child.state)
-    after = EntropyProfile.of(child.state, output)
+    after = entropy_profile(model, apply_action(state, UnmaskAction(1, 0)))
     calls = model.calls
-    record, completion = simulate(
-        before, child, output, after, np.random.default_rng(0), mode="sample"
-    )
-    # the one prediction at the child serves both the reward and the rollout
+    reward = simulate(before, after)
+    # the search's table rows carry both profiles; the reward reads only them
     assert model.calls == calls == 2
-    assert completion.is_complete
-    assert completion.tokens[1] == 0
-    assert record.action == action
+    assert reward == entropy_gain(before.total, after.total)
 
 
 def test_simulate_completing_action_needs_no_second_call(rng):
@@ -192,34 +181,18 @@ def test_simulate_completing_action_needs_no_second_call(rng):
     state = apply_many(
         SeqState.fully_masked(model.vocab, (), 2), [UnmaskAction(0, 1)]
     )
-    gen = np.random.default_rng(0)
-    record, completion = simulate_action(model, state, UnmaskAction(1, 1), gen)
+    reward = simulate_action(model, state, UnmaskAction(1, 1))
     assert model.calls == 1  # only the before-profile
-    assert completion.is_complete
-    assert record.r_ig == pytest.approx(1.0, abs=1e-9)
+    assert reward == pytest.approx(1.0, abs=1e-9)
 
 
-def test_simulate_argmax_matches_marginal_argmax(rng):
+def test_simulate_reward_matches_info_gain(rng):
     model = small_model(rng, length=3, vocab=3)
     state = SeqState.fully_masked(model.vocab, (), 3)
-    gen = np.random.default_rng(3)
-    record, completion = simulate_action(model, state, UnmaskAction(0, 1), gen, mode="argmax")
-    nxt = apply_action(state, UnmaskAction(0, 1))
-    out = model.predict(nxt)
-    for p in (1, 2):
-        probs = np.exp(out.logits[p])
-        assert completion.tokens[p] == int(np.argmax(probs / probs.sum()))
+    reward = simulate_action(model, state, UnmaskAction(0, 1))
     # reward identical to the standalone computation
     ref = info_gain(model, state, UnmaskAction(0, 1))
-    assert record.r_ig == pytest.approx(ref.r_ig, abs=1e-12)
-
-
-def test_simulate_sample_mode_is_seed_deterministic(rng):
-    model = small_model(rng, length=4, vocab=3)
-    state = SeqState.fully_masked(model.vocab, (), 4)
-    one = simulate_action(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
-    two = simulate_action(model, state, UnmaskAction(2, 1), np.random.default_rng(7))[1]
-    assert one == two
+    assert reward == pytest.approx(ref.r_ig, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +203,7 @@ def test_pool_rejects_duplicate_states():
     model = xor_pair_model()
     s = SeqState.fully_masked(model.vocab, (), 2)
     pool = CandidatePool(capacity=3)
-    entry = CandidateEntry(0, s, (), 0.0, 0.0, s)
+    entry = CandidateEntry(0, s, (), 0.0, 0.0)
     assert pool.add(entry)
     assert not pool.add(replace(entry, order=1))
     assert len(pool.entries) == 1
@@ -274,7 +247,6 @@ def test_search_pools_consistent_entries(rng):
         assert len(entry.path) == 3
         # replaying the recorded path reproduces the pooled state
         assert apply_many(root, entry.path) == entry.state
-        assert entry.completion.is_complete
         # pooled score is the cumulative gain from the root, recomputable
         want = cumulative_gain(model, root, entry.state)
         assert entry.score == pytest.approx(want, abs=1e-12)
@@ -292,9 +264,18 @@ def test_search_is_deterministic(rng):
     b = run_cgmcts(model, root, cfg)
     assert [e.path for e in a.entries] == [e.path for e in b.entries]
     assert [e.score for e in a.entries] == [e.score for e in b.entries]
-    assert [e.completion.tokens for e in a.entries] == [
-        e.completion.tokens for e in b.entries
-    ]
+
+
+def test_search_draws_no_random_numbers(rng):
+    model = small_model(rng, length=5, vocab=3)
+    root = SeqState.fully_masked(model.vocab, (), 5)
+    cfg = replace(SearchConfig(), init_length=3, candidate_count=3, max_simulations=80)
+    runs = []
+    for seed in (1, 2):
+        events = []
+        pool = run_cgmcts(model, root, replace(cfg, seed=seed), trace=events.append)
+        runs.append((pool.entries, pool.exhausted, events))
+    assert runs[0] == runs[1]
 
 
 def test_search_exhausts_small_budget(rng):
