@@ -126,30 +126,30 @@ def _apply_seed(cfg: DecodeConfig, seed: int | None) -> DecodeConfig:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    model = load_model(args.model, args.vocab_size, args.mask_id)
-    cfg = _apply_seed(load_config(args.config), args.seed)
-    prompt = _parse_ints(args.prompt, "--prompt")
-    if args.baseline:
-        result = decode_greedy_baseline(model, prompt, cfg)
-    else:
-        result = decode(model, prompt, cfg)
+    with load_model(args.model, args.vocab_size, args.mask_id) as model:
+        cfg = _apply_seed(load_config(args.config), args.seed)
+        prompt = _parse_ints(args.prompt, "--prompt")
+        if args.baseline:
+            result = decode_greedy_baseline(model, prompt, cfg)
+        else:
+            result = decode(model, prompt, cfg)
     _write_lines(args.out, [result.to_json()])
     log.info("decode finished: %d reveals", len(result.reveal_order))
     return 0
 
 
 def _cmd_mcts_init(args: argparse.Namespace) -> int:
-    model = load_model(args.model, args.vocab_size, args.mask_id)
-    cfg = _apply_seed(load_config(args.config), args.seed)
-    cfg.validate()
-    prompt = _parse_ints(args.prompt, "--prompt")
-    root = SeqState.fully_masked(model.vocab, prompt, cfg.length)
     lines: list[dict] = []
 
     def trace(rec: dict) -> None:
         lines.append({"kind": "trace", **rec})
 
-    pool = run_cgmcts(model, root, cfg.search, trace=trace)
+    with load_model(args.model, args.vocab_size, args.mask_id) as model:
+        cfg = _apply_seed(load_config(args.config), args.seed)
+        cfg.validate()
+        prompt = _parse_ints(args.prompt, "--prompt")
+        root = SeqState.fully_masked(model.vocab, prompt, cfg.length)
+        pool = run_cgmcts(model, root, cfg.search, trace=trace)
     lines.append(
         {
             "kind": "pool",
@@ -162,17 +162,17 @@ def _cmd_mcts_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_theory_check(args: argparse.Namespace) -> int:
-    model = load_model(args.model, args.vocab_size, args.mask_id)
-    if not isinstance(model, TabularModel):
-        raise ConfigError("theory-check needs a tabular model")
-    root = SeqState.fully_masked(model.vocab, (), model.length)
-    if args.mode == "lemma1":
-        report = verify_lemma1(model, root)
-    else:
-        budgets = list(_parse_ints(args.budgets, "--budgets")) or [1, 2, 4, 8]
-        report = verify_theorem1(
-            model, root, args.k, budgets, step_size=args.step_size, seed=args.seed or 0
-        )
+    with load_model(args.model, args.vocab_size, args.mask_id) as model:
+        if not isinstance(model, TabularModel):
+            raise ConfigError("theory-check needs a tabular model")
+        root = SeqState.fully_masked(model.vocab, (), model.length)
+        if args.mode == "lemma1":
+            report = verify_lemma1(model, root)
+        else:
+            budgets = list(_parse_ints(args.budgets, "--budgets")) or [1, 2, 4, 8]
+            report = verify_theorem1(
+                model, root, args.k, budgets, step_size=args.step_size, seed=args.seed or 0
+            )
     payload = json.dumps({"mode": args.mode, **report}, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(payload)

@@ -106,6 +106,14 @@ class DecodeResult:
         }
 
 
+def _seeded_rng(cfg: DecodeConfig) -> np.random.Generator:
+    """The rng a decode draws from when the caller passes none, seeded by
+    cfg.search.seed; ConfigError for a negative seed, as validate() gives."""
+    if cfg.search.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.search.seed}")
+    return np.random.default_rng(cfg.search.seed)
+
+
 def build_template(vocab: Vocab, subtasks: int, shots: int = 2) -> tuple[int, ...]:
     """Deterministic decomposition scaffold: `shots` runs of subtask slot
     markers, each terminated by token 0. Toy stand-in for a worked example."""
@@ -143,7 +151,7 @@ def augment_prompt(
     if cfg.augmenter == "template":
         return base
     if rng is None:
-        rng = np.random.default_rng(cfg.search.seed)
+        rng = _seeded_rng(cfg)
     aux_root = SeqState.fully_masked(model.vocab, base, cfg.aux_length)
     aux_cfg = replace(cfg, length=cfg.aux_length, total_steps=None, augmenter="identity")
     aux = finish_decode(model, aux_root, aux_cfg, rng)
@@ -176,7 +184,7 @@ def finish_decode(
     step's model call.
     """
     if rng is None:
-        rng = np.random.default_rng(cfg.search.seed)
+        rng = _seeded_rng(cfg)
     s = cfg.search
     cur = state
     order: list[UnmaskAction] = []
@@ -243,7 +251,7 @@ def decode(
     """Full pipeline: augment -> search-initialize -> finish."""
     cfg.validate()
     if rng is None:
-        rng = np.random.default_rng(cfg.search.seed)
+        rng = _seeded_rng(cfg)
     augmented = augment_prompt(model, prompt, cfg, rng)
     root = SeqState.fully_masked(model.vocab, augmented, cfg.length)
     if cfg.search.init_length == 0:

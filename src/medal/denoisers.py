@@ -13,12 +13,14 @@ Three toy families with known structure:
   revealed suffix preceding each position (prompt included).
 
 RemoteDenoiser speaks line-delimited JSON over a socket so an external
-process can stand in for the model; serve_denoiser exposes any local model
-over the same wire format.
+process can stand in for the model (a reply carries its logits as one
+base64 float64 matrix); serve_denoiser exposes any local model over the
+same wire format.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -27,7 +29,6 @@ import socketserver
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -192,12 +193,25 @@ class _LogitRows(Mapping):
 
 
 class Denoiser:
-    """Base interface. Subclasses set vocab and implement predict."""
+    """Base interface. Subclasses set vocab and implement predict.
+
+    A model is a context manager whose exit calls close(), which releases
+    what the model holds open (a no-op unless a subclass holds something).
+    """
 
     vocab: Vocab
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _check_state(self, state: SeqState) -> tuple[int, ...]:
         if state.vocab.size != self.vocab.size:
@@ -571,7 +585,9 @@ class CountingDenoiser(Denoiser):
 # ---------------------------------------------------------------------------
 # remote protocol: one JSON object per line in each direction.
 # request  = serialized state {"prompt_len", "tokens", "masked", "step"}
-# response = {"logits": {"<position>": [floats]}} or {"error": "..."}
+# response = {"positions": [p, ...], "logits": "<base64>"} or {"error": "..."},
+#            where logits is the row-major (P, V) little-endian float64 matrix
+#            of the P positions' rows, so V = bytes / (8 * P)
 
 
 class RemoteDenoiser(Denoiser):
@@ -616,11 +632,11 @@ class RemoteDenoiser(Denoiser):
         """One request/reply exchange.
 
         Socket errors, timeouts, a closed connection and replies that are
-        not a JSON object with a "logits" mapping from positions (canonical
-        ASCII decimal keys) to equal-width lists of JSON numbers raise
-        RemoteError and drop the connection; a server error frame raises
-        ConfigError and keeps it. A reply must cover exactly the state's
-        masked positions with vocab-wide rows (check_cover).
+        not a JSON object holding a "positions" list and a "logits" base64
+        float64 matrix with one whole row per position (_read_logits)
+        raise RemoteError and drop the connection; a server error frame
+        raises ConfigError and keeps it. A reply must cover exactly the
+        state's masked positions with vocab-wide rows (check_cover).
         """
         masked = self._check_state(state)
         payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
@@ -636,8 +652,8 @@ class RemoteDenoiser(Denoiser):
                 if not isinstance(obj, dict):
                     raise ValueError("reply is not a JSON object")
                 if "error" not in obj:
-                    out = _read_logits(obj.get("logits"))
-            except (OSError, EOFError, ValueError, TypeError) as exc:
+                    out = _read_logits(obj.get("positions"), obj.get("logits"))
+            except (OSError, EOFError, ValueError, TypeError, OverflowError) as exc:
                 self._drop()
                 host, port = self.address
                 raise RemoteError(
@@ -652,39 +668,24 @@ class RemoteDenoiser(Denoiser):
         with self._lock:
             self._drop()
 
-    def __enter__(self) -> "RemoteDenoiser":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _read_logits(logits) -> DenoiserOutput:
-    """The output a reply's "logits" mapping holds, in any key order;
-    ValueError unless every key is a position in canonical ASCII decimal
-    ("7", not "07" or an Arabic-Indic 7), every row is a list of JSON
-    numbers (a bool or a numeric string is not one) and the rows share one
-    width."""
-    if not isinstance(logits, dict):
-        raise ValueError("reply has no 'logits' mapping")
-    if not all(k.isascii() and k.isdecimal() and str(int(k)) == k for k in logits):
+def _read_logits(positions, logits) -> DenoiserOutput:
+    """The output a reply frame holds; ValueError unless `positions` is a
+    non-empty, strictly ascending list of JSON ints (a bool is not one) and
+    `logits` is base64 of 8 * len(positions) * W bytes for a whole W >= 1."""
+    if type(positions) is not list or not positions or not set(map(type, positions)) <= {int}:
         raise ValueError(
-            f"reply logits keys must be positions in canonical decimal digits, got {list(logits)}"
+            f"reply 'positions' must be a non-empty list of JSON ints, got {positions!r}"
         )
-    rows = logits.values()
-    if not set(map(type, rows)) <= {list} or not (
-        set(map(type, chain.from_iterable(rows))) <= {int, float}
-    ):
-        pos, row = next(
-            (p, r) for p, r in logits.items()
-            if type(r) is not list or not set(map(type, r)) <= {int, float}
-        )
-        raise ValueError(f"logits row of position {pos} is not a list of JSON numbers: {row!r}")
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("logits rows must share one width")
-    pairs = sorted(zip(map(int, logits), rows), key=lambda pair: pair[0])
-    matrix = np.array([row for _, row in pairs], dtype=np.float64) if pairs else np.empty((0, 0))
-    return DenoiserOutput.from_matrix([pos for pos, _ in pairs], matrix)
+    if any(b <= a for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"reply positions must be strictly ascending, got {positions}")
+    if type(logits) is not str:
+        raise ValueError(f"reply 'logits' must be a base64 string, got {type(logits).__name__}")
+    raw = base64.b64decode(logits, validate=True)
+    rows = len(positions)
+    if not raw or len(raw) % (8 * rows):
+        raise ValueError(f"reply logits of {len(raw)} bytes are not {rows} whole float64 rows")
+    return DenoiserOutput.from_matrix(positions, np.frombuffer(raw, "<f8").reshape(rows, -1))
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):
@@ -697,8 +698,8 @@ class _DenoiserHandler(socketserver.StreamRequestHandler):
             try:
                 state = state_from_json(json.loads(raw), model.vocab)
                 out = model.predict(state)
-                rows = out.matrix().tolist()
-                reply = {"logits": dict(zip(map(str, out.positions()), rows))}
+                matrix = out.matrix().astype("<f8", copy=False).tobytes()
+                reply = {"positions": out.positions(), "logits": base64.b64encode(matrix).decode()}
             except Exception as exc:  # report, keep serving
                 reply = {"error": f"{type(exc).__name__}: {exc}"}
             self.wfile.write((json.dumps(reply, separators=(",", ":")) + "\n").encode())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from medal.cli import default_config, load_config, load_model, main, _parse_ints
 from medal.decoder import DecodeConfig
-from medal.denoisers import FactorizedModel, NGramMaskedModel, TabularModel
+from medal.denoisers import FactorizedModel, NGramMaskedModel, TabularModel, serve_denoiser
 from medal.errors import ConfigError
 from medal.families import trap_family
 from medal.seqcore import Vocab
@@ -92,6 +93,32 @@ def test_decode_command_is_byte_deterministic(tmp_path, trap_file, small_cfg_fil
                         "per_step_scores", "pool"}
     assert len(obj["final"]["tokens"]) == 4
     assert obj["chosen_candidate"] >= 0
+
+
+def test_remote_model_commands_match_in_process_and_close_their_socket(tmp_path):
+    # a socket left open would fail the test as an unraisable ResourceWarning
+    corpus = resources.files("medal.data") / "toy_corpus.txt"
+    cfg = replace(default_config(), length=32, total_steps=None)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg.to_json()))
+    server = serve_denoiser(load_model(f"ngram:{corpus}"))
+    server.serve_in_thread()
+    host, port = server.server_address
+    try:
+        for command, seeds in (("decode", ("1", "2", "3")), ("mcts-init", ("1",))):
+            for seed in seeds:
+                outs = []
+                for model in (f"remote:{host}:{port}", f"ngram:{corpus}"):
+                    out = tmp_path / f"{len(outs)}.jsonl"
+                    assert main([
+                        command, "--model", model, "--vocab-size", "12", "--prompt", "0,1",
+                        "--config", str(cfg_file), "--seed", seed, "--out", str(out),
+                    ]) == 0
+                    outs.append(out.read_bytes())
+                assert outs[0] == outs[1], (command, seed)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_decode_baseline_flag(tmp_path, trap_file, small_cfg_file):

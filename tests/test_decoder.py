@@ -196,6 +196,20 @@ def test_finish_decode_step_budget_enforced(rng):
         finish_decode(model, root, cfg)
 
 
+def test_negative_seed_without_an_rng_is_a_config_error(rng):
+    model = fit_ngram([(0, 1, 2, 3), (3, 2, 1, 0)], n=2, alpha=1.0)
+    cfg = small_cfg(init_length=0, augmenter="self_generate", aux_length=3, seed=-1)
+    root = SeqState.fully_masked(model.vocab, (), 4)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        finish_decode(model, root, cfg)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        augment_prompt(model, (0,), cfg)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        decode(model, (0,), cfg)
+    # a caller's own rng is used as given
+    assert finish_decode(model, root, cfg, np.random.default_rng(0)).final.is_complete
+
+
 def test_decode_end_to_end_consistency(rng):
     model = toy_model(rng)
     cfg = small_cfg(init_length=2, remaining_mode="argmax")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -350,7 +351,7 @@ def test_remote_round_trip_and_error_frames(rng):
             local = model.predict(state)
             wire = remote.predict(state)
             assert wire.positions() == local.positions()
-            assert np.max(np.abs(wire.matrix() - local.matrix())) < 1e-12
+            assert np.array_equal(wire.matrix(), local.matrix())
             # wrong generation length makes the server answer with an error
             # frame on the same connection, which surfaces as ConfigError
             bad = SeqState.fully_masked(model.vocab, (), 5)
@@ -358,7 +359,7 @@ def test_remote_round_trip_and_error_frames(rng):
                 remote.predict(bad)
             # connection still usable afterwards
             again = remote.predict(state)
-            assert np.max(np.abs(again.matrix() - local.matrix())) < 1e-12
+            assert np.array_equal(again.matrix(), local.matrix())
         # an ill-typed request, and one whose mask flag is set on a content
         # token, are each answered with an error frame, not read as another
         # state, and the same connection then serves a valid one
@@ -374,8 +375,9 @@ def test_remote_round_trip_and_error_frames(rng):
             error = json.loads(stream.readline())
             assert error == {"error": "ConfigError: mask flag and token disagree at position 0"}
             reply = json.loads(stream.readline())
-            assert list(reply["logits"]) == ["1", "2"]
-            assert np.array_equal(list(reply["logits"].values()), local.matrix())
+            assert reply["positions"] == [1, 2]
+            matrix = np.frombuffer(base64.b64decode(reply["logits"]), "<f8").reshape(2, -1)
+            assert np.array_equal(matrix, local.matrix())
     finally:
         server.shutdown()
         server.server_close()
@@ -442,10 +444,15 @@ def _scripted(reply):
         server.server_close()
 
 
+def _frame(positions, matrix):
+    """A reply line holding `matrix` as base64 little-endian float64."""
+    logits = base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode()
+    return (json.dumps({"positions": list(positions), "logits": logits}) + "\n").encode()
+
+
 def _logits_line(model, raw):
     out = model.predict(state_from_json(json.loads(raw), model.vocab))
-    logits = dict(zip(map(str, out.positions()), out.matrix().tolist()))
-    return (json.dumps({"logits": logits}) + "\n").encode()
+    return _frame(out.positions(), out.matrix())
 
 
 def test_remote_timeout_drops_the_connection_and_recovers(rng):
@@ -462,30 +469,39 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
             with pytest.raises(RemoteError, match="timed out"):
                 remote.predict(state)
             again = remote.predict(state)  # reconnects
-            assert np.max(np.abs(again.matrix() - model.predict(state).matrix())) < 1e-12
+            assert np.array_equal(again.matrix(), model.predict(state).matrix())
+
+
+_ROWS = _frame([1, 2], np.zeros((2, 3)))  # a well-formed reply to the state below
 
 
 @pytest.mark.parametrize(
     "line, match",
     [
         (b"not json\n", "JSONDecodeError"),
-        (b'{"rows": []}\n', "logits"),
-        (b'{"logits": [[0.0, 1.0, 2.0]]}\n', "logits"),
-        (b'{"logits": {"0": ["x", 1.0, 2.0]}}\n', "not a list of JSON numbers"),
-        (b'{"logits": {"2": ["0.5", 1.0, 1.0]}}\n', "position 2 is not a list of JSON numbers"),
-        (b'{"logits": {"2": [0.5, true, 1]}}\n', "position 2 is not a list of JSON numbers"),
-        (b'{"logits": {"2": 0.5}}\n', "position 2 is not a list of JSON numbers"),
-        (b'{"logits": {"1_0": [0.0, 1.0, 2.0]}}\n', "decimal digits"),
-        (b'{"logits": {"1": [0.0, 1.0, 2.0], "01": [2.0, 1.0, 0.0]}}\n', "decimal digits"),
-        (b'{"logits": {"\\u0661": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "decimal digits"),
-        (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0]}}\n', "one width"),
+        (b'{"positions": [1, 2]}\n', "base64 string, got NoneType"),
+        (b'{"positions": [1, 2], "logits": [[0.0, 1.0, 2.0]]}\n', "base64 string, got list"),
+        (b'{"positions": [1, 2], "logits": true}\n', "base64 string, got bool"),
+        (b'{"positions": [1, 2], "logits": "0.5"}\n', "Only base64 data"),
+        (b'{"positions": [1, 2], "logits": "\\u0661AAA"}\n', "ASCII"),
+        (_frame([1, 2], np.zeros(5)), "40 bytes are not 2 whole float64 rows"),
+        (_ROWS.replace(b'"' + base64.b64encode(bytes(48)), b'"' + base64.b64encode(bytes(20))),
+         "20 bytes are not 2 whole float64 rows"),
+        (b'{"positions": [1, 2], "logits": ""}\n', "0 bytes"),
+        (_ROWS.replace(b"[1, 2]", b"[true, 2]"), "list of JSON ints"),
+        (_ROWS.replace(b"[1, 2]", b"[1.0, 2]"), "list of JSON ints"),
+        (_ROWS.replace(b"[1, 2]", b'["1", "2"]'), "list of JSON ints"),
+        (_ROWS.replace(b"[1, 2]", b"1"), "list of JSON ints"),
+        (_ROWS.replace(b"[1, 2]", b"[]"), "list of JSON ints"),
+        (_ROWS.replace(b"[1, 2]", b"[1, 36893488147419103232]"), "OverflowError"),
+        (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "'positions'"),
         (None, "closed"),
     ],
     ids=[
-        "non_json", "no_logits", "logits_not_mapping", "logits_not_numbers",
-        "logits_numeric_string", "logits_bool", "logits_row_not_list",
-        "logits_key_not_decimal", "logits_key_duplicate", "logits_key_non_ascii",
-        "logits_ragged_rows", "closed",
+        "non_json", "no_logits", "logits_not_string", "logits_bool", "logits_numeric_string",
+        "logits_not_ascii", "logits_ragged_rows", "logits_partial_float", "logits_empty",
+        "positions_bool", "positions_float", "positions_string", "positions_not_list",
+        "positions_empty", "position_past_int64", "old_mapping_reply", "closed",
     ],
 )
 def test_remote_bad_replies_raise_remote_error(line, match):
@@ -498,31 +514,72 @@ def test_remote_bad_replies_raise_remote_error(line, match):
             assert remote._sock is None  # dropped; the next call reconnects
 
 
-def test_remote_reply_keys_in_any_order_match_their_rows(rng):
+@pytest.mark.parametrize(
+    "order", [[3, 2, 1], [1, 3, 2], [1, 1, 2], [1, 2, 2]],
+    ids=["descending", "unsorted", "duplicate_first", "duplicate_last"],
+)
+def test_remote_reply_positions_must_be_strictly_ascending(rng, order):
     model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
     state = SeqState.fully_masked(model.vocab, (1,), 3)
-
-    def reply(n, raw):
-        logits = json.loads(_logits_line(model, raw))["logits"]
-        return (json.dumps({"logits": dict(reversed(logits.items()))}) + "\n").encode()
-
-    with _scripted(reply) as address:
+    rows = model.predict(state).matrix()
+    with _scripted(lambda n, raw: _frame(order, rows)) as address:
         with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
-            got = remote.predict(state)
-    local = model.predict(state)
-    assert got.positions() == local.positions() == [1, 2, 3]
-    for pos in local.positions():
-        assert np.array_equal(got.logits[pos], local.logits[pos])
+            with pytest.raises(RemoteError, match="strictly ascending"):
+                remote.predict(state)
+            assert remote._sock is None
+
+
+class _FixedModel(Denoiser):
+    """Every masked position gets the same row of hard-to-print floats."""
+
+    ROW = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1 / 3, 2 / 3,
+           np.nextafter(1.0, 2.0), -123456.78901234567, 2.2250738585072014e-308]
+
+    def __init__(self):
+        self.vocab = Vocab(len(self.ROW))
+
+    def predict(self, state):
+        pos = self._check_state(state)
+        return DenoiserOutput.from_matrix(pos, np.tile(self.ROW, (len(pos), 1)))
+
+
+def test_remote_logits_are_bit_identical_to_local():
+    model = _FixedModel()
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    host, port = server.server_address
+    try:
+        with RemoteDenoiser(f"{host}:{port}", vocab=model.vocab) as remote:
+            state = SeqState.fully_masked(model.vocab, (1,), 3)
+            wire, local = remote.predict(state), model.predict(state)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert wire.positions() == local.positions() == [1, 2, 3]
+    assert np.array_equal(wire.matrix().view(np.uint64), local.matrix().view(np.uint64))
+    assert np.signbit(wire.matrix()[:, 0]).all()  # -0.0 keeps its sign
+
+
+def test_remote_non_finite_logits_raise_and_keep_the_connection():
+    vocab = Vocab(3)
+    state = SeqState.fully_masked(vocab, (1,), 2)
+    rows = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]])
+    with _scripted(lambda n, raw: _frame([1, 2], rows if n == 0 else np.zeros((2, 3)))) as address:
+        with RemoteDenoiser(address, vocab=vocab, timeout=5.0) as remote:
+            with pytest.raises(NonFiniteLogits, match="position 2"):
+                remote.predict(state)
+            assert remote._sock is not None  # the reply was read whole
+            assert remote.predict(state).positions() == [1, 2]
 
 
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda rows: {**rows, "0": [0.0] * 3}, r"missing positions \[\], extra \[0\]"),
         (
-            lambda rows: {p: v for p, v in rows.items() if p != "3"},
-            r"missing positions \[3\], extra \[\]",
+            lambda pos, rows: ([0, *pos], np.vstack([np.zeros((1, rows.shape[1])), rows])),
+            r"missing positions \[\], extra \[0\]",
         ),
+        (lambda pos, rows: (pos[:-1], rows[:-1]), r"missing positions \[3\], extra \[\]"),
     ],
     ids=["extra_revealed_row", "missing_row"],
 )
@@ -531,11 +588,11 @@ def test_remote_reply_must_cover_exactly_the_masked_positions(edit, match):
     state = apply_many(SeqState.fully_masked(model.vocab, (), 4), [UnmaskAction(0, 1)])
 
     def reply(n, raw):
-        line = _logits_line(model, raw)
         if n != 1:
-            return line
+            return _logits_line(model, raw)
         # the second request gets a well-formed reply over the wrong rows
-        return (json.dumps({"logits": edit(json.loads(line)["logits"])}) + "\n").encode()
+        out = model.predict(state)
+        return _frame(*edit(out.positions(), out.matrix()))
 
     with _scripted(reply) as address:
         with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
