@@ -14,8 +14,8 @@ Three toy families with known structure:
 
 RemoteDenoiser speaks line-delimited JSON over a socket so an external
 process can stand in for the model (a reply carries its logits as one
-base64 float64 matrix); serve_denoiser exposes any local model over the
-same wire format.
+base64 float64 matrix); predict_many pipelines a batch of requests in one
+write. serve_denoiser exposes any local model over the same wire format.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ if TYPE_CHECKING:
 
 # floor added before log so tabular/factorized logits stay finite at p=0
 LOGIT_FLOOR = 1e-12
+
+# seconds between a serving loop's shutdown checks, so shutdown() returns fast
+SERVE_POLL_S = 0.02
 
 
 class DenoiserOutput:
@@ -203,6 +206,11 @@ class Denoiser:
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         raise NotImplementedError
+
+    def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
+        """predict() of each state, in order. A subclass may answer the
+        batch at once, but its outputs must equal predict()'s."""
+        return [self.predict(state) for state in states]
 
     def close(self) -> None:
         pass
@@ -567,7 +575,8 @@ def load_corpus(path: str | Path) -> list[tuple[int, ...]]:
 
 
 class CountingDenoiser(Denoiser):
-    """Transparent wrapper that counts predict() calls."""
+    """Transparent wrapper that counts predicted states: one per predict()
+    call, len(states) per predict_many() call, which it forwards whole."""
 
     def __init__(self, inner: Denoiser):
         self.inner = inner
@@ -577,6 +586,10 @@ class CountingDenoiser(Denoiser):
     def predict(self, state: SeqState) -> DenoiserOutput:
         self.calls += 1
         return self.inner.predict(state)
+
+    def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
+        self.calls += len(states)
+        return self.inner.predict_many(states)
 
     def reset(self) -> None:
         self.calls = 0
@@ -588,13 +601,18 @@ class CountingDenoiser(Denoiser):
 # response = {"positions": [p, ...], "logits": "<base64>"} or {"error": "..."},
 #            where logits is the row-major (P, V) little-endian float64 matrix
 #            of the P positions' rows, so V = bytes / (8 * P)
+# A client may write several requests before it reads; the server answers
+# them in order, one reply line per request line. Both ends set TCP_NODELAY,
+# or pipelined small writes stall on Nagle's algorithm and delayed ACKs.
 
 
 class RemoteDenoiser(Denoiser):
     """Client for a denoiser served over a byte stream.
 
     The wire format carries no vocab descriptor, so the caller supplies the
-    vocab. One in-flight request at a time.
+    vocab. predict() sends one request and reads its reply; predict_many()
+    writes a batch of requests at once and then reads their replies in
+    order. A lock serialises callers, held across a whole batch.
     """
 
     def __init__(self, address: str | tuple[str, int], vocab: Vocab, timeout: float = 30.0):
@@ -611,12 +629,21 @@ class RemoteDenoiser(Denoiser):
         self.timeout = timeout
         self._sock: socket.socket | None = None
         self._fh = None
-        self._lock = threading.Lock()
+        self._pending = 0  # requests predict_many wrote whose replies are unread
+        self._lock = threading.RLock()
 
     def _connect(self) -> None:
         if self._sock is None:
             self._sock = socket.create_connection(self.address, timeout=self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._fh = self._sock.makefile("rwb")
+
+    def _send(self, states: Sequence[SeqState]) -> None:
+        """Write one request line per state in one write (caller holds the lock)."""
+        lines = [json.dumps(state_to_json(state), separators=(",", ":")) + "\n" for state in states]
+        self._connect()
+        self._fh.write("".join(lines).encode())
+        self._fh.flush()
 
     def _drop(self) -> None:
         """Close the stream and socket (caller holds the lock); the next call reconnects."""
@@ -627,9 +654,17 @@ class RemoteDenoiser(Denoiser):
         if self._sock is not None:
             self._sock.close()
             self._sock = None
+        self._pending = 0
+
+    def _error(self, exc: Exception) -> RemoteError:
+        """Drop the connection and wrap `exc` (caller holds the lock)."""
+        self._drop()
+        host, port = self.address
+        return RemoteError(f"remote denoiser {host}:{port}: {type(exc).__name__}: {exc}")
 
     def predict(self, state: SeqState) -> DenoiserOutput:
-        """One request/reply exchange.
+        """One request/reply exchange; inside predict_many, the read of the
+        next reply, whose request is already written.
 
         Socket errors, timeouts, a closed connection and replies that are
         not a JSON object holding a "positions" list and a "logits" base64
@@ -639,12 +674,12 @@ class RemoteDenoiser(Denoiser):
         state's masked positions with vocab-wide rows (check_cover).
         """
         masked = self._check_state(state)
-        payload = (json.dumps(state_to_json(state), separators=(",", ":")) + "\n").encode()
         with self._lock:
             try:
-                self._connect()
-                self._fh.write(payload)
-                self._fh.flush()
+                if self._pending:
+                    self._pending -= 1
+                else:
+                    self._send([state])
                 line = self._fh.readline()
                 if not line:
                     raise EOFError("connection closed without a reply")
@@ -654,15 +689,35 @@ class RemoteDenoiser(Denoiser):
                 if "error" not in obj:
                     out = _read_logits(obj.get("positions"), obj.get("logits"))
             except (OSError, EOFError, ValueError, TypeError, OverflowError) as exc:
-                self._drop()
-                host, port = self.address
-                raise RemoteError(
-                    f"remote denoiser {host}:{port}: {type(exc).__name__}: {exc}"
-                ) from exc
+                raise self._error(exc) from exc
         if "error" in obj:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
         out.check_cover(masked, self.vocab.size)
         return out
+
+    def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
+        """Pipelined predict(): every state is checked, then all requests
+        go out in one write, then predict() reads each reply in order.
+
+        Any error in the batch drops the connection, so no reply of it is
+        left unread for the next call; a bad state raises before anything
+        is written.
+        """
+        for state in states:
+            self._check_state(state)
+        if not states:
+            return []
+        with self._lock:
+            try:
+                self._send(states)
+            except OSError as exc:
+                raise self._error(exc) from exc
+            self._pending = len(states)
+            try:
+                return [self.predict(state) for state in states]
+            except BaseException:
+                self._drop()
+                raise
 
     def close(self) -> None:
         with self._lock:
@@ -689,6 +744,10 @@ def _read_logits(positions, logits) -> DenoiserOutput:
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):
+    """Answers each request line with one reply line, in order."""
+
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         model: Denoiser = self.server.model  # type: ignore[attr-defined]
         for raw in self.rfile:
@@ -715,7 +774,9 @@ class DenoiserServer(socketserver.ThreadingTCPServer):
         self.model = model
 
     def serve_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": SERVE_POLL_S}, daemon=True
+        )
         thread.start()
         return thread
 

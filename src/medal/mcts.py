@@ -9,15 +9,19 @@ until the descent reaches init_length revealed tokens. Expansion builds
 each child state once. A search predicts each state once: its StateTable
 keeps the prediction and the entropy profile read from it, which the
 state's rewards, pool entry and expansion read, whichever reveal order
-reached it. The search draws no random numbers. Nodes at init_length
-revealed tokens enter the candidate pool;
-they stay selectable but are never expanded, and re-selecting one
-backpropagates its stored creation reward. The per-iteration descent is
-what lets a budget of 64 * candidate_count simulations reach pool depth:
-one descent costs about init_length * k2 simulations and its final
-expansion delivers up to k2 candidates at once. The search stops when the
-pool holds candidate_count entries or the simulation budget runs out (the
-pool is then returned short, flagged exhausted).
+reached it. Before simulating, an expansion reads ahead: the children its
+loop will read and the table lacks go to the model in one predict_many
+call (all children, or at pool depth the prefix that fills the pool), so
+a served model gets one batch of requests per expansion. The search
+draws no random numbers. Nodes at init_length revealed tokens enter the
+candidate pool; they stay selectable but are never expanded, and
+re-selecting one backpropagates its stored creation reward. The
+per-iteration descent is what lets a budget of 64 * candidate_count
+simulations reach pool depth: one descent costs about init_length * k2
+simulations and its final expansion delivers up to k2 candidates at
+once. The search stops when the pool holds candidate_count entries or
+the simulation budget runs out (the pool is then returned short, flagged
+exhausted).
 
 SearchNode, ucb_select, select_leaf, backpropagate and StateTable are
 generic over the state/action payload: the schedule-space search in the
@@ -206,11 +210,29 @@ def simulate(before: EntropyProfile, after: EntropyProfile) -> float:
     return entropy_gain(before.total, after.total)
 
 
-def _profiled(model, state: SeqState) -> tuple[Any, EntropyProfile]:
+def _profiled(state: SeqState, output) -> tuple[Any, EntropyProfile]:
     """A search's table row: the prediction at `state` (None when complete)
     and the entropy profile read from it, which checks it."""
-    output = None if state.is_complete else model.predict(state)
     return output, EntropyProfile.of(state, output)
+
+
+def _read_ahead(
+    model, table: StateTable, children: list[SearchNode], pool: CandidatePool, cfg: SearchConfig
+) -> None:
+    """Predict, in one predict_many call, the children an expansion's loop
+    will read that the table lacks: every child, or at pool depth only the
+    prefix that fills the pool (states pooled already add no entry)."""
+    if children and children[0].state.reveal_count() >= cfg.init_length:
+        room = pool.capacity - len(pool.entries)
+        for i, child in enumerate(children):
+            if child.state.tokens not in pool:
+                room -= 1
+                if room == 0:
+                    children = children[: i + 1]
+                    break
+    states = [c.state for c in children if c.state.tokens not in table and not c.state.is_complete]
+    for state, output in zip(states, model.predict_many(states)):
+        table[state.tokens] = _profiled(state, output)
 
 
 @dataclass(frozen=True)
@@ -246,6 +268,9 @@ class CandidatePool:
     @property
     def full(self) -> bool:
         return len(self.entries) >= self.capacity
+
+    def __contains__(self, tokens: tuple[int, ...]) -> bool:
+        return tokens in self._seen
 
     def add(self, entry: CandidateEntry) -> bool:
         """Insert unless an identical state is pooled already."""
@@ -292,7 +317,9 @@ def run_cgmcts(
         )
         return pool
 
-    table = StateTable(lambda state: _profiled(model, state))
+    table = StateTable(
+        lambda state: _profiled(state, None if state.is_complete else model.predict(state))
+    )
     root = SearchNode(root_state)
 
     sims = 0
@@ -312,7 +339,9 @@ def run_cgmcts(
             while not node.terminal and not pool.full and sims < cfg.budget:
                 prefix = tuple(c.action for _, c in path)
                 output, before = table(node.state)
-                for child in expand(node, output, cfg):
+                children = expand(node, output, cfg)
+                _read_ahead(model, table, children, pool, cfg)
+                for child in children:
                     child_output, after = table(child.state)
                     reward = simulate(before, after)
                     sims += 1

@@ -8,8 +8,11 @@ import json
 import math
 import socket
 import socketserver
+import sys
 import threading
 import time
+from dataclasses import replace
+from importlib import resources
 from itertools import product
 
 import numpy as np
@@ -18,7 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from medal.cli import default_config, load_model
+from medal.decoder import decode
 from medal.denoisers import (
+    SERVE_POLL_S,
     CountingDenoiser,
     Denoiser,
     DenoiserOutput,
@@ -436,7 +442,9 @@ class _ScriptedServer(socketserver.ThreadingTCPServer):
 @contextlib.contextmanager
 def _scripted(reply):
     server = _ScriptedServer(reply)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": SERVE_POLL_S}, daemon=True
+    ).start()
     try:
         yield server.server_address
     finally:
@@ -601,6 +609,146 @@ def test_remote_reply_must_cover_exactly_the_masked_positions(edit, match):
                 remote.predict(state)
             # the reply was read whole, so the connection stays usable
             assert remote.predict(state).positions() == [1, 2, 3]
+
+
+def _three_states(model):
+    """Three states of a length-3 region after prompt (1,), masked alike at
+    [2, 3] but with different logits, so a stale reply would pass the
+    position check and only its values would give it away."""
+    root = SeqState.fully_masked(model.vocab, (1,), 3)
+    return root, [apply_many(root, [UnmaskAction(1, t)]) for t in range(3)]
+
+
+@pytest.mark.parametrize(
+    "at, line, error, match",
+    [
+        (1, b'{"error": "scripted"}\n', ConfigError, "scripted"),
+        (2, b"not json\n", RemoteError, "JSONDecodeError"),
+        (1, None, RemoteError, "closed"),
+    ],
+    ids=["error_frame_2nd", "malformed_3rd", "closed_at_2nd"],
+)
+def test_remote_fault_mid_batch_drops_the_connection(rng, at, line, error, match):
+    # the request for states[at] gets `line` (None closes the connection)
+    model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
+    root, states = _three_states(model)
+
+    def reply(n, raw):
+        if state_from_json(json.loads(raw), model.vocab) == states[at]:
+            return line
+        return _logits_line(model, raw)
+
+    with _scripted(reply) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+            # a clean batch is answered in order, like predict
+            outs = remote.predict_many([states[0], root])
+            assert [o.positions() for o in outs] == [[2, 3], [1, 2, 3]]
+            assert np.array_equal(outs[1].matrix(), model.predict(root).matrix())
+            with pytest.raises(error, match=match):
+                remote.predict_many(states)
+            assert remote._sock is None  # no reply of the batch is left unread
+            again = remote.predict(states[0])  # reconnects and reads its own reply
+            assert np.array_equal(again.matrix(), model.predict(states[0]).matrix())
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (SeqState.fully_masked(Vocab(4), (1,), 3), ConfigError),
+        (SeqState(Vocab(3), 1, (1, 0, 0, 0)), NoMaskedPositions),
+    ],
+    ids=["wrong_vocab", "fully_revealed"],
+)
+def test_remote_predict_many_checks_every_state_before_writing(rng, bad, error):
+    model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
+    _, states = _three_states(model)
+    seen = []
+
+    def reply(n, raw):
+        seen.append(state_from_json(json.loads(raw), model.vocab).tokens)
+        return _logits_line(model, raw)
+
+    with _scripted(reply) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+            with pytest.raises(error):
+                remote.predict_many([states[0], bad, states[1]])
+            assert remote._sock is None  # never connected: nothing was sent
+            again = remote.predict(states[0])
+            assert np.array_equal(again.matrix(), model.predict(states[0]).matrix())
+    assert seen == [states[0].tokens]
+
+
+def test_remote_batches_and_single_calls_from_many_threads(rng):
+    # the lock covers a whole batch, so no thread reads another's reply
+    model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
+    root, states = _three_states(model)
+    want = {s.tokens: model.predict(s).matrix() for s in [root, *states]}
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    errors = []
+
+    def work(remote, k):
+        try:
+            for i in range(25):
+                batch = states[k % 3:] + [root] if i % 2 else [states[(k + i) % 3]]
+                outs = remote.predict_many(batch) if i % 4 != 2 else [remote.predict(batch[0])]
+                for state, out in zip(batch, outs):
+                    if not np.array_equal(out.matrix(), want[state.tokens]):
+                        errors.append((k, i, state.tokens))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with RemoteDenoiser(server.server_address, vocab=model.vocab, timeout=5.0) as remote:
+            threads = [threading.Thread(target=work, args=(remote, k)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+    assert errors == []
+
+
+class _FlushCounter:
+    """Stream proxy that counts flush() calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        self._inner.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_remote_decode_writes_one_batch_per_expansion():
+    # the default config at length 32 predicts 110 states: the root, 19
+    # expansions of 5 children, a last expansion of 3 that fills the pool,
+    # and 11 finish steps. Pipelining sends them in 1 + 20 + 11 = 32 flushes.
+    model = load_model(f"ngram:{resources.files('medal.data') / 'toy_corpus.txt'}")
+    cfg = replace(default_config(), length=32, total_steps=None)
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    try:
+        with RemoteDenoiser(server.server_address, vocab=model.vocab) as remote:
+            remote._connect()
+            remote._fh = stream = _FlushCounter(remote._fh)
+            counted = CountingDenoiser(remote)
+            wire = decode(counted, (0, 1), cfg)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (stream.flushes, counted.calls) == (32, 110)
+    assert wire.to_json() == decode(model, (0, 1), cfg).to_json()
 
 
 def test_remote_refused_connection_raises_remote_error():

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from medal.denoisers import CountingDenoiser, TabularModel
+from medal.denoisers import CountingDenoiser, Denoiser, TabularModel
 from medal.errors import AlreadyExpanded, ConfigError, NoChildren
 from medal.mcts import (
     CandidatePool,
@@ -324,15 +327,30 @@ def test_search_trace_schema_and_budget_accounting(rng):
 
 class RecordingDenoiser(CountingDenoiser):
     """CountingDenoiser that also records the tokens of every state it
-    predicts, in call order."""
+    predicts, in call order, whether through predict or predict_many, and
+    the size of each predict_many batch."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.states = []
+        self.batches = []
 
     def predict(self, state):
         self.states.append(state.tokens)
         return super().predict(state)
+
+    def predict_many(self, states):
+        self.states.extend(state.tokens for state in states)
+        self.batches.append(len(states))
+        return super().predict_many(states)
+
+
+class LoopingRecorder(RecordingDenoiser):
+    """RecordingDenoiser whose predict_many is the base loop over predict,
+    so each state is one predict call, as without read-ahead."""
+
+    def predict_many(self, states):
+        return Denoiser.predict_many(self, states)
 
 
 def test_search_predicts_each_node_once(monkeypatch):
@@ -353,3 +371,51 @@ def test_search_predicts_each_node_once(monkeypatch):
     run_cgmcts(model, root, cfg)
     assert len(created) > len(set(created))  # the instance has transpositions
     assert model.calls == len(set(model.states)) == len(set(created))
+    assert model.calls == len(model.states)
+    assert max(model.batches) > 1  # expansions read their children ahead
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    length=st.integers(2, 5),
+    vocab=st.integers(2, 3),
+    prompt_len=st.integers(0, 1),
+    init_length=st.integers(1, 5),
+    k1=st.integers(1, 3),
+    k2=st.integers(1, 6),
+    candidate_count=st.integers(1, 6),
+    budget=st.integers(1, 120),
+)
+# candidate_count < k2, so the final expansion fills the pool part-way
+@example(seed=3, length=4, vocab=3, prompt_len=0, init_length=2, k1=3, k2=5,
+         candidate_count=2, budget=40)
+# the transposition instance of test_search_predicts_each_node_once
+@example(seed=0, length=6, vocab=3, prompt_len=0, init_length=4, k1=3, k2=3,
+         candidate_count=20, budget=512)
+def test_property_read_ahead_predicts_what_one_call_per_state_would(
+    seed, length, vocab, prompt_len, init_length, k1, k2, candidate_count, budget
+):
+    # batching an expansion's children into one predict_many call changes
+    # neither which states are predicted, nor their order, nor the search:
+    # the same as a predict_many that loops over predict, and as a search
+    # without read-ahead, which predicts each state when its loop reads it
+    assume(init_length <= length and budget >= candidate_count)
+    inner = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    root = SeqState.fully_masked(inner.vocab, (1,) * prompt_len, length)
+    cfg = SearchConfig(k1=k1, k2=k2, candidate_count=candidate_count,
+                       init_length=init_length, max_simulations=budget)
+    models, runs = [], []
+    for wrapper, read_ahead in ((RecordingDenoiser, mcts._read_ahead),
+                                (LoopingRecorder, mcts._read_ahead),
+                                (RecordingDenoiser, lambda *args: None)):
+        model = wrapper(inner)
+        events = []
+        with patch.object(mcts, "_read_ahead", read_ahead):
+            pool = run_cgmcts(model, root, cfg, trace=events.append)
+        assert model.calls == len(model.states) == len(set(model.states))
+        models.append(model)
+        runs.append((model.states, pool.entries, pool.exhausted, events))
+    assert runs[0] == runs[1] == runs[2]
+    # with read-ahead, only the root is predicted on its own
+    assert sum(models[0].batches) == models[0].calls - 1
