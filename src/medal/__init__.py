@@ -28,8 +28,8 @@ from .denoisers import (
 )
 from .errors import MedalError
 from .mcts import CandidatePool, SearchConfig, run_cgmcts
-from .reward import EntropyProfile, RewardRecord, cumulative_gain, entropy_profile, info_gain
-from .scoring import ActionCandidates, PositionScore, build_candidates, score_position
+from .reward import EntropyProfile
+from .scoring import ActionCandidates, build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_action
 from .theory import (
     Schedule,
@@ -56,9 +56,7 @@ __all__ = [
     "FactorizedModel",
     "MedalError",
     "NGramMaskedModel",
-    "PositionScore",
     "RemoteDenoiser",
-    "RewardRecord",
     "Schedule",
     "ScheduleCost",
     "SearchConfig",
@@ -68,21 +66,17 @@ __all__ = [
     "Vocab",
     "apply_action",
     "build_candidates",
-    "cumulative_gain",
     "decode",
     "decode_greedy_baseline",
     "dependence_error",
     "entropy_gap",
-    "entropy_profile",
     "finish_decode",
     "fit_ngram",
-    "info_gain",
     "load_corpus",
     "oracle_min_schedule",
     "replay_reveals",
     "run_cgmcts",
     "schedule_cost",
-    "score_position",
     "serve_denoiser",
     "verify_lemma1",
     "verify_theorem1",

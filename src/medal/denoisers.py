@@ -27,7 +27,6 @@ import math
 import socket
 import socketserver
 import threading
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -63,43 +62,27 @@ class DenoiserOutput:
     positions() lists the absolute masked positions in ascending order;
     row i of matrix() is the logit vector of the i-th position over the
     content tokens (the mask token gets no logit), so the matrix has shape
-    (P, V). Build it from a {position: vector} mapping or with
-    from_matrix(positions, matrix). Either way the whole matrix is
-    validated once, here: 2-d with one width, and every entry finite.
-    The stored arrays are read-only; matrix() without arguments returns
-    them without copying. probs() is the row softmax of the matrix,
-    computed on its first call and kept, so scoring and entropies over
-    one prediction share one softmax.
+    (P, V). from_matrix(positions, matrix) is the one constructor; it
+    validates the whole matrix once: 2-d with one row per position, and
+    every entry finite. The stored arrays are read-only; matrix() without
+    arguments returns them without copying. probs() is the row softmax of
+    the matrix, computed on its first call and kept, so scoring and
+    entropies over one prediction share one softmax.
     """
 
     __slots__ = ("_positions", "_matrix", "_probs")
-
-    def __init__(self, logits: Mapping[int, ArrayLike]):
-        items = sorted(((int(p), v) for p, v in logits.items()), key=lambda kv: kv[0])
-        rows = []
-        for pos, vec in items:
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1:
-                raise ConfigError(f"logits for position {pos} must be 1-d")
-            if rows and arr.shape[0] != rows[0].shape[0]:
-                raise ConfigError("logit vectors must share one width")
-            rows.append(arr)
-        matrix = np.stack(rows) if rows else np.empty((0, 0))
-        self._set(np.asarray([p for p, _ in items], dtype=np.int64), matrix)
 
     @classmethod
     def from_matrix(cls, positions: Sequence[int], matrix: ArrayLike) -> "DenoiserOutput":
         """Output whose row i holds the logits of positions[i]; positions
         must be strictly ascending."""
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.ndim != 1 or (pos[1:] <= pos[:-1]).any():
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
             raise ConfigError("positions must be a strictly ascending 1-d sequence")
-        out = cls.__new__(cls)
-        out._set(pos, matrix)
-        return out
-
-    def _set(self, positions: np.ndarray, matrix: ArrayLike) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        try:
+            matrix = np.asarray(matrix, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError("logits must be a numeric matrix with one width") from None
         if matrix.ndim != 2 or matrix.shape[0] != positions.shape[0]:
             raise ConfigError(
                 f"logit matrix of shape {matrix.shape} does not give one row to each"
@@ -109,18 +92,19 @@ class DenoiserOutput:
         if not finite.all():
             row = int(np.argmin(finite.all(axis=1)))
             raise NonFiniteLogits(f"non-finite logits at position {positions[row]}")
-        positions = positions.view()
-        positions.flags.writeable = False
-        matrix = matrix.view()
-        matrix.flags.writeable = False
-        self._positions = positions
-        self._matrix = matrix
-        self._probs = None
+        out = cls.__new__(cls)
+        out._positions = positions.view()
+        out._positions.flags.writeable = False
+        out._matrix = matrix.view()
+        out._matrix.flags.writeable = False
+        out._probs = None
+        return out
 
     @property
-    def logits(self) -> Mapping[int, np.ndarray]:
-        """Read-only {position: logit vector} view of the rows."""
-        return _LogitRows(self)
+    def logits(self) -> dict[int, np.ndarray]:
+        """{position: logit vector}, a plain dict of read-only row views
+        built on each read."""
+        return dict(zip(self.positions(), self._matrix))
 
     def positions(self) -> list[int]:
         return self._positions.tolist()
@@ -172,27 +156,6 @@ class DenoiserOutput:
         if not found.all():
             raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
         return array[idx]
-
-
-class _LogitRows(Mapping):
-    """The {position: row} mapping behind DenoiserOutput.logits."""
-
-    __slots__ = ("_out",)
-
-    def __init__(self, out: DenoiserOutput):
-        self._out = out
-
-    def __getitem__(self, pos: int) -> np.ndarray:
-        try:
-            return self._out.matrix([pos])[0]
-        except MissingPosition:
-            raise KeyError(pos) from None
-
-    def __iter__(self):
-        return iter(self._out.positions())
-
-    def __len__(self) -> int:
-        return len(self._out._positions)
 
 
 class Denoiser:

@@ -42,7 +42,7 @@ def score_rows(
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
-        raise ValueError("probs must be 2-d (positions x vocab)")
+        raise ConfigError("probs must be 2-d (positions x vocab)")
     n_rows, width = probs.shape
 
     ln_v = math.log(width)
@@ -69,7 +69,7 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Exact Shannon entropy -sum p*ln(p) per row, 0*ln(0)=0, clamped to [0, ln V]."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
-        raise ValueError("probs must be 2-d")
+        raise ConfigError("probs must be 2-d")
     safe = np.where(probs > 0.0, probs, 1.0)
     ent = -(probs * np.log(safe)).sum(axis=1)
     np.clip(ent, 0.0, math.log(probs.shape[1]), out=ent)

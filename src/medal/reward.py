@@ -2,8 +2,11 @@
 
 The profile of a state is the per-masked-position Shannon entropy of the
 model's predictive distributions (exact entropy here; the epsilon-regularized
-variant belongs to action scoring only). The reward of an action is the
-normalized drop in total masked entropy after committing it:
+variant belongs to action scoring only). EntropyProfile.of builds it from a
+prediction the caller already holds; the search reads each state's
+prediction through its StateTable, so no state is predicted twice. The
+reward of an action is the normalized drop in total masked entropy after
+committing it (entropy_gain, which mcts.simulate applies):
 
     r = (before.total - after.total) / before.total
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ZeroBaselineEntropy
-from .seqcore import SeqState, UnmaskAction, apply_action
+from .seqcore import SeqState
 
 # baseline totals at or below this are treated as an already-resolved state
 ZERO_TOTAL = 1e-12
@@ -52,17 +55,6 @@ class EntropyProfile:
         values = kernels.entropy_rows(output.probs(positions))
         return cls(positions=positions, values=tuple(values.tolist()), total=float(values.sum()))
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.positions, self.values))
-
-
-def entropy_profile(model, state: SeqState) -> EntropyProfile:
-    """Profile of `state` under `model`; a complete state has an empty
-    profile and costs no model call."""
-    if state.is_complete:
-        return EntropyProfile.empty()
-    return EntropyProfile.of(state, model.predict(state))
-
 
 def entropy_gain(before_total: float, after_total: float) -> float:
     """The gain rule: normalized drop from a baseline total entropy."""
@@ -72,39 +64,3 @@ def entropy_gain(before_total: float, after_total: float) -> float:
         # nothing left to resolve; any action trivially completes the job
         return 1.0
     return (before_total - after_total) / before_total
-
-
-@dataclass(frozen=True)
-class RewardRecord:
-    action: UnmaskAction
-    r_ig: float
-    before: EntropyProfile
-    after: EntropyProfile
-
-    @classmethod
-    def of(
-        cls, action: UnmaskAction, before: EntropyProfile, after: EntropyProfile
-    ) -> "RewardRecord":
-        """Record of `action` from the profiles before and right after it."""
-        return cls(
-            action=action, r_ig=entropy_gain(before.total, after.total), before=before, after=after
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "action": [self.action.position, self.action.token],
-            "r_ig": self.r_ig,
-            "before_total": self.before.total,
-            "after_total": self.after.total,
-        }
-
-
-def info_gain(model, state: SeqState, action: UnmaskAction) -> RewardRecord:
-    """Reward of one unmask action at `state`."""
-    before = entropy_profile(model, state)
-    return RewardRecord.of(action, before, entropy_profile(model, apply_action(state, action)))
-
-
-def cumulative_gain(model, root: SeqState, state: SeqState) -> float:
-    """Normalized entropy resolved between the root and a descendant state."""
-    return entropy_gain(entropy_profile(model, root).total, entropy_profile(model, state).total)

@@ -1,64 +1,28 @@
-"""Confidence-adjusted action scoring and the two-stage candidate filter.
+"""The two-stage candidate filter over confidence-adjusted action scores.
 
-Each masked position gets softmax probabilities p, an entropy penalty
-exp(-H) with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
-sigmoid(gamma * (p_(1) - p_(2))). Token scores are the product of the three.
-Candidates are filtered per position (top-k1) and then pooled globally
-(top-k2); ties break toward lower position, then lower token. A finish
-step passes the previous step's candidates back in, so only the rows whose
-logits changed are scored again.
+build_candidates scores every masked row of one DenoiserOutput with
+kernels.score_rows: softmax probabilities p, an entropy penalty exp(-H)
+with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
+sigmoid(gamma * (p_(1) - p_(2))); token scores are the product of the
+three. Candidates are filtered per position (top-k1) and then pooled
+globally (top-k2); ties break toward lower position, then lower token. A
+finish step passes the previous step's candidates back in, so only the
+rows whose logits changed are scored again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .denoisers import DenoiserOutput
-from .errors import NonFiniteLogits
+from .errors import ConfigError
 from .seqcore import SeqState, UnmaskAction
 
 DEFAULT_GAMMA = 5.0
 DEFAULT_EPSILON = 1e-8
-
-
-@dataclass(frozen=True)
-class PositionScore:
-    """Full scoring breakdown for one masked position.
-
-    ent_penalty == exp(-entropy) and scores[v] == probs[v] * ent_penalty *
-    margin_factor in the default mode; with the entropy penalty disabled
-    (ablation), ent_penalty is reported as 1.0.
-    """
-
-    position: int
-    probs: tuple[float, ...]
-    entropy: float
-    ent_penalty: float
-    top2_margin: float
-    margin_factor: float
-    scores: tuple[float, ...]
-
-    def best_token(self) -> int:
-        best = 0
-        for v in range(1, len(self.scores)):
-            if self.scores[v] > self.scores[best]:
-                best = v
-        return best
-
-    def to_json(self) -> dict:
-        return {
-            "position": self.position,
-            "probs": list(self.probs),
-            "entropy": self.entropy,
-            "ent_penalty": self.ent_penalty,
-            "top2_margin": self.top2_margin,
-            "margin_factor": self.margin_factor,
-            "scores": list(self.scores),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +31,9 @@ class ActionCandidates:
 
     Row i of tokens and scores is positions[i]'s top-k1, score descending
     (ties: token ascending). pooled is the global top-k2 across the union,
-    ordered by (score desc, position asc, token asc). per_position is the
-    same per-position ranking as {position: ((action, score), ...)}, built
-    on first access. logits is the read-only (P, V) matrix the rows were
-    scored from, kept so that the next finish step can tell which rows are
-    unchanged.
+    ordered by (score desc, position asc, token asc). logits is the
+    read-only (P, V) matrix the rows were scored from, kept so that the
+    next finish step can tell which rows are unchanged.
     """
 
     positions: np.ndarray  # (P,)
@@ -79,46 +41,6 @@ class ActionCandidates:
     scores: np.ndarray  # (P, min(k1, V))
     pooled: tuple[tuple[UnmaskAction, float], ...]
     logits: np.ndarray = field(repr=False)  # (P, V)
-
-    @cached_property
-    def per_position(self) -> dict[int, tuple[tuple[UnmaskAction, float], ...]]:
-        return {
-            pos: tuple((UnmaskAction(pos, tok), sc) for tok, sc in zip(toks, scs))
-            for pos, toks, scs in zip(
-                self.positions.tolist(), self.tokens.tolist(), self.scores.tolist()
-            )
-        }
-
-
-def _validate_logits(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteLogits("logits contain NaN or infinity")
-
-
-def score_position(
-    logits,
-    gamma: float = DEFAULT_GAMMA,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    position: int = 0,
-    use_entropy_penalty: bool = True,
-) -> PositionScore:
-    """Score a single position's logit vector."""
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValueError("logits must be a 1-d vector over at least two tokens")
-    _validate_logits(arr)
-    probs = kernels.softmax_rows(arr[None, :])
-    ent, pen, margin, mf, scores = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)
-    return PositionScore(
-        position=position,
-        probs=tuple(probs[0]),
-        entropy=float(ent[0]),
-        ent_penalty=float(pen[0]),
-        top2_margin=float(margin[0]),
-        margin_factor=float(mf[0]),
-        scores=tuple(scores[0]),
-    )
 
 
 def _top_k1(
@@ -133,7 +55,7 @@ def _top_k1(
 
 def build_candidates(
     state: SeqState,
-    output,
+    output: DenoiserOutput,
     k1: int,
     k2: int,
     gamma: float = DEFAULT_GAMMA,
@@ -144,18 +66,17 @@ def build_candidates(
 ) -> ActionCandidates:
     """Two-stage action filter over all masked positions of `state`.
 
-    `output` may be a DenoiserOutput or a plain {position: logits} mapping;
-    it must cover exactly the masked positions, with one logit per content
-    token. `prev`, when given, is the result of an earlier call with the
-    same k1, gamma, epsilon and penalty setting: a row whose position and
-    logits are bit-equal to a row of prev takes prev's top-k1 as is, and
-    only the other rows are softmaxed and scored. Without prev every row
-    is scored from output.probs().
+    `output` is the model's prediction at `state`; it must cover exactly
+    the masked positions, with one logit per content token. `prev`, when
+    given, is the result of an earlier call with the same k1, gamma,
+    epsilon and penalty setting: a row whose position and logits are
+    bit-equal to a row of prev takes prev's top-k1 as is, and only the
+    other rows are softmaxed and scored. Without prev every row is scored
+    from output.probs(). Raises ConfigError when k1 or k2 is below 1, or
+    when prev was built with another k1 or vocab width.
     """
     if k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be >= 1")
-    if not isinstance(output, DenoiserOutput):
-        output = DenoiserOutput(output)
+        raise ConfigError("k1 and k2 must be >= 1")
     output.check_cover(state.masked_index, state.vocab.size)
     rows = np.asarray(state.masked_index, dtype=np.int64)
     logits = output.matrix()
@@ -164,7 +85,7 @@ def build_candidates(
         tokens, kept = _top_k1(output.probs(), take, gamma, epsilon, use_entropy_penalty)
     else:
         if prev.tokens.shape[1] != take or prev.logits.shape[1] != logits.shape[1]:
-            raise ValueError("prev was built with another k1 or vocab width")
+            raise ConfigError("prev was built with another k1 or vocab width")
         at = np.minimum(prev.positions.searchsorted(rows), prev.positions.shape[0] - 1)
         fresh = np.flatnonzero(
             (prev.positions[at] != rows) | (prev.logits[at] != logits).any(axis=1)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
+from medal import kernels
 from medal.cli import default_config, main
 from medal.decoder import (
     DecodeConfig,
@@ -29,12 +30,12 @@ from medal.decoder import (
     finish_decode,
     replay_reveals,
 )
-from medal.denoisers import TabularModel, fit_ngram, load_corpus
+from medal.denoisers import DenoiserOutput, TabularModel, fit_ngram, load_corpus
 from medal.families import random_calibrated_model, trap_family, xor_pair_model
-from medal.mcts import SearchConfig
-from medal.reward import info_gain
-from medal.scoring import build_candidates, score_position
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
+from medal.mcts import SearchConfig, simulate
+from medal.reward import EntropyProfile
+from medal.scoring import build_candidates
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 from medal.theory import verify_lemma1, verify_theorem1
 
 
@@ -70,6 +71,21 @@ class _Criterion:
         return False
 
 
+def _score(logits, gamma=5.0, epsilon=1e-8):
+    """(probs, entropy, penalty, margin, margin_factor, scores) of one logit
+    vector, through the kernels that build_candidates scores with."""
+    probs = kernels.softmax_rows(np.asarray(logits, dtype=np.float64)[None])
+    return (probs[0],) + tuple(f[0] for f in kernels.score_rows(probs, gamma, epsilon))
+
+
+def _reward(model, state, action):
+    """The search's reward of `action` at `state`: simulate on the profiles
+    of the state and of its child."""
+    child = apply_action(state, action)
+    after = EntropyProfile.of(child, None if child.is_complete else model.predict(child))
+    return simulate(EntropyProfile.of(state, model.predict(state)), after)
+
+
 def test_criterion_01_scoring_matches_high_precision_oracle():
     with _Criterion(1, "position scoring vs arbitrary-precision oracle "
                        "(50 dists, tol 1e-9; 3 frozen examples)", 1.0) as c:
@@ -78,15 +94,17 @@ def test_criterion_01_scoring_matches_high_precision_oracle():
         for _ in range(50):
             width = int(rng.integers(2, 17))
             logits = rng.normal(scale=4.0, size=width)
-            ps = score_position(logits, gamma=5.0, epsilon=1e-8)
+            probs, entropy, penalty, margin, factor, scores = _score(
+                logits, gamma=5.0, epsilon=1e-8
+            )
             ref = oracles.mp_score_row(logits, 5.0, 1e-8)
             pairs = (
-                [(ps.entropy, ref["entropy"]),
-                 (ps.ent_penalty, ref["penalty"]),
-                 (ps.top2_margin, ref["margin"]),
-                 (ps.margin_factor, ref["margin_factor"])]
-                + list(zip(ps.probs, ref["probs"]))
-                + list(zip(ps.scores, ref["scores"]))
+                [(entropy, ref["entropy"]),
+                 (penalty, ref["penalty"]),
+                 (margin, ref["margin"]),
+                 (factor, ref["margin_factor"])]
+                + list(zip(probs, ref["probs"]))
+                + list(zip(scores, ref["scores"]))
             )
             for got, want in pairs:
                 err = abs(float(got) - float(want))
@@ -94,28 +112,28 @@ def test_criterion_01_scoring_matches_high_precision_oracle():
                 assert oracles.mp_close(got, want, 1e-9)
 
         # frozen example 1: uniform over four tokens
-        a = score_position(np.zeros(4))
-        assert a.entropy == pytest.approx(1.3862943211198914, abs=1e-12)
-        assert a.ent_penalty == pytest.approx(0.25000001, abs=1e-12)
-        assert a.margin_factor == 0.5
-        assert a.scores[0] == pytest.approx(0.03125000125, abs=1e-12)
+        _, entropy, penalty, _, factor, scores = _score(np.zeros(4))
+        assert entropy == pytest.approx(1.3862943211198914, abs=1e-12)
+        assert penalty == pytest.approx(0.25000001, abs=1e-12)
+        assert factor == 0.5
+        assert scores[0] == pytest.approx(0.03125000125, abs=1e-12)
 
         # frozen example 2: near-one-hot, margin factor saturates at sigmoid(5)
-        b = score_position(np.array([40.0, 0.0, 0.0]))
-        assert b.entropy == 0.0
-        assert b.margin_factor == pytest.approx(0.9933071490757153, abs=1e-12)
-        assert b.scores[0] == pytest.approx(0.9933071490757151, abs=1e-12)
-        assert 0.0 < b.scores[1] < 1e-17
+        _, entropy, _, _, factor, scores = _score(np.array([40.0, 0.0, 0.0]))
+        assert entropy == 0.0
+        assert factor == pytest.approx(0.9933071490757153, abs=1e-12)
+        assert scores[0] == pytest.approx(0.9933071490757151, abs=1e-12)
+        assert 0.0 < scores[1] < 1e-17
 
         # frozen example 3: probabilities (0.7, 0.2, 0.1)
-        d = score_position(np.log(np.array([0.7, 0.2, 0.1])))
-        assert d.entropy == pytest.approx(0.8018185225433381, abs=1e-12)
-        assert d.ent_penalty == pytest.approx(0.4485125917873227, abs=1e-12)
-        assert d.top2_margin == pytest.approx(0.5, abs=1e-12)
-        assert d.margin_factor == pytest.approx(0.9241418199787564, abs=1e-12)
-        assert d.scores[0] == pytest.approx(0.2901424700004078, abs=1e-12)
-        assert d.scores[1] == pytest.approx(0.0828978485715451, abs=1e-12)
-        assert d.scores[2] == pytest.approx(0.0414489242857725, abs=1e-12)
+        _, entropy, penalty, margin, factor, scores = _score(np.log(np.array([0.7, 0.2, 0.1])))
+        assert entropy == pytest.approx(0.8018185225433381, abs=1e-12)
+        assert penalty == pytest.approx(0.4485125917873227, abs=1e-12)
+        assert margin == pytest.approx(0.5, abs=1e-12)
+        assert factor == pytest.approx(0.9241418199787564, abs=1e-12)
+        assert scores[0] == pytest.approx(0.2901424700004078, abs=1e-12)
+        assert scores[1] == pytest.approx(0.0828978485715451, abs=1e-12)
+        assert scores[2] == pytest.approx(0.0414489242857725, abs=1e-12)
         c.detail = f"max oracle error {worst:.2e}"
 
 
@@ -128,29 +146,30 @@ def test_criterion_02_candidate_filter_matches_brute_force():
             range(1, 5), range(2, 5), range(1, 4), range(1, 7)
         ):
             state = SeqState.fully_masked(Vocab(vocab), (), length)
-            tables = [
-                {p: rng.normal(scale=2.0, size=vocab) for p in range(length)},
-                {p: rng.normal(scale=2.0, size=vocab) for p in range(length)},
-                # fully tied scores exercise the positional tie-breaks
-                {p: np.zeros(vocab) for p in range(length)},
+            outputs = [
+                DenoiserOutput.from_matrix(range(length), matrix)
+                for matrix in (
+                    rng.normal(scale=2.0, size=(length, vocab)),
+                    rng.normal(scale=2.0, size=(length, vocab)),
+                    # fully tied scores exercise the positional tie-breaks
+                    np.zeros((length, vocab)),
+                )
             ]
-            for out in tables:
+            for out in outputs:
                 cands = build_candidates(state, out, k1=k1, k2=k2)
-                table = {
-                    p: list(score_position(out[p], position=p).scores)
-                    for p in range(length)
-                }
+                scores = kernels.score_rows(kernels.softmax_rows(out.matrix()), 5.0, 1e-8)[-1]
+                table = {p: list(scores[p]) for p in range(length)}
                 want = oracles.brute_candidates(table, k1, k2)
                 got = [(a.position, a.token, s) for a, s in cands.pooled]
                 assert len(got) == len(want)
                 for (gp, gt, gs), (wp, wt, ws) in zip(got, want):
                     assert (gp, gt) == (wp, wt)
                     assert abs(gs - ws) < 1e-12
-                for pos, pairs in cands.per_position.items():
+                for pos, tokens in zip(cands.positions.tolist(), cands.tokens.tolist()):
                     ranked = sorted(
                         range(vocab), key=lambda t: (-table[pos][t], t)
                     )[: min(k1, vocab)]
-                    assert [a.token for a, _ in pairs] == ranked
+                    assert tokens == ranked
                 checked += 1
         c.detail = f"{checked} (L,V,K1,K2) tables"
 
@@ -180,11 +199,11 @@ def test_criterion_03_info_gain_matches_joint_recomputation():
                             if p in revealed:
                                 continue
                             for tok in range(vocab):
-                                rec = info_gain(model, state, UnmaskAction(p, tok))
+                                got = _reward(model, state, UnmaskAction(p, tok))
                                 want = oracles.oracle_info_gain(
                                     cells, length, vocab, revealed, p, tok
                                 )
-                                err = abs(rec.r_ig - want)
+                                err = abs(got - want)
                                 worst = max(worst, err)
                                 assert err < 1e-9
                                 cases += 1
@@ -192,7 +211,7 @@ def test_criterion_03_info_gain_matches_joint_recomputation():
         xor = xor_pair_model()
         root = SeqState.fully_masked(xor.vocab, (), 2)
         for action in (UnmaskAction(0, 0), UnmaskAction(1, 1)):
-            assert info_gain(xor, root, action).r_ig == pytest.approx(1.0, abs=1e-9)
+            assert _reward(xor, root, action) == pytest.approx(1.0, abs=1e-9)
         c.detail = f"{cases} gains, max err {worst:.2e}"
 
 

@@ -74,24 +74,23 @@ def random_joint(rng, length, vocab):
 
 def test_output_validation():
     with pytest.raises(ConfigError):
-        DenoiserOutput({0: np.zeros((2, 2))})
+        DenoiserOutput.from_matrix([0], np.zeros((1, 2, 2)))
     with pytest.raises(ConfigError):
-        DenoiserOutput({0: np.zeros(3), 1: np.zeros(4)})
+        DenoiserOutput.from_matrix([0, 1], [np.zeros(3), np.zeros(4)])  # ragged rows
     with pytest.raises(NonFiniteLogits):
-        DenoiserOutput({0: np.array([0.0, np.nan])})
-    out = DenoiserOutput({2: [0.0, 1.0], 0: [1.0, 0.0]})
+        DenoiserOutput.from_matrix([0], [[0.0, np.nan]])
+    out = DenoiserOutput.from_matrix([0, 2], [[1.0, 0.0], [0.0, 1.0]])
     assert out.positions() == [0, 2]
     assert out.matrix().shape == (2, 2)
-    assert len(out.logits) == 2 and list(out.logits) == [0, 2]
+    assert type(out.logits) is dict and list(out.logits) == [0, 2]
     assert out.logits[2].tolist() == [0.0, 1.0] and 1 not in out.logits
     assert out.matrix([2]).tolist() == [[0.0, 1.0]]
     with pytest.raises(MissingPosition):
         out.matrix([0, 1])
     with pytest.raises(ValueError):
         out.matrix()[0, 0] = 5.0  # stored once, read-only
-    # the matrix form validates the same things
-    same = DenoiserOutput.from_matrix([0, 2], [[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(same.matrix(), out.matrix())
+    with pytest.raises(ValueError):
+        out.logits[2][0] = 5.0  # the dict's rows are views of it
     with pytest.raises(ConfigError):
         DenoiserOutput.from_matrix([2, 0], np.zeros((2, 2)))  # not ascending
     with pytest.raises(ConfigError):

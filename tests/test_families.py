@@ -15,8 +15,9 @@ from medal.families import (
     trap_instance,
     xor_pair_model,
 )
-from medal.reward import info_gain
-from medal.seqcore import SeqState, UnmaskAction
+from medal.mcts import simulate
+from medal.reward import EntropyProfile
+from medal.seqcore import SeqState, UnmaskAction, apply_action
 
 
 def test_xor_pair_structure():
@@ -50,7 +51,9 @@ def test_random_calibrated_is_strictly_positive():
 def test_negative_gain_model_has_negative_action():
     model = negative_gain_model()
     root = SeqState.fully_masked(model.vocab, (), 2)
-    assert info_gain(model, root, UnmaskAction(0, 1)).r_ig < 0
+    child = apply_action(root, UnmaskAction(0, 1))
+    before = EntropyProfile.of(root, model.predict(root))
+    assert simulate(before, EntropyProfile.of(child, model.predict(child))) < 0
 
 
 def test_trap_instance_mass_layout():

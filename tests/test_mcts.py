@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from medal.denoisers import CountingDenoiser, Denoiser, TabularModel
 from medal.errors import AlreadyExpanded, ConfigError, NoChildren
 from medal.mcts import (
@@ -26,7 +27,7 @@ from medal.mcts import (
     ucb_select,
 )
 from medal import mcts
-from medal.reward import cumulative_gain, entropy_gain, entropy_profile, info_gain
+from medal.reward import EntropyProfile, entropy_gain
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
@@ -161,17 +162,22 @@ def test_expand_orders_children_by_pooled_rank(rng):
 # simulation
 
 
+def profile(model, state):
+    """EntropyProfile.of `state`; a complete state needs no prediction."""
+    return EntropyProfile.of(state, None if state.is_complete else model.predict(state))
+
+
 def simulate_action(model, state, action):
     """Simulate `action` at `state` from the parent's and the child's profiles."""
-    after = entropy_profile(model, apply_action(state, action))
-    return simulate(entropy_profile(model, state), after)
+    after = profile(model, apply_action(state, action))
+    return simulate(profile(model, state), after)
 
 
 def test_simulate_makes_no_model_call(rng):
     model = CountingDenoiser(small_model(rng))
     state = SeqState.fully_masked(model.vocab, (), 3)
-    before = entropy_profile(model, state)
-    after = entropy_profile(model, apply_action(state, UnmaskAction(1, 0)))
+    before = profile(model, state)
+    after = profile(model, apply_action(state, UnmaskAction(1, 0)))
     calls = model.calls
     reward = simulate(before, after)
     # the search's table rows carry both profiles; the reward reads only them
@@ -193,9 +199,9 @@ def test_simulate_reward_matches_info_gain(rng):
     model = small_model(rng, length=3, vocab=3)
     state = SeqState.fully_masked(model.vocab, (), 3)
     reward = simulate_action(model, state, UnmaskAction(0, 1))
-    # reward identical to the standalone computation
-    ref = info_gain(model, state, UnmaskAction(0, 1))
-    assert reward == pytest.approx(ref.r_ig, abs=1e-12)
+    # reward equals the information gain recomputed from the joint
+    cells = oracles.cells_from_joint(model.joint)
+    assert reward == pytest.approx(oracles.oracle_info_gain(cells, 3, 3, {}, 0, 1), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,8 @@ def test_search_pools_consistent_entries(rng):
                   max_simulations=100, seed=5)
     pool = run_cgmcts(model, root, cfg)
     assert pool.full and not pool.exhausted
+    cells = oracles.cells_from_joint(model.joint)
+    root_total = oracles.oracle_profile_total(cells, 4, 3, {})
     seen = set()
     for i, entry in enumerate(pool.entries):
         assert entry.order == i
@@ -250,9 +258,17 @@ def test_search_pools_consistent_entries(rng):
         assert len(entry.path) == 3
         # replaying the recorded path reproduces the pooled state
         assert apply_many(root, entry.path) == entry.state
-        # pooled score is the cumulative gain from the root, recomputable
-        want = cumulative_gain(model, root, entry.state)
+        # score is the cumulative gain from the root and reward the gain of
+        # the last action at its parent, both recomputed from the joint
+        # (oracle positions count from the end of the one-token prompt)
+        revealed = {a.position - 1: a.token for a in entry.path}
+        want = (root_total - oracles.oracle_profile_total(cells, 4, 3, revealed)) / root_total
         assert entry.score == pytest.approx(want, abs=1e-12)
+        *parent, last = entry.path
+        want = oracles.oracle_info_gain(
+            cells, 4, 3, {a.position - 1: a.token for a in parent}, last.position - 1, last.token
+        )
+        assert entry.reward == pytest.approx(want, abs=1e-12)
         assert entry.state.tokens not in seen
         seen.add(entry.state.tokens)
         obj = entry.to_json()

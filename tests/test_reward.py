@@ -11,10 +11,22 @@ import oracles
 from medal.denoisers import Denoiser, DenoiserOutput, FactorizedModel, TabularModel
 from medal.errors import LogitWidthMismatch, MissingPosition, ZeroBaselineEntropy
 from medal.families import negative_gain_model, random_calibrated_model, xor_pair_model
-from medal.mcts import SearchConfig, run_cgmcts
-from medal.reward import EntropyProfile, cumulative_gain, entropy_gain, entropy_profile, info_gain
+from medal.mcts import SearchConfig, run_cgmcts, simulate
+from medal.reward import EntropyProfile, entropy_gain
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 from medal.theory import entropy_gap, oracle_min_schedule, schedule_costs
+
+
+def profile(model, state):
+    """EntropyProfile.of `state`; a complete state needs no prediction."""
+    return EntropyProfile.of(state, None if state.is_complete else model.predict(state))
+
+
+def reward(model, state, action):
+    """(reward, before, after) of `action` at `state`, as the search's
+    simulate rewards a child from its parent's profile and its own."""
+    before, after = profile(model, state), profile(model, apply_action(state, action))
+    return simulate(before, after), before, after
 
 
 def test_profile_of_complete_state_is_empty(rng):
@@ -22,7 +34,7 @@ def test_profile_of_complete_state_is_empty(rng):
     model = TabularModel(Vocab(2), joint)
     s = SeqState.fully_masked(model.vocab, (), 2)
     s = apply_many(s, [UnmaskAction(0, 0), UnmaskAction(1, 1)])
-    prof = entropy_profile(model, s)
+    prof = profile(model, s)
     assert prof == EntropyProfile.empty()
     assert prof.total == 0.0 and prof.positions == ()
 
@@ -32,22 +44,21 @@ def test_profile_matches_joint_enumeration(rng):
     model = TabularModel(Vocab(3), joint)
     cells = oracles.cells_from_joint(model.joint)
     s = apply_action(SeqState.fully_masked(model.vocab, (), 3), UnmaskAction(1, 2))
-    prof = entropy_profile(model, s)
+    prof = profile(model, s)
     assert prof.positions == (0, 2)
     want_total = oracles.oracle_profile_total(cells, 3, 3, {1: 2})
     assert prof.total == pytest.approx(want_total, abs=1e-11)
     assert prof.total == pytest.approx(sum(prof.values), abs=1e-12)
-    assert prof.as_dict() == {0: prof.values[0], 2: prof.values[1]}
 
 
 def test_xor_gain_is_one():
     model = xor_pair_model()
     s = SeqState.fully_masked(model.vocab, (), 2)
-    rec = info_gain(model, s, UnmaskAction(0, 1))
+    r_ig, before, after = reward(model, s, UnmaskAction(0, 1))
     # revealing either token of a perfectly coupled pair removes all entropy
-    assert rec.r_ig == pytest.approx(1.0, abs=1e-9)
-    assert rec.before.total == pytest.approx(2 * math.log(2), abs=1e-9)
-    assert rec.after.total == pytest.approx(0.0, abs=1e-9)
+    assert r_ig == pytest.approx(1.0, abs=1e-9)
+    assert before.total == pytest.approx(2 * math.log(2), abs=1e-9)
+    assert after.total == pytest.approx(0.0, abs=1e-9)
 
 
 def test_negative_gain_exists():
@@ -55,9 +66,9 @@ def test_negative_gain_exists():
     s = SeqState.fully_masked(model.vocab, (), 2)
     # revealing the rare token at position 0 leaves the partner nearly
     # uniform, which raises the remaining entropy above the baseline
-    rec = info_gain(model, s, UnmaskAction(0, 1))
-    assert rec.r_ig < 0.0
-    assert rec.after.total > rec.before.total
+    r_ig, before, after = reward(model, s, UnmaskAction(0, 1))
+    assert r_ig < 0.0
+    assert after.total > before.total
 
 
 def test_gain_matches_brute_force_exhaustively(rng):
@@ -68,9 +79,9 @@ def test_gain_matches_brute_force_exhaustively(rng):
         root = SeqState.fully_masked(model.vocab, (), length)
         for pos in range(length):
             for tok in range(vocab):
-                rec = info_gain(model, root, UnmaskAction(pos, tok))
+                r_ig = reward(model, root, UnmaskAction(pos, tok))[0]
                 want = oracles.oracle_info_gain(cells, length, vocab, {}, pos, tok)
-                assert rec.r_ig == pytest.approx(want, abs=1e-9)
+                assert r_ig == pytest.approx(want, abs=1e-9)
 
 
 def test_zero_baseline_convention():
@@ -80,7 +91,7 @@ def test_zero_baseline_convention():
     rows[:, 1] = 1.0
     model = FactorizedModel(Vocab(3), rows)
     s = SeqState.fully_masked(model.vocab, (), 2)
-    prof = entropy_profile(model, s)
+    prof = profile(model, s)
     assert prof.total < 1e-9
     # a baseline at or below the resolution threshold short-circuits to 1
     zero = EntropyProfile.empty()
@@ -101,27 +112,18 @@ def test_cumulative_gain_vs_single_steps(rng):
     root = SeqState.fully_masked(model.vocab, (), 3)
     s1 = apply_action(root, UnmaskAction(2, 0))
     s2 = apply_action(s1, UnmaskAction(0, 1))
-    g1 = cumulative_gain(model, root, s1)
-    g2 = cumulative_gain(model, root, s2)
-    root_prof = entropy_profile(model, root)
-    p2 = entropy_profile(model, s2)
-    assert g1 == pytest.approx(
-        info_gain(model, root, UnmaskAction(2, 0)).r_ig, abs=1e-12
-    )
+    # a pooled node's score: the gain rule against the root's total
+    root_prof = profile(model, root)
+    g1 = entropy_gain(root_prof.total, profile(model, s1).total)
+    p2 = profile(model, s2)
+    g2 = entropy_gain(root_prof.total, p2.total)
+    assert g1 == pytest.approx(reward(model, root, UnmaskAction(2, 0))[0], abs=1e-12)
     assert g2 == pytest.approx((root_prof.total - p2.total) / root_prof.total, abs=1e-12)
     # complete descendant always reaches gain 1 exactly
     s3 = apply_action(s2, UnmaskAction(1, 2))
-    assert cumulative_gain(model, root, s3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_record_serialization():
-    model = xor_pair_model()
-    s = SeqState.fully_masked(model.vocab, (), 2)
-    rec = info_gain(model, s, UnmaskAction(1, 0))
-    obj = rec.to_json()
-    assert obj["action"] == [1, 0]
-    assert set(obj) == {"action", "r_ig", "before_total", "after_total"}
-
+    assert entropy_gain(root_prof.total, profile(model, s3).total) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 class MalformedModel(Denoiser):
@@ -158,9 +160,7 @@ def _search_child_rewards(inner, fault, root):
 
 
 READERS = {
-    "entropy_profile": lambda inner, fault, root: entropy_profile(
-        MalformedModel(inner, fault), root
-    ),
+    "entropy_profile": lambda inner, fault, root: profile(MalformedModel(inner, fault), root),
     "search_child_rewards": _search_child_rewards,
     "entropy_gap": lambda inner, fault, root: entropy_gap(
         MalformedModel(inner, fault), root, [0, 1]

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from medal import kernels
 from medal.denoisers import DenoiserOutput, FactorizedModel, fit_ngram
-from medal.errors import LogitWidthMismatch, MissingPosition, NonFiniteLogits
+from medal.errors import ConfigError, LogitWidthMismatch, MissingPosition, NonFiniteLogits
 from medal.families import random_calibrated_model
-from medal.scoring import build_candidates, score_position
+from medal.scoring import build_candidates
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 
 
@@ -23,45 +24,62 @@ def make_state(vocab_size, length, revealed=()):
     return apply_many(s, [UnmaskAction(p, t) for p, t in revealed])
 
 
+def score_row(logits, gamma=5.0, epsilon=1e-8, use_entropy_penalty=True):
+    """(probs, entropy, penalty, margin, margin_factor, scores) of one
+    logit vector, through the kernels build_candidates scores with."""
+    probs = kernels.softmax_rows(np.asarray(logits, dtype=np.float64)[None])
+    fields = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)
+    return (probs[0],) + tuple(f[0] for f in fields)
+
+
+def output(rows):
+    """DenoiserOutput of a {position: logits} dict."""
+    positions = sorted(rows)
+    return DenoiserOutput.from_matrix(positions, np.stack([rows[p] for p in positions]))
+
+
 def test_uniform_distribution_breakdown():
-    ps = score_position(np.zeros(4))
-    assert ps.probs == pytest.approx((0.25,) * 4, abs=1e-15)
+    probs, entropy, penalty, margin, factor, scores = score_row(np.zeros(4))
+    assert tuple(probs) == pytest.approx((0.25,) * 4, abs=1e-15)
     # epsilon inside the log shifts entropy below ln 4 by ~4e-8
-    assert ps.entropy == pytest.approx(math.log(4) - 4e-8, abs=1e-12)
-    assert ps.top2_margin == 0.0
-    assert ps.margin_factor == 0.5
-    assert ps.ent_penalty == pytest.approx(0.25 * math.exp(4e-8), abs=1e-15)
-    for s in ps.scores:
-        assert s == pytest.approx(0.25 * ps.ent_penalty * 0.5, abs=1e-18)
+    assert entropy == pytest.approx(math.log(4) - 4e-8, abs=1e-12)
+    assert margin == 0.0
+    assert factor == 0.5
+    assert penalty == pytest.approx(0.25 * math.exp(4e-8), abs=1e-15)
+    for s in scores:
+        assert s == pytest.approx(0.25 * penalty * 0.5, abs=1e-18)
 
 
 def test_peaked_distribution_margin_factor():
     # near-one-hot: margin ~ 1, factor ~ sigmoid(gamma)
-    ps = score_position(np.array([40.0, 0.0, 0.0]), gamma=5.0)
-    assert ps.margin_factor == pytest.approx(1 / (1 + math.exp(-5.0)), abs=1e-12)
-    assert ps.entropy == pytest.approx(0.0, abs=1e-6)
-    assert ps.best_token() == 0
+    _, entropy, _, _, factor, scores = score_row(np.array([40.0, 0.0, 0.0]), gamma=5.0)
+    assert factor == pytest.approx(1 / (1 + math.exp(-5.0)), abs=1e-12)
+    assert entropy == pytest.approx(0.0, abs=1e-6)
+    assert np.argmax(scores) == 0
 
 
-def test_score_position_validates_input():
-    with pytest.raises(ValueError):
-        score_position(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        score_position(np.zeros(1))
+def test_score_inputs_are_validated():
+    # the kernels take a (P, V) matrix only; finiteness is checked once,
+    # when the prediction is built
+    for bad in (np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ConfigError):
+            kernels.score_rows(bad, 5.0, 1e-8)
+        with pytest.raises(ConfigError):
+            kernels.entropy_rows(bad)
     with pytest.raises(NonFiniteLogits):
-        score_position(np.array([0.0, np.nan]))
+        DenoiserOutput.from_matrix([0], np.array([[0.0, np.nan]]))
     with pytest.raises(NonFiniteLogits):
-        score_position(np.array([0.0, np.inf]))
+        DenoiserOutput.from_matrix([0], np.array([[0.0, np.inf]]))
 
 
 def test_score_matches_mpmath_breakdown(rng):
     for _ in range(10):
         logits = rng.normal(scale=5.0, size=rng.integers(2, 12))
-        ps = score_position(logits, gamma=5.0, epsilon=1e-8)
+        _, entropy, _, _, factor, scores = score_row(logits, gamma=5.0, epsilon=1e-8)
         ref = oracles.mp_score_row(logits, 5.0, 1e-8)
-        assert oracles.mp_close(ps.entropy, ref["entropy"], 1e-12)
-        assert oracles.mp_close(ps.margin_factor, ref["margin_factor"], 1e-12)
-        for got, want in zip(ps.scores, ref["scores"]):
+        assert oracles.mp_close(entropy, ref["entropy"], 1e-12)
+        assert oracles.mp_close(factor, ref["margin_factor"], 1e-12)
+        for got, want in zip(scores, ref["scores"]):
             assert oracles.mp_close(got, want, 1e-12)
 
 
@@ -70,39 +88,36 @@ def test_row_argmax_is_probability_argmax(rng):
     # inside a row must equal the probability order
     for _ in range(20):
         logits = rng.normal(scale=3.0, size=8)
-        ps = score_position(logits)
-        assert np.argmax(ps.scores) == np.argmax(ps.probs)
+        probs, *_, scores = score_row(logits)
+        assert np.argmax(scores) == np.argmax(probs)
 
 
 def test_build_candidates_requires_exact_position_cover(rng):
     state = make_state(3, 4, revealed=[(1, 0)])
     good = {p: rng.normal(size=3) for p in (0, 2, 3)}
-    cands = build_candidates(state, good, k1=3, k2=9)
+    cands = build_candidates(state, output(good), k1=3, k2=9)
     assert cands.positions.tolist() == [0, 2, 3]
     assert cands.tokens.shape == cands.scores.shape == cands.logits.shape == (3, 3)
     with pytest.raises(MissingPosition):
-        build_candidates(state, {0: good[0], 2: good[2]}, k1=3, k2=9)
+        build_candidates(state, output({0: good[0], 2: good[2]}), k1=3, k2=9)
     bad = dict(good)
     bad[1] = good[0]
     with pytest.raises(MissingPosition):
-        build_candidates(state, bad, k1=3, k2=9)
+        build_candidates(state, output(bad), k1=3, k2=9)
     with pytest.raises(MissingPosition):
-        build_candidates(state, bad, k1=3, k2=9, prev=cands)
+        build_candidates(state, output(bad), k1=3, k2=9, prev=cands)
     wide = {p: rng.normal(size=4) for p in (0, 2, 3)}
     with pytest.raises(LogitWidthMismatch):
-        build_candidates(state, wide, k1=3, k2=9)
+        build_candidates(state, output(wide), k1=3, k2=9)
 
 
 def test_build_candidates_shapes_and_order(rng):
     state = make_state(5, 3)
-    out = {p: rng.normal(size=5) for p in range(3)}
+    out = output({p: rng.normal(size=5) for p in range(3)})
     cands = build_candidates(state, out, k1=2, k2=4)
-    assert set(cands.per_position) == {0, 1, 2}
-    for pos, pairs in cands.per_position.items():
-        assert len(pairs) == 2
-        assert pairs[0][1] >= pairs[1][1]
-        for act, _ in pairs:
-            assert act.position == pos
+    assert cands.positions.tolist() == [0, 1, 2]
+    assert cands.tokens.shape == cands.scores.shape == (3, 2)
+    assert (cands.scores[:, 0] >= cands.scores[:, 1]).all()
     assert len(cands.pooled) == 4
     pooled_scores = [s for _, s in cands.pooled]
     assert pooled_scores == sorted(pooled_scores, reverse=True)
@@ -111,7 +126,7 @@ def test_build_candidates_shapes_and_order(rng):
 def test_build_candidates_tie_breaks_position_then_token():
     # identical logits at both positions produce exactly tied scores
     state = make_state(3, 2)
-    out = {0: np.zeros(3), 1: np.zeros(3)}
+    out = output({0: np.zeros(3), 1: np.zeros(3)})
     cands = build_candidates(state, out, k1=3, k2=6)
     keyed = [(a.position, a.token) for a, _ in cands.pooled]
     assert keyed == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
@@ -119,14 +134,20 @@ def test_build_candidates_tie_breaks_position_then_token():
 
 def test_build_candidates_k_clamped_to_available():
     state = make_state(3, 2)
-    out = {0: np.array([2.0, 1.0, 0.0]), 1: np.array([0.0, 1.0, 2.0])}
+    out = output({0: np.array([2.0, 1.0, 0.0]), 1: np.array([0.0, 1.0, 2.0])})
     cands = build_candidates(state, out, k1=10, k2=100)
-    assert all(len(v) == 3 for v in cands.per_position.values())
+    assert cands.tokens.shape == (2, 3)
     assert len(cands.pooled) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_candidates(state, out, k1=0, k2=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_candidates(state, out, k1=3, k2=0)
+    # a prev built with another k1 or vocab width cannot be reused
+    with pytest.raises(ConfigError):
+        build_candidates(state, out, k1=2, k2=3, prev=cands)
+    wide = make_state(4, 2)
+    with pytest.raises(ConfigError):
+        build_candidates(wide, output({0: np.zeros(4), 1: np.zeros(4)}), k1=3, k2=3, prev=cands)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,13 +161,11 @@ def test_build_candidates_k_clamped_to_available():
 def test_property_filter_matches_brute_force(length, vocab, k1, k2, seed):
     gen = np.random.default_rng(seed)
     state = make_state(vocab, length)
-    out = {p: gen.normal(scale=2.0, size=vocab) for p in range(length)}
+    out = DenoiserOutput.from_matrix(range(length), gen.normal(scale=2.0, size=(length, vocab)))
     cands = build_candidates(state, out, k1=k1, k2=k2)
 
-    table = {}
-    for p in range(length):
-        ps = score_position(out[p], position=p)
-        table[p] = list(ps.scores)
+    scores = kernels.score_rows(kernels.softmax_rows(out.matrix()), 5.0, 1e-8)[-1]
+    table = {p: list(scores[p]) for p in range(length)}
     expected = oracles.brute_candidates(table, k1, k2)
 
     got = [(a.position, a.token, s) for a, s in cands.pooled]
