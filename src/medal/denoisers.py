@@ -12,18 +12,21 @@ Three toy families with known structure:
 * NGramMaskedModel: smoothed n-gram conditioned on the longest contiguous
   revealed suffix preceding each position (prompt included).
 
-RemoteDenoiser speaks line-delimited JSON over a socket so an external
-process can stand in for the model (a reply carries its logits as one
-base64 float64 matrix); predict_many pipelines a batch of requests in one
-write. serve_denoiser exposes any local model over the same wire format.
+RemoteDenoiser lets an external process stand in for the model over a
+socket: a request is a line of decimal ints (prompt length, step, tokens)
+and a reply a line of base64 holding the positions and float64 logits as
+one binary frame; predict_many pipelines a batch of requests in one write.
+serve_denoiser exposes any local model over the same wire format.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import contextlib
 import json
 import math
+import re
 import socket
 import socketserver
 import threading
@@ -44,7 +47,7 @@ from .errors import (
     RemoteError,
     ZeroMassContext,
 )
-from .seqcore import SeqState, Vocab, state_from_json, state_to_json
+from .seqcore import SeqState, Vocab
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -559,14 +562,81 @@ class CountingDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# remote protocol: one JSON object per line in each direction.
-# request  = serialized state {"prompt_len", "tokens", "masked", "step"}
-# response = {"positions": [p, ...], "logits": "<base64>"} or {"error": "..."},
-#            where logits is the row-major (P, V) little-endian float64 matrix
-#            of the P positions' rows, so V = bytes / (8 * P)
+# remote protocol: one ASCII line per message in each direction.
+# request = "prompt_len step t_0 ... t_{n-1}": decimal ints joined by single
+#           spaces; a masked position carries the vocab's mask id
+# reply   = strict base64 of the little-endian frame
+#           uint32 P | P x int64 positions | P x V float64 logits (row-major),
+#           so V = (bytes - 4 - 8P) / (8P); or the JSON error frame
+#           {"error": "..."}, a line starting with "{", which base64 never does
 # A client may write several requests before it reads; the server answers
 # them in order, one reply line per request line. Both ends set TCP_NODELAY,
 # or pipelined small writes stall on Nagle's algorithm and delayed ACKs.
+
+_REQUEST = re.compile(rb"-?[0-9]+(?: -?[0-9]+)+")
+
+
+def encode_request(state: SeqState) -> bytes:
+    """The request line of `state`, newline included."""
+    return (" ".join(map(str, (state.prompt_len, state.step, *state.tokens))) + "\n").encode()
+
+
+def decode_request(line: bytes, vocab: Vocab) -> SeqState:
+    """The state a request line describes over `vocab` (one trailing newline
+    is dropped). ConfigError unless the line is ASCII decimal ints joined by
+    single spaces, the step is >= 0 and SeqState accepts the state."""
+    line = line[:-1] if line.endswith(b"\n") else line
+    if _REQUEST.fullmatch(line) is None:
+        raise ConfigError(
+            f"request must be 'prompt_len step token ...' in decimal ints joined by"
+            f" single spaces, got {line[:80]!r}"
+        )
+    prompt_len, step, *tokens = map(int, line.split(b" "))
+    if step < 0:
+        raise ConfigError(f"request step must be >= 0, got {step}")
+    return SeqState(vocab, prompt_len, tuple(tokens), step)
+
+
+def encode_reply(out: DenoiserOutput) -> bytes:
+    """The reply line of a prediction, newline included."""
+    positions, matrix = out._positions, out.matrix()
+    frame = b"".join((
+        len(positions).to_bytes(4, "little"),
+        positions.astype("<i8", copy=False).tobytes(),
+        matrix.astype("<f8", copy=False).tobytes(),
+    ))
+    return base64.b64encode(frame) + b"\n"
+
+
+def decode_reply(line: bytes) -> DenoiserOutput:
+    """The prediction a (non-error) reply line holds (one trailing newline is
+    dropped). ValueError unless the line is strict base64 of a frame with
+    P >= 1 strictly ascending positions and 4 + 8P + 8PW bytes for a whole
+    W >= 1; NonFiniteLogits for a NaN or infinite logit."""
+    line = line[:-1] if line.endswith(b"\n") else line
+    try:
+        frame = base64.b64decode(line, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"reply is not base64: {exc}") from None
+    if len(frame) < 4:
+        raise ValueError(f"reply frame of {len(frame)} bytes has no 4-byte header")
+    rows = int.from_bytes(frame[:4], "little")
+    if not rows:
+        raise ValueError("reply frame lists no positions")
+    logit_bytes = len(frame) - 4 - 8 * rows
+    if logit_bytes <= 0 or logit_bytes % (8 * rows):
+        raise ValueError(
+            f"reply frame of {len(frame)} bytes is not 4 + 8*{rows} positions"
+            f" + {rows} whole float64 rows"
+        )
+    positions = np.frombuffer(frame, "<i8", rows, 4)
+    matrix = np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
+    try:
+        return DenoiserOutput.from_matrix(positions, matrix)
+    except ConfigError:  # the shapes fit, so the positions are out of order
+        raise ValueError(
+            f"reply positions must be strictly ascending, got {positions.tolist()}"
+        ) from None
 
 
 class RemoteDenoiser(Denoiser):
@@ -587,6 +657,8 @@ class RemoteDenoiser(Denoiser):
         host, port = address
         if type(port) is not int or not 1 <= port <= 65535:
             raise ConfigError(f"remote port {port!r} must be an integer in 1..65535")
+        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
+            raise ConfigError(f"remote timeout {timeout!r} must be a finite number > 0")
         self.address = address
         self.vocab = vocab
         self.timeout = timeout
@@ -603,9 +675,9 @@ class RemoteDenoiser(Denoiser):
 
     def _send(self, states: Sequence[SeqState]) -> None:
         """Write one request line per state in one write (caller holds the lock)."""
-        lines = [json.dumps(state_to_json(state), separators=(",", ":")) + "\n" for state in states]
+        lines = b"".join(map(encode_request, states))
         self._connect()
-        self._fh.write("".join(lines).encode())
+        self._fh.write(lines)
         self._fh.flush()
 
     def _drop(self) -> None:
@@ -629,12 +701,12 @@ class RemoteDenoiser(Denoiser):
         """One request/reply exchange; inside predict_many, the read of the
         next reply, whose request is already written.
 
-        Socket errors, timeouts, a closed connection and replies that are
-        not a JSON object holding a "positions" list and a "logits" base64
-        float64 matrix with one whole row per position (_read_logits)
-        raise RemoteError and drop the connection; a server error frame
-        raises ConfigError and keeps it. A reply must cover exactly the
-        state's masked positions with vocab-wide rows (check_cover).
+        Socket errors, timeouts, a closed connection, a reply line cut off
+        before its newline, a reply decode_reply refuses and a "{" line that
+        is not a JSON object with an "error" key (an older server's JSON
+        reply) raise RemoteError and drop the connection; a server error
+        frame raises ConfigError and keeps it. A reply must cover exactly
+        the state's masked positions with vocab-wide rows (check_cover).
         """
         masked = self._check_state(state)
         with self._lock:
@@ -644,16 +716,20 @@ class RemoteDenoiser(Denoiser):
                 else:
                     self._send([state])
                 line = self._fh.readline()
-                if not line:
-                    raise EOFError("connection closed without a reply")
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("reply is not a JSON object")
-                if "error" not in obj:
-                    out = _read_logits(obj.get("positions"), obj.get("logits"))
-            except (OSError, EOFError, ValueError, TypeError, OverflowError) as exc:
+                if not line.endswith(b"\n"):
+                    raise EOFError(
+                        "connection closed mid-reply" if line else "connection closed without a reply"
+                    )
+                if line.startswith(b"{"):
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict) or "error" not in obj:
+                        raise ValueError(f"reply {line[:60]!r} is JSON but not an error frame")
+                    out = None
+                else:
+                    out = decode_reply(line)
+            except (OSError, EOFError, ValueError) as exc:
                 raise self._error(exc) from exc
-        if "error" in obj:
+        if out is None:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
         out.check_cover(masked, self.vocab.size)
         return out
@@ -687,25 +763,6 @@ class RemoteDenoiser(Denoiser):
             self._drop()
 
 
-def _read_logits(positions, logits) -> DenoiserOutput:
-    """The output a reply frame holds; ValueError unless `positions` is a
-    non-empty, strictly ascending list of JSON ints (a bool is not one) and
-    `logits` is base64 of 8 * len(positions) * W bytes for a whole W >= 1."""
-    if type(positions) is not list or not positions or not set(map(type, positions)) <= {int}:
-        raise ValueError(
-            f"reply 'positions' must be a non-empty list of JSON ints, got {positions!r}"
-        )
-    if any(b <= a for a, b in zip(positions, positions[1:])):
-        raise ValueError(f"reply positions must be strictly ascending, got {positions}")
-    if type(logits) is not str:
-        raise ValueError(f"reply 'logits' must be a base64 string, got {type(logits).__name__}")
-    raw = base64.b64decode(logits, validate=True)
-    rows = len(positions)
-    if not raw or len(raw) % (8 * rows):
-        raise ValueError(f"reply logits of {len(raw)} bytes are not {rows} whole float64 rows")
-    return DenoiserOutput.from_matrix(positions, np.frombuffer(raw, "<f8").reshape(rows, -1))
-
-
 class _DenoiserHandler(socketserver.StreamRequestHandler):
     """Answers each request line with one reply line, in order."""
 
@@ -713,18 +770,12 @@ class _DenoiserHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         model: Denoiser = self.server.model  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            raw = raw.strip()
-            if not raw:
-                continue
+        for line in self.rfile:
             try:
-                state = state_from_json(json.loads(raw), model.vocab)
-                out = model.predict(state)
-                matrix = out.matrix().astype("<f8", copy=False).tobytes()
-                reply = {"positions": out.positions(), "logits": base64.b64encode(matrix).decode()}
+                reply = encode_reply(model.predict(decode_request(line, model.vocab)))
             except Exception as exc:  # report, keep serving
-                reply = {"error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write((json.dumps(reply, separators=(",", ":")) + "\n").encode())
+                reply = (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
+            self.wfile.write(reply)
             self.wfile.flush()
 
 

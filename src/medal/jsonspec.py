@@ -1,6 +1,6 @@
 """The JSON input format: one checked reader (and its writer) for configs,
-experiment specs, ``ngram:`` model parameters, model files and remote
-requests, each a dataclass."""
+experiment specs, ``ngram:`` model parameters and model files, each a
+dataclass."""
 
 from __future__ import annotations
 

@@ -4,9 +4,9 @@ A state is an immutable snapshot of a partially revealed token sequence:
 a read-only prompt prefix followed by a generation region whose positions
 are either revealed or masked. All engine layers operate on these values;
 mutation always goes through apply_action / apply_many, which return new
-states. Constructing a SeqState (directly, via fully_masked or from JSON)
-validates the whole sequence; apply_many checks only its actions, since a
-valid state stays valid under checked reveals.
+states. Constructing a SeqState (directly, via fully_masked or from a
+remote request line) validates the whole sequence; apply_many checks only
+its actions, since a valid state stays valid under checked reveals.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, PositionNotMasked, TokenIsMask
-from .jsonspec import from_json
 
 
 @dataclass(frozen=True)
@@ -141,25 +140,7 @@ def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-#
-# States embed no vocab descriptor so the wire format stays minimal; both
-# ends of the wire already know the vocab.
-
-
-@dataclass(frozen=True)
-class WireState:
-    """A state as the remote protocol sends it: tokens with the mask id at
-    masked positions, one bool per position, and the step count."""
-
-    prompt_len: int
-    tokens: tuple[int, ...]
-    masked: tuple[bool, ...]
-    step: int = 0
-
-    def validate(self) -> None:
-        if self.step < 0:
-            raise ConfigError(f"wire state key 'step' must be >= 0, got {self.step}")
+# serialization (the CLI's JSONL records)
 
 
 def state_to_json(state: SeqState) -> dict:
@@ -169,17 +150,3 @@ def state_to_json(state: SeqState) -> dict:
         "masked": list(state.masked),
         "step": state.step,
     }
-
-
-def state_from_json(obj, vocab: Vocab) -> SeqState:
-    """The state a WireState object describes over `vocab`; ConfigError
-    names the key of an ill-typed value and the position of a bad token.
-    The wire's mask flags must agree with its tokens: the state keeps only
-    the tokens."""
-    wire = from_json(WireState, obj)
-    if len(wire.tokens) != len(wire.masked):
-        raise ConfigError("tokens and masked must have equal length")
-    for i, (tok, flag) in enumerate(zip(wire.tokens, wire.masked)):
-        if flag != (tok == vocab.mask_id):
-            raise ConfigError(f"mask flag and token disagree at position {i}")
-    return SeqState(vocab, wire.prompt_len, wire.tokens, wire.step)

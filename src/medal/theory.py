@@ -470,6 +470,12 @@ def search_schedules(
     search (it equals schedule_cost's argmax walk without dependence), and,
     when `snapshots` is given, the best J after each listed iteration count
     (best-so-far, so snapshot values are non-increasing).
+
+    The search stops early once the tree is complete (every non-terminal
+    node expanded; the MCTS-Solver stop of Winands, Bjornsson & Saito,
+    2008): from then on an iteration only re-selects a complete schedule,
+    so the best schedule and every later snapshot are what the full budget
+    would give.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -489,13 +495,18 @@ def search_schedules(
 
     uniform = _uniform_choice(rng)
     root_node = SearchNode(_WalkState(root))
+    unexpanded = 1  # non-terminal nodes without children
 
     for it in range(budget):
+        if not unexpanded:  # a complete tree: the rest of the budget changes nothing
+            snap.update((mark, best.j) for mark in marks if it < mark <= budget)
+            break
         node, path = select_leaf(root_node, c_explore)
         if node.terminal:
             backpropagate(path, node.terminal_reward)
         else:
             ws: _WalkState = node.state
+            unexpanded -= 1
             for step in _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes):
                 prefix = ws.extend(table, step)
                 child = SearchNode(
@@ -506,6 +517,7 @@ def search_schedules(
                     child.terminal = True
                     child.terminal_reward = reward = -consider(prefix.cost())
                 else:
+                    unexpanded += 1
                     # rollout: finish the prefix with uniform random steps
                     reward = -consider(_walk(table, prefix, k, sizes, uniform))
                 backpropagate(path + [(node, child)], reward)
@@ -578,7 +590,9 @@ def verify_theorem1(
     Runs one seeded search to the largest budget, snapshotting best J at
     each requested budget; asserts the snapshots are non-increasing and
     that the final J is <= greedy's and every random baseline's J + tol.
-    The exhaustive oracle minimum is included for ratio checks.
+    The exhaustive oracle minimum is included for ratio checks. The search
+    stops once its tree is complete (search_schedules), so a budget past
+    that point costs nothing and reports the same J as the full run would.
     """
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets or budgets[0] < 1:

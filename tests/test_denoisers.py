@@ -33,6 +33,10 @@ from medal.denoisers import (
     NGramMaskedModel,
     RemoteDenoiser,
     TabularModel,
+    decode_reply,
+    decode_request,
+    encode_reply,
+    encode_request,
     fit_ngram,
     load_corpus,
     serve_denoiser,
@@ -51,14 +55,7 @@ from medal.families import trap_family
 from medal.harness import load_model_file
 from medal.jsonspec import from_json, to_json
 from medal.kernels import softmax_rows
-from medal.seqcore import (
-    SeqState,
-    UnmaskAction,
-    Vocab,
-    apply_many,
-    state_from_json,
-    state_to_json,
-)
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
 
 def softmax(vec):
@@ -345,6 +342,92 @@ def test_state_vocab_mismatch_rejected(rng):
         model.predict(s)
 
 
+def _read_frame(line):
+    """(positions, matrix) of a reply line, decoded by hand from the
+    documented layout: base64 of uint32 P | P int64 | P x V float64."""
+    assert line.endswith(b"\n")
+    frame = base64.b64decode(line[:-1], validate=True)
+    rows = int.from_bytes(frame[:4], "little")
+    positions = np.frombuffer(frame, "<i8", rows, 4).tolist()
+    return positions, np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
+
+
+@st.composite
+def wire_states(draw):
+    size = draw(st.integers(min_value=2, max_value=20))
+    mask_id = draw(st.one_of(
+        st.just(-1), st.integers(min_value=size, max_value=10**6), st.integers(-10**6, -2)
+    ))
+    vocab = Vocab(size, mask_id)
+    prompt = draw(st.lists(st.integers(0, size - 1), max_size=4))
+    gen = draw(st.lists(
+        st.one_of(st.just(vocab.mask_id), st.integers(0, size - 1)), min_size=1, max_size=12
+    ))
+    step = draw(st.integers(min_value=0, max_value=2**70))
+    return SeqState(vocab, len(prompt), tuple(prompt + gen), step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wire_states())
+def test_property_request_round_trip(state):
+    line = encode_request(state)
+    assert line.endswith(b"\n") and line.count(b"\n") == 1 and line.isascii()
+    back = decode_request(line, state.vocab)
+    assert back == state and back.step == state.step
+    assert back.masked_index == state.masked_index
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (b"1 0 +1 3\n", "decimal ints"),
+        (b"1 0 1_0 3\n", "decimal ints"),
+        (b"1 0 1.0 3\n", "decimal ints"),
+        (b"1 0 1e0 3\n", "decimal ints"),
+        (b"1 0 True 3\n", "decimal ints"),
+        ("1 0 \u0661 3\n".encode(), "decimal ints"),  # ARABIC-INDIC DIGIT ONE
+        (b"1  0 1 3\n", "decimal ints"),
+        (b" 1 0 1 3\n", "decimal ints"),
+        (b"1 0 1 3 \n", "decimal ints"),
+        (b"1\t0 1 3\n", "decimal ints"),
+        (b"1 0 1 3\r\n", "decimal ints"),
+        (b"1 0 1 3\n\n", "decimal ints"),
+        (b"1\n", "decimal ints"),
+        (b"\n", "decimal ints"),
+        (b"1 - 1 3\n", "decimal ints"),
+        (b"1 -1 1 3 3\n", "step must be >= 0, got -1"),
+        (b"1 0 3 3 3\n", "prompt position 0 cannot be masked"),
+        (b"1 0 1 7 3\n", "revealed token 7 at 1 outside vocab"),
+        (b"1 0 1 -1 3\n", "revealed token -1 at 1 outside vocab"),
+        (b"3 0 1 3 3\n", "generation region must be non-empty"),
+        (b"-1 0 1 3 3\n", "prompt_len -1 out of range"),
+    ],
+)
+def test_decode_request_is_strict(line, match):
+    with pytest.raises(ConfigError, match=match):
+        decode_request(line, Vocab(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_reply_round_trip_is_bit_exact(rows, width, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64, endpoint=False)
+    matrix = bits.view(np.float64)
+    matrix[~np.isfinite(matrix)] = -0.0  # the output keeps finite logits only
+    positions = np.sort(rng.choice(2**62, size=rows, replace=False)) - 2**61
+    out = DenoiserOutput.from_matrix(positions, matrix)
+    line = encode_reply(out)
+    assert line == _frame(positions, matrix)  # the documented layout
+    back = decode_reply(line)
+    assert back.positions() == positions.tolist()
+    assert np.array_equal(back.matrix().view(np.uint64), matrix.view(np.uint64))
+
+
 def test_remote_round_trip_and_error_frames(rng):
     model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
     server = serve_denoiser(model, port=0)
@@ -365,23 +448,29 @@ def test_remote_round_trip_and_error_frames(rng):
             # connection still usable afterwards
             again = remote.predict(state)
             assert np.array_equal(again.matrix(), local.matrix())
-        # an ill-typed request, and one whose mask flag is set on a content
-        # token, are each answered with an error frame, not read as another
-        # state, and the same connection then serves a valid one
+        # an ill-typed request, a masked prompt slot and an old JSON request
+        # are each answered with an error frame, not read as another state,
+        # and the same connection then serves a valid one
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
-            bad = {"prompt_len": 0.9, "tokens": [1.7, "2", True], "masked": [0, "", 0], "step": "4"}
-            flagged = {**state_to_json(state), "masked": [True, True, True]}
-            for request in (bad, flagged, state_to_json(state)):
-                stream.write((json.dumps(request) + "\n").encode())
+            ill_typed = b"0.9 4 1.7 2 true\n"
+            masked_prompt = b"1 0 3 3 3\n"
+            old_json = (json.dumps(state_to_json(state)) + "\n").encode()
+            assert encode_request(state) == b"1 0 1 3 3\n"
+            for request in (ill_typed, masked_prompt, old_json, encode_request(state)):
+                stream.write(request)
                 stream.flush()
             error = json.loads(stream.readline())
-            assert error == {"error": "ConfigError: wire state key 'prompt_len' must be int, got 0.9"}
+            assert error == {
+                "error": "ConfigError: request must be 'prompt_len step token ...' in decimal"
+                " ints joined by single spaces, got b'0.9 4 1.7 2 true'"
+            }
             error = json.loads(stream.readline())
-            assert error == {"error": "ConfigError: mask flag and token disagree at position 0"}
-            reply = json.loads(stream.readline())
-            assert reply["positions"] == [1, 2]
-            matrix = np.frombuffer(base64.b64decode(reply["logits"]), "<f8").reshape(2, -1)
+            assert error == {"error": "ConfigError: prompt position 0 cannot be masked"}
+            error = json.loads(stream.readline())
+            assert error["error"].startswith("ConfigError: request must be")
+            positions, matrix = _read_frame(stream.readline())
+            assert positions == [1, 2]
             assert np.array_equal(matrix, local.matrix())
     finally:
         server.shutdown()
@@ -425,6 +514,8 @@ class _ScriptedHandler(socketserver.StreamRequestHandler):
             with contextlib.suppress(OSError):  # the client may have given up
                 self.wfile.write(reply)
                 self.wfile.flush()
+            if not reply.endswith(b"\n"):
+                return  # close mid-reply
 
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):
@@ -451,15 +542,30 @@ def _scripted(reply):
         server.server_close()
 
 
+def _raw_frame(body):
+    """A reply line holding the frame bytes `body`, base64-encoded."""
+    return base64.b64encode(body) + b"\n"
+
+
 def _frame(positions, matrix):
-    """A reply line holding `matrix` as base64 little-endian float64."""
+    """A reply line built by hand from the documented layout; unlike
+    encode_reply, it takes positions out of order and non-finite logits."""
+    header = len(positions).to_bytes(4, "little")
+    return _raw_frame(
+        header
+        + np.asarray(positions, dtype="<i8").tobytes()
+        + np.asarray(matrix, dtype="<f8").tobytes()
+    )
+
+
+def _json_frame(positions, matrix):
+    """A reply of the older JSON wire: positions and a base64 logit string."""
     logits = base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode()
     return (json.dumps({"positions": list(positions), "logits": logits}) + "\n").encode()
 
 
 def _logits_line(model, raw):
-    out = model.predict(state_from_json(json.loads(raw), model.vocab))
-    return _frame(out.positions(), out.matrix())
+    return encode_reply(model.predict(decode_request(raw, model.vocab)))
 
 
 def test_remote_timeout_drops_the_connection_and_recovers(rng):
@@ -480,38 +586,58 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
 
 
 _ROWS = _frame([1, 2], np.zeros((2, 3)))  # a well-formed reply to the state below
+_JSON_ROWS = _json_frame([1, 2], np.zeros((2, 3)))  # the same reply on the JSON wire
+_HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
 
 
 @pytest.mark.parametrize(
     "line, match",
     [
-        (b"not json\n", "JSONDecodeError"),
-        (b'{"positions": [1, 2]}\n', "base64 string, got NoneType"),
-        (b'{"positions": [1, 2], "logits": [[0.0, 1.0, 2.0]]}\n', "base64 string, got list"),
-        (b'{"positions": [1, 2], "logits": true}\n', "base64 string, got bool"),
-        (b'{"positions": [1, 2], "logits": "0.5"}\n', "Only base64 data"),
-        (b'{"positions": [1, 2], "logits": "\\u0661AAA"}\n', "ASCII"),
-        (_frame([1, 2], np.zeros(5)), "40 bytes are not 2 whole float64 rows"),
-        (_ROWS.replace(b'"' + base64.b64encode(bytes(48)), b'"' + base64.b64encode(bytes(20))),
-         "20 bytes are not 2 whole float64 rows"),
-        (b'{"positions": [1, 2], "logits": ""}\n', "0 bytes"),
-        (_ROWS.replace(b"[1, 2]", b"[true, 2]"), "list of JSON ints"),
-        (_ROWS.replace(b"[1, 2]", b"[1.0, 2]"), "list of JSON ints"),
-        (_ROWS.replace(b"[1, 2]", b'["1", "2"]'), "list of JSON ints"),
-        (_ROWS.replace(b"[1, 2]", b"1"), "list of JSON ints"),
-        (_ROWS.replace(b"[1, 2]", b"[]"), "list of JSON ints"),
-        (_ROWS.replace(b"[1, 2]", b"[1, 36893488147419103232]"), "OverflowError"),
-        (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "'positions'"),
-        (None, "closed"),
+        (b"not json\n", "not base64"),
+        (b'{"positions": [1, 2]}\n', "not an error frame"),
+        (b'{"positions": [1, 2], "logits": [[0.0, 1.0, 2.0]]}\n', "not an error frame"),
+        (b'{"positions": [1, 2], "logits": true}\n', "not an error frame"),
+        (b"0.5\n", "not base64"),
+        ("\u0661AAA\n".encode(), "not base64"),
+        (_frame([1, 2], np.zeros(5)), r"60 bytes is not 4 \+ 8\*2 positions \+ 2 whole"),
+        (_raw_frame(_HEADER + bytes(20)), r"40 bytes is not 4 \+ 8\*2 positions"),
+        (_raw_frame(_HEADER), r"20 bytes is not 4 \+ 8\*2 positions"),
+        (_JSON_ROWS.replace(b"[1, 2]", b"[true, 2]"), "not an error frame"),
+        (_JSON_ROWS.replace(b"[1, 2]", b"[1.0, 2]"), "not an error frame"),
+        (_JSON_ROWS.replace(b"[1, 2]", b'["1", "2"]'), "not an error frame"),
+        (_JSON_ROWS.replace(b"[1, 2]", b"1"), "not an error frame"),
+        (_frame([], np.zeros((0, 3))), "lists no positions"),
+        (_JSON_ROWS.replace(b"[1, 2]", b"[1, 36893488147419103232]"), "not an error frame"),
+        (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "not an error frame"),
+        (None, "closed without a reply"),
+        (_JSON_ROWS, "not an error frame"),
+        (b'["error"]\n', "not base64"),
+        (b"{error}\n", "JSONDecodeError"),
+        (b'{"error": "x"} trailing\n', "JSONDecodeError"),
+        (_raw_frame(bytes(3)), "3 bytes has no 4-byte header"),
+        (_raw_frame((2**32 - 1).to_bytes(4, "little") + _HEADER[4:] + bytes(48)),
+         r"is not 4 \+ 8\*4294967295 positions"),
+        (_raw_frame(_HEADER[:12]), r"12 bytes is not 4 \+ 8\*2 positions"),
+        (_ROWS.replace(b"=", b""), "not base64"),
+        (_ROWS[:8] + b" " + _ROWS[8:], "not base64"),
+        (_ROWS.replace(b"A", b"-", 1), "not base64"),
+        (_ROWS[:-1] + b"\r\n", "not base64"),
+        (_ROWS[:-1], "closed mid-reply"),
+        (b"\n", "0 bytes has no 4-byte header"),
     ],
     ids=[
         "non_json", "no_logits", "logits_not_string", "logits_bool", "logits_numeric_string",
         "logits_not_ascii", "logits_ragged_rows", "logits_partial_float", "logits_empty",
         "positions_bool", "positions_float", "positions_string", "positions_not_list",
         "positions_empty", "position_past_int64", "old_mapping_reply", "closed",
+        "json_reply", "json_list", "brace_not_json", "error_frame_trailing_text",
+        "header_short", "header_past_frame", "positions_truncated", "padding_missing",
+        "base64_space", "base64_urlsafe", "base64_crlf", "cut_mid_reply", "empty_line",
     ],
 )
 def test_remote_bad_replies_raise_remote_error(line, match):
+    # JSON replies of an older server, well-formed or not, are "{" lines
+    # without an "error" key; every other line must be a whole base64 frame
     vocab = Vocab(3)
     state = SeqState.fully_masked(vocab, (1,), 2)
     with _scripted(lambda n, raw: line) as address:
@@ -622,7 +748,7 @@ def _three_states(model):
     "at, line, error, match",
     [
         (1, b'{"error": "scripted"}\n', ConfigError, "scripted"),
-        (2, b"not json\n", RemoteError, "JSONDecodeError"),
+        (2, b"not json\n", RemoteError, "not base64"),
         (1, None, RemoteError, "closed"),
     ],
     ids=["error_frame_2nd", "malformed_3rd", "closed_at_2nd"],
@@ -633,7 +759,7 @@ def test_remote_fault_mid_batch_drops_the_connection(rng, at, line, error, match
     root, states = _three_states(model)
 
     def reply(n, raw):
-        if state_from_json(json.loads(raw), model.vocab) == states[at]:
+        if decode_request(raw, model.vocab) == states[at]:
             return line
         return _logits_line(model, raw)
 
@@ -664,7 +790,7 @@ def test_remote_predict_many_checks_every_state_before_writing(rng, bad, error):
     seen = []
 
     def reply(n, raw):
-        seen.append(state_from_json(json.loads(raw), model.vocab).tokens)
+        seen.append(decode_request(raw, model.vocab).tokens)
         return _logits_line(model, raw)
 
     with _scripted(reply) as address:
@@ -770,3 +896,10 @@ def test_remote_address_parsing():
         with pytest.raises(ConfigError, match="1..65535"):
             RemoteDenoiser(address, vocab=Vocab(2))
     assert RemoteDenoiser("127.0.0.1:65535", vocab=Vocab(2)).address == ("127.0.0.1", 65535)
+    # a timeout must be a finite number > 0: 0 would make the socket
+    # non-blocking, and socket.create_connection refuses NaN and negatives
+    # only when the first call connects
+    for timeout in (math.nan, -1, 0.0, 0, math.inf, -math.inf, "5", None, True):
+        with pytest.raises(ConfigError, match="timeout"):
+            RemoteDenoiser("127.0.0.1:1", vocab=Vocab(2), timeout=timeout)
+    assert RemoteDenoiser("127.0.0.1:1", vocab=Vocab(2), timeout=2).timeout == 2

@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medal.denoisers import decode_request, encode_request
 from medal.errors import ConfigError, PositionNotMasked, TokenIsMask
-from medal.seqcore import (
-    SeqState,
-    UnmaskAction,
-    Vocab,
-    apply_action,
-    apply_many,
-    state_from_json,
-    state_to_json,
-)
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many, state_to_json
 
 
 def test_vocab_default_mask_id_sits_after_content():
@@ -54,13 +45,14 @@ def test_state_validation_errors():
         SeqState(v, 1, (3, 0))  # masked prompt slot
     with pytest.raises(ConfigError):
         SeqState(v, 0, (9, 3))  # revealed token outside vocab
-    # the wire's mask flags are a second record of the mask, checked on reading
-    with pytest.raises(ConfigError, match="equal length"):
-        state_from_json({"prompt_len": 0, "tokens": [0, 1], "masked": [False]}, v)
-    with pytest.raises(ConfigError, match="disagree at position 0"):  # mask token not flagged
-        state_from_json({"prompt_len": 0, "tokens": [3, 0], "masked": [False, False]}, v)
-    with pytest.raises(ConfigError, match="disagree at position 0"):  # flag without mask token
-        state_from_json({"prompt_len": 0, "tokens": [0, 1], "masked": [True, False]}, v)
+    # the tokens are the only record of the mask, on the wire too: a request
+    # line carries no flags, and a state's flags are read off its tokens
+    s = decode_request(b"0 0 3 0\n", v)
+    assert s.masked == (True, False) and state_to_json(s)["masked"] == [True, False]
+    with pytest.raises(ConfigError, match="revealed token 4 at 0 outside vocab"):
+        decode_request(b"0 0 4 0\n", v)  # neither content nor the mask id
+    with pytest.raises(ConfigError, match="prompt position 0 cannot be masked"):
+        decode_request(b"1 0 3 0\n", v)
 
 
 def test_apply_action_reveals_and_advances_step():
@@ -106,10 +98,17 @@ def test_serialization_round_trip():
     v = Vocab(size=6, mask_id=9)
     s = SeqState.fully_masked(v, (0, 5), length=3, step=0)
     s = apply_many(s, [UnmaskAction(2, 4), UnmaskAction(4, 1)])
-    line = json.dumps(state_to_json(s), separators=(",", ":"))
-    back = state_from_json(json.loads(line), v)
-    assert back == s
-    assert json.dumps(state_to_json(back), separators=(",", ":")) == line
+    assert state_to_json(s) == {
+        "prompt_len": 2,
+        "tokens": [0, 5, 4, 9, 1],
+        "masked": [False, False, False, True, False],
+        "step": 2,
+    }
+    line = encode_request(s)
+    assert line == b"2 2 0 5 4 9 1\n"
+    back = decode_request(line, v)
+    assert back == s and back.masked_index == (3,)
+    assert encode_request(back) == line
 
 
 @st.composite
@@ -177,13 +176,15 @@ def test_property_checked_reveals_give_valid_states(case, data):
         assert cur == full and hash(cur) == hash(full)
         mask_id = cur.vocab.mask_id
         assert cur.masked_index == tuple(i for i, t in enumerate(cur.tokens) if t == mask_id)
-        back = state_from_json(state_to_json(cur), cur.vocab)
+        back = decode_request(encode_request(cur), cur.vocab)
         assert back == cur and back.masked_index == cur.masked_index
+        bad = cur.vocab.size + 1  # neither content nor the default mask id
         for i in range(len(cur.tokens)):
-            wire = state_to_json(cur)
-            wire["masked"][i] = not wire["masked"][i]
-            with pytest.raises(ConfigError, match=f"disagree at position {i}$"):
-                state_from_json(wire, cur.vocab)
+            tokens = list(cur.tokens)
+            tokens[i] = bad
+            wire = " ".join(map(str, (cur.prompt_len, cur.step, *tokens))).encode()
+            with pytest.raises(ConfigError, match=f"revealed token {bad} at {i} outside vocab$"):
+                decode_request(wire, cur.vocab)
     vocab = cur.vocab
     for act in actions:
         with pytest.raises(PositionNotMasked):

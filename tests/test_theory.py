@@ -605,6 +605,47 @@ def test_search_predicts_each_node_once(rng):
         assert counted.calls == 15
 
 
+def _tree_complete(node) -> bool:
+    """Every non-terminal node under `node` has children."""
+    if node.terminal:
+        return True
+    return bool(node.children) and all(_tree_complete(ch) for ch in node.children)
+
+
+def test_search_stops_once_the_tree_is_complete(rng, monkeypatch):
+    # L=4, k=3: the tree of every 3-step schedule is complete long before
+    # the budget runs out; later iterations could only re-select complete
+    # schedules, so the search stops and a 10x budget reports the same
+    model = rand_model(rng, length=4, vocab=3)
+    root = root_of(model, 4)
+    select_leaf = theory.select_leaf
+    calls = []
+
+    def checked_select_leaf(node, c_explore):
+        assert not _tree_complete(node), "select_leaf called on a complete tree"
+        calls.append(node)
+        return select_leaf(node, c_explore)
+
+    monkeypatch.setattr(theory, "select_leaf", checked_select_leaf)
+    search_schedules(model, root, k=3, budget=10_000, seed=2)
+    b = len(calls)
+    assert 1 < b < 256
+    assert _tree_complete(calls[0])
+    reports = {}
+    for budget in (b, 10 * b):
+        calls.clear()
+        reports[budget] = verify_theorem1(model, root, k=3, budgets=[1, budget], seed=2)
+        assert len(calls) == b
+        best, snaps = search_schedules(
+            model, root, k=3, budget=budget, seed=2, snapshots=[b - 1, b, budget, 20 * b]
+        )
+        assert set(snaps) == {b - 1, b, budget}
+        assert snaps[b] == snaps[budget] == best.j
+    small, large = reports[b], reports[10 * b]
+    assert small.pop("budgets") == [1, b] and large.pop("budgets") == [1, 10 * b]
+    assert small == large
+
+
 def test_search_reaches_oracle_on_small_instance(rng):
     model = rand_model(rng)
     root = root_of(model)
