@@ -175,8 +175,9 @@ def finish_decode(
 ) -> DecodeResult:
     """Commit remaining masks step by step under confidence scoring.
 
-    Each step rebuilds the pooled top-k2 actions, re-scoring only the rows
-    whose logits differ from the previous step's, and commits
+    Each step rebuilds the pooled top-k2 actions from the previous step's
+    candidates, scoring only the rows whose logits changed and whose
+    content no earlier step of this decode scored, and commits
     tokens_per_step of them: the top of the pool under argmax, or draws
     from softmax(score / temperature) without position repeats. Runs at
     most cfg.steps steps and stops when nothing is masked. `output`, when

@@ -132,10 +132,11 @@ class DenoiserOutput:
             self._probs = probs
         return self._rows(self._probs, positions)
 
-    def check_cover(self, positions: Sequence[int], vocab_size: int) -> None:
+    def check_cover(self, positions: Sequence[int], vocab_size: int) -> np.ndarray:
         """Raise MissingPosition unless the rows are exactly `positions`
         (ascending), and LogitWidthMismatch unless every row holds one logit
-        per content token."""
+        per content token. Returns the stored read-only int64 positions,
+        so a caller need not convert `positions` again."""
         have = self.positions()
         if have != list(positions):
             missing = sorted(set(positions) - set(have))
@@ -146,6 +147,7 @@ class DenoiserOutput:
         width = self._matrix.shape[1]
         if width != vocab_size:
             raise LogitWidthMismatch(f"logits have width {width} for vocab size {vocab_size}")
+        return self._positions
 
     def _rows(self, array: np.ndarray, positions: Sequence[int] | None) -> np.ndarray:
         if positions is None:
@@ -451,27 +453,23 @@ class NGramMaskedModel(Denoiser):
         return state.tokens[lo:position]
 
     def predict(self, state: SeqState) -> DenoiserOutput:
-        """Row i is _logits_for(context_for(state, pos[i])), computed with
-        n-1 array passes for the context lengths; only positions with a
-        non-empty context look their row up one by one."""
+        """Row i is _logits_for(context_for(state, pos[i])), found in one
+        pass over the masked index: the revealed run before a masked
+        position starts right after the previous masked position (or at
+        index 0), cut to its last n-1 tokens. Only positions with a
+        non-empty run look their row up one by one."""
         pos = self._check_state(state)
-        at = np.asarray(pos)
-        # positions before the sequence start count as masked, so a run
-        # never reaches past index 0
-        revealed = np.ones(len(state.tokens) + self.n - 1, dtype=bool)
-        revealed[: self.n - 1] = False
-        revealed[at + (self.n - 1)] = False
-        ctx_len = np.zeros(len(pos), dtype=np.intp)
-        run = np.ones(len(pos), dtype=bool)
-        for k in range(1, self.n):
-            run &= revealed[at + (self.n - 1 - k)]
-            ctx_len += run
+        tokens = state.tokens
+        keep = self.n - 1
         matrix = np.empty((len(pos), self.vocab.size))
         matrix[:] = self._logits_for(())
-        for i in np.flatnonzero(ctx_len).tolist():
-            p = pos[i]
-            matrix[i] = self._logits_for(state.tokens[p - int(ctx_len[i]) : p])
-        return DenoiserOutput.from_matrix(at, matrix)
+        if keep:
+            start = 0
+            for i, p in enumerate(pos):
+                if p > start:
+                    matrix[i] = self._logits_for(tokens[max(start, p - keep) : p])
+                start = p + 1
+        return DenoiserOutput.from_matrix(pos, matrix)
 
 
 def fit_ngram(

@@ -6,8 +6,10 @@ with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
 sigmoid(gamma * (p_(1) - p_(2))); token scores are the product of the
 three. Candidates are filtered per position (top-k1) and then pooled
 globally (top-k2); ties break toward lower position, then lower token. A
-finish step passes the previous step's candidates back in, so only the
-rows whose logits changed are scored again.
+finish step passes the previous step's candidates back in: rows whose
+logits did not change keep their top-k1, and the chain of builds shares a
+memo from a row's logit bytes to its top-k1, so a changed row is scored
+only when no earlier build of the chain scored the same content.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ class ActionCandidates:
     (ties: token ascending). pooled is the global top-k2 across the union,
     ordered by (score desc, position asc, token asc). logits is the
     read-only (P, V) matrix the rows were scored from, kept so that the
-    next finish step can tell which rows are unchanged.
+    next finish step can tell which rows are unchanged. gamma, epsilon and
+    use_entropy_penalty are the scoring settings, which a build passing
+    this as prev must share. memo is the score memo shared by every build
+    along a prev chain: it maps a logit row's bytes to that row's top-k1
+    tokens and scores. It starts empty; the first build from a result
+    enters that result's rows, and each build enters the rows it scores.
     """
 
     positions: np.ndarray  # (P,)
@@ -41,6 +48,10 @@ class ActionCandidates:
     scores: np.ndarray  # (P, min(k1, V))
     pooled: tuple[tuple[UnmaskAction, float], ...]
     logits: np.ndarray = field(repr=False)  # (P, V)
+    gamma: float
+    epsilon: float
+    use_entropy_penalty: bool
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
 def _top_k1(
@@ -67,34 +78,59 @@ def build_candidates(
     """Two-stage action filter over all masked positions of `state`.
 
     `output` is the model's prediction at `state`; it must cover exactly
-    the masked positions, with one logit per content token. `prev`, when
-    given, is the result of an earlier call with the same k1, gamma,
-    epsilon and penalty setting: a row whose position and logits are
-    bit-equal to a row of prev takes prev's top-k1 as is, and only the
-    other rows are softmaxed and scored. Without prev every row is scored
-    from output.probs(). Raises ConfigError when k1 or k2 is below 1, or
-    when prev was built with another k1 or vocab width.
+    the masked positions, with one logit per content token. Without prev
+    every row is scored from output.probs(), and the result starts an
+    empty memo. `prev`, when given, is the result of an earlier call with
+    the same k1, vocab width, gamma, epsilon and penalty setting, and the
+    result shares its memo; the first build from prev enters prev's rows
+    into the memo. A row whose position and logits are bit-equal to a row
+    of prev takes prev's top-k1 as is; another row whose bytes are in the
+    memo takes the stored result; only the rest are softmaxed and scored,
+    in one batch, and entered into the memo. Raises ConfigError when k1 or
+    k2 is below 1, or when prev was built with other settings.
     """
     if k1 < 1 or k2 < 1:
         raise ConfigError("k1 and k2 must be >= 1")
-    output.check_cover(state.masked_index, state.vocab.size)
-    rows = np.asarray(state.masked_index, dtype=np.int64)
+    rows = output.check_cover(state.masked_index, state.vocab.size)
     logits = output.matrix()
     take = min(k1, logits.shape[1])
-    if prev is None or not prev.positions.shape[0]:
-        tokens, kept = _top_k1(output.probs(), take, gamma, epsilon, use_entropy_penalty)
-    else:
+    if prev is not None:
         if prev.tokens.shape[1] != take or prev.logits.shape[1] != logits.shape[1]:
             raise ConfigError("prev was built with another k1 or vocab width")
+        settings = (gamma, epsilon, use_entropy_penalty)
+        if (prev.gamma, prev.epsilon, prev.use_entropy_penalty) != settings:
+            raise ConfigError("prev was built with another gamma, epsilon or entropy penalty")
+    if prev is None or not prev.positions.shape[0]:
+        memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        tokens, kept = _top_k1(output.probs(), take, gamma, epsilon, use_entropy_penalty)
+    else:
+        memo = prev.memo
+        if not memo:
+            memo.update(zip(map(np.ndarray.tobytes, prev.logits), zip(prev.tokens, prev.scores)))
         at = np.minimum(prev.positions.searchsorted(rows), prev.positions.shape[0] - 1)
         fresh = np.flatnonzero(
             (prev.positions[at] != rows) | (prev.logits[at] != logits).any(axis=1)
         )
         tokens = prev.tokens[at]
         kept = prev.scores[at]
-        if fresh.shape[0]:
-            probs = kernels.softmax_rows(logits[fresh])
-            tokens[fresh], kept[fresh] = _top_k1(probs, take, gamma, epsilon, use_entropy_penalty)
+        unseen: list[int] = []
+        keys: list[bytes] = []
+        for i in fresh.tolist():
+            key = logits[i].tobytes()
+            hit = memo.get(key)
+            if hit is None:
+                unseen.append(i)
+                keys.append(key)
+            else:
+                tokens[i], kept[i] = hit
+        if unseen:
+            idx = np.array(unseen)
+            new_tokens, new_kept = _top_k1(
+                kernels.softmax_rows(logits[idx]), take, gamma, epsilon, use_entropy_penalty
+            )
+            tokens[idx] = new_tokens
+            kept[idx] = new_kept
+            memo.update(zip(keys, zip(new_tokens, new_kept)))
     # stage 2: the union ranked by (score desc, position asc, token asc).
     # Rows ascend by position and each row lists tied tokens in ascending
     # order, so a stable sort of the flattened scores breaks ties that way.
@@ -107,5 +143,13 @@ def build_candidates(
         )
     )
     return ActionCandidates(
-        positions=rows, tokens=tokens, scores=kept, pooled=pooled, logits=logits
+        positions=rows,
+        tokens=tokens,
+        scores=kept,
+        pooled=pooled,
+        logits=logits,
+        gamma=gamma,
+        epsilon=epsilon,
+        use_entropy_penalty=use_entropy_penalty,
+        memo=memo,
     )

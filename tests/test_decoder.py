@@ -300,14 +300,34 @@ def test_finish_rescores_only_rows_whose_logits_changed(monkeypatch):
     root = SeqState.fully_masked(model.vocab, (0, 1), 64)
     assert finish_decode(model, root, cfg).final.is_complete
     assert len(outputs) == 64 and scored[0] == 64
-    changed = []
+    # replay the rule on the recorded predictions: a later step scores the
+    # rows whose logits differ from the previous step's at their position
+    # and whose content no earlier step of the decode scored
+    first_at = {}
+    for pos, row in zip(outputs[0].positions(), outputs[0].matrix()):
+        first_at.setdefault(row.tobytes(), pos)
+    changed, unseen, moved_hits = [], [], 0
     for before, after in zip(outputs, outputs[1:]):
         pos = after.positions()
-        changed.append(int((after.matrix() != before.matrix(pos)).any(axis=1).sum()))
-    # each later step scores exactly the changed rows, and skips scoring
-    # when no row changed; most rows do not change, so this is not vacuous
-    assert scored[1:] == [c for c in changed if c]
+        diff = (after.matrix() != before.matrix(pos)).any(axis=1)
+        fresh = {}
+        for p, row in zip(np.array(pos)[diff].tolist(), after.matrix()[diff]):
+            key = row.tobytes()
+            if key not in first_at:
+                fresh[p] = key
+            elif first_at[key] != p:
+                moved_hits += 1
+        for p, key in fresh.items():
+            first_at.setdefault(key, p)
+        changed.append(int(diff.sum()))
+        unseen.append(len(fresh))
+    # a step with no unseen row skips scoring; most rows do not change, and
+    # some changed rows reuse content first scored at another position, so
+    # neither the positional diff nor the memo is vacuous here
+    assert scored[1:] == [u for u in unseen if u]
     assert sum(changed) < 64 * 63 // 2 // 4
+    assert sum(unseen) < sum(changed)
+    assert moved_hits >= 1
 
 
 @st.composite

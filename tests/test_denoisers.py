@@ -290,6 +290,35 @@ def test_property_ngram_predict_matches_context_loop(n, prompt_len, length, mask
         assert row.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ngram_predict_matches_context_loop_at_long_length(n):
+    # L = 300 with an empty prompt: runs of 0..7 revealed tokens between
+    # runs of 1..4 masked ones, so the pattern has revealed runs longer
+    # than n-1, runs that start at index 0, and adjacent masked positions
+    gen = np.random.default_rng(7)
+    vocab = 5
+    corpus = [gen.integers(0, vocab, size=40).tolist() for _ in range(8)]
+    model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    mask_id = model.vocab.mask_id
+    for lead in (6, 0):
+        flags = [False] * lead
+        while len(flags) < 300:
+            flags += [True] * int(gen.integers(1, 5)) + [False] * int(gen.integers(0, 8))
+        flags = flags[:300]
+        tokens = tuple(
+            mask_id if m else int(t) for t, m in zip(gen.integers(0, vocab, 300), flags)
+        )
+        state = SeqState(model.vocab, 0, tokens)
+        masked = state.masked_index
+        assert any(b - a == 1 for a, b in zip(masked, masked[1:]))
+        assert max(b - a - 1 for a, b in zip(masked, masked[1:])) > n - 1
+        out = model.predict(state)
+        assert out.positions() == list(masked)
+        for pos, row in zip(masked, out.matrix()):
+            want = model._logits_for(model.context_for(state, pos))
+            assert row.tobytes() == want.tobytes(), pos
+
+
 def test_ngram_unseen_context_uniform():
     model = fit_ngram([(0, 1)], n=2, alpha=2.0, vocab_size=4)
     s = SeqState.fully_masked(model.vocab, (3,), 1)

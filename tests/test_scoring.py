@@ -150,6 +150,22 @@ def test_build_candidates_k_clamped_to_available():
         build_candidates(wide, output({0: np.zeros(4), 1: np.zeros(4)}), k1=3, k2=3, prev=cands)
 
 
+@pytest.mark.parametrize(
+    "setting", [{"gamma": 4.0}, {"epsilon": 1e-6}, {"use_entropy_penalty": False}]
+)
+def test_build_candidates_rejects_prev_with_other_scoring_settings(rng, setting):
+    # scores depend on gamma, epsilon and the penalty switch, so a prev (and
+    # its memo) built under other settings cannot be reused
+    state = make_state(4, 3)
+    out = output({p: rng.normal(size=4) for p in range(3)})
+    cands = build_candidates(state, out, k1=2, k2=3)
+    assert (cands.gamma, cands.epsilon, cands.use_entropy_penalty) == (5.0, 1e-8, True)
+    with pytest.raises(ConfigError, match="gamma, epsilon or entropy penalty"):
+        build_candidates(state, out, k1=2, k2=3, prev=cands, **setting)
+    other = build_candidates(state, out, k1=2, k2=3, **setting)
+    _same_candidates(build_candidates(state, out, k1=2, k2=3, prev=other, **setting), other)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     length=st.integers(min_value=1, max_value=5),
