@@ -34,8 +34,6 @@ from .seqcore import SeqState, UnmaskAction, Vocab, apply_action
 from .theory import (
     Schedule,
     ScheduleCost,
-    dependence_error,
-    entropy_gap,
     oracle_min_schedule,
     schedule_cost,
     verify_lemma1,
@@ -68,8 +66,6 @@ __all__ = [
     "build_candidates",
     "decode",
     "decode_greedy_baseline",
-    "dependence_error",
-    "entropy_gap",
     "finish_decode",
     "fit_ngram",
     "load_corpus",

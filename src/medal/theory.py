@@ -15,16 +15,16 @@ For any calibrated model the dependence error never exceeds the gap
 error of the whole schedule. verify_lemma1 checks that inequality
 exhaustively; verify_theorem1 runs a UCT search over schedule space and
 checks it converges on minimal-J schedules, beating greedy and random
-baselines. The weighted objective j_lambda(cost) = lam_dep * B +
-lam_mod * sum(prox) generalizes J with a per-position uncertainty proxy.
+baselines.
 
-Every walk steps through _WalkState.extend and reads contexts from one
-per-call table (mcts.StateTable), which each verifier shares across all its
-walks. A table row keeps its context's checked prediction, its exact
-conditional, and per step taken there the step's probabilities, gap,
-dependence error and argmax child. So no call predicts a context twice, and
-no call costs a (context, step) pair twice however many schedules, rollouts
-and expansions pass through it.
+Every walk commits each step's argmax tokens through _WalkState.extend and
+reads contexts from one per-call table (mcts.StateTable), which each
+verifier shares across all its walks. A table row keeps its context's
+checked prediction, its exact conditional, and per step taken there the
+step's gap, dependence error and argmax child. So no call predicts a
+context twice, and no call costs a (context, step) pair twice however many
+schedules, rollouts and expansions pass through it. A single step's gap and
+dependence error are its one-step schedule_cost.
 """
 
 from __future__ import annotations
@@ -48,8 +48,10 @@ from .errors import (
 from .mcts import SearchNode, StateTable, backpropagate, select_leaf
 from .seqcore import SeqState, UnmaskAction, apply_many
 
-PROXIES = ("entropy", "one_minus_maxprob", "top2_margin")
-ENUMERATION_CAP = 1_000_000
+ENUMERATION_CAP = 1_000_000  # most schedules an exhaustive call enumerates
+TOL = 1e-9  # slack the verifiers allow their inequalities
+C_EXPLORE = math.sqrt(2.0)  # UCB exploration constant of the schedule search
+RANDOM_BASELINES = 5  # random schedules verify_theorem1 compares against
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,6 @@ class Schedule:
             seen.update(step)
         return cls(norm)
 
-    def positions(self) -> set[int]:
-        return {p for step in self.steps for p in step}
-
     def to_json(self) -> list[list[int]]:
         return [list(step) for step in self.steps]
 
@@ -82,7 +81,6 @@ class ScheduleCost:
     schedule: Schedule
     per_step_gap: tuple[float, ...]
     per_step_dep: tuple[float, ...] | None
-    per_step_proxy: tuple[float, ...] | None
     committed: tuple[tuple[int, int], ...]
 
     @property
@@ -92,26 +90,6 @@ class ScheduleCost:
     @property
     def dep_total(self) -> float | None:
         return None if self.per_step_dep is None else float(sum(self.per_step_dep))
-
-    def to_json(self) -> dict:
-        return {
-            "schedule": self.schedule.to_json(),
-            "per_step_gap": list(self.per_step_gap),
-            "per_step_dep": None if self.per_step_dep is None else list(self.per_step_dep),
-            "per_step_proxy": None if self.per_step_proxy is None else list(self.per_step_proxy),
-            "j": self.j,
-            "dep_total": self.dep_total,
-        }
-
-
-def j_lambda(cost: ScheduleCost, lam_dep: float = 1.0, lam_mod: float = 0.0) -> float:
-    """Weighted objective; (1, 0) recovers plain J."""
-    total = lam_dep * cost.j
-    if lam_mod != 0.0:
-        if cost.per_step_proxy is None:
-            raise ConfigError("cost has no proxy terms; rerun schedule_cost with proxy=")
-        total += lam_mod * float(sum(cost.per_step_proxy))
-    return float(total)
 
 
 def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
@@ -125,40 +103,17 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
     return subset
 
 
-def position_entropies(model, state: SeqState, positions: Sequence[int]) -> np.ndarray:
-    """Exact predictive entropies (nats) at the given masked positions."""
-    subset = _subset_check(state, positions)
-    return kernels.entropy_rows(_contexts(model)(state).output.probs(subset))
-
-
-def entropy_gap(model, state: SeqState, positions: Sequence[int]) -> float:
-    """B(positions | state) = sum of entropies minus their max; >= 0."""
-    return _gap(position_entropies(model, state, positions))
-
-
-def _gap(ent: np.ndarray) -> float:
-    return float(ent.sum() - ent.max())
-
-
-def dependence_error(model, state: SeqState, positions: Sequence[int]) -> float:
-    """KL(joint posterior over positions || product of its marginals).
-
-    Needs exact conditionals, i.e. a tabular model. Raises ZeroMassContext
-    when the revealed context has no mass, SubsetNotMasked for positions
-    outside the masked set.
-    """
-    subset = _subset_check(state, positions)
-    _require_conditionals(model)
-    return _dependence(model.masked_conditional(state), subset)
-
-
 def _require_conditionals(model) -> None:
     if not hasattr(model, "masked_conditional"):
-        raise ConfigError("dependence_error requires a model with exact conditionals")
+        raise ConfigError(
+            "measuring dependence errors needs a model with exact conditionals"
+            " (masked_conditional)"
+        )
 
 
 def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]) -> float:
-    """dependence_error's KL from the context's (masked positions, exact
+    """A step's dependence error, KL(joint posterior over the subset ||
+    product of its marginals), from the context's (masked positions, exact
     conditional) pair, for a sorted subset of those positions."""
     mpos, cond = conditional
     axes = tuple(mpos.index(p) for p in subset)
@@ -180,11 +135,10 @@ def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]
 
 
 class _Step(NamedTuple):
-    """One step's outcome at one context: the step's probability rows, its
-    gap, its dependence error (None without a conditional), and the argmax
-    child with the tokens it committed."""
+    """One step's outcome at one context: its gap, its dependence error
+    (None without a conditional), and the argmax child with the tokens it
+    committed."""
 
-    probs: np.ndarray
     gap: float
     dep: float | None
     child: SeqState
@@ -207,12 +161,12 @@ class _Context(NamedTuple):
         memo = self.steps.get(positions)
         if memo is None:
             probs = self.output.probs(positions)
+            ent = kernels.entropy_rows(probs)
             dep = None if self.conditional is None else _dependence(self.conditional, positions)
             committed = tuple(zip(positions, kernels.pick_tokens(probs, "argmax").tolist()))
             child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
-            memo = self.steps[positions] = _Step(
-                probs, _gap(kernels.entropy_rows(probs)), dep, child, committed
-            )
+            gap = float(ent.sum() - ent.max())
+            memo = self.steps[positions] = _Step(gap, dep, child, committed)
         return memo
 
 
@@ -247,67 +201,39 @@ class _WalkState(NamedTuple):
     deps: tuple[float, ...] | None = None
     committed: tuple[tuple[int, int], ...] = ()
 
-    def extend(
-        self, table: StateTable, step: tuple[int, ...], policy="argmax", rng=None
-    ) -> "_WalkState":
-        """The prefix one step longer: the step's gap and dependence error
-        read from the table's row at seq, and its tokens committed by the
-        policy (the row's argmax child, or sampled from the row's
-        probabilities)."""
+    def extend(self, table: StateTable, step: tuple[int, ...]) -> "_WalkState":
+        """The prefix one step longer: the step's gap, dependence error and
+        argmax child, read from the table's row at seq."""
         out = table(self.seq).step(step)
-        if policy == "argmax":
-            seq, committed = out.child, out.committed
-        else:
-            tokens = kernels.pick_tokens(out.probs, policy, rng)
-            committed = tuple(zip(step, tokens.tolist()))
-            seq = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
         deps = None if self.deps is None else self.deps + (out.dep,)
         return _WalkState(
-            seq, self.steps + (step,), self.gaps + (out.gap,), deps, self.committed + committed
+            out.child,
+            self.steps + (step,),
+            self.gaps + (out.gap,),
+            deps,
+            self.committed + out.committed,
         )
 
     def cost(self) -> ScheduleCost:
-        return ScheduleCost(Schedule(self.steps), self.gaps, self.deps, None, self.committed)
+        return ScheduleCost(Schedule(self.steps), self.gaps, self.deps, self.committed)
 
 
 def schedule_cost(
-    model,
-    root: SeqState,
-    schedule: Schedule,
-    *,
-    rollout_policy: str = "argmax",
-    rng: np.random.Generator | None = None,
-    proxy: str | None = None,
-    with_dependence: bool | None = None,
+    model, root: SeqState, schedule: Schedule, *, with_dependence: bool
 ) -> ScheduleCost:
-    """Walk a schedule from `root`, realizing contexts with the rollout policy.
+    """Walk a schedule from `root`, committing each step's argmax tokens.
 
-    Per step, at the context reached so far: the entropy gap, the exact
-    dependence error when the model supports it (with_dependence=None
-    auto-detects; False skips), and optionally a summed per-position
-    uncertainty proxy. Committed tokens are recorded so the walk is
-    reproducible.
+    Per step, at the context reached so far: the entropy gap and, with
+    dependence, the exact dependence error (the model needs exact
+    conditionals). Committed tokens are recorded so the walk is
+    reproducible. Raises SubsetNotMasked for a step that is empty or not
+    masked at its context.
     """
-    if proxy is not None and proxy not in PROXIES:
-        raise ConfigError(f"unknown proxy {proxy!r}; choose from {PROXIES}")
-    if with_dependence is None:
-        with_dependence = hasattr(model, "masked_conditional")
     table = _contexts(model, with_dependence)
     ws = _WalkState(root, deps=() if with_dependence else None)
-    proxies: list[float] = []
     for step in schedule.steps:
-        subset = _subset_check(ws.seq, step)
-        probs = table(ws.seq).step(subset).probs if proxy else None
-        if proxy == "entropy":
-            proxies.append(float(kernels.entropy_rows(probs).sum()))
-        elif proxy == "one_minus_maxprob":
-            proxies.append(float((1.0 - probs.max(axis=1)).sum()))
-        elif proxy == "top2_margin":
-            part = np.partition(probs, probs.shape[1] - 2, axis=1)
-            proxies.append(float((part[:, -1] - part[:, -2]).sum()))
-        ws = ws.extend(table, subset, rollout_policy, rng)
-    per_step_proxy = tuple(proxies) if proxy is not None else None
-    return ScheduleCost(schedule, ws.gaps, ws.deps, per_step_proxy, ws.committed)
+        ws = ws.extend(table, _subset_check(ws.seq, step))
+    return ScheduleCost(schedule, ws.gaps, ws.deps, ws.committed)
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +306,20 @@ def _schedules(remaining: tuple[int, ...], k_left: int, sizes) -> Iterator[tuple
 
 
 def schedule_costs(
-    model, root: SeqState, k: int, step_size=None, *, with_dependence: bool,
-    cap: int = ENUMERATION_CAP,
+    model, root: SeqState, k: int, step_size=None, *, with_dependence: bool
 ) -> Iterator[ScheduleCost]:
     """Cost of every k-step schedule of root's masked positions, in
     lexicographic order, each as schedule_cost's argmax walk gives it.
 
     step_size None: every ordered partition of the masked positions into k
     non-empty steps (full cover). int or list: fixed per-step sizes, cover
-    not required. Raises InstanceTooLarge past `cap`, and ConfigError for
-    bad sizes, before any model call.
+    not required. Raises InstanceTooLarge past ENUMERATION_CAP schedules, and
+    ConfigError for bad sizes, before any model call.
     """
     m = len(root.masked_index)
     total = count_schedules(m, k, step_size)
-    if total > cap:
-        raise InstanceTooLarge(f"{total} schedules exceeds cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise InstanceTooLarge(f"{total} schedules exceeds cap {ENUMERATION_CAP}")
     sizes = _resolve_sizes(m, k, step_size)
     table = _contexts(model, with_dependence)
     return (
@@ -403,19 +328,16 @@ def schedule_costs(
     )
 
 
-def oracle_min_schedule(
-    model, root: SeqState, k: int, step_size=None, *, cap: int = ENUMERATION_CAP
-) -> ScheduleCost:
+def oracle_min_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
     """Exhaustive minimum-J schedule (ties: first in lexicographic order)."""
-    costs = schedule_costs(model, root, k, step_size, with_dependence=False, cap=cap)
+    costs = schedule_costs(model, root, k, step_size, with_dependence=False)
     return min(costs, key=lambda c: c.j)
 
 
 def _walk(table: StateTable, ws: _WalkState, k: int, sizes, choose: Callable) -> ScheduleCost:
     """Extend a schedule prefix to k steps with argmax commits. At each
     context, choose(row, choices) picks the next step among the feasible
-    ones, given the table's row there. The cost has no dependence or
-    proxy terms."""
+    ones, given the table's row there. The cost has no dependence terms."""
     while len(ws.steps) < k:
         choices = _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes)
         ws = ws.extend(table, choose(table(ws.seq), choices))
@@ -461,7 +383,6 @@ def search_schedules(
     *,
     step_size=None,
     seed: int = 0,
-    c_explore: float = math.sqrt(2.0),
     snapshots: Sequence[int] | None = None,
 ) -> tuple[ScheduleCost, dict[int, float]]:
     """UCT over schedule prefixes minimizing J (reward is -J of completions).
@@ -475,8 +396,10 @@ def search_schedules(
     node expanded; the MCTS-Solver stop of Winands, Bjornsson & Saito,
     2008): from then on an iteration only re-selects a complete schedule,
     so the best schedule and every later snapshot are what the full budget
-    would give.
+    would give. Raises ConfigError for a budget below 1.
     """
+    if budget < 1:
+        raise ConfigError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     sizes = _resolve_sizes(len(root.masked_index), k, step_size)
@@ -485,7 +408,7 @@ def search_schedules(
     marks = sorted(set(snapshots)) if snapshots else []
     snap: dict[int, float] = {}
 
-    best: ScheduleCost | None = None
+    best: ScheduleCost | None = None  # set by the first iteration's expansion
 
     def consider(cost: ScheduleCost) -> float:
         nonlocal best
@@ -501,7 +424,7 @@ def search_schedules(
         if not unexpanded:  # a complete tree: the rest of the budget changes nothing
             snap.update((mark, best.j) for mark in marks if it < mark <= budget)
             break
-        node, path = select_leaf(root_node, c_explore)
+        node, path = select_leaf(root_node, C_EXPLORE)
         if node.terminal:
             backpropagate(path, node.terminal_reward)
         else:
@@ -523,10 +446,8 @@ def search_schedules(
                 backpropagate(path + [(node, child)], reward)
 
         if it + 1 in marks:
-            snap[it + 1] = best.j if best is not None else float("inf")
+            snap[it + 1] = best.j
 
-    if best is None:
-        raise ConfigError("schedule search found no complete schedule")
     return best, snap
 
 
@@ -534,8 +455,8 @@ def search_schedules(
 # verifiers
 
 
-def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMERATION_CAP) -> dict:
-    """Check sum(DepErr) <= sum(B) + tol on every full-cover schedule of
+def verify_lemma1(model, root: SeqState) -> dict:
+    """Check sum(DepErr) <= sum(B) + TOL on every full-cover schedule of
     every step count.
 
     Returns a report with the tightest approach to equality; raises
@@ -550,10 +471,10 @@ def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMER
     tightest: Schedule | None = None
     table = _contexts(model, with_dependence=True)  # shared by every step count
     for k in range(1, len(root.masked_index) + 1):
-        for cost in schedule_costs(table, root, k, with_dependence=True, cap=cap):
+        for cost in schedule_costs(table, root, k, with_dependence=True):
             dep, gap = cost.dep_total, cost.j
             excess = dep - gap
-            if excess > tol:
+            if excess > TOL:
                 raise BoundViolated(
                     f"dependence {dep} exceeds gap {gap} on schedule {cost.schedule.to_json()}"
                 )
@@ -568,7 +489,7 @@ def verify_lemma1(model, root: SeqState, *, tol: float = 1e-9, cap: int = ENUMER
         "max_excess": max_excess,
         "min_slack": min_slack,
         "tightest_schedule": tightest.to_json() if tightest else None,
-        "tol": tol,
+        "tol": TOL,
     }
 
 
@@ -580,16 +501,13 @@ def verify_theorem1(
     *,
     step_size=None,
     seed: int = 0,
-    c_explore: float = math.sqrt(2.0),
-    random_baselines: int = 5,
-    tol: float = 1e-9,
-    cap: int = ENUMERATION_CAP,
 ) -> dict:
     """Convergence and dominance report for the schedule search.
 
     Runs one seeded search to the largest budget, snapshotting best J at
     each requested budget; asserts the snapshots are non-increasing and
-    that the final J is <= greedy's and every random baseline's J + tol.
+    that the final J is <= greedy's and each of RANDOM_BASELINES random
+    schedules' J + TOL.
     The exhaustive oracle minimum is included for ratio checks. The search
     stops once its tree is complete (search_schedules), so a budget past
     that point costs nothing and reports the same J as the full run would.
@@ -605,27 +523,26 @@ def verify_theorem1(
         budgets[-1],
         step_size=step_size,
         seed=seed,
-        c_explore=c_explore,
         snapshots=budgets,
     )
     j_by_budget = [snaps[b] for b in budgets]
     for earlier, later in zip(j_by_budget, j_by_budget[1:]):
-        if later > earlier + tol:
+        if later > earlier + TOL:
             raise BoundViolated(
                 f"best J regressed with budget: {j_by_budget} at budgets {budgets}"
             )
-    oracle = oracle_min_schedule(table, root, k, step_size, cap=cap)
+    oracle = oracle_min_schedule(table, root, k, step_size)
     greedy = greedy_schedule(table, root, k, step_size)
     rng = np.random.default_rng(seed + 1)
     randoms = [
         random_schedule(table, root, k, rng, step_size).j
-        for _ in range(random_baselines)
+        for _ in range(RANDOM_BASELINES)
     ]
     final_j = j_by_budget[-1]
-    if final_j > greedy.j + tol:
+    if final_j > greedy.j + TOL:
         raise BoundViolated(f"search J {final_j} worse than greedy {greedy.j}")
     for rj in randoms:
-        if final_j > rj + tol:
+        if final_j > rj + TOL:
             raise BoundViolated(f"search J {final_j} worse than a random baseline {rj}")
     return {
         "budgets": budgets,

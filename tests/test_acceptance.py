@@ -228,7 +228,8 @@ def test_criterion_04_dependence_never_exceeds_gap():
                 np.random.default_rng(500 + seed), length, vocab
             )
             root = SeqState.fully_masked(model.vocab, (), length)
-            report = verify_lemma1(model, root, tol=1e-9)  # raises on violation
+            report = verify_lemma1(model, root)  # raises on violation
+            assert report["tol"] == 1e-9
             checked += report["schedules_checked"]
             max_excess = max(max_excess, report["max_excess"])
         # equality witness: the coupled pair is exactly tight on its 1-step

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from medal import kernels, theory
@@ -18,16 +20,13 @@ from medal.errors import (
     ZeroMassContext,
 )
 from medal.families import random_calibrated_model, xor_pair_model
+from medal.reward import EntropyProfile
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import (
     Schedule,
     count_schedules,
-    dependence_error,
-    entropy_gap,
     greedy_schedule,
-    j_lambda,
     oracle_min_schedule,
-    position_entropies,
     random_schedule,
     schedule_cost,
     schedule_costs,
@@ -55,7 +54,6 @@ def root_of(model, length=None):
 def test_schedule_normalization_and_validation():
     s = Schedule.of([[2, 0], [1]])
     assert s.steps == ((0, 2), (1,))
-    assert s.positions() == {0, 1, 2}
     assert s.to_json() == [[0, 2], [1]]
     with pytest.raises(ConfigError):
         Schedule.of([[0], []])
@@ -65,19 +63,26 @@ def test_schedule_normalization_and_validation():
         Schedule.of([[0, 0]])
 
 
+def step_cost(model, state, subset):
+    """(gap, dependence error) of revealing `subset` together at `state`:
+    the one-step walk the verifiers take there."""
+    cost = schedule_cost(model, state, Schedule.of([subset]), with_dependence=True)
+    return cost.per_step_gap[0], cost.per_step_dep[0]
+
+
 def test_entropies_and_gap_on_xor():
     model = xor_pair_model()
     root = root_of(model)
-    ent = position_entropies(model, root, [0, 1])
+    ent = EntropyProfile.of(root, model.predict(root)).values
     assert ent == pytest.approx([LN2, LN2], abs=1e-9)
-    assert entropy_gap(model, root, [0, 1]) == pytest.approx(LN2, abs=1e-9)
+    assert step_cost(model, root, [0, 1])[0] == pytest.approx(LN2, abs=1e-9)
     # a single position has zero gap by construction
-    assert entropy_gap(model, root, [1]) == 0.0
+    assert step_cost(model, root, [1])[0] == 0.0
     with pytest.raises(SubsetNotMasked):
-        entropy_gap(model, root, [])
+        schedule_cost(model, root, Schedule(((),)), with_dependence=True)
     s = apply_many(root, [UnmaskAction(0, 1)])
     with pytest.raises(SubsetNotMasked):
-        entropy_gap(model, s, [0, 1])
+        step_cost(model, s, [0, 1])
 
 
 def test_gap_matches_enumeration(rng):
@@ -85,18 +90,17 @@ def test_gap_matches_enumeration(rng):
     cells = oracles.cells_from_joint(model.joint)
     root = root_of(model)
     s = apply_many(root, [UnmaskAction(1, 2)])
-    got = entropy_gap(model, s, [0, 2])
+    got, _ = step_cost(model, s, [0, 2])
     want = oracles.oracle_entropy_gap(cells, 3, 3, {1: 2}, (0, 2))
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_dependence_error_xor_equals_gap():
     model = xor_pair_model()
-    root = root_of(model)
-    dep = dependence_error(model, root, [0, 1])
+    gap, dep = step_cost(model, root_of(model), [0, 1])
     # perfectly coupled pair: KL(joint || product) = ln 2 = the gap exactly
     assert dep == pytest.approx(LN2, abs=1e-12)
-    assert dep == pytest.approx(entropy_gap(model, root, [0, 1]), abs=1e-7)
+    assert dep == pytest.approx(gap, abs=1e-7)
 
 
 def test_dependence_error_zero_for_factorized(rng):
@@ -104,7 +108,7 @@ def test_dependence_error_zero_for_factorized(rng):
     tab = FactorizedModel(Vocab(3), rows).as_tabular()
     root = root_of(tab, 3)
     for subset in ([0, 1], [0, 2], [1, 2], [0, 1, 2]):
-        assert dependence_error(tab, root, subset) == pytest.approx(0.0, abs=1e-12)
+        assert step_cost(tab, root, subset)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dependence_error_matches_enumeration(rng):
@@ -112,17 +116,17 @@ def test_dependence_error_matches_enumeration(rng):
     cells = oracles.cells_from_joint(model.joint)
     root = root_of(model)
     s = apply_many(root, [UnmaskAction(0, 1)])
-    got = dependence_error(model, s, [1, 2])
+    _, got = step_cost(model, s, [1, 2])
     want = oracles.oracle_dependence_error(cells, 3, 3, {0: 1}, (1, 2))
     assert got == pytest.approx(want, abs=1e-10)
     # singleton subsets carry no dependence
-    assert dependence_error(model, s, [2]) == pytest.approx(0.0, abs=1e-12)
+    assert step_cost(model, s, [2])[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dependence_error_requires_exact_conditionals(rng):
     fact = FactorizedModel(Vocab(3), rng.dirichlet(np.ones(3), size=2))
-    with pytest.raises(ConfigError):
-        dependence_error(fact, root_of(fact, 2), [0, 1])
+    with pytest.raises(ConfigError, match="exact conditionals"):
+        step_cost(fact, root_of(fact, 2), [0, 1])
 
 
 def test_dependence_error_zero_mass_context():
@@ -130,17 +134,46 @@ def test_dependence_error_zero_mass_context():
     model = TabularModel(Vocab(2), joint)
     s = apply_many(root_of(model), [UnmaskAction(0, 1)])
     with pytest.raises(ZeroMassContext):
-        dependence_error(model, s, [1])
+        step_cost(model, s, [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(2, 4),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_step_costs_match_brute_force_at_any_context(length, vocab, seed, data):
+    # at contexts no argmax walk need reach (any revealed tokens), a step's
+    # gap and dependence error equal the brute-force values, and the
+    # dependence error never exceeds the gap
+    model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    cells = oracles.cells_from_joint(model.joint)
+    positions = list(range(length))
+    revealed_at = data.draw(
+        st.lists(st.sampled_from(positions), unique=True, max_size=length - 1), "revealed"
+    )
+    revealed = {p: data.draw(st.integers(0, vocab - 1), f"token {p}") for p in revealed_at}
+    masked = [p for p in positions if p not in revealed]
+    subset = data.draw(st.lists(st.sampled_from(masked), unique=True, min_size=1), "subset")
+    state = apply_many(root_of(model), [UnmaskAction(p, t) for p, t in revealed.items()])
+    gap, dep = step_cost(model, state, subset)
+    step = tuple(sorted(subset))
+    want_gap = oracles.oracle_entropy_gap(cells, length, vocab, revealed, step)
+    want_dep = oracles.oracle_dependence_error(cells, length, vocab, revealed, step)
+    assert gap == pytest.approx(want_gap, abs=1e-10)
+    assert dep == pytest.approx(want_dep, abs=1e-10)
+    assert dep <= gap + 1e-9
 
 
 def test_schedule_cost_walk(rng):
     model = rand_model(rng)
     root = root_of(model)
     sched = Schedule.of([[0, 2], [1]])
-    cost = schedule_cost(model, root, sched, proxy="entropy")
+    cost = schedule_cost(model, root, sched, with_dependence=True)
     assert len(cost.per_step_gap) == 2
     assert len(cost.per_step_dep) == 2
-    assert len(cost.per_step_proxy) == 2
     assert cost.j == pytest.approx(sum(cost.per_step_gap))
     assert cost.dep_total == pytest.approx(sum(cost.per_step_dep))
     assert len(cost.committed) == 3
@@ -151,15 +184,8 @@ def test_schedule_cost_walk(rng):
         root, [UnmaskAction(p, t) for p, t in cost.committed[:2]]
     )
     assert cost.per_step_gap[1] == pytest.approx(
-        entropy_gap(model, realized, [1]), abs=1e-12
+        step_cost(model, realized, [1])[0], abs=1e-12
     )
-    # proxy "entropy" sums per-position entropies at each context
-    assert cost.per_step_proxy[0] == pytest.approx(
-        float(position_entropies(model, root, [0, 2]).sum()), abs=1e-12
-    )
-    json_keys = set(cost.to_json())
-    assert json_keys == {"schedule", "per_step_gap", "per_step_dep",
-                         "per_step_proxy", "j", "dep_total"}
 
 
 def test_schedule_cost_options(rng):
@@ -167,67 +193,26 @@ def test_schedule_cost_options(rng):
     root = root_of(model)
     sched = Schedule.of([[0], [1], [2]])
     plain = schedule_cost(model, root, sched, with_dependence=False)
-    assert plain.per_step_dep is None and plain.per_step_proxy is None
-    with pytest.raises(ConfigError):
-        schedule_cost(model, root, sched, proxy="variance")
-    with pytest.raises(ConfigError):
-        schedule_cost(model, root, sched, rollout_policy="sample")  # no rng
-    with pytest.raises(ConfigError):
-        schedule_cost(model, root, sched, rollout_policy="beam", rng=rng)
-    seeded = schedule_cost(
-        model, root, sched, rollout_policy="sample", rng=np.random.default_rng(4)
-    )
-    again = schedule_cost(
-        model, root, sched, rollout_policy="sample", rng=np.random.default_rng(4)
-    )
-    assert seeded.committed == again.committed
+    assert plain.per_step_dep is None
+    measured = schedule_cost(model, root, sched, with_dependence=True)
+    assert plain.per_step_gap == measured.per_step_gap
+    with pytest.raises(TypeError):
+        schedule_cost(model, root, sched)  # with_dependence is required
 
 
 def test_cost_json_keeps_measured_empty_terms(rng):
-    # an empty schedule with measured terms writes [] for them, in step with
-    # dep_total = 0.0; unmeasured terms stay null
+    # an empty schedule with measured terms keeps () for them, in step with
+    # dep_total = 0.0, which a JSON report writes as [] and 0.0; unmeasured
+    # terms stay None (null)
     model = rand_model(rng)
     root = root_of(model)
     empty = Schedule.of([])
-    measured = schedule_cost(model, root, empty, proxy="entropy", with_dependence=True)
-    assert measured.to_json() == {
-        "schedule": [], "per_step_gap": [], "per_step_dep": [], "per_step_proxy": [],
-        "j": 0.0, "dep_total": 0.0,
-    }
-    plain = schedule_cost(model, root, empty, with_dependence=False).to_json()
-    assert plain["per_step_dep"] is None and plain["per_step_proxy"] is None
-    assert plain["dep_total"] is None
-
-
-def test_proxies_have_expected_form(rng):
-    model = rand_model(rng, length=2)
-    root = root_of(model)
-    sched = Schedule.of([[0, 1]])
-    out = model.predict(root)
-    probs = np.exp(out.matrix([0, 1]))
-    probs /= probs.sum(axis=1, keepdims=True)
-    one_minus = schedule_cost(model, root, sched, proxy="one_minus_maxprob")
-    assert one_minus.per_step_proxy[0] == pytest.approx(
-        float((1 - probs.max(axis=1)).sum()), abs=1e-9
-    )
-    margin = schedule_cost(model, root, sched, proxy="top2_margin")
-    srt = np.sort(probs, axis=1)
-    assert margin.per_step_proxy[0] == pytest.approx(
-        float((srt[:, -1] - srt[:, -2]).sum()), abs=1e-9
-    )
-
-
-def test_j_lambda_weighting(rng):
-    model = rand_model(rng)
-    root = root_of(model)
-    cost = schedule_cost(model, root, Schedule.of([[0, 1], [2]]), proxy="entropy")
-    assert j_lambda(cost) == pytest.approx(cost.j)
-    assert j_lambda(cost, 2.0, 0.5) == pytest.approx(
-        2.0 * cost.j + 0.5 * sum(cost.per_step_proxy)
-    )
-    bare = schedule_cost(model, root, Schedule.of([[0, 1], [2]]))
-    with pytest.raises(ConfigError):
-        j_lambda(bare, 1.0, 0.1)
+    measured = schedule_cost(model, root, empty, with_dependence=True)
+    assert measured.schedule.to_json() == []
+    assert (measured.per_step_gap, measured.per_step_dep) == ((), ())
+    assert (measured.j, measured.dep_total) == (0.0, 0.0)
+    plain = schedule_cost(model, root, empty, with_dependence=False)
+    assert plain.per_step_dep is None and plain.dep_total is None
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def test_enumeration_fixed_sizes(rng):
     assert len(scheds) == 12
     for s in scheds:
         assert len(s.steps[0]) == 2 and len(s.steps[1]) == 1
-        assert len(s.positions()) == 3  # cover not required
+        assert sum(map(len, s.steps)) == 3  # cover not required
     # lexicographic: first schedule takes the two smallest then the smallest left
     assert scheds[0].steps == ((0, 1), (2,))
 
@@ -272,7 +257,7 @@ def test_enumeration_guards(rng):
     model = rand_model(rng, length=3, vocab=2)
     wide = SeqState.fully_masked(model.vocab, (), 12)  # the guards fire before any model call
     with pytest.raises(InstanceTooLarge):
-        list(schedule_costs(model, wide, 6, with_dependence=False, cap=1000))
+        list(schedule_costs(model, wide, 6, with_dependence=False))
     two = root_of(model, 2)
     with pytest.raises(ConfigError):
         list(schedule_costs(model, two, 3, with_dependence=False))  # k > m full cover
@@ -473,47 +458,6 @@ def test_verifiers_cost_each_context_step_once():
         assert len(work["asked"]) > len(set(work["asked"]))
 
 
-def _reference_sampled_commits(model, root, schedule, rng):
-    """A sampled walk without a table: predict, draw, reveal, step by step."""
-    seq, committed = root, ()
-    for step in schedule.steps:
-        tokens = kernels.pick_tokens(model.predict(seq).probs(step), "sample", rng)
-        acts = [UnmaskAction(p, int(t)) for p, t in zip(step, tokens)]
-        seq, committed = apply_many(seq, acts), committed + tuple(zip(step, tokens.tolist()))
-    return committed
-
-
-def test_sampled_walks_are_unchanged_by_the_table():
-    # sampled walks through one shared table, through a fresh table per
-    # call and through no table at all draw the same tokens from the same
-    # rng stream; the shared table already holds each step's argmax child,
-    # which a sampled walk must not take in place of its own draw
-    model = random_calibrated_model(np.random.default_rng(5), 4, 3)
-    root = root_of(model, 4)
-    schedules = [
-        Schedule(steps)
-        for k in range(1, 5)
-        for steps in oracles.enumerate_partitions(root.masked_index, k)
-    ]
-    shared = theory._contexts(model, with_dependence=True)
-    argmax = [schedule_cost(shared, root, s, with_dependence=True) for s in schedules]
-    rngs = [np.random.default_rng(9) for _ in range(3)]
-    differs = 0
-    for _ in range(3):
-        for schedule, walked in zip(schedules, argmax):
-            a = schedule_cost(
-                shared, root, schedule, rollout_policy="sample", rng=rngs[0], with_dependence=True
-            )
-            b = schedule_cost(
-                model, root, schedule, rollout_policy="sample", rng=rngs[1], with_dependence=True
-            )
-            assert a == b
-            assert a.committed == _reference_sampled_commits(model, root, schedule, rngs[2])
-            differs += a.committed != walked.committed
-    assert differs > 0
-    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
-
-
 def _reference_lemma1(model, root, tol=1e-9):
     costs = _reference_lemma1_costs(model, root)
     slack = [c.j - c.dep_total for c in costs]
@@ -567,7 +511,7 @@ def test_greedy_and_random_are_valid_schedules(rng):
     root = root_of(model)
     greedy = greedy_schedule(model, root, k=3)
     assert len(greedy.schedule.steps) == 3
-    assert greedy.schedule.positions() == {0, 1, 2}
+    assert sorted(p for step in greedy.schedule.steps for p in step) == [0, 1, 2]
     oracle = oracle_min_schedule(model, root, k=3)
     assert greedy.j >= oracle.j - 1e-12
     rnd = random_schedule(model, root, 2, np.random.default_rng(0))
@@ -603,6 +547,16 @@ def test_search_predicts_each_node_once(rng):
         counted = CountingDenoiser(model)
         search_schedules(counted, root, k=2, budget=budget)
         assert counted.calls == 15
+
+
+def test_search_rejects_a_budget_below_one(rng):
+    # a search with no iteration finds no schedule; the error names the
+    # budget, before any model call
+    model = CountingDenoiser(rand_model(rng))
+    for budget in (0, -4):
+        with pytest.raises(ConfigError, match=f"budget must be >= 1, got {budget}"):
+            search_schedules(model, root_of(model, 3), 2, budget)
+    assert model.calls == 0
 
 
 def _tree_complete(node) -> bool:
