@@ -8,21 +8,20 @@ Subcommands:
   ablate        ablation variants on an instance family
   sweep         init-depth scaling sweep
 
+bench, ablate and sweep differ only in where their methods come from; each
+runs one harness.run_experiment grid and, without --out, prints its summary.
 All outputs are JSONL (or a single JSON report for theory-check) with
-deterministic bytes for a fixed seed; timings go to .timing.json sidecars.
-MEDAL_LOG_LEVEL in {error, info, trace} controls logging.
+deterministic bytes for a fixed seed, written by jsonspec.write_text to
+--out or stdout; timings go to .timing.json sidecars.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from pathlib import Path
 
 from .decoder import DecodeConfig, decode, decode_greedy_baseline
 from .denoisers import RemoteDenoiser, TabularModel
@@ -31,34 +30,16 @@ from .harness import (
     ExperimentSpec,
     MethodSpec,
     NgramInstance,
-    ablation_matrix,
+    ablation_methods,
     build_instances,
     load_model_file,
     run_experiment,
-    scaling_sweep,
+    sweep_methods,
 )
-from .jsonspec import from_json, read_json
+from .jsonspec import from_json, jsonl, read_json, write_text
 from .mcts import run_cgmcts
 from .seqcore import SeqState, Vocab
 from .theory import verify_lemma1, verify_theorem1
-
-log = logging.getLogger("medal.cli")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    name = os.environ.get("MEDAL_LOG_LEVEL", "error").lower()
-    if name not in _LOG_LEVELS:
-        raise ConfigError(
-            f"MEDAL_LOG_LEVEL must be one of {sorted(_LOG_LEVELS)}, got {name!r}"
-        )
-    logging.basicConfig(
-        level=_LOG_LEVELS[name],
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
 
 def default_config() -> DecodeConfig:
     text = resources.files("medal.data").joinpath("default_config.json").read_text()
@@ -111,14 +92,6 @@ def _parse_ints(text: str | None, what: str = "integer list") -> tuple[int, ...]
         ) from None
 
 
-def _write_lines(path: str | None, lines: list[dict]) -> None:
-    payload = "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
-    if path is None:
-        sys.stdout.write(payload)
-    else:
-        Path(path).write_text(payload, encoding="utf-8")
-
-
 def _apply_seed(cfg: DecodeConfig, seed: int | None) -> DecodeConfig:
     if seed is None:
         return cfg
@@ -133,8 +106,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             result = decode_greedy_baseline(model, prompt, cfg)
         else:
             result = decode(model, prompt, cfg)
-    _write_lines(args.out, [result.to_json()])
-    log.info("decode finished: %d reveals", len(result.reveal_order))
+    write_text(args.out, jsonl([result.to_json()]))
     return 0
 
 
@@ -157,7 +129,7 @@ def _cmd_mcts_init(args: argparse.Namespace) -> int:
             "entries": [e.to_json() for e in pool.entries],
         }
     )
-    _write_lines(args.out, lines)
+    write_text(args.out, jsonl(lines))
     return 0
 
 
@@ -173,17 +145,7 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
             report = verify_theorem1(
                 model, root, args.k, budgets, step_size=args.step_size, seed=args.seed or 0
             )
-    payload = json.dumps({"mode": args.mode, **report}, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    return 0
-
-
-def _print_summary(out: str | None, summary: dict) -> int:
-    if out is None:
-        sys.stdout.write(json.dumps(summary, separators=(",", ":")) + "\n")
+    write_text(args.out, json.dumps({"mode": args.mode, **report}, indent=2) + "\n")
     return 0
 
 
@@ -214,35 +176,22 @@ class SweepSpec(AblateSpec):
     lc_values: tuple[int, ...] = (0, 1, 2)
 
 
-def _load_experiment(cls, path: str):
-    """An experiment spec file read into `cls`, and its built instances."""
-    spec = from_json(cls, read_json(path, "experiment spec"))
-    return spec, build_instances(spec.instances)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    spec, instances = _load_experiment(BenchSpec, args.config)
-    experiment = ExperimentSpec(
-        instances=tuple(instances), methods=spec.methods, seeds=spec.seeds, prompt=spec.prompt
-    )
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """bench, ablate and sweep: the spec file read into the subcommand's spec
+    class, its methods, and one run_experiment grid."""
+    spec = from_json(args.spec, read_json(args.config, "experiment spec"))
+    instances = tuple(build_instances(spec.instances))
+    if args.command == "bench":
+        methods = spec.methods
+    elif args.command == "ablate":
+        methods = ablation_methods(spec.config)
+    else:
+        methods = sweep_methods(spec.config, _parse_ints(args.lc, "--lc") or spec.lc_values)
+    experiment = ExperimentSpec(instances, methods, spec.seeds, spec.prompt)
     _, summary = run_experiment(experiment, args.out)
-    log.info("bench summary: %s", json.dumps(summary))
-    return _print_summary(args.out, summary)
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    spec, instances = _load_experiment(AblateSpec, args.config)
-    _, summary = ablation_matrix(instances, spec.config, spec.seeds, args.out, spec.prompt)
-    return _print_summary(args.out, summary)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec, instances = _load_experiment(SweepSpec, args.config)
-    lc_values = _parse_ints(args.lc, "--lc") or spec.lc_values
-    _, summary = scaling_sweep(
-        instances, spec.config, spec.seeds, lc_values, args.out, spec.prompt
-    )
-    return _print_summary(args.out, summary)
+    if args.out is None:
+        write_text(None, jsonl([summary]))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,27 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theory_check)
 
-    p = sub.add_parser("bench", help="run an experiment spec file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("ablate", help="ablation variants on a family")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("sweep", help="init-depth scaling sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--lc", default="", help="override lc values, e.g. 0,1,2,3")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
+    for name, spec, about in (
+        ("bench", BenchSpec, "run an experiment spec file"),
+        ("ablate", AblateSpec, "ablation variants on a family"),
+        ("sweep", SweepSpec, "init-depth scaling sweep"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", required=True)
+        if name == "sweep":
+            p.add_argument("--lc", default="", help="override lc values, e.g. 0,1,2,3")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_experiment, spec=spec)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

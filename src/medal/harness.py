@@ -1,6 +1,8 @@
 """Experiment harness: seeded method-vs-baseline runs with JSONL metrics.
 
-A run is the cross product of instances, methods and seeds. Every row
+A run is the cross product of instances, methods and seeds;
+`run_experiment` is the one runner. `ablation_methods` and `sweep_methods`
+build the method lists of the ablation and the init-depth sweep. Every row
 carries deterministic fields only (method, instance, seed, exact joint
 log-prob when the instance is tabular, chosen-candidate cumulative gain,
 model-call count, final tokens); a summary row with per-method aggregates
@@ -33,7 +35,7 @@ from .denoisers import (
 )
 from .errors import ConfigError, MedalError
 from .families import trap_family
-from .jsonspec import from_json, read_json
+from .jsonspec import from_json, jsonl, read_json, write_text
 
 METHOD_KINDS = ("medal", "greedy", "best_of_n")
 
@@ -240,9 +242,15 @@ def run_experiment(
     """Run the full grid; returns (rows, summary) and optionally writes JSONL.
 
     The metrics file holds one row per (instance, method, seed) plus a
-    final summary line. Timings land in <out>.timing.json.
+    final summary line. Timings land in <out>.timing.json. Both files are
+    created before the grid runs, so an unwritable path raises ConfigError
+    before any decode.
     """
     spec.validate()
+    if out_path is not None:
+        sidecar = str(out_path) + ".timing.json"
+        write_text(out_path, "")
+        write_text(sidecar, "")
     rows: list[dict] = []
     timing: dict[str, float] = {}
     for instance_id, model in spec.instances:
@@ -265,24 +273,9 @@ def run_experiment(
                 rows.append(row)
     summary = _summary(rows, [m.id for m in spec.methods])
     if out_path is not None:
-        write_jsonl(out_path, rows, summary)
-        sidecar = Path(str(out_path) + ".timing.json")
-        sidecar.write_text(
-            json.dumps({"seconds_by_method": timing}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_text(out_path, jsonl([*rows, summary]))
+        write_text(sidecar, json.dumps({"seconds_by_method": timing}, indent=2) + "\n")
     return rows, summary
-
-
-def write_jsonl(path: str | Path, rows: list[dict], summary: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-        if summary is not None:
-            fh.write(json.dumps(summary, separators=(",", ":")) + "\n")
-
-
-ABLATION_VARIANTS = ("full", "no_mcts", "no_augmenter", "margin_only")
 
 
 def ablation_methods(base_cfg: DecodeConfig) -> tuple[MethodSpec, ...]:
@@ -301,44 +294,13 @@ def ablation_methods(base_cfg: DecodeConfig) -> tuple[MethodSpec, ...]:
     )
 
 
-def ablation_matrix(
-    instances: Sequence[tuple[str, Denoiser]],
-    base_cfg: DecodeConfig,
-    seeds: Sequence[int],
-    out_path: str | Path | None = None,
-    prompt: Sequence[int] = (),
-) -> tuple[list[dict], dict]:
-    spec = ExperimentSpec(
-        instances=tuple(instances),
-        methods=ablation_methods(base_cfg),
-        seeds=tuple(seeds),
-        prompt=tuple(prompt),
-    )
-    return run_experiment(spec, out_path)
-
-
-def scaling_sweep(
-    instances: Sequence[tuple[str, Denoiser]],
-    base_cfg: DecodeConfig,
-    seeds: Sequence[int],
-    lc_values: Sequence[int],
-    out_path: str | Path | None = None,
-    prompt: Sequence[int] = (),
-) -> tuple[list[dict], dict]:
-    """Init-depth sweep; lc=0 plus the greedy reference anchor the curve."""
-    methods = [
+def sweep_methods(base_cfg: DecodeConfig, lc_values: Sequence[int]) -> tuple[MethodSpec, ...]:
+    """One medal method per init depth, plus the greedy reference; lc=0 and
+    greedy anchor the curve."""
+    depths = tuple(
         MethodSpec(
-            f"lc={lc}",
-            "medal",
-            replace(base_cfg, search=replace(base_cfg.search, init_length=lc)),
+            f"lc={lc}", "medal", replace(base_cfg, search=replace(base_cfg.search, init_length=lc))
         )
         for lc in lc_values
-    ]
-    methods.append(MethodSpec("greedy", "greedy", base_cfg))
-    spec = ExperimentSpec(
-        instances=tuple(instances),
-        methods=tuple(methods),
-        seeds=tuple(seeds),
-        prompt=tuple(prompt),
     )
-    return run_experiment(spec, out_path)
+    return (*depths, MethodSpec("greedy", "greedy", base_cfg))

@@ -1,11 +1,12 @@
-"""The JSON input format: one checked reader (and its writer) for configs,
+"""The JSON formats: one checked reader (and its writer) for configs,
 experiment specs, ``ngram:`` model parameters and model files, each a
-dataclass."""
+dataclass, and the one writer of every output file."""
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from types import UnionType
@@ -24,6 +25,24 @@ def read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to file `path`, or to stdout when `path` is None. Raises
+    ConfigError naming the path when the file cannot be written."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from None
+
+
+def jsonl(records) -> str:
+    """The JSON lines of `records`: one compact object per line."""
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
 
 def from_json(cls, obj):

@@ -9,11 +9,21 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from medal import harness
 from medal.cli import default_config, load_config, load_model, main, _parse_ints
 from medal.decoder import DecodeConfig
 from medal.denoisers import FactorizedModel, NGramMaskedModel, TabularModel, serve_denoiser
 from medal.errors import ConfigError
 from medal.families import trap_family
+from medal.harness import (
+    ExperimentSpec,
+    MethodSpec,
+    ablation_methods,
+    build_instances,
+    run_experiment,
+    sweep_methods,
+)
+from medal.jsonspec import from_json, jsonl
 from medal.seqcore import Vocab
 
 
@@ -233,10 +243,93 @@ def test_ablate_command(tmp_path, small_cfg_file):
     assert methods == {"full", "no_mcts", "no_augmenter", "margin_only", "greedy"}
 
 
-def test_log_level_validation(monkeypatch):
-    monkeypatch.setenv("MEDAL_LOG_LEVEL", "verbose")
-    with pytest.raises(ConfigError):
-        main(["decode", "--model", "x.json"])
+EXPERIMENT_CFG = {
+    "length": 4,
+    "remaining_mode": "argmax",
+    "search": {"init_length": 2, "candidate_count": 3, "max_simulations": 60},
+}
+BENCH_METHODS = [
+    {"id": "medal", "config": EXPERIMENT_CFG},
+    {"id": "greedy", "kind": "greedy", "config": EXPERIMENT_CFG},
+    {"id": "bo2", "kind": "best_of_n", "n": 2,
+     "config": {**EXPERIMENT_CFG, "remaining_mode": "sample"}},
+]
+
+
+@pytest.mark.parametrize(
+    "command,spec,methods",
+    [
+        (["bench"], {"methods": BENCH_METHODS},
+         tuple(from_json(MethodSpec, m) for m in BENCH_METHODS)),
+        (["ablate"], {"config": EXPERIMENT_CFG},
+         ablation_methods(DecodeConfig.from_json(EXPERIMENT_CFG))),
+        (["sweep"], {"config": EXPERIMENT_CFG, "lc_values": [0, 1]},
+         sweep_methods(DecodeConfig.from_json(EXPERIMENT_CFG), (0, 1))),
+        (["sweep", "--lc", "0,2"], {"config": EXPERIMENT_CFG, "lc_values": [0, 1]},
+         sweep_methods(DecodeConfig.from_json(EXPERIMENT_CFG), (0, 2))),
+    ],
+    ids=["bench", "ablate", "sweep", "sweep_lc"],
+)
+def test_experiment_commands_write_the_run_experiment_grid(
+    tmp_path, capsys, command, spec, methods
+):
+    spec = {"instances": {"kind": "trap_family", "count": 1, "seed": 4}, "seeds": [1, 2], **spec}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    experiment = ExperimentSpec(
+        tuple(build_instances(spec["instances"])), methods, tuple(spec["seeds"])
+    )
+    rows, summary = run_experiment(experiment)
+    out = tmp_path / "rows.jsonl"
+    assert main([*command, "--config", str(spec_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == jsonl([*rows, summary])
+    timing = json.loads((tmp_path / "rows.jsonl.timing.json").read_text())
+    assert list(timing["seconds_by_method"]) == [m.id for m in experiment.methods]
+    assert main([*command, "--config", str(spec_path)]) == 0
+    assert capsys.readouterr().out == jsonl([summary])
+
+
+MODEL_ARGS = ["--model", "{d}/trap.json", "--config", "{d}/cfg.json"]
+EXPERIMENT_ARGS = {
+    "bench": ["bench", "--config", "{d}/spec.json"],
+    "ablate": ["ablate", "--config", "{d}/spec.json"],
+    "sweep": ["sweep", "--config", "{d}/spec.json", "--lc", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,unwritable",
+    [
+        (["decode", *MODEL_ARGS], "out"),
+        (["mcts-init", *MODEL_ARGS], "out"),
+        (["theory-check", "--model", "{d}/trap.json"], "out"),
+        *((argv, "out") for argv in EXPERIMENT_ARGS.values()),
+        *((argv, "sidecar") for argv in EXPERIMENT_ARGS.values()),
+    ],
+    ids=["decode", "mcts_init", "theory_check", "bench", "ablate", "sweep",
+         "bench_sidecar", "ablate_sidecar", "sweep_sidecar"],
+)
+def test_unwritable_out_is_a_config_error(
+    tmp_path, trap_file, small_cfg_file, capsys, monkeypatch, argv, unwritable
+):
+    spec = {"instances": {"kind": "trap_family", "count": 1, "seed": 0}}
+    if argv[0] == "bench":
+        spec["methods"] = [{"id": "g", "kind": "greedy"}]
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    if unwritable == "out":
+        out, named = tmp_path / "missing" / "x.jsonl", "missing/x.jsonl"
+    else:
+        out, named = tmp_path / "x.jsonl", "x.jsonl.timing.json"
+        (tmp_path / "x.jsonl.timing.json").mkdir()
+
+    def no_cell(*args):
+        raise AssertionError("the grid ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    assert main([*(arg.format(d=tmp_path) for arg in argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and named in err
 
 
 @pytest.mark.parametrize(

@@ -15,13 +15,13 @@ from medal.families import trap_family
 from medal.harness import (
     ExperimentSpec,
     MethodSpec,
-    ablation_matrix,
+    ablation_methods,
     best_of_n_decode,
     build_instances,
     run_experiment,
-    scaling_sweep,
-    write_jsonl,
+    sweep_methods,
 )
+from medal.jsonspec import jsonl, write_text
 from medal.mcts import SearchConfig
 from medal.seqcore import Vocab
 
@@ -156,8 +156,8 @@ def test_best_of_n_method_row(tmp_path):
 
 
 def test_ablation_matrix_variants(tmp_path):
-    rows, summary = ablation_matrix(
-        two_instances(), tiny_cfg(), seeds=(1, 2), out_path=tmp_path / "abl.jsonl"
+    rows, summary = run_experiment(
+        make_spec(methods=ablation_methods(tiny_cfg()), seeds=(1, 2)), tmp_path / "abl.jsonl"
     )
     methods = {r["method"] for r in rows}
     assert methods == {"full", "no_mcts", "no_augmenter", "margin_only", "greedy"}
@@ -179,9 +179,12 @@ def test_ablation_matrix_variants(tmp_path):
 
 
 def test_scaling_sweep_has_anchor(tmp_path):
-    rows, summary = scaling_sweep(
-        two_instances()[:1], tiny_cfg(), seeds=(1,), lc_values=(0, 1, 2)
+    spec = ExperimentSpec(
+        instances=tuple(two_instances()[:1]),
+        methods=sweep_methods(tiny_cfg(), (0, 1, 2)),
+        seeds=(1,),
     )
+    rows, summary = run_experiment(spec)
     methods = [r["method"] for r in rows]
     assert methods == ["lc=0", "lc=1", "lc=2", "greedy"]
     by_method = {r["method"]: r for r in rows}
@@ -213,6 +216,8 @@ def test_build_instances_kinds(tmp_path):
 
 def test_write_jsonl_compact(tmp_path):
     path = tmp_path / "x.jsonl"
-    write_jsonl(path, [{"a": 1}], {"kind": "summary"})
+    write_text(path, jsonl([{"a": 1}, {"kind": "summary"}]))
     text = path.read_text()
     assert text == '{"a":1}\n{"kind":"summary"}\n'
+    with pytest.raises(ConfigError, match="cannot write output file .*missing"):
+        write_text(tmp_path / "missing" / "x.jsonl", text)
