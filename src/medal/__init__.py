@@ -32,7 +32,6 @@ from .reward import EntropyProfile
 from .scoring import ActionCandidates, build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_action
 from .theory import (
-    Schedule,
     ScheduleCost,
     oracle_min_schedule,
     schedule_cost,
@@ -55,7 +54,6 @@ __all__ = [
     "MedalError",
     "NGramMaskedModel",
     "RemoteDenoiser",
-    "Schedule",
     "ScheduleCost",
     "SearchConfig",
     "SeqState",

@@ -45,6 +45,7 @@ from .errors import (
     NoMaskedPositions,
     NonFiniteLogits,
     RemoteError,
+    SubsetNotMasked,
     ZeroMassContext,
 )
 from .seqcore import SeqState, Vocab
@@ -207,7 +208,7 @@ class TabularModel(Denoiser):
     outside the modeled region and are ignored. A revealed context with
     zero joint mass falls back to uniform conditionals (predict never
     raises for reachable states); exact-inference callers that need the
-    distinction use masked_conditional(), which raises ZeroMassContext.
+    distinction use subset_conditional(), which raises ZeroMassContext.
     """
 
     def __init__(self, vocab: Vocab, joint: np.ndarray):
@@ -239,12 +240,11 @@ class TabularModel(Denoiser):
         sub = self.joint[self._gen_index(state)]
         return pos, np.asarray(sub)
 
-    def masked_conditional(self, state: SeqState) -> tuple[list[int], np.ndarray]:
-        """Exact joint posterior over masked positions given revealed tokens.
-
-        Returns (positions ascending, array with one axis per position in
-        that order). Raises ZeroMassContext when the revealed context has
-        no mass.
+    def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
+        """Exact joint posterior over `subset` (distinct masked positions,
+        ascending) given the revealed tokens: one axis per position in that
+        order. Raises ZeroMassContext when the revealed context has no mass,
+        and SubsetNotMasked for a subset of any other form.
         """
         pos, sub = self._context_slice(state)
         mass = sub.sum()
@@ -252,7 +252,11 @@ class TabularModel(Denoiser):
             raise ZeroMassContext(
                 f"revealed context has zero mass at positions {pos}"
             )
-        return pos, sub / mass
+        other = tuple(a for a, p in enumerate(pos) if p not in subset)
+        if len(pos) - len(other) != len(subset) or list(subset) != sorted(subset):
+            raise SubsetNotMasked(f"subset {list(subset)} is not ascending masked positions")
+        cond = sub / mass
+        return cond.sum(axis=other) if other else cond
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         pos, sub = self._context_slice(state)

@@ -7,8 +7,8 @@ Each step pays two quantities at its realized context:
   a model-only upper bound on how much joint structure a parallel commit
   can miss;
 * dependence error, the KL divergence between the exact joint posterior
-  over the step and the product of its per-position marginals (tabular
-  models only).
+  over the step and the product of its per-position marginals (models with
+  exact conditionals, subset_conditional, only).
 
 For any calibrated model the dependence error never exceeds the gap
 (pointwise per step), so summed gaps J upper-bound the total dependence
@@ -17,21 +17,22 @@ exhaustively; verify_theorem1 runs a UCT search over schedule space and
 checks it converges on minimal-J schedules, beating greedy and random
 baselines.
 
-Every walk commits each step's argmax tokens through _WalkState.extend and
-reads contexts from one per-call table (mcts.StateTable), which each
-verifier shares across all its walks. A table row keeps its context's
-checked prediction, its exact conditional, and per step taken there the
+Every walk is a ScheduleCost, grown a step at a time by ScheduleCost.extend
+with argmax commits, reading contexts from one per-call table
+(mcts.StateTable) that each verifier shares across all its walks. A table
+row keeps its context's checked prediction and, per step taken there, the
 step's gap, dependence error and argmax child. So no call predicts a
-context twice, and no call costs a (context, step) pair twice however many
-schedules, rollouts and expansions pass through it. A single step's gap and
-dependence error are its one-step schedule_cost.
+context twice or costs a (context, step) pair twice, however many
+schedules, rollouts and expansions pass through it; schedule_costs walks
+the schedule tree depth-first, extending each shared prefix once. A single
+step's gap and dependence error are its one-step schedule_cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -54,48 +55,14 @@ C_EXPLORE = math.sqrt(2.0)  # UCB exploration constant of the schedule search
 RANDOM_BASELINES = 5  # random schedules verify_theorem1 compares against
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered disjoint position sets; steps sorted internally for identity."""
-
-    steps: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def of(cls, steps: Sequence[Sequence[int]]) -> "Schedule":
-        norm = tuple(tuple(sorted(int(p) for p in step)) for step in steps)
-        seen: set[int] = set()
-        for step in norm:
-            if not step:
-                raise ConfigError("schedule steps must be non-empty")
-            if len(set(step)) != len(step) or seen & set(step):
-                raise ConfigError("schedule steps must be disjoint")
-            seen.update(step)
-        return cls(norm)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(step) for step in self.steps]
-
-
-@dataclass(frozen=True)
-class ScheduleCost:
-    schedule: Schedule
-    per_step_gap: tuple[float, ...]
-    per_step_dep: tuple[float, ...] | None
-    committed: tuple[tuple[int, int], ...]
-
-    @property
-    def j(self) -> float:
-        return float(sum(self.per_step_gap))
-
-    @property
-    def dep_total(self) -> float | None:
-        return None if self.per_step_dep is None else float(sum(self.per_step_dep))
-
-
 def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
+    """A step as sorted positions. Raises SubsetNotMasked for an empty step,
+    a repeated position or a position not masked at `state`."""
     subset = tuple(sorted(int(p) for p in positions))
     if not subset:
         raise SubsetNotMasked("subset must be non-empty")
+    if len(set(subset)) != len(subset):
+        raise SubsetNotMasked(f"subset {list(subset)} repeats a position")
     masked = set(state.masked_index)
     bad = [p for p in subset if p not in masked]
     if bad:
@@ -103,24 +70,9 @@ def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
     return subset
 
 
-def _require_conditionals(model) -> None:
-    if not hasattr(model, "masked_conditional"):
-        raise ConfigError(
-            "measuring dependence errors needs a model with exact conditionals"
-            " (masked_conditional)"
-        )
-
-
-def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]) -> float:
-    """A step's dependence error, KL(joint posterior over the subset ||
-    product of its marginals), from the context's (masked positions, exact
-    conditional) pair, for a sorted subset of those positions."""
-    mpos, cond = conditional
-    axes = tuple(mpos.index(p) for p in subset)
-    other = tuple(a for a in range(cond.ndim) if a not in axes)
-    joint = cond.sum(axis=other) if other else cond
-    # put subset axes in subset order
-    joint = np.transpose(joint, np.argsort(np.argsort(axes)))
+def _dependence(joint: np.ndarray) -> float:
+    """A step's dependence error, KL(joint posterior over the step || product
+    of its marginals), from the exact joint with one axis per position."""
     log_prod = np.zeros_like(joint)
     for axis in range(joint.ndim):
         marg = joint.sum(axis=tuple(a for a in range(joint.ndim) if a != axis))
@@ -136,7 +88,7 @@ def _dependence(conditional: tuple[list[int], np.ndarray], subset: Sequence[int]
 
 class _Step(NamedTuple):
     """One step's outcome at one context: its gap, its dependence error
-    (None without a conditional), and the argmax child with the tokens it
+    (None when not measured), and the argmax child with the tokens it
     committed."""
 
     gap: float
@@ -146,13 +98,13 @@ class _Step(NamedTuple):
 
 
 class _Context(NamedTuple):
-    """A theory table row: a context, its checked prediction, its exact
-    conditional (None without dependence) and, keyed by step, the outcome of
-    each step taken there."""
+    """A theory table row: a context, its checked prediction, the exact
+    joint over a step there (None when dependence is not measured) and,
+    keyed by step, the outcome of each step taken there."""
 
     seq: SeqState
     output: DenoiserOutput
-    conditional: tuple[list[int], np.ndarray] | None
+    step_joint: Callable[[tuple[int, ...]], np.ndarray] | None
     steps: dict[tuple[int, ...], _Step]
 
     def step(self, positions: tuple[int, ...]) -> _Step:
@@ -162,7 +114,7 @@ class _Context(NamedTuple):
         if memo is None:
             probs = self.output.probs(positions)
             ent = kernels.entropy_rows(probs)
-            dep = None if self.conditional is None else _dependence(self.conditional, positions)
+            dep = None if self.step_joint is None else _dependence(self.step_joint(positions))
             committed = tuple(zip(positions, kernels.pick_tokens(probs, "argmax").tolist()))
             child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
             gap = float(ent.sum() - ent.max())
@@ -173,105 +125,104 @@ class _Context(NamedTuple):
 def _contexts(model, with_dependence: bool = False) -> StateTable:
     """The table a theory call reads contexts through, one _Context per
     context: the model's prediction, checked to cover exactly the masked
-    positions with vocab-wide rows, and the exact conditional (None without
-    dependence). A verifier passes its own table as `model` to share it; it
-    is returned as it is."""
+    positions with vocab-wide rows, and, with dependence, the model's
+    subset_conditional there. A verifier passes its own table as `model` to
+    share it; it is returned as it is."""
     if isinstance(model, StateTable):
         return model
-    if with_dependence:
-        _require_conditionals(model)
+    if with_dependence and not hasattr(model, "subset_conditional"):
+        raise ConfigError(
+            "measuring dependence errors needs a model with exact conditionals"
+            " (subset_conditional)"
+        )
 
     def row(state: SeqState) -> _Context:
         output = model.predict(state)
         output.check_cover(state.masked_index, state.vocab.size)
-        conditional = model.masked_conditional(state) if with_dependence else None
-        return _Context(state, output, conditional, {})
+        step_joint = partial(model.subset_conditional, state) if with_dependence else None
+        return _Context(state, output, step_joint, {})
 
     return StateTable(row)
 
 
-class _WalkState(NamedTuple):
-    """A schedule prefix walked from a root: the context it reached, its
-    steps, their gaps, their dependence errors (None when not measured) and
-    the tokens it committed."""
+class ScheduleCost(NamedTuple):
+    """A schedule walked from a root: the context it reached, its steps
+    (sorted positions), their gaps, their dependence errors (None when not
+    measured) and the tokens it committed."""
 
     seq: SeqState
     steps: tuple[tuple[int, ...], ...] = ()
-    gaps: tuple[float, ...] = ()
-    deps: tuple[float, ...] | None = None
+    per_step_gap: tuple[float, ...] = ()
+    per_step_dep: tuple[float, ...] | None = None
     committed: tuple[tuple[int, int], ...] = ()
 
-    def extend(self, table: StateTable, step: tuple[int, ...]) -> "_WalkState":
-        """The prefix one step longer: the step's gap, dependence error and
+    @property
+    def j(self) -> float:
+        return float(sum(self.per_step_gap))
+
+    @property
+    def dep_total(self) -> float | None:
+        return None if self.per_step_dep is None else float(sum(self.per_step_dep))
+
+    def extend(self, table: StateTable, step: tuple[int, ...]) -> "ScheduleCost":
+        """The walk one step longer: the step's gap, dependence error and
         argmax child, read from the table's row at seq."""
         out = table(self.seq).step(step)
-        deps = None if self.deps is None else self.deps + (out.dep,)
-        return _WalkState(
+        deps = None if self.per_step_dep is None else self.per_step_dep + (out.dep,)
+        return ScheduleCost(
             out.child,
             self.steps + (step,),
-            self.gaps + (out.gap,),
+            self.per_step_gap + (out.gap,),
             deps,
             self.committed + out.committed,
         )
 
-    def cost(self) -> ScheduleCost:
-        return ScheduleCost(Schedule(self.steps), self.gaps, self.deps, self.committed)
-
 
 def schedule_cost(
-    model, root: SeqState, schedule: Schedule, *, with_dependence: bool
+    model, root: SeqState, steps: Sequence[Sequence[int]], *, with_dependence: bool
 ) -> ScheduleCost:
-    """Walk a schedule from `root`, committing each step's argmax tokens.
+    """Walk a schedule, a list of position sets, from `root`, committing
+    each step's argmax tokens.
 
     Per step, at the context reached so far: the entropy gap and, with
     dependence, the exact dependence error (the model needs exact
     conditionals). Committed tokens are recorded so the walk is
-    reproducible. Raises SubsetNotMasked for a step that is empty or not
-    masked at its context.
+    reproducible. Raises SubsetNotMasked for a step that _subset_check
+    rejects at its context.
     """
     table = _contexts(model, with_dependence)
-    ws = _WalkState(root, deps=() if with_dependence else None)
-    for step in schedule.steps:
-        ws = ws.extend(table, _subset_check(ws.seq, step))
-    return ScheduleCost(schedule, ws.gaps, ws.deps, ws.committed)
+    cost = ScheduleCost(root, per_step_dep=() if with_dependence else None)
+    for step in steps:
+        cost = cost.extend(table, _subset_check(cost.seq, step))
+    return cost
 
 
 # ---------------------------------------------------------------------------
 # schedule enumeration
 
 
-def _resolve_sizes(m: int, k: int, step_size) -> list[int] | None:
-    """None stays None (free sizes, full cover); int/list become per-step sizes.
-    Every theory entry point calls it, so it holds the k >= 1 check."""
+def _check_sizes(m: int, k: int, step_size) -> None:
+    """Check k steps over m positions: step_size None (free sizes, full
+    cover) or an int (the size of every step). Every theory entry point
+    calls it, so it holds the k >= 1 check."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if step_size is None:
         if k > m:
             raise ConfigError(f"cannot split {m} positions into {k} non-empty steps")
-        return None
-    if isinstance(step_size, int):
-        sizes = [step_size] * k
-    else:
-        sizes = [int(s) for s in step_size]
-        if len(sizes) != k:
-            raise ConfigError(f"need {k} step sizes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
+    elif not isinstance(step_size, int):
+        raise ConfigError(f"step_size must be None or an int, got {step_size!r}")
+    elif step_size < 1:
         raise ConfigError("step sizes must be >= 1")
-    if sum(sizes) > m:
-        raise ConfigError(f"step sizes consume {sum(sizes)} of {m} positions")
-    return sizes
+    elif step_size * k > m:
+        raise ConfigError(f"step sizes consume {step_size * k} of {m} positions")
 
 
 def count_schedules(m: int, k: int, step_size=None) -> int:
     """Number of k-step schedules of m positions (see schedule_costs)."""
-    sizes = _resolve_sizes(m, k, step_size)
-    if sizes is not None:
-        total = 1
-        left = m
-        for s in sizes:
-            total *= math.comb(left, s)
-            left -= s
-        return total
+    _check_sizes(m, k, step_size)
+    if step_size is not None:
+        return math.prod(math.comb(m - i * step_size, step_size) for i in range(k))
 
     def free(m_left: int, k_left: int) -> int:
         if k_left == 1:
@@ -284,25 +235,21 @@ def count_schedules(m: int, k: int, step_size=None) -> int:
     return free(m, k)
 
 
-def _next_step_choices(remaining: tuple[int, ...], k_left: int, sizes) -> list[tuple[int, ...]]:
-    """Feasible next steps in lexicographic order (with fixed sizes, the
-    last k_left sizes are the steps still to take)."""
-    if sizes is not None:
-        return list(combinations(remaining, sizes[-k_left]))
+def _check_cap(root: SeqState, k: int, step_size) -> None:
+    """Raise InstanceTooLarge past ENUMERATION_CAP k-step schedules of root's
+    masked positions (and ConfigError for bad sizes)."""
+    total = count_schedules(len(root.masked_index), k, step_size)
+    if total > ENUMERATION_CAP:
+        raise InstanceTooLarge(f"{total} schedules exceeds cap {ENUMERATION_CAP}")
+
+
+def _next_step_choices(remaining: tuple[int, ...], k_left: int, step_size) -> list[tuple]:
+    """Feasible next steps in lexicographic order."""
+    if step_size is not None:
+        return list(combinations(remaining, step_size))
     if k_left == 1:
         return [remaining]
     return [c for s in range(1, len(remaining) - k_left + 2) for c in combinations(remaining, s)]
-
-
-def _schedules(remaining: tuple[int, ...], k_left: int, sizes) -> Iterator[tuple]:
-    """Every schedule of k_left steps over `remaining`, in lexicographic order."""
-    if k_left == 0:
-        yield ()
-        return
-    for step in _next_step_choices(remaining, k_left, sizes):
-        rest = tuple(p for p in remaining if p not in step)
-        for tail in _schedules(rest, k_left - 1, sizes):
-            yield (step,) + tail
 
 
 def schedule_costs(
@@ -312,20 +259,23 @@ def schedule_costs(
     lexicographic order, each as schedule_cost's argmax walk gives it.
 
     step_size None: every ordered partition of the masked positions into k
-    non-empty steps (full cover). int or list: fixed per-step sizes, cover
-    not required. Raises InstanceTooLarge past ENUMERATION_CAP schedules, and
-    ConfigError for bad sizes, before any model call.
+    non-empty steps (full cover). An int: that many positions per step,
+    cover not required. Raises InstanceTooLarge past ENUMERATION_CAP
+    schedules, and ConfigError for bad sizes, when called, before any model
+    call.
     """
-    m = len(root.masked_index)
-    total = count_schedules(m, k, step_size)
-    if total > ENUMERATION_CAP:
-        raise InstanceTooLarge(f"{total} schedules exceeds cap {ENUMERATION_CAP}")
-    sizes = _resolve_sizes(m, k, step_size)
-    table = _contexts(model, with_dependence)
-    return (
-        schedule_cost(table, root, Schedule(steps), with_dependence=with_dependence)
-        for steps in _schedules(root.masked_index, k, sizes)
-    )
+    _check_cap(root, k, step_size)
+    start = ScheduleCost(root, per_step_dep=() if with_dependence else None)
+    return _extensions(_contexts(model, with_dependence), start, k, step_size)
+
+
+def _extensions(table: StateTable, prefix: ScheduleCost, k: int, step_size) -> Iterator:
+    """Every k-step extension of a walk, depth-first in lexicographic order."""
+    if len(prefix.steps) == k:
+        yield prefix
+        return
+    for step in _next_step_choices(prefix.seq.masked_index, k - len(prefix.steps), step_size):
+        yield from _extensions(table, prefix.extend(table, step), k, step_size)
 
 
 def oracle_min_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
@@ -334,14 +284,14 @@ def oracle_min_schedule(model, root: SeqState, k: int, step_size=None) -> Schedu
     return min(costs, key=lambda c: c.j)
 
 
-def _walk(table: StateTable, ws: _WalkState, k: int, sizes, choose: Callable) -> ScheduleCost:
-    """Extend a schedule prefix to k steps with argmax commits. At each
-    context, choose(row, choices) picks the next step among the feasible
-    ones, given the table's row there. The cost has no dependence terms."""
-    while len(ws.steps) < k:
-        choices = _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes)
-        ws = ws.extend(table, choose(table(ws.seq), choices))
-    return ws.cost()
+def _walk(table: StateTable, cost: ScheduleCost, k: int, step_size, choose: Callable):
+    """Extend a walk to k steps with argmax commits. At each context,
+    choose(row, choices) picks the next step among the feasible ones, given
+    the table's row there. The cost has no dependence terms."""
+    while len(cost.steps) < k:
+        choices = _next_step_choices(cost.seq.masked_index, k - len(cost.steps), step_size)
+        cost = cost.extend(table, choose(table(cost.seq), choices))
+    return cost
 
 
 def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
@@ -355,8 +305,8 @@ def greedy_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCo
                 best_step, best_gap = step, gap
         return best_step
 
-    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(_contexts(model), _WalkState(root), k, sizes, least_gap)
+    _check_sizes(len(root.masked_index), k, step_size)
+    return _walk(_contexts(model), ScheduleCost(root), k, step_size, least_gap)
 
 
 def _uniform_choice(rng: np.random.Generator) -> Callable:
@@ -367,8 +317,8 @@ def random_schedule(
     model, root: SeqState, k: int, rng: np.random.Generator, step_size=None
 ) -> ScheduleCost:
     """Baseline: uniform feasible step at each context, argmax commits."""
-    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
-    return _walk(_contexts(model), _WalkState(root), k, sizes, _uniform_choice(rng))
+    _check_sizes(len(root.masked_index), k, step_size)
+    return _walk(_contexts(model), ScheduleCost(root), k, step_size, _uniform_choice(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +352,7 @@ def search_schedules(
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    sizes = _resolve_sizes(len(root.masked_index), k, step_size)
+    _check_sizes(len(root.masked_index), k, step_size)
     table = _contexts(model)
     rng = np.random.default_rng(seed)
     marks = sorted(set(snapshots)) if snapshots else []
@@ -417,7 +367,7 @@ def search_schedules(
         return cost.j
 
     uniform = _uniform_choice(rng)
-    root_node = SearchNode(_WalkState(root))
+    root_node = SearchNode(ScheduleCost(root))
     unexpanded = 1  # non-terminal nodes without children
 
     for it in range(budget):
@@ -428,21 +378,21 @@ def search_schedules(
         if node.terminal:
             backpropagate(path, node.terminal_reward)
         else:
-            ws: _WalkState = node.state
+            here: ScheduleCost = node.state
             unexpanded -= 1
-            for step in _next_step_choices(ws.seq.masked_index, k - len(ws.steps), sizes):
-                prefix = ws.extend(table, step)
+            for step in _next_step_choices(here.seq.masked_index, k - len(here.steps), step_size):
+                prefix = here.extend(table, step)
                 child = SearchNode(
-                    prefix, action=step, prior=-prefix.gaps[-1], index=len(node.children)
+                    prefix, action=step, prior=-prefix.per_step_gap[-1], index=len(node.children)
                 )
                 node.children.append(child)
                 if len(prefix.steps) == k:
                     child.terminal = True
-                    child.terminal_reward = reward = -consider(prefix.cost())
+                    child.terminal_reward = reward = -consider(prefix)
                 else:
                     unexpanded += 1
                     # rollout: finish the prefix with uniform random steps
-                    reward = -consider(_walk(table, prefix, k, sizes, uniform))
+                    reward = -consider(_walk(table, prefix, k, step_size, uniform))
                 backpropagate(path + [(node, child)], reward)
 
         if it + 1 in marks:
@@ -460,35 +410,39 @@ def verify_lemma1(model, root: SeqState) -> dict:
     every step count.
 
     Returns a report with the tightest approach to equality; raises
-    BoundViolated with the offending schedule otherwise, and
-    NoMaskedPositions for a root with nothing to schedule.
+    BoundViolated with the offending schedule otherwise,
+    NoMaskedPositions for a root with nothing to schedule, and
+    InstanceTooLarge, before any model call, when a step count has more
+    than ENUMERATION_CAP schedules.
     """
     if not root.masked_index:
         raise NoMaskedPositions("verify_lemma1 needs a root with masked positions")
     checked = 0
     max_excess = float("-inf")
     min_slack = float("inf")
-    tightest: Schedule | None = None
+    tightest: ScheduleCost | None = None
     table = _contexts(model, with_dependence=True)  # shared by every step count
-    for k in range(1, len(root.masked_index) + 1):
-        for cost in schedule_costs(table, root, k, with_dependence=True):
-            dep, gap = cost.dep_total, cost.j
-            excess = dep - gap
-            if excess > TOL:
-                raise BoundViolated(
-                    f"dependence {dep} exceeds gap {gap} on schedule {cost.schedule.to_json()}"
-                )
-            if excess > max_excess:
-                max_excess = excess
-            if gap - dep < min_slack:
-                min_slack = gap - dep
-                tightest = cost.schedule
-            checked += 1
+    ks = range(1, len(root.masked_index) + 1)
+    # each step count's enumeration checks its size when created, before any model call
+    walks = [schedule_costs(table, root, k, with_dependence=True) for k in ks]
+    for cost in chain.from_iterable(walks):
+        dep, gap = cost.dep_total, cost.j
+        excess = dep - gap
+        if excess > TOL:
+            raise BoundViolated(
+                f"dependence {dep} exceeds gap {gap} on schedule {[list(s) for s in cost.steps]}"
+            )
+        if excess > max_excess:
+            max_excess = excess
+        if gap - dep < min_slack:
+            min_slack = gap - dep
+            tightest = cost
+        checked += 1
     return {
         "schedules_checked": checked,
         "max_excess": max_excess,
         "min_slack": min_slack,
-        "tightest_schedule": tightest.to_json() if tightest else None,
+        "tightest_schedule": None if tightest is None else [list(s) for s in tightest.steps],
         "tol": TOL,
     }
 
@@ -508,14 +462,17 @@ def verify_theorem1(
     each requested budget; asserts the snapshots are non-increasing and
     that the final J is <= greedy's and each of RANDOM_BASELINES random
     schedules' J + TOL.
-    The exhaustive oracle minimum is included for ratio checks. The search
-    stops once its tree is complete (search_schedules), so a budget past
-    that point costs nothing and reports the same J as the full run would.
+    The exhaustive oracle minimum is included for ratio checks; past
+    ENUMERATION_CAP schedules it raises InstanceTooLarge before the search,
+    so before any model call. The search stops once its tree is complete
+    (search_schedules), so a budget past that point costs nothing and
+    reports the same J as the full run would.
     """
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets or budgets[0] < 1:
         raise ConfigError("budgets must be positive")
     table = _contexts(model)  # shared by the search, the oracle and the baselines
+    _check_cap(root, k, step_size)  # the oracle's, before the search's model calls
     best, snaps = search_schedules(
         table,
         root,
@@ -551,6 +508,6 @@ def verify_theorem1(
         "j_oracle": oracle.j,
         "j_greedy": greedy.j,
         "j_random": randoms,
-        "best_schedule": best.schedule.to_json(),
-        "oracle_schedule": oracle.schedule.to_json(),
+        "best_schedule": [list(s) for s in best.steps],
+        "oracle_schedule": [list(s) for s in oracle.steps],
     }

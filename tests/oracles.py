@@ -172,19 +172,24 @@ def oracle_entropy_gap(cells, length, vocab, revealed, subset, floor=LOGIT_FLOOR
     return sum(ents) - max(ents)
 
 
-def oracle_dependence_error(cells, length, vocab, revealed, subset):
-    """KL(joint posterior over subset || product of its marginals)."""
+def oracle_subset_conditional(cells, length, vocab, revealed, subset):
+    """P(x_subset | revealed) by direct summation: {subset tokens: prob},
+    every token tuple of the subset included."""
     subset = tuple(subset)
-    joint = {}
+    joint = dict.fromkeys(product(range(vocab), repeat=len(subset)), 0.0)
     mass = 0.0
     for assign, p in cells.items():
         if _consistent(assign, revealed):
-            key = tuple(assign[pos] for pos in subset)
-            joint[key] = joint.get(key, 0.0) + p
+            joint[tuple(assign[pos] for pos in subset)] += p
             mass += p
     if mass <= 0.0:
         raise ZeroDivisionError("no mass consistent with context")
-    joint = {k: v / mass for k, v in joint.items()}
+    return {k: v / mass for k, v in joint.items()}
+
+
+def oracle_dependence_error(cells, length, vocab, revealed, subset):
+    """KL(joint posterior over subset || product of its marginals)."""
+    joint = oracle_subset_conditional(cells, length, vocab, revealed, subset)
     marginals = [[0.0] * vocab for _ in subset]
     for key, p in joint.items():
         for axis, tok in enumerate(key):

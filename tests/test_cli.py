@@ -24,7 +24,8 @@ from medal.harness import (
     sweep_methods,
 )
 from medal.jsonspec import from_json, jsonl
-from medal.seqcore import Vocab
+from medal.seqcore import SeqState, Vocab
+from medal.theory import verify_theorem1
 
 
 @pytest.fixture
@@ -180,6 +181,20 @@ def test_theory_check_theorem(tmp_path, trap_file):
     report = json.loads(out.read_text())
     assert report["budgets"] == [1, 2, 4]
     assert report["j_final"] <= report["j_greedy"] + 1e-9
+
+
+def test_theory_check_step_size_prints_the_in_process_report(trap_file, capsys):
+    # the int --step-size path: the printed report is the in-process
+    # verify_theorem1 report of the model as the CLI loads it
+    code = main([
+        "theory-check", "--model", str(trap_file), "--mode", "theorem1",
+        "--k", "2", "--step-size", "1",
+    ])
+    assert code == 0
+    model = load_model(str(trap_file))
+    root = SeqState.fully_masked(model.vocab, (), model.length)
+    report = verify_theorem1(model, root, 2, [1, 2, 4, 8], step_size=1)
+    assert capsys.readouterr().out == json.dumps({"mode": "theorem1", **report}, indent=2) + "\n"
 
 
 def test_theory_check_rejects_non_tabular(tmp_path, capsys):

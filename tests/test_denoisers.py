@@ -49,9 +49,10 @@ from medal.errors import (
     NoMaskedPositions,
     NonFiniteLogits,
     RemoteError,
+    SubsetNotMasked,
     ZeroMassContext,
 )
-from medal.families import trap_family
+from medal.families import random_calibrated_model, trap_family
 from medal.harness import load_model_file
 from medal.jsonspec import from_json, to_json
 from medal.kernels import softmax_rows
@@ -169,9 +170,7 @@ def test_tabular_zero_mass_context():
     base = SeqState.fully_masked(model.vocab, (), 2)
     # context x0=0 has mass; conditional for x1 is a point mass on 0
     s = apply_many(base, [UnmaskAction(0, 0)])
-    pos, cond = model.masked_conditional(s)
-    assert pos == [1]
-    assert cond == pytest.approx([1.0, 0.0])
+    assert model.subset_conditional(s, [1]).tolist() == [1.0, 0.0]
     # build a zero-mass context by modeling 3 cells out of 4
     joint3 = np.array([[0.5, 0.25], [0.0, 0.25]])
     model3 = TabularModel(Vocab(2), joint3)
@@ -184,9 +183,50 @@ def test_tabular_zero_mass_context():
     model0 = TabularModel(Vocab(2), joint0)
     s0 = apply_many(SeqState.fully_masked(model0.vocab, (), 2), [UnmaskAction(0, 1)])
     with pytest.raises(ZeroMassContext):
-        model0.masked_conditional(s0)
+        model0.subset_conditional(s0, [1])
     out = model0.predict(s0)  # uniform fallback instead of raising
     assert softmax(out.logits[1]) == pytest.approx([0.5, 0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(2, 4),
+    vocab=st.integers(2, 3),
+    prompt_len=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_subset_conditional_matches_brute_force(length, vocab, prompt_len, seed, data):
+    # the exact joint over up to 3 masked positions, at any revealed
+    # context, is the direct sum over the joint's cells; a subset names
+    # absolute positions, so a prompt shifts them
+    model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    cells = oracles.cells_from_joint(model.joint)
+    gen = list(range(length))
+    revealed_at = data.draw(
+        st.lists(st.sampled_from(gen), unique=True, max_size=length - 1), "revealed"
+    )
+    revealed = {p: data.draw(st.integers(0, vocab - 1), f"token {p}") for p in revealed_at}
+    masked = [p for p in gen if p not in revealed]
+    subset = sorted(data.draw(
+        st.lists(st.sampled_from(masked), unique=True, min_size=1, max_size=3), "subset"
+    ))
+    root = SeqState.fully_masked(model.vocab, (0,) * prompt_len, length)
+    state = apply_many(root, [UnmaskAction(prompt_len + p, t) for p, t in revealed.items()])
+    got = model.subset_conditional(state, [prompt_len + p for p in subset])
+    want = oracles.oracle_subset_conditional(cells, length, vocab, revealed, subset)
+    assert got.shape == (vocab,) * len(subset)
+    for tokens, p in want.items():
+        assert abs(got[tokens] - p) <= 1e-12
+
+
+def test_subset_conditional_rejects_other_subsets(rng):
+    model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
+    state = apply_many(SeqState.fully_masked(model.vocab, (), 3), [UnmaskAction(1, 2)])
+    assert model.subset_conditional(state, [0, 2]).shape == (3, 3)
+    for subset in ([2, 0], [0, 1], [0, 0], [5]):
+        with pytest.raises(SubsetNotMasked):
+            model.subset_conditional(state, subset)
 
 
 def test_tabular_prompt_is_ignored(rng):

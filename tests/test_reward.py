@@ -14,7 +14,7 @@ from medal.families import negative_gain_model, random_calibrated_model, xor_pai
 from medal.mcts import SearchConfig, run_cgmcts, simulate
 from medal.reward import EntropyProfile, entropy_gain
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
-from medal.theory import Schedule, oracle_min_schedule, schedule_cost, schedule_costs
+from medal.theory import oracle_min_schedule, schedule_cost, schedule_costs
 
 
 def profile(model, state):
@@ -163,7 +163,7 @@ READERS = {
     "entropy_profile": lambda inner, fault, root: profile(MalformedModel(inner, fault), root),
     "search_child_rewards": _search_child_rewards,
     "entropy_gap": lambda inner, fault, root: schedule_cost(
-        MalformedModel(inner, fault), root, Schedule.of([[0, 1]]), with_dependence=False
+        MalformedModel(inner, fault), root, [[0, 1]], with_dependence=False
     ),
     "schedule_costs": lambda inner, fault, root: list(
         schedule_costs(MalformedModel(inner, fault), root, 2, with_dependence=False)

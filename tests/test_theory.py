@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from medal.families import random_calibrated_model, xor_pair_model
 from medal.reward import EntropyProfile
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import (
-    Schedule,
+    ENUMERATION_CAP,
     count_schedules,
     greedy_schedule,
     oracle_min_schedule,
@@ -51,22 +52,27 @@ def root_of(model, length=None):
 # schedules and step costs
 
 
-def test_schedule_normalization_and_validation():
-    s = Schedule.of([[2, 0], [1]])
-    assert s.steps == ((0, 2), (1,))
-    assert s.to_json() == [[0, 2], [1]]
-    with pytest.raises(ConfigError):
-        Schedule.of([[0], []])
-    with pytest.raises(ConfigError):
-        Schedule.of([[0, 1], [1]])
-    with pytest.raises(ConfigError):
-        Schedule.of([[0, 0]])
+def test_schedule_cost_sorts_and_validates_steps(rng):
+    # a step is walked as its sorted positions; an empty step, a repeated
+    # position and a position reused across steps (revealed by then) are
+    # rejected at the step's context
+    model = rand_model(rng)
+    root = root_of(model)
+    cost = schedule_cost(model, root, [[2, 0], [1]], with_dependence=False)
+    assert cost.steps == ((0, 2), (1,))
+    for steps, match in (
+        ([[0], []], "non-empty"),
+        ([[0, 0]], "repeats"),
+        ([[0, 1], [1]], "not masked"),
+    ):
+        with pytest.raises(SubsetNotMasked, match=match):
+            schedule_cost(model, root, steps, with_dependence=False)
 
 
 def step_cost(model, state, subset):
     """(gap, dependence error) of revealing `subset` together at `state`:
     the one-step walk the verifiers take there."""
-    cost = schedule_cost(model, state, Schedule.of([subset]), with_dependence=True)
+    cost = schedule_cost(model, state, [subset], with_dependence=True)
     return cost.per_step_gap[0], cost.per_step_dep[0]
 
 
@@ -79,7 +85,7 @@ def test_entropies_and_gap_on_xor():
     # a single position has zero gap by construction
     assert step_cost(model, root, [1])[0] == 0.0
     with pytest.raises(SubsetNotMasked):
-        schedule_cost(model, root, Schedule(((),)), with_dependence=True)
+        schedule_cost(model, root, [()], with_dependence=True)
     s = apply_many(root, [UnmaskAction(0, 1)])
     with pytest.raises(SubsetNotMasked):
         step_cost(model, s, [0, 1])
@@ -170,8 +176,7 @@ def test_step_costs_match_brute_force_at_any_context(length, vocab, seed, data):
 def test_schedule_cost_walk(rng):
     model = rand_model(rng)
     root = root_of(model)
-    sched = Schedule.of([[0, 2], [1]])
-    cost = schedule_cost(model, root, sched, with_dependence=True)
+    cost = schedule_cost(model, root, [[0, 2], [1]], with_dependence=True)
     assert len(cost.per_step_gap) == 2
     assert len(cost.per_step_dep) == 2
     assert cost.j == pytest.approx(sum(cost.per_step_gap))
@@ -191,7 +196,7 @@ def test_schedule_cost_walk(rng):
 def test_schedule_cost_options(rng):
     model = rand_model(rng)
     root = root_of(model)
-    sched = Schedule.of([[0], [1], [2]])
+    sched = [[0], [1], [2]]
     plain = schedule_cost(model, root, sched, with_dependence=False)
     assert plain.per_step_dep is None
     measured = schedule_cost(model, root, sched, with_dependence=True)
@@ -206,12 +211,11 @@ def test_cost_json_keeps_measured_empty_terms(rng):
     # terms stay None (null)
     model = rand_model(rng)
     root = root_of(model)
-    empty = Schedule.of([])
-    measured = schedule_cost(model, root, empty, with_dependence=True)
-    assert measured.schedule.to_json() == []
+    measured = schedule_cost(model, root, [], with_dependence=True)
+    assert measured.steps == ()
     assert (measured.per_step_gap, measured.per_step_dep) == ((), ())
     assert (measured.j, measured.dep_total) == (0.0, 0.0)
-    plain = schedule_cost(model, root, empty, with_dependence=False)
+    plain = schedule_cost(model, root, [], with_dependence=False)
     assert plain.per_step_dep is None and plain.dep_total is None
 
 
@@ -224,17 +228,18 @@ def test_count_schedules_known_values():
     assert count_schedules(2, 2) == 2
     assert count_schedules(3, 2) == 6
     assert count_schedules(4, 3) == 36
-    # fixed sizes: choose(4,2) * choose(2,1) = 12
-    assert count_schedules(4, 2, [2, 1]) == 12
-    # scalar size applies to every step: choose(4,2) * choose(2,2) = 6
+    # the size applies to every step: choose(4,2) * choose(2,2) = 6
     assert count_schedules(4, 2, 2) == 6
+    # choose(5,2) * choose(3,2) = 30, cover not required
+    assert count_schedules(5, 2, 2) == 30
+    assert count_schedules(4, 3, 1) == 24
 
 
 def test_enumeration_matches_reference_partitions(rng):
     for m, k in [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]:
         model = rand_model(rng, length=m, vocab=2)
         costs = schedule_costs(model, root_of(model), k, with_dependence=False)
-        got = [c.schedule.steps for c in costs]
+        got = [c.steps for c in costs]
         want = list(oracles.enumerate_partitions(range(m), k))
         assert got == want
         assert len(got) == count_schedules(m, k)
@@ -242,15 +247,49 @@ def test_enumeration_matches_reference_partitions(rng):
 
 
 def test_enumeration_fixed_sizes(rng):
-    model = rand_model(rng, length=4, vocab=2)
-    costs = schedule_costs(model, root_of(model), 2, [2, 1], with_dependence=False)
-    scheds = [c.schedule for c in costs]
-    assert len(scheds) == 12
-    for s in scheds:
-        assert len(s.steps[0]) == 2 and len(s.steps[1]) == 1
-        assert sum(map(len, s.steps)) == 3  # cover not required
-    # lexicographic: first schedule takes the two smallest then the smallest left
-    assert scheds[0].steps == ((0, 1), (2,))
+    model = rand_model(rng, length=5, vocab=2)
+    scheds = [c.steps for c in schedule_costs(model, root_of(model), 2, 2, with_dependence=False)]
+    assert len(scheds) == 30
+    for steps in scheds:
+        assert [len(step) for step in steps] == [2, 2]  # cover not required
+    # lexicographic: first schedule takes the two smallest then the two smallest left
+    assert scheds[0] == ((0, 1), (2, 3))
+    assert scheds == sorted(scheds)
+
+
+def test_step_size_is_none_or_an_int(rng):
+    # any step_size but None or an int is a ConfigError before any model call
+    model = CountingDenoiser(rand_model(rng, length=4, vocab=2))
+    root = root_of(model, 4)
+    for bad in ([2, 1], (1,), 1.0, "1"):
+        for call in (
+            lambda: count_schedules(4, 2, bad),
+            lambda: schedule_costs(model, root, 2, bad, with_dependence=False),
+            lambda: greedy_schedule(model, root, 2, bad),
+            lambda: search_schedules(model, root, 2, 4, step_size=bad),
+            lambda: verify_theorem1(model, root, 2, [1, 2], step_size=bad),
+        ):
+            with pytest.raises(ConfigError, match="step_size must be None or an int"):
+                call()
+    assert model.calls == 0
+
+
+def test_verifiers_refuse_an_instance_past_the_cap_before_any_model_call():
+    # 9 positions: lemma 1 over every step count and the k=6 oracle both
+    # pass ENUMERATION_CAP; the raise comes first, with no model call
+    model = random_calibrated_model(np.random.default_rng(0), 9, 2)
+    root = root_of(model)
+    assert count_schedules(9, 6) > ENUMERATION_CAP
+    for verify in (
+        lambda m: verify_lemma1(m, root),
+        lambda m: verify_theorem1(m, root, k=6, budgets=[64, 256]),
+    ):
+        counted = RecordingConditionals(model)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match=f"exceeds cap {ENUMERATION_CAP}"):
+            verify(counted)
+        assert counted.calls == 0 and counted.conditionals == []
+        assert time.perf_counter() - start < 5.0
 
 
 def test_enumeration_guards(rng):
@@ -274,7 +313,7 @@ def test_enumeration_guards(rng):
         with pytest.raises(ConfigError, match="k must be >= 1"):
             k_zero()
     with pytest.raises(ConfigError):
-        list(schedule_costs(model, two, 2, [2, 2], with_dependence=False))  # consumes too many
+        list(schedule_costs(model, two, 2, 2, with_dependence=False))  # consumes too many
     fact = FactorizedModel(Vocab(2), rng.dirichlet(np.ones(2), size=3))
     with pytest.raises(ConfigError):
         list(schedule_costs(fact, root_of(fact, 3), 2, with_dependence=True))
@@ -291,7 +330,7 @@ def _walk_cases():
         yield model, apply_many(root, [UnmaskAction(1, seed % 2)])
 
 
-SIZE_CASES = [(1, None), (2, None), (3, None), (2, 1), (3, 1), (2, [2, 1]), (2, [1, 2])]
+SIZE_CASES = [(1, None), (2, None), (3, None), (2, 1), (3, 1), (1, 2), (1, 3)]
 
 
 def test_schedule_costs_equal_the_reference_walk():
@@ -307,16 +346,17 @@ def test_schedule_costs_equal_the_reference_walk():
                 assert len(costs) == count_schedules(len(positions), k, step_size)
                 for cost in costs:
                     assert cost == schedule_cost(
-                        model, root, cost.schedule, with_dependence=with_dependence
+                        model, root, cost.steps, with_dependence=with_dependence
                     )
                 if step_size is None:
-                    got = [c.schedule.steps for c in costs]
+                    got = [c.steps for c in costs]
                     assert got == list(oracles.enumerate_partitions(positions, k))
 
 
 class RecordingConditionals(CountingDenoiser):
     """CountingDenoiser that also records the tokens of every state it
-    predicts and of every state whose exact conditional it is asked for."""
+    predicts, and (state tokens, subset) of every exact step joint it is
+    asked for."""
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -327,9 +367,9 @@ class RecordingConditionals(CountingDenoiser):
         self.states.append(state.tokens)
         return super().predict(state)
 
-    def masked_conditional(self, state):
-        self.conditionals.append(state.tokens)
-        return self.inner.masked_conditional(state)
+    def subset_conditional(self, state, subset):
+        self.conditionals.append((state.tokens, tuple(subset)))
+        return self.inner.subset_conditional(state, subset)
 
 
 def _steps_reached(root, costs):
@@ -338,7 +378,7 @@ def _steps_reached(root, costs):
     reached = set()
     for cost in costs:
         seq, done = root, 0
-        for step in cost.schedule.steps:
+        for step in cost.steps:
             reached.add((seq.tokens, step))
             acts = [UnmaskAction(p, t) for p, t in cost.committed[done : done + len(step)]]
             seq, done = apply_many(seq, acts), done + len(step)
@@ -351,8 +391,9 @@ def _contexts_reached(root, costs):
 
 
 def test_schedule_costs_predict_each_context_once():
-    # one prediction (and, with dependence, one conditional) per distinct
-    # context the walks reach, however many schedules pass through it
+    # one prediction per distinct context the walks reach, and, with
+    # dependence, one step joint per distinct (context, step), however many
+    # schedules pass through it
     for model, root in _walk_cases():
         for k, step_size in SIZE_CASES:
             for with_dependence in (True, False):
@@ -363,7 +404,9 @@ def test_schedule_costs_predict_each_context_once():
                 reached = _contexts_reached(root, costs)
                 assert rec.calls == len(set(rec.states)) == len(reached)
                 assert set(rec.states) == reached
-                assert rec.conditionals == (rec.states if with_dependence else [])
+                steps = _steps_reached(root, costs) if with_dependence else set()
+                assert len(rec.conditionals) == len(steps)
+                assert set(rec.conditionals) == steps
 
 
 def test_schedule_costs_match_brute_force_per_step():
@@ -376,7 +419,7 @@ def test_schedule_costs_match_brute_force_per_step():
             for cost in schedule_costs(model, root, k, step_size, with_dependence=True):
                 revealed = {p: t for p, t in enumerate(root.tokens) if p not in root.masked_index}
                 done = 0
-                for step, gap, dep in zip(cost.schedule.steps, cost.per_step_gap,
+                for step, gap, dep in zip(cost.steps, cost.per_step_gap,
                                           cost.per_step_dep):
                     want_gap = oracles.oracle_entropy_gap(cells, length, vocab, revealed, step)
                     want_dep = oracles.oracle_dependence_error(cells, length, vocab, revealed, step)
@@ -395,7 +438,8 @@ def test_verifiers_predict_each_state_once():
         rec = RecordingConditionals(model)
         verify_lemma1(rec, root)
         assert rec.calls == len(set(rec.states))
-        assert rec.conditionals == rec.states
+        assert len(rec.conditionals) == len(set(rec.conditionals))
+        assert {tokens for tokens, _ in rec.conditionals} == set(rec.states)
         rec = RecordingConditionals(model)
         verify_theorem1(rec, root, k=3, budgets=[16, 64, 256])
         assert rec.calls == len(set(rec.states))
@@ -406,7 +450,7 @@ def _reference_lemma1_costs(model, root):
     """Every full-cover schedule's cost, each walked through a fresh table."""
     positions = root.masked_index
     return [
-        schedule_cost(model, root, Schedule(steps), with_dependence=True)
+        schedule_cost(model, root, steps, with_dependence=True)
         for k in range(1, len(positions) + 1)
         for steps in oracles.enumerate_partitions(positions, k)
     ]
@@ -418,9 +462,9 @@ def _record_step_work(monkeypatch):
     work = {"dep": [], "entropy": [], "asked": []}
     dependence, entropy_rows, step = theory._dependence, kernels.entropy_rows, theory._Context.step
 
-    def counted_dependence(conditional, subset):
-        work["dep"].append(tuple(subset))
-        return dependence(conditional, subset)
+    def counted_dependence(joint):
+        work["dep"].append(joint.shape)
+        return dependence(joint)
 
     def counted_entropy_rows(probs):
         work["entropy"].append(len(probs))
@@ -466,7 +510,7 @@ def _reference_lemma1(model, root, tol=1e-9):
         "schedules_checked": len(costs),
         "max_excess": max(c.dep_total - c.j for c in costs),
         "min_slack": slack[tightest],
-        "tightest_schedule": costs[tightest].schedule.to_json(),
+        "tightest_schedule": [list(step) for step in costs[tightest].steps],
         "tol": tol,
     }
 
@@ -489,7 +533,7 @@ def test_oracle_min_on_xor():
     # return the lexicographically first among the J=0 ties
     best = oracle_min_schedule(model, root, k=2)
     assert best.j == pytest.approx(0.0, abs=1e-12)
-    assert best.schedule.steps == ((0,), (1,))
+    assert best.steps == ((0,), (1,))
     # the only 1-step schedule pays the full coupled gap
     single = oracle_min_schedule(model, root, k=1)
     assert single.j == pytest.approx(LN2, abs=1e-9)
@@ -500,7 +544,7 @@ def test_oracle_matches_manual_minimum(rng):
     root = root_of(model)
     best = oracle_min_schedule(model, root, k=2)
     js = [
-        schedule_cost(model, root, Schedule(steps), with_dependence=False).j
+        schedule_cost(model, root, steps, with_dependence=False).j
         for steps in oracles.enumerate_partitions([0, 1, 2], 2)
     ]
     assert best.j == pytest.approx(min(js), abs=1e-12)
@@ -510,13 +554,13 @@ def test_greedy_and_random_are_valid_schedules(rng):
     model = rand_model(rng)
     root = root_of(model)
     greedy = greedy_schedule(model, root, k=3)
-    assert len(greedy.schedule.steps) == 3
-    assert sorted(p for step in greedy.schedule.steps for p in step) == [0, 1, 2]
+    assert len(greedy.steps) == 3
+    assert sorted(p for step in greedy.steps for p in step) == [0, 1, 2]
     oracle = oracle_min_schedule(model, root, k=3)
     assert greedy.j >= oracle.j - 1e-12
     rnd = random_schedule(model, root, 2, np.random.default_rng(0))
     again = random_schedule(model, root, 2, np.random.default_rng(0))
-    assert rnd.schedule == again.schedule
+    assert rnd.steps == again.steps
     assert rnd.j >= oracle_min_schedule(model, root, 2).j - 1e-12
 
 
@@ -524,7 +568,7 @@ def test_baselines_walk_once_and_cost_their_own_schedule(rng):
     # each baseline makes one model call per step and returns the cost
     # schedule_cost gives its schedule, without walking it a second time;
     # the search returns the cost it walked for its best schedule
-    for k, step_size in ((3, None), (2, 1), (2, [2, 1])):
+    for k, step_size in ((3, None), (2, 1), (2, 2)):
         model = CountingDenoiser(rand_model(rng, length=4))
         root = root_of(model, 4)
         greedy = greedy_schedule(model, root, k, step_size)
@@ -534,7 +578,7 @@ def test_baselines_walk_once_and_cost_their_own_schedule(rng):
         assert model.calls == k
         searched, _ = search_schedules(model, root, k, 16, step_size=step_size, seed=k)
         for cost in (greedy, rnd, searched):
-            assert cost == schedule_cost(model, root, cost.schedule, with_dependence=False)
+            assert cost == schedule_cost(model, root, cost.steps, with_dependence=False)
 
 
 def test_search_predicts_each_node_once(rng):
