@@ -134,6 +134,14 @@ def _cmd_mcts_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_theory_check(args: argparse.Namespace) -> int:
+    if args.mode == "lemma1":
+        for flag, value in (("--k", args.k), ("--budgets", args.budgets),
+                            ("--step-size", args.step_size), ("--seed", args.seed)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to --mode theorem1")
+    budgets = (1, 2, 4, 8) if args.budgets is None else _parse_ints(args.budgets, "--budgets")
+    if not budgets:
+        raise ConfigError(f"--budgets lists no budget, got {args.budgets!r}")
     with load_model(args.model, args.vocab_size, args.mask_id) as model:
         if not isinstance(model, TabularModel):
             raise ConfigError("theory-check needs a tabular model")
@@ -141,9 +149,13 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
         if args.mode == "lemma1":
             report = verify_lemma1(model, root)
         else:
-            budgets = list(_parse_ints(args.budgets, "--budgets")) or [1, 2, 4, 8]
             report = verify_theorem1(
-                model, root, args.k, budgets, step_size=args.step_size, seed=args.seed or 0
+                model,
+                root,
+                2 if args.k is None else args.k,
+                budgets,
+                step_size=args.step_size,
+                seed=0 if args.seed is None else args.seed,
             )
     write_text(args.out, json.dumps({"mode": args.mode, **report}, indent=2) + "\n")
     return 0
@@ -223,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory-check", help="lemma1 / theorem1 reports")
     add_model_args(p)
     p.add_argument("--mode", choices=["lemma1", "theorem1"], default="lemma1")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--budgets", default="")
+    p.add_argument("--k", type=int, default=None, help="theorem1 steps (default 2)")
+    p.add_argument("--budgets", default=None, help="theorem1 budgets (default 1,2,4,8)")
     p.add_argument("--step-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

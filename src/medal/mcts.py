@@ -124,21 +124,29 @@ def ucb_select(node: SearchNode, c_explore: float) -> SearchNode:
     """The child maximizing Q + c * sqrt(ln N(x) / N(x, a)).
 
     Unvisited children are taken first, highest prior score leading. All
-    ties resolve by creation order, which expansion builds as (score desc,
-    position asc, token asc).
+    ties resolve by the higher prior, then by creation order, which
+    expansion builds as (score desc, position asc, token asc).
     """
-    if not node.children:
+    children = node.children
+    if not children:
         raise NoChildren("cannot select from a node with no children")
-    unvisited = [ch for ch in node.children if ch.edge_visits == 0]
+    unvisited = [ch for ch in children if ch.edge_visits == 0]
     if unvisited:
         return max(unvisited, key=lambda ch: (ch.prior, -ch.index))
     log_n = math.log(node.visit_count)
-
-    def key(ch: SearchNode):
-        bonus = c_explore * math.sqrt(log_n / ch.edge_visits)
-        return (ch.q + bonus, ch.prior, -ch.index)
-
-    return max(node.children, key=key)
+    best, best_u = None, -math.inf
+    for ch in children:
+        u = ch.edge_value / ch.edge_visits + c_explore * math.sqrt(log_n / ch.edge_visits)
+        if (
+            u > best_u
+            or best is None
+            or (
+                u == best_u
+                and (ch.prior > best.prior or (ch.prior == best.prior and ch.index < best.index))
+            )
+        ):
+            best, best_u = ch, u
+    return best
 
 
 def select_leaf(root: SearchNode, c_explore: float) -> tuple[SearchNode, list]:

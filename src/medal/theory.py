@@ -20,8 +20,10 @@ baselines.
 Every walk is a ScheduleCost, grown a step at a time by ScheduleCost.extend
 with argmax commits, reading contexts from one per-call table
 (mcts.StateTable) that each verifier shares across all its walks. A table
-row keeps its context's checked prediction and, per step taken there, the
-step's gap, dependence error and argmax child. So no call predicts a
+row holds its context's per-position entropies and argmax tokens, computed
+once from the checked prediction, and, per step taken there, the step's
+gap, dependence error and argmax child. A one-position step's dependence
+error is zero by definition, so it runs no KL. So no call predicts a
 context twice or costs a (context, step) pair twice, however many
 schedules, rollouts and expansions pass through it; schedule_costs walks
 the schedule tree depth-first, extending each shared prefix once. A single
@@ -38,7 +40,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .denoisers import DenoiserOutput
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -98,24 +99,34 @@ class _Step(NamedTuple):
 
 
 class _Context(NamedTuple):
-    """A theory table row: a context, its checked prediction, the exact
-    joint over a step there (None when dependence is not measured) and,
-    keyed by step, the outcome of each step taken there."""
+    """A theory table row: a context, what its checked prediction gives
+    per masked position, computed once (exact entropies, argmax tokens and
+    a map from position to row), the exact joint over a step there (None
+    when dependence is not measured) and, keyed by step, the outcome of
+    each step taken there."""
 
     seq: SeqState
-    output: DenoiserOutput
+    ent: np.ndarray
+    tokens: np.ndarray
+    rows: dict[int, int]
     step_joint: Callable[[tuple[int, ...]], np.ndarray] | None
     steps: dict[tuple[int, ...], _Step]
 
     def step(self, positions: tuple[int, ...]) -> _Step:
         """The outcome of a step (sorted masked positions), worked out the
-        first time the step is taken at this context."""
+        first time the step is taken at this context by indexing the row's
+        entropies and tokens. A one-position step's dependence error is 0.0
+        by definition, but its joint is still asked for, so a zero-mass
+        context raises there as at any other step."""
         memo = self.steps.get(positions)
         if memo is None:
-            probs = self.output.probs(positions)
-            ent = kernels.entropy_rows(probs)
-            dep = None if self.step_joint is None else _dependence(self.step_joint(positions))
-            committed = tuple(zip(positions, kernels.pick_tokens(probs, "argmax").tolist()))
+            idx = [self.rows[p] for p in positions]
+            ent = self.ent[idx]
+            dep = None
+            if self.step_joint is not None:
+                joint = self.step_joint(positions)
+                dep = _dependence(joint) if len(positions) > 1 else 0.0
+            committed = tuple(zip(positions, self.tokens[idx].tolist()))
             child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
             gap = float(ent.sum() - ent.max())
             memo = self.steps[positions] = _Step(gap, dep, child, committed)
@@ -124,10 +135,10 @@ class _Context(NamedTuple):
 
 def _contexts(model, with_dependence: bool = False) -> StateTable:
     """The table a theory call reads contexts through, one _Context per
-    context: the model's prediction, checked to cover exactly the masked
-    positions with vocab-wide rows, and, with dependence, the model's
-    subset_conditional there. A verifier passes its own table as `model` to
-    share it; it is returned as it is."""
+    context: the entropies and argmax tokens of the model's prediction,
+    checked to cover exactly the masked positions with vocab-wide rows,
+    and, with dependence, the model's subset_conditional there. A verifier
+    passes its own table as `model` to share it; it is returned as it is."""
     if isinstance(model, StateTable):
         return model
     if with_dependence and not hasattr(model, "subset_conditional"):
@@ -139,8 +150,16 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
     def row(state: SeqState) -> _Context:
         output = model.predict(state)
         output.check_cover(state.masked_index, state.vocab.size)
+        probs = output.probs()
         step_joint = partial(model.subset_conditional, state) if with_dependence else None
-        return _Context(state, output, step_joint, {})
+        return _Context(
+            state,
+            kernels.entropy_rows(probs),
+            kernels.pick_tokens(probs, "argmax"),
+            {p: i for i, p in enumerate(state.masked_index)},
+            step_joint,
+            {},
+        )
 
     return StateTable(row)
 

@@ -197,6 +197,15 @@ def test_theory_check_step_size_prints_the_in_process_report(trap_file, capsys):
     assert capsys.readouterr().out == json.dumps({"mode": "theorem1", **report}, indent=2) + "\n"
 
 
+def test_theory_check_theorem1_defaults_apply_when_flags_are_absent(trap_file, capsys):
+    # without --k, --budgets and --seed, theorem1 runs k=2 at budgets 1,2,4,8, seed 0
+    assert main(["theory-check", "--model", str(trap_file), "--mode", "theorem1"]) == 0
+    model = load_model(str(trap_file))
+    root = SeqState.fully_masked(model.vocab, (), model.length)
+    report = verify_theorem1(model, root, 2, [1, 2, 4, 8], seed=0)
+    assert capsys.readouterr().out == json.dumps({"mode": "theorem1", **report}, indent=2) + "\n"
+
+
 def test_theory_check_rejects_non_tabular(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text("0 1\n")
@@ -584,6 +593,18 @@ def input_dir(tmp_path, trap_file):
         (["decode", "--model", "ngram:{d}/corpus.txt", "--mask-id", "1"], "--mask-id"),
         (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--k", "0"],
          "k must be >= 1"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "lemma1", "--k", "3"],
+         "--k applies only to --mode theorem1"),
+        (["theory-check", "--model", "{d}/trap.json", "--budgets", "4"],
+         "--budgets applies only to --mode theorem1"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "lemma1", "--step-size", "1"],
+         "--step-size applies only to --mode theorem1"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "lemma1", "--seed", "-3"],
+         "--seed applies only to --mode theorem1"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--budgets", ","],
+         "--budgets lists no budget"),
+        (["theory-check", "--model", "{d}/trap.json", "--mode", "theorem1", "--budgets", ""],
+         "--budgets lists no budget"),
         (["decode", "--model", "{d}/tab_float_token.json"],
          "tab_float_token.json: tabular entry key 'tokens'"),
         (["decode", "--model", "{d}/tab_bool_token.json"],
@@ -613,6 +634,8 @@ def input_dir(tmp_path, trap_file):
         "tabular_not_json", "model_without_vocab_size", "corpus_token_not_int",
         "ngram_n_not_int", "ngram_unknown_parameter", "prompt_not_int", "step_size_zero",
         "model_file_vocab_size", "model_file_mask_id", "ngram_mask_id", "k_zero",
+        "lemma1_k", "lemma1_budgets", "lemma1_step_size", "lemma1_seed", "budgets_comma",
+        "budgets_empty",
         "tabular_float_token", "tabular_bool_token", "tabular_string_p",
         "tabular_negative_token", "tabular_token_is_vocab_size", "tabular_wrong_length",
         "tabular_unknown_key", "tabular_probs_not_list", "tabular_joint_too_large",

@@ -119,6 +119,46 @@ def test_ucb_prefers_unvisited_by_prior_then_creation_order():
         ucb_select(SearchNode(state="leaf"), 1.0)
 
 
+def _reference_ucb_select(node, c_explore):
+    """The UCB pick as one max over (Q + bonus, prior, -index) keys."""
+    unvisited = [ch for ch in node.children if ch.edge_visits == 0]
+    if unvisited:
+        return max(unvisited, key=lambda ch: (ch.prior, -ch.index))
+    log_n = math.log(node.visit_count)
+    return max(
+        node.children,
+        key=lambda ch: (ch.q + c_explore * math.sqrt(log_n / ch.edge_visits), ch.prior, -ch.index),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stats=st.lists(
+        st.tuples(
+            st.sampled_from([-0.25, 0.0, 0.5, 1.0]),  # few priors, so priors tie
+            st.integers(0, 3),
+            st.sampled_from([-1.0, 0.0, 0.3, 1.5]),  # few values, so UCB values tie
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    all_visited=st.booleans(),
+    c_explore=st.sampled_from([0.0, 1.0, math.sqrt(2.0)]),
+    data=st.data(),
+)
+def test_ucb_select_matches_the_keyed_max(stats, all_visited, c_explore, data):
+    # the one-pass pick returns the child a max over (UCB, prior, -index)
+    # keys returns, unvisited children first, whatever order the children
+    # were created in
+    if all_visited:
+        stats = [(prior, max(visits, 1), value) for prior, visits, value in stats]
+    parent = build_parent(stats)
+    order = data.draw(st.permutations(range(len(stats))), "creation order")
+    for child, index in zip(parent.children, order):
+        child.index = index
+    assert ucb_select(parent, c_explore) is _reference_ucb_select(parent, c_explore)
+
+
 def test_backpropagate_and_invariant():
     root = SearchNode(state="r")
     mid = SearchNode(state="m", action="m")

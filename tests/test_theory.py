@@ -143,6 +143,35 @@ def test_dependence_error_zero_mass_context():
         step_cost(model, s, [1])
 
 
+def _reference_step(model, state, step):
+    """A step's (gap, dependence error, committed tokens, child tokens),
+    worked out from the step's own rows: entropies and argmax tokens of
+    just those rows, and the KL of the step's exact joint."""
+    probs = model.predict(state).probs(step)
+    ent = kernels.entropy_rows(probs)
+    tokens = kernels.pick_tokens(probs, "argmax").tolist()
+    dep = theory._dependence(model.subset_conditional(state, step))
+    child = apply_many(state, [UnmaskAction(p, t) for p, t in zip(step, tokens)])
+    return float(ent.sum() - ent.max()), dep, tuple(zip(step, tokens)), child.tokens
+
+
+def _random_context(model, data):
+    """A state of `model` with a random set of positions revealed to random
+    tokens, and a random step (sorted masked positions) there."""
+    length, vocab = model.length, model.vocab.size
+    positions = list(range(length))
+    revealed_at = data.draw(
+        st.lists(st.sampled_from(positions), unique=True, max_size=length - 1), "revealed"
+    )
+    acts = [UnmaskAction(p, data.draw(st.integers(0, vocab - 1), f"token {p}"))
+            for p in revealed_at]
+    state = apply_many(root_of(model), acts)
+    step = data.draw(
+        st.lists(st.sampled_from(state.masked_index), unique=True, min_size=1), "step"
+    )
+    return state, tuple(sorted(step))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     length=st.integers(2, 4),
@@ -156,21 +185,62 @@ def test_step_costs_match_brute_force_at_any_context(length, vocab, seed, data):
     # dependence error never exceeds the gap
     model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
     cells = oracles.cells_from_joint(model.joint)
-    positions = list(range(length))
-    revealed_at = data.draw(
-        st.lists(st.sampled_from(positions), unique=True, max_size=length - 1), "revealed"
-    )
-    revealed = {p: data.draw(st.integers(0, vocab - 1), f"token {p}") for p in revealed_at}
-    masked = [p for p in positions if p not in revealed]
-    subset = data.draw(st.lists(st.sampled_from(masked), unique=True, min_size=1), "subset")
-    state = apply_many(root_of(model), [UnmaskAction(p, t) for p, t in revealed.items()])
-    gap, dep = step_cost(model, state, subset)
-    step = tuple(sorted(subset))
+    state, step = _random_context(model, data)
+    revealed = {p: t for p, t in enumerate(state.tokens) if p not in state.masked_index}
+    gap, dep = step_cost(model, state, step)
     want_gap = oracles.oracle_entropy_gap(cells, length, vocab, revealed, step)
     want_dep = oracles.oracle_dependence_error(cells, length, vocab, revealed, step)
     assert gap == pytest.approx(want_gap, abs=1e-10)
     assert dep == pytest.approx(want_dep, abs=1e-10)
     assert dep <= gap + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(2, 5),
+    vocab=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_context_rows_match_the_step_own_rows(length, vocab, seed, data):
+    # a table row's entropies and argmax tokens, read once for the whole
+    # context, give each step the bits its own rows give; a one-position
+    # step's dependence error is exactly zero
+    model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    state, step = _random_context(model, data)
+    got = theory._contexts(model, with_dependence=True)(state).step(step)
+    gap, dep, committed, child = _reference_step(model, state, step)
+    assert got.gap == gap
+    assert got.dep == dep
+    assert got.committed == committed
+    assert got.child.tokens == child
+    if len(step) == 1:
+        assert got.dep == 0.0 and math.copysign(1.0, got.dep) == 1.0
+    without = theory._contexts(model)(state).step(step)
+    assert without.dep is None
+    assert (without.gap, without.committed) == (gap, committed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(2, 4),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_one_position_step_at_a_zero_mass_context_raises(length, vocab, seed, data):
+    # the joint of a one-position step is still asked for, so a context
+    # with no mass raises as it does for a longer step
+    joint = np.random.default_rng(seed).dirichlet(np.ones(vocab**length))
+    joint = joint.reshape((vocab,) * length)
+    dead = data.draw(st.integers(0, vocab - 1), "dead token")
+    joint[dead] = 0.0  # position 0 never takes the dead token
+    model = TabularModel(Vocab(vocab), joint / joint.sum())
+    state = apply_many(root_of(model), [UnmaskAction(0, dead)])
+    position = data.draw(st.sampled_from(state.masked_index), "position")
+    row = theory._contexts(model, with_dependence=True)(state)
+    with pytest.raises(ZeroMassContext):
+        row.step((position,))
 
 
 def test_schedule_cost_walk(rng):
@@ -457,13 +527,14 @@ def _reference_lemma1_costs(model, root):
 
 
 def _record_step_work(monkeypatch):
-    """Record every dependence error and entropy row block theory computes,
-    and every (context tokens, step) outcome a walk asks its table for."""
+    """Record the axis count of every dependence error theory computes, the
+    row count of every entropy row block, and every (context tokens, step)
+    outcome a walk asks its table for."""
     work = {"dep": [], "entropy": [], "asked": []}
     dependence, entropy_rows, step = theory._dependence, kernels.entropy_rows, theory._Context.step
 
     def counted_dependence(joint):
-        work["dep"].append(joint.shape)
+        work["dep"].append(joint.ndim)
         return dependence(joint)
 
     def counted_entropy_rows(probs):
@@ -480,10 +551,18 @@ def _record_step_work(monkeypatch):
     return work
 
 
+def _masked_counts(pairs, mask_id):
+    """Sorted masked-position counts of the distinct contexts of
+    (context tokens, step) pairs."""
+    return sorted(tokens.count(mask_id) for tokens in {tokens for tokens, _ in pairs})
+
+
 def test_verifiers_cost_each_context_step_once():
-    # a verifier's table works out each (context, step) pair's gap and
-    # dependence error once, however many schedules, rollouts, expansions
-    # and greedy choices reach it
+    # a verifier's table reads one entropy row block per context it
+    # predicts, covering that context's masked positions, and computes one
+    # dependence error per multi-position (context, step) pair, however
+    # many schedules, rollouts, expansions and greedy choices reach it; a
+    # one-position step's dependence error is zero without a KL
     for vocab in (2, 3):
         model = random_calibrated_model(np.random.default_rng(5), 4, vocab)
         root = root_of(model, 4)
@@ -492,13 +571,14 @@ def test_verifiers_cost_each_context_step_once():
             work = _record_step_work(mp)
             verify_lemma1(model, root)
         assert set(work["asked"]) == reached
-        assert len(work["dep"]) == len(work["entropy"]) == len(reached)
         assert len(work["asked"]) > len(reached)
+        assert sorted(work["entropy"]) == _masked_counts(reached, model.vocab.mask_id)
+        assert sorted(work["dep"]) == sorted(len(s) for _, s in reached if len(s) > 1)
         with pytest.MonkeyPatch.context() as mp:
             work = _record_step_work(mp)
             verify_theorem1(model, root, k=3, budgets=[16, 64, 256])
         assert work["dep"] == []
-        assert len(work["entropy"]) == len(set(work["asked"]))
+        assert sorted(work["entropy"]) == _masked_counts(work["asked"], model.vocab.mask_id)
         assert len(work["asked"]) > len(set(work["asked"]))
 
 
