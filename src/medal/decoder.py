@@ -7,7 +7,10 @@ kept, and the remaining masks are committed step by step under the same
 confidence scoring (argmax, or a temperature softmax over the pooled
 actions). init_length == 0 is finish_decode from the fully masked root; with
 the identity augmenter and argmax finishing that is exactly greedy
-confidence decoding.
+confidence decoding. From its second step on, a finish step asks the model
+for the prediction after the previous one (Denoiser.predict_after), so a
+model that knows which rows a reveal changed recomputes only those, and
+build_candidates rescores only those. Only a sampled decode builds an rng.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
 AUGMENTERS = ("identity", "template", "self_generate")
+REMAINING_MODES = ("argmax", "sample")
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class DecodeConfig:
             )
         if self.tokens_per_step < 1:
             raise ConfigError("tokens_per_step must be >= 1")
-        if self.remaining_mode not in kernels.PICK_MODES:
+        if self.remaining_mode not in REMAINING_MODES:
             raise ConfigError(f"unknown remaining_mode {self.remaining_mode!r}")
         if self.augmenter not in AUGMENTERS:
             raise ConfigError(f"unknown augmenter {self.augmenter!r}")
@@ -106,11 +110,14 @@ class DecodeResult:
         }
 
 
-def _seeded_rng(cfg: DecodeConfig) -> np.random.Generator:
+def _seeded_rng(cfg: DecodeConfig) -> np.random.Generator | None:
     """The rng a decode draws from when the caller passes none, seeded by
-    cfg.search.seed; ConfigError for a negative seed, as validate() gives."""
+    cfg.search.seed, or None when cfg commits by argmax and draws nothing;
+    ConfigError for a negative seed either way, as validate() gives."""
     if cfg.search.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.search.seed}")
+    if cfg.remaining_mode != "sample":
+        return None
     return np.random.default_rng(cfg.search.seed)
 
 
@@ -175,14 +182,18 @@ def finish_decode(
 ) -> DecodeResult:
     """Commit remaining masks step by step under confidence scoring.
 
-    Each step rebuilds the pooled top-k2 actions from the previous step's
-    candidates, scoring only the rows whose logits changed and whose
-    content no earlier step of this decode scored, and commits
-    tokens_per_step of them: the top of the pool under argmax, or draws
-    from softmax(score / temperature) without position repeats. Runs at
-    most cfg.steps steps and stops when nothing is masked. `output`, when
+    The first step predicts at `state`; each later step asks
+    model.predict_after(previous state, previous output, state), whose
+    output names the rows that may differ from the previous one. Each step
+    rebuilds the pooled top-k2 actions from the previous step's
+    candidates, scoring only those rows whose content no earlier step of
+    this decode scored, and commits tokens_per_step of them: the top of
+    the pool under argmax, or one kernels.draw per commit from
+    softmax(score / temperature) without position repeats. Runs at most
+    cfg.steps steps and stops when nothing is masked. `output`, when
     given, is the model's prediction at `state` and replaces the first
-    step's model call.
+    step's model call. `rng` is needed only under remaining_mode "sample";
+    without one, a sampled decode seeds its own from cfg.search.seed.
     """
     if rng is None:
         rng = _seeded_rng(cfg)
@@ -194,7 +205,9 @@ def finish_decode(
     for t in range(cfg.steps):
         if cur.is_complete:
             break
-        if t > 0 or output is None:
+        if t > 0:
+            output = model.predict_after(prev_state, output, cur)
+        elif output is None:
             output = model.predict(cur)
         cands = build_candidates(
             cur,
@@ -206,22 +219,22 @@ def finish_decode(
             use_entropy_penalty=s.use_entropy_penalty,
             prev=cands,
         )
-        available = list(cands.pooled)
+        available = cands.pooled
         chosen: list[tuple[UnmaskAction, float]] = []
-        for _ in range(min(cfg.tokens_per_step, len(cands.pooled))):
+        for _ in range(min(cfg.tokens_per_step, len(available))):
             if not available:
                 break
             if cfg.remaining_mode == "argmax":
                 pick = 0
             else:
-                weights = np.array([[sc for _, sc in available]])
-                probs = kernels.softmax_rows((weights - weights.max()) / cfg.sample_temperature)
-                pick = int(kernels.pick_tokens(probs, "sample", rng)[0])
+                pick = kernels.draw([sc for _, sc in available], cfg.sample_temperature, rng)
             action, score = available[pick]
             chosen.append((action, score))
-            available = [
-                (a, sc) for a, sc in available if a.position != action.position
-            ]
+            if len(chosen) < cfg.tokens_per_step:
+                available = [
+                    (a, sc) for a, sc in available if a.position != action.position
+                ]
+        prev_state = cur
         cur = apply_many(cur, [a for a, _ in chosen])
         order.extend(a for a, _ in chosen)
         steps_trace.append(

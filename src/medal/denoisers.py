@@ -2,7 +2,10 @@
 
 A denoiser takes a partially masked state and returns one logit vector per
 masked position, covering content tokens only. Predictions must be pure
-functions of the state so that search and replay stay deterministic.
+functions of the state so that search and replay stay deterministic. A
+finish step asks for the prediction after the previous one
+(Denoiser.predict_after), which also names the rows that may have changed;
+the n-gram model looks up only those rows again.
 
 Three toy families with known structure:
 
@@ -30,6 +33,8 @@ import re
 import socket
 import socketserver
 import threading
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -72,9 +77,17 @@ class DenoiserOutput:
     arguments returns them without copying. probs() is the row softmax of
     the matrix, computed on its first call and kept, so scoring and
     entropies over one prediction share one softmax.
+
+    An output from Denoiser.predict_after also records, as row indices,
+    how it relates to the output it was predicted after (its base): for
+    each row, the base row at the same position, and which rows may
+    differ from that base row. It holds only a weak reference to its base,
+    so a chain of such outputs keeps no earlier matrix alive.
     """
 
-    __slots__ = ("_positions", "_matrix", "_probs")
+    __slots__ = (
+        "_positions", "_matrix", "_probs", "_base", "_base_rows", "_changed", "__weakref__"
+    )
 
     @classmethod
     def from_matrix(cls, positions: Sequence[int], matrix: ArrayLike) -> "DenoiserOutput":
@@ -102,7 +115,46 @@ class DenoiserOutput:
         out._matrix = matrix.view()
         out._matrix.flags.writeable = False
         out._probs = None
+        out._base = None
         return out
+
+    def _record_after(
+        self, base: "DenoiserOutput", base_rows: np.ndarray, changed: list[int]
+    ) -> "DenoiserOutput":
+        """Record that row i equals row base_rows[i] of `base` unless i is in
+        `changed` (ascending row indices); returns self."""
+        self._base = weakref.ref(base)
+        self._base_rows = base_rows
+        self._changed = changed
+        return self
+
+    def _after_reveal(self, at: np.ndarray, rows: dict[int, np.ndarray]) -> "DenoiserOutput":
+        """The output whose row i is this one's row at[i] (at: ascending row
+        indices) or, for i in `rows`, rows[i]; it records this output as its
+        base and the keys of `rows` as its changed rows. A kept row is a
+        copy of a checked row and is not checked again; `rows` must hold
+        finite logits, one per column, which a model passes for rows it
+        builds itself."""
+        out = DenoiserOutput.__new__(DenoiserOutput)
+        out._positions = self._positions.take(at)
+        out._positions.setflags(write=False)
+        matrix = self._matrix.take(at, axis=0)
+        for i, row in rows.items():
+            matrix[i] = row
+        matrix.setflags(write=False)
+        out._matrix = matrix
+        out._probs = None
+        return out._record_after(self, at, sorted(rows))
+
+    def changed_since(self, base: "DenoiserOutput") -> tuple[np.ndarray, list[int]] | None:
+        """(base_rows, changed) when this output was predicted after `base`
+        (Denoiser.predict_after): row i is bit-equal to row base_rows[i] of
+        base unless i is in `changed`, the ascending indices of the rows
+        that may differ. None for any other base, or when no base is
+        recorded."""
+        if self._base is None or self._base() is not base:
+            return None
+        return self._base_rows, self._changed
 
     @property
     def logits(self) -> dict[int, np.ndarray]:
@@ -167,6 +219,14 @@ class DenoiserOutput:
 class Denoiser:
     """Base interface. Subclasses set vocab and implement predict.
 
+    predict_after(prev_state, prev_output, state) is the prediction at
+    `state` given that prev_output was the prediction at prev_state; its
+    output must equal predict(state) bit for bit and records which of its
+    rows may differ from prev_output's (DenoiserOutput.changed_since). The
+    base method calls predict(state) and compares positions and logit
+    bytes; a model that knows what a reveal changes overrides it and does
+    the work inside predict, so every prediction is one predict call.
+
     A model is a context manager whose exit calls close(), which releases
     what the model holds open (a no-op unless a subclass holds something).
     """
@@ -175,6 +235,23 @@ class Denoiser:
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         raise NotImplementedError
+
+    def predict_after(
+        self, prev_state: SeqState, prev_output: DenoiserOutput, state: SeqState
+    ) -> DenoiserOutput:
+        """predict(state), recording against prev_output the rows whose
+        position or logits differ from prev_output's row at that position
+        (no record when prev_output has no rows)."""
+        out = self.predict(state)
+        base_pos = prev_output._positions
+        if not base_pos.shape[0]:
+            return out
+        rows = out._positions
+        at = np.minimum(base_pos.searchsorted(rows), base_pos.shape[0] - 1)
+        changed = np.flatnonzero(
+            (base_pos[at] != rows) | (prev_output.matrix()[at] != out.matrix()).any(axis=1)
+        )
+        return out._record_after(prev_output, at, changed.tolist())
 
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
         """predict() of each state, in order. A subclass may answer the
@@ -456,13 +533,30 @@ class NGramMaskedModel(Denoiser):
             lo -= 1
         return state.tokens[lo:position]
 
-    def predict(self, state: SeqState) -> DenoiserOutput:
+    def predict(
+        self,
+        state: SeqState,
+        *,
+        after: tuple[SeqState, DenoiserOutput] | None = None,
+    ) -> DenoiserOutput:
         """Row i is _logits_for(context_for(state, pos[i])), found in one
         pass over the masked index: the revealed run before a masked
         position starts right after the previous masked position (or at
         index 0), cut to its last n-1 tokens. Only positions with a
-        non-empty run look their row up one by one."""
+        non-empty run look their row up one by one.
+
+        With after=(prev_state, prev_output), prev_output being this
+        model's prediction at prev_state, the rows are prev_output's minus
+        the revealed ones, and only the row of the first masked position
+        after each revealed token is looked up again, when that token lies
+        within n-1 of it: no other context changes. The output records
+        those rows against prev_output. ConfigError unless `state` extends
+        prev_state (same vocab, prompt and length, every revealed token
+        kept) and prev_output covers prev_state's masked positions.
+        """
         pos = self._check_state(state)
+        if after is not None:
+            return self._predict_after(*after, state, pos)
         tokens = state.tokens
         keep = self.n - 1
         matrix = np.empty((len(pos), self.vocab.size))
@@ -474,6 +568,57 @@ class NGramMaskedModel(Denoiser):
                     matrix[i] = self._logits_for(tokens[max(start, p - keep) : p])
                 start = p + 1
         return DenoiserOutput.from_matrix(pos, matrix)
+
+    def predict_after(
+        self, prev_state: SeqState, prev_output: DenoiserOutput, state: SeqState
+    ) -> DenoiserOutput:
+        return self.predict(state, after=(prev_state, prev_output))
+
+    def _predict_after(
+        self,
+        prev_state: SeqState,
+        prev_output: DenoiserOutput,
+        state: SeqState,
+        pos: tuple[int, ...],
+    ) -> DenoiserOutput:
+        tokens = state.tokens
+        mask_id = state.vocab.mask_id
+        prev_pos = prev_state.masked_index
+        if (
+            prev_state.vocab != state.vocab
+            or prev_state.prompt_len != state.prompt_len
+            or len(prev_state.tokens) != len(tokens)
+        ):
+            raise ConfigError("state does not extend the state predicted before it")
+        if prev_output._positions.shape[0] != len(prev_pos):
+            raise ConfigError("prev_output does not cover the masked positions of prev_state")
+        # the j-th revealed position is the first one past the previous
+        # where prev_pos, shifted by j, stops matching pos: a binary search
+        revealed = []
+        at = np.arange(len(pos))
+        i = 0
+        for j in range(len(prev_pos) - len(pos)):
+            i = bisect_left(range(len(pos)), True, i, key=lambda m: prev_pos[m + j] != pos[m])
+            revealed.append(prev_pos[i + j])
+            at[i:] += 1
+        before = list(tokens)
+        for r in revealed:
+            before[r] = mask_id
+        if tuple(before) != prev_state.tokens:
+            raise ConfigError("state does not extend the state predicted before it")
+        keep = self.n - 1
+        looked_up = {}
+        if keep:
+            for r in revealed:
+                i = bisect_left(pos, r)
+                if i < len(pos) and pos[i] - r <= keep and i not in looked_up:
+                    p = pos[i]
+                    start = pos[i - 1] + 1 if i else 0
+                    looked_up[i] = self._logits_for(tokens[max(start, p - keep) : p])
+        out = prev_output._after_reveal(at, looked_up)
+        if out.positions() != list(pos):
+            raise ConfigError("prev_output does not cover the masked positions of prev_state")
+        return out
 
 
 def fit_ngram(
@@ -544,7 +689,8 @@ def load_corpus(path: str | Path) -> list[tuple[int, ...]]:
 
 class CountingDenoiser(Denoiser):
     """Transparent wrapper that counts predicted states: one per predict()
-    call, len(states) per predict_many() call, which it forwards whole."""
+    or predict_after() call, len(states) per predict_many() call; each is
+    forwarded whole."""
 
     def __init__(self, inner: Denoiser):
         self.inner = inner
@@ -554,6 +700,14 @@ class CountingDenoiser(Denoiser):
     def predict(self, state: SeqState) -> DenoiserOutput:
         self.calls += 1
         return self.inner.predict(state)
+
+    def predict_after(
+        self, prev_state: SeqState, prev_output: DenoiserOutput, state: SeqState
+    ) -> DenoiserOutput:
+        """Counted as one predicted state; forwarded, so the inner model's
+        own predict_after runs."""
+        self.calls += 1
+        return self.inner.predict_after(prev_state, prev_output, state)
 
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
         self.calls += len(states)

@@ -1,20 +1,19 @@
 """Numpy row kernels shared by scoring, rewards, search, theory and decoding.
 
-Every function works on a (P, V) matrix, one row per masked position: the
-max-shifted softmax, confidence scoring, exact entropy, and the per-row token
-pick (argmax or an inverse-CDF draw).
+The row kernels work on a (P, V) matrix, one row per masked position: the
+max-shifted softmax, confidence scoring and exact entropy. draw is the one
+sampler: a temperature softmax over a short list of scores and one
+inverse-CDF draw from it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-
-# the token-pick modes of pick_tokens
-PICK_MODES = ("argmax", "sample")
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
@@ -76,22 +75,26 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
     return ent
 
 
-def pick_tokens(
-    probs: np.ndarray, mode: str, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """One column index per row of `probs`.
+def _draw_probs(scores: Sequence[float], temperature: float) -> list[float]:
+    """softmax((scores - max) / temperature): the shift and the division
+    per element, one np.exp over the array, one numpy sum and a division
+    per element, which is softmax_rows of the shifted (1, k) row bit for
+    bit."""
+    top = max(scores)
+    ex = np.exp([(s - top) / temperature for s in scores])
+    total = float(ex.sum())
+    return [e / total for e in ex.tolist()]
 
-    "argmax" takes each row's most probable column (first on ties).
-    "sample" draws u ~ U[0, 1) per row, one rng.random(P) call, and takes
-    the first column whose cumulative probability reaches u, clamped to
-    V-1 for rows whose float cumsum ends below the draw.
-    """
-    if mode == "argmax":
-        return probs.argmax(axis=1)
-    if mode not in PICK_MODES:
-        raise ConfigError(f"unknown token pick mode {mode!r}; choose argmax or sample")
-    if rng is None:
-        raise ConfigError("sample mode needs an rng")
-    cum = probs.cumsum(axis=1)
-    draws = rng.random(probs.shape[0])
-    return np.minimum((cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+def draw(scores: Sequence[float], temperature: float, rng: np.random.Generator) -> int:
+    """Index drawn from softmax((scores - max) / temperature) with one
+    rng.random() call u: the count of running totals of the probabilities,
+    summed in order, that stay below u, clamped to len(scores) - 1 for a
+    float total that ends below it."""
+    u = rng.random()
+    total = 0.0
+    for i, p in enumerate(_draw_probs(scores, temperature)):
+        total += p
+        if total >= u:
+            return i
+    return len(scores) - 1

@@ -6,10 +6,11 @@ with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
 sigmoid(gamma * (p_(1) - p_(2))); token scores are the product of the
 three. Candidates are filtered per position (top-k1) and then pooled
 globally (top-k2); ties break toward lower position, then lower token. A
-finish step passes the previous step's candidates back in: rows whose
-logits did not change keep their top-k1, and the chain of builds shares a
-memo from a row's logit bytes to its top-k1, so a changed row is scored
-only when no earlier build of the chain scored the same content.
+finish step passes the previous step's candidates back in: rows that its
+prediction does not name as changed since the previous prediction
+(DenoiserOutput.changed_since) keep their top-k1, and the chain of builds
+shares a memo from a row's logit bytes to its top-k1, so a changed row is
+scored only when no earlier build of the chain scored the same content.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class ActionCandidates:
 
     Row i of tokens and scores is positions[i]'s top-k1, score descending
     (ties: token ascending). pooled is the global top-k2 across the union,
-    ordered by (score desc, position asc, token asc). logits is the
-    read-only (P, V) matrix the rows were scored from, kept so that the
-    next finish step can tell which rows are unchanged. gamma, epsilon and
+    ordered by (score desc, position asc, token asc). output is the
+    prediction the rows were scored from, kept so that the next build can
+    read which rows changed since it. gamma, epsilon and
     use_entropy_penalty are the scoring settings, which a build passing
     this as prev must share. memo is the score memo shared by every build
     along a prev chain: it maps a logit row's bytes to that row's top-k1
@@ -47,7 +48,7 @@ class ActionCandidates:
     tokens: np.ndarray  # (P, min(k1, V))
     scores: np.ndarray  # (P, min(k1, V))
     pooled: tuple[tuple[UnmaskAction, float], ...]
-    logits: np.ndarray = field(repr=False)  # (P, V)
+    output: DenoiserOutput = field(repr=False)
     gamma: float
     epsilon: float
     use_entropy_penalty: bool
@@ -83,11 +84,13 @@ def build_candidates(
     empty memo. `prev`, when given, is the result of an earlier call with
     the same k1, vocab width, gamma, epsilon and penalty setting, and the
     result shares its memo; the first build from prev enters prev's rows
-    into the memo. A row whose position and logits are bit-equal to a row
-    of prev takes prev's top-k1 as is; another row whose bytes are in the
-    memo takes the stored result; only the rest are softmaxed and scored,
-    in one batch, and entered into the memo. Raises ConfigError when k1 or
-    k2 is below 1, or when prev was built with other settings.
+    into the memo. When `output` was predicted after prev's output
+    (Denoiser.predict_after), a row it does not name as changed takes
+    prev's top-k1 at its position as is; every other row (all of them for
+    an output with no such record) whose bytes are in the memo takes the
+    stored result; only the rest are softmaxed and scored, in one batch,
+    and entered into the memo. Raises ConfigError when k1 or k2 is below
+    1, or when prev was built with other settings.
     """
     if k1 < 1 or k2 < 1:
         raise ConfigError("k1 and k2 must be >= 1")
@@ -95,7 +98,7 @@ def build_candidates(
     logits = output.matrix()
     take = min(k1, logits.shape[1])
     if prev is not None:
-        if prev.tokens.shape[1] != take or prev.logits.shape[1] != logits.shape[1]:
+        if prev.tokens.shape[1] != take or prev.output.matrix().shape[1] != logits.shape[1]:
             raise ConfigError("prev was built with another k1 or vocab width")
         settings = (gamma, epsilon, use_entropy_penalty)
         if (prev.gamma, prev.epsilon, prev.use_entropy_penalty) != settings:
@@ -106,16 +109,21 @@ def build_candidates(
     else:
         memo = prev.memo
         if not memo:
-            memo.update(zip(map(np.ndarray.tobytes, prev.logits), zip(prev.tokens, prev.scores)))
-        at = np.minimum(prev.positions.searchsorted(rows), prev.positions.shape[0] - 1)
-        fresh = np.flatnonzero(
-            (prev.positions[at] != rows) | (prev.logits[at] != logits).any(axis=1)
-        )
-        tokens = prev.tokens[at]
-        kept = prev.scores[at]
+            memo.update(
+                zip(map(np.ndarray.tobytes, prev.output.matrix()), zip(prev.tokens, prev.scores))
+            )
+        since = output.changed_since(prev.output)
+        if since is None:
+            fresh = range(rows.shape[0])
+            tokens = np.empty((rows.shape[0], take), dtype=prev.tokens.dtype)
+            kept = np.empty((rows.shape[0], take))
+        else:
+            at, fresh = since
+            tokens = prev.tokens.take(at, axis=0)
+            kept = prev.scores.take(at, axis=0)
         unseen: list[int] = []
         keys: list[bytes] = []
-        for i in fresh.tolist():
+        for i in fresh:
             key = logits[i].tobytes()
             hit = memo.get(key)
             if hit is None:
@@ -147,7 +155,7 @@ def build_candidates(
         tokens=tokens,
         scores=kept,
         pooled=pooled,
-        logits=logits,
+        output=output,
         gamma=gamma,
         epsilon=epsilon,
         use_entropy_penalty=use_entropy_penalty,

@@ -155,7 +155,7 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
         return _Context(
             state,
             kernels.entropy_rows(probs),
-            kernels.pick_tokens(probs, "argmax"),
+            probs.argmax(axis=1),
             {p: i for i, p in enumerate(state.masked_index)},
             step_joint,
             {},

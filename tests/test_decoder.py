@@ -21,7 +21,7 @@ from medal.decoder import (
     replay_reveals,
     select_candidate,
 )
-from medal.denoisers import CountingDenoiser, TabularModel, fit_ngram, load_corpus
+from medal.denoisers import CountingDenoiser, Denoiser, TabularModel, fit_ngram, load_corpus
 from medal.families import random_calibrated_model
 from medal.errors import ConfigError, EmptyPool
 from medal.mcts import CandidatePool, CandidateEntry, SearchConfig
@@ -210,6 +210,25 @@ def test_negative_seed_without_an_rng_is_a_config_error(rng):
     assert finish_decode(model, root, cfg, np.random.default_rng(0)).final.is_complete
 
 
+def test_only_a_sampled_decode_builds_an_rng(monkeypatch):
+    # argmax finishing never draws, so neither decode nor its self_generate
+    # augmentation seeds a generator; a sampled decode does, once
+    model = fit_ngram([(0, 1, 2, 3), (3, 2, 1, 0)], n=2, alpha=1.0)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    cfg = small_cfg(init_length=0, augmenter="self_generate", aux_length=3, seed=4)
+    decode(model, (0,), replace(cfg, remaining_mode="argmax"))
+    assert built == []
+    decode(model, (0,), replace(cfg, remaining_mode="sample"))
+    assert built == [4]
+
+
 def test_decode_end_to_end_consistency(rng):
     model = toy_model(rng)
     cfg = small_cfg(init_length=2, remaining_mode="argmax")
@@ -282,8 +301,8 @@ def test_finish_rescores_only_rows_whose_logits_changed(monkeypatch):
     outputs = []
     predict = model.predict
 
-    def recording_predict(state):
-        outputs.append(predict(state))
+    def recording_predict(state, **kwargs):
+        outputs.append(predict(state, **kwargs))
         return outputs[-1]
 
     scored = []
@@ -370,3 +389,55 @@ def test_property_validated_configs_decode_to_completion(case):
     assert replay_reveals(root, res.reveal_order) == res.final
     gen = range(root.prompt_len, root.prompt_len + cfg.length)
     assert sorted(a.position for a in res.reveal_order) == list(gen)
+
+
+class BasePath(Denoiser):
+    """Forwards predict only, so finishing takes the base predict_after:
+    a full prediction and a positional and byte diff."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def predict(self, state):
+        return self.inner.predict(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    vocab=st.integers(min_value=2, max_value=4),
+    length=st.integers(min_value=4, max_value=12),
+    tokens_per_step=st.integers(min_value=1, max_value=3),
+    k1=st.integers(min_value=1, max_value=4),
+    k2=st.integers(min_value=1, max_value=8),
+    init_length=st.integers(min_value=0, max_value=3),
+    remaining_mode=st.sampled_from(["argmax", "sample"]),
+    augmenter=st.sampled_from(["identity", "template", "self_generate"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_property_incremental_finish_equals_base_path(
+    n, vocab, length, tokens_per_step, k1, k2, init_length, remaining_mode, augmenter, seed
+):
+    # the n-gram model's own predict_after and the base path decode alike
+    gen = np.random.default_rng(seed)
+    corpus = [gen.integers(0, vocab, size=int(gen.integers(2, 12))).tolist() for _ in range(6)]
+    model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    cfg = DecodeConfig(
+        length=length,
+        tokens_per_step=tokens_per_step,
+        remaining_mode=remaining_mode,
+        augmenter=augmenter,
+        subtasks=2,
+        aux_length=5,
+        search=SearchConfig(
+            k1=k1, k2=k2, init_length=init_length, candidate_count=2, max_simulations=40, seed=seed
+        ),
+    )
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    prompt = tuple(gen.integers(0, vocab, size=int(gen.integers(0, 3))).tolist())
+    fast = decode(model, prompt, cfg)
+    assert fast.to_json() == decode(BasePath(model), prompt, cfg).to_json()

@@ -359,6 +359,109 @@ def test_ngram_predict_matches_context_loop_at_long_length(n):
             assert row.tobytes() == want.tobytes(), pos
 
 
+def _reveal_picks(gen, state, max_step):
+    """1..max_step masked positions to reveal: the first masked one (right
+    after the prompt at the root), a masked position between two revealed
+    ones (so its reveal joins two runs) when there is one, and random ones."""
+    masked = list(state.masked_index)
+    tokens = state.tokens
+    mask_id = state.vocab.mask_id
+    joins = [
+        p for p in masked
+        if p > 0 and p + 1 < len(tokens) and mask_id not in (tokens[p - 1], tokens[p + 1])
+    ]
+    lead = [masked[0]] if gen.random() < 0.4 or state.reveal_count() == 0 else []
+    if joins and gen.random() < 0.5:
+        lead.append(joins[int(gen.integers(len(joins)))])
+    rest = gen.permutation([p for p in masked if p not in lead]).tolist()
+    count = min(len(masked), int(gen.integers(1, max_step + 1)))
+    return list(dict.fromkeys(lead + rest))[:count]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    prompt_len=st.integers(min_value=0, max_value=3),
+    length=st.integers(min_value=1, max_value=12),
+    max_step=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_predict_after_equals_predict(n, prompt_len, length, max_step, seed):
+    # along a walk of reveals, the n-gram model's incremental prediction is
+    # predict(state) bit for bit, and the rows it does not name as changed
+    # are the previous prediction's rows at their positions
+    gen = np.random.default_rng(seed)
+    vocab = int(gen.integers(2, 5))
+    corpus = [gen.integers(0, vocab, size=int(gen.integers(1, 10))).tolist() for _ in range(5)]
+    model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    prompt = tuple(gen.integers(0, vocab, size=prompt_len).tolist())
+    prev_state = SeqState.fully_masked(model.vocab, prompt, length)
+    prev_out = model.predict(prev_state)
+    while True:
+        picks = _reveal_picks(gen, prev_state, max_step)
+        state = apply_many(
+            prev_state, [UnmaskAction(p, int(gen.integers(0, vocab))) for p in picks]
+        )
+        if state.is_complete:
+            break
+        out = model.predict_after(prev_state, prev_out, state)
+        want = model.predict(state)
+        assert out.positions() == want.positions()
+        assert out.matrix().view(np.uint64).tolist() == want.matrix().view(np.uint64).tolist()
+        base_rows, changed = out.changed_since(prev_out)
+        before = dict(zip(prev_out.positions(), prev_out.matrix()))
+        for i, (pos, row) in enumerate(zip(out.positions(), out.matrix())):
+            if i not in changed:
+                assert prev_out.positions()[base_rows[i]] == pos
+                assert row.tobytes() == before[pos].tobytes()
+        # the base path names exactly the rows whose position is new or
+        # whose logit bytes differ from the previous row there
+        base = Denoiser.predict_after(model, prev_state, prev_out, state)
+        brute = [
+            i for i, (pos, row) in enumerate(zip(base.positions(), base.matrix()))
+            if pos not in before or row.tobytes() != before[pos].tobytes()
+        ]
+        assert base.changed_since(prev_out)[1] == brute
+        assert out.changed_since(base) is None and base.changed_since(out) is None
+        # an `after` from a state that `state` does not extend is refused:
+        # one with fewer masks, or one whose revealed token differs
+        with pytest.raises(ConfigError, match="does not extend"):
+            model.predict(prev_state, after=(state, out))
+        revealed = [p for p, tok in enumerate(prev_state.tokens) if tok != model.vocab.mask_id]
+        if revealed:
+            p = revealed[int(gen.integers(len(revealed)))]
+            tokens = list(state.tokens)
+            tokens[p] = (tokens[p] + 1) % vocab
+            other = SeqState(model.vocab, state.prompt_len, tuple(tokens))
+            with pytest.raises(ConfigError, match="does not extend"):
+                model.predict(other, after=(prev_state, prev_out))
+        prev_state, prev_out = state, out
+
+
+def test_ngram_predict_after_checks_the_previous_prediction():
+    model = fit_ngram([(0, 1, 2, 0, 1, 2)], n=3, alpha=0.5)
+    root = SeqState.fully_masked(model.vocab, (0,), 4)
+    state = apply_many(root, [UnmaskAction(1, 1)])
+    # a previous prediction over other positions than prev_state's masked
+    # ones: fewer of them, or as many at other places
+    shifted = SeqState.fully_masked(model.vocab, (0, 1), 3)
+    with pytest.raises(ConfigError, match="does not cover"):
+        model.predict_after(root, model.predict(shifted), state)
+    m = model.vocab.mask_id
+    holes = SeqState(model.vocab, 1, (0, m, m, 2, m))
+    moved = SeqState(model.vocab, 1, (0, m, 2, m, m))
+    with pytest.raises(ConfigError, match="does not cover"):
+        model.predict_after(
+            holes, model.predict(moved), apply_many(holes, [UnmaskAction(1, 1)])
+        )
+    with pytest.raises(ConfigError, match="does not extend"):
+        model.predict_after(SeqState.fully_masked(model.vocab, (1,), 4), model.predict(root), state)
+    # revealing position 1 changes the context of position 2 only
+    out = model.predict_after(root, model.predict(root), state)
+    assert out.positions() == [2, 3, 4]
+    assert out.changed_since(model.predict(root)) is None  # another base object
+
+
 def test_ngram_unseen_context_uniform():
     model = fit_ngram([(0, 1)], n=2, alpha=2.0, vocab_size=4)
     s = SeqState.fully_masked(model.vocab, (3,), 1)
@@ -402,6 +505,26 @@ def test_counting_wrapper(rng):
     counted.reset()
     assert counted.calls == 0
     assert counted.vocab == model.vocab
+
+
+def test_counting_wrapper_forwards_predict_after(monkeypatch):
+    # one counted call, answered by the inner model's own predict_after
+    model = fit_ngram([(0, 1, 2, 0, 1, 2)], n=3, alpha=0.5)
+    inner_calls = []
+    inner = model.predict_after
+
+    def spy(*args):
+        inner_calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(model, "predict_after", spy)
+    counted = CountingDenoiser(model)
+    root = SeqState.fully_masked(model.vocab, (0,), 4)
+    first = counted.predict(root)
+    state = apply_many(root, [UnmaskAction(1, 1)])
+    out = counted.predict_after(root, first, state)
+    assert counted.calls == 2 and len(inner_calls) == 1
+    assert out.changed_since(first)[1] == [0]  # position 2 follows the reveal
 
 
 def test_state_vocab_mismatch_rejected(rng):

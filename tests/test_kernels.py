@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medal.errors import ConfigError
-from medal.kernels import entropy_rows, pick_tokens, score_rows, softmax_rows
+from medal import kernels
+from medal.kernels import draw, entropy_rows, score_rows, softmax_rows
 
 import oracles
 
@@ -32,32 +34,64 @@ def test_softmax_rows_matches_mpmath(rng):
             assert oracles.mp_close(probs[r, v], ref[v], 1e-12)
 
 
-def test_pick_tokens_sample_matches_inverse_cdf(rng):
-    probs = softmax_rows(rng.normal(scale=2.0, size=(40, 6)))
-    # a row whose float cumsum ends below 1, and one that sums to 0.3, so
-    # the draw lands past the last column and the V-1 clamp decides
-    tenths = np.full((1, 10), 0.1)
-    short = np.array([[0.1, 0.1, 0.1]])
-    assert tenths.cumsum()[-1] < 1.0
-    assert np.random.default_rng(9).random() > 0.3
-    for rows in (probs, tenths, short):
-        draws = np.random.default_rng(9).random(rows.shape[0])
-        got = pick_tokens(rows, "sample", np.random.default_rng(9))
-        assert got.tolist() == [_inverse_cdf(r, u) for r, u in zip(rows.tolist(), draws)]
-    assert pick_tokens(short, "sample", np.random.default_rng(9)).tolist() == [2]
+def _draw_oracle(scores, temperature, rng):
+    """Softmax of the max-shifted scores over T as a (1, k) row, then the
+    inverse-CDF pick: the count of cumulative probabilities below one
+    rng.random(1) draw, clamped to k-1. Returns (index, probabilities)."""
+    w = np.array([scores], dtype=np.float64)
+    probs = softmax_rows((w - w.max()) / temperature)
+    cum = probs.cumsum(axis=1)
+    u = rng.random(1)
+    return int(np.minimum((cum < u[:, None]).sum(axis=1), len(scores) - 1)[0]), probs[0]
 
 
-def test_pick_tokens_argmax_takes_first_maximum():
-    probs = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [1.0, 0.0, 0.0]])
-    assert pick_tokens(probs, "argmax").tolist() == [1, 0, 0]
+class _FixedDraw:
+    """rng stand-in whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
-def test_pick_tokens_rejects_bad_modes():
-    probs = np.full((2, 3), 1 / 3)
-    with pytest.raises(ConfigError, match="unknown"):
-        pick_tokens(probs, "beam", np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="rng"):
-        pick_tokens(probs, "sample")
+def test_draw_matches_inverse_cdf(rng):
+    for _ in range(40):
+        scores = rng.normal(scale=2.0, size=6).tolist()
+        seed = int(rng.integers(2**32))
+        u = np.random.default_rng(seed).random()
+        probs = kernels._draw_probs(scores, 0.7)
+        assert draw(scores, 0.7, np.random.default_rng(seed)) == _inverse_cdf(probs, u)
+    # seven tied scores: the float running total of their probabilities ends
+    # below the largest draw, 1 - 2**-53, so that draw lands past the last
+    # column and the k-1 clamp decides
+    top = 1 - 2**-53
+    assert np.cumsum(kernels._draw_probs([0.0] * 7, 1.0))[-1] < top
+    assert draw([0.0] * 7, 1.0, _FixedDraw(top)) == 6
+    assert _draw_oracle([0.0] * 7, 1.0, _FixedDraw(top))[0] == 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    scores=st.lists(
+        st.sampled_from([0.0, 0.25, 1.0])
+        | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=1,
+        max_size=8,
+    ),
+    log_t=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_draw_matches_softmax_then_inverse_cdf(scores, log_t, seed):
+    # tied scores come from the sampled constants; spreads up to 2e6 over
+    # T down to 1e-3 make exp underflow to 0 for all but the top scores
+    temperature = 10.0**log_t
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, want_probs = _draw_oracle(scores, temperature, theirs)
+    assert draw(scores, temperature, mine) == want
+    probs = np.array(kernels._draw_probs(scores, temperature))
+    assert probs.view(np.uint64).tolist() == want_probs.view(np.uint64).tolist()
+    assert mine.random() == theirs.random()
 
 
 def test_score_rows_fields_match_mpmath(rng):

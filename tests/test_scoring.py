@@ -97,7 +97,7 @@ def test_build_candidates_requires_exact_position_cover(rng):
     good = {p: rng.normal(size=3) for p in (0, 2, 3)}
     cands = build_candidates(state, output(good), k1=3, k2=9)
     assert cands.positions.tolist() == [0, 2, 3]
-    assert cands.tokens.shape == cands.scores.shape == cands.logits.shape == (3, 3)
+    assert cands.tokens.shape == cands.scores.shape == cands.output.matrix().shape == (3, 3)
     with pytest.raises(MissingPosition):
         build_candidates(state, output({0: good[0], 2: good[2]}), k1=3, k2=9)
     bad = dict(good)
@@ -219,7 +219,8 @@ def _same_candidates(a, b):
 )
 def test_property_reuse_equals_fresh_build(kind, vocab, k1, k2, max_step, seed):
     # along a random walk of reveals, building from the previous step's
-    # candidates gives bit-for-bit the candidates of a build from scratch
+    # candidates gives bit-for-bit the candidates of a build from scratch,
+    # each step's prediction made after the previous one as in finishing
     gen = np.random.default_rng(seed)
     model = _random_model(kind, gen, vocab)
     length = getattr(model, "length", int(gen.integers(1, 12)))
@@ -227,7 +228,9 @@ def test_property_reuse_equals_fresh_build(kind, vocab, k1, k2, max_step, seed):
     state = SeqState.fully_masked(model.vocab, prompt, length)
     prev = None
     while not state.is_complete:
-        out = model.predict(state)
+        out = model.predict(state) if prev is None else model.predict_after(
+            prev_state, prev.output, state
+        )
         fresh = build_candidates(state, out, k1, k2)
         reused = build_candidates(state, out, k1, k2, prev=prev)
         _same_candidates(reused, fresh)
@@ -237,7 +240,7 @@ def test_property_reuse_equals_fresh_build(kind, vocab, k1, k2, max_step, seed):
         )
         unrelated = build_candidates(state, noise, k1, k2)
         _same_candidates(build_candidates(state, out, k1, k2, prev=unrelated), fresh)
-        prev = reused
+        prev, prev_state = reused, state
         masked = state.masked_index
         count = min(len(masked), int(gen.integers(1, max_step + 1)))
         picks = gen.choice(masked, size=count, replace=False).tolist()

@@ -149,7 +149,7 @@ def _reference_step(model, state, step):
     just those rows, and the KL of the step's exact joint."""
     probs = model.predict(state).probs(step)
     ent = kernels.entropy_rows(probs)
-    tokens = kernels.pick_tokens(probs, "argmax").tolist()
+    tokens = probs.argmax(axis=1).tolist()
     dep = theory._dependence(model.subset_conditional(state, step))
     child = apply_many(state, [UnmaskAction(p, t) for p, t in zip(step, tokens)])
     return float(ent.sum() - ent.max()), dep, tuple(zip(step, tokens)), child.tokens
