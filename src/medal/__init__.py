@@ -28,7 +28,6 @@ from .denoisers import (
 )
 from .errors import MedalError
 from .mcts import CandidatePool, SearchConfig, run_cgmcts
-from .reward import EntropyProfile
 from .scoring import ActionCandidates, build_candidates
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_action
 from .theory import (
@@ -49,7 +48,6 @@ __all__ = [
     "DecodeResult",
     "Denoiser",
     "DenoiserOutput",
-    "EntropyProfile",
     "FactorizedModel",
     "MedalError",
     "NGramMaskedModel",

@@ -76,7 +76,8 @@ class DenoiserOutput:
     every entry finite. The stored arrays are read-only; matrix() without
     arguments returns them without copying. probs() is the row softmax of
     the matrix, computed on its first call and kept, so scoring and
-    entropies over one prediction share one softmax.
+    entropies over one prediction share one softmax. check_cover() is the
+    one check that an output covers a state's masked positions.
 
     An output from Denoiser.predict_after also records, as row indices,
     how it relates to the output it was predicted after (its base): for
@@ -170,20 +171,26 @@ class DenoiserOutput:
 
         Raises MissingPosition when a requested position has no row.
         """
-        return self._rows(self._matrix, positions)
+        if positions is None:
+            return self._matrix
+        want = np.asarray(positions, dtype=np.int64)
+        if np.array_equal(want, self._positions):
+            return self._matrix
+        idx = np.searchsorted(self._positions, want)
+        found = idx < self._positions.shape[0]
+        found[found] = self._positions[idx[found]] == want[found]
+        if not found.all():
+            raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
+        return self._matrix[idx]
 
-    def probs(self, positions: Sequence[int] | None = None) -> np.ndarray:
-        """Row softmax of the logits, rows selected as by matrix(positions).
-
-        The full (P, V) result is computed on the first call and stored
-        read-only; a row subset is bit-identical to the softmax of just
-        those rows.
-        """
+    def probs(self) -> np.ndarray:
+        """Row softmax of the logits, (P, V), computed on the first call and
+        stored read-only."""
         if self._probs is None:
             probs = kernels.softmax_rows(self._matrix)
             probs.flags.writeable = False
             self._probs = probs
-        return self._rows(self._probs, positions)
+        return self._probs
 
     def check_cover(self, positions: Sequence[int], vocab_size: int) -> np.ndarray:
         """Raise MissingPosition unless the rows are exactly `positions`
@@ -201,19 +208,6 @@ class DenoiserOutput:
         if width != vocab_size:
             raise LogitWidthMismatch(f"logits have width {width} for vocab size {vocab_size}")
         return self._positions
-
-    def _rows(self, array: np.ndarray, positions: Sequence[int] | None) -> np.ndarray:
-        if positions is None:
-            return array
-        want = np.asarray(positions, dtype=np.int64)
-        if np.array_equal(want, self._positions):
-            return array
-        idx = np.searchsorted(self._positions, want)
-        found = idx < self._positions.shape[0]
-        found[found] = self._positions[idx[found]] == want[found]
-        if not found.all():
-            raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
-        return array[idx]
 
 
 class Denoiser:
@@ -320,8 +314,9 @@ class TabularModel(Denoiser):
     def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
         """Exact joint posterior over `subset` (distinct masked positions,
         ascending) given the revealed tokens: one axis per position in that
-        order. Raises ZeroMassContext when the revealed context has no mass,
-        and SubsetNotMasked for a subset of any other form.
+        order; the empty subset gives a 0-d joint of mass 1. Raises
+        ZeroMassContext when the revealed context has no mass, and
+        SubsetNotMasked for a subset of any other form.
         """
         pos, sub = self._context_slice(state)
         mass = sub.sum()
@@ -552,7 +547,7 @@ class NGramMaskedModel(Denoiser):
         within n-1 of it: no other context changes. The output records
         those rows against prev_output. ConfigError unless `state` extends
         prev_state (same vocab, prompt and length, every revealed token
-        kept) and prev_output covers prev_state's masked positions.
+        kept); check_cover raises unless prev_output covers prev_state.
         """
         pos = self._check_state(state)
         if after is not None:
@@ -590,8 +585,7 @@ class NGramMaskedModel(Denoiser):
             or len(prev_state.tokens) != len(tokens)
         ):
             raise ConfigError("state does not extend the state predicted before it")
-        if prev_output._positions.shape[0] != len(prev_pos):
-            raise ConfigError("prev_output does not cover the masked positions of prev_state")
+        prev_output.check_cover(prev_pos, self.vocab.size)
         # the j-th revealed position is the first one past the previous
         # where prev_pos, shifted by j, stops matching pos: a binary search
         revealed = []
@@ -615,10 +609,7 @@ class NGramMaskedModel(Denoiser):
                     p = pos[i]
                     start = pos[i - 1] + 1 if i else 0
                     looked_up[i] = self._logits_for(tokens[max(start, p - keep) : p])
-        out = prev_output._after_reveal(at, looked_up)
-        if out.positions() != list(pos):
-            raise ConfigError("prev_output does not cover the masked positions of prev_state")
-        return out
+        return prev_output._after_reveal(at, looked_up)
 
 
 def fit_ngram(

@@ -7,10 +7,10 @@ information-gain reward, read right after the action), backpropagate
 each reward along the shared path, and step to the best child, repeating
 until the descent reaches init_length revealed tokens. Expansion builds
 each child state once. A search predicts each state once: its StateTable
-keeps the prediction and the entropy profile read from it, which the
-state's rewards, pool entry and expansion read, whichever reveal order
-reached it. Before simulating, an expansion reads ahead: the children its
-loop will read and the table lacks go to the model in one predict_many
+keeps the prediction and its total masked entropy, which the state's
+rewards, pool entry and expansion read, whichever reveal order reached it.
+Before simulating, an expansion reads ahead: the children its loop will
+read and the table lacks go to the model in one predict_many
 call (all children, or at pool depth the prefix that fills the pool), so
 a served model gets one batch of requests per expansion. The search
 draws no random numbers. Nodes at init_length revealed tokens enter the
@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from . import jsonspec
 from .errors import AlreadyExpanded, ConfigError, NoChildren
-from .reward import EntropyProfile, entropy_gain
+from .reward import entropy_gain, masked_entropies
 from .scoring import DEFAULT_EPSILON, DEFAULT_GAMMA, build_candidates
 from .seqcore import SeqState, UnmaskAction, apply_action
 
@@ -211,17 +211,17 @@ def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
     return list(node.children)
 
 
-def simulate(before: EntropyProfile, after: EntropyProfile) -> float:
-    """The simulation step: the reward of an action, from the parent's
-    entropy profile `before` and the child's `after` (both rows of the
-    search's table, so a simulation makes no model call)."""
-    return entropy_gain(before.total, after.total)
+def simulate(before: float, after: float) -> float:
+    """The simulation step: the reward of an action, from the parent's total
+    masked entropy `before` and the child's `after` (both read from rows of
+    the search's table, so a simulation makes no model call)."""
+    return entropy_gain(before, after)
 
 
-def _profiled(state: SeqState, output) -> tuple[Any, EntropyProfile]:
+def _row(state: SeqState, output) -> tuple[Any, float]:
     """A search's table row: the prediction at `state` (None when complete)
-    and the entropy profile read from it, which checks it."""
-    return output, EntropyProfile.of(state, output)
+    and the total of its masked entropies, whose read checks it."""
+    return output, float(masked_entropies(state, output).sum())
 
 
 def _read_ahead(
@@ -240,7 +240,7 @@ def _read_ahead(
                     break
     states = [c.state for c in children if c.state.tokens not in table and not c.state.is_complete]
     for state, output in zip(states, model.predict_many(states)):
-        table[state.tokens] = _profiled(state, output)
+        table[state.tokens] = _row(state, output)
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def run_cgmcts(
         return pool
 
     table = StateTable(
-        lambda state: _profiled(state, None if state.is_complete else model.predict(state))
+        lambda state: _row(state, None if state.is_complete else model.predict(state))
     )
     root = SearchNode(root_state)
 
@@ -367,7 +367,7 @@ def run_cgmcts(
                                 state=child.state,
                                 path=prefix + (child.action,),
                                 reward=reward,
-                                score=entropy_gain(table(root_state)[1].total, after.total),
+                                score=entropy_gain(table(root_state)[1], after),
                                 output=child_output,
                             )
                         )

@@ -23,7 +23,7 @@ with argmax commits, reading contexts from one per-call table
 row holds its context's per-position entropies and argmax tokens, computed
 once from the checked prediction, and, per step taken there, the step's
 gap, dependence error and argmax child. A one-position step's dependence
-error is zero by definition, so it runs no KL. So no call predicts a
+error is zero by definition, so it asks for no joint. So no call predicts a
 context twice or costs a (context, step) pair twice, however many
 schedules, rollouts and expansions pass through it; schedule_costs walks
 the schedule tree depth-first, extending each shared prefix once. A single
@@ -39,7 +39,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -48,6 +47,7 @@ from .errors import (
     SubsetNotMasked,
 )
 from .mcts import SearchNode, StateTable, backpropagate, select_leaf
+from .reward import masked_entropies
 from .seqcore import SeqState, UnmaskAction, apply_many
 
 ENUMERATION_CAP = 1_000_000  # most schedules an exhaustive call enumerates
@@ -116,16 +116,14 @@ class _Context(NamedTuple):
         """The outcome of a step (sorted masked positions), worked out the
         first time the step is taken at this context by indexing the row's
         entropies and tokens. A one-position step's dependence error is 0.0
-        by definition, but its joint is still asked for, so a zero-mass
-        context raises there as at any other step."""
+        by definition, so only a longer step asks for its joint."""
         memo = self.steps.get(positions)
         if memo is None:
             idx = [self.rows[p] for p in positions]
             ent = self.ent[idx]
             dep = None
             if self.step_joint is not None:
-                joint = self.step_joint(positions)
-                dep = _dependence(joint) if len(positions) > 1 else 0.0
+                dep = _dependence(self.step_joint(positions)) if len(positions) > 1 else 0.0
             committed = tuple(zip(positions, self.tokens[idx].tolist()))
             child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
             gap = float(ent.sum() - ent.max())
@@ -135,10 +133,11 @@ class _Context(NamedTuple):
 
 def _contexts(model, with_dependence: bool = False) -> StateTable:
     """The table a theory call reads contexts through, one _Context per
-    context: the entropies and argmax tokens of the model's prediction,
-    checked to cover exactly the masked positions with vocab-wide rows,
-    and, with dependence, the model's subset_conditional there. A verifier
-    passes its own table as `model` to share it; it is returned as it is."""
+    context: the masked entropies and argmax tokens of the model's
+    prediction and, with dependence, the model's subset_conditional there,
+    asked once for the joint over no positions so that a context with no
+    mass raises ZeroMassContext. A verifier passes its own table as
+    `model` to share it; it is returned as it is."""
     if isinstance(model, StateTable):
         return model
     if with_dependence and not hasattr(model, "subset_conditional"):
@@ -149,13 +148,13 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
 
     def row(state: SeqState) -> _Context:
         output = model.predict(state)
-        output.check_cover(state.masked_index, state.vocab.size)
-        probs = output.probs()
         step_joint = partial(model.subset_conditional, state) if with_dependence else None
+        if step_joint is not None:
+            step_joint(())
         return _Context(
             state,
-            kernels.entropy_rows(probs),
-            probs.argmax(axis=1),
+            masked_entropies(state, output),
+            output.probs().argmax(axis=1),
             {p: i for i, p in enumerate(state.masked_index)},
             step_joint,
             {},

@@ -33,7 +33,7 @@ from medal.decoder import (
 from medal.denoisers import DenoiserOutput, TabularModel, fit_ngram, load_corpus
 from medal.families import random_calibrated_model, trap_family, xor_pair_model
 from medal.mcts import SearchConfig, simulate
-from medal.reward import EntropyProfile
+from medal.reward import masked_entropies
 from medal.scoring import build_candidates
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 from medal.theory import verify_lemma1, verify_theorem1
@@ -79,11 +79,11 @@ def _score(logits, gamma=5.0, epsilon=1e-8):
 
 
 def _reward(model, state, action):
-    """The search's reward of `action` at `state`: simulate on the profiles
-    of the state and of its child."""
+    """The search's reward of `action` at `state`: simulate on the total
+    masked entropies of the state and of its child."""
     child = apply_action(state, action)
-    after = EntropyProfile.of(child, None if child.is_complete else model.predict(child))
-    return simulate(EntropyProfile.of(state, model.predict(state)), after)
+    after = masked_entropies(child, None if child.is_complete else model.predict(child))
+    return simulate(float(masked_entropies(state, model.predict(state)).sum()), float(after.sum()))
 
 
 def test_criterion_01_scoring_matches_high_precision_oracle():

@@ -108,14 +108,13 @@ def test_output_probs_are_one_cached_softmax(rng):
         probs[0, 0] = 0.5  # stored read-only
     for i in range(4):
         assert np.max(np.abs(probs[i] - softmax(out.matrix()[i]))) < 1e-15
-    # rows are selected as by matrix(), and a row subset is bit-identical
-    # to the softmax of just those rows
+    # a row's softmax does not depend on the other rows: the softmax of a
+    # row subset is bit-identical to those rows of the stored one
     for subset in ([3], [1, 8], [3, 4, 8], positions):
-        want = softmax_rows(out.matrix(subset))
-        assert np.array_equal(out.probs(subset), want)
-    assert out.probs(positions) is probs
+        rows = [positions.index(p) for p in subset]
+        assert np.array_equal(softmax_rows(out.matrix(subset)), probs[rows])
     with pytest.raises(MissingPosition):
-        out.probs([1, 2])
+        out.matrix([1, 2])
 
 
 def test_tabular_validation():
@@ -445,15 +444,22 @@ def test_ngram_predict_after_checks_the_previous_prediction():
     # a previous prediction over other positions than prev_state's masked
     # ones: fewer of them, or as many at other places
     shifted = SeqState.fully_masked(model.vocab, (0, 1), 3)
-    with pytest.raises(ConfigError, match="does not cover"):
+    with pytest.raises(MissingPosition):
         model.predict_after(root, model.predict(shifted), state)
     m = model.vocab.mask_id
     holes = SeqState(model.vocab, 1, (0, m, m, 2, m))
     moved = SeqState(model.vocab, 1, (0, m, 2, m, m))
-    with pytest.raises(ConfigError, match="does not cover"):
+    with pytest.raises(MissingPosition):
         model.predict_after(
             holes, model.predict(moved), apply_many(holes, [UnmaskAction(1, 1)])
         )
+    # a previous prediction with rows of the wrong width, whether the
+    # reveal makes a row be looked up again (position 1, before masked
+    # position 2) or not (the last position)
+    wide = DenoiserOutput.from_matrix([1, 2, 3, 4], np.zeros((4, model.vocab.size + 2)))
+    for revealed in (1, 4):
+        with pytest.raises(LogitWidthMismatch):
+            model.predict_after(root, wide, apply_many(root, [UnmaskAction(revealed, 1)]))
     with pytest.raises(ConfigError, match="does not extend"):
         model.predict_after(SeqState.fully_masked(model.vocab, (1,), 4), model.predict(root), state)
     # revealing position 1 changes the context of position 2 only

@@ -16,7 +16,7 @@ from medal.families import (
     xor_pair_model,
 )
 from medal.mcts import simulate
-from medal.reward import EntropyProfile
+from medal.reward import masked_entropies
 from medal.seqcore import SeqState, UnmaskAction, apply_action
 
 
@@ -52,8 +52,8 @@ def test_negative_gain_model_has_negative_action():
     model = negative_gain_model()
     root = SeqState.fully_masked(model.vocab, (), 2)
     child = apply_action(root, UnmaskAction(0, 1))
-    before = EntropyProfile.of(root, model.predict(root))
-    assert simulate(before, EntropyProfile.of(child, model.predict(child))) < 0
+    before = float(masked_entropies(root, model.predict(root)).sum())
+    assert simulate(before, float(masked_entropies(child, model.predict(child)).sum())) < 0
 
 
 def test_trap_instance_mass_layout():

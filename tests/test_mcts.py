@@ -27,7 +27,7 @@ from medal.mcts import (
     ucb_select,
 )
 from medal import mcts
-from medal.reward import EntropyProfile, entropy_gain
+from medal.reward import entropy_gain, masked_entropies
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
@@ -202,27 +202,29 @@ def test_expand_orders_children_by_pooled_rank(rng):
 # simulation
 
 
-def profile(model, state):
-    """EntropyProfile.of `state`; a complete state needs no prediction."""
-    return EntropyProfile.of(state, None if state.is_complete else model.predict(state))
+def total(model, state):
+    """A search table row's total: the sum of masked_entropies at `state`;
+    a complete state needs no prediction."""
+    output = None if state.is_complete else model.predict(state)
+    return float(masked_entropies(state, output).sum())
 
 
 def simulate_action(model, state, action):
-    """Simulate `action` at `state` from the parent's and the child's profiles."""
-    after = profile(model, apply_action(state, action))
-    return simulate(profile(model, state), after)
+    """Simulate `action` at `state` from the parent's and the child's totals."""
+    after = total(model, apply_action(state, action))
+    return simulate(total(model, state), after)
 
 
 def test_simulate_makes_no_model_call(rng):
     model = CountingDenoiser(small_model(rng))
     state = SeqState.fully_masked(model.vocab, (), 3)
-    before = profile(model, state)
-    after = profile(model, apply_action(state, UnmaskAction(1, 0)))
+    before = total(model, state)
+    after = total(model, apply_action(state, UnmaskAction(1, 0)))
     calls = model.calls
     reward = simulate(before, after)
-    # the search's table rows carry both profiles; the reward reads only them
+    # the search's table rows carry both totals; the reward reads only them
     assert model.calls == calls == 2
-    assert reward == entropy_gain(before.total, after.total)
+    assert reward == entropy_gain(before, after)
 
 
 def test_simulate_completing_action_needs_no_second_call(rng):
@@ -231,7 +233,7 @@ def test_simulate_completing_action_needs_no_second_call(rng):
         SeqState.fully_masked(model.vocab, (), 2), [UnmaskAction(0, 1)]
     )
     reward = simulate_action(model, state, UnmaskAction(1, 1))
-    assert model.calls == 1  # only the before-profile
+    assert model.calls == 1  # only the before-total
     assert reward == pytest.approx(1.0, abs=1e-9)
 
 

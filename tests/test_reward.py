@@ -1,4 +1,4 @@
-"""Entropy profiles and normalized information-gain rewards."""
+"""Masked entropies and normalized information-gain rewards."""
 
 from __future__ import annotations
 
@@ -12,20 +12,22 @@ from medal.denoisers import Denoiser, DenoiserOutput, FactorizedModel, TabularMo
 from medal.errors import LogitWidthMismatch, MissingPosition, ZeroBaselineEntropy
 from medal.families import negative_gain_model, random_calibrated_model, xor_pair_model
 from medal.mcts import SearchConfig, run_cgmcts, simulate
-from medal.reward import EntropyProfile, entropy_gain
+from medal.reward import entropy_gain, masked_entropies
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 from medal.theory import oracle_min_schedule, schedule_cost, schedule_costs
 
 
-def profile(model, state):
-    """EntropyProfile.of `state`; a complete state needs no prediction."""
-    return EntropyProfile.of(state, None if state.is_complete else model.predict(state))
+def total(model, state):
+    """A search table row's total: the sum of masked_entropies at `state`;
+    a complete state needs no prediction."""
+    output = None if state.is_complete else model.predict(state)
+    return float(masked_entropies(state, output).sum())
 
 
 def reward(model, state, action):
     """(reward, before, after) of `action` at `state`, as the search's
-    simulate rewards a child from its parent's profile and its own."""
-    before, after = profile(model, state), profile(model, apply_action(state, action))
+    simulate rewards a child from its parent's total and its own."""
+    before, after = total(model, state), total(model, apply_action(state, action))
     return simulate(before, after), before, after
 
 
@@ -34,9 +36,9 @@ def test_profile_of_complete_state_is_empty(rng):
     model = TabularModel(Vocab(2), joint)
     s = SeqState.fully_masked(model.vocab, (), 2)
     s = apply_many(s, [UnmaskAction(0, 0), UnmaskAction(1, 1)])
-    prof = profile(model, s)
-    assert prof == EntropyProfile.empty()
-    assert prof.total == 0.0 and prof.positions == ()
+    ent = masked_entropies(s, None)  # reads no output
+    assert ent.shape == (0,)
+    assert total(model, s) == 0.0
 
 
 def test_profile_matches_joint_enumeration(rng):
@@ -44,11 +46,12 @@ def test_profile_matches_joint_enumeration(rng):
     model = TabularModel(Vocab(3), joint)
     cells = oracles.cells_from_joint(model.joint)
     s = apply_action(SeqState.fully_masked(model.vocab, (), 3), UnmaskAction(1, 2))
-    prof = profile(model, s)
-    assert prof.positions == (0, 2)
+    ent = masked_entropies(s, model.predict(s))
+    for value, pos in zip(ent, (0, 2), strict=True):
+        want = oracles.oracle_entropy_exact(oracles.oracle_conditional(cells, 3, 3, {1: 2}, pos))
+        assert value == pytest.approx(want, abs=1e-11)
     want_total = oracles.oracle_profile_total(cells, 3, 3, {1: 2})
-    assert prof.total == pytest.approx(want_total, abs=1e-11)
-    assert prof.total == pytest.approx(sum(prof.values), abs=1e-12)
+    assert total(model, s) == pytest.approx(want_total, abs=1e-11)
 
 
 def test_xor_gain_is_one():
@@ -57,8 +60,8 @@ def test_xor_gain_is_one():
     r_ig, before, after = reward(model, s, UnmaskAction(0, 1))
     # revealing either token of a perfectly coupled pair removes all entropy
     assert r_ig == pytest.approx(1.0, abs=1e-9)
-    assert before.total == pytest.approx(2 * math.log(2), abs=1e-9)
-    assert after.total == pytest.approx(0.0, abs=1e-9)
+    assert before == pytest.approx(2 * math.log(2), abs=1e-9)
+    assert after == pytest.approx(0.0, abs=1e-9)
 
 
 def test_negative_gain_exists():
@@ -68,7 +71,7 @@ def test_negative_gain_exists():
     # uniform, which raises the remaining entropy above the baseline
     r_ig, before, after = reward(model, s, UnmaskAction(0, 1))
     assert r_ig < 0.0
-    assert after.total > before.total
+    assert after > before
 
 
 def test_gain_matches_brute_force_exhaustively(rng):
@@ -91,11 +94,10 @@ def test_zero_baseline_convention():
     rows[:, 1] = 1.0
     model = FactorizedModel(Vocab(3), rows)
     s = SeqState.fully_masked(model.vocab, (), 2)
-    prof = profile(model, s)
-    assert prof.total < 1e-9
+    t = total(model, s)
+    assert t < 1e-9
     # a baseline at or below the resolution threshold short-circuits to 1
-    zero = EntropyProfile.empty()
-    assert entropy_gain(zero.total, prof.total) == 1.0
+    assert entropy_gain(0.0, t) == 1.0
 
 
 def test_invalid_baseline_raises():
@@ -113,17 +115,15 @@ def test_cumulative_gain_vs_single_steps(rng):
     s1 = apply_action(root, UnmaskAction(2, 0))
     s2 = apply_action(s1, UnmaskAction(0, 1))
     # a pooled node's score: the gain rule against the root's total
-    root_prof = profile(model, root)
-    g1 = entropy_gain(root_prof.total, profile(model, s1).total)
-    p2 = profile(model, s2)
-    g2 = entropy_gain(root_prof.total, p2.total)
+    t0 = total(model, root)
+    g1 = entropy_gain(t0, total(model, s1))
+    t2 = total(model, s2)
+    g2 = entropy_gain(t0, t2)
     assert g1 == pytest.approx(reward(model, root, UnmaskAction(2, 0))[0], abs=1e-12)
-    assert g2 == pytest.approx((root_prof.total - p2.total) / root_prof.total, abs=1e-12)
+    assert g2 == pytest.approx((t0 - t2) / t0, abs=1e-12)
     # complete descendant always reaches gain 1 exactly
     s3 = apply_action(s2, UnmaskAction(1, 2))
-    assert entropy_gain(root_prof.total, profile(model, s3).total) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert entropy_gain(t0, total(model, s3)) == pytest.approx(1.0, abs=1e-12)
 
 
 class MalformedModel(Denoiser):
@@ -160,7 +160,7 @@ def _search_child_rewards(inner, fault, root):
 
 
 READERS = {
-    "entropy_profile": lambda inner, fault, root: profile(MalformedModel(inner, fault), root),
+    "entropy_profile": lambda inner, fault, root: total(MalformedModel(inner, fault), root),
     "search_child_rewards": _search_child_rewards,
     "entropy_gap": lambda inner, fault, root: schedule_cost(
         MalformedModel(inner, fault), root, [[0, 1]], with_dependence=False

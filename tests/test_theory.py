@@ -21,7 +21,7 @@ from medal.errors import (
     ZeroMassContext,
 )
 from medal.families import random_calibrated_model, xor_pair_model
-from medal.reward import EntropyProfile
+from medal.reward import masked_entropies
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import (
     ENUMERATION_CAP,
@@ -79,7 +79,7 @@ def step_cost(model, state, subset):
 def test_entropies_and_gap_on_xor():
     model = xor_pair_model()
     root = root_of(model)
-    ent = EntropyProfile.of(root, model.predict(root)).values
+    ent = masked_entropies(root, model.predict(root)).tolist()
     assert ent == pytest.approx([LN2, LN2], abs=1e-9)
     assert step_cost(model, root, [0, 1])[0] == pytest.approx(LN2, abs=1e-9)
     # a single position has zero gap by construction
@@ -147,7 +147,7 @@ def _reference_step(model, state, step):
     """A step's (gap, dependence error, committed tokens, child tokens),
     worked out from the step's own rows: entropies and argmax tokens of
     just those rows, and the KL of the step's exact joint."""
-    probs = model.predict(state).probs(step)
+    probs = kernels.softmax_rows(model.predict(state).matrix(step))
     ent = kernels.entropy_rows(probs)
     tokens = probs.argmax(axis=1).tolist()
     dep = theory._dependence(model.subset_conditional(state, step))
@@ -229,8 +229,9 @@ def test_context_rows_match_the_step_own_rows(length, vocab, seed, data):
     data=st.data(),
 )
 def test_one_position_step_at_a_zero_mass_context_raises(length, vocab, seed, data):
-    # the joint of a one-position step is still asked for, so a context
-    # with no mass raises as it does for a longer step
+    # a row that measures dependence checks its context's mass when it is
+    # made, so a one-position step, which asks for no joint, still raises
+    # at a context with no mass, as a longer step does
     joint = np.random.default_rng(seed).dirichlet(np.ones(vocab**length))
     joint = joint.reshape((vocab,) * length)
     dead = data.draw(st.integers(0, vocab - 1), "dead token")
@@ -238,9 +239,10 @@ def test_one_position_step_at_a_zero_mass_context_raises(length, vocab, seed, da
     model = TabularModel(Vocab(vocab), joint / joint.sum())
     state = apply_many(root_of(model), [UnmaskAction(0, dead)])
     position = data.draw(st.sampled_from(state.masked_index), "position")
-    row = theory._contexts(model, with_dependence=True)(state)
     with pytest.raises(ZeroMassContext):
-        row.step((position,))
+        theory._contexts(model, with_dependence=True)(state)  # the row, before any step
+    with pytest.raises(ZeroMassContext):
+        schedule_cost(model, state, [[position]], with_dependence=True)
 
 
 def test_schedule_cost_walk(rng):
@@ -462,8 +464,9 @@ def _contexts_reached(root, costs):
 
 def test_schedule_costs_predict_each_context_once():
     # one prediction per distinct context the walks reach, and, with
-    # dependence, one step joint per distinct (context, step), however many
-    # schedules pass through it
+    # dependence, one mass check (the joint over no positions) per context
+    # and one step joint per distinct multi-position (context, step),
+    # however many schedules pass through it
     for model, root in _walk_cases():
         for k, step_size in SIZE_CASES:
             for with_dependence in (True, False):
@@ -474,7 +477,10 @@ def test_schedule_costs_predict_each_context_once():
                 reached = _contexts_reached(root, costs)
                 assert rec.calls == len(set(rec.states)) == len(reached)
                 assert set(rec.states) == reached
-                steps = _steps_reached(root, costs) if with_dependence else set()
+                steps = set()
+                if with_dependence:
+                    steps = {(tokens, ()) for tokens in reached}
+                    steps |= {(t, s) for t, s in _steps_reached(root, costs) if len(s) > 1}
                 assert len(rec.conditionals) == len(steps)
                 assert set(rec.conditionals) == steps
 
