@@ -36,6 +36,8 @@ import threading
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -76,8 +78,11 @@ class DenoiserOutput:
     every entry finite. The stored arrays are read-only; matrix() without
     arguments returns them without copying. probs() is the row softmax of
     the matrix, computed on its first call and kept, so scoring and
-    entropies over one prediction share one softmax. check_cover() is the
-    one check that an output covers a state's masked positions.
+    entropies over one prediction share one softmax; stacked_probs()
+    computes it for several outputs in one kernel call. check_cover() is
+    the one check that an output covers a state's masked positions; an
+    output built for a state's masked_index tuple keeps that tuple, so
+    checking it against the same tuple is one identity test.
 
     An output from Denoiser.predict_after also records, as row indices,
     how it relates to the output it was predicted after (its base): for
@@ -87,32 +92,57 @@ class DenoiserOutput:
     """
 
     __slots__ = (
-        "_positions", "_matrix", "_probs", "_base", "_base_rows", "_changed", "__weakref__"
+        "_positions",
+        "_index",
+        "_matrix",
+        "_probs",
+        "_base",
+        "_base_rows",
+        "_changed",
+        "__weakref__",
     )
 
     @classmethod
     def from_matrix(cls, positions: Sequence[int], matrix: ArrayLike) -> "DenoiserOutput":
-        """Output whose row i holds the logits of positions[i]; positions
-        must be strictly ascending."""
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
+        """Output whose row i holds the logits of positions[i]. Raises
+        ConfigError unless the positions are strictly ascending integers
+        (bools are not) and the logits are real numbers (bools and strings
+        are not). A tuple of positions, such as a state's masked_index, is
+        kept for check_cover."""
+        index = np.asarray(positions)
+        if index.dtype != np.int64:  # Python ints read as int64 already
+            integral = index.dtype.kind in "iu" and np.can_cast(index.dtype, np.int64)
+            if index.size and not integral:  # an empty sequence reads as float64
+                raise ConfigError(f"positions must be integers, got {index.dtype} values")
+            index = index.astype(np.int64)
+        if index.ndim != 1 or (index[1:] <= index[:-1]).any():
             raise ConfigError("positions must be a strictly ascending 1-d sequence")
+        if index.size and index[0] <= 1:
+            # a bool reads as 0 or 1, which strictly ascending positions
+            # can hold only at the two places from where 0 would go in
+            at = 0 if index[0] >= 0 else int(index.searchsorted(0))
+            if not {bool, np.bool_}.isdisjoint(map(type, islice(positions, at, at + 2))):
+                raise ConfigError("positions must be integers, got a bool")
         try:
-            matrix = np.asarray(matrix, dtype=np.float64)
+            matrix = np.asarray(matrix)
         except (TypeError, ValueError):
             raise ConfigError("logits must be a numeric matrix with one width") from None
-        if matrix.ndim != 2 or matrix.shape[0] != positions.shape[0]:
+        if matrix.dtype.kind not in "fiu":
+            raise ConfigError(f"logits must be real numbers, got {matrix.dtype} values")
+        matrix = matrix.astype(np.float64, copy=False)
+        if matrix.ndim != 2 or matrix.shape[0] != index.shape[0]:
             raise ConfigError(
                 f"logit matrix of shape {matrix.shape} does not give one row to each"
-                f" of {positions.shape[0]} positions"
+                f" of {index.shape[0]} positions"
             )
         finite = np.isfinite(matrix)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=1)))
-            raise NonFiniteLogits(f"non-finite logits at position {positions[row]}")
+            raise NonFiniteLogits(f"non-finite logits at position {index[row]}")
         out = cls.__new__(cls)
-        out._positions = positions.view()
+        out._positions = index.view()
         out._positions.flags.writeable = False
+        out._index = positions if type(positions) is tuple else None
         out._matrix = matrix.view()
         out._matrix.flags.writeable = False
         out._probs = None
@@ -129,16 +159,20 @@ class DenoiserOutput:
         self._changed = changed
         return self
 
-    def _after_reveal(self, at: np.ndarray, rows: dict[int, np.ndarray]) -> "DenoiserOutput":
-        """The output whose row i is this one's row at[i] (at: ascending row
-        indices) or, for i in `rows`, rows[i]; it records this output as its
-        base and the keys of `rows` as its changed rows. A kept row is a
-        copy of a checked row and is not checked again; `rows` must hold
-        finite logits, one per column, which a model passes for rows it
-        builds itself."""
+    def _after_reveal(
+        self, index: tuple[int, ...], at: np.ndarray, rows: dict[int, np.ndarray]
+    ) -> "DenoiserOutput":
+        """The output for the masked_index tuple `index` whose row i is this
+        one's row at[i] (at: ascending row indices) or, for i in `rows`,
+        rows[i]; it records this output as its base and the keys of `rows`
+        as its changed rows. The positions it takes at `at` must be
+        `index`, and a kept row is a copy of a checked row, so neither is
+        checked again; `rows` must hold finite logits, one per column,
+        which a model passes for rows it builds itself."""
         out = DenoiserOutput.__new__(DenoiserOutput)
         out._positions = self._positions.take(at)
         out._positions.setflags(write=False)
+        out._index = index
         matrix = self._matrix.take(at, axis=0)
         for i, row in rows.items():
             matrix[i] = row
@@ -187,27 +221,58 @@ class DenoiserOutput:
         """Row softmax of the logits, (P, V), computed on the first call and
         stored read-only."""
         if self._probs is None:
-            probs = kernels.softmax_rows(self._matrix)
-            probs.flags.writeable = False
-            self._probs = probs
+            DenoiserOutput.stacked_probs((self,))
         return self._probs
+
+    @staticmethod
+    def stacked_probs(outputs: Sequence["DenoiserOutput"]) -> np.ndarray:
+        """probs() of each of `outputs` (at least one, all of one width),
+        stacked row-wise in order. The outputs whose probs() is not yet
+        computed are softmaxed in one kernel call over their stacked
+        matrices, and each keeps its own rows of the result, a read-only
+        view, as its probs(); the kernel does not mix rows, so that view
+        is bit for bit the softmax of the output's own matrix."""
+        fresh = [out for out in outputs if out._probs is None]
+        if fresh:
+            logits = [out._matrix for out in fresh]
+            probs = kernels.softmax_rows(logits[0] if len(fresh) == 1 else np.concatenate(logits))
+            probs.flags.writeable = False  # before slicing: a view copies the flag
+            start = 0
+            for out in fresh:
+                stop = start + out._matrix.shape[0]
+                out._probs = probs[start:stop]
+                start = stop
+            if len(fresh) == len(outputs):
+                return probs
+        return np.concatenate([out._probs for out in outputs])
 
     def check_cover(self, positions: Sequence[int], vocab_size: int) -> np.ndarray:
         """Raise MissingPosition unless the rows are exactly `positions`
         (ascending), and LogitWidthMismatch unless every row holds one logit
-        per content token. Returns the stored read-only int64 positions,
-        so a caller need not convert `positions` again."""
-        have = self.positions()
-        if have != list(positions):
-            missing = sorted(set(positions) - set(have))
-            extra = sorted(set(have) - set(positions))
-            raise MissingPosition(
-                f"denoiser output mismatch: missing positions {missing}, extra {extra}"
-            )
+        per content token. `positions` being the tuple the output was built
+        for proves the first; any other is compared in full. Returns the
+        stored read-only int64 positions, so a caller need not convert
+        `positions` again."""
+        if positions is not self._index:
+            have = self.positions()
+            if have != list(positions):
+                missing = sorted(set(positions) - set(have))
+                extra = sorted(set(have) - set(positions))
+                raise MissingPosition(
+                    f"denoiser output mismatch: missing positions {missing}, extra {extra}"
+                )
         width = self._matrix.shape[1]
         if width != vocab_size:
             raise LogitWidthMismatch(f"logits have width {width} for vocab size {vocab_size}")
         return self._positions
+
+
+@lru_cache(maxsize=None)
+def marginal_axes(ndim: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i lists every axis of an ndim-d array but axis i: the axes a
+    sum runs over to leave axis i's marginal. Built once per ndim (numpy
+    caps ndim, so the cache stays small)."""
+    return tuple(tuple(a for a in range(ndim) if a != axis) for axis in range(ndim))
 
 
 class Denoiser:
@@ -305,11 +370,11 @@ class TabularModel(Denoiser):
         mask_id = state.vocab.mask_id
         return tuple([slice(None) if tok == mask_id else tok for tok in state.gen_tokens()])
 
-    def _context_slice(self, state: SeqState) -> tuple[list[int], np.ndarray]:
-        """Positions still masked and the unnormalized joint over them."""
-        pos = list(self._check_state(state))
-        sub = self.joint[self._gen_index(state)]
-        return pos, np.asarray(sub)
+    def _context_slice(self, state: SeqState) -> tuple[tuple[int, ...], np.ndarray]:
+        """Positions still masked (the state's masked_index) and the
+        unnormalized joint over them, one axis per position."""
+        pos = self._check_state(state)
+        return pos, self.joint[self._gen_index(state)]
 
     def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
         """Exact joint posterior over `subset` (distinct masked positions,
@@ -322,7 +387,7 @@ class TabularModel(Denoiser):
         mass = sub.sum()
         if mass <= 0.0:
             raise ZeroMassContext(
-                f"revealed context has zero mass at positions {pos}"
+                f"revealed context has zero mass at positions {list(pos)}"
             )
         other = tuple(a for a, p in enumerate(pos) if p not in subset)
         if len(pos) - len(other) != len(subset) or list(subset) != sorted(subset):
@@ -331,15 +396,20 @@ class TabularModel(Denoiser):
         return cond.sum(axis=other) if other else cond
 
     def predict(self, state: SeqState) -> DenoiserOutput:
+        """Logits log(marginal + LOGIT_FLOOR), each marginal summed from the
+        context's joint and divided by its mass into its row of one matrix,
+        which then takes the floor and the log in place."""
         pos, sub = self._context_slice(state)
-        mass = sub.sum()
-        v = self.vocab.size
-        probs = np.full((len(pos), v), 1.0 / v)
+        mass = np.add.reduce(sub, axis=None)
+        probs = np.empty((len(pos), self.vocab.size))
         if mass > 0.0:
-            for axis in range(len(pos)):
-                other = tuple(a for a in range(sub.ndim) if a != axis)
-                probs[axis] = sub.sum(axis=other) / mass
-        return DenoiserOutput.from_matrix(pos, np.log(probs + LOGIT_FLOOR))
+            for row, other in zip(probs, marginal_axes(sub.ndim)):
+                np.divide(np.add.reduce(sub, axis=other), mass, out=row)
+        else:
+            probs.fill(1.0 / self.vocab.size)
+        probs += LOGIT_FLOOR
+        np.log(probs, out=probs)
+        return DenoiserOutput.from_matrix(pos, probs)
 
     def joint_logprob(self, gen_tokens: Sequence[int]) -> float:
         """ln q(x) of a full generation-region assignment (-inf at zero mass)."""
@@ -609,7 +679,7 @@ class NGramMaskedModel(Denoiser):
                     p = pos[i]
                     start = pos[i - 1] + 1 if i else 0
                     looked_up[i] = self._logits_for(tokens[max(start, p - keep) : p])
-        return prev_output._after_reveal(at, looked_up)
+        return prev_output._after_reveal(pos, at, looked_up)
 
 
 def fit_ngram(

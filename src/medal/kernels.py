@@ -1,9 +1,15 @@
 """Numpy row kernels shared by scoring, rewards, search, theory and decoding.
 
 The row kernels work on a (P, V) matrix, one row per masked position: the
-max-shifted softmax, confidence scoring and exact entropy. draw is the one
-sampler: a temperature softmax over a short list of scores and one
-inverse-CDF draw from it.
+max-shifted softmax, confidence scoring and exact entropy. Each runs its
+ufunc chain in place in one buffer (softmax_rows exponentiates a temporary,
+so integer matrices still work) and reduces rows with np.add.reduce and
+np.maximum.reduce directly, since on a few rows the cost is per numpy call.
+No kernel mixes rows, so a kernel over matrices stacked row-wise gives each
+row the bits it gets over its own matrix: a search expansion softmaxes, and
+takes the entropies of, all its children's predictions in one call each.
+draw is the one sampler: a temperature softmax over a short list of scores
+and one inverse-CDF draw from it.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from .errors import ConfigError
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's max before exponentiating."""
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    out = np.exp(matrix - np.maximum.reduce(matrix, axis=1, keepdims=True))
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
 
 
 def score_rows(
@@ -44,9 +50,13 @@ def score_rows(
         raise ConfigError("probs must be 2-d (positions x vocab)")
     n_rows, width = probs.shape
 
-    ln_v = math.log(width)
-    entropy = -(probs * np.log(probs + epsilon)).sum(axis=1)
-    np.clip(entropy, 0.0, ln_v, out=entropy)
+    buf = probs + epsilon
+    np.log(buf, out=buf)
+    buf *= probs
+    entropy = -np.add.reduce(buf, axis=1)
+    # clip (np.clip's method) keeps a -0.0 entropy, which a np.maximum /
+    # np.minimum pair would turn into +0.0
+    entropy.clip(0.0, math.log(width), out=entropy)
 
     if use_entropy_penalty:
         ent_penalty = np.exp(-entropy)
@@ -54,13 +64,17 @@ def score_rows(
         ent_penalty = np.ones(n_rows)
 
     if width >= 2:
-        part = np.partition(probs, width - 2, axis=1)
+        part = probs.copy()
+        part.partition(width - 2, axis=1)
         margin = part[:, -1] - part[:, -2]
     else:
         margin = probs[:, 0].copy()
-    margin_factor = 1.0 / (1.0 + np.exp(-gamma * margin))
+    margin_factor = margin * -gamma
+    np.exp(margin_factor, out=margin_factor)
+    margin_factor += 1.0
+    np.divide(1.0, margin_factor, out=margin_factor)
 
-    scores = probs * (ent_penalty * margin_factor)[:, None]
+    scores = np.multiply(probs, (ent_penalty * margin_factor)[:, None], out=buf)
     return entropy, ent_penalty, margin, margin_factor, scores
 
 
@@ -69,9 +83,11 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ConfigError("probs must be 2-d")
-    safe = np.where(probs > 0.0, probs, 1.0)
-    ent = -(probs * np.log(safe)).sum(axis=1)
-    np.clip(ent, 0.0, math.log(probs.shape[1]), out=ent)
+    buf = np.where(probs > 0.0, probs, 1.0)
+    np.log(buf, out=buf)
+    buf *= probs
+    ent = -np.add.reduce(buf, axis=1)
+    ent.clip(0.0, math.log(probs.shape[1]), out=ent)
     return ent
 
 

@@ -10,9 +10,11 @@ each child state once. A search predicts each state once: its StateTable
 keeps the prediction and its total masked entropy, which the state's
 rewards, pool entry and expansion read, whichever reveal order reached it.
 Before simulating, an expansion reads ahead: the children its loop will
-read and the table lacks go to the model in one predict_many
-call (all children, or at pool depth the prefix that fills the pool), so
-a served model gets one batch of requests per expansion. The search
+read and the table lacks go to the model in one predict_many call (all
+children, or at pool depth the prefix that fills the pool), so a served
+model gets one batch of requests per expansion, and the batch's
+predictions are read as one: one softmax over all their rows, whose
+slices the later scoring reads, and one entropy pass. The search
 draws no random numbers. Nodes at init_length revealed tokens enter the
 candidate pool; they stay selectable but are never expanded, and
 re-selecting one backpropagates its stored creation reward. The
@@ -218,10 +220,12 @@ def simulate(before: float, after: float) -> float:
     return entropy_gain(before, after)
 
 
-def _row(state: SeqState, output) -> tuple[Any, float]:
-    """A search's table row: the prediction at `state` (None when complete)
-    and the total of its masked entropies, whose read checks it."""
-    return output, float(masked_entropies(state, output).sum())
+def _rows(states: list[SeqState], outputs: list) -> list[tuple[Any, float]]:
+    """A search's table rows for `states`: the prediction at each (None
+    when complete) and the total of its masked entropies, read for the
+    batch at once, which checks each prediction."""
+    totals = [float(ent.sum()) for ent in masked_entropies(states, outputs)]
+    return list(zip(outputs, totals))
 
 
 def _read_ahead(
@@ -229,7 +233,8 @@ def _read_ahead(
 ) -> None:
     """Predict, in one predict_many call, the children an expansion's loop
     will read that the table lacks: every child, or at pool depth only the
-    prefix that fills the pool (states pooled already add no entry)."""
+    prefix that fills the pool (states pooled already add no entry). Their
+    rows are read as one batch: one softmax and one entropy call."""
     if children and children[0].state.reveal_count() >= cfg.init_length:
         room = pool.capacity - len(pool.entries)
         for i, child in enumerate(children):
@@ -239,8 +244,8 @@ def _read_ahead(
                     children = children[: i + 1]
                     break
     states = [c.state for c in children if c.state.tokens not in table and not c.state.is_complete]
-    for state, output in zip(states, model.predict_many(states)):
-        table[state.tokens] = _row(state, output)
+    outputs = model.predict_many(states)
+    table.update(zip([s.tokens for s in states], _rows(states, outputs)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def run_cgmcts(
         return pool
 
     table = StateTable(
-        lambda state: _row(state, None if state.is_complete else model.predict(state))
+        lambda state: _rows([state], [None if state.is_complete else model.predict(state)])[0]
     )
     root = SearchNode(root_state)
 

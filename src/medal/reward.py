@@ -1,13 +1,16 @@
 """Information-gain rewards over masked entropies.
 
-masked_entropies(state, output) reads the per-masked-position Shannon
+masked_entropies(states, outputs) reads the per-masked-position Shannon
 entropies of the model's predictive distributions (exact entropy here; the
-epsilon-regularized variant belongs to action scoring only) from a
-prediction the caller already holds; it is the one reader of entropies, so
-the search and the schedule theory share it. The search reads each state's
-prediction through its StateTable, so no state is predicted twice. The
-reward of an action is the normalized drop in total masked entropy after
-committing it (entropy_gain, which mcts.simulate applies):
+epsilon-regularized variant belongs to action scoring only) from
+predictions the caller already holds, a batch at a time: a search
+expansion's read-ahead passes all the children it predicted, the search
+root and each theory context a batch of one. It is the one reader of
+entropies, so the search and the schedule theory share it. The search
+reads each state's prediction through its StateTable, so no state is
+predicted twice. The reward of an action is the normalized drop in total
+masked entropy after committing it (entropy_gain, which mcts.simulate
+applies):
 
     r = (before - after) / before
 
@@ -19,26 +22,44 @@ the entropy of what remains.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import kernels
-from .errors import ZeroBaselineEntropy
+from .denoisers import DenoiserOutput
+from .errors import MissingPosition, ZeroBaselineEntropy
 from .seqcore import SeqState
 
 # baseline totals at or below this are treated as an already-resolved state
 ZERO_TOTAL = 1e-12
 
 
-def masked_entropies(state: SeqState, output) -> np.ndarray:
-    """Entropies (nats) of `output`, the model's prediction at `state`, one
-    per masked position in ascending order. A complete state gives an empty
-    array and reads no output (it may be None). Raises MissingPosition or
-    LogitWidthMismatch unless `output` covers exactly the masked positions
-    with vocab-wide rows."""
-    if state.is_complete:
-        return np.zeros(0)
-    output.check_cover(state.masked_index, state.vocab.size)
-    return kernels.entropy_rows(output.probs())
+def masked_entropies(states: Sequence[SeqState], outputs: Sequence) -> list[np.ndarray]:
+    """Entropies (nats) of each of `outputs`, the model's prediction at the
+    state at the same index of `states`: one array per state, one entry
+    per masked position in ascending order. A complete state gives an
+    empty array and reads no output (it may be None). Raises
+    MissingPosition unless there is one output per state, and
+    MissingPosition or LogitWidthMismatch unless each output read covers
+    exactly its state's masked positions with vocab-wide rows. All outputs
+    read share one softmax call (DenoiserOutput.stacked_probs) and one
+    entropy call, so a state's array is a slice of the batch's."""
+    if len(outputs) != len(states):
+        raise MissingPosition(f"{len(outputs)} predictions for {len(states)} states")
+    read = [(s, out) for s, out in zip(states, outputs) if not s.is_complete]
+    for state, output in read:
+        output.check_cover(state.masked_index, state.vocab.size)
+    if read:
+        ent = kernels.entropy_rows(DenoiserOutput.stacked_probs([out for _, out in read]))
+    else:
+        ent = np.zeros(0)
+    arrays, start = [], 0
+    for state in states:
+        stop = start + len(state.masked_index)
+        arrays.append(ent[start:stop])
+        start = stop
+    return arrays
 
 
 def entropy_gain(before_total: float, after_total: float) -> float:

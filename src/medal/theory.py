@@ -39,6 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .denoisers import marginal_axes
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -75,14 +76,13 @@ def _dependence(joint: np.ndarray) -> float:
     """A step's dependence error, KL(joint posterior over the step || product
     of its marginals), from the exact joint with one axis per position."""
     log_prod = np.zeros_like(joint)
-    for axis in range(joint.ndim):
-        marg = joint.sum(axis=tuple(a for a in range(joint.ndim) if a != axis))
-        shape = [1] * joint.ndim
-        shape[axis] = -1
-        with np.errstate(divide="ignore"):
-            log_prod = log_prod + np.log(marg).reshape(shape)
-    mask = joint > 0.0
+    shape = [1] * joint.ndim
     with np.errstate(divide="ignore"):
+        for axis, other in enumerate(marginal_axes(joint.ndim)):
+            shape[axis] = -1
+            log_prod += np.log(joint.sum(axis=other)).reshape(shape)
+            shape[axis] = 1
+        mask = joint > 0.0
         kl = float((joint[mask] * (np.log(joint[mask]) - log_prod[mask])).sum())
     return max(kl, 0.0)
 
@@ -153,7 +153,7 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
             step_joint(())
         return _Context(
             state,
-            masked_entropies(state, output),
+            masked_entropies((state,), (output,))[0],
             output.probs().argmax(axis=1),
             {p: i for i, p in enumerate(state.masked_index)},
             step_joint,

@@ -5,6 +5,13 @@ pure-Python loops over explicit probability tables, and arbitrary-precision
 arithmetic through mpmath where rounding could hide a real defect.  Nothing
 here imports from the package under test, so agreement between the two is
 meaningful evidence rather than a tautology.
+
+The numpy section at the end is different in kind: it keeps the row
+kernels and the tabular marginals in the form they were first written
+(one allocation per step, the .sum / .max / np.clip wrappers, one axis
+tuple built per marginal). The in-place kernels must equal them bit for
+bit, since they apply the same ufuncs to the same operands in the same
+order.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from itertools import combinations, product
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -232,3 +240,51 @@ def enumerate_partitions(positions, k):
 def count_partitions(n, k):
     """Number of ordered set partitions of n items into k non-empty blocks."""
     return sum(1 for _ in enumerate_partitions(range(n), k))
+
+
+# ---------------------------------------------------------------------------
+# the row kernels and tabular marginals as first written (numpy)
+# ---------------------------------------------------------------------------
+
+def ref_softmax_rows(matrix):
+    shifted = matrix - matrix.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+def ref_score_rows(probs, gamma, epsilon, use_entropy_penalty=True):
+    n_rows, width = probs.shape
+    entropy = -(probs * np.log(probs + epsilon)).sum(axis=1)
+    np.clip(entropy, 0.0, math.log(width), out=entropy)
+    if use_entropy_penalty:
+        ent_penalty = np.exp(-entropy)
+    else:
+        ent_penalty = np.ones(n_rows)
+    if width >= 2:
+        part = np.partition(probs, width - 2, axis=1)
+        margin = part[:, -1] - part[:, -2]
+    else:
+        margin = probs[:, 0].copy()
+    margin_factor = 1.0 / (1.0 + np.exp(-gamma * margin))
+    scores = probs * (ent_penalty * margin_factor)[:, None]
+    return entropy, ent_penalty, margin, margin_factor, scores
+
+
+def ref_entropy_rows(probs):
+    safe = np.where(probs > 0.0, probs, 1.0)
+    ent = -(probs * np.log(safe)).sum(axis=1)
+    np.clip(ent, 0.0, math.log(probs.shape[1]), out=ent)
+    return ent
+
+
+def ref_tabular_logits(sub, vocab):
+    """Logits of a tabular prediction from `sub`, the joint over the masked
+    positions given the revealed ones (one axis per masked position):
+    log(marginal + floor) per position, uniform when `sub` has no mass."""
+    mass = sub.sum()
+    probs = np.full((sub.ndim, vocab), 1.0 / vocab)
+    if mass > 0.0:
+        for axis in range(sub.ndim):
+            other = tuple(a for a in range(sub.ndim) if a != axis)
+            probs[axis] = sub.sum(axis=other) / mass
+    return np.log(probs + LOGIT_FLOOR)

@@ -82,8 +82,9 @@ def _reward(model, state, action):
     """The search's reward of `action` at `state`: simulate on the total
     masked entropies of the state and of its child."""
     child = apply_action(state, action)
-    after = masked_entropies(child, None if child.is_complete else model.predict(child))
-    return simulate(float(masked_entropies(state, model.predict(state)).sum()), float(after.sum()))
+    after = masked_entropies([child], [None if child.is_complete else model.predict(child)])[0]
+    before = masked_entropies([state], [model.predict(state)])[0]
+    return simulate(float(before.sum()), float(after.sum()))
 
 
 def test_criterion_01_scoring_matches_high_precision_oracle():

@@ -97,6 +97,71 @@ def test_output_validation():
         DenoiserOutput.from_matrix([0, 1], np.zeros(2))
     with pytest.raises(NonFiniteLogits, match="position 4"):
         DenoiserOutput.from_matrix([1, 4], [[0.0, 0.0], [np.inf, 0.0]])
+    # positions are integers: no float, string, bool or out-of-range value
+    # is coerced into one, so a wrong cover cannot pass check_cover
+    for bad in ([0.5, 1.7], [1.0, 2.0], ["1", "2"], [True, 2], [0, True], [-3, False, 2],
+                (True,), [2**70, 2**71], [2**63], np.array([1, 2], dtype=np.uint64)):
+        with pytest.raises(ConfigError, match="integers"):
+            DenoiserOutput.from_matrix(bad, np.zeros((len(bad), 2)))
+    for bad in ([[True, False]], [["1", "2"]], np.array([[b"1", b"2"]])):
+        with pytest.raises(ConfigError, match="real numbers"):
+            DenoiserOutput.from_matrix([3], bad)
+    for good in (range(2, 5), (2, 3, 4), [2, 3, 4], np.array([2, 3, 4], dtype=np.int32)):
+        assert DenoiserOutput.from_matrix(good, np.zeros((3, 2))).positions() == [2, 3, 4]
+    assert DenoiserOutput.from_matrix([0, 1], np.zeros((2, 2), dtype=np.int8)).positions() == [0, 1]
+    assert DenoiserOutput.from_matrix([], np.zeros((0, 2))).positions() == []
+
+
+def test_check_cover_takes_the_tuple_an_output_was_built_for_at_its_word(monkeypatch):
+    state = SeqState.fully_masked(Vocab(3), (0,), 3)
+    index = state.masked_index
+    out = DenoiserOutput.from_matrix(index, np.zeros((3, 3)))
+    compared = []
+    positions = DenoiserOutput.positions
+    monkeypatch.setattr(
+        DenoiserOutput, "positions", lambda self: compared.append(1) or positions(self)
+    )
+    assert out.check_cover(index, 3).tolist() == [1, 2, 3]
+    assert not compared  # the identical tuple: one identity test
+    equal = tuple(list(index))
+    assert equal == index and equal is not index
+    out.check_cover(equal, 3)  # an equal tuple: compared in full
+    assert len(compared) == 1
+    with pytest.raises(MissingPosition):
+        out.check_cover((1, 2, 4), 3)  # a wrong tuple: compared in full
+    with pytest.raises(LogitWidthMismatch):
+        out.check_cover(index, 4)  # the width is checked either way
+    # an output built from a list keeps no tuple
+    listed = DenoiserOutput.from_matrix(list(index), np.zeros((3, 3)))
+    listed.check_cover(index, 3)
+    assert len(compared) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    cached=st.lists(st.booleans(), min_size=5, max_size=5),
+    width=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_stacked_probs_equal_each_outputs_own_softmax(rows, cached, width, seed):
+    # ragged outputs, some with probs() computed already: the stack is each
+    # output's probs() in order, and each probs() is the bits of a softmax
+    # of its own matrix, stored read-only
+    rng = np.random.default_rng(seed)
+    outputs = [
+        DenoiserOutput.from_matrix(range(n), rng.normal(scale=8.0, size=(n, width))) for n in rows
+    ]
+    for out, warm in zip(outputs, cached):
+        if warm:
+            out.probs()
+    stacked = DenoiserOutput.stacked_probs(outputs)
+    alone = [softmax_rows(out.matrix()) for out in outputs]
+    want = np.concatenate(alone)
+    assert stacked.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for out, mine in zip(outputs, alone):
+        assert out.probs().view(np.uint64).tolist() == mine.view(np.uint64).tolist()
+        assert not out.probs().flags.writeable
 
 
 def test_output_probs_are_one_cached_softmax(rng):
@@ -156,6 +221,35 @@ def test_tabular_predict_matches_enumeration(rng):
                             cells, length, vocab, revealed, p - 1
                         )
                         assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 5),
+    vocab=st.integers(2, 4),
+    zeros=st.floats(0.0, 0.9),
+    reveal=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_property_tabular_predict_equals_the_axis_loop(seed, length, vocab, zeros, reveal):
+    # calibrated joints with a share of empty cells, so some revealed
+    # contexts carry no mass and predict falls back to uniform rows
+    rng = np.random.default_rng(seed)
+    joint = rng.dirichlet(np.full(vocab**length, 0.5))
+    joint[rng.random(joint.size) < zeros] = 0.0
+    if joint.sum() == 0.0:
+        joint[0] = 1.0
+    model = TabularModel(Vocab(vocab), (joint / joint.sum()).reshape((vocab,) * length))
+    actions = [
+        UnmaskAction(1 + p, int(rng.integers(vocab))) for p in range(length) if reveal[p]
+    ]
+    state = apply_many(SeqState.fully_masked(model.vocab, (0,), length), actions)
+    if state.is_complete:
+        return
+    out = model.predict(state)
+    want = oracles.ref_tabular_logits(model.joint[model._gen_index(state)], vocab)
+    assert out.matrix().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert out.positions() == list(state.masked_index)
 
 
 def test_tabular_zero_mass_context():

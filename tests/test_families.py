@@ -52,8 +52,8 @@ def test_negative_gain_model_has_negative_action():
     model = negative_gain_model()
     root = SeqState.fully_masked(model.vocab, (), 2)
     child = apply_action(root, UnmaskAction(0, 1))
-    before = float(masked_entropies(root, model.predict(root)).sum())
-    assert simulate(before, float(masked_entropies(child, model.predict(child)).sum())) < 0
+    before = float(masked_entropies([root], [model.predict(root)])[0].sum())
+    assert simulate(before, float(masked_entropies([child], [model.predict(child)])[0].sum())) < 0
 
 
 def test_trap_instance_mass_layout():

@@ -131,3 +131,100 @@ def test_penalty_disabled_reports_ones(rng):
     assert np.max(np.abs(scores - probs * mf[:, None])) < 1e-15
     # entropy is still reported even though it no longer enters the score
     assert np.all(ent > 0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equality with the kernels as first written, and across stacks
+
+ROW_KINDS = ("random", "onehot", "uniform", "underflow")
+
+
+def _rows(kinds, width, seed):
+    """(logits, probs), one row of each per entry of `kinds`: random rows;
+    one-hot rows (logit 800 over 0, whose exponentials underflow to 0, and
+    an exact one-hot probability row); uniform rows; and rows some of whose
+    exponentials underflow to subnormals or zero (probabilities: their
+    softmax)."""
+    rng = np.random.default_rng(seed)
+    logits = np.zeros((len(kinds), width))
+    probs = np.zeros((len(kinds), width))
+    for i, kind in enumerate(kinds):
+        if kind == "random":
+            logits[i] = rng.normal(scale=10.0 ** rng.uniform(-1.0, 2.0), size=width)
+            probs[i] = rng.dirichlet(np.full(width, 0.5))
+        elif kind == "onehot":
+            hot = rng.integers(width)
+            logits[i, hot] = 800.0
+            probs[i, hot] = 1.0
+        elif kind == "uniform":
+            logits[i] = rng.normal()
+            probs[i] = 1.0 / width
+        else:
+            logits[i] = rng.normal(size=width) - rng.choice([0.0, 705.0, 740.0, 1000.0], size=width)
+            probs[i] = oracles.ref_softmax_rows(logits[i : i + 1])[0]
+    return logits, probs
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=0, max_size=20),
+    width=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.5, 5.0, 40.0]),
+    epsilon=st.sampled_from([1e-12, 1e-8, 1e-3]),
+    penalty=st.booleans(),
+)
+def test_property_kernels_equal_the_formulas_as_first_written(
+    kinds, width, seed, gamma, epsilon, penalty
+):
+    logits, probs = _rows(kinds, width, seed)
+    _same_bits(softmax_rows(logits), oracles.ref_softmax_rows(logits))
+    for p in (probs, oracles.ref_softmax_rows(logits)):
+        _same_bits(entropy_rows(p), oracles.ref_entropy_rows(p))
+        fields = zip(
+            score_rows(p, gamma, epsilon, penalty),
+            oracles.ref_score_rows(p, gamma, epsilon, penalty),
+            strict=True,
+        )
+        for got, want in fields:
+            _same_bits(got, want)
+
+
+def test_entropy_of_a_one_hot_row_keeps_its_sign():
+    # -sum(p * ln p) of a one-hot row is -0.0, and the clamp to [0, ln V]
+    # keeps it (np.maximum(-0.0, 0.0) would give +0.0)
+    ent = entropy_rows(np.array([[0.0, 1.0, 0.0]]))
+    assert ent[0] == 0.0 and math.copysign(1.0, ent[0]) == -1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(st.sampled_from(ROW_KINDS), min_size=0, max_size=6), min_size=1, max_size=5
+    ),
+    width=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_stacked_kernels_equal_per_block_kernels(blocks, width, seed):
+    # a batch of ragged blocks (rows 0-6 each) stacked row-wise: every
+    # kernel's rows of the stack are the bits of the kernel over the block
+    parts = [_rows(kinds, width, seed + i) for i, kinds in enumerate(blocks)]
+    logits = np.concatenate([lg for lg, _ in parts])
+    probs = np.concatenate([p for _, p in parts])
+    stacked = (softmax_rows(logits), entropy_rows(probs), *score_rows(probs, 5.0, 1e-8))
+    start = 0
+    for block_logits, block_probs in parts:
+        stop = start + block_logits.shape[0]
+        alone = (
+            softmax_rows(block_logits),
+            entropy_rows(block_probs),
+            *score_rows(block_probs, 5.0, 1e-8),
+        )
+        for whole, part in zip(stacked, alone, strict=True):
+            _same_bits(whole[start:stop], part)
+        start = stop

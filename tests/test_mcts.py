@@ -26,7 +26,7 @@ from medal.mcts import (
     simulate,
     ucb_select,
 )
-from medal import mcts
+from medal import kernels, mcts
 from medal.reward import entropy_gain, masked_entropies
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
@@ -206,7 +206,7 @@ def total(model, state):
     """A search table row's total: the sum of masked_entropies at `state`;
     a complete state needs no prediction."""
     output = None if state.is_complete else model.predict(state)
-    return float(masked_entropies(state, output).sum())
+    return float(masked_entropies([state], [output])[0].sum())
 
 
 def simulate_action(model, state, action):
@@ -477,3 +477,39 @@ def test_property_read_ahead_predicts_what_one_call_per_state_would(
     assert runs[0] == runs[1] == runs[2]
     # with read-ahead, only the root is predicted on its own
     assert sum(models[0].batches) == models[0].calls - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    length=st.integers(2, 5),
+    vocab=st.integers(2, 4),
+    revealed=st.integers(0, 3),
+    k2=st.integers(1, 8),
+)
+def test_property_read_ahead_rows_equal_rows_read_one_state_at_a_time(
+    seed, length, vocab, revealed, k2
+):
+    # an expansion's children are read as one batch (one softmax, one
+    # entropy pass); each table row is bit for bit the row of the child
+    # read alone, and each output's probs() is the softmax of its own matrix
+    assume(revealed < length)
+    rng = np.random.default_rng(seed)
+    model = random_calibrated_model(rng, length, vocab)
+    root = SeqState.fully_masked(model.vocab, (), length)
+    state = apply_many(root, [UnmaskAction(p, int(rng.integers(vocab))) for p in range(revealed)])
+    cfg = SearchConfig(k1=vocab, k2=k2, init_length=length)
+    children = expand(SearchNode(state), model.predict(state), cfg)
+    table = mcts.StateTable(lambda s: pytest.fail("read-ahead left a child unread"))
+    mcts._read_ahead(model, table, children, CandidatePool(capacity=len(children)), cfg)
+    for child in children:
+        if child.state.is_complete:
+            assert child.state.tokens not in table
+            continue
+        output, total = table[child.state.tokens]
+        alone = model.predict(child.state)
+        want = float(masked_entropies([child.state], [alone])[0].sum())
+        assert np.array_equal(output.matrix().view(np.uint64), alone.matrix().view(np.uint64))
+        assert np.float64(total).view(np.uint64) == np.float64(want).view(np.uint64)
+        fresh = kernels.softmax_rows(output.matrix())
+        assert np.array_equal(output.probs().view(np.uint64), fresh.view(np.uint64))

@@ -21,7 +21,7 @@ def total(model, state):
     """A search table row's total: the sum of masked_entropies at `state`;
     a complete state needs no prediction."""
     output = None if state.is_complete else model.predict(state)
-    return float(masked_entropies(state, output).sum())
+    return float(masked_entropies([state], [output])[0].sum())
 
 
 def reward(model, state, action):
@@ -36,7 +36,7 @@ def test_profile_of_complete_state_is_empty(rng):
     model = TabularModel(Vocab(2), joint)
     s = SeqState.fully_masked(model.vocab, (), 2)
     s = apply_many(s, [UnmaskAction(0, 0), UnmaskAction(1, 1)])
-    ent = masked_entropies(s, None)  # reads no output
+    (ent,) = masked_entropies([s], [None])  # reads no output
     assert ent.shape == (0,)
     assert total(model, s) == 0.0
 
@@ -46,7 +46,7 @@ def test_profile_matches_joint_enumeration(rng):
     model = TabularModel(Vocab(3), joint)
     cells = oracles.cells_from_joint(model.joint)
     s = apply_action(SeqState.fully_masked(model.vocab, (), 3), UnmaskAction(1, 2))
-    ent = masked_entropies(s, model.predict(s))
+    ent = masked_entropies([s], [model.predict(s)])[0]
     for value, pos in zip(ent, (0, 2), strict=True):
         want = oracles.oracle_entropy_exact(oracles.oracle_conditional(cells, 3, 3, {1: 2}, pos))
         assert value == pytest.approx(want, abs=1e-11)
@@ -183,3 +183,28 @@ def test_malformed_predictions_raise_where_first_read(rng, reader, fault, error)
     root = SeqState.fully_masked(inner.vocab, (), 3)
     with pytest.raises(error):
         READERS[reader](inner, fault, root)
+
+
+class ShortBatchModel(Denoiser):
+    """Wraps a model; predict_many drops the last prediction of a batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+
+    def predict(self, state):
+        return self.inner.predict(state)
+
+    def predict_many(self, states):
+        return [self.inner.predict(s) for s in states][:-1]
+
+
+def test_a_batch_needs_one_prediction_per_state(rng):
+    model = random_calibrated_model(rng, 3, 3)
+    root = SeqState.fully_masked(model.vocab, (), 3)
+    child = apply_action(root, UnmaskAction(0, 1))
+    with pytest.raises(MissingPosition, match="1 predictions for 2 states"):
+        masked_entropies([root, child], [model.predict(root)])
+    # the search's read-ahead reads a short batch as such, not as fewer children
+    with pytest.raises(MissingPosition, match="predictions for"):
+        run_cgmcts(ShortBatchModel(model), root, SearchConfig(init_length=2, candidate_count=2))

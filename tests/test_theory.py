@@ -79,7 +79,7 @@ def step_cost(model, state, subset):
 def test_entropies_and_gap_on_xor():
     model = xor_pair_model()
     root = root_of(model)
-    ent = masked_entropies(root, model.predict(root)).tolist()
+    ent = masked_entropies([root], [model.predict(root)])[0].tolist()
     assert ent == pytest.approx([LN2, LN2], abs=1e-9)
     assert step_cost(model, root, [0, 1])[0] == pytest.approx(LN2, abs=1e-9)
     # a single position has zero gap by construction
