@@ -10,7 +10,12 @@ the identity augmenter and argmax finishing that is exactly greedy
 confidence decoding. From its second step on, a finish step asks the model
 for the prediction after the previous one (Denoiser.predict_after), so a
 model that knows which rows a reveal changed recomputes only those, and
-build_candidates rescores only those. Only a sampled decode builds an rng.
+build_candidates looks up only those. Every finish step scores through
+the model's score memo (Denoiser.score_memo), so a row content that a
+finish step of any earlier decode on the model scored is not scored
+again; search expansions score their rows directly. Outputs do not
+depend on what the model decoded before. Only a sampled decode builds an
+rng.
 """
 
 from __future__ import annotations
@@ -186,19 +191,21 @@ def finish_decode(
     model.predict_after(previous state, previous output, state), whose
     output names the rows that may differ from the previous one. Each step
     rebuilds the pooled top-k2 actions from the previous step's
-    candidates, scoring only those rows whose content no earlier step of
-    this decode scored, and commits tokens_per_step of them: the top of
-    the pool under argmax, or one kernels.draw per commit from
-    softmax(score / temperature) without position repeats. Runs at most
-    cfg.steps steps and stops when nothing is masked. `output`, when
-    given, is the model's prediction at `state` and replaces the first
-    step's model call. `rng` is needed only under remaining_mode "sample";
-    without one, a sampled decode seeds its own from cfg.search.seed.
+    candidates and the model's score memo, scoring only rows whose
+    content no earlier finish step on the model scored, and commits
+    tokens_per_step of them: the top of the pool under argmax, or one
+    kernels.draw per commit from softmax(score / temperature) without
+    position repeats. Runs at most cfg.steps steps and stops when nothing
+    is masked. `output`, when given, is the model's prediction at `state`
+    and replaces the first step's model call. `rng` is needed only under
+    remaining_mode "sample"; without one, a sampled decode seeds its own
+    from cfg.search.seed.
     """
     if rng is None:
         rng = _seeded_rng(cfg)
     s = cfg.search
     cur = state
+    memo = model.score_memo(s.k1, s.gamma, s.epsilon, s.use_entropy_penalty)
     order: list[UnmaskAction] = []
     steps_trace: list[dict] = []
     cands = None
@@ -218,6 +225,7 @@ def finish_decode(
             s.epsilon,
             use_entropy_penalty=s.use_entropy_penalty,
             prev=cands,
+            memo=memo,
         )
         available = cands.pooled
         chosen: list[tuple[UnmaskAction, float]] = []

@@ -78,11 +78,13 @@ class DenoiserOutput:
     every entry finite. The stored arrays are read-only; matrix() without
     arguments returns them without copying. probs() is the row softmax of
     the matrix, computed on its first call and kept, so scoring and
-    entropies over one prediction share one softmax; stacked_probs()
-    computes it for several outputs in one kernel call. check_cover() is
-    the one check that an output covers a state's masked positions; an
-    output built for a state's masked_index tuple keeps that tuple, so
-    checking it against the same tuple is one identity test.
+    entropies over one prediction share one softmax; probs(rows) reads
+    some rows of it, or softmaxes just those rows while it is not
+    computed; stacked_probs() computes it for several outputs in one
+    kernel call. check_cover() is the one check that an output covers a
+    state's masked positions; an output built for a state's masked_index
+    tuple keeps that tuple, so checking it against the same tuple is one
+    identity test.
 
     An output from Denoiser.predict_after also records, as row indices,
     how it relates to the output it was predicted after (its base): for
@@ -109,20 +111,7 @@ class DenoiserOutput:
         (bools are not) and the logits are real numbers (bools and strings
         are not). A tuple of positions, such as a state's masked_index, is
         kept for check_cover."""
-        index = np.asarray(positions)
-        if index.dtype != np.int64:  # Python ints read as int64 already
-            integral = index.dtype.kind in "iu" and np.can_cast(index.dtype, np.int64)
-            if index.size and not integral:  # an empty sequence reads as float64
-                raise ConfigError(f"positions must be integers, got {index.dtype} values")
-            index = index.astype(np.int64)
-        if index.ndim != 1 or (index[1:] <= index[:-1]).any():
-            raise ConfigError("positions must be a strictly ascending 1-d sequence")
-        if index.size and index[0] <= 1:
-            # a bool reads as 0 or 1, which strictly ascending positions
-            # can hold only at the two places from where 0 would go in
-            at = 0 if index[0] >= 0 else int(index.searchsorted(0))
-            if not {bool, np.bool_}.isdisjoint(map(type, islice(positions, at, at + 2))):
-                raise ConfigError("positions must be integers, got a bool")
+        index = _ascending_positions(positions)
         try:
             matrix = np.asarray(matrix)
         except (TypeError, ValueError):
@@ -203,11 +192,13 @@ class DenoiserOutput:
     def matrix(self, positions: Sequence[int] | None = None) -> np.ndarray:
         """Rows for `positions` (default: all, as stored, without a copy).
 
-        Raises MissingPosition when a requested position has no row.
+        Raises ConfigError unless `positions` are strictly ascending
+        integers, as from_matrix does (a bool, a float or a string is not
+        one), and MissingPosition when a requested position has no row.
         """
         if positions is None:
             return self._matrix
-        want = np.asarray(positions, dtype=np.int64)
+        want = _ascending_positions(positions)
         if np.array_equal(want, self._positions):
             return self._matrix
         idx = np.searchsorted(self._positions, want)
@@ -217,9 +208,16 @@ class DenoiserOutput:
             raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
         return self._matrix[idx]
 
-    def probs(self) -> np.ndarray:
+    def probs(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Row softmax of the logits, (P, V), computed on the first call and
-        stored read-only."""
+        stored read-only. With `rows` (row indices), the softmax of those
+        rows alone: taken from the stored softmax when it is computed, else
+        computed for them and not stored; the kernel does not mix rows, so
+        either way it is bit for bit those rows of the full softmax."""
+        if rows is not None:
+            if self._probs is None:
+                return kernels.softmax_rows(self._matrix[rows])
+            return self._probs[rows]
         if self._probs is None:
             DenoiserOutput.stacked_probs((self,))
         return self._probs
@@ -267,6 +265,27 @@ class DenoiserOutput:
         return self._positions
 
 
+def _ascending_positions(positions: Sequence[int]) -> np.ndarray:
+    """`positions` as an int64 array. Raises ConfigError unless they are a
+    strictly ascending 1-d sequence of integers: floats, strings, bools and
+    integers beyond int64 are not."""
+    index = np.asarray(positions)
+    if index.dtype != np.int64:  # Python ints read as int64 already
+        integral = index.dtype.kind in "iu" and np.can_cast(index.dtype, np.int64)
+        if index.size and not integral:  # an empty sequence reads as float64
+            raise ConfigError(f"positions must be integers, got {index.dtype} values")
+        index = index.astype(np.int64)
+    if index.ndim != 1 or (index[1:] <= index[:-1]).any():
+        raise ConfigError("positions must be a strictly ascending 1-d sequence")
+    if index.size and index[0] <= 1:
+        # a bool reads as 0 or 1, which strictly ascending positions can
+        # hold only at the two places from where 0 would go in
+        at = 0 if index[0] >= 0 else int(index.searchsorted(0))
+        if not {bool, np.bool_}.isdisjoint(map(type, islice(positions, at, at + 2))):
+            raise ConfigError("positions must be integers, got a bool")
+    return index
+
+
 @lru_cache(maxsize=None)
 def marginal_axes(ndim: int) -> tuple[tuple[int, ...], ...]:
     """Entry i lists every axis of an ndim-d array but axis i: the axes a
@@ -285,6 +304,9 @@ class Denoiser:
     base method calls predict(state) and compares positions and logit
     bytes; a model that knows what a reveal changes overrides it and does
     the work inside predict, so every prediction is one predict call.
+
+    score_memo() hands out the model's memo of scored logit rows, one per
+    set of scoring settings; it lives and dies with the model.
 
     A model is a context manager whose exit calls close(), which releases
     what the model holds open (a no-op unless a subclass holds something).
@@ -316,6 +338,17 @@ class Denoiser:
         """predict() of each state, in order. A subclass may answer the
         batch at once, but its outputs must equal predict()'s."""
         return [self.predict(state) for state in states]
+
+    def score_memo(
+        self, k1: int, gamma: float, epsilon: float, use_entropy_penalty: bool
+    ) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+        """The model's score memo for one set of scoring settings, which
+        scoring.build_candidates fills: a dict from a logit row's bytes to
+        that row's top-k1 tokens and scores. It starts empty, and the model
+        keeps one per settings tuple for as long as it lives, so the
+        finish steps of every decode on the model share it."""
+        memos = vars(self).setdefault("_score_memos", {})
+        return memos.setdefault((k1, gamma, epsilon, use_entropy_penalty), {})
 
     def close(self) -> None:
         pass
@@ -751,7 +784,7 @@ def load_corpus(path: str | Path) -> list[tuple[int, ...]]:
 class CountingDenoiser(Denoiser):
     """Transparent wrapper that counts predicted states: one per predict()
     or predict_after() call, len(states) per predict_many() call; each is
-    forwarded whole."""
+    forwarded whole, and so is score_memo()."""
 
     def __init__(self, inner: Denoiser):
         self.inner = inner
@@ -773,6 +806,12 @@ class CountingDenoiser(Denoiser):
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
         self.calls += len(states)
         return self.inner.predict_many(states)
+
+    def score_memo(
+        self, k1: int, gamma: float, epsilon: float, use_entropy_penalty: bool
+    ) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+        """The inner model's memo, so wrappers of one model share it."""
+        return self.inner.score_memo(k1, gamma, epsilon, use_entropy_penalty)
 
     def reset(self) -> None:
         self.calls = 0

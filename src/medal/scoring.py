@@ -5,17 +5,30 @@ kernels.score_rows: softmax probabilities p, an entropy penalty exp(-H)
 with H = -sum_v p_v * log(p_v + epsilon), and a top-2 margin factor
 sigmoid(gamma * (p_(1) - p_(2))); token scores are the product of the
 three. Candidates are filtered per position (top-k1) and then pooled
-globally (top-k2); ties break toward lower position, then lower token. A
-finish step passes the previous step's candidates back in: rows that its
-prediction does not name as changed since the previous prediction
-(DenoiserOutput.changed_since) keep their top-k1, and the chain of builds
-shares a memo from a row's logit bytes to its top-k1, so a changed row is
-scored only when no earlier build of the chain scored the same content.
+globally (top-k2); ties break toward lower position, then lower token.
+
+A row's top-k1 is a pure function of its logit bytes and the settings
+(k1, gamma, epsilon, penalty), so a model whose rows repeat across
+decodes, such as an n-gram or tabular model, can score each row content
+once. The model owns a score memo from row bytes to top-k1, one per
+settings tuple (Denoiser.score_memo), which every finish step of every
+decode on the model looks its rows up in: finish steps score a row
+content at most once per model while the memo holds it. A memo holds at
+most MEMO_BYTES, counting each entry's row, its top-k1 and
+MEMO_ENTRY_BYTES of Python objects, and is cleared when an entry would
+pass that, so a model whose rows never repeat cannot grow it without
+bound. A finish step also passes
+the previous step's candidates back in: rows its prediction does not name
+as changed since the previous prediction (DenoiserOutput.changed_since)
+keep their top-k1 without a lookup. A build without a memo, such as a
+search expansion, scores its rows directly and hashes none, so traffic
+whose rows never repeat pays for no lookup there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +39,16 @@ from .seqcore import SeqState, UnmaskAction
 
 DEFAULT_GAMMA = 5.0
 DEFAULT_EPSILON = 1e-8
+
+# bytes one score memo may hold (4 MiB); an entry that would pass it
+# clears the memo first. On rows that never repeat (V=32, L=128 finish
+# decodes, 2-vCPU x86 guest), a 32 MiB memo made finish steps about 5 %
+# slower than a memo dropped after each decode; 4 MiB made no difference.
+MEMO_BYTES = 1 << 22
+# bytes a memo entry holds besides its row and top-k1 data: the key's
+# header, the value tuple, two array views and a dict slot (about 340-390
+# bytes measured with tracemalloc on CPython 3.11)
+MEMO_ENTRY_BYTES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +61,7 @@ class ActionCandidates:
     prediction the rows were scored from, kept so that the next build can
     read which rows changed since it. gamma, epsilon and
     use_entropy_penalty are the scoring settings, which a build passing
-    this as prev must share. memo is the score memo shared by every build
-    along a prev chain: it maps a logit row's bytes to that row's top-k1
-    tokens and scores. It starts empty; the first build from a result
-    enters that result's rows, and each build enters the rows it scores.
+    this as prev must share.
     """
 
     positions: np.ndarray  # (P,)
@@ -52,7 +72,6 @@ class ActionCandidates:
     gamma: float
     epsilon: float
     use_entropy_penalty: bool
-    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
 def _top_k1(
@@ -61,7 +80,8 @@ def _top_k1(
     """Stage 1: each row's top-`take` tokens and scores, score desc; the
     stable sort keeps ties token-ascending."""
     scores = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)[-1]
-    tokens = (-scores).argsort(axis=1, kind="stable")[:, :take]
+    # a copy: memo entries are views of it, and a view would keep (n, V) alive
+    tokens = (-scores).argsort(axis=1, kind="stable")[:, :take].copy()
     return tokens, scores[np.arange(scores.shape[0])[:, None], tokens]
 
 
@@ -75,70 +95,87 @@ def build_candidates(
     *,
     use_entropy_penalty: bool = True,
     prev: ActionCandidates | None = None,
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> ActionCandidates:
     """Two-stage action filter over all masked positions of `state`.
 
     `output` is the model's prediction at `state`; it must cover exactly
-    the masked positions, with one logit per content token. Without prev
-    every row is scored from output.probs(), and the result starts an
-    empty memo. `prev`, when given, is the result of an earlier call with
-    the same k1, vocab width, gamma, epsilon and penalty setting, and the
-    result shares its memo; the first build from prev enters prev's rows
-    into the memo. When `output` was predicted after prev's output
-    (Denoiser.predict_after), a row it does not name as changed takes
-    prev's top-k1 at its position as is; every other row (all of them for
-    an output with no such record) whose bytes are in the memo takes the
-    stored result; only the rest are softmaxed and scored, in one batch,
-    and entered into the memo. Raises ConfigError when k1 or k2 is below
-    1, or when prev was built with other settings.
+    the masked positions, with one logit per content token. `prev`, when
+    given, is the result of an earlier call with the same k1, vocab width,
+    gamma, epsilon and penalty setting. When `output` was predicted after
+    prev's output (Denoiser.predict_after), a row it does not name as
+    changed takes prev's top-k1 at its position as is. Without a `memo`
+    every other row (all of them without such a record) is scored, in one
+    batch, softmaxed unless output's probs() is computed already. `memo`
+    is the model's score memo for these settings (Denoiser.score_memo(k1,
+    gamma, epsilon, use_entropy_penalty)); with it, every other row whose
+    bytes are in the memo takes the stored result, and only the rest are
+    scored, each distinct content once, and entered into the memo (cleared
+    first when they would pass MEMO_BYTES; only what fits goes in). Raises
+    ConfigError when k1 or k2 is below 1, or when prev was built with
+    other settings.
     """
     if k1 < 1 or k2 < 1:
         raise ConfigError("k1 and k2 must be >= 1")
     rows = output.check_cover(state.masked_index, state.vocab.size)
     logits = output.matrix()
     take = min(k1, logits.shape[1])
+    since = None
     if prev is not None:
         if prev.tokens.shape[1] != take or prev.output.matrix().shape[1] != logits.shape[1]:
             raise ConfigError("prev was built with another k1 or vocab width")
         settings = (gamma, epsilon, use_entropy_penalty)
         if (prev.gamma, prev.epsilon, prev.use_entropy_penalty) != settings:
             raise ConfigError("prev was built with another gamma, epsilon or entropy penalty")
-    if prev is None or not prev.positions.shape[0]:
-        memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        since = output.changed_since(prev.output)
+    if since is not None:
+        at, fresh = since
+        tokens = prev.tokens.take(at, axis=0)
+        kept = prev.scores.take(at, axis=0)
+    elif memo is None:
+        fresh = ()
         tokens, kept = _top_k1(output.probs(), take, gamma, epsilon, use_entropy_penalty)
     else:
-        memo = prev.memo
-        if not memo:
-            memo.update(
-                zip(map(np.ndarray.tobytes, prev.output.matrix()), zip(prev.tokens, prev.scores))
+        fresh = range(rows.shape[0])
+        tokens = np.empty((rows.shape[0], take), dtype=np.intp)
+        kept = np.empty((rows.shape[0], take))
+    if memo is None:
+        if fresh:
+            idx = np.array(fresh)
+            tokens[idx], kept[idx] = _top_k1(
+                output.probs(idx), take, gamma, epsilon, use_entropy_penalty
             )
-        since = output.changed_since(prev.output)
-        if since is None:
-            fresh = range(rows.shape[0])
-            tokens = np.empty((rows.shape[0], take), dtype=prev.tokens.dtype)
-            kept = np.empty((rows.shape[0], take))
-        else:
-            at, fresh = since
-            tokens = prev.tokens.take(at, axis=0)
-            kept = prev.scores.take(at, axis=0)
-        unseen: list[int] = []
+    else:
+        missed: list[int] = []
         keys: list[bytes] = []
         for i in fresh:
             key = logits[i].tobytes()
             hit = memo.get(key)
             if hit is None:
-                unseen.append(i)
+                missed.append(i)
                 keys.append(key)
             else:
                 tokens[i], kept[i] = hit
-        if unseen:
-            idx = np.array(unseen)
+        if missed:
+            # one row of each distinct content is scored; a repeated
+            # content takes the result of its scored row
+            row_of = dict(zip(keys, missed))
+            scored = idx = np.array(missed)
+            pick = slice(None)
+            if len(row_of) < len(keys):
+                scored = np.fromiter(row_of.values(), np.intp, len(row_of))
+                slot = dict(zip(row_of, range(len(row_of))))
+                pick = [slot[key] for key in keys]
             new_tokens, new_kept = _top_k1(
-                kernels.softmax_rows(logits[idx]), take, gamma, epsilon, use_entropy_penalty
+                output.probs(scored), take, gamma, epsilon, use_entropy_penalty
             )
-            tokens[idx] = new_tokens
-            kept[idx] = new_kept
-            memo.update(zip(keys, zip(new_tokens, new_kept)))
+            tokens[idx] = new_tokens[pick]
+            kept[idx] = new_kept[pick]
+            entry = logits[0].nbytes + (new_tokens.itemsize + new_kept.itemsize) * take
+            room = MEMO_BYTES // (entry + MEMO_ENTRY_BYTES)
+            if len(memo) + len(row_of) > room:
+                memo.clear()
+            memo.update(islice(zip(row_of, zip(new_tokens, new_kept)), room))
     # stage 2: the union ranked by (score desc, position asc, token asc).
     # Rows ascend by position and each row lists tied tokens in ascending
     # order, so a stable sort of the flattened scores breaks ties that way.
@@ -159,5 +196,4 @@ def build_candidates(
         gamma=gamma,
         epsilon=epsilon,
         use_entropy_penalty=use_entropy_penalty,
-        memo=memo,
     )

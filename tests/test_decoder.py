@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from medal import kernels
+from medal import decoder, kernels, scoring
 from medal.decoder import (
     DecodeConfig,
     augment_prompt,
@@ -318,14 +318,16 @@ def test_finish_rescores_only_rows_whose_logits_changed(monkeypatch):
     cfg.validate()
     root = SeqState.fully_masked(model.vocab, (0, 1), 64)
     assert finish_decode(model, root, cfg).final.is_complete
-    assert len(outputs) == 64 and scored[0] == 64
-    # replay the rule on the recorded predictions: a later step scores the
-    # rows whose logits differ from the previous step's at their position
-    # and whose content no earlier step of the decode scored
+    assert len(outputs) == 64
+    # replay the rule on the recorded predictions: a step scores, once
+    # each, the distinct row contents that no earlier build on this model
+    # scored; it looks up only rows whose logits differ from the previous
+    # step's at their position, and the others' contents are known already
     first_at = {}
+    unseen = [len({row.tobytes() for row in outputs[0].matrix()})]
     for pos, row in zip(outputs[0].positions(), outputs[0].matrix()):
         first_at.setdefault(row.tobytes(), pos)
-    changed, unseen, moved_hits = [], [], 0
+    changed, moved_hits = [], 0
     for before, after in zip(outputs, outputs[1:]):
         pos = after.positions()
         diff = (after.matrix() != before.matrix(pos)).any(axis=1)
@@ -333,20 +335,30 @@ def test_finish_rescores_only_rows_whose_logits_changed(monkeypatch):
         for p, row in zip(np.array(pos)[diff].tolist(), after.matrix()[diff]):
             key = row.tobytes()
             if key not in first_at:
-                fresh[p] = key
+                fresh.setdefault(key, p)
             elif first_at[key] != p:
                 moved_hits += 1
-        for p, key in fresh.items():
-            first_at.setdefault(key, p)
+        for key, p in fresh.items():
+            first_at[key] = p
+        assert all(row.tobytes() in first_at for row in after.matrix()[~diff])
         changed.append(int(diff.sum()))
         unseen.append(len(fresh))
     # a step with no unseen row skips scoring; most rows do not change, and
-    # some changed rows reuse content first scored at another position, so
-    # neither the positional diff nor the memo is vacuous here
-    assert scored[1:] == [u for u in unseen if u]
+    # some changed rows reuse content first scored at another position,
+    # and the first step's 64 rows hold repeated contents, so neither the
+    # positional diff nor the memo is vacuous here
+    assert scored == [u for u in unseen if u]
+    assert sum(scored) == len(first_at)
+    assert unseen[0] < 64
     assert sum(changed) < 64 * 63 // 2 // 4
-    assert sum(unseen) < sum(changed)
+    assert sum(unseen[1:]) < sum(changed)
     assert moved_hits >= 1
+    # the memo belongs to the model: decoding again, through a fresh
+    # counting wrapper too, scores no row
+    del scored[:]
+    assert finish_decode(model, root, cfg).final.is_complete
+    assert finish_decode(CountingDenoiser(model), root, cfg).final.is_complete
+    assert scored == []
 
 
 @st.composite
@@ -441,3 +453,108 @@ def test_property_incremental_finish_equals_base_path(
     prompt = tuple(gen.integers(0, vocab, size=int(gen.integers(0, 3))).tolist())
     fast = decode(model, prompt, cfg)
     assert fast.to_json() == decode(BasePath(model), prompt, cfg).to_json()
+
+
+@st.composite
+def memo_jobs(draw):
+    """A model recipe and a list of decode jobs on it: search on or off,
+    argmax or sampled finishing, 1 to 3 tokens per step."""
+    kind = draw(st.sampled_from(["tabular", "ngram"]))
+    vocab = draw(st.integers(min_value=2, max_value=3))
+    length = draw(st.integers(min_value=3, max_value=5 if kind == "tabular" else 9))
+    jobs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2]),  # init_length; 0 turns the search off
+                st.sampled_from(["argmax", "sample"]),
+                st.integers(min_value=1, max_value=3),  # tokens_per_step
+                st.integers(min_value=0, max_value=2**16),  # decode seed
+                st.lists(st.integers(0, vocab - 1), max_size=2).map(tuple),  # prompt
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return kind, vocab, length, draw(st.integers(min_value=0, max_value=2**16)), jobs
+
+
+def _memo_model(kind, vocab, length, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "tabular":
+        return random_calibrated_model(gen, length, vocab)
+    corpus = [gen.integers(0, vocab, size=int(gen.integers(2, 12))).tolist() for _ in range(6)]
+    return fit_ngram(corpus, n=int(gen.integers(1, 4)), alpha=0.5, vocab_size=vocab)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=memo_jobs(), cap_rows=st.integers(min_value=0, max_value=4))
+def test_property_model_score_memo_leaves_outputs_unchanged(case, cap_rows):
+    # the score memo belongs to the model and outlives each decode; a job
+    # decoded after others on one model (each through a fresh wrapper, as
+    # the harness does) equals the job decoded on a freshly built model
+    kind, vocab, length, model_seed, jobs = case
+    runs = [
+        (
+            prompt,
+            DecodeConfig(
+                length=length,
+                remaining_mode=mode,
+                tokens_per_step=per_step,
+                search=SearchConfig(
+                    init_length=init, candidate_count=2, max_simulations=40, seed=seed
+                ),
+            ),
+        )
+        for init, mode, per_step, seed, prompt in jobs
+    ]
+    want = [decode(_memo_model(kind, vocab, length, model_seed), p, c).to_json() for p, c in runs]
+
+    # rows sent to kernels.score_rows by finish steps (memo) and by search
+    # expansions (no memo, scored directly)
+    scored = {"finish": [], "search": []}
+    score_rows = kernels.score_rows
+    build = decoder.build_candidates
+    inside = []
+
+    def counting_score_rows(probs, *args, **kwargs):
+        scored["finish" if inside else "search"].append(probs.shape[0])
+        return score_rows(probs, *args, **kwargs)
+
+    def finish_build(*args, **kwargs):
+        inside.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    model = _memo_model(kind, vocab, length, model_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "score_rows", counting_score_rows)
+        mp.setattr(decoder, "build_candidates", finish_build)
+        assert [decode(CountingDenoiser(model), p, c).to_json() for p, c in runs] == want
+        assert scored["finish"]  # the first pass scored rows
+        first_search = scored["search"]
+        # every row content a finish step of the second pass looks up is in
+        # the model's memo; the search scores what it scored before
+        scored = {"finish": [], "search": []}
+        assert [decode(CountingDenoiser(model), p, c).to_json() for p, c in runs] == want
+        assert scored == {"finish": [], "search": first_search}
+
+    # with the memo capped at cap_rows entries it never holds more, and it
+    # still changes no output
+    entry = vocab * 8 + min(SearchConfig().k1, vocab) * 16 + scoring.MEMO_ENTRY_BYTES
+    cap = cap_rows * entry
+    seen = []
+
+    def build_checked(*args, memo=None, **kwargs):
+        out = build(*args, memo=memo, **kwargs)
+        assert len(memo) * entry <= cap
+        seen.append(len(memo))
+        return out
+
+    model = _memo_model(kind, vocab, length, model_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "MEMO_BYTES", cap)
+        mp.setattr(decoder, "build_candidates", build_checked)
+        assert [decode(CountingDenoiser(model), p, c).to_json() for p, c in runs] == want
+    assert seen and max(seen) <= cap_rows

@@ -112,6 +112,30 @@ def test_output_validation():
     assert DenoiserOutput.from_matrix([], np.zeros((0, 2))).positions() == []
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[0.7], [False], ["2"], [2.9], [True, 2], [-1, True], np.array([0.0]), np.array([True]),
+     [[0, 2]], [2, 0]],
+    ids=["float_0.7", "false", "str_2", "float_2.9", "true_first", "true_second",
+         "float_array", "bool_array", "2d", "descending"],
+)
+def test_matrix_rejects_positions_that_are_not_integers(bad):
+    # matrix(positions) gets from_matrix's check: numpy would read 0.7 and
+    # False as position 0, and '2' and 2.9 as position 2
+    out = DenoiserOutput.from_matrix([0, 2], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigError):
+        out.matrix(bad)
+
+
+def test_matrix_selects_rows_for_integer_positions():
+    out = DenoiserOutput.from_matrix([0, 2, 5], np.arange(6.0).reshape(3, 2))
+    for good in ([0, 2, 5], (2,), [0, 5], np.array([2, 5], dtype=np.int32), range(0, 3, 2), []):
+        want = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        got = out.matrix(good).tolist()
+        assert got == [want[[0, 2, 5].index(p)] for p in good]
+    assert out.matrix(out.positions()) is out.matrix()  # the tracer's read: no copy
+
+
 def test_check_cover_takes_the_tuple_an_output_was_built_for_at_its_word(monkeypatch):
     state = SeqState.fully_masked(Vocab(3), (0,), 3)
     index = state.masked_index

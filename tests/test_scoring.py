@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from medal import kernels
-from medal.denoisers import DenoiserOutput, FactorizedModel, fit_ngram
+from medal import kernels, scoring
+from medal.denoisers import CountingDenoiser, DenoiserOutput, FactorizedModel, fit_ngram
 from medal.errors import ConfigError, LogitWidthMismatch, MissingPosition, NonFiniteLogits
 from medal.families import random_calibrated_model
 from medal.scoring import build_candidates
@@ -150,12 +152,119 @@ def test_build_candidates_k_clamped_to_available():
         build_candidates(wide, output({0: np.zeros(4), 1: np.zeros(4)}), k1=3, k2=3, prev=cands)
 
 
+def _counting(monkeypatch, name):
+    """Record the row count of each call of kernels.<name>."""
+    calls = []
+    kernel = getattr(kernels, name)
+
+    def counted(rows, *args, **kwargs):
+        calls.append(np.shape(rows)[0])
+        return kernel(rows, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def test_build_candidates_scores_each_distinct_row_once_per_memo(monkeypatch, rng):
+    scored = _counting(monkeypatch, "score_rows")
+    state = make_state(4, 5)
+    a, b, c = rng.normal(size=(3, 4))
+    out = output({0: a, 1: b, 2: a, 3: a, 4: c})
+    memo = {}
+    cands = build_candidates(state, out, k1=2, k2=4, memo=memo)
+    assert scored == [3]  # one batch of the three distinct contents
+    assert sorted(memo) == sorted({row.tobytes() for row in (a, b, c)})
+    _same_candidates(cands, build_candidates(state, out, k1=2, k2=4))
+    assert scored == [3, 5]  # without a memo, the call scores every row
+    # another output over other positions scores only its unseen content
+    d = rng.normal(size=4)
+    other = build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), k1=2, k2=4, memo=memo)
+    assert scored == [3, 5, 1] and len(memo) == 4
+    _same_candidates(other, build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), 2, 4))
+
+
+def test_build_candidates_reads_computed_probs_instead_of_softmaxing(monkeypatch, rng):
+    softmaxed = _counting(monkeypatch, "softmax_rows")
+    state = make_state(4, 3)
+    out = output({p: rng.normal(size=4) for p in range(3)})
+    build_candidates(state, out, k1=2, k2=3, memo={})
+    assert softmaxed == [3]  # just the rows looked up, not stored
+    assert out._probs is None
+    probs = out.probs()
+    assert softmaxed == [3, 3]
+    fresh = output({p: row for p, row in zip(range(3), out.matrix())})
+    want = build_candidates(state, fresh, 2, 3, memo={})
+    assert softmaxed == [3, 3, 3]
+    _same_candidates(build_candidates(state, out, k1=2, k2=3, memo={}), want)
+    _same_candidates(build_candidates(state, out, k1=2, k2=3), want)
+    assert softmaxed == [3, 3, 3]  # the output with computed probs() softmaxed nothing
+    assert out.probs() is probs
+    # without a memo the build scores the stored softmax of the whole output
+    build_candidates(state, fresh, 2, 3)
+    assert softmaxed == [3, 3, 3, 3] and fresh._probs is not None
+
+
+def test_score_memo_is_the_models_and_bounded(monkeypatch, rng):
+    model = FactorizedModel(Vocab(4), rng.dirichlet(np.ones(4), size=6))
+    memo = model.score_memo(3, 5.0, 1e-8, True)
+    assert memo == {}
+    assert model.score_memo(3, 5.0, 1e-8, True) is memo
+    assert CountingDenoiser(model).score_memo(3, 5.0, 1e-8, True) is memo
+    others = [model.score_memo(*s) for s in ((2, 5.0, 1e-8, True), (3, 4.0, 1e-8, True),
+                                             (3, 5.0, 1e-6, True), (3, 5.0, 1e-8, False))]
+    assert all(o is not memo for o in others) and len({id(o) for o in others}) == 4
+    # a memo holds at most MEMO_BYTES, counting each entry's row, its
+    # top-k1 tokens and scores and MEMO_ENTRY_BYTES: an entry that would
+    # pass the cap clears it first, and a batch larger than the cap enters
+    # only what fits
+    entry = 4 * 8 + 3 * (8 + 8) + scoring.MEMO_ENTRY_BYTES
+    monkeypatch.setattr(scoring, "MEMO_BYTES", 3 * entry + entry // 2)
+    rows = rng.normal(size=(6, 4))
+    state = make_state(4, 2)
+    build_candidates(state, output({0: rows[0], 1: rows[1]}), 3, 5, memo=memo)
+    assert sorted(memo) == sorted(r.tobytes() for r in rows[:2])
+    build_candidates(state, output({0: rows[0], 1: rows[2]}), 3, 5, memo=memo)
+    assert len(memo) == 3
+    build_candidates(state, output({0: rows[3], 1: rows[4]}), 3, 5, memo=memo)
+    assert sorted(memo) == sorted(r.tobytes() for r in rows[3:5])
+    wide = make_state(4, 5)
+    batch = output(dict(enumerate(rng.normal(size=(5, 4)))))
+    cands = build_candidates(wide, batch, 3, 5, memo=memo)
+    assert len(memo) == 3 and set(memo) < {r.tobytes() for r in batch.matrix()}
+    _same_candidates(cands, build_candidates(wide, batch, 3, 5))
+
+
+@pytest.mark.parametrize("vocab", [2, 3, 512])
+def test_score_memo_retains_at_most_its_cap(monkeypatch, vocab):
+    # what a full memo keeps alive, keys, values and the arrays under them
+    # included, stays within MEMO_BYTES; the cap is set to hold a few
+    # hundred entries, and many more distinct rows pass through it
+    cap = 300 * (vocab * 8 + 3 * 16 + scoring.MEMO_ENTRY_BYTES)
+    monkeypatch.setattr(scoring, "MEMO_BYTES", cap)
+    gen = np.random.default_rng(vocab)
+    state = make_state(vocab, 64)
+    batches = [output(dict(enumerate(gen.normal(size=(64, vocab))))) for _ in range(12)]
+    memo = {}
+    peak = 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for batch in batches:
+            build_candidates(state, batch, 3, 5, memo=memo)
+            gc.collect()
+            peak = max(peak, tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert 200 <= len(memo) <= 300
+    assert peak <= cap
+
+
 @pytest.mark.parametrize(
     "setting", [{"gamma": 4.0}, {"epsilon": 1e-6}, {"use_entropy_penalty": False}]
 )
 def test_build_candidates_rejects_prev_with_other_scoring_settings(rng, setting):
-    # scores depend on gamma, epsilon and the penalty switch, so a prev (and
-    # its memo) built under other settings cannot be reused
+    # scores depend on gamma, epsilon and the penalty switch, so a prev
+    # built under other settings cannot be reused
     state = make_state(4, 3)
     out = output({p: rng.normal(size=4) for p in range(3)})
     cands = build_candidates(state, out, k1=2, k2=3)
