@@ -228,7 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.add_argument("--prompt", default="")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="accepted like decode's; the search draws no random numbers, so it"
+        " cannot change the output",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mcts_init)
 

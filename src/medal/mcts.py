@@ -21,20 +21,20 @@ re-selecting one backpropagates its stored creation reward. The
 per-iteration descent is what lets a budget of 64 * candidate_count
 simulations reach pool depth: one descent costs about init_length * k2
 simulations and its final expansion delivers up to k2 candidates at
-once. The search stops when the pool holds candidate_count entries or
-the simulation budget runs out (the pool is then returned short, flagged
-exhausted).
+once. The search stops when the pool holds candidate_count entries; if
+the simulation budget runs out or the tree is complete first (see
+iterate), the pool is returned short, flagged exhausted.
 
-SearchNode, ucb_select, select_leaf, backpropagate and StateTable are
-generic over the state/action payload: the schedule-space search in the
-theory module reuses them with set-valued actions.
+SearchNode, iterate, backpropagate and StateTable are generic over the
+state/action payload: the schedule-space search in the theory module
+reuses them with set-valued actions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import jsonspec
 from .errors import AlreadyExpanded, ConfigError, NoChildren
@@ -170,6 +170,37 @@ def backpropagate(path: list[tuple[SearchNode, SearchNode]], reward: float) -> N
         child.edge_value += reward
 
 
+def iterate(root: SearchNode, c_explore: float, grow: Callable) -> Iterator[tuple]:
+    """UCT from `root`, yielding one record per iteration: the (parent,
+    child) edges select_leaf took, root first; the children simulated; and
+    the rewards backpropagated, one per simulation, in order.
+
+    A terminal leaf is re-selected: its stored reward is backpropagated
+    once, one simulation, and no child is simulated. Any other leaf goes
+    to grow(node, path), the caller's expansion, which
+    simulates and backpropagates without changing `path` and returns the
+    children it simulated and their rewards. The loop counts the
+    non-terminal nodes not yet expanded and stops once there are none: the
+    tree is complete, so every later iteration would only re-select a
+    terminal node (the MCTS-Solver stop of Winands, Bjornsson & Saito,
+    2008). Until then it runs for as long as the caller consumes it, which
+    stops on its own budget.
+    """
+    unexpanded = 1  # the root
+    while unexpanded:
+        node, path = select_leaf(root, c_explore)
+        if node.terminal:
+            backpropagate(path, node.terminal_reward)
+            yield path, [], [node.terminal_reward]
+            continue
+        simulated, rewards = grow(node, path)
+        unexpanded -= 1  # the leaf; a child that grow expanded too was never counted
+        for child in simulated:
+            if not (child.terminal or child.children):
+                unexpanded += 1
+        yield path, simulated, rewards
+
+
 def check_node_invariant(node: SearchNode) -> bool:
     return node.visit_count == sum(ch.edge_visits for ch in node.children) + 1
 
@@ -275,7 +306,7 @@ class CandidateEntry:
 class CandidatePool:
     capacity: int
     entries: list[CandidateEntry] = field(default_factory=list)
-    exhausted: bool = False  # budget ran out before the pool filled
+    exhausted: bool = False  # short pool: the budget ran out or the tree is complete
     _seen: set[tuple[int, ...]] = field(default_factory=set)
 
     @property
@@ -307,10 +338,11 @@ def run_cgmcts(
     The root's generation region must be fully masked. max_simulations
     budgets child simulations (a re-selected pool node costs one); the
     final expansion of a descent may overshoot by at most k2 - 1 so that
-    sibling candidates are never half-created. init_length == 0
-    short-circuits to a pool holding only the root (no search, no model
-    calls); decode skips the search itself at that depth, so only callers
-    of the search stage alone (mcts-init) reach it.
+    sibling candidates are never half-created. A complete tree ends the
+    search too (see iterate). init_length == 0 short-circuits to a pool
+    holding only the root (no search, no model calls); decode skips the
+    search itself at that depth, so only callers of the search stage
+    alone (mcts-init) reach it.
     """
     cfg.validate()
     if root_state.reveal_count() != 0:
@@ -333,69 +365,58 @@ def run_cgmcts(
     table = StateTable(
         lambda state: _rows([state], [None if state.is_complete else model.predict(state)])[0]
     )
-    root = SearchNode(root_state)
-
     sims = 0
-    it = 0
-    while sims < cfg.budget and not pool.full:
-        node, path = select_leaf(root, cfg.c_explore)
-        selected = [[c.action.position, c.action.token] for _, c in path]
-        expanded_actions: list[list[int]] = []
+
+    def grow(node: SearchNode, path: list) -> tuple[list[SearchNode], list[float]]:
+        """The pooled descent: expand level by level toward the pool depth."""
+        simulated: list[SearchNode] = []
         rewards: list[float] = []
-
-        if node.terminal:
-            backpropagate(path, node.terminal_reward)
-            rewards.append(node.terminal_reward)
-            sims += 1
-        else:
-            # descend: expand level by level toward the pool depth
-            while not node.terminal and not pool.full and sims < cfg.budget:
-                prefix = tuple(c.action for _, c in path)
-                output, before = table(node.state)
-                children = expand(node, output, cfg)
-                _read_ahead(model, table, children, pool, cfg)
-                for child in children:
-                    child_output, after = table(child.state)
-                    reward = simulate(before, after)
-                    sims += 1
-                    backpropagate(path + [(node, child)], reward)
-                    expanded_actions.append(
-                        [child.action.position, child.action.token]
-                    )
-                    rewards.append(reward)
-                    if child.state.reveal_count() >= cfg.init_length:
-                        child.terminal = True
-                        child.terminal_reward = reward
-                        pool.add(
-                            CandidateEntry(
-                                order=len(pool.entries),
-                                state=child.state,
-                                path=prefix + (child.action,),
-                                reward=reward,
-                                score=entropy_gain(table(root_state)[1], after),
-                                output=child_output,
-                            )
+        while not node.terminal and not pool.full and sims + len(rewards) < cfg.budget:
+            prefix = tuple(c.action for _, c in path)
+            output, before = table(node.state)
+            children = expand(node, output, cfg)
+            _read_ahead(model, table, children, pool, cfg)
+            for child in children:
+                child_output, after = table(child.state)
+                reward = simulate(before, after)
+                backpropagate(path + [(node, child)], reward)
+                simulated.append(child)
+                rewards.append(reward)
+                if child.state.reveal_count() >= cfg.init_length:
+                    child.terminal = True
+                    child.terminal_reward = reward
+                    pool.add(
+                        CandidateEntry(
+                            order=len(pool.entries),
+                            state=child.state,
+                            path=prefix + (child.action,),
+                            reward=reward,
+                            score=entropy_gain(table(root_state)[1], after),
+                            output=child_output,
                         )
-                        if pool.full:
-                            break
-                if pool.full:
-                    break
-                child = ucb_select(node, cfg.c_explore)
-                path.append((node, child))
-                node = child
+                    )
+                    if pool.full:
+                        return simulated, rewards
+            child = ucb_select(node, cfg.c_explore)
+            path = path + [(node, child)]
+            node = child
+        return simulated, rewards
 
+    for it, (path, simulated, rewards) in enumerate(
+        iterate(SearchNode(root_state), cfg.c_explore, grow)
+    ):
+        sims += len(rewards)
         if trace is not None:
             trace(
                 {
                     "iter": it,
-                    "selected_path": selected,
-                    "expanded_actions": expanded_actions,
+                    "selected_path": [[c.action.position, c.action.token] for _, c in path],
+                    "expanded_actions": [[c.action.position, c.action.token] for c in simulated],
                     "reward": rewards,
                     "pool_size": len(pool.entries),
                 }
             )
-        it += 1
-
-    if not pool.full:
-        pool.exhausted = True
+        if sims >= cfg.budget or pool.full:
+            break
+    pool.exhausted = not pool.full
     return pool

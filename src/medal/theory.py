@@ -13,9 +13,9 @@ Each step pays two quantities at its realized context:
 For any calibrated model the dependence error never exceeds the gap
 (pointwise per step), so summed gaps J upper-bound the total dependence
 error of the whole schedule. verify_lemma1 checks that inequality
-exhaustively; verify_theorem1 runs a UCT search over schedule space and
-checks it converges on minimal-J schedules, beating greedy and random
-baselines.
+exhaustively; verify_theorem1 runs a UCT search over schedule space (the
+loop of mcts.iterate, with uniform rollouts) and checks it converges on
+minimal-J schedules, beating greedy and random baselines.
 
 Every walk is a ScheduleCost, grown a step at a time by ScheduleCost.extend
 with argmax commits, reading contexts from one per-call table
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from .errors import (
     NoMaskedPositions,
     SubsetNotMasked,
 )
-from .mcts import SearchNode, StateTable, backpropagate, select_leaf
+from .mcts import SearchNode, StateTable, backpropagate, iterate
 from .reward import masked_entropies
 from .seqcore import SeqState, UnmaskAction, apply_many
 
@@ -358,13 +358,10 @@ def search_schedules(
     Returns the cost of the best complete schedule found, as walked by the
     search (it equals schedule_cost's argmax walk without dependence), and,
     when `snapshots` is given, the best J after each listed iteration count
-    (best-so-far, so snapshot values are non-increasing).
-
-    The search stops early once the tree is complete (every non-terminal
-    node expanded; the MCTS-Solver stop of Winands, Bjornsson & Saito,
-    2008): from then on an iteration only re-selects a complete schedule,
-    so the best schedule and every later snapshot are what the full budget
-    would give. Raises ConfigError for a budget below 1.
+    (best-so-far, so snapshot values are non-increasing). The search stops
+    early at a complete tree (mcts.iterate), so the best schedule and every
+    later snapshot are what the full budget would give. Raises ConfigError
+    for a budget below 1.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
@@ -372,10 +369,7 @@ def search_schedules(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     _check_sizes(len(root.masked_index), k, step_size)
     table = _contexts(model)
-    rng = np.random.default_rng(seed)
-    marks = sorted(set(snapshots)) if snapshots else []
-    snap: dict[int, float] = {}
-
+    uniform = _uniform_choice(np.random.default_rng(seed))
     best: ScheduleCost | None = None  # set by the first iteration's expansion
 
     def consider(cost: ScheduleCost) -> float:
@@ -384,38 +378,30 @@ def search_schedules(
             best = cost
         return cost.j
 
-    uniform = _uniform_choice(rng)
-    root_node = SearchNode(ScheduleCost(root))
-    unexpanded = 1  # non-terminal nodes without children
+    def grow(node: SearchNode, path: list) -> tuple[list[SearchNode], list[float]]:
+        """Expand a prefix into every feasible next step; a child that
+        completes the schedule is terminal, any other is rolled out."""
+        here: ScheduleCost = node.state
+        rewards = []
+        for step in _next_step_choices(here.seq.masked_index, k - len(here.steps), step_size):
+            prefix = here.extend(table, step)
+            child = SearchNode(
+                prefix, action=step, prior=-prefix.per_step_gap[-1], index=len(node.children)
+            )
+            node.children.append(child)
+            if len(prefix.steps) == k:
+                child.terminal = True
+                child.terminal_reward = reward = -consider(prefix)
+            else:
+                # rollout: finish the prefix with uniform random steps
+                reward = -consider(_walk(table, prefix, k, step_size, uniform))
+            backpropagate(path + [(node, child)], reward)
+            rewards.append(reward)
+        return node.children, rewards
 
-    for it in range(budget):
-        if not unexpanded:  # a complete tree: the rest of the budget changes nothing
-            snap.update((mark, best.j) for mark in marks if it < mark <= budget)
-            break
-        node, path = select_leaf(root_node, C_EXPLORE)
-        if node.terminal:
-            backpropagate(path, node.terminal_reward)
-        else:
-            here: ScheduleCost = node.state
-            unexpanded -= 1
-            for step in _next_step_choices(here.seq.masked_index, k - len(here.steps), step_size):
-                prefix = here.extend(table, step)
-                child = SearchNode(
-                    prefix, action=step, prior=-prefix.per_step_gap[-1], index=len(node.children)
-                )
-                node.children.append(child)
-                if len(prefix.steps) == k:
-                    child.terminal = True
-                    child.terminal_reward = reward = -consider(prefix)
-                else:
-                    unexpanded += 1
-                    # rollout: finish the prefix with uniform random steps
-                    reward = -consider(_walk(table, prefix, k, step_size, uniform))
-                backpropagate(path + [(node, child)], reward)
-
-        if it + 1 in marks:
-            snap[it + 1] = best.j
-
+    records = islice(iterate(SearchNode(ScheduleCost(root)), C_EXPLORE, grow), budget)
+    js = [best.j for _ in records]  # best J after each iteration, up to a complete tree
+    snap = {b: js[min(b, len(js)) - 1] for b in sorted(snapshots or ()) if 0 < b <= budget}
     return best, snap
 
 

@@ -22,6 +22,7 @@ from medal.mcts import (
     backpropagate,
     check_node_invariant,
     expand,
+    iterate,
     run_cgmcts,
     simulate,
     ucb_select,
@@ -477,6 +478,65 @@ def test_property_read_ahead_predicts_what_one_call_per_state_would(
     assert runs[0] == runs[1] == runs[2]
     # with read-ahead, only the root is predicted on its own
     assert sum(models[0].batches) == models[0].calls - 1
+
+
+def _nodes(node):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xor=st.just(False),
+    seed=st.integers(0, 2**16),
+    length=st.integers(2, 5),
+    vocab=st.integers(2, 3),
+    prompt_len=st.integers(0, 1),
+    init_length=st.integers(1, 5),
+    k1=st.integers(1, 3),
+    k2=st.integers(1, 6),
+    candidate_count=st.integers(1, 6),
+    budget=st.integers(1, 120),
+)
+# the xor instance of test_search_dedups_across_orderings: 4 pool states
+# for capacity 6, so the tree completes with the pool short
+@example(xor=True, seed=0, length=2, vocab=2, prompt_len=0, init_length=2, k1=2, k2=4,
+         candidate_count=6, budget=60)
+def test_property_search_stops_on_a_full_pool_a_spent_budget_or_a_complete_tree(
+    xor, seed, length, vocab, prompt_len, init_length, k1, k2, candidate_count, budget
+):
+    # every node keeps N(x) = sum_a N(x, a) + 1; a short pool means the
+    # budget was spent or no non-terminal node is left unexpanded; and a
+    # complete tree gives the same pool and trace under a 10x budget
+    assume(init_length <= length and budget >= candidate_count)
+    model = xor_pair_model() if xor else random_calibrated_model(
+        np.random.default_rng(seed), length, vocab)
+    root = SeqState.fully_masked(model.vocab, (1,) * prompt_len, length)
+    cfg = SearchConfig(k1=k1, k2=k2, candidate_count=candidate_count,
+                       init_length=init_length, max_simulations=budget)
+    trees = []
+
+    def recording_iterate(root, c_explore, grow):
+        trees.append(root)
+        return iterate(root, c_explore, grow)
+
+    def run(cfg):
+        events = []
+        with patch.object(mcts, "iterate", recording_iterate):
+            pool = run_cgmcts(model, root, cfg, trace=events.append)
+        return pool, events, trees[-1]
+
+    pool, events, tree = run(cfg)
+    assert all(check_node_invariant(node) for node in _nodes(tree))
+    complete = all(node.terminal or node.children for node in _nodes(tree))
+    assert pool.exhausted == (len(pool.entries) < candidate_count)
+    if pool.exhausted:
+        assert sum(len(ev["reward"]) for ev in events) >= budget or complete
+    if complete:
+        again, again_events, _ = run(replace(cfg, max_simulations=10 * budget))
+        assert (again.entries, again.exhausted) == (pool.entries, pool.exhausted)
+        assert again_events == events
 
 
 @settings(max_examples=80, deadline=None)

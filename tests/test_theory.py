@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from medal import kernels, theory
+from medal import kernels, mcts, theory
 from medal.denoisers import CountingDenoiser, FactorizedModel, TabularModel
 from medal.errors import (
     ConfigError,
@@ -702,7 +702,7 @@ def test_search_stops_once_the_tree_is_complete(rng, monkeypatch):
     # schedules, so the search stops and a 10x budget reports the same
     model = rand_model(rng, length=4, vocab=3)
     root = root_of(model, 4)
-    select_leaf = theory.select_leaf
+    select_leaf = mcts.select_leaf
     calls = []
 
     def checked_select_leaf(node, c_explore):
@@ -710,7 +710,7 @@ def test_search_stops_once_the_tree_is_complete(rng, monkeypatch):
         calls.append(node)
         return select_leaf(node, c_explore)
 
-    monkeypatch.setattr(theory, "select_leaf", checked_select_leaf)
+    monkeypatch.setattr(mcts, "select_leaf", checked_select_leaf)
     search_schedules(model, root, k=3, budget=10_000, seed=2)
     b = len(calls)
     assert 1 < b < 256
@@ -728,6 +728,32 @@ def test_search_stops_once_the_tree_is_complete(rng, monkeypatch):
     small, large = reports[b], reports[10 * b]
     assert small.pop("budgets") == [1, b] and large.pop("budgets") == [1, 10 * b]
     assert small == large
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(2, 4),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_property_snapshots_equal_separate_runs_at_each_budget(length, vocab, seed, data):
+    # the search is anytime: one run's snapshot at budget b is the best J
+    # of a separate run with budget b, on a complete tree too
+    model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    root = root_of(model, length)
+    step_size = data.draw(st.none() | st.integers(1, length), label="step_size")
+    k = data.draw(st.integers(1, length if step_size is None else length // step_size), label="k")
+    budgets = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=4, unique=True),
+                        label="budgets")
+    search_seed = data.draw(st.integers(0, 100), label="search_seed")
+    table = theory._contexts(model)  # rows are pure, so every run may share them
+    _, snaps = search_schedules(table, root, k, max(budgets), step_size=step_size,
+                                seed=search_seed, snapshots=budgets)
+    assert set(snaps) == set(budgets)
+    for budget in budgets:
+        best, _ = search_schedules(table, root, k, budget, step_size=step_size, seed=search_seed)
+        assert best.j == snaps[budget]
 
 
 def test_search_reaches_oracle_on_small_instance(rng):
