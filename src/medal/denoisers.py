@@ -15,6 +15,12 @@ Three toy families with known structure:
 * NGramMaskedModel: smoothed n-gram conditioned on the longest contiguous
   revealed suffix preceding each position (prompt included).
 
+A prediction is checked once, where it enters medal. Rows from outside (a
+user's model, the remote wire) go through DenoiserOutput.from_matrix and
+all of its checks. The three models above check their tables when they
+are built, so their predictions are finite by construction and skip the
+checks.
+
 RemoteDenoiser lets an external process stand in for the model over a
 socket: a request is a line of decimal ints (prompt length, step, tokens)
 and a reply a line of base64 holding the positions and float64 logits as
@@ -37,7 +43,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -73,10 +79,15 @@ class DenoiserOutput:
     positions() lists the absolute masked positions in ascending order;
     row i of matrix() is the logit vector of the i-th position over the
     content tokens (the mask token gets no logit), so the matrix has shape
-    (P, V). from_matrix(positions, matrix) is the one constructor; it
-    validates the whole matrix once: 2-d with one row per position, and
-    every entry finite. The stored arrays are read-only; matrix() without
-    arguments returns them without copying. probs() is the row softmax of
+    (P, V). A prediction is checked once, where it enters medal:
+    from_matrix(positions, matrix) is the constructor for rows from
+    outside (a user's model, the remote wire), and it validates the whole
+    matrix: 2-d with one row per position, and every entry finite. The
+    in-repo models build their outputs from rows they checked when they
+    were built (a model's tables), through _of_rows, a private builder
+    that checks nothing and that from_matrix also ends in. The stored
+    arrays are read-only; matrix() without arguments returns them without
+    copying. probs() is the row softmax of
     the matrix, computed on its first call and kept, so scoring and
     entropies over one prediction share one softmax; probs(rows) reads
     some rows of it, or softmaxes just those rows while it is not
@@ -128,12 +139,32 @@ class DenoiserOutput:
         if not finite.all():
             row = int(np.argmin(finite.all(axis=1)))
             raise NonFiniteLogits(f"non-finite logits at position {index[row]}")
+        index_tuple = positions if type(positions) is tuple else None
+        return cls._of_rows(index_tuple, matrix.view(), index.view())
+
+    @classmethod
+    def _of_rows(
+        cls,
+        index: tuple[int, ...] | None,
+        matrix: np.ndarray,
+        positions: np.ndarray | None = None,
+    ) -> "DenoiserOutput":
+        """Output whose row i is the logit row of the i-th position of
+        `index` (a state's masked_index, kept for check_cover), checking
+        nothing: `matrix` must be a float64 (len(index), V) array of finite
+        logits that no one else holds, which this makes read-only. A model
+        passes rows it builds from the tables it checked when it was built.
+        `positions`, the int64 array of `index` (None: built here), is made
+        read-only too; from_matrix passes it with index None when its
+        positions are not a tuple."""
         out = cls.__new__(cls)
-        out._positions = index.view()
-        out._positions.flags.writeable = False
-        out._index = positions if type(positions) is tuple else None
-        out._matrix = matrix.view()
-        out._matrix.flags.writeable = False
+        if positions is None:
+            positions = np.array(index, dtype=np.int64)
+        positions.setflags(write=False)
+        matrix.setflags(write=False)
+        out._positions = positions
+        out._index = index
+        out._matrix = matrix
         out._probs = None
         out._base = None
         return out
@@ -154,10 +185,11 @@ class DenoiserOutput:
         """The output for the masked_index tuple `index` whose row i is this
         one's row at[i] (at: ascending row indices) or, for i in `rows`,
         rows[i]; it records this output as its base and the keys of `rows`
-        as its changed rows. The positions it takes at `at` must be
-        `index`, and a kept row is a copy of a checked row, so neither is
-        checked again; `rows` must hold finite logits, one per column,
-        which a model passes for rows it builds itself."""
+        as its changed rows. It checks nothing, as _of_rows does: the
+        positions it takes at `at` must be `index`, a kept row is a copy of
+        a row this output holds, and `rows` must hold finite logits, one
+        per column, which a model passes for rows it builds from the tables
+        it checked when it was built."""
         out = DenoiserOutput.__new__(DenoiserOutput)
         out._positions = self._positions.take(at)
         out._positions.setflags(write=False)
@@ -295,7 +327,8 @@ def marginal_axes(ndim: int) -> tuple[tuple[int, ...], ...]:
 
 
 class Denoiser:
-    """Base interface. Subclasses set vocab and implement predict.
+    """Base interface. Subclasses set vocab and implement predict, building
+    each output with DenoiserOutput.from_matrix, which checks its rows.
 
     predict_after(prev_state, prev_output, state) is the prediction at
     `state` given that prev_output was the prediction at prev_state; its
@@ -393,6 +426,7 @@ class TabularModel(Denoiser):
             raise ConfigError(f"joint mass {total} not within 1e-9 of 1")
         self.vocab = vocab
         self.joint = joint / total
+        self.joint.setflags(write=False)  # predict trusts it: checked here only
         self.length = joint.ndim
 
     def _gen_index(self, state: SeqState) -> tuple:
@@ -429,20 +463,24 @@ class TabularModel(Denoiser):
         return cond.sum(axis=other) if other else cond
 
     def predict(self, state: SeqState) -> DenoiserOutput:
-        """Logits log(marginal + LOGIT_FLOOR), each marginal summed from the
-        context's joint and divided by its mass into its row of one matrix,
-        which then takes the floor and the log in place."""
+        """Logits log(marginal + LOGIT_FLOOR): each marginal is summed from
+        the context's joint into its row of one matrix, which is divided by
+        the context's mass once and then takes the floor and the log in
+        place."""
         pos, sub = self._context_slice(state)
         mass = np.add.reduce(sub, axis=None)
         probs = np.empty((len(pos), self.vocab.size))
         if mass > 0.0:
             for row, other in zip(probs, marginal_axes(sub.ndim)):
-                np.divide(np.add.reduce(sub, axis=other), mass, out=row)
+                np.add.reduce(sub, axis=other, out=row)
+            probs /= mass
         else:
             probs.fill(1.0 / self.vocab.size)
         probs += LOGIT_FLOOR
         np.log(probs, out=probs)
-        return DenoiserOutput.from_matrix(pos, probs)
+        # the joint is finite and non-negative (checked in __init__), so
+        # every logit is finite
+        return DenoiserOutput._of_rows(pos, probs)
 
     def joint_logprob(self, gen_tokens: Sequence[int]) -> float:
         """ln q(x) of a full generation-region assignment (-inf at zero mass)."""
@@ -470,6 +508,7 @@ class FactorizedModel(Denoiser):
             raise ConfigError("each row must sum to 1")
         self.vocab = vocab
         self.rows = rows / sums[:, None]
+        self.rows.setflags(write=False)  # predict trusts them: checked here only
         self.length = rows.shape[0]
 
     def predict(self, state: SeqState) -> DenoiserOutput:
@@ -479,7 +518,8 @@ class FactorizedModel(Denoiser):
                 f"state generation length {state.gen_length} != model length {self.length}"
             )
         rows = self.rows[np.asarray(pos) - state.prompt_len]
-        return DenoiserOutput.from_matrix(pos, np.log(rows + LOGIT_FLOOR))
+        # the rows are checked non-negative and summing to 1 in __init__
+        return DenoiserOutput._of_rows(pos, np.log(rows + LOGIT_FLOOR))
 
     def as_tabular(self) -> TabularModel:
         """Product joint; intended for small instances only."""
@@ -588,6 +628,14 @@ class NGramMaskedModel(Denoiser):
     Conditionals are (count + alpha) / (total + alpha * V), so every
     distribution is strictly positive and sums to 1. A fully masked
     neighborhood degrades to the smoothed unigram.
+
+    counts[k] is the table of order k: a dict from a context, a tuple of k
+    content tokens, to a 1-d array of V counts, each finite and >= 0. The
+    tables are checked when the model is built (ConfigError naming the
+    order and key otherwise; so is a row whose total is too large for
+    alpha to keep every probability above 0), and the model keeps a
+    read-only float64 copy of them, so every logit row it predicts is
+    finite and V wide without a check per prediction.
     """
 
     def __init__(
@@ -601,12 +649,16 @@ class NGramMaskedModel(Denoiser):
             raise ConfigError("n must be >= 1")
         if not 0 < alpha < math.inf:  # False for NaN and +-inf too
             raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
+        if not alpha / (alpha * vocab.size) > 0:  # the unigram fallback's total overflows
+            raise ConfigError(f"alpha {alpha} times vocab size {vocab.size} is not finite")
         if len(counts) != n:
             raise ConfigError("need one count table per order 0..n-1")
         self.vocab = vocab
         self.n = n
         self.alpha = alpha
-        self.counts = counts
+        self.counts = [
+            _checked_counts(k, table, vocab.size, alpha) for k, table in enumerate(counts)
+        ]
         self._logit_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def _logits_for(self, ctx: tuple[int, ...]) -> np.ndarray:
@@ -665,7 +717,7 @@ class NGramMaskedModel(Denoiser):
                 if p > start:
                     matrix[i] = self._logits_for(tokens[max(start, p - keep) : p])
                 start = p + 1
-        return DenoiserOutput.from_matrix(pos, matrix)
+        return DenoiserOutput._of_rows(pos, matrix)
 
     def predict_after(
         self, prev_state: SeqState, prev_output: DenoiserOutput, state: SeqState
@@ -713,6 +765,60 @@ class NGramMaskedModel(Denoiser):
                     start = pos[i - 1] + 1 if i else 0
                     looked_up[i] = self._logits_for(tokens[max(start, p - keep) : p])
         return prev_output._after_reveal(pos, at, looked_up)
+
+
+def _checked_counts(
+    order: int, table: dict, v: int, alpha: float
+) -> dict[tuple[int, ...], np.ndarray]:
+    """A read-only float64 copy of the count table of `order`, its keys
+    checked as one set of tokens and its rows in one pass over the stacked
+    table. ConfigError, naming the order and the key, unless every key is a
+    tuple of `order` content tokens (0..v-1) and every value a 1-d array of
+    v real counts, each finite and >= 0, whose total keeps
+    alpha / (total + alpha * v) above 0: then every row's logits are
+    finite."""
+    where = f"count table of order {order}"
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where} must be a dict, got {type(table).__name__}")
+    keys = list(table)
+    content = set(range(v))
+    if not (
+        all(type(key) is tuple and len(key) == order for key in keys)
+        and content.issuperset(chain.from_iterable(keys))
+    ):
+        bad = next(
+            key
+            for key in keys
+            if type(key) is not tuple or len(key) != order or not content.issuperset(key)
+        )
+        raise ConfigError(
+            f"{where}: key {bad!r} is not a length-{order} tuple of tokens in 0..{v - 1}"
+        )
+    values = list(table.values())
+    bad = next(
+        (
+            key
+            for key, vec in zip(keys, values)
+            if not isinstance(vec, np.ndarray) or vec.shape != (v,) or vec.dtype.kind not in "fiu"
+        ),
+        None,
+    )
+    if bad is not None:
+        raise ConfigError(f"{where}: key {bad!r} must map to a 1-d array of {v} real counts")
+    rows = np.array(values, dtype=np.float64).reshape(len(values), v)
+    ok = (np.isfinite(rows) & (rows >= 0)).all(axis=1)
+    if not ok.all():
+        bad = keys[int(np.argmin(ok))]
+        raise ConfigError(f"{where}: key {bad!r} holds a negative, NaN or infinite count")
+    # the total _logits_for divides by (a row sum is its vec.sum() bit for
+    # bit); one that overflows to inf fails the test
+    with np.errstate(over="ignore"):
+        ok = alpha / (rows.sum(axis=1) + alpha * v) > 0
+    if not ok.all():
+        bad = keys[int(np.argmin(ok))]
+        raise ConfigError(f"{where}: key {bad!r} has counts too large for alpha {alpha}")
+    rows.setflags(write=False)
+    return dict(zip(keys, rows))
 
 
 def fit_ngram(

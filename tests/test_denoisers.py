@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from medal.cli import default_config, load_model
-from medal.decoder import decode
+from medal.decoder import DecodeConfig, decode
 from medal.denoisers import (
     SERVE_POLL_S,
     CountingDenoiser,
@@ -56,7 +56,9 @@ from medal.families import random_calibrated_model, trap_family
 from medal.harness import load_model_file
 from medal.jsonspec import from_json, to_json
 from medal.kernels import softmax_rows
+from medal.mcts import SearchConfig
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
+from medal.theory import verify_lemma1, verify_theorem1
 
 
 def softmax(vec):
@@ -609,6 +611,61 @@ def test_fit_ngram_errors():
         fit_ngram([(-1, 1)], n=1, alpha=1.0)
 
 
+@pytest.mark.parametrize(
+    "order, table, message",
+    [
+        (0, {(): np.ones(4)}, r"order 0: key \(\) must map to a 1-d array of 3"),  # too wide
+        (1, {(0,): np.ones((1, 3))}, r"order 1: key \(0,\) must map to a 1-d array"),
+        (1, {(2,): [1.0, 1.0, 1.0]}, r"order 1: key \(2,\) must map to a 1-d array"),
+        (1, {(1,): np.array(["1", "2", "3"])}, r"order 1: key \(1,\) must map to .* real"),
+        (0, {(): np.array([1.0, -1.0, 0.0])}, r"order 0: key \(\) holds a negative"),
+        (1, {(0,): np.ones(3), (1,): np.array([0.0, np.nan, 1.0])}, r"order 1: key \(1,\) holds"),
+        (1, {(2,): np.array([np.inf, 0.0, 0.0])}, r"order 1: key \(2,\) holds a .*infinite"),
+        (1, {(0,): np.array([1e308, 1e308, 0.0])}, r"order 1: key \(0,\) has counts too large"),
+        (1, {(0, 1): np.ones(3)}, r"order 1: key \(0, 1\) is not a length-1 tuple"),
+        (2, {(0,): np.ones(3)}, r"order 2: key \(0,\) is not a length-2 tuple"),
+        (1, {(3,): np.ones(3)}, r"order 1: key \(3,\) is not .* tokens in 0..2"),
+        (1, {(-1,): np.ones(3)}, r"order 1: key \(-1,\) is not"),
+        (1, {(0.5,): np.ones(3)}, r"order 1: key \(0.5,\) is not"),
+        (1, {((0,),): np.ones(3)}, r"order 1: key \(\(0,\),\) is not"),
+        (1, {0: np.ones(3)}, r"order 1: key 0 is not"),
+        (1, [np.ones(3)], r"count table of order 1 must be a dict, got list"),
+    ],
+)
+def test_ngram_count_tables_are_checked_when_built(order, table, message):
+    # each of these once reached predict: a bare numpy broadcast error, a
+    # RuntimeWarning then NonFiniteLogits, or a key that is never looked up
+    counts = [{(): np.ones(3)}, {(0,): np.ones(3)}, {(0, 1): np.ones(3)}]
+    counts[order] = table
+    with pytest.raises(ConfigError, match=message):
+        NGramMaskedModel(Vocab(3), 3, 0.5, counts)
+
+
+def test_models_keep_read_only_copies_of_their_checked_tables(rng):
+    # predict trusts the tables checked when the model was built, so no
+    # caller may change them afterwards
+    joint = random_joint(rng, 2, 3)
+    tabular = TabularModel(Vocab(3), joint)
+    factorized = FactorizedModel(Vocab(3), np.full((2, 3), 1 / 3))
+    for table in (tabular.joint, factorized.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = np.nan
+    joint[0] = np.nan  # the caller's array is not the model's
+    assert np.isfinite(tabular.joint).all()
+    row = np.array([1, 0, 2])
+    model = NGramMaskedModel(Vocab(3), 2, 0.5, [{(): row}, {(1,): row}])
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+    before = model.predict(state).matrix().copy()
+    row[1] = -5  # the caller's table changes; the model's copy does not
+    assert model.counts[1][(1,)].tolist() == [1.0, 0.0, 2.0]
+    assert not model.counts[1][(1,)].flags.writeable
+    model._logit_cache.clear()
+    assert model.predict(state).matrix().tobytes() == before.tobytes()
+    # the unigram fallback's total alpha * V must be finite too
+    with pytest.raises(ConfigError, match="alpha 1e\\+308 times vocab size 3"):
+        NGramMaskedModel(Vocab(3), 1, 1e308, [{}])
+
+
 def test_load_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("0 1 2\n\n3 4\n")
@@ -649,6 +706,115 @@ def test_counting_wrapper_forwards_predict_after(monkeypatch):
     out = counted.predict_after(root, first, state)
     assert counted.calls == 2 and len(inner_calls) == 1
     assert out.changed_since(first)[1] == [0]  # position 2 follows the reveal
+
+
+def _assert_checked_output(out, state, vocab_size):
+    """`out` is what from_matrix builds from its own rows, bit for bit, and
+    covers `state` by the identity test."""
+    checked = DenoiserOutput.from_matrix(out.positions(), out.matrix())
+    assert out.positions() == checked.positions() == list(state.masked_index)
+    assert out.matrix().dtype == np.float64
+    assert out.matrix().shape == (len(state.masked_index), vocab_size)
+    assert out.matrix().view(np.uint64).tolist() == checked.matrix().view(np.uint64).tolist()
+    assert not out.matrix().flags.writeable and not out._positions.flags.writeable
+    assert out._positions.dtype == np.int64
+    assert out._index is state.masked_index  # check_cover is one identity test
+    assert out.check_cover(state.masked_index, vocab_size) is out._positions
+
+
+def _sparse_model(kind, gen, vocab, length, zeros):
+    """A tabular joint or factorized rows with a share of zero cells (so
+    some revealed contexts carry no mass), or an n-gram fit to a corpus
+    short enough that many contexts fall back to the unigram."""
+    if kind == "ngram":
+        corpus = [gen.integers(0, vocab, size=int(gen.integers(1, 6))).tolist() for _ in range(3)]
+        return fit_ngram(corpus, n=int(gen.integers(1, 4)), alpha=0.5, vocab_size=vocab)
+    size = vocab**length if kind == "tabular" else length * vocab
+    cells = gen.dirichlet(np.full(size, 0.5))
+    cells[gen.random(size) < zeros] = 0.0
+    if kind == "tabular":
+        if cells.sum() == 0.0:
+            cells[int(gen.integers(size))] = 1.0
+        return TabularModel(Vocab(vocab), (cells / cells.sum()).reshape((vocab,) * length))
+    rows = cells.reshape(length, vocab)
+    rows[rows.sum(axis=1) == 0.0, int(gen.integers(vocab))] = 1.0
+    return FactorizedModel(Vocab(vocab), rows / rows.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["tabular", "factorized", "ngram"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 5),
+    vocab=st.integers(2, 4),
+    prompt_len=st.integers(0, 2),
+    zeros=st.floats(0.0, 0.9),
+)
+def test_property_model_outputs_equal_checked_ones(kind, seed, length, vocab, prompt_len, zeros):
+    # an in-repo model builds its outputs without from_matrix's checks, from
+    # rows checked when the model was built; every output it gives, along a
+    # walk of reveals, must still be what from_matrix builds from those rows
+    gen = np.random.default_rng(seed)
+    model = _sparse_model(kind, gen, vocab, length, zeros)
+    prompt = tuple(gen.integers(0, vocab, size=prompt_len).tolist())
+    state = SeqState.fully_masked(model.vocab, prompt, length)
+    out = model.predict(state)
+    while True:
+        _assert_checked_output(out, state, vocab)
+        nxt = apply_many(
+            state,
+            [UnmaskAction(p, int(gen.integers(vocab))) for p in _reveal_picks(gen, state, 2)],
+        )
+        if nxt.is_complete:
+            break
+        after = model.predict_after(state, out, nxt)
+        _assert_checked_output(after, nxt, vocab)
+        many = model.predict_many([state, nxt])
+        for one, st_ in zip(many, [state, nxt]):
+            _assert_checked_output(one, st_, vocab)
+        assert many[1].matrix().tobytes() == after.matrix().tobytes()
+        state, out = nxt, after
+
+
+def test_in_repo_models_never_call_from_matrix(monkeypatch, rng):
+    # the checked constructor is the wire's and user models' alone: a decode
+    # with search on each in-repo model and the theory verifiers make no
+    # call to it, and a remote decode makes one per reply
+    calls = []
+    checked = DenoiserOutput.from_matrix
+    counting = classmethod(lambda cls, *args: calls.append(1) or checked(*args))
+    monkeypatch.setattr(DenoiserOutput, "from_matrix", counting)
+    search = DecodeConfig(
+        length=4,
+        remaining_mode="argmax",
+        search=SearchConfig(init_length=2, candidate_count=3, max_simulations=60),
+    )
+    toy = load_model(f"ngram:{resources.files('medal.data') / 'toy_corpus.txt'}")
+    factorized = FactorizedModel(Vocab(3), rng.dirichlet(np.ones(3), size=4))
+    for model, prompt, cfg in (
+        (trap_family(1, seed=0)[0], (), search),
+        (factorized, (), search),
+        (toy, (0, 1), replace(default_config(), length=32, total_steps=None)),
+    ):
+        counted = CountingDenoiser(model)
+        decode(counted, prompt, cfg)
+        assert counted.calls > 0 and calls == [], type(model).__name__
+    joint = random_calibrated_model(np.random.default_rng(7), 4, 3)
+    root = SeqState.fully_masked(joint.vocab, (), joint.length)
+    verify_lemma1(joint, root)
+    verify_theorem1(joint, root, 2, [1, 4, 16])
+    assert calls == []
+    cfg = replace(default_config(), length=32, total_steps=None)
+    server = serve_denoiser(toy, port=0)
+    server.serve_in_thread()
+    try:
+        with RemoteDenoiser(server.server_address, vocab=toy.vocab) as remote:
+            counted = CountingDenoiser(remote)
+            decode(counted, (0, 1), cfg)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(calls) == counted.calls == 110
 
 
 def test_state_vocab_mismatch_rejected(rng):
