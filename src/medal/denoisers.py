@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -190,16 +190,10 @@ class DenoiserOutput:
         a row this output holds, and `rows` must hold finite logits, one
         per column, which a model passes for rows it builds from the tables
         it checked when it was built."""
-        out = DenoiserOutput.__new__(DenoiserOutput)
-        out._positions = self._positions.take(at)
-        out._positions.setflags(write=False)
-        out._index = index
         matrix = self._matrix.take(at, axis=0)
         for i, row in rows.items():
             matrix[i] = row
-        matrix.setflags(write=False)
-        out._matrix = matrix
-        out._probs = None
+        out = DenoiserOutput._of_rows(index, matrix, self._positions.take(at))
         return out._record_after(self, at, sorted(rows))
 
     def changed_since(self, base: "DenoiserOutput") -> tuple[np.ndarray, list[int]] | None:
@@ -410,7 +404,8 @@ class TabularModel(Denoiser):
     outside the modeled region and are ignored. A revealed context with
     zero joint mass falls back to uniform conditionals (predict never
     raises for reachable states); exact-inference callers that need the
-    distinction use subset_conditional(), which raises ZeroMassContext.
+    distinction use step_joints() or subset_conditional(), which raise
+    ZeroMassContext.
     """
 
     def __init__(self, vocab: Vocab, joint: np.ndarray):
@@ -443,12 +438,16 @@ class TabularModel(Denoiser):
         pos = self._check_state(state)
         return pos, self.joint[self._gen_index(state)]
 
-    def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
-        """Exact joint posterior over `subset` (distinct masked positions,
-        ascending) given the revealed tokens: one axis per position in that
-        order; the empty subset gives a 0-d joint of mass 1. Raises
-        ZeroMassContext when the revealed context has no mass, and
-        SubsetNotMasked for a subset of any other form.
+    def step_joints(self, state: SeqState) -> Callable[[Sequence[int]], np.ndarray]:
+        """The exact joint posteriors at `state`'s revealed context, as a
+        handle: a function from a subset (distinct masked positions,
+        ascending) to the joint over it, one axis per position in that
+        order; the empty subset gives a 0-d joint of mass 1. The context's
+        mass is checked and its conditional joint divided out here, once;
+        each call of the handle sums that joint over the other axes into a
+        new array. Raises ZeroMassContext when the revealed context has no
+        mass; the handle raises SubsetNotMasked for a subset of any other
+        form.
         """
         pos, sub = self._context_slice(state)
         mass = sub.sum()
@@ -456,11 +455,20 @@ class TabularModel(Denoiser):
             raise ZeroMassContext(
                 f"revealed context has zero mass at positions {list(pos)}"
             )
-        other = tuple(a for a, p in enumerate(pos) if p not in subset)
-        if len(pos) - len(other) != len(subset) or list(subset) != sorted(subset):
-            raise SubsetNotMasked(f"subset {list(subset)} is not ascending masked positions")
         cond = sub / mass
-        return cond.sum(axis=other) if other else cond
+
+        def joint(subset: Sequence[int]) -> np.ndarray:
+            other = tuple(a for a, p in enumerate(pos) if p not in subset)
+            if len(pos) - len(other) != len(subset) or list(subset) != sorted(subset):
+                raise SubsetNotMasked(f"subset {list(subset)} is not ascending masked positions")
+            return cond.sum(axis=other)
+
+        return joint
+
+    def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
+        """step_joints(state)(subset): the exact joint posterior over one
+        subset, with the same errors."""
+        return self.step_joints(state)(subset)
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         """Logits log(marginal + LOGIT_FLOOR): each marginal is summed from
@@ -1138,6 +1146,10 @@ class _DenoiserHandler(socketserver.StreamRequestHandler):
             except Exception as exc:  # report, keep serving
                 reply = (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
             self.wfile.write(reply)
+            # flush each reply as soon as it is made: the server cannot see
+            # where a client's batch ends, so a reply held back could wait
+            # for a request that never comes; and a pipelining client can
+            # decode reply i while this computes reply i + 1
             self.wfile.flush()
 
 

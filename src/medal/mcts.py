@@ -9,12 +9,13 @@ until the descent reaches init_length revealed tokens. Expansion builds
 each child state once. A search predicts each state once: its StateTable
 keeps the prediction and its total masked entropy, which the state's
 rewards, pool entry and expansion read, whichever reveal order reached it.
-Before simulating, an expansion reads ahead: the children its loop will
-read and the table lacks go to the model in one predict_many call (all
-children, or at pool depth the prefix that fills the pool), so a served
-model gets one batch of requests per expansion, and the batch's
-predictions are read as one: one softmax over all their rows, whose
-slices the later scoring reads, and one entropy pass. The search
+Before simulating, an expansion reads ahead (StateTable.read_ahead): the
+children its loop will read and the table lacks go to the model in one
+predict_many call (all children, or at pool depth the prefix that fills
+the pool), so a served model gets one batch of requests per expansion,
+and the batch's predictions are read as one: one softmax over all their
+rows, whose slices the later scoring reads, and one entropy pass. A
+state read on its own (the root) is a batch of one. The search
 draws no random numbers. Nodes at init_length revealed tokens enter the
 candidate pool; they stay selectable but are never expanded, and
 re-selecting one backpropagates its stored creation reward. The
@@ -27,7 +28,8 @@ iterate), the pool is returned short, flagged exhausted.
 
 SearchNode, iterate, backpropagate and StateTable are generic over the
 state/action payload: the schedule-space search in the theory module
-reuses them with set-valued actions.
+reuses them with set-valued actions, and its enumeration reads ahead
+through StateTable.read_ahead too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from . import jsonspec
-from .errors import AlreadyExpanded, ConfigError, NoChildren
+from .errors import AlreadyExpanded, ConfigError, MedalError, NoChildren
 from .reward import entropy_gain, masked_entropies
 from .scoring import DEFAULT_EPSILON, DEFAULT_GAMMA, build_candidates
 from .seqcore import SeqState, UnmaskAction, apply_action
@@ -206,19 +208,37 @@ def check_node_invariant(node: SearchNode) -> bool:
 
 
 class StateTable(dict):
-    """One search or verifier call's rows, keyed by state.tokens: make(state)
-    builds a state's row when the state is first reached. Predictions are
-    pure functions of the state, so every path to a state shares its row."""
+    """One search or verifier call's rows, keyed by state.tokens.
+    make(states) builds the rows of a list of distinct states as one batch,
+    returning, per state in order, its row or the MedalError that stops it
+    having one. Calling the table reads a state: its row is built alone on
+    the first read, which raises that error. read_ahead builds the rows of
+    several states in one make call and leaves a state whose row failed
+    out, so that the error is raised where the state is first read.
+    Predictions are pure functions of the state, so every path to a state
+    shares its row."""
 
-    def __init__(self, make: Callable[[Any], Any]):
+    def __init__(self, make: Callable[[list], list]):
         super().__init__()
         self.make = make
 
     def __call__(self, state):
         row = self.get(state.tokens)
         if row is None:
-            row = self[state.tokens] = self.make(state)
+            (row,) = self.make([state])
+            if isinstance(row, MedalError):
+                raise row
+            self[state.tokens] = row
         return row
+
+    def read_ahead(self, states) -> None:
+        """Build, as one batch, the rows of `states` (distinct, such as an
+        expansion's children) that the table lacks."""
+        fresh = [state for state in states if state.tokens not in self]
+        if fresh:
+            for state, row in zip(fresh, self.make(fresh)):
+                if not isinstance(row, MedalError):
+                    self[state.tokens] = row
 
 
 def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
@@ -251,21 +271,27 @@ def simulate(before: float, after: float) -> float:
     return entropy_gain(before, after)
 
 
-def _rows(states: list[SeqState], outputs: list) -> list[tuple[Any, float]]:
-    """A search's table rows for `states`: the prediction at each (None
-    when complete) and the total of its masked entropies, read for the
-    batch at once, which checks each prediction."""
-    totals = [float(ent.sum()) for ent in masked_entropies(states, outputs)]
-    return list(zip(outputs, totals))
+def _table(model) -> StateTable:
+    """A search's table: a state's row is the model's prediction there
+    (None when complete) and the total of its masked entropies. A batch is
+    predicted by one predict_many call and read at once (masked_entropies:
+    one softmax and one entropy pass), which checks each prediction."""
+
+    def make(states: list[SeqState]) -> list[tuple[Any, float]]:
+        live = [s for s in states if not s.is_complete]
+        outputs = model.predict_many(live)
+        rows = zip(outputs, [float(ent.sum()) for ent in masked_entropies(live, outputs)])
+        return [(None, 0.0) if s.is_complete else next(rows) for s in states]
+
+    return StateTable(make)
 
 
 def _read_ahead(
-    model, table: StateTable, children: list[SearchNode], pool: CandidatePool, cfg: SearchConfig
+    table: StateTable, children: list[SearchNode], pool: CandidatePool, cfg: SearchConfig
 ) -> None:
-    """Predict, in one predict_many call, the children an expansion's loop
-    will read that the table lacks: every child, or at pool depth only the
-    prefix that fills the pool (states pooled already add no entry). Their
-    rows are read as one batch: one softmax and one entropy call."""
+    """Build, as one batch, the rows of the children an expansion's loop
+    will read: every child, or at pool depth only the prefix that fills
+    the pool (states pooled already add no entry)."""
     if children and children[0].state.reveal_count() >= cfg.init_length:
         room = pool.capacity - len(pool.entries)
         for i, child in enumerate(children):
@@ -274,9 +300,7 @@ def _read_ahead(
                 if room == 0:
                     children = children[: i + 1]
                     break
-    states = [c.state for c in children if c.state.tokens not in table and not c.state.is_complete]
-    outputs = model.predict_many(states)
-    table.update(zip([s.tokens for s in states], _rows(states, outputs)))
+    table.read_ahead([c.state for c in children])
 
 
 @dataclass(frozen=True)
@@ -362,9 +386,7 @@ def run_cgmcts(
         )
         return pool
 
-    table = StateTable(
-        lambda state: _rows([state], [None if state.is_complete else model.predict(state)])[0]
-    )
+    table = _table(model)
     sims = 0
 
     def grow(node: SearchNode, path: list) -> tuple[list[SearchNode], list[float]]:
@@ -375,7 +397,7 @@ def run_cgmcts(
             prefix = tuple(c.action for _, c in path)
             output, before = table(node.state)
             children = expand(node, output, cfg)
-            _read_ahead(model, table, children, pool, cfg)
+            _read_ahead(table, children, pool, cfg)
             for child in children:
                 child_output, after = table(child.state)
                 reward = simulate(before, after)

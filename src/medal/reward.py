@@ -3,12 +3,13 @@
 masked_entropies(states, outputs) reads the per-masked-position Shannon
 entropies of the model's predictive distributions (exact entropy here; the
 epsilon-regularized variant belongs to action scoring only) from
-predictions the caller already holds, a batch at a time: a search
-expansion's read-ahead passes all the children it predicted, the search
-root and each theory context a batch of one. It is the one reader of
-entropies, so the search and the schedule theory share it. The search
-reads each state's prediction through its StateTable, so no state is
-predicted twice. The reward of an action is the normalized drop in total
+predictions the caller already holds, a batch at a time: each read-ahead
+(StateTable.read_ahead) passes the batch it predicted, all the children
+of a search expansion or of a theory expansion, and a state read on its
+own, such as the search root, is a batch of one. It is the one reader of
+entropies, so the search and the schedule theory share it. Both read
+each state's prediction through a StateTable, so no state is predicted
+twice. The reward of an action is the normalized drop in total
 masked entropy after committing it (entropy_gain, which mcts.simulate
 applies):
 

@@ -8,7 +8,7 @@ Each step pays two quantities at its realized context:
   can miss;
 * dependence error, the KL divergence between the exact joint posterior
   over the step and the product of its per-position marginals (models with
-  exact conditionals, subset_conditional, only).
+  exact conditionals, step_joints, only).
 
 For any calibrated model the dependence error never exceeds the gap
 (pointwise per step), so summed gaps J upper-bound the total dependence
@@ -21,31 +21,47 @@ Every walk is a ScheduleCost, grown a step at a time by ScheduleCost.extend
 with argmax commits, reading contexts from one per-call table
 (mcts.StateTable) that each verifier shares across all its walks. A table
 row holds its context's per-position entropies and argmax tokens, computed
-once from the checked prediction, and, per step taken there, the step's
-gap, dependence error and argmax child. A one-position step's dependence
-error is zero by definition, so it asks for no joint. So no call predicts a
+once from the checked prediction, the model's exact-conditional handle
+there (step_joints, asked once per context when dependence is measured;
+it checks the context's mass) and, per step taken there, the step's gap,
+dependence error and argmax child. A one-position step's dependence error
+is zero by definition, so it asks for no joint. So no call predicts a
 context twice or costs a (context, step) pair twice, however many
 schedules, rollouts and expansions pass through it; schedule_costs walks
-the schedule tree depth-first, extending each shared prefix once. A single
-step's gap and dependence error are its one-step schedule_cost.
+the schedule tree depth-first, extending each shared prefix once.
+
+An expansion (of a prefix in schedule_costs' walk, or of a node in the
+schedule search) extends every feasible next step first, then reads
+ahead: the rows of the children it will extend further that the table
+lacks are built as one batch, with one predict_many call, one
+masked_entropies pass and one argmax over the stacked softmax. A context
+whose mass check fails is left out of its batch, so ZeroMassContext is
+raised where a walk first reads it, after the same schedules as when
+rows are built one at a time. greedy_schedule, random_schedule and
+schedule_cost read one context at a time. A single step's gap and
+dependence error are its one-step schedule_cost.
+
+The counts these functions take (k, step_size, budget, budgets, seed)
+must be integers, Python's or numpy's; anything else, a bool included,
+raises ConfigError naming the argument.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import chain, combinations, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .denoisers import marginal_axes
+from .denoisers import DenoiserOutput, marginal_axes
 from .errors import (
     BoundViolated,
     ConfigError,
     InstanceTooLarge,
     NoMaskedPositions,
     SubsetNotMasked,
+    ZeroMassContext,
 )
 from .mcts import SearchNode, StateTable, backpropagate, iterate
 from .reward import masked_entropies
@@ -101,15 +117,15 @@ class _Step(NamedTuple):
 class _Context(NamedTuple):
     """A theory table row: a context, what its checked prediction gives
     per masked position, computed once (exact entropies, argmax tokens and
-    a map from position to row), the exact joint over a step there (None
-    when dependence is not measured) and, keyed by step, the outcome of
-    each step taken there."""
+    a map from position to row), the model's step_joints handle there
+    (None when dependence is not measured) and, keyed by step, the outcome
+    of each step taken there."""
 
     seq: SeqState
     ent: np.ndarray
     tokens: np.ndarray
     rows: dict[int, int]
-    step_joint: Callable[[tuple[int, ...]], np.ndarray] | None
+    step_joints: Callable[[tuple[int, ...]], np.ndarray] | None
     steps: dict[tuple[int, ...], _Step]
 
     def step(self, positions: tuple[int, ...]) -> _Step:
@@ -122,8 +138,8 @@ class _Context(NamedTuple):
             idx = [self.rows[p] for p in positions]
             ent = self.ent[idx]
             dep = None
-            if self.step_joint is not None:
-                dep = _dependence(self.step_joint(positions)) if len(positions) > 1 else 0.0
+            if self.step_joints is not None:
+                dep = _dependence(self.step_joints(positions)) if len(positions) > 1 else 0.0
             committed = tuple(zip(positions, self.tokens[idx].tolist()))
             child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
             gap = float(ent.sum() - ent.max())
@@ -134,33 +150,53 @@ class _Context(NamedTuple):
 def _contexts(model, with_dependence: bool = False) -> StateTable:
     """The table a theory call reads contexts through, one _Context per
     context: the masked entropies and argmax tokens of the model's
-    prediction and, with dependence, the model's subset_conditional there,
-    asked once for the joint over no positions so that a context with no
-    mass raises ZeroMassContext. A verifier passes its own table as
-    `model` to share it; it is returned as it is."""
+    prediction and, with dependence, the model's step_joints handle there,
+    whose mass check raises ZeroMassContext at a context with no mass. A
+    batch of contexts is built with one predict_many call, one
+    masked_entropies pass and one argmax over the stacked softmax; a
+    context whose mass check fails is left out of its batch, so the error
+    is raised where a walk first reads it (StateTable). A verifier passes
+    its own table as `model` to share it; it is returned as it is."""
     if isinstance(model, StateTable):
         return model
-    if with_dependence and not hasattr(model, "subset_conditional"):
+    if with_dependence and not hasattr(model, "step_joints"):
         raise ConfigError(
             "measuring dependence errors needs a model with exact conditionals"
-            " (subset_conditional)"
+            " (step_joints)"
         )
 
-    def row(state: SeqState) -> _Context:
-        output = model.predict(state)
-        step_joint = partial(model.subset_conditional, state) if with_dependence else None
-        if step_joint is not None:
-            step_joint(())
-        return _Context(
-            state,
-            masked_entropies((state,), (output,))[0],
-            output.probs().argmax(axis=1),
-            {p: i for i, p in enumerate(state.masked_index)},
-            step_joint,
-            {},
-        )
+    def handle(state: SeqState):
+        """The step_joints handle at state, or its ZeroMassContext."""
+        try:
+            return model.step_joints(state)
+        except ZeroMassContext as exc:
+            return exc
 
-    return StateTable(row)
+    def make(states: list[SeqState]) -> list:
+        handles = [handle(s) if with_dependence else None for s in states]
+        live = [s for s, h in zip(states, handles) if not isinstance(h, ZeroMassContext)]
+        outputs = model.predict_many(live)
+        ents = iter(masked_entropies(live, outputs))
+        tokens = DenoiserOutput.stacked_probs(outputs).argmax(axis=1) if live else None
+        rows, start = [], 0
+        for state, joints in zip(states, handles):
+            if isinstance(joints, ZeroMassContext):
+                rows.append(joints)
+                continue
+            masked = state.masked_index
+            stop = start + len(masked)
+            rows.append(_Context(
+                state,
+                next(ents),
+                tokens[start:stop],
+                {p: i for i, p in enumerate(masked)},
+                joints,
+                {},
+            ))
+            start = stop
+        return rows
+
+    return StateTable(make)
 
 
 class ScheduleCost(NamedTuple):
@@ -219,16 +255,30 @@ def schedule_cost(
 # schedule enumeration
 
 
+def _is_int(value) -> bool:
+    """True for an integer, Python's or numpy's, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ConfigError naming `name` unless value is an integer (_is_int),
+    so that a float, a string or a bool is never read as one."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_sizes(m: int, k: int, step_size) -> None:
     """Check k steps over m positions: step_size None (free sizes, full
     cover) or an int (the size of every step). Every theory entry point
     calls it, so it holds the k >= 1 check."""
+    _check_int("m", m)
+    _check_int("k", k)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if step_size is None:
         if k > m:
             raise ConfigError(f"cannot split {m} positions into {k} non-empty steps")
-    elif not isinstance(step_size, int):
+    elif not _is_int(step_size):
         raise ConfigError(f"step_size must be None or an int, got {step_size!r}")
     elif step_size < 1:
         raise ConfigError("step sizes must be >= 1")
@@ -287,13 +337,25 @@ def schedule_costs(
     return _extensions(_contexts(model, with_dependence), start, k, step_size)
 
 
+def _children(table: StateTable, prefix: ScheduleCost, k: int, step_size) -> list[ScheduleCost]:
+    """The walk extended by each feasible next step, in lexicographic order.
+    Every choice is extended first; then the rows of the children a walk
+    extends further (those short of k steps) that the table lacks are read
+    ahead as one batch."""
+    steps = _next_step_choices(prefix.seq.masked_index, k - len(prefix.steps), step_size)
+    children = [prefix.extend(table, step) for step in steps]
+    if len(prefix.steps) + 1 < k:
+        table.read_ahead([child.seq for child in children])
+    return children
+
+
 def _extensions(table: StateTable, prefix: ScheduleCost, k: int, step_size) -> Iterator:
     """Every k-step extension of a walk, depth-first in lexicographic order."""
     if len(prefix.steps) == k:
         yield prefix
         return
-    for step in _next_step_choices(prefix.seq.masked_index, k - len(prefix.steps), step_size):
-        yield from _extensions(table, prefix.extend(table, step), k, step_size)
+    for child in _children(table, prefix, k, step_size):
+        yield from _extensions(table, child, k, step_size)
 
 
 def oracle_min_schedule(model, root: SeqState, k: int, step_size=None) -> ScheduleCost:
@@ -360,9 +422,12 @@ def search_schedules(
     when `snapshots` is given, the best J after each listed iteration count
     (best-so-far, so snapshot values are non-increasing). The search stops
     early at a complete tree (mcts.iterate), so the best schedule and every
-    later snapshot are what the full budget would give. Raises ConfigError
-    for a budget below 1.
+    later snapshot are what the full budget would give. Raises ConfigError,
+    before any model call, for a budget or seed that is not an integer, a
+    budget below 1 and a negative seed.
     """
+    _check_int("budget", budget)
+    _check_int("seed", seed)
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if seed < 0:
@@ -381,12 +446,13 @@ def search_schedules(
     def grow(node: SearchNode, path: list) -> tuple[list[SearchNode], list[float]]:
         """Expand a prefix into every feasible next step; a child that
         completes the schedule is terminal, any other is rolled out."""
-        here: ScheduleCost = node.state
         rewards = []
-        for step in _next_step_choices(here.seq.masked_index, k - len(here.steps), step_size):
-            prefix = here.extend(table, step)
+        for prefix in _children(table, node.state, k, step_size):
             child = SearchNode(
-                prefix, action=step, prior=-prefix.per_step_gap[-1], index=len(node.children)
+                prefix,
+                action=prefix.steps[-1],
+                prior=-prefix.per_step_gap[-1],
+                index=len(node.children),
             )
             node.children.append(child)
             if len(prefix.steps) == k:
@@ -470,8 +536,12 @@ def verify_theorem1(
     ENUMERATION_CAP schedules it raises InstanceTooLarge before the search,
     so before any model call. The search stops once its tree is complete
     (search_schedules), so a budget past that point costs nothing and
-    reports the same J as the full run would.
+    reports the same J as the full run would. Raises ConfigError, before
+    any model call, unless every budget is a positive integer.
     """
+    budgets = list(budgets)
+    if not all(map(_is_int, budgets)):
+        raise ConfigError(f"budgets must be integers, got {budgets!r}")
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets or budgets[0] < 1:
         raise ConfigError("budgets must be positive")
@@ -494,7 +564,7 @@ def verify_theorem1(
             )
     oracle = oracle_min_schedule(table, root, k, step_size)
     greedy = greedy_schedule(table, root, k, step_size)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(int(seed) + 1)
     randoms = [
         random_schedule(table, root, k, rng, step_size).j
         for _ in range(RANDOM_BASELINES)

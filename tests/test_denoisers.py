@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import replace
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -337,6 +337,60 @@ def test_subset_conditional_matches_brute_force(length, vocab, prompt_len, seed,
     assert got.shape == (vocab,) * len(subset)
     for tokens, p in want.items():
         assert abs(got[tokens] - p) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(1, 4),
+    vocab=st.integers(2, 3),
+    prompt_len=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_step_joints_handle_gives_subset_conditional_bits(length, vocab, prompt_len, seed, data):
+    # at any context of a joint with zero cells, the handle's joint over
+    # each subset of masked positions (the empty one too) is bit for bit
+    # subset_conditional's, a new array each time, and the direct sum over
+    # the cells; at a context with no mass both raise the same error
+    joint = np.random.default_rng(seed).dirichlet(np.ones(vocab**length))
+    zeros = data.draw(st.lists(st.integers(0, vocab**length - 1), unique=True,
+                               max_size=vocab**length - 1), "zero cells")
+    joint[zeros] = 0.0
+    model = TabularModel(Vocab(vocab), (joint / joint.sum()).reshape((vocab,) * length))
+    cells = oracles.cells_from_joint(model.joint)
+    gen = list(range(length))
+    revealed_at = data.draw(
+        st.lists(st.sampled_from(gen), unique=True, max_size=length - 1), "revealed"
+    )
+    revealed = {p: data.draw(st.integers(0, vocab - 1), f"token {p}") for p in revealed_at}
+    masked = [p for p in gen if p not in revealed]
+    root = SeqState.fully_masked(model.vocab, (0,) * prompt_len, length)
+    state = apply_many(root, [UnmaskAction(prompt_len + p, t) for p, t in revealed.items()])
+    try:
+        oracles.oracle_subset_conditional(cells, length, vocab, revealed, [])
+    except ZeroDivisionError:
+        with pytest.raises(ZeroMassContext) as handle_error:
+            model.step_joints(state)
+        with pytest.raises(ZeroMassContext) as subset_error:
+            model.subset_conditional(state, [])
+        assert str(handle_error.value) == str(subset_error.value)
+        return
+    joints = model.step_joints(state)
+    for size in range(len(masked) + 1):
+        for subset in combinations(masked, size):
+            shifted = [prompt_len + p for p in subset]
+            got = joints(shifted)
+            assert np.asarray(got).tobytes() == np.asarray(
+                model.subset_conditional(state, shifted)
+            ).tobytes()
+            assert got is not joints(shifted)
+            want = oracles.oracle_subset_conditional(cells, length, vocab, revealed, subset)
+            for tokens, p in want.items():
+                assert abs(got[tokens] - p) <= 1e-12
+    for bad in ([prompt_len + p for p in revealed], [prompt_len + length]):
+        if bad:
+            with pytest.raises(SubsetNotMasked):
+                joints(bad)
 
 
 def test_subset_conditional_rejects_other_subsets(rng):

@@ -476,8 +476,10 @@ def test_property_read_ahead_predicts_what_one_call_per_state_would(
         models.append(model)
         runs.append((model.states, pool.entries, pool.exhausted, events))
     assert runs[0] == runs[1] == runs[2]
-    # with read-ahead, only the root is predicted on its own
-    assert sum(models[0].batches) == models[0].calls - 1
+    # every state goes through predict_many; with read-ahead, only the
+    # root is a batch of one on its own
+    assert sum(models[0].batches) == models[0].calls
+    assert models[0].batches[0] == 1
 
 
 def _nodes(node):
@@ -560,11 +562,12 @@ def test_property_read_ahead_rows_equal_rows_read_one_state_at_a_time(
     state = apply_many(root, [UnmaskAction(p, int(rng.integers(vocab))) for p in range(revealed)])
     cfg = SearchConfig(k1=vocab, k2=k2, init_length=length)
     children = expand(SearchNode(state), model.predict(state), cfg)
-    table = mcts.StateTable(lambda s: pytest.fail("read-ahead left a child unread"))
-    mcts._read_ahead(model, table, children, CandidatePool(capacity=len(children)), cfg)
+    table = mcts._table(model)
+    mcts._read_ahead(table, children, CandidatePool(capacity=len(children)), cfg)
+    assert set(table) == {child.state.tokens for child in children}
     for child in children:
         if child.state.is_complete:
-            assert child.state.tokens not in table
+            assert table[child.state.tokens] == (None, 0.0)
             continue
         output, total = table[child.state.tokens]
         alone = model.predict(child.state)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -330,20 +331,70 @@ def test_enumeration_fixed_sizes(rng):
 
 
 def test_step_size_is_none_or_an_int(rng):
-    # any step_size but None or an int is a ConfigError before any model call
+    # any step_size but None or an int is a ConfigError before any model
+    # call; a bool is not read as 1
     model = CountingDenoiser(rand_model(rng, length=4, vocab=2))
     root = root_of(model, 4)
-    for bad in ([2, 1], (1,), 1.0, "1"):
+    for bad in ([2, 1], (1,), 1.0, "1", True):
         for call in (
             lambda: count_schedules(4, 2, bad),
             lambda: schedule_costs(model, root, 2, bad, with_dependence=False),
             lambda: greedy_schedule(model, root, 2, bad),
+            lambda: random_schedule(model, root, 2, np.random.default_rng(0), bad),
             lambda: search_schedules(model, root, 2, 4, step_size=bad),
             lambda: verify_theorem1(model, root, 2, [1, 2], step_size=bad),
         ):
             with pytest.raises(ConfigError, match="step_size must be None or an int"):
                 call()
     assert model.calls == 0
+
+
+def _refusals(model, root):
+    """(argument, call) pairs: theory entry points given an argument that is
+    not an integer, or is a bool, where a non-bool integer is due."""
+    return {
+        "theorem1 budgets=[2.5]": ("budgets", lambda: verify_theorem1(model, root, 2, [2.5])),
+        "theorem1 budgets=['3']": ("budgets", lambda: verify_theorem1(model, root, 2, ["3"])),
+        "theorem1 budgets=[True]": ("budgets", lambda: verify_theorem1(model, root, 2, [True])),
+        "search budget=3.5": ("budget", lambda: search_schedules(model, root, 2, 3.5)),
+        "search budget=True": ("budget", lambda: search_schedules(model, root, 2, True)),
+        "search seed=1.5": ("seed", lambda: search_schedules(model, root, 2, 4, seed=1.5)),
+        "search seed=True": ("seed", lambda: search_schedules(model, root, 2, 4, seed=True)),
+        "theorem1 seed=1.5": ("seed", lambda: verify_theorem1(model, root, 2, [4], seed=1.5)),
+        "theorem1 seed=True": ("seed", lambda: verify_theorem1(model, root, 2, [4], seed=True)),
+        "count k=True": ("k", lambda: count_schedules(4, True)),
+        "count k=2.0": ("k", lambda: count_schedules(4, 2.0)),
+        "search k=True": ("k", lambda: search_schedules(model, root, True, 4)),
+        "greedy k=True": ("k", lambda: greedy_schedule(model, root, True)),
+        "costs k=True": ("k", lambda: schedule_costs(model, root, True, with_dependence=False)),
+        "theorem1 k=True": ("k", lambda: verify_theorem1(model, root, True, [4])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals(None, None)))
+def test_theory_arguments_must_be_integers(case):
+    # a float, a string or a bool is refused with a ConfigError naming the
+    # argument, before any model call, instead of being read as an integer
+    model = CountingDenoiser(random_calibrated_model(np.random.default_rng(0), 4, 2))
+    name, call = _refusals(model, root_of(model, 4))[case]
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        call()
+    assert model.calls == 0
+
+
+def test_theory_arguments_may_be_numpy_integers():
+    # numpy integers are integers: they give what Python integers give
+    model = random_calibrated_model(np.random.default_rng(0), 4, 2)
+    root = root_of(model, 4)
+    two, four = np.int64(2), np.int32(4)
+    assert count_schedules(four, two) == count_schedules(4, 2)
+    assert count_schedules(four, two, np.int8(1)) == count_schedules(4, 2, 1)
+    assert search_schedules(model, root, two, four, seed=np.int64(3)) == search_schedules(
+        model, root, 2, 4, seed=3
+    )
+    assert verify_theorem1(model, root, two, [np.int16(1), four], seed=np.uint8(1)) == (
+        verify_theorem1(model, root, 2, [1, 4], seed=1)
+    )
 
 
 def test_verifiers_refuse_an_instance_past_the_cap_before_any_model_call():
@@ -360,7 +411,7 @@ def test_verifiers_refuse_an_instance_past_the_cap_before_any_model_call():
         start = time.perf_counter()
         with pytest.raises(InstanceTooLarge, match=f"exceeds cap {ENUMERATION_CAP}"):
             verify(counted)
-        assert counted.calls == 0 and counted.conditionals == []
+        assert counted.calls == 0 and counted.handles == counted.conditionals == []
         assert time.perf_counter() - start < 5.0
 
 
@@ -427,21 +478,33 @@ def test_schedule_costs_equal_the_reference_walk():
 
 class RecordingConditionals(CountingDenoiser):
     """CountingDenoiser that also records the tokens of every state it
-    predicts, and (state tokens, subset) of every exact step joint it is
-    asked for."""
+    predicts, whether through predict or predict_many, the tokens of every
+    state it hands a step-joint handle for (step_joints), and (state
+    tokens, subset) of every step joint asked of those handles."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.states = []
+        self.handles = []
         self.conditionals = []
 
     def predict(self, state):
         self.states.append(state.tokens)
         return super().predict(state)
 
-    def subset_conditional(self, state, subset):
-        self.conditionals.append((state.tokens, tuple(subset)))
-        return self.inner.subset_conditional(state, subset)
+    def predict_many(self, states):
+        self.states.extend(state.tokens for state in states)
+        return super().predict_many(states)
+
+    def step_joints(self, state):
+        self.handles.append(state.tokens)
+        joints = self.inner.step_joints(state)
+
+        def recorded(subset):
+            self.conditionals.append((state.tokens, tuple(subset)))
+            return joints(subset)
+
+        return recorded
 
 
 def _steps_reached(root, costs):
@@ -464,9 +527,9 @@ def _contexts_reached(root, costs):
 
 def test_schedule_costs_predict_each_context_once():
     # one prediction per distinct context the walks reach, and, with
-    # dependence, one mass check (the joint over no positions) per context
-    # and one step joint per distinct multi-position (context, step),
-    # however many schedules pass through it
+    # dependence, one step-joint handle (its mass check) per context and
+    # one step joint per distinct multi-position (context, step), however
+    # many schedules pass through it
     for model, root in _walk_cases():
         for k, step_size in SIZE_CASES:
             for with_dependence in (True, False):
@@ -475,14 +538,131 @@ def test_schedule_costs_predict_each_context_once():
                     rec, root, k, step_size, with_dependence=with_dependence
                 ))
                 reached = _contexts_reached(root, costs)
-                assert rec.calls == len(set(rec.states)) == len(reached)
+                assert rec.calls == len(rec.states) == len(set(rec.states)) == len(reached)
                 assert set(rec.states) == reached
-                steps = set()
+                handles, steps = set(), set()
                 if with_dependence:
-                    steps = {(tokens, ()) for tokens in reached}
-                    steps |= {(t, s) for t, s in _steps_reached(root, costs) if len(s) > 1}
+                    handles = reached
+                    steps = {(t, s) for t, s in _steps_reached(root, costs) if len(s) > 1}
+                assert len(rec.handles) == len(handles) and set(rec.handles) == handles
                 assert len(rec.conditionals) == len(steps)
                 assert set(rec.conditionals) == steps
+
+
+def _model_with_zero_cells(data, length, vocab, seed):
+    """A random joint with some of its cells set to zero, so that some
+    contexts have no mass; or, drawn too, the xor pair model."""
+    if data.draw(st.booleans(), "xor pair"):
+        return xor_pair_model(vocab)
+    joint = np.random.default_rng(seed).dirichlet(np.ones(vocab**length))
+    cells = st.integers(0, vocab**length - 1)
+    zeros = data.draw(st.lists(cells, unique=True, max_size=vocab**length - 1), "zero cells")
+    joint[zeros] = 0.0
+    return TabularModel(Vocab(vocab), (joint / joint.sum()).reshape((vocab,) * length))
+
+
+def _bits(x):
+    """The bytes of a float, None kept as None."""
+    return None if x is None else np.float64(x).tobytes()
+
+
+def _all_steps(state):
+    """Every step (non-empty sorted subset of masked positions) at state."""
+    masked = state.masked_index
+    return [step for n in range(1, len(masked) + 1) for step in combinations(masked, n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(2, 4),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_rows_equal_rows_built_one_at_a_time(length, vocab, seed, data):
+    # rows read ahead as one batch (one predict_many call, one entropy pass,
+    # one stacked argmax) are bit for bit the rows built one context at a
+    # time, with each step's gap, dependence error, child and committed
+    # tokens; a context whose mass check fails is left out of the batch
+    # and raises the same error when it is read
+    model = _model_with_zero_cells(data, length, vocab, seed)
+    drawn = [_random_context(model, data)[0] for _ in range(data.draw(st.integers(1, 6), "n"))]
+    states = list({state.tokens: state for state in drawn}.values())  # distinct, as read_ahead's
+    for with_dependence in (True, False):
+        rec = RecordingConditionals(model)
+        batched = theory._contexts(rec, with_dependence)
+        batched.read_ahead(states)
+        assert rec.calls == len(rec.states) == len(set(rec.states)) == len(batched)
+        for state in states:
+            alone = theory._contexts(model, with_dependence)
+            try:
+                want = alone(state)
+            except ZeroMassContext as exc:
+                assert with_dependence and state.tokens not in batched
+                with pytest.raises(ZeroMassContext) as raised:
+                    batched(state)
+                assert str(raised.value) == str(exc)
+                continue
+            got = batched[state.tokens]
+            assert got.ent.tobytes() == want.ent.tobytes()
+            assert got.tokens.tolist() == want.tokens.tolist()
+            assert got.rows == want.rows
+            for step in _all_steps(state):
+                a, b = got.step(step), want.step(step)
+                assert (_bits(a.gap), _bits(a.dep)) == (_bits(b.gap), _bits(b.dep))
+                assert (a.child.tokens, a.committed) == (b.child.tokens, b.committed)
+
+
+def _drain(costs):
+    """The schedules of a schedule_costs iterator up to its end or its
+    ZeroMassContext, and that error's message (None at the end)."""
+    got = []
+    try:
+        for cost in costs:
+            got.append(cost)
+    except ZeroMassContext as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _zero_mass_cases():
+    """(model, root) pairs whose argmax walks reach contexts with no mass:
+    an anti-correlated pair beside a free position, whose argmax pair (0, 0)
+    has no mass, and random joints with zero cells."""
+    joint = np.zeros((2, 2, 2))
+    joint[0, 1], joint[1, 0] = [0.3, 0.2], [0.1, 0.4]
+    yield TabularModel(Vocab(2), joint)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        joint = rng.dirichlet(np.ones(16)) * (rng.random(16) < 0.6)
+        yield TabularModel(Vocab(2), (joint / joint.sum()).reshape((2,) * 4))
+
+
+def test_a_lazy_consumer_sees_what_one_row_at_a_time_gives(monkeypatch):
+    # read-ahead changes neither the schedules an islice consumer of
+    # schedule_costs gets nor the ZeroMassContext it meets after them: a
+    # context with no mass is left out of its batch, so the error comes
+    # where the walk first reads it, as when each row is built on its read
+    raised = 0
+    for model in _zero_mass_cases():
+        root = root_of(model)
+        for k in range(1, model.length + 1):
+            def costs():
+                return schedule_costs(model, root, k, with_dependence=True)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(mcts.StateTable, "read_ahead", lambda table, states: None)
+                want, error = _drain(costs())
+            assert _drain(costs()) == (want, error)
+            raised += error is not None
+            for n in range(len(want) + 2):
+                if n > len(want) and error is not None:
+                    with pytest.raises(ZeroMassContext) as exc:
+                        list(islice(costs(), n))
+                    assert str(exc.value) == error
+                else:
+                    assert list(islice(costs(), n)) == want[:n]
+    assert raised  # the cases reach contexts with no mass
 
 
 def test_schedule_costs_match_brute_force_per_step():
@@ -513,13 +693,13 @@ def test_verifiers_predict_each_state_once():
         root = root_of(model, 4)
         rec = RecordingConditionals(model)
         verify_lemma1(rec, root)
-        assert rec.calls == len(set(rec.states))
+        assert rec.calls == len(rec.states) == len(set(rec.states))
+        assert sorted(rec.handles) == sorted(rec.states)
         assert len(rec.conditionals) == len(set(rec.conditionals))
-        assert {tokens for tokens, _ in rec.conditionals} == set(rec.states)
         rec = RecordingConditionals(model)
         verify_theorem1(rec, root, k=3, budgets=[16, 64, 256])
-        assert rec.calls == len(set(rec.states))
-        assert rec.conditionals == []
+        assert rec.calls == len(rec.states) == len(set(rec.states))
+        assert rec.handles == rec.conditionals == []
 
 
 def _reference_lemma1_costs(model, root):
@@ -564,11 +744,11 @@ def _masked_counts(pairs, mask_id):
 
 
 def test_verifiers_cost_each_context_step_once():
-    # a verifier's table reads one entropy row block per context it
-    # predicts, covering that context's masked positions, and computes one
-    # dependence error per multi-position (context, step) pair, however
-    # many schedules, rollouts, expansions and greedy choices reach it; a
-    # one-position step's dependence error is zero without a KL
+    # a verifier's table reads entropy rows once per masked position of
+    # each context it predicts, a batch of contexts per row block, and
+    # computes one dependence error per multi-position (context, step)
+    # pair, however many schedules, rollouts, expansions and greedy choices
+    # reach it; a one-position step's dependence error is zero without a KL
     for vocab in (2, 3):
         model = random_calibrated_model(np.random.default_rng(5), 4, vocab)
         root = root_of(model, 4)
@@ -578,13 +758,15 @@ def test_verifiers_cost_each_context_step_once():
             verify_lemma1(model, root)
         assert set(work["asked"]) == reached
         assert len(work["asked"]) > len(reached)
-        assert sorted(work["entropy"]) == _masked_counts(reached, model.vocab.mask_id)
+        assert sum(work["entropy"]) == sum(_masked_counts(reached, model.vocab.mask_id))
+        assert len(work["entropy"]) < len(_masked_counts(reached, model.vocab.mask_id))
         assert sorted(work["dep"]) == sorted(len(s) for _, s in reached if len(s) > 1)
         with pytest.MonkeyPatch.context() as mp:
             work = _record_step_work(mp)
             verify_theorem1(model, root, k=3, budgets=[16, 64, 256])
         assert work["dep"] == []
-        assert sorted(work["entropy"]) == _masked_counts(work["asked"], model.vocab.mask_id)
+        assert sum(work["entropy"]) == sum(_masked_counts(work["asked"], model.vocab.mask_id))
+        assert len(work["entropy"]) < len(_masked_counts(work["asked"], model.vocab.mask_id))
         assert len(work["asked"]) > len(set(work["asked"]))
 
 
