@@ -23,15 +23,14 @@ checks.
 
 RemoteDenoiser lets an external process stand in for the model over a
 socket: a request is a line of decimal ints (prompt length, step, tokens)
-and a reply a line of base64 holding the positions and float64 logits as
-one binary frame; predict_many pipelines a batch of requests in one write.
-serve_denoiser exposes any local model over the same wire format.
+and a reply a line holding a byte count, followed by that many raw bytes of
+one binary frame of the positions and float64 logits; predict_many
+pipelines a batch of requests in one write. serve_denoiser exposes any
+local model over the same wire format.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import contextlib
 import json
 import math
@@ -932,18 +931,23 @@ class CountingDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# remote protocol: one ASCII line per message in each direction.
+# remote protocol: an ASCII request line, answered by a count line and raw bytes.
 # request = "prompt_len step t_0 ... t_{n-1}": decimal ints joined by single
 #           spaces; a masked position carries the vocab's mask id
-# reply   = strict base64 of the little-endian frame
+# reply   = the frame's byte count n in canonical decimal ("[1-9][0-9]*\n"),
+#           then exactly n bytes of the little-endian frame
 #           uint32 P | P x int64 positions | P x V float64 logits (row-major),
-#           so V = (bytes - 4 - 8P) / (8P); or the JSON error frame
-#           {"error": "..."}, a line starting with "{", which base64 never does
+#           so V = (n - 4 - 8P) / (8P); or the JSON error frame
+#           {"error": "..."}, a line starting with "{", which a count never does
 # A client may write several requests before it reads; the server answers
-# them in order, one reply line per request line. Both ends set TCP_NODELAY,
+# them in order, one reply per request line. Both ends set TCP_NODELAY,
 # or pipelined small writes stall on Nagle's algorithm and delayed ACKs.
 
 _REQUEST = re.compile(rb"-?[0-9]+(?: -?[0-9]+)+")
+_COUNT = re.compile(rb"[1-9][0-9]*\n")
+# the longest reply line a client reads (a count or an error frame), so a
+# line without a newline cannot grow the client's memory without bound
+REPLY_LINE_MAX = 1 << 16
 
 
 def encode_request(state: SeqState) -> bytes:
@@ -968,26 +972,21 @@ def decode_request(line: bytes, vocab: Vocab) -> SeqState:
 
 
 def encode_reply(out: DenoiserOutput) -> bytes:
-    """The reply line of a prediction, newline included."""
+    """The reply to a request: the frame's byte-count line, then the frame."""
     positions, matrix = out._positions, out.matrix()
-    frame = b"".join((
+    return b"".join((
+        b"%d\n" % (4 + 8 * positions.size + 8 * matrix.size),
         len(positions).to_bytes(4, "little"),
         positions.astype("<i8", copy=False).tobytes(),
         matrix.astype("<f8", copy=False).tobytes(),
     ))
-    return base64.b64encode(frame) + b"\n"
 
 
-def decode_reply(line: bytes) -> DenoiserOutput:
-    """The prediction a (non-error) reply line holds (one trailing newline is
-    dropped). ValueError unless the line is strict base64 of a frame with
-    P >= 1 strictly ascending positions and 4 + 8P + 8PW bytes for a whole
-    W >= 1; NonFiniteLogits for a NaN or infinite logit."""
-    line = line[:-1] if line.endswith(b"\n") else line
-    try:
-        frame = base64.b64decode(line, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"reply is not base64: {exc}") from None
+def decode_reply(frame: bytes) -> DenoiserOutput:
+    """The prediction a reply's frame holds (the bytes after its count
+    line). ValueError unless the frame has P >= 1 strictly ascending
+    positions and 4 + 8P + 8PW bytes for a whole W >= 1; NonFiniteLogits
+    for a NaN or infinite logit."""
     if len(frame) < 4:
         raise ValueError(f"reply frame of {len(frame)} bytes has no 4-byte header")
     rows = int.from_bytes(frame[:4], "little")
@@ -1013,15 +1012,20 @@ class RemoteDenoiser(Denoiser):
     """Client for a denoiser served over a byte stream.
 
     The wire format carries no vocab descriptor, so the caller supplies the
-    vocab. predict() sends one request and reads its reply; predict_many()
-    writes a batch of requests at once and then reads their replies in
-    order. A lock serialises callers, held across a whole batch.
+    vocab. predict() sends one request and reads its reply, a count line
+    and then that many frame bytes; predict_many() writes a batch of
+    requests at once and then reads their replies in order. A lock
+    serialises callers, held across a whole batch. The address is
+    "host:port" ("[v6 literal]:port" for an IPv6 literal, whose brackets
+    are dropped; the port in ASCII digits) or a (host, port) tuple.
     """
 
     def __init__(self, address: str | tuple[str, int], vocab: Vocab, timeout: float = 30.0):
         if isinstance(address, str):
             host, _, port = address.rpartition(":")
-            if not host or not port.isdecimal():
+            if host.startswith("[") and host.endswith("]"):
+                host = host[1:-1]
+            if not host or not (port.isascii() and port.isdigit()):
                 raise ConfigError(f"remote address {address!r} must be host:port")
             address = (host, int(port))
         host, port = address
@@ -1067,26 +1071,50 @@ class RemoteDenoiser(Denoiser):
         host, port = self.address
         return RemoteError(f"remote denoiser {host}:{port}: {type(exc).__name__}: {exc}")
 
+    def _read_frame(self, line: bytes, limit: int) -> bytes:
+        """The frame whose count line is `line`, read from the stream
+        (caller holds the lock). ValueError unless the line is a canonical
+        decimal count of at most `limit` bytes, checked before any frame
+        byte is read; EOFError if the connection closes first."""
+        if _COUNT.fullmatch(line) is None:
+            raise ValueError(f"reply line {line[:60]!r} is not a byte count")
+        if len(line) - 1 > len(str(limit)) or (size := int(line)) > limit:
+            raise ValueError(
+                f"reply count {line[:-1][:40].decode()} exceeds {limit}, the largest"
+                " frame this state admits"
+            )
+        frame = self._fh.read(size)
+        if len(frame) < size:
+            raise EOFError("connection closed mid-reply")
+        return frame
+
     def predict(self, state: SeqState) -> DenoiserOutput:
         """One request/reply exchange; inside predict_many, the read of the
         next reply, whose request is already written.
 
-        Socket errors, timeouts, a closed connection, a reply line cut off
-        before its newline, a reply decode_reply refuses and a "{" line that
-        is not a JSON object with an "error" key (an older server's JSON
-        reply) raise RemoteError and drop the connection; a server error
-        frame raises ConfigError and keeps it. A reply must cover exactly
-        the state's masked positions with vocab-wide rows (check_cover).
+        Socket errors, timeouts, a closed connection, a reply cut off before
+        its count line's newline or its frame's last byte, a line longer
+        than REPLY_LINE_MAX, a count that is not canonical decimal or is
+        above the largest frame the state admits (4 + 8T(1 + V) bytes for T
+        tokens over V content tokens; such a frame is never read), a frame
+        decode_reply refuses and a "{" line that is not a JSON object with
+        an "error" key (an older server's JSON reply) raise RemoteError and
+        drop the connection; a server error frame raises ConfigError and
+        keeps it. A reply must cover exactly the state's masked positions
+        with vocab-wide rows (check_cover).
         """
         masked = self._check_state(state)
+        limit = 4 + 8 * len(state.tokens) * (1 + self.vocab.size)
         with self._lock:
             try:
                 if self._pending:
                     self._pending -= 1
                 else:
                     self._send([state])
-                line = self._fh.readline()
+                line = self._fh.readline(REPLY_LINE_MAX)
                 if not line.endswith(b"\n"):
+                    if len(line) == REPLY_LINE_MAX:
+                        raise ValueError(f"reply line longer than {REPLY_LINE_MAX} bytes")
                     raise EOFError(
                         "connection closed mid-reply" if line else "connection closed without a reply"
                     )
@@ -1096,7 +1124,7 @@ class RemoteDenoiser(Denoiser):
                         raise ValueError(f"reply {line[:60]!r} is JSON but not an error frame")
                     out = None
                 else:
-                    out = decode_reply(line)
+                    out = decode_reply(self._read_frame(line, limit))
             except (OSError, EOFError, ValueError) as exc:
                 raise self._error(exc) from exc
         if out is None:
@@ -1134,7 +1162,8 @@ class RemoteDenoiser(Denoiser):
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):
-    """Answers each request line with one reply line, in order."""
+    """Answers each request line with one reply (a count line and its frame,
+    or an error line), in order."""
 
     disable_nagle_algorithm = True
 
@@ -1148,8 +1177,12 @@ class _DenoiserHandler(socketserver.StreamRequestHandler):
             self.wfile.write(reply)
             # flush each reply as soon as it is made: the server cannot see
             # where a client's batch ends, so a reply held back could wait
-            # for a request that never comes; and a pipelining client can
-            # decode reply i while this computes reply i + 1
+            # for a request that never comes; and a pipelining client
+            # decodes reply i while this computes reply i + 1. A server that
+            # answered all complete lines of each received chunk with one
+            # sendall was slower on the perfbench remote_ngram workload:
+            # median op_ref_p50 15.05 against 13.13 for this loop (8
+            # alternating 10-s pairs, this loop faster in 7; 2-vCPU guest).
             self.wfile.flush()
 
 

@@ -24,6 +24,7 @@ import oracles
 from medal.cli import default_config, load_model
 from medal.decoder import DecodeConfig, decode
 from medal.denoisers import (
+    REPLY_LINE_MAX,
     SERVE_POLL_S,
     CountingDenoiser,
     Denoiser,
@@ -878,11 +879,13 @@ def test_state_vocab_mismatch_rejected(rng):
         model.predict(s)
 
 
-def _read_frame(line):
-    """(positions, matrix) of a reply line, decoded by hand from the
-    documented layout: base64 of uint32 P | P int64 | P x V float64."""
-    assert line.endswith(b"\n")
-    frame = base64.b64decode(line[:-1], validate=True)
+def _read_frame(stream):
+    """(positions, matrix) of the next reply on `stream`, decoded by hand
+    from the documented layout: a count line, then that many bytes of
+    uint32 P | P int64 | P x V float64."""
+    size = int(stream.readline())
+    frame = stream.read(size)
+    assert len(frame) == size
     rows = int.from_bytes(frame[:4], "little")
     positions = np.frombuffer(frame, "<i8", rows, 4).tolist()
     return positions, np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
@@ -957,9 +960,11 @@ def test_property_reply_round_trip_is_bit_exact(rows, width, seed):
     matrix[~np.isfinite(matrix)] = -0.0  # the output keeps finite logits only
     positions = np.sort(rng.choice(2**62, size=rows, replace=False)) - 2**61
     out = DenoiserOutput.from_matrix(positions, matrix)
-    line = encode_reply(out)
-    assert line == _frame(positions, matrix)  # the documented layout
-    back = decode_reply(line)
+    reply = encode_reply(out)
+    assert reply == _frame(positions, matrix)  # the documented layout
+    count, frame = reply.split(b"\n", 1)
+    assert count == str(len(frame)).encode()
+    back = decode_reply(frame)
     assert back.positions() == positions.tolist()
     assert np.array_equal(back.matrix().view(np.uint64), matrix.view(np.uint64))
 
@@ -1005,7 +1010,7 @@ def test_remote_round_trip_and_error_frames(rng):
             assert error == {"error": "ConfigError: prompt position 0 cannot be masked"}
             error = json.loads(stream.readline())
             assert error["error"].startswith("ConfigError: request must be")
-            positions, matrix = _read_frame(stream.readline())
+            positions, matrix = _read_frame(stream)
             assert positions == [1, 2]
             assert np.array_equal(matrix, local.matrix())
     finally:
@@ -1039,6 +1044,10 @@ def test_remote_rejects_wrong_logit_width():
         server.server_close()
 
 
+class _Cut(bytes):
+    """A scripted reply after which the server closes the connection."""
+
+
 class _ScriptedHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
@@ -1050,7 +1059,7 @@ class _ScriptedHandler(socketserver.StreamRequestHandler):
             with contextlib.suppress(OSError):  # the client may have given up
                 self.wfile.write(reply)
                 self.wfile.flush()
-            if not reply.endswith(b"\n"):
+            if isinstance(reply, _Cut):
                 return  # close mid-reply
 
 
@@ -1078,20 +1087,26 @@ def _scripted(reply):
         server.server_close()
 
 
-def _raw_frame(body):
-    """A reply line holding the frame bytes `body`, base64-encoded."""
-    return base64.b64encode(body) + b"\n"
+def _raw_frame(body, count=None):
+    """A reply holding the frame bytes `body` after the count line `count`
+    (default: the canonical count of `body`)."""
+    return (b"%d\n" % len(body) if count is None else count) + body
 
 
-def _frame(positions, matrix):
-    """A reply line built by hand from the documented layout; unlike
+def _body(positions, matrix):
+    """Frame bytes built by hand from the documented layout; unlike
     encode_reply, it takes positions out of order and non-finite logits."""
     header = len(positions).to_bytes(4, "little")
-    return _raw_frame(
+    return (
         header
         + np.asarray(positions, dtype="<i8").tobytes()
         + np.asarray(matrix, dtype="<f8").tobytes()
     )
+
+
+def _frame(positions, matrix):
+    """A reply of the frame _body(positions, matrix)."""
+    return _raw_frame(_body(positions, matrix))
 
 
 def _json_frame(positions, matrix):
@@ -1121,7 +1136,8 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
             assert np.array_equal(again.matrix(), model.predict(state).matrix())
 
 
-_ROWS = _frame([1, 2], np.zeros((2, 3)))  # a well-formed reply to the state below
+_BODY = _body([1, 2], np.zeros((2, 3)))  # the frame of a well-formed reply to the state below
+_ROWS = _raw_frame(_BODY)
 _JSON_ROWS = _json_frame([1, 2], np.zeros((2, 3)))  # the same reply on the JSON wire
 _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
 
@@ -1129,12 +1145,12 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
 @pytest.mark.parametrize(
     "line, match",
     [
-        (b"not json\n", "not base64"),
+        (b"not json\n", "not a byte count"),
         (b'{"positions": [1, 2]}\n', "not an error frame"),
         (b'{"positions": [1, 2], "logits": [[0.0, 1.0, 2.0]]}\n', "not an error frame"),
         (b'{"positions": [1, 2], "logits": true}\n', "not an error frame"),
-        (b"0.5\n", "not base64"),
-        ("\u0661AAA\n".encode(), "not base64"),
+        (b"0.5\n", "not a byte count"),
+        ("\u0661\u0662\n".encode(), "not a byte count"),  # ARABIC-INDIC DIGITS ONE TWO
         (_frame([1, 2], np.zeros(5)), r"60 bytes is not 4 \+ 8\*2 positions \+ 2 whole"),
         (_raw_frame(_HEADER + bytes(20)), r"40 bytes is not 4 \+ 8\*2 positions"),
         (_raw_frame(_HEADER), r"20 bytes is not 4 \+ 8\*2 positions"),
@@ -1147,19 +1163,28 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
         (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "not an error frame"),
         (None, "closed without a reply"),
         (_JSON_ROWS, "not an error frame"),
-        (b'["error"]\n', "not base64"),
+        (b'["error"]\n', "not a byte count"),
         (b"{error}\n", "JSONDecodeError"),
         (b'{"error": "x"} trailing\n', "JSONDecodeError"),
         (_raw_frame(bytes(3)), "3 bytes has no 4-byte header"),
         (_raw_frame((2**32 - 1).to_bytes(4, "little") + _HEADER[4:] + bytes(48)),
          r"is not 4 \+ 8\*4294967295 positions"),
         (_raw_frame(_HEADER[:12]), r"12 bytes is not 4 \+ 8\*2 positions"),
-        (_ROWS.replace(b"=", b""), "not base64"),
-        (_ROWS[:8] + b" " + _ROWS[8:], "not base64"),
-        (_ROWS.replace(b"A", b"-", 1), "not base64"),
-        (_ROWS[:-1] + b"\r\n", "not base64"),
-        (_ROWS[:-1], "closed mid-reply"),
-        (b"\n", "0 bytes has no 4-byte header"),
+        (_raw_frame(_BODY, b"+68\n"), "not a byte count"),
+        (_raw_frame(_BODY, b"068\n"), "not a byte count"),
+        (_raw_frame(_BODY, b" 68\n"), "not a byte count"),
+        (_raw_frame(_BODY, b"68\r\n"), "not a byte count"),
+        (_Cut(_ROWS[:-1]), "closed mid-reply"),
+        (b"\n" + _BODY, "not a byte count"),
+        # the bound is 4 + 8*3*(1 + 3) = 100 bytes; the server sends no
+        # frame, so reading one would wait for the 5 s timeout
+        (b"99999999999999999999\n", "count 99999999999999999999 exceeds 100, the largest"),
+        (b"101\n", "count 101 exceeds 100, the largest"),
+        (_Cut(_ROWS[:20]), "closed mid-reply"),
+        (_Cut(b"68"), "closed mid-reply"),
+        (_Cut(b"68\n"), "closed mid-reply"),
+        (base64.b64encode(_BODY) + b"\n", "not a byte count"),
+        (_Cut(b"1" * (REPLY_LINE_MAX + 1)), f"longer than {REPLY_LINE_MAX} bytes"),
     ],
     ids=[
         "non_json", "no_logits", "logits_not_string", "logits_bool", "logits_numeric_string",
@@ -1169,11 +1194,14 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
         "json_reply", "json_list", "brace_not_json", "error_frame_trailing_text",
         "header_short", "header_past_frame", "positions_truncated", "padding_missing",
         "base64_space", "base64_urlsafe", "base64_crlf", "cut_mid_reply", "empty_line",
+        "count_past_bound", "count_one_past_bound", "body_cut_short", "count_cut",
+        "frame_missing", "old_base64_server", "line_past_cap",
     ],
 )
 def test_remote_bad_replies_raise_remote_error(line, match):
     # JSON replies of an older server, well-formed or not, are "{" lines
-    # without an "error" key; every other line must be a whole base64 frame
+    # without an "error" key; every other reply must be a canonical count
+    # line within the state's bound and then a whole frame of that many bytes
     vocab = Vocab(3)
     state = SeqState.fully_masked(vocab, (1,), 2)
     with _scripted(lambda n, raw: line) as address:
@@ -1227,6 +1255,42 @@ def test_remote_logits_are_bit_identical_to_local():
     assert wire.positions() == local.positions() == [1, 2, 3]
     assert np.array_equal(wire.matrix().view(np.uint64), local.matrix().view(np.uint64))
     assert np.signbit(wire.matrix()[:, 0]).all()  # -0.0 keeps its sign
+
+
+class _RowsModel(Denoiser):
+    """Answers every state with the rows it holds, one per masked position."""
+
+    def __init__(self, rows):
+        self.vocab = Vocab(rows.shape[1])
+        self.rows = rows
+
+    def predict(self, state):
+        return DenoiserOutput.from_matrix(self._check_state(state), self.rows)
+
+
+_HARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, -2.2250738585072014e-308,
+                1.7e308, -1.7e308, np.nextafter(1.0, 2.0), 1 / 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 3), st.data())
+def test_property_served_rows_come_back_bit_for_bit(rows, width, prompt_len, data):
+    values = st.one_of(st.sampled_from(_HARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    row = st.lists(values, min_size=width, max_size=width)
+    matrix = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.float64)
+    model = _RowsModel(matrix)
+    state = SeqState.fully_masked(model.vocab, (0,) * prompt_len, rows)
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    try:
+        with RemoteDenoiser(server.server_address, vocab=model.vocab, timeout=5.0) as remote:
+            outs = [remote.predict(state), *remote.predict_many([state, state])]
+    finally:
+        server.shutdown()
+        server.server_close()
+    for wire in outs:
+        assert wire.positions() == list(range(prompt_len, prompt_len + rows))
+        assert np.array_equal(wire.matrix().view(np.uint64), matrix.view(np.uint64))
 
 
 def test_remote_non_finite_logits_raise_and_keep_the_connection():
@@ -1284,7 +1348,7 @@ def _three_states(model):
     "at, line, error, match",
     [
         (1, b'{"error": "scripted"}\n', ConfigError, "scripted"),
-        (2, b"not json\n", RemoteError, "not base64"),
+        (2, b"not json\n", RemoteError, "not a byte count"),
         (1, None, RemoteError, "closed"),
     ],
     ids=["error_frame_2nd", "malformed_3rd", "closed_at_2nd"],
@@ -1432,6 +1496,14 @@ def test_remote_address_parsing():
         with pytest.raises(ConfigError, match="1..65535"):
             RemoteDenoiser(address, vocab=Vocab(2))
     assert RemoteDenoiser("127.0.0.1:65535", vocab=Vocab(2)).address == ("127.0.0.1", 65535)
+    # an IPv6 literal loses its brackets; a port is ASCII digits only
+    assert RemoteDenoiser("[::1]:8000", vocab=Vocab(2)).address == ("::1", 8000)
+    assert RemoteDenoiser("[fe80::1%eth0]:80", vocab=Vocab(2)).address == ("fe80::1%eth0", 80)
+    assert RemoteDenoiser("localhost:80", vocab=Vocab(2)).address == ("localhost", 80)
+    for address in ("127.0.0.1:\u0661\u0662", "127.0.0.1:\uff11\uff12", "[]:80", "[::1]", ":80",
+                    "127.0.0.1:+80", "127.0.0.1: 80", "127.0.0.1:"):
+        with pytest.raises(ConfigError, match="must be host:port"):
+            RemoteDenoiser(address, vocab=Vocab(2))
     # a timeout must be a finite number > 0: 0 would make the socket
     # non-blocking, and socket.create_connection refuses NaN and negatives
     # only when the first call connects
