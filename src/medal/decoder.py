@@ -188,8 +188,9 @@ def finish_decode(
     """Commit remaining masks step by step under confidence scoring.
 
     The first step predicts at `state`; each later step asks
-    model.predict_after(previous state, previous output, state), whose
-    output names the rows that may differ from the previous one. Each step
+    model.predict_after(previous state, previous output, state), which is
+    predict(state) unless the model knows what a reveal changed and names
+    the rows that may differ from the previous output. Each step
     rebuilds the pooled top-k2 actions from the previous step's
     candidates and the model's score memo, scoring only rows whose
     content no earlier finish step on the model scored, and commits

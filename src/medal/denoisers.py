@@ -4,8 +4,10 @@ A denoiser takes a partially masked state and returns one logit vector per
 masked position, covering content tokens only. Predictions must be pure
 functions of the state so that search and replay stay deterministic. A
 finish step asks for the prediction after the previous one
-(Denoiser.predict_after), which also names the rows that may have changed;
-the n-gram model looks up only those rows again.
+(Denoiser.predict_after), which is predict unless a model knows what a
+reveal changed: the n-gram model looks up only those rows again and names
+them. Every other row goes to the model's score memo, which recognises
+repeated rows by their bytes.
 
 Three toy families with known structure:
 
@@ -96,11 +98,12 @@ class DenoiserOutput:
     tuple keeps that tuple, so checking it against the same tuple is one
     identity test.
 
-    An output from Denoiser.predict_after also records, as row indices,
-    how it relates to the output it was predicted after (its base): for
-    each row, the base row at the same position, and which rows may
-    differ from that base row. It holds only a weak reference to its base,
-    so a chain of such outputs keeps no earlier matrix alive.
+    An output the n-gram model derives from the one it was predicted
+    after (its base, through _after_reveal) also records, as row indices,
+    for each row the base row at the same position, and which rows may
+    differ from that base row (changed_since). It holds only a weak
+    reference to its base, so a chain of such outputs keeps no earlier
+    matrix alive. No other output records a base.
     """
 
     __slots__ = (
@@ -168,16 +171,6 @@ class DenoiserOutput:
         out._base = None
         return out
 
-    def _record_after(
-        self, base: "DenoiserOutput", base_rows: np.ndarray, changed: list[int]
-    ) -> "DenoiserOutput":
-        """Record that row i equals row base_rows[i] of `base` unless i is in
-        `changed` (ascending row indices); returns self."""
-        self._base = weakref.ref(base)
-        self._base_rows = base_rows
-        self._changed = changed
-        return self
-
     def _after_reveal(
         self, index: tuple[int, ...], at: np.ndarray, rows: dict[int, np.ndarray]
     ) -> "DenoiserOutput":
@@ -193,14 +186,16 @@ class DenoiserOutput:
         for i, row in rows.items():
             matrix[i] = row
         out = DenoiserOutput._of_rows(index, matrix, self._positions.take(at))
-        return out._record_after(self, at, sorted(rows))
+        out._base = weakref.ref(self)
+        out._base_rows = at
+        out._changed = sorted(rows)
+        return out
 
     def changed_since(self, base: "DenoiserOutput") -> tuple[np.ndarray, list[int]] | None:
-        """(base_rows, changed) when this output was predicted after `base`
-        (Denoiser.predict_after): row i is bit-equal to row base_rows[i] of
-        base unless i is in `changed`, the ascending indices of the rows
-        that may differ. None for any other base, or when no base is
-        recorded."""
+        """(base_rows, changed) when this output was derived from `base`
+        (_after_reveal): row i is bit-equal to row base_rows[i] of base
+        unless i is in `changed`, the ascending indices of the rows that
+        may differ. None for any other base, or when no base is recorded."""
         if self._base is None or self._base() is not base:
             return None
         return self._base_rows, self._changed
@@ -325,10 +320,11 @@ class Denoiser:
 
     predict_after(prev_state, prev_output, state) is the prediction at
     `state` given that prev_output was the prediction at prev_state; its
-    output must equal predict(state) bit for bit and records which of its
-    rows may differ from prev_output's (DenoiserOutput.changed_since). The
-    base method calls predict(state) and compares positions and logit
-    bytes; a model that knows what a reveal changes overrides it and does
+    output must equal predict(state) bit for bit. The base method is
+    predict(state) and records nothing, so finishing looks every row up in
+    the score memo, which recognises repeated rows by their bytes. A model
+    that knows what a reveal changes overrides it, records the rows that
+    may differ from prev_output's (DenoiserOutput.changed_since) and does
     the work inside predict, so every prediction is one predict call.
 
     score_memo() hands out the model's memo of scored logit rows, one per
@@ -346,19 +342,7 @@ class Denoiser:
     def predict_after(
         self, prev_state: SeqState, prev_output: DenoiserOutput, state: SeqState
     ) -> DenoiserOutput:
-        """predict(state), recording against prev_output the rows whose
-        position or logits differ from prev_output's row at that position
-        (no record when prev_output has no rows)."""
-        out = self.predict(state)
-        base_pos = prev_output._positions
-        if not base_pos.shape[0]:
-            return out
-        rows = out._positions
-        at = np.minimum(base_pos.searchsorted(rows), base_pos.shape[0] - 1)
-        changed = np.flatnonzero(
-            (base_pos[at] != rows) | (prev_output.matrix()[at] != out.matrix()).any(axis=1)
-        )
-        return out._record_after(prev_output, at, changed.tolist())
+        return self.predict(state)
 
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
         """predict() of each state, in order. A subclass may answer the
@@ -403,8 +387,7 @@ class TabularModel(Denoiser):
     outside the modeled region and are ignored. A revealed context with
     zero joint mass falls back to uniform conditionals (predict never
     raises for reachable states); exact-inference callers that need the
-    distinction use step_joints() or subset_conditional(), which raise
-    ZeroMassContext.
+    distinction use step_joints(), which raises ZeroMassContext.
     """
 
     def __init__(self, vocab: Vocab, joint: np.ndarray):
@@ -463,11 +446,6 @@ class TabularModel(Denoiser):
             return cond.sum(axis=other)
 
         return joint
-
-    def subset_conditional(self, state: SeqState, subset: Sequence[int]) -> np.ndarray:
-        """step_joints(state)(subset): the exact joint posterior over one
-        subset, with the same errors."""
-        return self.step_joints(state)(subset)
 
     def predict(self, state: SeqState) -> DenoiserOutput:
         """Logits log(marginal + LOGIT_FLOOR): each marginal is summed from
@@ -1163,27 +1141,30 @@ class RemoteDenoiser(Denoiser):
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):
     """Answers each request line with one reply (a count line and its frame,
-    or an error line), in order."""
+    or an error line), in order. A client that drops the connection (an
+    OSError while reading a request or writing a reply) ends it quietly."""
 
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
         model: Denoiser = self.server.model  # type: ignore[attr-defined]
-        for line in self.rfile:
-            try:
-                reply = encode_reply(model.predict(decode_request(line, model.vocab)))
-            except Exception as exc:  # report, keep serving
-                reply = (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
-            self.wfile.write(reply)
-            # flush each reply as soon as it is made: the server cannot see
-            # where a client's batch ends, so a reply held back could wait
-            # for a request that never comes; and a pipelining client
-            # decodes reply i while this computes reply i + 1. A server that
-            # answered all complete lines of each received chunk with one
-            # sendall was slower on the perfbench remote_ngram workload:
-            # median op_ref_p50 15.05 against 13.13 for this loop (8
-            # alternating 10-s pairs, this loop faster in 7; 2-vCPU guest).
-            self.wfile.flush()
+        with contextlib.suppress(OSError):
+            for line in self.rfile:
+                try:
+                    reply = encode_reply(model.predict(decode_request(line, model.vocab)))
+                except Exception as exc:  # report, keep serving
+                    reply = (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
+                self.wfile.write(reply)
+                # flush each reply as soon as it is made: the server cannot
+                # see where a client's batch ends, so a reply held back could
+                # wait for a request that never comes; and a pipelining
+                # client decodes reply i while this computes reply i + 1. A
+                # server that answered all complete lines of each received
+                # chunk with one sendall was slower on the perfbench
+                # remote_ngram workload: median op_ref_p50 15.05 against
+                # 13.13 for this loop (8 alternating 10-s pairs, this loop
+                # faster in 7; 2-vCPU guest).
+                self.wfile.flush()
 
 
 class DenoiserServer(socketserver.ThreadingTCPServer):

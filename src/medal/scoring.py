@@ -18,11 +18,11 @@ most MEMO_BYTES, counting each entry's row, its top-k1 and
 MEMO_ENTRY_BYTES of Python objects, and is cleared when an entry would
 pass that, so a model whose rows never repeat cannot grow it without
 bound. A finish step also passes
-the previous step's candidates back in: rows its prediction does not name
-as changed since the previous prediction (DenoiserOutput.changed_since)
-keep their top-k1 without a lookup. A build without a memo, such as a
-search expansion, scores its rows directly and hashes none, so traffic
-whose rows never repeat pays for no lookup there.
+the previous step's candidates back in: rows its prediction names as
+unchanged since the previous prediction (DenoiserOutput.changed_since; only
+the n-gram model names rows) keep their top-k1 without a lookup. A build
+without a memo, such as a search expansion, scores its rows directly and
+hashes none, so traffic whose rows never repeat pays for no lookup there.
 """
 
 from __future__ import annotations

@@ -405,7 +405,7 @@ def test_property_validated_configs_decode_to_completion(case):
 
 class BasePath(Denoiser):
     """Forwards predict only, so finishing takes the base predict_after:
-    a full prediction and a positional and byte diff."""
+    a full prediction, whose repeated rows the score memo recognises."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -458,8 +458,10 @@ def test_property_incremental_finish_equals_base_path(
 @st.composite
 def memo_jobs(draw):
     """A model recipe and a list of decode jobs on it: search on or off,
-    argmax or sampled finishing, 1 to 3 tokens per step."""
-    kind = draw(st.sampled_from(["tabular", "ngram"]))
+    argmax or sampled finishing, 1 to 3 tokens per step. An "ngram_base"
+    model is an n-gram model behind BasePath, whose finish steps name no
+    changed rows, though most rows repeat from one step to the next."""
+    kind = draw(st.sampled_from(["tabular", "ngram", "ngram_base"]))
     vocab = draw(st.integers(min_value=2, max_value=3))
     length = draw(st.integers(min_value=3, max_value=5 if kind == "tabular" else 9))
     jobs = draw(
@@ -483,7 +485,8 @@ def _memo_model(kind, vocab, length, seed):
     if kind == "tabular":
         return random_calibrated_model(gen, length, vocab)
     corpus = [gen.integers(0, vocab, size=int(gen.integers(2, 12))).tolist() for _ in range(6)]
-    return fit_ngram(corpus, n=int(gen.integers(1, 4)), alpha=0.5, vocab_size=vocab)
+    model = fit_ngram(corpus, n=int(gen.integers(1, 4)), alpha=0.5, vocab_size=vocab)
+    return BasePath(model) if kind == "ngram_base" else model
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,8 +513,10 @@ def test_property_model_score_memo_leaves_outputs_unchanged(case, cap_rows):
     want = [decode(_memo_model(kind, vocab, length, model_seed), p, c).to_json() for p, c in runs]
 
     # rows sent to kernels.score_rows by finish steps (memo) and by search
-    # expansions (no memo, scored directly)
+    # expansions (no memo, scored directly), and the row contents of every
+    # finish step's prediction
     scored = {"finish": [], "search": []}
+    contents = set()
     score_rows = kernels.score_rows
     build = decoder.build_candidates
     inside = []
@@ -520,10 +525,11 @@ def test_property_model_score_memo_leaves_outputs_unchanged(case, cap_rows):
         scored["finish" if inside else "search"].append(probs.shape[0])
         return score_rows(probs, *args, **kwargs)
 
-    def finish_build(*args, **kwargs):
+    def finish_build(state, output, *args, **kwargs):
+        contents.update(row.tobytes() for row in output.matrix())
         inside.append(True)
         try:
-            return build(*args, **kwargs)
+            return build(state, output, *args, **kwargs)
         finally:
             inside.pop()
 
@@ -533,6 +539,10 @@ def test_property_model_score_memo_leaves_outputs_unchanged(case, cap_rows):
         mp.setattr(decoder, "build_candidates", finish_build)
         assert [decode(CountingDenoiser(model), p, c).to_json() for p, c in runs] == want
         assert scored["finish"]  # the first pass scored rows
+        # each distinct row content once: every content a finish step
+        # reads must be scored once before its top-k1 is known, so any
+        # content scored twice would push the sum past the count
+        assert sum(scored["finish"]) == len(contents)
         first_search = scored["search"]
         # every row content a finish step of the second pass looks up is in
         # the model's memo; the search scores what it scored before

@@ -151,7 +151,7 @@ def _reference_step(model, state, step):
     probs = kernels.softmax_rows(model.predict(state).matrix(step))
     ent = kernels.entropy_rows(probs)
     tokens = probs.argmax(axis=1).tolist()
-    dep = theory._dependence(model.subset_conditional(state, step))
+    dep = theory._dependence(model.step_joints(state)(step))
     child = apply_many(state, [UnmaskAction(p, t) for p, t in zip(step, tokens)])
     return float(ent.sum() - ent.max()), dep, tuple(zip(step, tokens)), child.tokens
 
