@@ -28,7 +28,13 @@ dependence error and argmax child. A one-position step's dependence error
 is zero by definition, so it asks for no joint. So no call predicts a
 context twice or costs a (context, step) pair twice, however many
 schedules, rollouts and expansions pass through it; schedule_costs walks
-the schedule tree depth-first, extending each shared prefix once.
+the schedule tree depth-first, extending each shared prefix once. A
+ScheduleCost holds only the context reached, the steps and two running
+totals, J and the summed dependence errors; each step's own values live
+in its row. The totals are added to in step order, so each is the same
+left-to-right float sum on every Python version. A table measures
+dependence errors or does not, as it was built; a call that passes one
+built the other way raises ConfigError.
 
 An expansion (of a prefix in schedule_costs' walk, or of a node in the
 schedule search) extends every feasible next step first, then reads
@@ -105,13 +111,12 @@ def _dependence(joint: np.ndarray) -> float:
 
 class _Step(NamedTuple):
     """One step's outcome at one context: its gap, its dependence error
-    (None when not measured), and the argmax child with the tokens it
-    committed."""
+    (None when not measured), and the argmax child, whose tokens at the
+    step's positions are the step's argmax commits."""
 
     gap: float
     dep: float | None
     child: SeqState
-    committed: tuple[tuple[int, int], ...]
 
 
 class _Context(NamedTuple):
@@ -140,10 +145,9 @@ class _Context(NamedTuple):
             dep = None
             if self.step_joints is not None:
                 dep = _dependence(self.step_joints(positions)) if len(positions) > 1 else 0.0
-            committed = tuple(zip(positions, self.tokens[idx].tolist()))
-            child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in committed])
-            gap = float(ent.sum() - ent.max())
-            memo = self.steps[positions] = _Step(gap, dep, child, committed)
+            tokens = self.tokens[idx].tolist()
+            child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in zip(positions, tokens)])
+            memo = self.steps[positions] = _Step(float(ent.sum() - ent.max()), dep, child)
         return memo
 
 
@@ -156,8 +160,14 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
     masked_entropies pass and one argmax over the stacked softmax; a
     context whose mass check fails is left out of its batch, so the error
     is raised where a walk first reads it (StateTable). A verifier passes
-    its own table as `model` to share it; it is returned as it is."""
+    its own table as `model` to share it; it is returned as it is if it was
+    built in the same dependence mode, and raises ConfigError if not."""
     if isinstance(model, StateTable):
+        if model.with_dependence != with_dependence:
+            raise ConfigError(
+                f"a theory table built with with_dependence={model.with_dependence}"
+                f" cannot serve a call with with_dependence={with_dependence}"
+            )
         return model
     if with_dependence and not hasattr(model, "step_joints"):
         raise ConfigError(
@@ -196,40 +206,31 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
             start = stop
         return rows
 
-    return StateTable(make)
+    table = StateTable(make)
+    table.with_dependence = with_dependence
+    return table
 
 
 class ScheduleCost(NamedTuple):
     """A schedule walked from a root: the context it reached, its steps
-    (sorted positions), their gaps, their dependence errors (None when not
-    measured) and the tokens it committed."""
+    (sorted positions) and two running totals, J (the summed gaps) and the
+    summed dependence errors (None when not measured; 0.0 for a measured
+    walk of no steps). Both are summed in step order. Each step's own gap,
+    dependence error and argmax tokens live in the table row of the
+    context it was taken at (_Context.step)."""
 
     seq: SeqState
     steps: tuple[tuple[int, ...], ...] = ()
-    per_step_gap: tuple[float, ...] = ()
-    per_step_dep: tuple[float, ...] | None = None
-    committed: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def j(self) -> float:
-        return float(sum(self.per_step_gap))
-
-    @property
-    def dep_total(self) -> float | None:
-        return None if self.per_step_dep is None else float(sum(self.per_step_dep))
+    j: float = 0.0
+    dep_total: float | None = None
 
     def extend(self, table: StateTable, step: tuple[int, ...]) -> "ScheduleCost":
-        """The walk one step longer: the step's gap, dependence error and
-        argmax child, read from the table's row at seq."""
+        """The walk one step longer: the argmax child, with the step's gap
+        and dependence error, read from the table's row at seq, added to
+        the totals."""
         out = table(self.seq).step(step)
-        deps = None if self.per_step_dep is None else self.per_step_dep + (out.dep,)
-        return ScheduleCost(
-            out.child,
-            self.steps + (step,),
-            self.per_step_gap + (out.gap,),
-            deps,
-            self.committed + out.committed,
-        )
+        dep = None if self.dep_total is None else self.dep_total + out.dep
+        return ScheduleCost(out.child, self.steps + (step,), self.j + out.gap, dep)
 
 
 def schedule_cost(
@@ -240,12 +241,12 @@ def schedule_cost(
 
     Per step, at the context reached so far: the entropy gap and, with
     dependence, the exact dependence error (the model needs exact
-    conditionals). Committed tokens are recorded so the walk is
-    reproducible. Raises SubsetNotMasked for a step that _subset_check
-    rejects at its context.
+    conditionals), added to the walk's totals. The tokens a step commits
+    are the reached context's tokens at the step's positions. Raises
+    SubsetNotMasked for a step that _subset_check rejects at its context.
     """
     table = _contexts(model, with_dependence)
-    cost = ScheduleCost(root, per_step_dep=() if with_dependence else None)
+    cost = ScheduleCost(root, dep_total=0.0 if with_dependence else None)
     for step in steps:
         cost = cost.extend(table, _subset_check(cost.seq, step))
     return cost
@@ -333,7 +334,7 @@ def schedule_costs(
     call.
     """
     _check_cap(root, k, step_size)
-    start = ScheduleCost(root, per_step_dep=() if with_dependence else None)
+    start = ScheduleCost(root, dep_total=0.0 if with_dependence else None)
     return _extensions(_contexts(model, with_dependence), start, k, step_size)
 
 
@@ -451,7 +452,7 @@ def search_schedules(
             child = SearchNode(
                 prefix,
                 action=prefix.steps[-1],
-                prior=-prefix.per_step_gap[-1],
+                prior=-table(node.state.seq).step(prefix.steps[-1]).gap,
                 index=len(node.children),
             )
             node.children.append(child)

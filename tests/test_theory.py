@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from medal import kernels, mcts, theory
-from medal.denoisers import CountingDenoiser, FactorizedModel, TabularModel
+from medal.denoisers import CountingDenoiser, Denoiser, FactorizedModel, TabularModel
 from medal.errors import (
+    BoundViolated,
     ConfigError,
     InstanceTooLarge,
     NoMaskedPositions,
@@ -72,9 +73,9 @@ def test_schedule_cost_sorts_and_validates_steps(rng):
 
 def step_cost(model, state, subset):
     """(gap, dependence error) of revealing `subset` together at `state`:
-    the one-step walk the verifiers take there."""
+    the totals of the one-step walk the verifiers take there."""
     cost = schedule_cost(model, state, [subset], with_dependence=True)
-    return cost.per_step_gap[0], cost.per_step_dep[0]
+    return cost.j, cost.dep_total
 
 
 def test_entropies_and_gap_on_xor():
@@ -145,15 +146,15 @@ def test_dependence_error_zero_mass_context():
 
 
 def _reference_step(model, state, step):
-    """A step's (gap, dependence error, committed tokens, child tokens),
-    worked out from the step's own rows: entropies and argmax tokens of
-    just those rows, and the KL of the step's exact joint."""
+    """A step's (gap, dependence error, child tokens), worked out from the
+    step's own rows: entropies and argmax tokens of just those rows, and
+    the KL of the step's exact joint."""
     probs = kernels.softmax_rows(model.predict(state).matrix(step))
     ent = kernels.entropy_rows(probs)
     tokens = probs.argmax(axis=1).tolist()
     dep = theory._dependence(model.step_joints(state)(step))
     child = apply_many(state, [UnmaskAction(p, t) for p, t in zip(step, tokens)])
-    return float(ent.sum() - ent.max()), dep, tuple(zip(step, tokens)), child.tokens
+    return float(ent.sum() - ent.max()), dep, child.tokens
 
 
 def _random_context(model, data):
@@ -210,16 +211,15 @@ def test_context_rows_match_the_step_own_rows(length, vocab, seed, data):
     model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
     state, step = _random_context(model, data)
     got = theory._contexts(model, with_dependence=True)(state).step(step)
-    gap, dep, committed, child = _reference_step(model, state, step)
+    gap, dep, child = _reference_step(model, state, step)
     assert got.gap == gap
     assert got.dep == dep
-    assert got.committed == committed
     assert got.child.tokens == child
     if len(step) == 1:
         assert got.dep == 0.0 and math.copysign(1.0, got.dep) == 1.0
     without = theory._contexts(model)(state).step(step)
     assert without.dep is None
-    assert (without.gap, without.committed) == (gap, committed)
+    assert (without.gap, without.child.tokens) == (gap, child)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,20 +250,21 @@ def test_schedule_cost_walk(rng):
     model = rand_model(rng)
     root = root_of(model)
     cost = schedule_cost(model, root, [[0, 2], [1]], with_dependence=True)
-    assert len(cost.per_step_gap) == 2
-    assert len(cost.per_step_dep) == 2
-    assert cost.j == pytest.approx(sum(cost.per_step_gap))
-    assert cost.dep_total == pytest.approx(sum(cost.per_step_dep))
-    assert len(cost.committed) == 3
-    assert [p for p, _ in cost.committed] == [0, 2, 1]
+    assert cost.steps == ((0, 2), (1,))
+    # each step's values are the table row's at the context the walk
+    # reached, and the walk keeps their sums
+    rows = theory._contexts(model, with_dependence=True)
+    first = rows(root).step((0, 2))
+    second = rows(first.child).step((1,))
+    assert cost.seq.tokens == second.child.tokens
+    assert cost.seq.masked_index == ()
+    assert (cost.j, cost.dep_total) == (first.gap + second.gap, first.dep + second.dep)
     # second step's gap is computed at the context realized by the first:
-    # replay the first commits and recompute
-    realized = apply_many(
-        root, [UnmaskAction(p, t) for p, t in cost.committed[:2]]
-    )
-    assert cost.per_step_gap[1] == pytest.approx(
-        step_cost(model, realized, [1])[0], abs=1e-12
-    )
+    # replay the first commits, read off the walk's final context, and
+    # recompute
+    realized = apply_many(root, [UnmaskAction(p, cost.seq.tokens[p]) for p in (0, 2)])
+    assert realized.tokens == first.child.tokens
+    assert second.gap == pytest.approx(step_cost(model, realized, [1])[0], abs=1e-12)
 
 
 def test_schedule_cost_options(rng):
@@ -271,25 +272,48 @@ def test_schedule_cost_options(rng):
     root = root_of(model)
     sched = [[0], [1], [2]]
     plain = schedule_cost(model, root, sched, with_dependence=False)
-    assert plain.per_step_dep is None
+    assert plain.dep_total is None
     measured = schedule_cost(model, root, sched, with_dependence=True)
-    assert plain.per_step_gap == measured.per_step_gap
+    assert (plain.seq, plain.steps, plain.j) == (measured.seq, measured.steps, measured.j)
     with pytest.raises(TypeError):
         schedule_cost(model, root, sched)  # with_dependence is required
 
 
 def test_cost_json_keeps_measured_empty_terms(rng):
-    # an empty schedule with measured terms keeps () for them, in step with
-    # dep_total = 0.0, which a JSON report writes as [] and 0.0; unmeasured
-    # terms stay None (null)
+    # an empty schedule with measured terms has dep_total = 0.0, which a
+    # JSON report writes as 0.0; unmeasured terms stay None (null)
     model = rand_model(rng)
     root = root_of(model)
     measured = schedule_cost(model, root, [], with_dependence=True)
-    assert measured.steps == ()
-    assert (measured.per_step_gap, measured.per_step_dep) == ((), ())
-    assert (measured.j, measured.dep_total) == (0.0, 0.0)
+    assert measured == (root, (), 0.0, 0.0)
     plain = schedule_cost(model, root, [], with_dependence=False)
-    assert plain.per_step_dep is None and plain.dep_total is None
+    assert plain == (root, (), 0.0, None)
+
+
+def test_a_table_serves_only_calls_of_its_dependence_mode(rng):
+    # a table passed as the model must have been built in the call's
+    # dependence mode; a mismatch is a ConfigError before any model call,
+    # not a failed sum halfway through a walk
+    model = RecordingConditionals(random_calibrated_model(rng, 3, 2))
+    root = root_of(model, 3)
+    plain, measured = theory._contexts(model), theory._contexts(model, with_dependence=True)
+    for call in (
+        lambda: verify_lemma1(plain, root),
+        lambda: schedule_cost(plain, root, [[0, 1], [2]], with_dependence=True),
+        lambda: list(schedule_costs(plain, root, 2, with_dependence=True)),
+        lambda: schedule_cost(measured, root, [[0, 1], [2]], with_dependence=False),
+        lambda: oracle_min_schedule(measured, root, 2),
+        lambda: greedy_schedule(measured, root, 2),
+        lambda: random_schedule(measured, root, 2, np.random.default_rng(0)),
+        lambda: search_schedules(measured, root, 2, 4),
+        lambda: verify_theorem1(measured, root, 2, [1, 2]),
+    ):
+        with pytest.raises(ConfigError, match="with_dependence="):
+            call()
+    assert model.calls == len(model.handles) == 0
+    assert schedule_cost(measured, root, [[0, 1], [2]], with_dependence=True) == schedule_cost(
+        model, root, [[0, 1], [2]], with_dependence=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +533,14 @@ class RecordingConditionals(CountingDenoiser):
 
 def _steps_reached(root, costs):
     """(context tokens, step) of every step a walk of the costs' schedules
-    takes: the root with each cost's commits replayed up to each step."""
+    takes: the root with each cost's commits (its final context's tokens at
+    the step's positions) replayed up to each step."""
     reached = set()
     for cost in costs:
-        seq, done = root, 0
+        seq = root
         for step in cost.steps:
             reached.add((seq.tokens, step))
-            acts = [UnmaskAction(p, t) for p, t in cost.committed[done : done + len(step)]]
-            seq, done = apply_many(seq, acts), done + len(step)
+            seq = apply_many(seq, [UnmaskAction(p, cost.seq.tokens[p]) for p in step])
     return reached
 
 
@@ -582,9 +606,9 @@ def _all_steps(state):
 def test_batched_rows_equal_rows_built_one_at_a_time(length, vocab, seed, data):
     # rows read ahead as one batch (one predict_many call, one entropy pass,
     # one stacked argmax) are bit for bit the rows built one context at a
-    # time, with each step's gap, dependence error, child and committed
-    # tokens; a context whose mass check fails is left out of the batch
-    # and raises the same error when it is read
+    # time, with each step's gap, dependence error and child; a context
+    # whose mass check fails is left out of the batch and raises the same
+    # error when it is read
     model = _model_with_zero_cells(data, length, vocab, seed)
     drawn = [_random_context(model, data)[0] for _ in range(data.draw(st.integers(1, 6), "n"))]
     states = list({state.tokens: state for state in drawn}.values())  # distinct, as read_ahead's
@@ -610,7 +634,7 @@ def test_batched_rows_equal_rows_built_one_at_a_time(length, vocab, seed, data):
             for step in _all_steps(state):
                 a, b = got.step(step), want.step(step)
                 assert (_bits(a.gap), _bits(a.dep)) == (_bits(b.gap), _bits(b.dep))
-                assert (a.child.tokens, a.committed) == (b.child.tokens, b.committed)
+                assert a.child.tokens == b.child.tokens
 
 
 def _drain(costs):
@@ -666,23 +690,70 @@ def test_a_lazy_consumer_sees_what_one_row_at_a_time_gives(monkeypatch):
 
 
 def test_schedule_costs_match_brute_force_per_step():
-    # each step's gap and dependence error equal the brute-force values at
-    # the context reached by replaying the cost's commits
+    # each step's gap and dependence error, read from the table row at the
+    # context reached by replaying the cost's commits, equal the
+    # brute-force values there
     for model, root in _walk_cases():
         cells = oracles.cells_from_joint(model.joint)
         length, vocab = model.length, model.vocab.size
+        rows = theory._contexts(model, with_dependence=True)
         for k, step_size in SIZE_CASES:
             for cost in schedule_costs(model, root, k, step_size, with_dependence=True):
                 revealed = {p: t for p, t in enumerate(root.tokens) if p not in root.masked_index}
-                done = 0
-                for step, gap, dep in zip(cost.steps, cost.per_step_gap,
-                                          cost.per_step_dep):
+                seq = root
+                for step in cost.steps:
+                    out = rows(seq).step(step)
                     want_gap = oracles.oracle_entropy_gap(cells, length, vocab, revealed, step)
                     want_dep = oracles.oracle_dependence_error(cells, length, vocab, revealed, step)
-                    assert gap == pytest.approx(want_gap, abs=1e-10)
-                    assert dep == pytest.approx(want_dep, abs=1e-10)
-                    revealed.update(cost.committed[done : done + len(step)])
-                    done += len(step)
+                    assert out.gap == pytest.approx(want_gap, abs=1e-10)
+                    assert out.dep == pytest.approx(want_dep, abs=1e-10)
+                    revealed.update((p, cost.seq.tokens[p]) for p in step)
+                    seq = out.child
+                assert seq.tokens == cost.seq.tokens
+
+
+def _row_totals(model, root, steps):
+    """The context a walk of `steps` reaches and its J and summed
+    dependence errors, by a left-to-right loop over the values of the
+    table rows along the walk."""
+    rows = theory._contexts(model, with_dependence=True)
+    seq, j, dep = root, 0.0, 0.0
+    for step in steps:
+        out = rows(seq).step(step)
+        j += out.gap
+        dep += out.dep
+        seq = out.child
+    return seq.tokens, _bits(j), _bits(dep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(2, 5),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_walk_totals_are_the_row_values_summed_in_step_order(length, vocab, seed, data):
+    # every walk's J and dep_total are, bit for bit, its rows' gaps and
+    # dependence errors added up one step at a time in step order: the
+    # enumeration's walks, the baselines' and the search's best
+    model = random_calibrated_model(np.random.default_rng(seed), length, vocab)
+    root = root_of(model, length)
+    step_size = data.draw(st.none() | st.integers(1, length), "step_size")
+    k = data.draw(st.integers(1, length if step_size is None else length // step_size), "k")
+    for cost in schedule_costs(model, root, k, step_size, with_dependence=True):
+        assert (cost.seq.tokens, _bits(cost.j), _bits(cost.dep_total)) == _row_totals(
+            model, root, cost.steps
+        )
+    search_seed = data.draw(st.integers(0, 100), "search_seed")
+    walks = [
+        greedy_schedule(model, root, k, step_size),
+        random_schedule(model, root, k, np.random.default_rng(search_seed), step_size),
+        search_schedules(model, root, k, 16, step_size=step_size, seed=search_seed)[0],
+    ]
+    for cost in walks:
+        tokens, j, _ = _row_totals(model, root, cost.steps)
+        assert (cost.seq.tokens, _bits(cost.j), cost.dep_total) == (tokens, j, None)
 
 
 def test_verifiers_predict_each_state_once():
@@ -960,6 +1031,34 @@ def test_verify_lemma1_xor_equality():
     # the joint step is exactly tight: dep == gap
     assert abs(report["min_slack"]) <= 1e-6
     assert report["tightest_schedule"] == [[0, 1]]
+
+
+class OverconfidentPair(Denoiser):
+    """A pair whose predictions are confident and nearly independent (both
+    marginals (0.98, 0.02)) while its exact conditionals are the xor
+    pair's, so a joint step's dependence error, ln 2, exceeds its gap: a
+    miscalibrated model, for which Lemma 1 need not hold."""
+
+    def __init__(self):
+        self.shown = TabularModel(Vocab(2), np.array([[0.97, 0.01], [0.01, 0.01]]))
+        self.exact = xor_pair_model()
+        self.vocab = self.shown.vocab
+
+    def predict(self, state):
+        return self.shown.predict(state)
+
+    def step_joints(self, state):
+        return self.exact.step_joints(state)
+
+
+def test_verify_lemma1_names_the_schedule_that_breaks_the_bound():
+    # the first schedule enumerated is the one joint step, whose dependence
+    # error ln 2 exceeds its gap H(0.98, 0.02) = 0.098...
+    model = OverconfidentPair()
+    message = r"^dependence 0\.6931\d* exceeds gap 0\.0980\d* on schedule \[\[0, 1\]\]$"
+    with pytest.raises(BoundViolated, match=message) as exc:
+        verify_lemma1(model, root_of(model, 2))
+    assert exc.type is BoundViolated
 
 
 def test_verify_lemma1_needs_masked_positions():
