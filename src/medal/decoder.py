@@ -10,12 +10,13 @@ the identity augmenter and argmax finishing that is exactly greedy
 confidence decoding. From its second step on, a finish step asks the model
 for the prediction after the previous one (Denoiser.predict_after), so a
 model that knows which rows a reveal changed recomputes only those, and
-build_candidates looks up only those. Every finish step scores through
-the model's score memo (Denoiser.score_memo), so a row content that a
-finish step of any earlier decode on the model scored is not scored
-again; search expansions score their rows directly. Outputs do not
-depend on what the model decoded before. Only a sampled decode builds an
-rng.
+build_candidates looks up only those. Every finish step scores under
+cfg.search, passed whole to build_candidates, through the model's score
+memo for its key (Denoiser.score_memo(scoring.settings_key(cfg.search))),
+so a row content that a finish step of any earlier decode on the model
+scored under the same key is not scored again; search expansions score
+their rows directly. Outputs do not depend on what the model decoded
+before. Only a sampled decode builds an rng.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import jsonspec, kernels
 from .denoisers import Denoiser
 from .errors import ConfigError, EmptyPool
 from .mcts import CandidateEntry, CandidatePool, SearchConfig, run_cgmcts
-from .scoring import build_candidates
+from .scoring import build_candidates, settings_key
 from .seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
 
 AUGMENTERS = ("identity", "template", "self_generate")
@@ -204,9 +205,8 @@ def finish_decode(
     """
     if rng is None:
         rng = _seeded_rng(cfg)
-    s = cfg.search
     cur = state
-    memo = model.score_memo(s.k1, s.gamma, s.epsilon, s.use_entropy_penalty)
+    memo = model.score_memo(settings_key(cfg.search))
     order: list[UnmaskAction] = []
     steps_trace: list[dict] = []
     cands = None
@@ -217,17 +217,7 @@ def finish_decode(
             output = model.predict_after(prev_state, output, cur)
         elif output is None:
             output = model.predict(cur)
-        cands = build_candidates(
-            cur,
-            output,
-            s.k1,
-            s.k2,
-            s.gamma,
-            s.epsilon,
-            use_entropy_penalty=s.use_entropy_penalty,
-            prev=cands,
-            memo=memo,
-        )
+        cands = build_candidates(cur, output, cfg.search, prev=cands, memo=memo)
         available = cands.pooled
         chosen: list[tuple[UnmaskAction, float]] = []
         for _ in range(min(cfg.tokens_per_step, len(available))):

@@ -88,13 +88,11 @@ class DenoiserOutput:
     were built (a model's tables), through _of_rows, a private builder
     that checks nothing and that from_matrix also ends in. The stored
     arrays are read-only; matrix() without arguments returns them without
-    copying. probs() is the row softmax of
-    the matrix, computed on its first call and kept, so scoring and
-    entropies over one prediction share one softmax; probs(rows) reads
-    some rows of it, or softmaxes just those rows while it is not
-    computed; stacked_probs() computes it for several outputs in one
-    kernel call. check_cover() is the one check that an output covers a
-    state's masked positions; an output built for a state's masked_index
+    copying. probs() is the row softmax of the matrix, computed on its
+    first call and kept, so scoring and entropies over one prediction
+    share one softmax; stacked_probs() computes it for several outputs in
+    one kernel call. check_cover() is the one check that an output covers
+    a state's masked positions; an output built for a state's masked_index
     tuple keeps that tuple, so checking it against the same tuple is one
     identity test.
 
@@ -228,16 +226,9 @@ class DenoiserOutput:
             raise MissingPosition(f"no logits for positions {want[~found].tolist()}")
         return self._matrix[idx]
 
-    def probs(self, rows: np.ndarray | None = None) -> np.ndarray:
+    def probs(self) -> np.ndarray:
         """Row softmax of the logits, (P, V), computed on the first call and
-        stored read-only. With `rows` (row indices), the softmax of those
-        rows alone: taken from the stored softmax when it is computed, else
-        computed for them and not stored; the kernel does not mix rows, so
-        either way it is bit for bit those rows of the full softmax."""
-        if rows is not None:
-            if self._probs is None:
-                return kernels.softmax_rows(self._matrix[rows])
-            return self._probs[rows]
+        stored read-only."""
         if self._probs is None:
             DenoiserOutput.stacked_probs((self,))
         return self._probs
@@ -327,8 +318,8 @@ class Denoiser:
     may differ from prev_output's (DenoiserOutput.changed_since) and does
     the work inside predict, so every prediction is one predict call.
 
-    score_memo() hands out the model's memo of scored logit rows, one per
-    set of scoring settings; it lives and dies with the model.
+    score_memo(key) hands out the model's memo of scored logit rows, one per
+    settings key (scoring.settings_key); it lives and dies with the model.
 
     A model is a context manager whose exit calls close(), which releases
     what the model holds open (a no-op unless a subclass holds something).
@@ -349,16 +340,14 @@ class Denoiser:
         batch at once, but its outputs must equal predict()'s."""
         return [self.predict(state) for state in states]
 
-    def score_memo(
-        self, k1: int, gamma: float, epsilon: float, use_entropy_penalty: bool
-    ) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
-        """The model's score memo for one set of scoring settings, which
-        scoring.build_candidates fills: a dict from a logit row's bytes to
-        that row's top-k1 tokens and scores. It starts empty, and the model
-        keeps one per settings tuple for as long as it lives, so the
-        finish steps of every decode on the model share it."""
-        memos = vars(self).setdefault("_score_memos", {})
-        return memos.setdefault((k1, gamma, epsilon, use_entropy_penalty), {})
+    def score_memo(self, key: tuple) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+        """The model's score memo for one set of scoring settings, `key`
+        (scoring.settings_key), which scoring.build_candidates fills: a
+        dict from a logit row's bytes to that row's top-k1 tokens and
+        scores. It starts empty, and the model keeps one per key for as
+        long as it lives, so the finish steps of every decode on the model
+        share it."""
+        return vars(self).setdefault("_score_memos", {}).setdefault(key, {})
 
     def close(self) -> None:
         pass
@@ -898,11 +887,9 @@ class CountingDenoiser(Denoiser):
         self.calls += len(states)
         return self.inner.predict_many(states)
 
-    def score_memo(
-        self, k1: int, gamma: float, epsilon: float, use_entropy_penalty: bool
-    ) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+    def score_memo(self, key: tuple) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
         """The inner model's memo, so wrappers of one model share it."""
-        return self.inner.score_memo(k1, gamma, epsilon, use_entropy_penalty)
+        return self.inner.score_memo(key)
 
     def reset(self) -> None:
         self.calls = 0

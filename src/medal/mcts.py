@@ -5,10 +5,13 @@ expanded nodes, then drives a descent: expand the frontier node into its
 pooled top-k2 scored actions, simulate every new child once (its
 information-gain reward, read right after the action), backpropagate
 each reward along the shared path, and step to the best child, repeating
-until the descent reaches init_length revealed tokens. Expansion builds
-each child state once. A search predicts each state once: its StateTable
-keeps the prediction and its total masked entropy, which the state's
-rewards, pool entry and expansion read, whichever reveal order reached it.
+until the descent reaches init_length revealed tokens. Expansion scores
+under the search's own SearchConfig (build_candidates(state, output,
+cfg)) and builds each child state once, in pooled rank order, which is
+the order ucb_select breaks ties by. A search predicts each state once:
+its StateTable keeps the prediction and its total masked entropy, which
+the state's rewards, pool entry and expansion read, whichever reveal
+order reached it.
 Before simulating, an expansion reads ahead (StateTable.read_ahead): the
 children its loop will read and the table lacks go to the model in one
 predict_many call (all children, or at pool depth the prefix that fills
@@ -41,7 +44,7 @@ from typing import Any, Callable, Iterator
 from . import jsonspec
 from .errors import AlreadyExpanded, ConfigError, MedalError, NoChildren
 from .reward import entropy_gain, masked_entropies
-from .scoring import DEFAULT_EPSILON, DEFAULT_GAMMA, build_candidates
+from .scoring import build_candidates
 from .seqcore import SeqState, UnmaskAction, apply_action
 
 
@@ -49,8 +52,8 @@ from .seqcore import SeqState, UnmaskAction, apply_action
 class SearchConfig:
     k1: int = 3
     k2: int = 5
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
+    gamma: float = 5.0
+    epsilon: float = 1e-8
     c_explore: float = math.sqrt(2.0)
     candidate_count: int = 3
     init_length: int = 20
@@ -98,7 +101,6 @@ class SearchNode:
         "state",
         "action",
         "prior",
-        "index",
         "children",
         "terminal",
         "terminal_reward",
@@ -107,11 +109,10 @@ class SearchNode:
         "edge_value",
     )
 
-    def __init__(self, state: Any, action: Any = None, prior: float = 0.0, index: int = 0):
+    def __init__(self, state: Any, action: Any = None, prior: float = 0.0):
         self.state = state
         self.action = action
         self.prior = prior
-        self.index = index
         self.children: list[SearchNode] = []
         self.terminal = False
         self.terminal_reward = 0.0
@@ -119,36 +120,26 @@ class SearchNode:
         self.edge_visits = 0
         self.edge_value = 0.0
 
-    @property
-    def q(self) -> float:
-        return self.edge_value / self.edge_visits if self.edge_visits else 0.0
-
 
 def ucb_select(node: SearchNode, c_explore: float) -> SearchNode:
     """The child maximizing Q + c * sqrt(ln N(x) / N(x, a)).
 
     Unvisited children are taken first, highest prior score leading. All
-    ties resolve by the higher prior, then by creation order, which
-    expansion builds as (score desc, position asc, token asc).
+    ties resolve by the higher prior, then by sibling order (the earlier
+    child), which expansion builds as (score desc, position asc, token
+    asc).
     """
     children = node.children
     if not children:
         raise NoChildren("cannot select from a node with no children")
     unvisited = [ch for ch in children if ch.edge_visits == 0]
     if unvisited:
-        return max(unvisited, key=lambda ch: (ch.prior, -ch.index))
+        return max(unvisited, key=lambda ch: ch.prior)  # max keeps the first of equals
     log_n = math.log(node.visit_count)
     best, best_u = None, -math.inf
     for ch in children:
         u = ch.edge_value / ch.edge_visits + c_explore * math.sqrt(log_n / ch.edge_visits)
-        if (
-            u > best_u
-            or best is None
-            or (
-                u == best_u
-                and (ch.prior > best.prior or (ch.prior == best.prior and ch.index < best.index))
-            )
-        ):
+        if u > best_u or best is None or (u == best_u and ch.prior > best.prior):
             best, best_u = ch, u
     return best
 
@@ -174,8 +165,9 @@ def backpropagate(path: list[tuple[SearchNode, SearchNode]], reward: float) -> N
 
 def iterate(root: SearchNode, c_explore: float, grow: Callable) -> Iterator[tuple]:
     """UCT from `root`, yielding one record per iteration: the (parent,
-    child) edges select_leaf took, root first; the children simulated; and
-    the rewards backpropagated, one per simulation, in order.
+    child) edges select_leaf took, root first; the children simulated; the
+    rewards backpropagated, one per simulation, in order; and whether the
+    tree is complete after it.
 
     A terminal leaf is re-selected: its stored reward is backpropagated
     once, one simulation, and no child is simulated. Any other leaf goes
@@ -193,14 +185,14 @@ def iterate(root: SearchNode, c_explore: float, grow: Callable) -> Iterator[tupl
         node, path = select_leaf(root, c_explore)
         if node.terminal:
             backpropagate(path, node.terminal_reward)
-            yield path, [], [node.terminal_reward]
+            yield path, [], [node.terminal_reward], False
             continue
         simulated, rewards = grow(node, path)
         unexpanded -= 1  # the leaf; a child that grow expanded too was never counted
         for child in simulated:
             if not (child.terminal or child.children):
                 unexpanded += 1
-        yield path, simulated, rewards
+        yield path, simulated, rewards, unexpanded == 0
 
 
 def check_node_invariant(node: SearchNode) -> bool:
@@ -248,18 +240,10 @@ def expand(node: SearchNode, output, cfg: SearchConfig) -> list[SearchNode]:
         raise AlreadyExpanded("node already expanded")
     if node.terminal:
         raise AlreadyExpanded("pool nodes are frozen; they cannot expand")
-    cands = build_candidates(
-        node.state,
-        output,
-        cfg.k1,
-        cfg.k2,
-        cfg.gamma,
-        cfg.epsilon,
-        use_entropy_penalty=cfg.use_entropy_penalty,
-    )
+    cands = build_candidates(node.state, output, cfg)
     node.children = [
-        SearchNode(apply_action(node.state, action), action, prior=score, index=i)
-        for i, (action, score) in enumerate(cands.pooled)
+        SearchNode(apply_action(node.state, action), action, prior=score)
+        for action, score in cands.pooled
     ]
     return list(node.children)
 
@@ -424,7 +408,7 @@ def run_cgmcts(
             node = child
         return simulated, rewards
 
-    for it, (path, simulated, rewards) in enumerate(
+    for it, (path, simulated, rewards, _) in enumerate(
         iterate(SearchNode(root_state), cfg.c_explore, grow)
     ):
         sims += len(rewards)

@@ -157,7 +157,7 @@ def test_criterion_02_candidate_filter_matches_brute_force():
                 )
             ]
             for out in outputs:
-                cands = build_candidates(state, out, k1=k1, k2=k2)
+                cands = build_candidates(state, out, SearchConfig(k1=k1, k2=k2))
                 scores = kernels.score_rows(kernels.softmax_rows(out.matrix()), 5.0, 1e-8)[-1]
                 table = {p: list(scores[p]) for p in range(length)}
                 want = oracles.brute_candidates(table, k1, k2)

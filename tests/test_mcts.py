@@ -29,6 +29,7 @@ from medal.mcts import (
 )
 from medal import kernels, mcts
 from medal.reward import entropy_gain, masked_entropies
+from medal.scoring import build_candidates
 from medal.families import random_calibrated_model, xor_pair_model
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_action, apply_many
 
@@ -83,7 +84,7 @@ def build_parent(stats):
     """Parent with children given as (prior, edge_visits, edge_value)."""
     parent = SearchNode(state="root")
     for i, (prior, visits, value) in enumerate(stats):
-        child = SearchNode(state=f"s{i}", action=f"a{i}", prior=prior, index=i)
+        child = SearchNode(state=f"s{i}", action=f"a{i}", prior=prior)
         child.edge_visits = visits
         child.edge_value = value
         parent.children.append(child)
@@ -97,14 +98,14 @@ def test_ucb_frozen_hand_example():
     #   child B: Q = 0.8, n = 8 -> 0.8 + sqrt(2 * ln 10 / 8)  = 1.558716...
     # the lower-Q child wins on the exploration bonus
     parent = SearchNode(state="root")
-    a = SearchNode(state="A", action="A", prior=0.0, index=0)
+    a = SearchNode(state="A", action="A", prior=0.0)
     a.edge_visits, a.edge_value = 5, 3.0
-    b = SearchNode(state="B", action="B", prior=0.0, index=1)
+    b = SearchNode(state="B", action="B", prior=0.0)
     b.edge_visits, b.edge_value = 8, 6.4
     parent.children.extend([a, b])
     parent.visit_count = 10
-    ucb_a = a.q + math.sqrt(2) * math.sqrt(math.log(10) / 5)
-    ucb_b = b.q + math.sqrt(2) * math.sqrt(math.log(10) / 8)
+    ucb_a = 3.0 / 5 + math.sqrt(2) * math.sqrt(math.log(10) / 5)
+    ucb_b = 6.4 / 8 + math.sqrt(2) * math.sqrt(math.log(10) / 8)
     assert ucb_a == pytest.approx(1.5597052, abs=1e-6)
     assert ucb_b == pytest.approx(1.5587136, abs=1e-6)
     assert ucb_select(parent, math.sqrt(2)) is a
@@ -114,21 +115,27 @@ def test_ucb_frozen_hand_example():
 
 def test_ucb_prefers_unvisited_by_prior_then_creation_order():
     parent = build_parent([(0.3, 2, 1.0), (0.5, 0, 0.0), (0.5, 0, 0.0), (0.9, 1, 0.9)])
-    # two unvisited children tie on prior 0.5; earlier creation index wins
+    # two unvisited children tie on prior 0.5; the earlier sibling wins
     assert ucb_select(parent, 1.0) is parent.children[1]
     with pytest.raises(NoChildren):
         ucb_select(SearchNode(state="leaf"), 1.0)
 
 
 def _reference_ucb_select(node, c_explore):
-    """The UCB pick as one max over (Q + bonus, prior, -index) keys."""
+    """The UCB pick as one max over (Q + bonus, prior, -sibling place)
+    keys."""
+    place = {id(ch): i for i, ch in enumerate(node.children)}
     unvisited = [ch for ch in node.children if ch.edge_visits == 0]
     if unvisited:
-        return max(unvisited, key=lambda ch: (ch.prior, -ch.index))
+        return max(unvisited, key=lambda ch: (ch.prior, -place[id(ch)]))
     log_n = math.log(node.visit_count)
     return max(
         node.children,
-        key=lambda ch: (ch.q + c_explore * math.sqrt(log_n / ch.edge_visits), ch.prior, -ch.index),
+        key=lambda ch: (
+            ch.edge_value / ch.edge_visits + c_explore * math.sqrt(log_n / ch.edge_visits),
+            ch.prior,
+            -place[id(ch)],
+        ),
     )
 
 
@@ -145,18 +152,13 @@ def _reference_ucb_select(node, c_explore):
     ),
     all_visited=st.booleans(),
     c_explore=st.sampled_from([0.0, 1.0, math.sqrt(2.0)]),
-    data=st.data(),
 )
-def test_ucb_select_matches_the_keyed_max(stats, all_visited, c_explore, data):
-    # the one-pass pick returns the child a max over (UCB, prior, -index)
-    # keys returns, unvisited children first, whatever order the children
-    # were created in
+def test_ucb_select_matches_the_keyed_max(stats, all_visited, c_explore):
+    # the one-pass pick returns the child a max over (UCB, prior, -sibling
+    # place) keys returns, unvisited children first
     if all_visited:
         stats = [(prior, max(visits, 1), value) for prior, visits, value in stats]
     parent = build_parent(stats)
-    order = data.draw(st.permutations(range(len(stats))), "creation order")
-    for child, index in zip(parent.children, order):
-        child.index = index
     assert ucb_select(parent, c_explore) is _reference_ucb_select(parent, c_explore)
 
 
@@ -171,7 +173,7 @@ def test_backpropagate_and_invariant():
     backpropagate(path, 0.1)
     assert root.visit_count == 3 and mid.visit_count == 3
     assert mid.edge_visits == 2 and leaf.edge_visits == 2
-    assert mid.q == pytest.approx(0.3)
+    assert mid.edge_value == pytest.approx(0.6)
     assert check_node_invariant(root) and check_node_invariant(mid)
     leaf.edge_visits += 1  # break it on purpose
     assert not check_node_invariant(mid)
@@ -187,7 +189,8 @@ def test_expand_orders_children_by_pooled_rank(rng):
     assert len(kids) == 4
     priors = [k.prior for k in kids]
     assert priors == sorted(priors, reverse=True)
-    assert [k.index for k in kids] == [0, 1, 2, 3]
+    # siblings in pooled rank order, the order ucb_select breaks ties by
+    assert [(k.action, k.prior) for k in kids] == list(build_candidates(state, output, cfg).pooled)
     for k in kids:
         assert k.state.reveal_count() == 1
         assert k.state.tokens[k.action.position] == k.action.token

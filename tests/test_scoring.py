@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from medal import kernels, scoring
 from medal.denoisers import CountingDenoiser, DenoiserOutput, FactorizedModel, fit_ngram
 from medal.errors import ConfigError, LogitWidthMismatch, MissingPosition, NonFiniteLogits
 from medal.families import random_calibrated_model
-from medal.scoring import build_candidates
+from medal.mcts import SearchConfig
+from medal.scoring import build_candidates, settings_key
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 
 
@@ -32,6 +34,11 @@ def score_row(logits, gamma=5.0, epsilon=1e-8, use_entropy_penalty=True):
     probs = kernels.softmax_rows(np.asarray(logits, dtype=np.float64)[None])
     fields = kernels.score_rows(probs, gamma, epsilon, use_entropy_penalty)
     return (probs[0],) + tuple(f[0] for f in fields)
+
+
+def cfg(k1, k2, **settings):
+    """The SearchConfig build_candidates reads its settings from."""
+    return SearchConfig(k1=k1, k2=k2, **settings)
 
 
 def output(rows):
@@ -97,26 +104,26 @@ def test_row_argmax_is_probability_argmax(rng):
 def test_build_candidates_requires_exact_position_cover(rng):
     state = make_state(3, 4, revealed=[(1, 0)])
     good = {p: rng.normal(size=3) for p in (0, 2, 3)}
-    cands = build_candidates(state, output(good), k1=3, k2=9)
+    cands = build_candidates(state, output(good), cfg(3, 9))
     assert cands.positions.tolist() == [0, 2, 3]
     assert cands.tokens.shape == cands.scores.shape == cands.output.matrix().shape == (3, 3)
     with pytest.raises(MissingPosition):
-        build_candidates(state, output({0: good[0], 2: good[2]}), k1=3, k2=9)
+        build_candidates(state, output({0: good[0], 2: good[2]}), cfg(3, 9))
     bad = dict(good)
     bad[1] = good[0]
     with pytest.raises(MissingPosition):
-        build_candidates(state, output(bad), k1=3, k2=9)
+        build_candidates(state, output(bad), cfg(3, 9))
     with pytest.raises(MissingPosition):
-        build_candidates(state, output(bad), k1=3, k2=9, prev=cands)
+        build_candidates(state, output(bad), cfg(3, 9), prev=cands)
     wide = {p: rng.normal(size=4) for p in (0, 2, 3)}
     with pytest.raises(LogitWidthMismatch):
-        build_candidates(state, output(wide), k1=3, k2=9)
+        build_candidates(state, output(wide), cfg(3, 9))
 
 
 def test_build_candidates_shapes_and_order(rng):
     state = make_state(5, 3)
     out = output({p: rng.normal(size=5) for p in range(3)})
-    cands = build_candidates(state, out, k1=2, k2=4)
+    cands = build_candidates(state, out, cfg(2, 4))
     assert cands.positions.tolist() == [0, 1, 2]
     assert cands.tokens.shape == cands.scores.shape == (3, 2)
     assert (cands.scores[:, 0] >= cands.scores[:, 1]).all()
@@ -129,7 +136,7 @@ def test_build_candidates_tie_breaks_position_then_token():
     # identical logits at both positions produce exactly tied scores
     state = make_state(3, 2)
     out = output({0: np.zeros(3), 1: np.zeros(3)})
-    cands = build_candidates(state, out, k1=3, k2=6)
+    cands = build_candidates(state, out, cfg(3, 6))
     keyed = [(a.position, a.token) for a, _ in cands.pooled]
     assert keyed == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
@@ -137,19 +144,19 @@ def test_build_candidates_tie_breaks_position_then_token():
 def test_build_candidates_k_clamped_to_available():
     state = make_state(3, 2)
     out = output({0: np.array([2.0, 1.0, 0.0]), 1: np.array([0.0, 1.0, 2.0])})
-    cands = build_candidates(state, out, k1=10, k2=100)
+    cands = build_candidates(state, out, cfg(10, 100))
     assert cands.tokens.shape == (2, 3)
     assert len(cands.pooled) == 6
     with pytest.raises(ConfigError):
-        build_candidates(state, out, k1=0, k2=3)
+        build_candidates(state, out, cfg(0, 3))
     with pytest.raises(ConfigError):
-        build_candidates(state, out, k1=3, k2=0)
+        build_candidates(state, out, cfg(3, 0))
     # a prev built with another k1 or vocab width cannot be reused
     with pytest.raises(ConfigError):
-        build_candidates(state, out, k1=2, k2=3, prev=cands)
+        build_candidates(state, out, cfg(2, 3), prev=cands)
     wide = make_state(4, 2)
     with pytest.raises(ConfigError):
-        build_candidates(wide, output({0: np.zeros(4), 1: np.zeros(4)}), k1=3, k2=3, prev=cands)
+        build_candidates(wide, output({0: np.zeros(4), 1: np.zeros(4)}), cfg(3, 3), prev=cands)
 
 
 def _counting(monkeypatch, name):
@@ -171,47 +178,62 @@ def test_build_candidates_scores_each_distinct_row_once_per_memo(monkeypatch, rn
     a, b, c = rng.normal(size=(3, 4))
     out = output({0: a, 1: b, 2: a, 3: a, 4: c})
     memo = {}
-    cands = build_candidates(state, out, k1=2, k2=4, memo=memo)
+    cands = build_candidates(state, out, cfg(2, 4), memo=memo)
     assert scored == [3]  # one batch of the three distinct contents
     assert sorted(memo) == sorted({row.tobytes() for row in (a, b, c)})
-    _same_candidates(cands, build_candidates(state, out, k1=2, k2=4))
+    _same_candidates(cands, build_candidates(state, out, cfg(2, 4)))
     assert scored == [3, 5]  # without a memo, the call scores every row
     # another output over other positions scores only its unseen content
     d = rng.normal(size=4)
-    other = build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), k1=2, k2=4, memo=memo)
+    other = build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), cfg(2, 4), memo=memo)
     assert scored == [3, 5, 1] and len(memo) == 4
-    _same_candidates(other, build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), 2, 4))
+    _same_candidates(other, build_candidates(make_state(4, 3), output({0: c, 1: d, 2: b}), cfg(2, 4)))
 
 
 def test_build_candidates_reads_computed_probs_instead_of_softmaxing(monkeypatch, rng):
     softmaxed = _counting(monkeypatch, "softmax_rows")
     state = make_state(4, 3)
     out = output({p: rng.normal(size=4) for p in range(3)})
-    build_candidates(state, out, k1=2, k2=3, memo={})
-    assert softmaxed == [3]  # just the rows looked up, not stored
-    assert out._probs is None
+    want = build_candidates(state, out, cfg(2, 3), memo={})
+    assert softmaxed == [3]  # the output's softmax, computed once and kept
     probs = out.probs()
-    assert softmaxed == [3, 3]
-    fresh = output({p: row for p, row in zip(range(3), out.matrix())})
-    want = build_candidates(state, fresh, 2, 3, memo={})
-    assert softmaxed == [3, 3, 3]
-    _same_candidates(build_candidates(state, out, k1=2, k2=3, memo={}), want)
-    _same_candidates(build_candidates(state, out, k1=2, k2=3), want)
-    assert softmaxed == [3, 3, 3]  # the output with computed probs() softmaxed nothing
+    _same_candidates(build_candidates(state, out, cfg(2, 3), memo={}), want)
+    _same_candidates(build_candidates(state, out, cfg(2, 3)), want)
+    assert softmaxed == [3]  # later builds read the kept softmax
     assert out.probs() is probs
-    # without a memo the build scores the stored softmax of the whole output
-    build_candidates(state, fresh, 2, 3)
-    assert softmaxed == [3, 3, 3, 3] and fresh._probs is not None
+    # a build whose rows all hit the memo softmaxes nothing
+    memo = {}
+    copies = [output(dict(enumerate(out.matrix()))) for _ in range(2)]
+    _same_candidates(build_candidates(state, copies[0], cfg(2, 3), memo=memo), want)
+    assert softmaxed == [3, 3]
+    _same_candidates(build_candidates(state, copies[1], cfg(2, 3), memo=memo), want)
+    assert softmaxed == [3, 3] and copies[1]._probs is None
+
+
+# the SearchConfig fields that decide a row's top-k1, each with another value
+SCORING_CHANGES = [{"gamma": 4.0}, {"epsilon": 1e-6}, {"use_entropy_penalty": False}, {"k1": 2}]
+# the fields that do not: k2 only pools, the rest steer the search
+OTHER_FIELDS = {
+    "k2": 7,
+    "seed": 9,
+    "init_length": 2,
+    "c_explore": 0.5,
+    "candidate_count": 2,
+    "max_simulations": 40,
+}
 
 
 def test_score_memo_is_the_models_and_bounded(monkeypatch, rng):
     model = FactorizedModel(Vocab(4), rng.dirichlet(np.ones(4), size=6))
-    memo = model.score_memo(3, 5.0, 1e-8, True)
+    base = SearchConfig()
+    assert settings_key(base) == (3, 5.0, 1e-8, True)
+    memo = model.score_memo(settings_key(base))
     assert memo == {}
-    assert model.score_memo(3, 5.0, 1e-8, True) is memo
-    assert CountingDenoiser(model).score_memo(3, 5.0, 1e-8, True) is memo
-    others = [model.score_memo(*s) for s in ((2, 5.0, 1e-8, True), (3, 4.0, 1e-8, True),
-                                             (3, 5.0, 1e-6, True), (3, 5.0, 1e-8, False))]
+    assert model.score_memo(settings_key(base)) is memo
+    assert CountingDenoiser(model).score_memo(settings_key(base)) is memo
+    for name, value in OTHER_FIELDS.items():
+        assert model.score_memo(settings_key(replace(base, **{name: value}))) is memo, name
+    others = [model.score_memo(settings_key(replace(base, **c))) for c in SCORING_CHANGES]
     assert all(o is not memo for o in others) and len({id(o) for o in others}) == 4
     # a memo holds at most MEMO_BYTES, counting each entry's row, its
     # top-k1 tokens and scores and MEMO_ENTRY_BYTES: an entry that would
@@ -221,17 +243,17 @@ def test_score_memo_is_the_models_and_bounded(monkeypatch, rng):
     monkeypatch.setattr(scoring, "MEMO_BYTES", 3 * entry + entry // 2)
     rows = rng.normal(size=(6, 4))
     state = make_state(4, 2)
-    build_candidates(state, output({0: rows[0], 1: rows[1]}), 3, 5, memo=memo)
+    build_candidates(state, output({0: rows[0], 1: rows[1]}), cfg(3, 5), memo=memo)
     assert sorted(memo) == sorted(r.tobytes() for r in rows[:2])
-    build_candidates(state, output({0: rows[0], 1: rows[2]}), 3, 5, memo=memo)
+    build_candidates(state, output({0: rows[0], 1: rows[2]}), cfg(3, 5), memo=memo)
     assert len(memo) == 3
-    build_candidates(state, output({0: rows[3], 1: rows[4]}), 3, 5, memo=memo)
+    build_candidates(state, output({0: rows[3], 1: rows[4]}), cfg(3, 5), memo=memo)
     assert sorted(memo) == sorted(r.tobytes() for r in rows[3:5])
     wide = make_state(4, 5)
     batch = output(dict(enumerate(rng.normal(size=(5, 4)))))
-    cands = build_candidates(wide, batch, 3, 5, memo=memo)
+    cands = build_candidates(wide, batch, cfg(3, 5), memo=memo)
     assert len(memo) == 3 and set(memo) < {r.tobytes() for r in batch.matrix()}
-    _same_candidates(cands, build_candidates(wide, batch, 3, 5))
+    _same_candidates(cands, build_candidates(wide, batch, cfg(3, 5)))
 
 
 @pytest.mark.parametrize("vocab", [2, 3, 512])
@@ -244,13 +266,15 @@ def test_score_memo_retains_at_most_its_cap(monkeypatch, vocab):
     gen = np.random.default_rng(vocab)
     state = make_state(vocab, 64)
     batches = [output(dict(enumerate(gen.normal(size=(64, vocab))))) for _ in range(12)]
+    for batch in batches:
+        batch.probs()  # each output keeps its own softmax; only the memo is measured
     memo = {}
     peak = 0
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for batch in batches:
-            build_candidates(state, batch, 3, 5, memo=memo)
+            build_candidates(state, batch, cfg(3, 5), memo=memo)
             gc.collect()
             peak = max(peak, tracemalloc.get_traced_memory()[0] - base)
     finally:
@@ -259,20 +283,33 @@ def test_score_memo_retains_at_most_its_cap(monkeypatch, vocab):
     assert peak <= cap
 
 
-@pytest.mark.parametrize(
-    "setting", [{"gamma": 4.0}, {"epsilon": 1e-6}, {"use_entropy_penalty": False}]
-)
+@pytest.mark.parametrize("setting", SCORING_CHANGES)
 def test_build_candidates_rejects_prev_with_other_scoring_settings(rng, setting):
-    # scores depend on gamma, epsilon and the penalty switch, so a prev
-    # built under other settings cannot be reused
+    # a row's top-k1 depends on k1, gamma, epsilon and the penalty switch,
+    # so a prev built under another value of any of them cannot be reused
     state = make_state(4, 3)
     out = output({p: rng.normal(size=4) for p in range(3)})
-    cands = build_candidates(state, out, k1=2, k2=3)
-    assert (cands.gamma, cands.epsilon, cands.use_entropy_penalty) == (5.0, 1e-8, True)
-    with pytest.raises(ConfigError, match="gamma, epsilon or entropy penalty"):
-        build_candidates(state, out, k1=2, k2=3, prev=cands, **setting)
-    other = build_candidates(state, out, k1=2, k2=3, **setting)
-    _same_candidates(build_candidates(state, out, k1=2, k2=3, prev=other, **setting), other)
+    base = cfg(3, 3)
+    changed = replace(base, **setting)
+    cands = build_candidates(state, out, base)
+    assert cands.settings == settings_key(base) == (3, 5.0, 1e-8, True)
+    with pytest.raises(ConfigError, match="other scoring settings"):
+        build_candidates(state, out, changed, prev=cands)
+    other = build_candidates(state, out, changed)
+    _same_candidates(build_candidates(state, out, changed, prev=other), other)
+
+
+def test_build_candidates_reuses_prev_with_other_k2(rng):
+    # k2 only pools the kept rows, so a prev built under another k2 (or
+    # any other search setting) is reused, and the build equals a fresh one
+    state = make_state(4, 3)
+    out = output({p: rng.normal(size=4) for p in range(3)})
+    base = cfg(2, 3)
+    cands = build_candidates(state, out, base)
+    for name, value in OTHER_FIELDS.items():
+        changed = replace(base, **{name: value})
+        fresh = build_candidates(state, out, changed)
+        _same_candidates(build_candidates(state, out, changed, prev=cands), fresh)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +324,7 @@ def test_property_filter_matches_brute_force(length, vocab, k1, k2, seed):
     gen = np.random.default_rng(seed)
     state = make_state(vocab, length)
     out = DenoiserOutput.from_matrix(range(length), gen.normal(scale=2.0, size=(length, vocab)))
-    cands = build_candidates(state, out, k1=k1, k2=k2)
+    cands = build_candidates(state, out, cfg(k1, k2))
 
     scores = kernels.score_rows(kernels.softmax_rows(out.matrix()), 5.0, 1e-8)[-1]
     table = {p: list(scores[p]) for p in range(length)}
@@ -340,15 +377,15 @@ def test_property_reuse_equals_fresh_build(kind, vocab, k1, k2, max_step, seed):
         out = model.predict(state) if prev is None else model.predict_after(
             prev_state, prev.output, state
         )
-        fresh = build_candidates(state, out, k1, k2)
-        reused = build_candidates(state, out, k1, k2, prev=prev)
+        fresh = build_candidates(state, out, cfg(k1, k2))
+        reused = build_candidates(state, out, cfg(k1, k2), prev=prev)
         _same_candidates(reused, fresh)
         # a prev from unrelated logits over the same positions shares no row
         noise = DenoiserOutput.from_matrix(
             out.positions(), gen.normal(size=out.matrix().shape)
         )
-        unrelated = build_candidates(state, noise, k1, k2)
-        _same_candidates(build_candidates(state, out, k1, k2, prev=unrelated), fresh)
+        unrelated = build_candidates(state, noise, cfg(k1, k2))
+        _same_candidates(build_candidates(state, out, cfg(k1, k2), prev=unrelated), fresh)
         prev, prev_state = reused, state
         masked = state.masked_index
         count = min(len(masked), int(gen.integers(1, max_step + 1)))
