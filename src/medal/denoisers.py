@@ -15,13 +15,15 @@ Three toy families with known structure:
   exact posteriors given all revealed generation tokens.
 * FactorizedModel: independent per-position distributions.
 * NGramMaskedModel: smoothed n-gram conditioned on the longest contiguous
-  revealed suffix preceding each position (prompt included).
+  revealed suffix preceding each position (prompt included); a prediction
+  copies rows from one table of logit rows, one per context, built when
+  the model is.
 
 A prediction is checked once, where it enters medal. Rows from outside (a
 user's model, the remote wire) go through DenoiserOutput.from_matrix and
 all of its checks. The three models above check their tables when they
-are built, so their predictions are finite by construction and skip the
-checks.
+are built (the n-gram model checks its finished logit rows), so their
+predictions are finite by construction and skip the checks.
 
 RemoteDenoiser lets an external process stand in for the model over a
 socket: a request is a line of decimal ints (prompt length, step, tokens)
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -605,11 +608,13 @@ class NGramMaskedModel(Denoiser):
 
     counts[k] is the table of order k: a dict from a context, a tuple of k
     content tokens, to a 1-d array of V counts, each finite and >= 0. The
-    tables are checked when the model is built (ConfigError naming the
-    order and key otherwise; so is a row whose total is too large for
-    alpha to keep every probability above 0), and the model keeps a
-    read-only float64 copy of them, so every logit row it predicts is
-    finite and V wide without a check per prediction.
+    model turns them into one read-only table of logit rows when it is
+    built: `rows` maps each context in the count tables to its row, and
+    `unseen`, the row of zero counts, stands for every context they lack.
+    ConfigError names the order and key of a bad table or of a row that is
+    not finite (so does a non-finite `unseen`: alpha times V overflows), so
+    every logit row the model predicts is finite and V wide without a check
+    per prediction, and a caller's later edit of its counts reaches none.
     """
 
     def __init__(
@@ -623,39 +628,20 @@ class NGramMaskedModel(Denoiser):
             raise ConfigError("n must be >= 1")
         if not 0 < alpha < math.inf:  # False for NaN and +-inf too
             raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
-        if not alpha / (alpha * vocab.size) > 0:  # the unigram fallback's total overflows
-            raise ConfigError(f"alpha {alpha} times vocab size {vocab.size} is not finite")
+        v = vocab.size
+        unseen = _logit_rows(np.zeros((1, v)), alpha)[0]
+        if not np.isfinite(unseen).all():
+            raise ConfigError(f"alpha {alpha} times vocab size {v} is not finite")
         if len(counts) != n:
             raise ConfigError("need one count table per order 0..n-1")
         self.vocab = vocab
         self.n = n
         self.alpha = alpha
-        self.counts = [
-            _checked_counts(k, table, vocab.size, alpha) for k, table in enumerate(counts)
-        ]
-        self._logit_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _logits_for(self, ctx: tuple[int, ...]) -> np.ndarray:
-        cached = self._logit_cache.get(ctx)
-        if cached is not None:
-            return cached
-        table = self.counts[len(ctx)]
-        vec = table.get(ctx)
-        v = self.vocab.size
-        if vec is None:
-            vec = np.zeros(v)
-        probs = (vec + self.alpha) / (vec.sum() + self.alpha * v)
-        row = np.log(probs)
-        self._logit_cache[ctx] = row
-        return row
-
-    def context_for(self, state: SeqState, position: int) -> tuple[int, ...]:
-        """Revealed suffix feeding position's conditional (may be empty)."""
-        lo = position
-        mask_id = state.vocab.mask_id
-        while lo > 0 and state.tokens[lo - 1] != mask_id and position - lo < self.n - 1:
-            lo -= 1
-        return state.tokens[lo:position]
+        self.unseen = unseen
+        rows = {}
+        for k, table in enumerate(counts):
+            rows.update(_checked_rows(k, table, v, alpha))
+        self.rows = MappingProxyType(rows)
 
     def predict(
         self,
@@ -663,10 +649,10 @@ class NGramMaskedModel(Denoiser):
         *,
         after: tuple[SeqState, DenoiserOutput] | None = None,
     ) -> DenoiserOutput:
-        """Row i is _logits_for(context_for(state, pos[i])), found in one
-        pass over the masked index: the revealed run before a masked
-        position starts right after the previous masked position (or at
-        index 0), cut to its last n-1 tokens. Only positions with a
+        """Row i is rows.get(ctx, unseen) for the context ctx of pos[i],
+        found in one pass over the masked index: the revealed run before a
+        masked position starts right after the previous masked position
+        (or at index 0), cut to its last n-1 tokens. Only positions with a
         non-empty run look their row up one by one.
 
         With after=(prev_state, prev_output), prev_output being this
@@ -683,13 +669,14 @@ class NGramMaskedModel(Denoiser):
             return self._predict_after(*after, state, pos)
         tokens = state.tokens
         keep = self.n - 1
+        rows, unseen = self.rows, self.unseen
         matrix = np.empty((len(pos), self.vocab.size))
-        matrix[:] = self._logits_for(())
+        matrix[:] = rows.get((), unseen)
         if keep:
             start = 0
             for i, p in enumerate(pos):
                 if p > start:
-                    matrix[i] = self._logits_for(tokens[max(start, p - keep) : p])
+                    matrix[i] = rows.get(tokens[max(start, p - keep) : p], unseen)
                 start = p + 1
         return DenoiserOutput._of_rows(pos, matrix)
 
@@ -737,20 +724,29 @@ class NGramMaskedModel(Denoiser):
                 if i < len(pos) and pos[i] - r <= keep and i not in looked_up:
                     p = pos[i]
                     start = pos[i - 1] + 1 if i else 0
-                    looked_up[i] = self._logits_for(tokens[max(start, p - keep) : p])
+                    looked_up[i] = self.rows.get(tokens[max(start, p - keep) : p], self.unseen)
         return prev_output._after_reveal(pos, at, looked_up)
 
 
-def _checked_counts(
+def _logit_rows(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Read-only log((c + alpha) / (total + alpha * V)) for each row of
+    float64 counts (a row's sum is its 1-d sum bit for bit); a row whose
+    total overflows, or that rounds a probability to 0, is not finite."""
+    with np.errstate(all="ignore"):
+        totals = counts.sum(axis=1, keepdims=True) + alpha * counts.shape[1]
+        rows = np.log((counts + alpha) / totals)
+    rows.setflags(write=False)
+    return rows
+
+
+def _checked_rows(
     order: int, table: dict, v: int, alpha: float
 ) -> dict[tuple[int, ...], np.ndarray]:
-    """A read-only float64 copy of the count table of `order`, its keys
+    """The logit rows of the count table of `order`, by key, its keys
     checked as one set of tokens and its rows in one pass over the stacked
     table. ConfigError, naming the order and the key, unless every key is a
-    tuple of `order` content tokens (0..v-1) and every value a 1-d array of
-    v real counts, each finite and >= 0, whose total keeps
-    alpha / (total + alpha * v) above 0: then every row's logits are
-    finite."""
+    tuple of `order` content tokens (0..v-1), every value a 1-d array of v
+    real counts, each finite and >= 0, and every logit row finite."""
     where = f"count table of order {order}"
     if not isinstance(table, dict):
         raise ConfigError(f"{where} must be a dict, got {type(table).__name__}")
@@ -779,19 +775,16 @@ def _checked_counts(
     )
     if bad is not None:
         raise ConfigError(f"{where}: key {bad!r} must map to a 1-d array of {v} real counts")
-    rows = np.array(values, dtype=np.float64).reshape(len(values), v)
-    ok = (np.isfinite(rows) & (rows >= 0)).all(axis=1)
+    counts = np.array(values, dtype=np.float64).reshape(len(values), v)
+    ok = (np.isfinite(counts) & (counts >= 0)).all(axis=1)
     if not ok.all():
         bad = keys[int(np.argmin(ok))]
         raise ConfigError(f"{where}: key {bad!r} holds a negative, NaN or infinite count")
-    # the total _logits_for divides by (a row sum is its vec.sum() bit for
-    # bit); one that overflows to inf fails the test
-    with np.errstate(over="ignore"):
-        ok = alpha / (rows.sum(axis=1) + alpha * v) > 0
+    rows = _logit_rows(counts, alpha)
+    ok = np.isfinite(rows).all(axis=1)
     if not ok.all():
         bad = keys[int(np.argmin(ok))]
         raise ConfigError(f"{where}: key {bad!r} has counts too large for alpha {alpha}")
-    rows.setflags(write=False)
     return dict(zip(keys, rows))
 
 

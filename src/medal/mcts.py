@@ -377,7 +377,7 @@ def run_cgmcts(
         """The pooled descent: expand level by level toward the pool depth."""
         simulated: list[SearchNode] = []
         rewards: list[float] = []
-        while not node.terminal and not pool.full and sims + len(rewards) < cfg.budget:
+        while not node.terminal and sims + len(rewards) < cfg.budget:
             prefix = tuple(c.action for _, c in path)
             output, before = table(node.state)
             children = expand(node, output, cfg)

@@ -540,7 +540,8 @@ def verify_theorem1(
     minimum + TOL, and dominance, the final J <= greedy's and each of
     RANDOM_BASELINES random schedules' J + TOL; a search stopped short of a
     complete tree only reports those Js, since too small a budget need not
-    beat them. The oracle is computed either way; past ENUMERATION_CAP
+    beat them; the report's last key, tree_complete, says which of the two
+    it was. The oracle is computed either way; past ENUMERATION_CAP
     schedules it raises InstanceTooLarge before the search, so before any
     model call. Raises ConfigError, before any model call, unless every
     budget is a positive integer.
@@ -595,4 +596,5 @@ def verify_theorem1(
         "j_random": randoms,
         "best_schedule": [list(s) for s in best.steps],
         "oracle_schedule": [list(s) for s in oracle.steps],
+        "tree_complete": complete,
     }

@@ -7,11 +7,11 @@ here imports from the package under test, so agreement between the two is
 meaningful evidence rather than a tautology.
 
 The numpy section at the end is different in kind: it keeps the row
-kernels and the tabular marginals in the form they were first written
-(one allocation per step, the .sum / .max / np.clip wrappers, one axis
-tuple built per marginal). The in-place kernels must equal them bit for
-bit, since they apply the same ufuncs to the same operands in the same
-order.
+kernels, the tabular marginals and the n-gram rows in the form they were
+first written (one allocation per step, the .sum / .max / np.clip
+wrappers, one axis tuple built per marginal, one smoothed row per
+context). The package must equal them bit for bit, since it applies the
+same ufuncs to the same operands in the same order.
 """
 
 from __future__ import annotations
@@ -288,3 +288,30 @@ def ref_tabular_logits(sub, vocab):
             other = tuple(a for a in range(sub.ndim) if a != axis)
             probs[axis] = sub.sum(axis=other) / mass
     return np.log(probs + LOGIT_FLOOR)
+
+
+def ref_ngram_counts(corpus, n, vocab):
+    """Count tables of orders 0..n-1 from a corpus: counts[k][ctx][tok] is
+    how often tok follows the k tokens ctx."""
+    counts = [{} for _ in range(n)]
+    for seq in corpus:
+        for i, tok in enumerate(seq):
+            for k in range(min(i, n - 1) + 1):
+                counts[k].setdefault(tuple(seq[i - k : i]), np.zeros(vocab))[tok] += 1.0
+    return counts
+
+
+def ref_ngram_context(tokens, mask_id, position, n):
+    """The revealed run right before `position` (prompt tokens count), cut
+    to its last n-1 tokens; empty when the token before it is masked."""
+    lo = position
+    while lo > 0 and tokens[lo - 1] != mask_id and position - lo < n - 1:
+        lo -= 1
+    return tuple(tokens[lo:position])
+
+
+def ref_ngram_row(counts, ctx, alpha, vocab):
+    """log((c + alpha) / (T + alpha * V)) from the caller's count table of
+    ctx's order, with zero counts for a context the table lacks."""
+    c = np.asarray(counts[len(ctx)].get(ctx, np.zeros(vocab)), dtype=np.float64)
+    return np.log((c + alpha) / (c.sum() + alpha * vocab))

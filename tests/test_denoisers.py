@@ -464,16 +464,18 @@ def test_ngram_hand_counts():
 
 
 def test_ngram_context_windowing():
-    model = fit_ngram([(0, 1, 2, 0)], n=3, alpha=0.5)
-    v = model.vocab
-    s = SeqState.fully_masked(v, (0, 1, 2), 3)
-    # context capped at n-1 = 2 revealed tokens
-    assert model.context_for(s, 3) == (1, 2)
+    corpus = [(0, 1, 2, 0)]
+    model = fit_ngram(corpus, n=3, alpha=0.5)
+    counts = oracles.ref_ngram_counts(corpus, 3, model.vocab.size)
+    s = SeqState.fully_masked(model.vocab, (0, 1, 2), 3)
     s2 = apply_many(s, [UnmaskAction(4, 0)])
-    assert model.context_for(s2, 5) == (0,)
-    assert model.context_for(s2, 3) == (1, 2)
-    # a masked gap cuts the run
-    assert model.context_for(s, 4) == ()
+    # context capped at n-1 = 2 revealed tokens; a masked gap cuts the run
+    for state, contexts in ((s, {3: (1, 2), 4: (), 5: ()}), (s2, {3: (1, 2), 5: (0,)})):
+        out = model.predict(state)
+        for pos, ctx in contexts.items():
+            assert oracles.ref_ngram_context(state.tokens, model.vocab.mask_id, pos, 3) == ctx
+            want = oracles.ref_ngram_row(counts, ctx, 0.5, model.vocab.size)
+            assert out.logits[pos].tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -485,11 +487,12 @@ def test_ngram_context_windowing():
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_property_ngram_predict_matches_context_loop(n, prompt_len, length, masked_share, seed):
-    # row i of predict is the cached row of position i's context_for
+    # row i of predict is the reference row of position i's reference context
     gen = np.random.default_rng(seed)
     vocab = int(gen.integers(2, 5))
     corpus = [gen.integers(0, vocab, size=int(gen.integers(1, 10))).tolist() for _ in range(5)]
     model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    counts = oracles.ref_ngram_counts(corpus, n, vocab)
     masked = gen.random(length) < masked_share
     masked[gen.integers(length)] = True
     tokens = gen.integers(0, vocab, size=prompt_len + length)
@@ -499,7 +502,8 @@ def test_property_ngram_predict_matches_context_loop(n, prompt_len, length, mask
     out = model.predict(state)
     assert out.positions() == list(state.masked_index)
     for pos, row in zip(out.positions(), out.matrix()):
-        want = model._logits_for(model.context_for(state, pos))
+        ctx = oracles.ref_ngram_context(tokens, model.vocab.mask_id, pos, n)
+        want = oracles.ref_ngram_row(counts, ctx, 0.5, vocab)
         assert row.tobytes() == want.tobytes()
 
 
@@ -512,6 +516,7 @@ def test_ngram_predict_matches_context_loop_at_long_length(n):
     vocab = 5
     corpus = [gen.integers(0, vocab, size=40).tolist() for _ in range(8)]
     model = fit_ngram(corpus, n=n, alpha=0.5, vocab_size=vocab)
+    counts = oracles.ref_ngram_counts(corpus, n, vocab)
     mask_id = model.vocab.mask_id
     for lead in (6, 0):
         flags = [False] * lead
@@ -528,7 +533,8 @@ def test_ngram_predict_matches_context_loop_at_long_length(n):
         out = model.predict(state)
         assert out.positions() == list(masked)
         for pos, row in zip(masked, out.matrix()):
-            want = model._logits_for(model.context_for(state, pos))
+            ctx = oracles.ref_ngram_context(tokens, mask_id, pos, n)
+            want = oracles.ref_ngram_row(counts, ctx, 0.5, vocab)
             assert row.tobytes() == want.tobytes(), pos
 
 
@@ -605,6 +611,68 @@ def test_property_predict_after_equals_predict(n, prompt_len, length, max_step, 
             other = SeqState(model.vocab, state.prompt_len, tuple(tokens))
             with pytest.raises(ConfigError, match="does not extend"):
                 model.predict(other, after=(prev_state, prev_out))
+        prev_state, prev_out = state, out
+
+
+def _random_count_tables(gen, n, vocab):
+    """Count tables of orders 0..n-1, each lacking contexts: order 0 holds
+    its one context half the time, and every higher order a random share of
+    its contexts, one at least left out. The values are int or float arrays
+    of counts from 0 up to 4e5, zeros included."""
+    tables = [{(): gen.integers(0, 5, size=vocab)} if gen.random() < 0.5 else {}]
+    for k in range(1, n):
+        contexts = list(product(range(vocab), repeat=k))
+        del contexts[int(gen.integers(len(contexts)))]
+        keep = gen.random()
+        table = {}
+        for ctx in contexts:
+            if gen.random() < keep:
+                vec = gen.integers(0, 5, size=vocab)
+                table[ctx] = vec if gen.random() < 0.5 else vec * 10.0 ** gen.integers(-3, 6)
+        tables.append(table)
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    vocab=st.integers(min_value=2, max_value=10),
+    prompt_len=st.integers(min_value=0, max_value=3),
+    length=st.integers(min_value=1, max_value=12),
+    max_step=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_ngram_rows_equal_the_reference(n, vocab, prompt_len, length, max_step, seed):
+    # every row of predict and of predict_after, along a walk of reveals, is
+    # the reference row of its reference context, read from the caller's
+    # tables bit for bit, with zero counts where a table lacks the context
+    gen = np.random.default_rng(seed)
+    counts = _random_count_tables(gen, n, vocab)
+    alpha = float(gen.uniform(0.01, 2.0))
+    model = NGramMaskedModel(Vocab(vocab), n, alpha, counts)
+    mask_id = model.vocab.mask_id
+
+    def check(state, out):
+        assert out.positions() == list(state.masked_index)
+        for pos, row in zip(out.positions(), out.matrix()):
+            ctx = oracles.ref_ngram_context(state.tokens, mask_id, pos, n)
+            want = oracles.ref_ngram_row(counts, ctx, alpha, vocab)
+            assert row.tobytes() == want.tobytes(), (pos, ctx)
+
+    prompt = tuple(gen.integers(0, vocab, size=prompt_len).tolist())
+    prev_state = SeqState.fully_masked(model.vocab, prompt, length)
+    prev_out = model.predict(prev_state)
+    check(prev_state, prev_out)
+    while True:
+        picks = _reveal_picks(gen, prev_state, max_step)
+        state = apply_many(
+            prev_state, [UnmaskAction(p, int(gen.integers(0, vocab))) for p in picks]
+        )
+        if state.is_complete:
+            break
+        out = model.predict_after(prev_state, prev_out, state)
+        check(state, out)
+        check(state, model.predict(state))
         prev_state, prev_out = state, out
 
 
@@ -705,16 +773,41 @@ def test_models_keep_read_only_copies_of_their_checked_tables(rng):
     assert np.isfinite(tabular.joint).all()
     row = np.array([1, 0, 2])
     model = NGramMaskedModel(Vocab(3), 2, 0.5, [{(): row}, {(1,): row}])
-    state = SeqState.fully_masked(model.vocab, (1,), 2)
-    before = model.predict(state).matrix().copy()
-    row[1] = -5  # the caller's table changes; the model's copy does not
-    assert model.counts[1][(1,)].tolist() == [1.0, 0.0, 2.0]
-    assert not model.counts[1][(1,)].flags.writeable
-    model._logit_cache.clear()
-    assert model.predict(state).matrix().tobytes() == before.tobytes()
+    for table in (model.rows[()], model.rows[(1,)], model.unseen):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = np.nan
+    with pytest.raises(TypeError):
+        model.rows[(2,)] = model.unseen
+    states = [
+        SeqState.fully_masked(model.vocab, prompt, 2) for prompt in ((1,), (0,), (), (2, 1))
+    ]
+    before = [model.predict(state).matrix().tobytes() for state in states]
+    row[1] = -5  # the caller's table changes; the model's rows do not
+    assert [model.predict(state).matrix().tobytes() for state in states] == before
     # the unigram fallback's total alpha * V must be finite too
     with pytest.raises(ConfigError, match="alpha 1e\\+308 times vocab size 3"):
         NGramMaskedModel(Vocab(3), 1, 1e308, [{}])
+
+
+def test_ngram_accepts_positive_counts_whose_smoothing_underflows():
+    # alpha / (total + alpha * V) rounds to 0 here, but every count is
+    # positive, so every logit row is finite and the table is accepted
+    alpha = 5e-324
+    counts = [{(): np.array([1.0, 2.0, 3.0])}, {(0,): np.array([4.0, 1.0, 1.0])}]
+    assert alpha / (6.0 + alpha * 3) == 0.0
+    model = NGramMaskedModel(Vocab(3), 2, alpha, counts)
+    out = model.predict(SeqState.fully_masked(model.vocab, (0,), 3))
+    assert np.isfinite(out.matrix()).all()
+    for pos, ctx in ((1, (0,)), (2, ()), (3, ())):
+        want = oracles.ref_ngram_row(counts, ctx, alpha, 3)
+        assert out.logits[pos].tobytes() == want.tobytes()
+    # a context the tables lack reads alpha / (alpha * V), also finite
+    unseen = model.predict(SeqState.fully_masked(model.vocab, (1,), 1)).logits[1]
+    assert unseen.tobytes() == oracles.ref_ngram_row(counts, (1,), alpha, 3).tobytes()
+    # a zero count at that alpha is a probability of 0: still refused
+    counts[1][(0,)] = np.array([6.0, 0.0, 0.0])
+    with pytest.raises(ConfigError, match=r"order 1: key \(0,\) has counts too large"):
+        NGramMaskedModel(Vocab(3), 2, alpha, counts)
 
 
 def test_load_corpus(tmp_path):

@@ -1110,10 +1110,19 @@ def test_verify_theorem1_judges_dominance_only_at_a_complete_tree():
     assert not search_schedules(model, root, 2, 8, step_size=2)[2]
     assert short["j_final"] > min(short["j_random"]) + 0.02
     assert short["j_final"] > short["j_oracle"] + 0.02
+    # the report says the dominance and convergence checks were skipped
+    assert list(short)[-1] == "tree_complete" and short["tree_complete"] is False
     full = verify_theorem1(model, root, 2, [1, 2, 4, 8, 16], step_size=2, seed=0)
     assert search_schedules(model, root, 2, 16, step_size=2)[2]
+    assert full["tree_complete"] is True
     assert full["j_final"] == full["j_oracle"]
     assert full["j_by_budget"][:4] == short["j_by_budget"]
+    # an L=4 joint with k=3 and budget 256 completes its tree, and the
+    # report says so
+    for vocab in (2, 3):
+        model = random_calibrated_model(np.random.default_rng(vocab), 4, vocab)
+        report = verify_theorem1(model, root_of(model), 3, [16, 64, 256])
+        assert report["tree_complete"] is True
 
 
 def test_verify_theorem1_raises_when_a_complete_tree_misses_the_oracle(rng, monkeypatch):
