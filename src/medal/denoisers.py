@@ -26,11 +26,13 @@ are built (the n-gram model checks its finished logit rows), so their
 predictions are finite by construction and skip the checks.
 
 RemoteDenoiser lets an external process stand in for the model over a
-socket: a request is a line of decimal ints (prompt length, step, tokens)
-and a reply a line holding a byte count, followed by that many raw bytes of
-one binary frame of the positions and float64 logits; predict_many
-pipelines a batch of requests in one write. serve_denoiser exposes any
-local model over the same wire format.
+socket. A request and a reply are each framed alike: a line holding a byte
+count, followed by that many raw bytes of one little-endian binary frame
+(a request's prompt length, step and tokens as int64; a reply's positions
+and float64 logits). predict_many pipelines a batch of requests in one
+write, and the client checks each reply against the state it asked about
+in one pass. serve_denoiser exposes any local model over the same wire
+format.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import math
 import re
 import socket
 import socketserver
+import struct
 import threading
 import weakref
 from bisect import bisect_left
@@ -138,10 +141,7 @@ class DenoiserOutput:
                 f"logit matrix of shape {matrix.shape} does not give one row to each"
                 f" of {index.shape[0]} positions"
             )
-        finite = np.isfinite(matrix)
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
-            raise NonFiniteLogits(f"non-finite logits at position {index[row]}")
+        _check_finite(matrix, index)
         index_tuple = positions if type(positions) is tuple else None
         return cls._of_rows(index_tuple, matrix.view(), index.view())
 
@@ -277,6 +277,16 @@ class DenoiserOutput:
         if width != vocab_size:
             raise LogitWidthMismatch(f"logits have width {width} for vocab size {vocab_size}")
         return self._positions
+
+
+def _check_finite(matrix: np.ndarray, positions: Sequence[int]) -> None:
+    """The logit check of every row from outside: NonFiniteLogits, naming
+    the first row's position (positions[i] for row i), unless every entry
+    of `matrix` is finite."""
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise NonFiniteLogits(f"non-finite logits at position {positions[row]}")
 
 
 def _ascending_positions(positions: Sequence[int]) -> np.ndarray:
@@ -889,44 +899,113 @@ class CountingDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# remote protocol: an ASCII request line, answered by a count line and raw bytes.
-# request = "prompt_len step t_0 ... t_{n-1}": decimal ints joined by single
-#           spaces; a masked position carries the vocab's mask id
-# reply   = the frame's byte count n in canonical decimal ("[1-9][0-9]*\n"),
-#           then exactly n bytes of the little-endian frame
-#           uint32 P | P x int64 positions | P x V float64 logits (row-major),
+# remote protocol: each message is a count line, then that many raw bytes.
+# count   = a frame's byte count n in canonical decimal ("[1-9][0-9]*\n"),
+#           then exactly n bytes of a little-endian frame
+# request = int64 prompt_len | int64 step | T x int64 tokens, so n = 16 + 8T;
+#           a masked position carries the vocab's mask id
+# reply   = uint32 P | P x int64 positions | P x V float64 logits (row-major),
 #           so V = (n - 4 - 8P) / (8P); or the JSON error frame
 #           {"error": "..."}, a line starting with "{", which a count never does
 # A client may write several requests before it reads; the server answers
-# them in order, one reply per request line. Both ends set TCP_NODELAY,
-# or pipelined small writes stall on Nagle's algorithm and delayed ACKs.
+# them in order, one reply per request frame. A request frame the server
+# reads whole but refuses gets an error frame, and the connection stays; a
+# request count line it refuses (not canonical, above REQUEST_MAX, longer
+# than LINE_MAX) gets one error frame and the connection closes, since the
+# next request's start cannot be found. Both ends set TCP_NODELAY, or
+# pipelined small writes stall on Nagle's algorithm and delayed ACKs.
 
-_REQUEST = re.compile(rb"-?[0-9]+(?: -?[0-9]+)+")
 _COUNT = re.compile(rb"[1-9][0-9]*\n")
-# the longest reply line a client reads (a count or an error frame), so a
-# line without a newline cannot grow the client's memory without bound
-REPLY_LINE_MAX = 1 << 16
+# the longest line either end reads (a count or an error frame), so a line
+# without a newline cannot grow a reader's memory without bound
+LINE_MAX = 1 << 16
+# the largest request frame a server reads (2**21 - 2 tokens); a client
+# refuses to send a larger one
+REQUEST_MAX = 1 << 24
 
 
 def encode_request(state: SeqState) -> bytes:
-    """The request line of `state`, newline included."""
-    return (" ".join(map(str, (state.prompt_len, state.step, *state.tokens))) + "\n").encode()
-
-
-def decode_request(line: bytes, vocab: Vocab) -> SeqState:
-    """The state a request line describes over `vocab` (one trailing newline
-    is dropped). ConfigError unless the line is ASCII decimal ints joined by
-    single spaces, the step is >= 0 and SeqState accepts the state."""
-    line = line[:-1] if line.endswith(b"\n") else line
-    if _REQUEST.fullmatch(line) is None:
+    """The request for `state`: its frame's byte-count line, then the frame.
+    ConfigError unless the frame fits in REQUEST_MAX bytes and the prompt
+    length, the step and every token fit int64."""
+    tokens = state.tokens
+    n = 2 + len(tokens)
+    if 8 * n > REQUEST_MAX:
         raise ConfigError(
-            f"request must be 'prompt_len step token ...' in decimal ints joined by"
-            f" single spaces, got {line[:80]!r}"
+            f"request frame of {8 * n} bytes ({len(tokens)} tokens) exceeds {REQUEST_MAX},"
+            " the largest a server reads"
         )
-    prompt_len, step, *tokens = map(int, line.split(b" "))
+    try:
+        frame = struct.pack(f"<{n}q", state.prompt_len, state.step, *tokens)
+    except struct.error:
+        raise ConfigError(_int64_fault(state)) from None
+    return b"%d\n%b" % (8 * n, frame)
+
+
+def _int64_fault(state: SeqState) -> str:
+    """What keeps `state` out of an int64 request frame: the first field,
+    in frame order, that struct does not pack as int64."""
+    fields = chain(
+        (("prompt_len", state.prompt_len), ("step", state.step)),
+        ((f"token at {i}", tok) for i, tok in enumerate(state.tokens)),
+    )
+    for name, value in fields:
+        try:
+            struct.pack("<q", value)
+        except struct.error as exc:
+            return f"request {name} is {value!r}, which does not fit int64 ({exc})"
+    return "request does not fit int64"
+
+
+def decode_request(frame: bytes, vocab: Vocab) -> SeqState:
+    """The state a request frame (the bytes after its count line) describes
+    over `vocab`. ConfigError unless the frame is 16 + 8T bytes, the step is
+    >= 0 and SeqState accepts the state."""
+    if len(frame) < 16 or len(frame) % 8:
+        raise ConfigError(
+            f"request frame of {len(frame)} bytes is not 8 * (2 + T) bytes"
+            " (prompt_len, step, T tokens)"
+        )
+    prompt_len, step, *tokens = struct.unpack(f"<{len(frame) // 8}q", frame)
     if step < 0:
         raise ConfigError(f"request step must be >= 0, got {step}")
     return SeqState(vocab, prompt_len, tuple(tokens), step)
+
+
+def _read_line(stream, what: str) -> bytes:
+    """The next line of `stream` (a count or an error frame), newline
+    included, read with a cap of LINE_MAX bytes; b"" when the stream ends
+    before it starts. ValueError for a longer line; EOFError when the stream
+    ends inside one."""
+    line = stream.readline(LINE_MAX)
+    if line and not line.endswith(b"\n"):
+        if len(line) == LINE_MAX:
+            raise ValueError(f"{what} line longer than {LINE_MAX} bytes")
+        raise EOFError(f"connection closed mid-{what}")
+    return line
+
+
+def _read_frame(stream, line: bytes, limit: int, what: str) -> bytes:
+    """The frame whose count line is `line`, read from `stream` in one
+    read. ValueError unless the line is a canonical decimal count of at
+    most `limit` bytes, checked before any frame byte is read; EOFError if
+    the stream ends first."""
+    if _COUNT.fullmatch(line) is None:
+        raise ValueError(f"{what} line {line[:60]!r} is not a byte count")
+    if len(line) - 1 > len(str(limit)) or (size := int(line)) > limit:
+        raise ValueError(
+            f"{what} count {line[:-1][:40].decode()} exceeds {limit}, the largest"
+            f" {what} frame allowed"
+        )
+    frame = stream.read(size)
+    if len(frame) < size:
+        raise EOFError(f"connection closed mid-{what}")
+    return frame
+
+
+def _error_line(exc: Exception) -> bytes:
+    """The error frame that reports `exc` to a client."""
+    return (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
 
 
 def encode_reply(out: DenoiserOutput) -> bytes:
@@ -964,6 +1043,29 @@ def decode_reply(frame: bytes) -> DenoiserOutput:
         raise ValueError(
             f"reply positions must be strictly ascending, got {positions.tolist()}"
         ) from None
+
+
+def _decode_reply_for(frame: bytes, masked: tuple[int, ...], vocab_size: int) -> DenoiserOutput:
+    """The prediction a reply's frame holds for a state whose masked_index
+    is `masked`, over `vocab_size` content tokens, checked in one pass: the
+    frame is exactly 4 + 8P(1 + V) bytes, its header is P = len(masked), its
+    positions are `masked`, and every logit is finite (NonFiniteLogits, by
+    the check from_matrix runs). The output keeps `masked`, so check_cover
+    against it is one identity test. A frame that fails the pass goes
+    through decode_reply and check_cover, which raise for it what they
+    raise for any reply that does not cover `masked` with V-wide rows."""
+    p = len(masked)
+    head = struct.pack(f"<I{p}q", p, *masked)
+    if len(frame) != len(head) + 8 * p * vocab_size or not frame.startswith(head):
+        out = decode_reply(frame)
+        out.check_cover(masked, vocab_size)
+        return out
+    matrix = np.frombuffer(frame, "<f8", offset=len(head)).reshape(p, vocab_size)
+    _check_finite(matrix, masked)
+    positions = np.frombuffer(frame, "<i8", p, 4)
+    return DenoiserOutput._of_rows(
+        masked, matrix.astype(np.float64, copy=False), positions.astype(np.int64, copy=False)
+    )
 
 
 class RemoteDenoiser(Denoiser):
@@ -1005,12 +1107,23 @@ class RemoteDenoiser(Denoiser):
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._fh = self._sock.makefile("rwb")
 
-    def _send(self, states: Sequence[SeqState]) -> None:
-        """Write one request line per state in one write (caller holds the lock)."""
-        lines = b"".join(map(encode_request, states))
-        self._connect()
-        self._fh.write(lines)
-        self._fh.flush()
+    def _requests(self, states: Sequence[SeqState]) -> bytes:
+        """The requests of `states`, in order, as one buffer. Every state is
+        checked (ConfigError, NoMaskedPositions) and encoded (ConfigError)
+        first, so a bad one raises before anything is written."""
+        for state in states:
+            self._check_state(state)
+        return b"".join(map(encode_request, states))
+
+    def _send(self, requests: bytes) -> None:
+        """Write `requests` in one write and flush (caller holds the lock);
+        an OSError drops the connection and raises RemoteError."""
+        try:
+            self._connect()
+            self._fh.write(requests)
+            self._fh.flush()
+        except OSError as exc:
+            raise self._error(exc) from exc
 
     def _drop(self) -> None:
         """Close the stream and socket (caller holds the lock); the next call reconnects."""
@@ -1029,84 +1142,61 @@ class RemoteDenoiser(Denoiser):
         host, port = self.address
         return RemoteError(f"remote denoiser {host}:{port}: {type(exc).__name__}: {exc}")
 
-    def _read_frame(self, line: bytes, limit: int) -> bytes:
-        """The frame whose count line is `line`, read from the stream
-        (caller holds the lock). ValueError unless the line is a canonical
-        decimal count of at most `limit` bytes, checked before any frame
-        byte is read; EOFError if the connection closes first."""
-        if _COUNT.fullmatch(line) is None:
-            raise ValueError(f"reply line {line[:60]!r} is not a byte count")
-        if len(line) - 1 > len(str(limit)) or (size := int(line)) > limit:
-            raise ValueError(
-                f"reply count {line[:-1][:40].decode()} exceeds {limit}, the largest"
-                " frame this state admits"
-            )
-        frame = self._fh.read(size)
-        if len(frame) < size:
-            raise EOFError("connection closed mid-reply")
-        return frame
-
     def predict(self, state: SeqState) -> DenoiserOutput:
         """One request/reply exchange; inside predict_many, the read of the
-        next reply, whose request is already written.
+        next reply, whose request is already checked and written.
 
         Socket errors, timeouts, a closed connection, a reply cut off before
         its count line's newline or its frame's last byte, a line longer
-        than REPLY_LINE_MAX, a count that is not canonical decimal or is
-        above the largest frame the state admits (4 + 8T(1 + V) bytes for T
+        than LINE_MAX, a count that is not canonical decimal or is above
+        the largest frame the state admits (4 + 8T(1 + V) bytes for T
         tokens over V content tokens; such a frame is never read), a frame
         decode_reply refuses and a "{" line that is not a JSON object with
         an "error" key (an older server's JSON reply) raise RemoteError and
         drop the connection; a server error frame raises ConfigError and
         keeps it. A reply must cover exactly the state's masked positions
-        with vocab-wide rows (check_cover).
+        with vocab-wide rows (MissingPosition, LogitWidthMismatch) of finite
+        logits (NonFiniteLogits); each is read whole, so these keep the
+        connection too.
         """
-        masked = self._check_state(state)
-        limit = 4 + 8 * len(state.tokens) * (1 + self.vocab.size)
         with self._lock:
+            if self._pending:
+                self._pending -= 1
+            else:
+                self._send(self._requests([state]))
             try:
-                if self._pending:
-                    self._pending -= 1
-                else:
-                    self._send([state])
-                line = self._fh.readline(REPLY_LINE_MAX)
-                if not line.endswith(b"\n"):
-                    if len(line) == REPLY_LINE_MAX:
-                        raise ValueError(f"reply line longer than {REPLY_LINE_MAX} bytes")
-                    raise EOFError(
-                        "connection closed mid-reply" if line else "connection closed without a reply"
-                    )
+                line = _read_line(self._fh, "reply")
+                if not line:
+                    raise EOFError("connection closed without a reply")
                 if line.startswith(b"{"):
                     obj = json.loads(line)
                     if not isinstance(obj, dict) or "error" not in obj:
                         raise ValueError(f"reply {line[:60]!r} is JSON but not an error frame")
                     out = None
                 else:
-                    out = decode_reply(self._read_frame(line, limit))
+                    limit = 4 + 8 * len(state.tokens) * (1 + self.vocab.size)
+                    frame = _read_frame(self._fh, line, limit, "reply")
+                    out = _decode_reply_for(frame, state.masked_index, self.vocab.size)
             except (OSError, EOFError, ValueError) as exc:
                 raise self._error(exc) from exc
         if out is None:
             raise ConfigError(f"remote denoiser error: {obj['error']}")
-        out.check_cover(masked, self.vocab.size)
         return out
 
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
-        """Pipelined predict(): every state is checked, then all requests
-        go out in one write, then predict() reads each reply in order.
+        """Pipelined predict(): every state is checked and encoded, then all
+        requests go out in one write, then predict() reads each reply in
+        order.
 
         Any error in the batch drops the connection, so no reply of it is
         left unread for the next call; a bad state raises before anything
         is written.
         """
-        for state in states:
-            self._check_state(state)
         if not states:
             return []
+        requests = self._requests(states)
         with self._lock:
-            try:
-                self._send(states)
-            except OSError as exc:
-                raise self._error(exc) from exc
+            self._send(requests)
             self._pending = len(states)
             try:
                 return [self.predict(state) for state in states]
@@ -1120,26 +1210,39 @@ class RemoteDenoiser(Denoiser):
 
 
 class _DenoiserHandler(socketserver.StreamRequestHandler):
-    """Answers each request line with one reply (a count line and its frame,
-    or an error line), in order. A client that drops the connection (an
-    OSError while reading a request or writing a reply) ends it quietly."""
+    """Answers each request frame with one reply (a count line and its
+    frame, or an error line), in order. A request count line it refuses
+    (see the protocol above) gets one error line and ends the connection.
+    A client that drops the connection (an OSError or an end of stream
+    while reading a request, an OSError while writing a reply) ends it
+    quietly."""
 
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
         model: Denoiser = self.server.model  # type: ignore[attr-defined]
-        with contextlib.suppress(OSError):
-            for line in self.rfile:
+        with contextlib.suppress(OSError, EOFError):
+            while True:
                 try:
-                    reply = encode_reply(model.predict(decode_request(line, model.vocab)))
+                    line = _read_line(self.rfile, "request")
+                    if not line:
+                        return  # the client closed the connection
+                    frame = _read_frame(self.rfile, line, REQUEST_MAX, "request")
+                except ValueError as exc:
+                    # the next request's start cannot be found: say why, close
+                    self.wfile.write(_error_line(exc))
+                    self.wfile.flush()
+                    return
+                try:
+                    reply = encode_reply(model.predict(decode_request(frame, model.vocab)))
                 except Exception as exc:  # report, keep serving
-                    reply = (json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()
+                    reply = _error_line(exc)
                 self.wfile.write(reply)
                 # flush each reply as soon as it is made: the server cannot
                 # see where a client's batch ends, so a reply held back could
                 # wait for a request that never comes; and a pipelining
                 # client decodes reply i while this computes reply i + 1. A
-                # server that answered all complete lines of each received
+                # server that answered all complete requests of each received
                 # chunk with one sendall was slower on the perfbench
                 # remote_ngram workload: median op_ref_p50 15.05 against
                 # 13.13 for this loop (8 alternating 10-s pairs, this loop

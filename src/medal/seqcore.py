@@ -5,8 +5,11 @@ a read-only prompt prefix followed by a generation region whose positions
 are either revealed or masked. All engine layers operate on these values;
 mutation always goes through apply_action / apply_many, which return new
 states. Constructing a SeqState (directly, via fully_masked or from a
-remote request line) validates the whole sequence; apply_many checks only
-its actions, since a valid state stays valid under checked reveals.
+remote request frame) validates the whole sequence, in passes that run at
+C speed (one comprehension for the mask index, one set of the revealed
+tokens and its sum, min and max); a token-by-token loop runs only to name
+the first fault. apply_many checks only its actions, since a valid state
+stays valid under checked reveals.
 """
 
 from __future__ import annotations
@@ -65,13 +68,23 @@ class SeqState:
         if self.gen_length < 1:
             raise ConfigError("generation region must be non-empty")
         mask_id = self.vocab.mask_id
-        for i, tok in enumerate(self.tokens):
-            if tok == mask_id:
-                if i < self.prompt_len:
-                    raise ConfigError(f"prompt position {i} cannot be masked")
-            elif not self.vocab.is_content(tok):
-                raise ConfigError(f"revealed token {tok} at {i} outside vocab")
-        index = tuple(i for i, tok in enumerate(self.tokens) if tok == mask_id)
+        index = tuple([i for i, tok in enumerate(self.tokens) if tok == mask_id])
+        revealed = set(self.tokens)
+        revealed.discard(mask_id)
+        # min and max can pass over a NaN token, which compares false both
+        # ways; it makes the sum NaN, which is not equal to itself
+        total = sum(revealed)
+        if (index and index[0] < self.prompt_len) or not (
+            total == total
+            and 0 <= min(revealed, default=0)
+            and max(revealed, default=0) < self.vocab.size
+        ):
+            for i, tok in enumerate(self.tokens):  # name the first fault
+                if tok == mask_id:
+                    if i < self.prompt_len:
+                        raise ConfigError(f"prompt position {i} cannot be masked")
+                elif not self.vocab.is_content(tok):
+                    raise ConfigError(f"revealed token {tok} at {i} outside vocab")
         object.__setattr__(self, "masked_index", index)
 
     @classmethod

@@ -11,7 +11,10 @@ kernels, the tabular marginals and the n-gram rows in the form they were
 first written (one allocation per step, the .sum / .max / np.clip
 wrappers, one axis tuple built per marginal, one smoothed row per
 context). The package must equal them bit for bit, since it applies the
-same ufuncs to the same operands in the same order.
+same ufuncs to the same operands in the same order. ref_reply_for keeps
+the remote client's reply checks as two passes, a frame's decode and then
+its cover of the state, as they ran before the client checked a reply
+against its state in one pass.
 """
 
 from __future__ import annotations
@@ -315,3 +318,46 @@ def ref_ngram_row(counts, ctx, alpha, vocab):
     ctx's order, with zero counts for a context the table lacks."""
     c = np.asarray(counts[len(ctx)].get(ctx, np.zeros(vocab)), dtype=np.float64)
     return np.log((c + alpha) / (c.sum() + alpha * vocab))
+
+
+# ---------------------------------------------------------------------------
+# remote reply checks
+# ---------------------------------------------------------------------------
+
+def ref_reply_for(frame, masked, vocab_size):
+    """What a remote client made of a reply frame for a state whose masked
+    positions are `masked`, written as the two checks it ran one after the
+    other: the frame decoded on its own (header, size, ascending
+    positions, finite logits), then its cover of `masked` and its width.
+    ("ok", positions, logit bits as nested lists) for a reply it accepted,
+    else (error class name, message)."""
+    if len(frame) < 4:
+        return "ValueError", f"reply frame of {len(frame)} bytes has no 4-byte header"
+    rows = int.from_bytes(frame[:4], "little")
+    if not rows:
+        return "ValueError", "reply frame lists no positions"
+    logit_bytes = len(frame) - 4 - 8 * rows
+    if logit_bytes <= 0 or logit_bytes % (8 * rows):
+        return "ValueError", (
+            f"reply frame of {len(frame)} bytes is not 4 + 8*{rows} positions"
+            f" + {rows} whole float64 rows"
+        )
+    positions = [int.from_bytes(frame[4 + 8 * i : 12 + 8 * i], "little", signed=True)
+                 for i in range(rows)]
+    if any(b <= a for a, b in zip(positions, positions[1:])):
+        return "ValueError", f"reply positions must be strictly ascending, got {positions}"
+    matrix = np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
+    for position, row in zip(positions, matrix.tolist()):
+        if not all(math.isfinite(x) for x in row):
+            return "NonFiniteLogits", f"non-finite logits at position {position}"
+    if positions != list(masked):
+        missing = sorted(set(masked) - set(positions))
+        extra = sorted(set(positions) - set(masked))
+        return "MissingPosition", (
+            f"denoiser output mismatch: missing positions {missing}, extra {extra}"
+        )
+    if matrix.shape[1] != vocab_size:
+        return "LogitWidthMismatch", (
+            f"logits have width {matrix.shape[1]} for vocab size {vocab_size}"
+        )
+    return "ok", positions, matrix.view(np.uint64).tolist()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import io
 import json
 import math
 import socket
@@ -22,10 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from medal import denoisers
 from medal.cli import default_config, load_model
 from medal.decoder import DecodeConfig, decode
 from medal.denoisers import (
-    REPLY_LINE_MAX,
+    LINE_MAX,
+    REQUEST_MAX,
     SERVE_POLL_S,
     CountingDenoiser,
     Denoiser,
@@ -47,6 +50,7 @@ from medal.errors import (
     ConfigError,
     EmptyCorpus,
     LogitWidthMismatch,
+    MedalError,
     MissingPosition,
     NoMaskedPositions,
     NonFiniteLogits,
@@ -59,7 +63,7 @@ from medal.harness import load_model_file
 from medal.jsonspec import from_json, to_json
 from medal.kernels import softmax_rows
 from medal.mcts import SearchConfig
-from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many, state_to_json
+from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import verify_lemma1, verify_theorem1
 
 
@@ -921,13 +925,18 @@ def test_property_model_outputs_equal_checked_ones(kind, seed, length, vocab, pr
 
 
 def test_in_repo_models_never_call_from_matrix(monkeypatch, rng):
-    # the checked constructor is the wire's and user models' alone: a decode
-    # with search on each in-repo model and the theory verifiers make no
-    # call to it, and a remote decode makes one per reply
-    calls = []
+    # the logit check is the wire's and user models' alone: a decode with
+    # search on each in-repo model and the theory verifiers make no call to
+    # the checked constructor or its finiteness check, and a remote decode
+    # runs that check once per reply, in its one-pass reply check
+    calls, finite = [], []
     checked = DenoiserOutput.from_matrix
     counting = classmethod(lambda cls, *args: calls.append(1) or checked(*args))
     monkeypatch.setattr(DenoiserOutput, "from_matrix", counting)
+    check_finite = denoisers._check_finite
+    monkeypatch.setattr(
+        denoisers, "_check_finite", lambda *args: finite.append(1) or check_finite(*args)
+    )
     search = DecodeConfig(
         length=4,
         remaining_mode="argmax",
@@ -942,12 +951,12 @@ def test_in_repo_models_never_call_from_matrix(monkeypatch, rng):
     ):
         counted = CountingDenoiser(model)
         decode(counted, prompt, cfg)
-        assert counted.calls > 0 and calls == [], type(model).__name__
+        assert counted.calls > 0 and calls == finite == [], type(model).__name__
     joint = random_calibrated_model(np.random.default_rng(7), 4, 3)
     root = SeqState.fully_masked(joint.vocab, (), joint.length)
     verify_lemma1(joint, root)
     verify_theorem1(joint, root, 2, [1, 4, 16])
-    assert calls == []
+    assert calls == finite == []
     cfg = replace(default_config(), length=32, total_steps=None)
     server = serve_denoiser(toy, port=0)
     server.serve_in_thread()
@@ -958,7 +967,7 @@ def test_in_repo_models_never_call_from_matrix(monkeypatch, rng):
     finally:
         server.shutdown()
         server.server_close()
-    assert len(calls) == counted.calls == 110
+    assert len(finite) == counted.calls == 110 and calls == []
 
 
 def test_state_vocab_mismatch_rejected(rng):
@@ -980,29 +989,63 @@ def _read_frame(stream):
     return positions, np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
 
 
+def _request(*ints):
+    """A request built by hand from the documented layout: the count line,
+    then int64 prompt_len | int64 step | tokens."""
+    return b"%d\n" % (8 * len(ints)) + struct.pack(f"<{len(ints)}q", *ints)
+
+
+def _read_request(stream):
+    """The next request frame on `stream`, read as a server reads it."""
+    return denoisers._read_frame(
+        stream, denoisers._read_line(stream, "request"), REQUEST_MAX, "request"
+    )
+
+
 @st.composite
 def wire_states(draw):
     size = draw(st.integers(min_value=2, max_value=20))
     mask_id = draw(st.one_of(
-        st.just(-1), st.integers(min_value=size, max_value=10**6), st.integers(-10**6, -2)
+        st.just(-1),
+        st.integers(min_value=size, max_value=2**63 - 1),
+        st.integers(min_value=-(2**63), max_value=-2),
     ))
     vocab = Vocab(size, mask_id)
     prompt = draw(st.lists(st.integers(0, size - 1), max_size=4))
     gen = draw(st.lists(
         st.one_of(st.just(vocab.mask_id), st.integers(0, size - 1)), min_size=1, max_size=12
     ))
-    step = draw(st.integers(min_value=0, max_value=2**70))
+    step = draw(st.integers(min_value=0, max_value=2**63 - 1))
     return SeqState(vocab, len(prompt), tuple(prompt + gen), step)
 
 
 @settings(max_examples=200, deadline=None)
-@given(wire_states())
-def test_property_request_round_trip(state):
-    line = encode_request(state)
-    assert line.endswith(b"\n") and line.count(b"\n") == 1 and line.isascii()
-    back = decode_request(line, state.vocab)
+@given(wire_states(), st.data())
+def test_property_request_round_trip(state, data):
+    request = encode_request(state)
+    n = 2 + len(state.tokens)
+    assert request == _request(state.prompt_len, state.step, *state.tokens)  # the documented layout
+    stream = io.BytesIO(request)
+    frame = _read_request(stream)
+    assert stream.read() == b""  # the count line ends the frame where it ends
+    back = decode_request(frame, state.vocab)
     assert back == state and back.step == state.step
     assert back.masked_index == state.masked_index
+    assert encode_request(back) == request
+    # a request cut anywhere is refused as cut; the surplus of an extended
+    # one is left for the next read, so it cannot change this state
+    cut = data.draw(st.integers(min_value=1, max_value=len(request) - 1))
+    with pytest.raises(EOFError, match="connection closed mid-request"):
+        _read_request(io.BytesIO(request[:cut]))
+    surplus = data.draw(st.binary(min_size=1, max_size=24))
+    stream = io.BytesIO(request + surplus)
+    assert decode_request(_read_request(stream), state.vocab) == state
+    assert stream.read() == surplus
+    # a frame whose size is not 16 + 8T bytes is refused: cut or extended by
+    # a part of an int64, or below 16 bytes
+    for size in sorted({*range(8 * n - 7, 8 * n), *range(8 * n + 1, 8 * n + 8), *range(16)}):
+        with pytest.raises(ConfigError, match=f"request frame of {size} bytes is not 8"):
+            decode_request((frame + bytes(8))[:size], state.vocab)
 
 
 @pytest.mark.parametrize(
@@ -1032,8 +1075,34 @@ def test_property_request_round_trip(state):
     ],
 )
 def test_decode_request_is_strict(line, match):
-    with pytest.raises(ConfigError, match=match):
+    # the requests an older client wrote as text lines, with what the text
+    # parser refused in each ("decimal ints": its syntax). A text line is
+    # never a frame: its bytes are under 16, so decode_request refuses them.
+    # A line refused for its state, framed as int64s, is refused with the
+    # same message.
+    with pytest.raises(ConfigError, match=f"request frame of {len(line)} bytes is not 8"):
         decode_request(line, Vocab(3))
+    if match != "decimal ints":
+        ints = list(map(int, line.split()))
+        with pytest.raises(ConfigError, match=match):
+            decode_request(struct.pack(f"<{len(ints)}q", *ints), Vocab(3))
+
+
+def test_encode_request_refuses_what_a_frame_cannot_hold():
+    # a value past int64 raises ConfigError naming it, never struct.error
+    for state, match in (
+        (SeqState.fully_masked(Vocab(3, mask_id=2**63), (1,), 2), "token at 1 is 9223372036854775808"),
+        (SeqState.fully_masked(Vocab(3, mask_id=-(2**63) - 1), (1,), 2), "token at 1 is -9223"),
+        (SeqState.fully_masked(Vocab(3), (1,), 2, step=2**63), "step is 9223372036854775808"),
+    ):
+        with pytest.raises(ConfigError, match=f"request {match}.*which does not fit int64") as err:
+            encode_request(state)
+        assert err.value.__suppress_context__
+    # so does a frame past REQUEST_MAX, before it is built
+    with pytest.raises(ConfigError, match=f"exceeds {REQUEST_MAX}, the largest a server reads"):
+        encode_request(SeqState.fully_masked(Vocab(3), (), REQUEST_MAX // 8 - 1))
+    largest = encode_request(SeqState.fully_masked(Vocab(3), (), REQUEST_MAX // 8 - 2))
+    assert largest.startswith(b"%d\n" % REQUEST_MAX) and len(largest) == 9 + REQUEST_MAX
 
 
 @settings(max_examples=100, deadline=None)
@@ -1058,6 +1127,65 @@ def test_property_reply_round_trip_is_bit_exact(rows, width, seed):
     assert np.array_equal(back.matrix().view(np.uint64), matrix.view(np.uint64))
 
 
+@st.composite
+def reply_cases(draw):
+    """(frame, masked, vocab size): a reply frame built by hand for a state
+    whose masked_index is `masked`, well formed or spoilt one way."""
+    v = draw(st.integers(min_value=2, max_value=6))
+    masked = tuple(sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6))))
+    positions, width = list(masked), v
+    how = draw(st.sampled_from([
+        "valid", "flip_header", "flip_positions", "flip_logits", "truncate", "extend",
+        "nan", "inf", "width", "missing_row", "extra_row",
+    ]))
+    if how == "width":
+        width = draw(st.sampled_from([1, v - 1, v + 1, 2 * v]))
+    elif how == "missing_row":
+        positions.pop(draw(st.integers(0, len(positions) - 1)))
+    elif how == "extra_row":
+        extra = draw(st.integers(-3, 45).filter(lambda p: p not in masked))
+        positions = sorted([*positions, extra]) if draw(st.booleans()) else [*positions, extra]
+    seed = draw(st.integers(0, 2**32 - 1))
+    matrix = np.random.default_rng(seed).normal(scale=5.0, size=(len(positions), width))
+    if how in ("nan", "inf") and matrix.size:
+        value = np.nan if how == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        matrix.flat[draw(st.integers(0, matrix.size - 1))] = value
+    frame = bytearray(_body(positions, matrix))
+    start, stop = {
+        "flip_header": (0, 4), "flip_positions": (4, 4 + 8 * len(positions)),
+        "flip_logits": (4 + 8 * len(positions), len(frame)),
+    }.get(how, (0, 0))
+    if stop > start:
+        frame[draw(st.integers(start, stop - 1))] ^= draw(st.integers(1, 255))
+    if how == "truncate":
+        frame = frame[: draw(st.integers(0, len(frame) - 1))]
+    elif how == "extend":
+        frame += draw(st.binary(min_size=1, max_size=40))
+    return bytes(frame), masked, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(reply_cases())
+def test_property_one_pass_reply_check_matches_decode_reply_and_check_cover(case):
+    # the client's one-pass check of a reply against the state it asked
+    # about gives what decode_reply and check_cover gave (oracles keeps
+    # them): the same output bits, or the same error class and message
+    frame, masked, v = case
+    want = oracles.ref_reply_for(frame, masked, v)
+    try:
+        out = denoisers._decode_reply_for(frame, masked, v)
+    except (ValueError, MedalError) as exc:
+        assert (type(exc).__name__, str(exc)) == want
+        return
+    assert want[0] == "ok", want
+    assert out.positions() == want[1] == list(masked)
+    assert out.matrix().view(np.uint64).tolist() == want[2]
+    assert out.matrix().dtype == np.float64 and out._positions.dtype == np.int64
+    assert not out.matrix().flags.writeable and not out._positions.flags.writeable
+    assert out._index is masked  # kept: check_cover against it is one identity test
+    assert out.check_cover(masked, v) is out._positions
+
+
 def test_remote_round_trip_and_error_frames(rng):
     model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
     server = serve_denoiser(model, port=0)
@@ -1078,33 +1206,90 @@ def test_remote_round_trip_and_error_frames(rng):
             # connection still usable afterwards
             again = remote.predict(state)
             assert np.array_equal(again.matrix(), local.matrix())
-        # an ill-typed request, a masked prompt slot and an old JSON request
-        # are each answered with an error frame, not read as another state,
-        # and the same connection then serves a valid one
+        # a frame of a part of an int64, a masked prompt slot and a negative
+        # step are each answered with an error frame, not read as another
+        # state, and the same connection then serves a valid one
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
-            ill_typed = b"0.9 4 1.7 2 true\n"
-            masked_prompt = b"1 0 3 3 3\n"
-            old_json = (json.dumps(state_to_json(state)) + "\n").encode()
-            assert encode_request(state) == b"1 0 1 3 3\n"
-            for request in (ill_typed, masked_prompt, old_json, encode_request(state)):
+            ragged = _request(1, 0, 1, 3, 3)[:-1].replace(b"40\n", b"39\n", 1)
+            masked_prompt = _request(1, 0, 3, 3, 3)
+            negative_step = _request(1, -1, 1, 3, 3)
+            assert encode_request(state) == _request(1, 0, 1, 3, 3)
+            for request in (ragged, masked_prompt, negative_step, encode_request(state)):
                 stream.write(request)
                 stream.flush()
             error = json.loads(stream.readline())
             assert error == {
-                "error": "ConfigError: request must be 'prompt_len step token ...' in decimal"
-                " ints joined by single spaces, got b'0.9 4 1.7 2 true'"
+                "error": "ConfigError: request frame of 39 bytes is not 8 * (2 + T) bytes"
+                " (prompt_len, step, T tokens)"
             }
             error = json.loads(stream.readline())
             assert error == {"error": "ConfigError: prompt position 0 cannot be masked"}
             error = json.loads(stream.readline())
-            assert error["error"].startswith("ConfigError: request must be")
+            assert error == {"error": "ConfigError: request step must be >= 0, got -1"}
             positions, matrix = _read_frame(stream)
             assert positions == [1, 2]
             assert np.array_equal(matrix, local.matrix())
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize(
+    "sent, error",
+    [
+        (b"2 0 0 1 3 3 3\n", "ValueError: request line b'2 0 0 1 3 3 3\\n' is not a byte count"),
+        (b'{"prompt_len": 1, "tokens": [1, 3, 3]}\n', "ValueError: request line b'{"),
+        (b"+40\n", "ValueError: request line b'+40\\n' is not a byte count"),
+        (b"040\n", "ValueError: request line b'040\\n' is not a byte count"),
+        (b"40\r\n", "ValueError: request line b'40\\r\\n' is not a byte count"),
+        (b"\n", "ValueError: request line b'\\n' is not a byte count"),
+        (b"1000000000000\n",
+         f"ValueError: request count 1000000000000 exceeds {REQUEST_MAX}, the largest request"),
+        (b"9" * 40 + b"\n", f"ValueError: request count {'9' * 40} exceeds {REQUEST_MAX}"),
+        (b"%d\n" % (REQUEST_MAX + 1), f"request count {REQUEST_MAX + 1} exceeds {REQUEST_MAX}"),
+        (b"7" * LINE_MAX, f"ValueError: request line longer than {LINE_MAX} bytes"),
+    ],
+    ids=["old_text_line", "old_json", "count_plus", "count_leading_zero", "count_crlf",
+         "empty_line", "count_1e12", "count_40_digits", "count_one_past_cap", "line_past_cap"],
+)
+def test_server_refuses_a_count_line_it_cannot_trust_and_closes(rng, sent, error):
+    # a count line that is not canonical decimal, is above REQUEST_MAX or
+    # has no newline within LINE_MAX bytes gets one error line at once, and
+    # the server reads no frame byte and closes: the next request's start
+    # cannot be found. It then serves the next client bit for bit.
+    model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    try:
+        with socket.create_connection(server.server_address, timeout=5.0) as sock:
+            sock.sendall(sent)  # nothing after: the server must not wait for more
+            stream = sock.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert error in reply["error"], reply
+            assert stream.read() == b""  # closed
+        with RemoteDenoiser(server.server_address, vocab=model.vocab, timeout=5.0) as remote:
+            wire = remote.predict(state)
+    finally:
+        server.shutdown()
+        server.server_close()
+    local = model.predict(state)
+    assert wire.positions() == local.positions()
+    assert np.array_equal(wire.matrix().view(np.uint64), local.matrix().view(np.uint64))
+
+
+def test_request_lines_are_read_with_a_cap():
+    # 8 MiB without a newline: the reader takes LINE_MAX bytes and stops
+    stream = io.BytesIO(b"7" * (8 << 20))
+    with pytest.raises(ValueError, match=f"request line longer than {LINE_MAX} bytes"):
+        _read_request(stream)
+    assert stream.tell() == LINE_MAX
+    # a count past the cap is refused before any frame byte is read
+    stream = io.BytesIO(b"1000000000000\n" + bytes(64))
+    with pytest.raises(ValueError, match="exceeds"):
+        _read_request(stream)
+    assert stream.tell() == len(b"1000000000000\n")
 
 
 class _WideModel(Denoiser):
@@ -1139,7 +1324,8 @@ class _Cut(bytes):
 
 class _ScriptedHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
+        while line := self.rfile.readline():
+            raw = self.rfile.read(int(line))  # the request frame
             n = self.server.requests
             self.server.requests += 1
             reply = self.server.reply(n, raw)
@@ -1153,7 +1339,8 @@ class _ScriptedHandler(socketserver.StreamRequestHandler):
 
 
 class _ScriptedServer(socketserver.ThreadingTCPServer):
-    """Loopback server whose n-th request (over all connections) gets reply(n, line)."""
+    """Loopback server whose n-th request (over all connections) gets
+    reply(n, frame), `frame` being the request's frame bytes."""
 
     daemon_threads = True
 
@@ -1273,7 +1460,7 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
         (_Cut(b"68"), "closed mid-reply"),
         (_Cut(b"68\n"), "closed mid-reply"),
         (base64.b64encode(_BODY) + b"\n", "not a byte count"),
-        (_Cut(b"1" * (REPLY_LINE_MAX + 1)), f"longer than {REPLY_LINE_MAX} bytes"),
+        (_Cut(b"1" * (LINE_MAX + 1)), f"reply line longer than {LINE_MAX} bytes"),
     ],
     ids=[
         "non_json", "no_logits", "logits_not_string", "logits_bool", "logits_numeric_string",
@@ -1470,8 +1657,10 @@ def test_remote_fault_mid_batch_drops_the_connection(rng, at, line, error, match
     [
         (SeqState.fully_masked(Vocab(4), (1,), 3), ConfigError),
         (SeqState(Vocab(3), 1, (1, 0, 0, 0)), NoMaskedPositions),
+        (SeqState.fully_masked(Vocab(3, mask_id=2**63), (1,), 3), ConfigError),
+        (SeqState.fully_masked(Vocab(3), (1,), 3, step=2**63), ConfigError),
     ],
-    ids=["wrong_vocab", "fully_revealed"],
+    ids=["wrong_vocab", "fully_revealed", "mask_id_past_int64", "step_past_int64"],
 )
 def test_remote_predict_many_checks_every_state_before_writing(rng, bad, error):
     model = TabularModel(Vocab(3), random_joint(rng, 3, 3))

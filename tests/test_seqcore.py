@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,13 +49,21 @@ def test_state_validation_errors():
     with pytest.raises(ConfigError):
         SeqState(v, 0, (9, 3))  # revealed token outside vocab
     # the tokens are the only record of the mask, on the wire too: a request
-    # line carries no flags, and a state's flags are read off its tokens
-    s = decode_request(b"0 0 3 0\n", v)
+    # frame carries no flags, and a state's flags are read off its tokens
+    s = decode_request(struct.pack("<4q", 0, 0, 3, 0), v)
     assert s.masked == (True, False) and state_to_json(s)["masked"] == [True, False]
     with pytest.raises(ConfigError, match="revealed token 4 at 0 outside vocab"):
-        decode_request(b"0 0 4 0\n", v)  # neither content nor the mask id
+        decode_request(struct.pack("<4q", 0, 0, 4, 0), v)  # neither content nor the mask id
     with pytest.raises(ConfigError, match="prompt position 0 cannot be masked"):
-        decode_request(b"1 0 3 0\n", v)
+        decode_request(struct.pack("<4q", 1, 0, 3, 0), v)
+    # the first fault in token order is the one named
+    with pytest.raises(ConfigError, match="prompt position 0 cannot be masked"):
+        SeqState(v, 1, (3, 9))
+    with pytest.raises(ConfigError, match="revealed token -2 at 0 outside vocab"):
+        SeqState(v, 2, (-2, 3, 3))
+    for tokens in ((0, math.nan, 3), (math.nan, 0, 3), (1, 0, math.nan, 2, 3)):
+        with pytest.raises(ConfigError, match=f"revealed token nan at {tokens.index(math.nan)}"):
+            SeqState(v, 0, tokens)
 
 
 def test_apply_action_reveals_and_advances_step():
@@ -104,11 +115,11 @@ def test_serialization_round_trip():
         "masked": [False, False, False, True, False],
         "step": 2,
     }
-    line = encode_request(s)
-    assert line == b"2 2 0 5 4 9 1\n"
-    back = decode_request(line, v)
+    request = encode_request(s)
+    assert request == b"56\n" + struct.pack("<7q", 2, 2, 0, 5, 4, 9, 1)
+    back = decode_request(request[3:], v)
     assert back == s and back.masked_index == (3,)
-    assert encode_request(back) == line
+    assert encode_request(back) == request
 
 
 @st.composite
@@ -176,13 +187,13 @@ def test_property_checked_reveals_give_valid_states(case, data):
         assert cur == full and hash(cur) == hash(full)
         mask_id = cur.vocab.mask_id
         assert cur.masked_index == tuple(i for i, t in enumerate(cur.tokens) if t == mask_id)
-        back = decode_request(encode_request(cur), cur.vocab)
+        back = decode_request(encode_request(cur).split(b"\n", 1)[1], cur.vocab)
         assert back == cur and back.masked_index == cur.masked_index
         bad = cur.vocab.size + 1  # neither content nor the default mask id
         for i in range(len(cur.tokens)):
             tokens = list(cur.tokens)
             tokens[i] = bad
-            wire = " ".join(map(str, (cur.prompt_len, cur.step, *tokens))).encode()
+            wire = struct.pack(f"<{2 + len(tokens)}q", cur.prompt_len, cur.step, *tokens)
             with pytest.raises(ConfigError, match=f"revealed token {bad} at {i} outside vocab$"):
                 decode_request(wire, cur.vocab)
     vocab = cur.vocab
