@@ -19,19 +19,20 @@ Three toy families with known structure:
   copies rows from one table of logit rows, one per context, built when
   the model is.
 
-A prediction is checked once, where it enters medal. Rows from outside (a
-user's model, the remote wire) go through DenoiserOutput.from_matrix and
-all of its checks. The three models above check their tables when they
-are built (the n-gram model checks its finished logit rows), so their
-predictions are finite by construction and skip the checks.
+A prediction is checked once, where it enters medal. A user's model's rows
+go through DenoiserOutput.from_matrix and all of its checks; a remote
+reply goes through decode_reply, which checks it against the request it
+answers. The three models above check their tables when they are built
+(the n-gram model checks its finished logit rows), so their predictions
+are finite by construction and skip the checks.
 
 RemoteDenoiser lets an external process stand in for the model over a
 socket. A request and a reply are each framed alike: a line holding a byte
 count, followed by that many raw bytes of one little-endian binary frame
 (a request's prompt length, step and tokens as int64; a reply's positions
 and float64 logits). predict_many pipelines a batch of requests in one
-write, and the client checks each reply against the state it asked about
-in one pass. serve_denoiser exposes any local model over the same wire
+write. A call returns the exact answer to its request or raises and drops
+the connection. serve_denoiser exposes any local model over the same wire
 format.
 """
 
@@ -41,6 +42,7 @@ import contextlib
 import json
 import math
 import re
+import reprlib
 import socket
 import socketserver
 import struct
@@ -87,13 +89,14 @@ class DenoiserOutput:
     row i of matrix() is the logit vector of the i-th position over the
     content tokens (the mask token gets no logit), so the matrix has shape
     (P, V). A prediction is checked once, where it enters medal:
-    from_matrix(positions, matrix) is the constructor for rows from
-    outside (a user's model, the remote wire), and it validates the whole
-    matrix: 2-d with one row per position, and every entry finite. The
-    in-repo models build their outputs from rows they checked when they
-    were built (a model's tables), through _of_rows, a private builder
-    that checks nothing and that from_matrix also ends in. The stored
-    arrays are read-only; matrix() without arguments returns them without
+    from_matrix(positions, matrix) is the constructor for a user's model's
+    rows, and it validates the whole matrix: 2-d with one row per
+    position, and every entry finite (a remote reply is checked by
+    decode_reply against the request it answers). The in-repo models build
+    their outputs from rows they checked when they were built (a model's
+    tables), through _of_rows, a private builder that checks nothing and
+    that from_matrix and decode_reply also end in. The stored arrays are
+    read-only; matrix() without arguments returns them without
     copying. probs() is the row softmax of the matrix, computed on its
     first call and kept, so scoring and entropies over one prediction
     share one softmax; stacked_probs() computes it for several outputs in
@@ -905,15 +908,18 @@ class CountingDenoiser(Denoiser):
 # request = int64 prompt_len | int64 step | T x int64 tokens, so n = 16 + 8T;
 #           a masked position carries the vocab's mask id
 # reply   = uint32 P | P x int64 positions | P x V float64 logits (row-major),
-#           so V = (n - 4 - 8P) / (8P); or the JSON error frame
-#           {"error": "..."}, a line starting with "{", which a count never does
+#           the request's P masked positions, so n = 4 + 8P(1 + V); or the
+#           JSON error frame {"error": "..."}, a line starting with "{",
+#           which a count never does
 # A client may write several requests before it reads; the server answers
 # them in order, one reply per request frame. A request frame the server
 # reads whole but refuses gets an error frame, and the connection stays; a
 # request count line it refuses (not canonical, above REQUEST_MAX, longer
 # than LINE_MAX) gets one error frame and the connection closes, since the
-# next request's start cannot be found. Both ends set TCP_NODELAY, or
-# pipelined small writes stall on Nagle's algorithm and delayed ACKs.
+# next request's start cannot be found. The client drops its connection
+# after any reply that is not the exact answer to its request, error frames
+# included. Both ends set TCP_NODELAY, or pipelined small writes stall on
+# Nagle's algorithm and delayed ACKs.
 
 _COUNT = re.compile(rb"[1-9][0-9]*\n")
 # the longest line either end reads (a count or an error frame), so a line
@@ -959,16 +965,14 @@ def _int64_fault(state: SeqState) -> str:
 
 def decode_request(frame: bytes, vocab: Vocab) -> SeqState:
     """The state a request frame (the bytes after its count line) describes
-    over `vocab`. ConfigError unless the frame is 16 + 8T bytes, the step is
-    >= 0 and SeqState accepts the state."""
+    over `vocab`. ConfigError unless the frame is 16 + 8T bytes and
+    SeqState accepts the state."""
     if len(frame) < 16 or len(frame) % 8:
         raise ConfigError(
             f"request frame of {len(frame)} bytes is not 8 * (2 + T) bytes"
             " (prompt_len, step, T tokens)"
         )
     prompt_len, step, *tokens = struct.unpack(f"<{len(frame) // 8}q", frame)
-    if step < 0:
-        raise ConfigError(f"request step must be >= 0, got {step}")
     return SeqState(vocab, prompt_len, tuple(tokens), step)
 
 
@@ -1019,47 +1023,23 @@ def encode_reply(out: DenoiserOutput) -> bytes:
     ))
 
 
-def decode_reply(frame: bytes) -> DenoiserOutput:
-    """The prediction a reply's frame holds (the bytes after its count
-    line). ValueError unless the frame has P >= 1 strictly ascending
-    positions and 4 + 8P + 8PW bytes for a whole W >= 1; NonFiniteLogits
-    for a NaN or infinite logit."""
-    if len(frame) < 4:
-        raise ValueError(f"reply frame of {len(frame)} bytes has no 4-byte header")
-    rows = int.from_bytes(frame[:4], "little")
-    if not rows:
-        raise ValueError("reply frame lists no positions")
-    logit_bytes = len(frame) - 4 - 8 * rows
-    if logit_bytes <= 0 or logit_bytes % (8 * rows):
-        raise ValueError(
-            f"reply frame of {len(frame)} bytes is not 4 + 8*{rows} positions"
-            f" + {rows} whole float64 rows"
-        )
-    positions = np.frombuffer(frame, "<i8", rows, 4)
-    matrix = np.frombuffer(frame, "<f8", offset=4 + 8 * rows).reshape(rows, -1)
-    try:
-        return DenoiserOutput.from_matrix(positions, matrix)
-    except ConfigError:  # the shapes fit, so the positions are out of order
-        raise ValueError(
-            f"reply positions must be strictly ascending, got {positions.tolist()}"
-        ) from None
-
-
-def _decode_reply_for(frame: bytes, masked: tuple[int, ...], vocab_size: int) -> DenoiserOutput:
-    """The prediction a reply's frame holds for a state whose masked_index
-    is `masked`, over `vocab_size` content tokens, checked in one pass: the
-    frame is exactly 4 + 8P(1 + V) bytes, its header is P = len(masked), its
-    positions are `masked`, and every logit is finite (NonFiniteLogits, by
-    the check from_matrix runs). The output keeps `masked`, so check_cover
-    against it is one identity test. A frame that fails the pass goes
-    through decode_reply and check_cover, which raise for it what they
-    raise for any reply that does not cover `masked` with V-wide rows."""
+def decode_reply(frame: bytes, masked: tuple[int, ...], vocab_size: int) -> DenoiserOutput:
+    """The prediction a reply's frame (the bytes after its count line)
+    holds for a state whose masked_index is `masked`, over `vocab_size`
+    content tokens, checked in one pass. ValueError, naming the frame the
+    request asks for, unless the frame is exactly 4 + 8P(1 + V) bytes, its
+    header is P = len(masked) and its positions are `masked`;
+    NonFiniteLogits for a NaN or infinite logit. The output keeps
+    `masked`, so check_cover against it is one identity test."""
     p = len(masked)
     head = struct.pack(f"<I{p}q", p, *masked)
-    if len(frame) != len(head) + 8 * p * vocab_size or not frame.startswith(head):
-        out = decode_reply(frame)
-        out.check_cover(masked, vocab_size)
-        return out
+    size = len(head) + 8 * p * vocab_size
+    if len(frame) != size or not frame.startswith(head):
+        raise ValueError(
+            f"reply frame of {len(frame)} bytes does not answer its request: expected"
+            f" {size} bytes, P = {p}, positions {reprlib.repr(list(masked))} and"
+            f" {vocab_size} logits per row"
+        )
     matrix = np.frombuffer(frame, "<f8", offset=len(head)).reshape(p, vocab_size)
     _check_finite(matrix, masked)
     positions = np.frombuffer(frame, "<i8", p, 4)
@@ -1146,24 +1126,24 @@ class RemoteDenoiser(Denoiser):
         """One request/reply exchange; inside predict_many, the read of the
         next reply, whose request is already checked and written.
 
-        Socket errors, timeouts, a closed connection, a reply cut off before
-        its count line's newline or its frame's last byte, a line longer
-        than LINE_MAX, a count that is not canonical decimal or is above
-        the largest frame the state admits (4 + 8T(1 + V) bytes for T
-        tokens over V content tokens; such a frame is never read), a frame
-        decode_reply refuses and a "{" line that is not a JSON object with
-        an "error" key (an older server's JSON reply) raise RemoteError and
-        drop the connection; a server error frame raises ConfigError and
-        keeps it. A reply must cover exactly the state's masked positions
-        with vocab-wide rows (MissingPosition, LogitWidthMismatch) of finite
-        logits (NonFiniteLogits); each is read whole, so these keep the
-        connection too.
+        The reply must be the exact answer to the request: a count line of
+        exactly 4 + 8P(1 + V) bytes for the state's P masked positions over
+        V content tokens (a larger count is refused before any frame byte
+        is read), then a frame decode_reply accepts. Every failure after
+        the request is written drops the connection, so no stale reply is
+        ever read and the next call reconnects. Socket errors, timeouts, a
+        closed connection, a line longer than LINE_MAX, a count that is not
+        canonical decimal or is above that size, a frame decode_reply
+        refuses and a "{" line that is not a JSON object with an "error"
+        key raise RemoteError; a server error frame raises ConfigError, and
+        a NaN or infinite logit NonFiniteLogits.
         """
         with self._lock:
             if self._pending:
                 self._pending -= 1
             else:
                 self._send(self._requests([state]))
+            masked, v = state.masked_index, self.vocab.size
             try:
                 line = _read_line(self._fh, "reply")
                 if not line:
@@ -1172,25 +1152,21 @@ class RemoteDenoiser(Denoiser):
                     obj = json.loads(line)
                     if not isinstance(obj, dict) or "error" not in obj:
                         raise ValueError(f"reply {line[:60]!r} is JSON but not an error frame")
-                    out = None
-                else:
-                    limit = 4 + 8 * len(state.tokens) * (1 + self.vocab.size)
-                    frame = _read_frame(self._fh, line, limit, "reply")
-                    out = _decode_reply_for(frame, state.masked_index, self.vocab.size)
+                    raise ConfigError(f"remote denoiser error: {obj['error']}")
+                frame = _read_frame(self._fh, line, 4 + 8 * len(masked) * (1 + v), "reply")
+                return decode_reply(frame, masked, v)
             except (OSError, EOFError, ValueError) as exc:
                 raise self._error(exc) from exc
-        if out is None:
-            raise ConfigError(f"remote denoiser error: {obj['error']}")
-        return out
+            except BaseException:
+                self._drop()
+                raise
 
     def predict_many(self, states: Sequence[SeqState]) -> list[DenoiserOutput]:
         """Pipelined predict(): every state is checked and encoded, then all
         requests go out in one write, then predict() reads each reply in
-        order.
-
-        Any error in the batch drops the connection, so no reply of it is
-        left unread for the next call; a bad state raises before anything
-        is written.
+        order. A bad state raises before anything is written; any failure
+        of predict() drops the connection, so no reply of the batch is left
+        unread for the next call.
         """
         if not states:
             return []
@@ -1198,11 +1174,7 @@ class RemoteDenoiser(Denoiser):
         with self._lock:
             self._send(requests)
             self._pending = len(states)
-            try:
-                return [self.predict(state) for state in states]
-            except BaseException:
-                self._drop()
-                raise
+            return [self.predict(state) for state in states]
 
     def close(self) -> None:
         with self._lock:

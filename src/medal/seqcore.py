@@ -6,10 +6,10 @@ are either revealed or masked. All engine layers operate on these values;
 mutation always goes through apply_action / apply_many, which return new
 states. Constructing a SeqState (directly, via fully_masked or from a
 remote request frame) validates the whole sequence, in passes that run at
-C speed (one comprehension for the mask index, one set of the revealed
-tokens and its sum, min and max); a token-by-token loop runs only to name
-the first fault. apply_many checks only its actions, since a valid state
-stays valid under checked reveals.
+C speed (one set of the tokens' types, one comprehension for the mask
+index, one set of the revealed tokens and its min and max); a
+token-by-token loop runs only to name the first fault. apply_many checks
+only its actions, since a valid state stays valid under checked reveals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, PositionNotMasked, TokenIsMask
+
+
+def _is_int_type(kind: type) -> bool:
+    """True for Python's and numpy's integer types; bool is not one."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,10 @@ class Vocab:
     mask_id: int = -1
 
     def __post_init__(self) -> None:
+        if not (_is_int_type(type(self.size)) and _is_int_type(type(self.mask_id))):
+            raise ConfigError(
+                f"vocab size and mask_id must be integers, got {self.size!r} and {self.mask_id!r}"
+            )
         if self.size < 2:
             raise ConfigError(f"vocab size must be >= 2, got {self.size}")
         if self.mask_id == -1:
@@ -63,6 +74,16 @@ class SeqState:
     masked_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        kinds = {type(self.prompt_len), type(self.step), *map(type, self.tokens)}
+        if kinds != {int} and not all(map(_is_int_type, kinds)):
+            for name in ("prompt_len", "step"):  # name the first fault
+                value = getattr(self, name)
+                if not _is_int_type(type(value)):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+            i, tok = next((i, t) for i, t in enumerate(self.tokens) if not _is_int_type(type(t)))
+            raise ConfigError(f"revealed token {tok!r} at {i} is not an integer")
+        if self.step < 0:
+            raise ConfigError(f"step must be >= 0, got {self.step}")
         if not 0 <= self.prompt_len <= len(self.tokens):
             raise ConfigError(f"prompt_len {self.prompt_len} out of range")
         if self.gen_length < 1:
@@ -71,13 +92,8 @@ class SeqState:
         index = tuple([i for i, tok in enumerate(self.tokens) if tok == mask_id])
         revealed = set(self.tokens)
         revealed.discard(mask_id)
-        # min and max can pass over a NaN token, which compares false both
-        # ways; it makes the sum NaN, which is not equal to itself
-        total = sum(revealed)
         if (index and index[0] < self.prompt_len) or not (
-            total == total
-            and 0 <= min(revealed, default=0)
-            and max(revealed, default=0) < self.vocab.size
+            0 <= min(revealed, default=0) and max(revealed, default=0) < self.vocab.size
         ):
             for i, tok in enumerate(self.tokens):  # name the first fault
                 if tok == mask_id:

@@ -132,6 +132,30 @@ def test_remote_model_commands_match_in_process_and_close_their_socket(tmp_path)
         server.server_close()
 
 
+def test_remote_vocab_mismatch_is_one_error_line(capsys):
+    # a client told 11 content tokens (mask 12) expects 4 + 8*256*(1 + 11)
+    # = 24580-byte replies from the served vocab-12 model, which sends
+    # 4 + 8*256*(1 + 12) = 26628 bytes: the count is refused before its frame
+    # is read, and the CLI prints one error line naming it
+    corpus = resources.files("medal.data") / "toy_corpus.txt"
+    server = serve_denoiser(load_model(f"ngram:{corpus}"))
+    server.serve_in_thread()
+    host, port = server.server_address
+    try:
+        code = main([
+            "decode", "--model", f"remote:{host}:{port}", "--vocab-size", "11", "--mask-id", "12",
+            "--prompt", "0,1",
+        ])
+    finally:
+        server.shutdown()
+        server.server_close()
+    err = capsys.readouterr().err
+    assert code == 2 and err == (
+        f"error: remote denoiser {host}:{port}: ValueError: reply count 26628 exceeds 24580,"
+        " the largest reply frame allowed\n"
+    )
+
+
 def test_decode_baseline_flag(tmp_path, trap_file, small_cfg_file):
     out = tmp_path / "g.jsonl"
     code = main([

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import socket
 import socketserver
 import struct
@@ -16,6 +17,7 @@ import time
 from dataclasses import replace
 from importlib import resources
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,6 @@ from medal.errors import (
     ConfigError,
     EmptyCorpus,
     LogitWidthMismatch,
-    MedalError,
     MissingPosition,
     NoMaskedPositions,
     NonFiniteLogits,
@@ -928,7 +929,7 @@ def test_in_repo_models_never_call_from_matrix(monkeypatch, rng):
     # the logit check is the wire's and user models' alone: a decode with
     # search on each in-repo model and the theory verifiers make no call to
     # the checked constructor or its finiteness check, and a remote decode
-    # runs that check once per reply, in its one-pass reply check
+    # runs that check once per reply, in decode_reply
     calls, finite = [], []
     checked = DenoiserOutput.from_matrix
     counting = classmethod(lambda cls, *args: calls.append(1) or checked(*args))
@@ -1122,64 +1123,80 @@ def test_property_reply_round_trip_is_bit_exact(rows, width, seed):
     assert reply == _frame(positions, matrix)  # the documented layout
     count, frame = reply.split(b"\n", 1)
     assert count == str(len(frame)).encode()
-    back = decode_reply(frame)
+    back = decode_reply(frame, tuple(positions.tolist()), width)
     assert back.positions() == positions.tolist()
     assert np.array_equal(back.matrix().view(np.uint64), matrix.view(np.uint64))
 
 
 @st.composite
 def reply_cases(draw):
-    """(frame, masked, vocab size): a reply frame built by hand for a state
-    whose masked_index is `masked`, well formed or spoilt one way."""
+    """(frame, masked, vocab size, how): the encode_reply frame of a reply
+    for a state whose masked_index is `masked`, intact or spoilt one way."""
     v = draw(st.integers(min_value=2, max_value=6))
     masked = tuple(sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6))))
-    positions, width = list(masked), v
+    positions, width = masked, v
     how = draw(st.sampled_from([
         "valid", "flip_header", "flip_positions", "flip_logits", "truncate", "extend",
-        "nan", "inf", "width", "missing_row", "extra_row",
+        "nan", "inf", "width", "other_positions", "missing_row", "extra_row",
     ]))
     if how == "width":
         width = draw(st.sampled_from([1, v - 1, v + 1, 2 * v]))
+    elif how == "other_positions":
+        others = st.sets(st.integers(0, 40), min_size=len(masked), max_size=len(masked))
+        positions = tuple(sorted(draw(others.filter(lambda s: tuple(sorted(s)) != masked))))
     elif how == "missing_row":
-        positions.pop(draw(st.integers(0, len(positions) - 1)))
+        at = draw(st.integers(0, len(masked) - 1))
+        positions = masked[:at] + masked[at + 1:]
     elif how == "extra_row":
-        extra = draw(st.integers(-3, 45).filter(lambda p: p not in masked))
-        positions = sorted([*positions, extra]) if draw(st.booleans()) else [*positions, extra]
+        positions = tuple(sorted({*masked, draw(st.integers(-3, 45).filter(lambda p: p not in masked))}))
     seed = draw(st.integers(0, 2**32 - 1))
     matrix = np.random.default_rng(seed).normal(scale=5.0, size=(len(positions), width))
-    if how in ("nan", "inf") and matrix.size:
-        value = np.nan if how == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
-        matrix.flat[draw(st.integers(0, matrix.size - 1))] = value
-    frame = bytearray(_body(positions, matrix))
+    frame = bytearray(encode_reply(DenoiserOutput.from_matrix(positions, matrix)).split(b"\n", 1)[1])
+    head = 4 + 8 * len(positions)
     start, stop = {
-        "flip_header": (0, 4), "flip_positions": (4, 4 + 8 * len(positions)),
-        "flip_logits": (4 + 8 * len(positions), len(frame)),
+        "flip_header": (0, 4), "flip_positions": (4, head), "flip_logits": (head, len(frame)),
     }.get(how, (0, 0))
     if stop > start:
         frame[draw(st.integers(start, stop - 1))] ^= draw(st.integers(1, 255))
-    if how == "truncate":
+    if how in ("nan", "inf"):
+        value = np.nan if how == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        at = head + 8 * draw(st.integers(0, matrix.size - 1))
+        frame[at:at + 8] = struct.pack("<d", value)
+    elif how == "truncate":
         frame = frame[: draw(st.integers(0, len(frame) - 1))]
     elif how == "extend":
         frame += draw(st.binary(min_size=1, max_size=40))
-    return bytes(frame), masked, v
+    return bytes(frame), masked, v, how
 
 
 @settings(max_examples=400, deadline=None)
 @given(reply_cases())
-def test_property_one_pass_reply_check_matches_decode_reply_and_check_cover(case):
-    # the client's one-pass check of a reply against the state it asked
-    # about gives what decode_reply and check_cover gave (oracles keeps
-    # them): the same output bits, or the same error class and message
-    frame, masked, v = case
-    want = oracles.ref_reply_for(frame, masked, v)
-    try:
-        out = denoisers._decode_reply_for(frame, masked, v)
-    except (ValueError, MedalError) as exc:
-        assert (type(exc).__name__, str(exc)) == want
+def test_property_decode_reply_accepts_exactly_the_answer_to_its_request(case):
+    # an intact frame decodes bit for bit, and so does one whose logit bits
+    # changed while staying finite; a frame of any other size, header or
+    # positions raises ValueError, and a NaN or infinite logit
+    # NonFiniteLogits naming the first such row's position
+    frame, masked, v, how = case
+    size = 4 + 8 * len(masked) * (1 + v)
+    if how not in ("valid", "flip_logits", "nan", "inf"):
+        with pytest.raises(ValueError, match=(
+            f"reply frame of {len(frame)} bytes does not answer its request: expected {size}"
+            f" bytes, P = {len(masked)}, positions {re.escape(str(list(masked)))} and {v}"
+            " logits per row"
+        )):
+            decode_reply(frame, masked, v)
         return
-    assert want[0] == "ok", want
-    assert out.positions() == want[1] == list(masked)
-    assert out.matrix().view(np.uint64).tolist() == want[2]
+    logits = np.frombuffer(frame, "<f8", offset=4 + 8 * len(masked)).reshape(len(masked), v)
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        bad = masked[int(np.argmin(finite))]
+        with pytest.raises(NonFiniteLogits, match=f"non-finite logits at position {bad}$"):
+            decode_reply(frame, masked, v)
+        return
+    assert how in ("valid", "flip_logits")
+    out = decode_reply(frame, masked, v)
+    assert out.positions() == list(masked)
+    assert out.matrix().tobytes() == logits.tobytes()
     assert out.matrix().dtype == np.float64 and out._positions.dtype == np.int64
     assert not out.matrix().flags.writeable and not out._positions.flags.writeable
     assert out._index is masked  # kept: check_cover against it is one identity test
@@ -1199,13 +1216,14 @@ def test_remote_round_trip_and_error_frames(rng):
             assert wire.positions() == local.positions()
             assert np.array_equal(wire.matrix(), local.matrix())
             # wrong generation length makes the server answer with an error
-            # frame on the same connection, which surfaces as ConfigError
+            # frame, which surfaces as ConfigError and drops the connection
             bad = SeqState.fully_masked(model.vocab, (), 5)
             with pytest.raises(ConfigError, match="remote denoiser error"):
                 remote.predict(bad)
-            # connection still usable afterwards
-            again = remote.predict(state)
-            assert np.array_equal(again.matrix(), local.matrix())
+            assert remote._sock is None
+            again = remote.predict(state)  # reconnects
+            assert again.positions() == local.positions()
+            assert np.array_equal(again.matrix().view(np.uint64), local.matrix().view(np.uint64))
         # a frame of a part of an int64, a masked prompt slot and a negative
         # step are each answered with an error frame, not read as another
         # state, and the same connection then serves a valid one
@@ -1226,7 +1244,7 @@ def test_remote_round_trip_and_error_frames(rng):
             error = json.loads(stream.readline())
             assert error == {"error": "ConfigError: prompt position 0 cannot be masked"}
             error = json.loads(stream.readline())
-            assert error == {"error": "ConfigError: request step must be >= 0, got -1"}
+            assert error == {"error": "ConfigError: step must be >= 0, got -1"}
             positions, matrix = _read_frame(stream)
             assert positions == [1, 2]
             assert np.array_equal(matrix, local.matrix())
@@ -1290,32 +1308,6 @@ def test_request_lines_are_read_with_a_cap():
     with pytest.raises(ValueError, match="exceeds"):
         _read_request(stream)
     assert stream.tell() == len(b"1000000000000\n")
-
-
-class _WideModel(Denoiser):
-    """Faulty model: one logit more than its vocab has content tokens."""
-
-    def __init__(self, vocab):
-        self.vocab = vocab
-
-    def predict(self, state):
-        pos = self._check_state(state)
-        return DenoiserOutput.from_matrix(pos, np.zeros((len(pos), self.vocab.size + 1)))
-
-
-def test_remote_rejects_wrong_logit_width():
-    vocab = Vocab(3)
-    server = serve_denoiser(_WideModel(vocab), port=0)
-    server.serve_in_thread()
-    host, port = server.server_address
-    try:
-        with RemoteDenoiser(f"{host}:{port}", vocab=vocab) as remote:
-            state = SeqState.fully_masked(vocab, (1,), 2)
-            with pytest.raises(LogitWidthMismatch, match="width 4"):
-                remote.predict(state)
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 class _Cut(bytes):
@@ -1412,10 +1404,35 @@ def test_remote_timeout_drops_the_connection_and_recovers(rng):
             assert np.array_equal(again.matrix(), model.predict(state).matrix())
 
 
+def test_remote_rejects_wrong_logit_width(rng):
+    # for a state with masked positions [1, 2] over 3 content tokens the
+    # reply is exactly 4 + 8*2*(1 + 3) = 68 bytes: a wider reply's count is
+    # refused before its frame is read, a narrower frame once it is read;
+    # either drops the connection, and the next call reconnects
+    model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+    local = model.predict(state)
+    for width, match in ((4, "reply count 84 exceeds 68"), (2, "reply frame of 52 bytes")):
+        rows = np.zeros((2, width))
+        with _scripted(lambda n, raw: _frame([1, 2], rows) if n == 0 else _logits_line(model, raw)) as address:
+            with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+                with pytest.raises(RemoteError, match=match):
+                    remote.predict(state)
+                assert remote._sock is None
+                again = remote.predict(state)
+        assert again.positions() == local.positions()
+        assert np.array_equal(again.matrix().view(np.uint64), local.matrix().view(np.uint64))
+
+
 _BODY = _body([1, 2], np.zeros((2, 3)))  # the frame of a well-formed reply to the state below
 _ROWS = _raw_frame(_BODY)
 _JSON_ROWS = _json_frame([1, 2], np.zeros((2, 3)))  # the same reply on the JSON wire
 _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
+# what decode_reply says of any frame other than the reply to that state
+_WRONG = (
+    r"does not answer its request: expected 68 bytes, P = 2, positions \[1, 2\] and 3 logits"
+    " per row"
+)
 
 
 @pytest.mark.parametrize(
@@ -1427,14 +1444,14 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
         (b'{"positions": [1, 2], "logits": true}\n', "not an error frame"),
         (b"0.5\n", "not a byte count"),
         ("\u0661\u0662\n".encode(), "not a byte count"),  # ARABIC-INDIC DIGITS ONE TWO
-        (_frame([1, 2], np.zeros(5)), r"60 bytes is not 4 \+ 8\*2 positions \+ 2 whole"),
-        (_raw_frame(_HEADER + bytes(20)), r"40 bytes is not 4 \+ 8\*2 positions"),
-        (_raw_frame(_HEADER), r"20 bytes is not 4 \+ 8\*2 positions"),
+        (_frame([1, 2], np.zeros(5)), f"frame of 60 bytes {_WRONG}"),
+        (_raw_frame(_HEADER + bytes(20)), f"frame of 40 bytes {_WRONG}"),
+        (_raw_frame(_HEADER), f"frame of 20 bytes {_WRONG}"),
         (_JSON_ROWS.replace(b"[1, 2]", b"[true, 2]"), "not an error frame"),
         (_JSON_ROWS.replace(b"[1, 2]", b"[1.0, 2]"), "not an error frame"),
         (_JSON_ROWS.replace(b"[1, 2]", b'["1", "2"]'), "not an error frame"),
         (_JSON_ROWS.replace(b"[1, 2]", b"1"), "not an error frame"),
-        (_frame([], np.zeros((0, 3))), "lists no positions"),
+        (_frame([], np.zeros((0, 3))), f"frame of 4 bytes {_WRONG}"),
         (_JSON_ROWS.replace(b"[1, 2]", b"[1, 36893488147419103232]"), "not an error frame"),
         (b'{"logits": {"1": [0.0, 1.0, 2.0], "2": [2.0, 1.0, 0.0]}}\n', "not an error frame"),
         (None, "closed without a reply"),
@@ -1442,20 +1459,21 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
         (b'["error"]\n', "not a byte count"),
         (b"{error}\n", "JSONDecodeError"),
         (b'{"error": "x"} trailing\n', "JSONDecodeError"),
-        (_raw_frame(bytes(3)), "3 bytes has no 4-byte header"),
+        (_raw_frame(bytes(3)), f"frame of 3 bytes {_WRONG}"),
         (_raw_frame((2**32 - 1).to_bytes(4, "little") + _HEADER[4:] + bytes(48)),
-         r"is not 4 \+ 8\*4294967295 positions"),
-        (_raw_frame(_HEADER[:12]), r"12 bytes is not 4 \+ 8\*2 positions"),
+         f"frame of 68 bytes {_WRONG}"),
+        (_raw_frame(_HEADER[:12]), f"frame of 12 bytes {_WRONG}"),
         (_raw_frame(_BODY, b"+68\n"), "not a byte count"),
         (_raw_frame(_BODY, b"068\n"), "not a byte count"),
         (_raw_frame(_BODY, b" 68\n"), "not a byte count"),
         (_raw_frame(_BODY, b"68\r\n"), "not a byte count"),
         (_Cut(_ROWS[:-1]), "closed mid-reply"),
         (b"\n" + _BODY, "not a byte count"),
-        # the bound is 4 + 8*3*(1 + 3) = 100 bytes; the server sends no
-        # frame, so reading one would wait for the 5 s timeout
-        (b"99999999999999999999\n", "count 99999999999999999999 exceeds 100, the largest"),
-        (b"101\n", "count 101 exceeds 100, the largest"),
+        # the bound is the reply's exact size, 4 + 8*2*(1 + 3) = 68 bytes;
+        # the server sends no frame, so reading one would wait for the 5 s
+        # timeout
+        (b"99999999999999999999\n", "count 99999999999999999999 exceeds 68, the largest"),
+        (b"69\n", "count 69 exceeds 68, the largest"),
         (_Cut(_ROWS[:20]), "closed mid-reply"),
         (_Cut(b"68"), "closed mid-reply"),
         (_Cut(b"68\n"), "closed mid-reply"),
@@ -1477,7 +1495,8 @@ _HEADER = (2).to_bytes(4, "little") + np.array([1, 2], dtype="<i8").tobytes()
 def test_remote_bad_replies_raise_remote_error(line, match):
     # JSON replies of an older server, well-formed or not, are "{" lines
     # without an "error" key; every other reply must be a canonical count
-    # line within the state's bound and then a whole frame of that many bytes
+    # line within the reply's exact size and then a whole frame of that many
+    # bytes, which decode_reply accepts
     vocab = Vocab(3)
     state = SeqState.fully_masked(vocab, (1,), 2)
     with _scripted(lambda n, raw: line) as address:
@@ -1494,12 +1513,16 @@ def test_remote_bad_replies_raise_remote_error(line, match):
 def test_remote_reply_positions_must_be_strictly_ascending(rng, order):
     model = TabularModel(Vocab(3), random_joint(rng, 3, 3))
     state = SeqState.fully_masked(model.vocab, (1,), 3)
-    rows = model.predict(state).matrix()
-    with _scripted(lambda n, raw: _frame(order, rows)) as address:
+    local = model.predict(state)
+    bad = _frame(order, local.matrix())
+    with _scripted(lambda n, raw: bad if n == 0 else _logits_line(model, raw)) as address:
         with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
-            with pytest.raises(RemoteError, match="strictly ascending"):
+            with pytest.raises(RemoteError, match=r"frame of 100 bytes does not answer its request"):
                 remote.predict(state)
             assert remote._sock is None
+            again = remote.predict(state)  # reconnects
+    assert again.positions() == local.positions()
+    assert np.array_equal(again.matrix().view(np.uint64), local.matrix().view(np.uint64))
 
 
 class _FixedModel(Denoiser):
@@ -1569,16 +1592,21 @@ def test_property_served_rows_come_back_bit_for_bit(rows, width, prompt_len, dat
         assert np.array_equal(wire.matrix().view(np.uint64), matrix.view(np.uint64))
 
 
-def test_remote_non_finite_logits_raise_and_keep_the_connection():
-    vocab = Vocab(3)
-    state = SeqState.fully_masked(vocab, (1,), 2)
-    rows = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]])
-    with _scripted(lambda n, raw: _frame([1, 2], rows if n == 0 else np.zeros((2, 3)))) as address:
-        with RemoteDenoiser(address, vocab=vocab, timeout=5.0) as remote:
+def test_remote_non_finite_logits_raise_and_drop_the_connection(rng):
+    model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+    local = model.predict(state)
+    rows = local.matrix().copy()
+    rows[1, 1] = np.nan
+    bad = _frame([1, 2], rows)
+    with _scripted(lambda n, raw: bad if n == 0 else _logits_line(model, raw)) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
             with pytest.raises(NonFiniteLogits, match="position 2"):
                 remote.predict(state)
-            assert remote._sock is not None  # the reply was read whole
-            assert remote.predict(state).positions() == [1, 2]
+            assert remote._sock is None
+            again = remote.predict(state)  # reconnects
+    assert again.positions() == local.positions()
+    assert np.array_equal(again.matrix().view(np.uint64), local.matrix().view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -1586,9 +1614,9 @@ def test_remote_non_finite_logits_raise_and_keep_the_connection():
     [
         (
             lambda pos, rows: ([0, *pos], np.vstack([np.zeros((1, rows.shape[1])), rows])),
-            r"missing positions \[\], extra \[0\]",
+            "reply count 132 exceeds 100, the largest",
         ),
-        (lambda pos, rows: (pos[:-1], rows[:-1]), r"missing positions \[3\], extra \[\]"),
+        (lambda pos, rows: (pos[:-1], rows[:-1]), "frame of 68 bytes does not answer its request"),
     ],
     ids=["extra_revealed_row", "missing_row"],
 )
@@ -1603,13 +1631,67 @@ def test_remote_reply_must_cover_exactly_the_masked_positions(edit, match):
         out = model.predict(state)
         return _frame(*edit(out.positions(), out.matrix()))
 
+    local = model.predict(state)
     with _scripted(reply) as address:
         with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
             assert remote.predict(state).positions() == [1, 2, 3]
-            with pytest.raises(MissingPosition, match=match):
+            with pytest.raises(RemoteError, match=match):
                 remote.predict(state)
-            # the reply was read whole, so the connection stays usable
-            assert remote.predict(state).positions() == [1, 2, 3]
+            assert remote._sock is None
+            again = remote.predict(state)  # reconnects
+    assert again.positions() == local.positions()
+    assert np.array_equal(again.matrix().view(np.uint64), local.matrix().view(np.uint64))
+
+
+def test_remote_error_frame_drops_the_connection_so_no_stale_reply_is_read(rng):
+    # a server out of step with the client (such as one that reads requests
+    # as text lines) answers one request with two error frames; the client
+    # drops its connection after the first, so the second is never read as
+    # the answer to a later request
+    model = TabularModel(Vocab(3), random_joint(rng, 2, 3))
+    state = SeqState.fully_masked(model.vocab, (1,), 2)
+    stale = b'{"error": "ConfigError: request must be decimal ints"}\n'
+    with _scripted(lambda n, raw: stale * 2 if n == 0 else _logits_line(model, raw)) as address:
+        with RemoteDenoiser(address, vocab=model.vocab, timeout=5.0) as remote:
+            with pytest.raises(ConfigError, match="remote denoiser error: ConfigError: request must"):
+                remote.predict(state)
+            assert remote._sock is None
+            wire = [remote.predict(state), *remote.predict_many([state, state])]
+    local = model.predict(state)
+    for out in wire:
+        assert out.positions() == local.positions()
+        assert np.array_equal(out.matrix().view(np.uint64), local.matrix().view(np.uint64))
+
+
+def test_readme_worked_request_is_answered_as_the_readme_says():
+    # the README's worked example, read as the CI's packaged smoke reads it:
+    # the request ints and byte count from its text, framed by hand, go to
+    # serve_denoiser over a raw socket, and its decoding snippet must read
+    # the reply as the in-process prediction, bit for bit
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"\s+", " ", readme)
+    ints = list(map(int, re.search(r"request that holds the ints `([^`]+)`", text).group(1).split(" ")))
+    count = int(re.search(r"so its frame is \d+ × 8 = (\d+) bytes", text).group(1))
+    assert count == 8 * len(ints), (count, ints)
+    snippet = re.search(r"Its reply decodes as\n\n```python\n(.*?)```", readme, re.S).group(1)
+    model = load_model(f"ngram:{resources.files('medal.data') / 'toy_corpus.txt'}")
+    server = serve_denoiser(model, port=0)
+    server.serve_in_thread()
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            with sock.makefile("rwb") as stream:
+                stream.write(b"%d\n" % count + struct.pack(f"<{len(ints)}q", *ints))
+                stream.flush()
+                scope = {"np": np, "stream": stream}
+                exec(snippet, scope)
+    finally:
+        server.shutdown()
+        server.server_close()
+    prompt_len, step, *tokens = ints
+    local = model.predict(SeqState(model.vocab, prompt_len, tuple(tokens), step))
+    assert scope["n"] == int(re.search(r"# (\d+) = ", snippet).group(1))
+    assert scope["positions"].tolist() == local.positions() == [2, 3, 4]
+    assert np.array_equal(scope["logits"].view(np.uint64), local.matrix().view(np.uint64))
 
 
 def _three_states(model):
@@ -1626,8 +1708,9 @@ def _three_states(model):
         (1, b'{"error": "scripted"}\n', ConfigError, "scripted"),
         (2, b"not json\n", RemoteError, "not a byte count"),
         (1, None, RemoteError, "closed"),
+        (1, _frame([2, 3], [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]), NonFiniteLogits, "position 3"),
     ],
-    ids=["error_frame_2nd", "malformed_3rd", "closed_at_2nd"],
+    ids=["error_frame_2nd", "malformed_3rd", "closed_at_2nd", "non_finite_2nd"],
 )
 def test_remote_fault_mid_batch_drops_the_connection(rng, at, line, error, match):
     # the request for states[at] gets `line` (None closes the connection)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,42 @@ def test_state_validation_errors():
     for tokens in ((0, math.nan, 3), (math.nan, 0, 3), (1, 0, math.nan, 2, 3)):
         with pytest.raises(ConfigError, match=f"revealed token nan at {tokens.index(math.nan)}"):
             SeqState(v, 0, tokens)
+
+
+def test_states_and_vocabs_hold_integers_only():
+    # a token, prompt_len or step that is not a Python or numpy integer (a
+    # bool is not one), and a negative step, are refused where the state is
+    # built, not later by the wire or a model's tables
+    v = Vocab(3)
+    for tokens, i, shown in (
+        ((0, 1.5, 3), 1, "1.5"),
+        ((0, 1, 3.0), 2, "3.0"),  # equal to the mask id, still not an integer
+        ((True, 1, 3), 0, "True"),
+        ((0, np.float64(1.0), 3), 1, r"np.float64\(1.0\)|1.0"),
+        ((0, "1", 3), 1, "'1'"),
+        ((0, np.bool_(True), 3), 1, r"np.True_|True"),
+    ):
+        with pytest.raises(ConfigError, match=f"revealed token ({shown}) at {i} is not an integer"):
+            SeqState(v, 0, tokens)
+    for prompt_len in (0.0, True, np.float32(0)):
+        with pytest.raises(ConfigError, match="prompt_len must be an integer"):
+            SeqState(v, prompt_len, (0, 3))
+    for step in (1.5, False, "0"):
+        with pytest.raises(ConfigError, match="step must be an integer"):
+            SeqState(v, 0, (0, 3), step)
+    with pytest.raises(ConfigError, match="step must be >= 0, got -2"):
+        SeqState(v, 0, (0, 1, 3), -2)  # which encode_request would send
+    with pytest.raises(ConfigError, match="step must be >= 0, got -1"):
+        SeqState.fully_masked(v, (0,), 2, step=-1)
+    for size, mask_id in ((2.5, -1), (3.0, -1), (True, -1), (3, 3.5), (3, True), ("3", -1)):
+        with pytest.raises(ConfigError, match="vocab size and mask_id must be integers"):
+            Vocab(size, mask_id)
+    # numpy integers are integers: the state equals the one of Python ints
+    wide = Vocab(np.int64(3), np.int32(7))
+    state = SeqState(wide, np.int64(1), tuple(np.array([0, 7, 2, 7])), np.uint8(2))
+    assert state == SeqState(Vocab(3, 7), 1, (0, 7, 2, 7), 2)
+    assert state.masked_index == (1, 3)
+    assert encode_request(state) == encode_request(SeqState(Vocab(3, 7), 1, (0, 7, 2, 7), 2))
 
 
 def test_apply_action_reveals_and_advances_step():
