@@ -9,7 +9,10 @@ remote request frame) validates the whole sequence, in passes that run at
 C speed (one set of the tokens' types, one comprehension for the mask
 index, one set of the revealed tokens and its min and max); a
 token-by-token loop runs only to name the first fault. apply_many checks
-only its actions, since a valid state stays valid under checked reveals.
+only its actions, since a valid state stays valid under checked reveals,
+then builds the child with _child, which checks nothing. A caller whose
+reveals are valid by construction (a theory row's argmax children) calls
+_child directly.
 """
 
 from __future__ import annotations
@@ -155,16 +158,24 @@ def apply_many(state: SeqState, actions: Iterable[UnmaskAction]) -> SeqState:
             raise PositionNotMasked(f"position {act.position} is not masked")
         if act.token == vocab.mask_id:
             raise TokenIsMask("cannot reveal the mask token")
-        if not vocab.is_content(act.token):
+        if not 0 <= act.token < vocab.size:  # vocab.is_content, without the call
             raise TokenIsMask(f"token {act.token} outside vocab")
         tokens[act.position] = act.token
         del index[i]
+    return _child(state, tuple(tokens), tuple(index))
+
+
+def _child(state: SeqState, tokens: tuple[int, ...], index: tuple[int, ...]) -> SeqState:
+    """The child of `state` with `tokens` and masked index `index`, built
+    without SeqState's checks; step advances by the count of reveals. The
+    caller vouches for the reveals: content tokens at masked positions of
+    `state`, and `index` the parent's masked index minus those positions."""
     child = object.__new__(SeqState)
-    object.__setattr__(child, "vocab", vocab)
+    object.__setattr__(child, "vocab", state.vocab)
     object.__setattr__(child, "prompt_len", state.prompt_len)
-    object.__setattr__(child, "tokens", tuple(tokens))
+    object.__setattr__(child, "tokens", tokens)
     object.__setattr__(child, "step", state.step + len(state.masked_index) - len(index))
-    object.__setattr__(child, "masked_index", tuple(index))
+    object.__setattr__(child, "masked_index", index)
     return child
 
 

@@ -24,11 +24,17 @@ row holds its context's per-position entropies and argmax tokens, computed
 once from the checked prediction, the model's exact-conditional handle
 there (step_joints, asked once per context when dependence is measured;
 it checks the context's mass) and, per step taken there, the step's gap,
-dependence error and argmax child. A one-position step's dependence error
-is zero by definition, so it asks for no joint. So no call predicts a
-context twice or costs a (context, step) pair twice, however many
-schedules, rollouts and expansions pass through it; schedule_costs walks
-the schedule tree depth-first, extending each shared prefix once. A
+dependence error and argmax child, built from the row's masked index and
+argmax tokens without checking them again. A one-position step costs
+nothing more: its gap (H - H) and its dependence error are 0.0 by
+definition, so it asks for no joint and runs no numpy call; a longer
+step's gap is numpy's sum of its entropies minus their max. So no call
+predicts a context twice or costs a (context, step) pair twice, however
+many schedules, rollouts and expansions pass through it; schedule_costs
+walks the schedule tree depth-first, extending each shared prefix once.
+ScheduleCost.extend takes the row, not the table, so an expansion, a
+greedy or random choice and each step of schedule_cost look their
+context's row up once, not once per step considered there. A
 ScheduleCost holds only the context reached, the steps and two running
 totals, J and the summed dependence errors; each step's own values live
 in its row. The totals are added to in step order, so each is the same
@@ -47,9 +53,10 @@ rows are built one at a time. greedy_schedule, random_schedule and
 schedule_cost read one context at a time. A single step's gap and
 dependence error are its one-step schedule_cost.
 
-The counts these functions take (k, step_size, budget, budgets, seed)
-must be integers, Python's or numpy's; anything else, a bool included,
-raises ConfigError naming the argument.
+The counts these functions take (k, step_size, budget, budgets,
+snapshots, seed) and the positions of schedule_cost's steps must be
+integers, Python's or numpy's; anything else, a bool included, raises
+ConfigError naming the argument.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from .errors import (
 )
 from .mcts import SearchNode, StateTable, backpropagate, iterate
 from .reward import masked_entropies
-from .seqcore import SeqState, UnmaskAction, apply_many
+from .seqcore import SeqState, _child
 
 ENUMERATION_CAP = 1_000_000  # most schedules an exhaustive call enumerates
 TOL = 1e-9  # slack the verifiers allow their inequalities
@@ -80,8 +87,13 @@ RANDOM_BASELINES = 5  # random schedules verify_theorem1 compares against
 
 
 def _subset_check(state: SeqState, positions: Sequence[int]) -> tuple[int, ...]:
-    """A step as sorted positions. Raises SubsetNotMasked for an empty step,
-    a repeated position or a position not masked at `state`."""
+    """A step as sorted positions. Raises ConfigError for a position that
+    is not an integer (_is_int: a float or a bool is never read as one),
+    and SubsetNotMasked for an empty step, a repeated position or a
+    position not masked at `state`."""
+    positions = tuple(positions)
+    if not all(map(_is_int, positions)):
+        raise ConfigError(f"step positions must be integers, got {list(positions)!r}")
     subset = tuple(sorted(int(p) for p in positions))
     if not subset:
         raise SubsetNotMasked("subset must be non-empty")
@@ -102,10 +114,11 @@ def _dependence(joint: np.ndarray) -> float:
     with np.errstate(divide="ignore"):
         for axis, other in enumerate(marginal_axes(joint.ndim)):
             shape[axis] = -1
-            log_prod += np.log(joint.sum(axis=other)).reshape(shape)
+            log_prod += np.log(np.add.reduce(joint, axis=other)).reshape(shape)
             shape[axis] = 1
         mask = joint > 0.0
-        kl = float((joint[mask] * (np.log(joint[mask]) - log_prod[mask])).sum())
+        live = joint[mask]
+        kl = float(np.add.reduce(live * (np.log(live) - log_prod[mask])))
     return max(kl, 0.0)
 
 
@@ -121,33 +134,44 @@ class _Step(NamedTuple):
 
 class _Context(NamedTuple):
     """A theory table row: a context, what its checked prediction gives
-    per masked position, computed once (exact entropies, argmax tokens and
-    a map from position to row), the model's step_joints handle there
-    (None when dependence is not measured) and, keyed by step, the outcome
-    of each step taken there."""
+    per masked position, computed once (exact entropies, argmax tokens as
+    Python ints and a map from position to row), the model's step_joints
+    handle there (None when dependence is not measured) and, keyed by
+    step, the outcome of each step taken there."""
 
     seq: SeqState
     ent: np.ndarray
-    tokens: np.ndarray
+    tokens: list[int]
     rows: dict[int, int]
     step_joints: Callable[[tuple[int, ...]], np.ndarray] | None
     steps: dict[tuple[int, ...], _Step]
 
     def step(self, positions: tuple[int, ...]) -> _Step:
         """The outcome of a step (sorted masked positions), worked out the
-        first time the step is taken at this context by indexing the row's
-        entropies and tokens. A one-position step's dependence error is 0.0
-        by definition, so only a longer step asks for its joint."""
+        first time the step is taken at this context. The argmax child is
+        built from the row's masked index and tokens, unchecked: the
+        positions are masked here (the row's masked index or _subset_check)
+        and the tokens are argmaxes over content columns. A one-position
+        step costs nothing more: its gap, H - H, and its dependence error
+        are 0.0 by definition, so it runs no numpy call and asks for no
+        joint. A longer step's gap is numpy's sum of its entropies minus
+        their max, and its dependence error the KL of its joint."""
         memo = self.steps.get(positions)
         if memo is None:
-            idx = [self.rows[p] for p in positions]
-            ent = self.ent[idx]
-            dep = None
-            if self.step_joints is not None:
-                dep = _dependence(self.step_joints(positions)) if len(positions) > 1 else 0.0
-            tokens = self.tokens[idx].tolist()
-            child = apply_many(self.seq, [UnmaskAction(p, t) for p, t in zip(positions, tokens)])
-            memo = self.steps[positions] = _Step(float(ent.sum() - ent.max()), dep, child)
+            seq, rows = self.seq, self.rows
+            tokens = list(seq.tokens)
+            for p in positions:
+                tokens[p] = self.tokens[rows[p]]
+            index = tuple([p for p in seq.masked_index if p not in positions])
+            child = _child(seq, tuple(tokens), index)
+            joints = self.step_joints
+            if len(positions) == 1:
+                gap, dep = 0.0, None if joints is None else 0.0
+            else:
+                ent = self.ent[[rows[p] for p in positions]]
+                gap = float(np.add.reduce(ent) - np.maximum.reduce(ent))
+                dep = None if joints is None else _dependence(joints(positions))
+            memo = self.steps[positions] = _Step(gap, dep, child)
         return memo
 
 
@@ -187,7 +211,7 @@ def _contexts(model, with_dependence: bool = False) -> StateTable:
         live = [s for s, h in zip(states, handles) if not isinstance(h, ZeroMassContext)]
         outputs = model.predict_many(live)
         ents = iter(masked_entropies(live, outputs))
-        tokens = DenoiserOutput.stacked_probs(outputs).argmax(axis=1) if live else None
+        tokens = DenoiserOutput.stacked_probs(outputs).argmax(axis=1).tolist() if live else None
         rows, start = [], 0
         for state, joints in zip(states, handles):
             if isinstance(joints, ZeroMassContext):
@@ -224,11 +248,12 @@ class ScheduleCost(NamedTuple):
     j: float = 0.0
     dep_total: float | None = None
 
-    def extend(self, table: StateTable, step: tuple[int, ...]) -> "ScheduleCost":
+    def extend(self, row: _Context, step: tuple[int, ...]) -> "ScheduleCost":
         """The walk one step longer: the argmax child, with the step's gap
-        and dependence error, read from the table's row at seq, added to
-        the totals."""
-        out = table(self.seq).step(step)
+        and dependence error, read from `row`, the table row of seq, added
+        to the totals. A caller extending a walk by several steps looks the
+        row up once for all of them."""
+        out = row.step(step)
         dep = None if self.dep_total is None else self.dep_total + out.dep
         return ScheduleCost(out.child, self.steps + (step,), self.j + out.gap, dep)
 
@@ -248,7 +273,8 @@ def schedule_cost(
     table = _contexts(model, with_dependence)
     cost = ScheduleCost(root, dep_total=0.0 if with_dependence else None)
     for step in steps:
-        cost = cost.extend(table, _subset_check(cost.seq, step))
+        step = _subset_check(cost.seq, step)  # before the context's model call
+        cost = cost.extend(table(cost.seq), step)
     return cost
 
 
@@ -342,9 +368,10 @@ def _children(table: StateTable, prefix: ScheduleCost, k: int, step_size) -> lis
     """The walk extended by each feasible next step, in lexicographic order.
     Every choice is extended first; then the rows of the children a walk
     extends further (those short of k steps) that the table lacks are read
-    ahead as one batch."""
+    ahead as one batch. The walk's row is looked up once for every choice."""
     steps = _next_step_choices(prefix.seq.masked_index, k - len(prefix.steps), step_size)
-    children = [prefix.extend(table, step) for step in steps]
+    row = table(prefix.seq)
+    children = [prefix.extend(row, step) for step in steps]
     if len(prefix.steps) + 1 < k:
         table.read_ahead([child.seq for child in children])
     return children
@@ -370,8 +397,9 @@ def _walk(table: StateTable, cost: ScheduleCost, k: int, step_size, choose: Call
     choose(row, choices) picks the next step among the feasible ones, given
     the table's row there. The cost has no dependence terms."""
     while len(cost.steps) < k:
+        row = table(cost.seq)
         choices = _next_step_choices(cost.seq.masked_index, k - len(cost.steps), step_size)
-        cost = cost.extend(table, choose(table(cost.seq), choices))
+        cost = cost.extend(row, choose(row, choices))
     return cost
 
 
@@ -425,11 +453,14 @@ def search_schedules(
     tree is complete, every feasible schedule walked. The search stops
     early at a complete tree (mcts.iterate), so the best schedule and every
     later snapshot are what the full budget would give. Raises ConfigError,
-    before any model call, for a budget or seed that is not an integer, a
-    budget below 1 and a negative seed.
+    before any model call, for a budget, a seed or a snapshot that is not an
+    integer, a budget below 1 and a negative seed.
     """
     _check_int("budget", budget)
     _check_int("seed", seed)
+    snapshots = list(snapshots or ())
+    if not all(map(_is_int, snapshots)):
+        raise ConfigError(f"snapshots must be integers, got {snapshots!r}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if seed < 0:
@@ -449,12 +480,11 @@ def search_schedules(
         """Expand a prefix into every feasible next step; a child that
         completes the schedule is terminal, any other is rolled out."""
         rewards = []
-        for prefix in _children(table, node.state, k, step_size):
-            child = SearchNode(
-                prefix,
-                action=prefix.steps[-1],
-                prior=-table(node.state.seq).step(prefix.steps[-1]).gap,
-            )
+        children = _children(table, node.state, k, step_size)
+        row = table(node.state.seq)  # the priors' row, looked up once
+        for prefix in children:
+            step = prefix.steps[-1]
+            child = SearchNode(prefix, action=step, prior=-row.step(step).gap)
             node.children.append(child)
             if len(prefix.steps) == k:
                 child.terminal = True
@@ -470,7 +500,7 @@ def search_schedules(
     js = []  # best J after each iteration, up to a complete tree
     for *_, complete in records:  # budget >= 1, so at least one record
         js.append(best.j)
-    snap = {b: js[min(b, len(js)) - 1] for b in sorted(snapshots or ()) if 0 < b <= budget}
+    snap = {b: js[min(b, len(js)) - 1] for b in sorted(snapshots) if 0 < b <= budget}
     return best, snap, complete
 
 

@@ -7,11 +7,13 @@ here imports from the package under test, so agreement between the two is
 meaningful evidence rather than a tautology.
 
 The numpy section at the end is different in kind: it keeps the row
-kernels, the tabular marginals and the n-gram rows in the form they were
-first written (one allocation per step, the .sum / .max / np.clip
-wrappers, one axis tuple built per marginal, one smoothed row per
-context). The package must equal them bit for bit, since it applies the
-same ufuncs to the same operands in the same order.
+kernels, the tabular marginals, the n-gram rows and a theory row's step
+in the form they were first written (one allocation per step, the .sum /
+.max / np.clip wrappers, one axis tuple built per marginal, one smoothed
+row per context, a numpy gap for every step). The package must equal
+them bit for bit, since it applies the same ufuncs to the same operands
+in the same order, or gives the value they are known to give (+0.0 for
+a one-position step's gap).
 """
 
 from __future__ import annotations
@@ -315,3 +317,38 @@ def ref_ngram_row(counts, ctx, alpha, vocab):
     ctx's order, with zero counts for a context the table lacks."""
     c = np.asarray(counts[len(ctx)].get(ctx, np.zeros(vocab)), dtype=np.float64)
     return np.log((c + alpha) / (c.sum() + alpha * vocab))
+
+
+def ref_dependence(joint):
+    """KL(joint || product of its marginals) as first written: each
+    marginal by .sum over an axis tuple built per axis, joint[mask]
+    gathered twice and the terms summed by .sum, clipped at 0."""
+    log_prod = np.zeros_like(joint)
+    shape = [1] * joint.ndim
+    with np.errstate(divide="ignore"):
+        for axis in range(joint.ndim):
+            other = tuple(a for a in range(joint.ndim) if a != axis)
+            shape[axis] = -1
+            log_prod += np.log(joint.sum(axis=other)).reshape(shape)
+            shape[axis] = 1
+        mask = joint > 0.0
+        kl = float((joint[mask] * (np.log(joint[mask]) - log_prod[mask])).sum())
+    return max(kl, 0.0)
+
+
+def ref_theory_step(tokens, masked, ent, argmax, step, joint):
+    """One step of a theory row as first written, at a context with
+    `tokens` and ascending masked positions `masked`, whose entropies and
+    argmax tokens per masked position are `ent` and `argmax`: the gap as
+    .sum - .max over the step's entropies (one position included), the
+    dependence error (None when `joint`, the step's exact joint, is None;
+    0.0 for one position, else ref_dependence) and the child's tokens,
+    the context's with each step position set to its argmax token."""
+    idx = [masked.index(p) for p in step]
+    e = np.asarray(ent)[idx]
+    gap = float(e.sum() - e.max())
+    dep = None if joint is None else (ref_dependence(joint) if len(step) > 1 else 0.0)
+    child = list(tokens)
+    for p, i in zip(step, idx):
+        child[p] = int(argmax[i])
+    return gap, dep, tuple(child)

@@ -22,7 +22,7 @@ from medal.errors import (
     SubsetNotMasked,
     ZeroMassContext,
 )
-from medal.families import random_calibrated_model, xor_pair_model
+from medal.families import anti_pair_model, random_calibrated_model, trap_instance, xor_pair_model
 from medal.reward import masked_entropies
 from medal.seqcore import SeqState, UnmaskAction, Vocab, apply_many
 from medal.theory import (
@@ -392,6 +392,19 @@ def _refusals(model, root):
         "greedy k=True": ("k", lambda: greedy_schedule(model, root, True)),
         "costs k=True": ("k", lambda: schedule_costs(model, root, True, with_dependence=False)),
         "theorem1 k=True": ("k", lambda: verify_theorem1(model, root, True, [4])),
+        **{
+            f"search snapshots=[{bad!r}]": (
+                "snapshots", lambda bad=bad: search_schedules(model, root, 2, 4, snapshots=[bad])
+            )
+            for bad in (2.5, "3", True)
+        },
+        **{
+            f"cost step=[{bad!r}]": (
+                "step positions",
+                lambda bad=bad: schedule_cost(model, root, [[bad]], with_dependence=False),
+            )
+            for bad in (True, 0.0, "1")
+        },
     }
 
 
@@ -419,6 +432,24 @@ def test_theory_arguments_may_be_numpy_integers():
     assert verify_theorem1(model, root, two, [np.int16(1), four], seed=np.uint8(1)) == (
         verify_theorem1(model, root, 2, [1, 4], seed=1)
     )
+    assert search_schedules(model, root, 2, 4, snapshots=[np.int8(2), four]) == search_schedules(
+        model, root, 2, 4, snapshots=[2, 4]
+    )
+    steps = [[np.int64(3)], [np.int32(0), np.uint8(2)]]
+    for with_dependence in (True, False):
+        assert schedule_cost(model, root, steps, with_dependence=with_dependence) == (
+            schedule_cost(model, root, [[3], [0, 2]], with_dependence=with_dependence)
+        )
+
+
+def test_a_later_step_with_a_non_integer_position_is_refused():
+    # a step past the first is checked at its own context too: a bool is
+    # never walked as position 1, nor a float as position 2
+    model = random_calibrated_model(np.random.default_rng(0), 4, 2)
+    root = root_of(model, 4)
+    for bad in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ConfigError, match=r"^step positions must be integers"):
+            schedule_cost(model, root, [[0], [bad, 3]], with_dependence=True)
 
 
 def test_verifiers_refuse_an_instance_past_the_cap_before_any_model_call():
@@ -629,12 +660,64 @@ def test_batched_rows_equal_rows_built_one_at_a_time(length, vocab, seed, data):
                 continue
             got = batched[state.tokens]
             assert got.ent.tobytes() == want.ent.tobytes()
-            assert got.tokens.tolist() == want.tokens.tolist()
+            assert got.tokens == want.tokens
             assert got.rows == want.rows
             for step in _all_steps(state):
                 a, b = got.step(step), want.step(step)
                 assert (_bits(a.gap), _bits(a.dep)) == (_bits(b.gap), _bits(b.dep))
                 assert a.child.tokens == b.child.tokens
+
+
+def _theory_family(data, length, vocab, seed):
+    """A model for the step property: a random calibrated joint, or one of
+    the families whose deterministic rows give -0.0 entropies (a trap
+    instance, an xor pair, the anti-correlated pair)."""
+    kind = data.draw(st.sampled_from(["calibrated", "trap", "xor", "anti"]), "family")
+    if kind == "trap":
+        return trap_instance(np.random.default_rng(seed), max(length, 3), 3)
+    if kind == "xor":
+        return xor_pair_model(vocab)
+    if kind == "anti":
+        return anti_pair_model()
+    return random_calibrated_model(np.random.default_rng(seed), length, vocab)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(2, 6),
+    vocab=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_property_row_steps_equal_the_first_written_step(length, vocab, seed, data):
+    # every step a row gives, with and without dependence, is bit for bit
+    # the step as first written (oracles.ref_theory_step): a one-position
+    # step's gap is .sum - .max of one entropy, -0.0 included, although
+    # the row runs no numpy call for it; a longer step's gap and KL keep
+    # their float order; and the child, built unchecked from the row, is
+    # apply_many's with the row's argmax tokens
+    model = _theory_family(data, length, vocab, seed)
+    for _ in range(data.draw(st.integers(1, 3), "contexts")):
+        state = _random_context(model, data)[0]
+        for with_dependence in (True, False):
+            try:
+                row = theory._contexts(model, with_dependence)(state)
+            except ZeroMassContext:
+                assert with_dependence
+                continue
+            joints = model.step_joints(state) if with_dependence else None
+            for step in _all_steps(state):
+                got = row.step(step)
+                gap, dep, tokens = oracles.ref_theory_step(
+                    state.tokens, state.masked_index, row.ent, row.tokens, step,
+                    None if joints is None else joints(step),
+                )
+                assert (_bits(got.gap), _bits(got.dep)) == (_bits(gap), _bits(dep))
+                want = apply_many(state, [UnmaskAction(p, row.tokens[row.rows[p]]) for p in step])
+                assert got.child.tokens == want.tokens == tokens
+                assert got.child.masked_index == want.masked_index
+                assert got.child.step == want.step
+                assert all(type(t) is int for t in got.child.tokens)
 
 
 def _drain(costs):
